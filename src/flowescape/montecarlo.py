@@ -4,8 +4,8 @@ Simulation is fully deterministic given a seed: one Philox generator keyed by
 the seed draws every uniform up front as a (steps, samples) block, so column i
 is sample i's private stream and results are bit-identical across reruns and
 independent of how many samples have already died. Exact counterparts for both
-estimators (the survival curve and a dynamic program for the deviation
-probabilities) live next to them so tests can hold the sampler to 3-sigma.
+estimators (the survival curve and the lattice-sum DP of ``shift`` for the deviation
+probabilities) let tests hold the sampler to 3-sigma.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
+    _integer_heights,
+    _lattice_links,
+    _lattice_step,
     admissible_words,
     cylinder_measure,
 )
-from .pressure import _integer_heights
 from .suspension import SuspensionSystem
 
 
@@ -197,14 +199,25 @@ class DeviationEstimate:
     config: SimulationConfig
 
 
-def _deviation_setup(shift: MarkovShift, ceiling: CylinderFunction):
+def _deviation_setup(shift, ceiling, epsilon, k_values, l_max):
+    """Checks shared by both deviation routes; returns the sorted k values, l_max
+    (default 4 * max k), heights, lattice, order and mean ceiling."""
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    ks = tuple(sorted({int(k) for k in k_values}))
+    if not ks or ks[0] < 1:
+        raise ValueError(f"k values must be positive integers, got {k_values}")
     heights = _integer_heights(ceiling)
     lam = float(ceiling.lattice)
     n = ceiling.order
-    mean_ext = lam * sum(
+    mean = lam * sum(
         cylinder_measure(shift, w) * heights[w] for w in admissible_words(shift, n)
     )
-    return heights, lam, n, mean_ext
+    if l_max is None:
+        l_max = 4 * ks[-1]
+    if l_max < ks[-1]:
+        raise ValueError(f"l_max = {l_max} is below the largest k = {ks[-1]}")
+    return ks, l_max, heights, lam, n, mean
 
 
 def fit_decay(k_values, probabilities) -> "float | None":
@@ -233,16 +246,7 @@ def estimate_deviation_prob(
     expression as the exact dynamic program, so the two can be compared at
     matching branch decisions.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    ks = tuple(sorted({int(k) for k in k_values}))
-    if not ks or ks[0] < 1:
-        raise ValueError(f"k values must be positive integers, got {k_values}")
-    heights, lam, n, mean_ext = _deviation_setup(shift, ceiling)
-    if l_max is None:
-        l_max = 4 * ks[-1]
-    if l_max < ks[-1]:
-        raise ValueError(f"l_max = {l_max} is below the largest k = {ks[-1]}")
+    ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
 
     size = shift.alphabet_size
     kmap = np.zeros(size ** n, dtype=np.int64)
@@ -271,7 +275,7 @@ def estimate_deviation_prob(
     deviated = np.zeros((l_max, config.samples), dtype=bool)
     for l in range(1, l_max + 1):
         running = running + kmap[codes]
-        deviated[l - 1] = np.abs(lam * running / l - mean_ext) >= epsilon
+        deviated[l - 1] = np.abs(lam * running / l - mean) >= epsilon
         if l < l_max:
             codes = (codes % tail_mod) * size + symbols[l + n - 1]
 
@@ -285,7 +289,7 @@ def estimate_deviation_prob(
         stderrs=stderrs,
         decay=fit_decay(ks, probabilities),
         l_max=l_max,
-        mean_value=mean_ext,
+        mean_value=mean,
         config=config,
     )
 
@@ -297,49 +301,30 @@ def exact_deviation_prob(
     k_values: "list[int] | tuple[int, ...]",
     l_max: int,
 ) -> tuple[float, ...]:
-    """Exact P_k by dynamic programming over (suffix, integer ceiling sum).
+    """Exact P_k by the lattice-sum DP of ``shift`` over (suffix, integer ceiling sum).
 
     Mass that has deviated at any l in [k, l_max] is absorbed; P_k is one
     minus what survives to l_max. The deviation test is the same float
     expression the sampler uses.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    ks = tuple(sorted({int(k) for k in k_values}))
-    heights, lam, n, mean_ext = _deviation_setup(shift, ceiling)
-    if l_max < ks[-1]:
-        raise ValueError(f"l_max = {l_max} is below the largest k = {ks[-1]}")
-
+    ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
     suffix_len = max(n - 1, 1)
-    suffixes = admissible_words(shift, suffix_len)
-    index = {w: i for i, w in enumerate(suffixes)}
-    links = []
-    for i, w in enumerate(suffixes):
-        for b in shift.successors(w[-1]):
-            window = (w + (b,))[-n:]
-            links.append(
-                (i, index[(w + (b,))[1:]], heights[window], float(shift.transitions[w[-1], b]))
-            )
+    index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
+    links = _lattice_links(shift, heights, n, index)
     max_sum = l_max * max(heights.values())
     sums = np.arange(max_sum + 1, dtype=np.int64)
 
-    init_len = max(n, suffix_len)
+    start = np.zeros((len(index), max_sum + 1))
+    for w in admissible_words(shift, max(n, suffix_len)):
+        start[index[w[-suffix_len:]], heights[w[-n:]]] += cylinder_measure(shift, w)
     out = []
     for k in ks:
-        dist = np.zeros((len(suffixes), max_sum + 1))
-        for w in admissible_words(shift, init_len):
-            dist[index[w[-suffix_len:]], heights[w[-n:]]] += cylinder_measure(shift, w)
+        dist = start
         for l in range(1, l_max + 1):
             if l > 1:
-                new = np.zeros_like(dist)
-                for i, j, gained, prob in links:
-                    if gained == 0:
-                        new[j] += prob * dist[i]
-                    else:
-                        new[j, gained:] += prob * dist[i, :-gained]
-                dist = new
+                dist = _lattice_step(dist, links)
             if l >= k:
-                keep = np.abs(lam * sums / l - mean_ext) < epsilon
+                keep = np.abs(lam * sums / l - mean) < epsilon
                 dist = dist * keep[None, :]
         out.append(1.0 - float(dist.sum()))
     return tuple(out)

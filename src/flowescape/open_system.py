@@ -28,7 +28,7 @@ from .errors import (
     NoConvergenceError,
     NotReducedError,
 )
-from .shift import DEFAULT_STATE_CAP, Word, cylinder_measure, is_reduced
+from .shift import DEFAULT_STATE_CAP, Word, _survival_curve, is_reduced
 from .suspension import SuspensionSystem, refine_suspension
 
 
@@ -407,14 +407,4 @@ def survival_curve_flow(
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     om = build_open_refined(system, hole, cap=cap)
     mass = om.system.block_measure / om.system.mass_normalized
-    out = np.empty(t_max + 1)
-    out[0] = 1.0
-    vec = mass.copy()
-    killer = np.ones(len(vec))
-    killer[list(om.hole_rows)] = 0.0
-    closed = om.system.block_matrix
-    for t in range(1, t_max + 1):
-        vec = vec * killer  # kill mass sitting in the hole
-        out[t] = vec.sum()
-        vec = vec @ closed  # then step the survivors
-    return out
+    return _survival_curve(mass, om.system.block_matrix, om.hole_rows, 1, t_max)

@@ -9,8 +9,8 @@ surviving collection is the growth rate
 
 over hole-avoiding words, with Birkhoff sums sup-completed over the cylinder.
 It equals -rho, the escape rate of the suspension flow through the hole. Two
-independent estimators live here: a truncated window sum via dynamic
-programming on (suffix, ceiling sum) states, and the root beta* of
+independent estimators live here: a truncated window sum via the lattice-sum
+DP of ``shift`` on (suffix, ceiling sum) states, and the root beta* of
 radius(W(beta)) = 1 for the weighted survivor matrix W(beta) with entries
 p(a, b) e^{-beta phi}.
 """
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     InadmissibleWordError,
     NoBracketError,
-    NonArithmeticCeilingError,
     NonPositiveCeilingError,
     PressureNotNegativeError,
     WindowEmptyError,
@@ -36,6 +35,9 @@ from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
+    _integer_heights,
+    _lattice_links,
+    _lattice_step,
     admissible_words,
     cylinder_function,
     cylinder_measure,
@@ -97,19 +99,8 @@ def gibbs_constant(shift: MarkovShift) -> float:
 
 
 # ===========================================================================
-# Shared ceiling bookkeeping
+# Shared hole bookkeeping
 # ===========================================================================
-
-def _integer_heights(ceiling: CylinderFunction) -> dict[Word, int]:
-    if ceiling.lattice is None:
-        raise NonArithmeticCeilingError("this estimator needs an arithmetic ceiling")
-    heights = {}
-    for w, v in ceiling.values.items():
-        if v <= 0.0:
-            raise NonPositiveCeilingError(f"ceiling value {v} at word {w} is not positive")
-        heights[w] = int(round(v / ceiling.lattice))
-    return heights
-
 
 def _contains_hole(word: Word, hole: Word) -> bool:
     m = len(hole)
@@ -194,18 +185,7 @@ def induced_pressure_truncated(
 
     # Phase 2: DP on (suffix, determined sum). Sums above t_norm can never come
     # back down (heights are positive), so the sum axis is clipped there.
-    transitions = []
-    for i, w in enumerate(suffixes):
-        for b in shift.successors(w[-1]):
-            extended = w + (b,)
-            if len(extended) >= m and extended[-m:] == hole_word:
-                continue
-            j = suffix_index.get(extended[1:])
-            if j is None:
-                continue
-            gained = heights[extended[-n:]] if len(extended) >= n else 0
-            transitions.append((i, j, gained, float(shift.transitions[w[-1], b])))
-
+    links = _lattice_links(shift, heights, n, suffix_index, hole=hole_word)
     comp_by_suffix = np.array(
         [completion[w[-(n - 1) :]] if n > 1 else 0 for w in suffixes], dtype=int
     )
@@ -215,13 +195,7 @@ def induced_pressure_truncated(
 
     max_length = t_norm // max(min_k, 1) + n + 1
     for _ in range(depth + 1, max_length + 1):
-        new = np.zeros_like(dist)
-        for i, j, gained, prob in transitions:
-            if gained == 0:
-                new[j, :] += prob * dist[i, :]
-            else:
-                new[j, gained:] += prob * dist[i, :-gained]
-        dist = new
+        dist = _lattice_step(dist, links)
         if not dist.any():
             break
         total_sum += float((dist * window_mask * readout_factor[:, None]).sum())

@@ -1,6 +1,9 @@
 """Finite-alphabet Markov shifts: admissible words, cylinder measures,
 cylinder functions, Birkhoff sums, and exact survival through a cylinder hole.
 
+Every exact word-level DP runs on one of two kernels here: the survival curve
+and the lattice-sum DP over (suffix word, integer ceiling sum).
+
 A shift is described by a row-stochastic, irreducible transition matrix P over
 symbols 0..S-1 together with its stationary vector pi. Words are tuples of
 symbol indices; the cylinder [a_1..a_k] has measure pi(a_1) * prod p(a_i, a_{i+1}).
@@ -21,6 +24,7 @@ from .errors import (
     InadmissibleWordError,
     NoConvergenceError,
     NonArithmeticCeilingError,
+    NonPositiveCeilingError,
     NotIrreducibleError,
     NotRowStochasticError,
     RefinementTooLargeError,
@@ -342,7 +346,7 @@ def birkhoff_sum_cyclic(func: CylinderFunction, word: Word) -> float:
 
 
 # ===========================================================================
-# Survivor chains and exact survival through a hole
+# Survivor chains, exact survival and the two exact DP kernels
 # ===========================================================================
 
 @dataclass(frozen=True, eq=False)
@@ -409,7 +413,7 @@ def escape_rate_from_survival_slope(
     if not (0 < n_lo < n_hi):
         raise ValueError(f"need 0 < n_lo < n_hi, got ({n_lo}, {n_hi})")
     ns = np.arange(n_lo, n_hi + 1, dtype=float)
-    values = np.array([survival_measure_exact(shift, hole, int(n)) for n in ns])
+    values = _survival_by_length(shift, hole, n_hi)[n_lo:]
     if values.min() <= 0.0:
         raise InadmissibleWordError("survival hit zero inside the fit range")
     slope = np.polyfit(ns, np.log(values), 1)[0]
@@ -423,6 +427,11 @@ def survival_measure_exact(shift: MarkovShift, hole: Word, n: int) -> float:
     word as a substring. For n below the hole length nothing can have escaped,
     so the survival is exactly 1.
     """
+    return float(_survival_by_length(shift, hole, n)[n])
+
+
+def _survival_by_length(shift: MarkovShift, hole: Word, n: int) -> np.ndarray:
+    """Survival for every length 0..n, from one pass of the survival kernel."""
     hole_word = tuple(hole)
     if len(hole_word) == 0:
         raise WordTooShortError("hole word must be nonempty")
@@ -432,15 +441,59 @@ def survival_measure_exact(shift: MarkovShift, hole: Word, n: int) -> float:
         raise ValueError(f"n must be >= 0, got {n}")
     m = len(hole_word)
     if n < m:
-        return 1.0
+        return np.ones(n + 1)
     chain = survivor_matrix(shift, hole_word)
     mass = np.array([cylinder_measure(shift, w) for w in chain.states])
-    rows = list(chain.hole_rows)
-    mass[rows] = 0.0
-    for _ in range(n - m):
-        mass = mass @ chain.matrix
-        mass[rows] = 0.0
-    return float(mass.sum())
+    return _survival_curve(mass, chain.matrix, chain.hole_rows, m, n - m + 1)
+
+
+def _survival_curve(mass, matrix, hole_rows, lead: int, length: int) -> np.ndarray:
+    """Survival kernel: ``lead`` ones, then ``length`` rounds of zeroing the mass
+    in ``hole_rows``, recording the total and stepping it through ``matrix``."""
+    killer = np.ones(len(mass))
+    killer[list(hole_rows)] = 0.0
+    out = np.ones(lead + length)
+    for t in range(lead, lead + length):
+        mass = mass * killer
+        out[t] = mass.sum()
+        mass = mass @ matrix
+    return out
+
+
+def _integer_heights(ceiling: CylinderFunction) -> dict[Word, int]:
+    if ceiling.lattice is None:
+        raise NonArithmeticCeilingError("this estimator needs an arithmetic ceiling")
+    heights = {}
+    for w, v in ceiling.values.items():
+        if v <= 0.0:
+            raise NonPositiveCeilingError(f"ceiling value {v} at word {w} is not positive")
+        heights[w] = int(round(v / ceiling.lattice))
+    return heights
+
+
+def _lattice_links(shift: MarkovShift, heights, order: int, index, hole=None) -> list[tuple]:
+    """Links (i, j, g, p) of the lattice-sum DP over (suffix word, integer ceiling sum):
+    suffix i plus letter b, minus its first letter, is suffix j; g is the height of its
+    last window and p = p(last, b). Extensions ending in ``hole`` are dropped."""
+    links = []
+    for w, i in index.items():
+        for b in shift.successors(w[-1]):
+            extended = w + (b,)
+            if hole is not None and extended[-len(hole) :] == hole:
+                continue
+            prob = float(shift.transitions[w[-1], b])
+            links.append((i, index[extended[1:]], heights[extended[-order:]], prob))
+    return links
+
+
+def _lattice_step(dist: np.ndarray, links: list[tuple]) -> np.ndarray:
+    """One letter of the lattice-sum DP; sums pushed past the last column drop out."""
+    width = dist.shape[1]
+    new = np.zeros_like(dist)
+    for i, j, g, p in links:
+        if g < width:
+            new[j, g:] += p * dist[i, : width - g]
+    return new
 
 
 # ===========================================================================

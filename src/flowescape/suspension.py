@@ -12,7 +12,7 @@ expansions) works on this block chain and converts rates back by 1/lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class SuspensionSystem:
     block_matrix: np.ndarray
     block_measure: np.ndarray
     mass_normalized: float
+    _word_index: dict[Word, int] = field(repr=False)
+    _block_index: dict[Block, int] = field(repr=False)
 
     @property
     def total_mass(self) -> float:
@@ -75,14 +77,6 @@ class SuspensionSystem:
         if idx is None:
             raise KeyError(f"block ({word}, {level}) is not in this suspension")
         return idx
-
-    @property
-    def _word_index(self) -> dict:
-        return {w: i for i, w in enumerate(self.words)}
-
-    @property
-    def _block_index(self) -> dict:
-        return {blk: i for i, blk in enumerate(self.blocks)}
 
 
 def build_suspension(
@@ -144,6 +138,8 @@ def build_suspension(
         block_matrix=matrix,
         block_measure=measure,
         mass_normalized=float(measure.sum()),
+        _word_index=word_pos,
+        _block_index=index,
     )
 
 

@@ -167,11 +167,17 @@ def test_deviation_rejects_bad_arguments(full2, step_ceiling):
     with pytest.raises(ValueError):
         estimate_deviation_prob(full2, step_ceiling, 0.0, [5], config)
     with pytest.raises(ValueError):
-        estimate_deviation_prob(full2, step_ceiling, 0.25, [0], config)
+        exact_deviation_prob(full2, step_ceiling, -1.0, [5], 20)
+    # Both routes reject the same k lists and l_max.
+    for k_values in ([0], [-1, 5], []):
+        with pytest.raises(ValueError):
+            estimate_deviation_prob(full2, step_ceiling, 0.25, k_values, config)
+        with pytest.raises(ValueError):
+            exact_deviation_prob(full2, step_ceiling, 0.25, k_values, 20)
     with pytest.raises(ValueError):
         estimate_deviation_prob(full2, step_ceiling, 0.25, [10], config, l_max=5)
     with pytest.raises(ValueError):
-        exact_deviation_prob(full2, step_ceiling, -1.0, [5], 20)
+        exact_deviation_prob(full2, step_ceiling, 0.25, [10], 5)
 
 
 def test_fit_decay_on_pure_geometric_sequence():

@@ -1,5 +1,6 @@
 """Induced pressure of hole-avoiding words: Gibbs bounds and both estimators."""
 
+import itertools
 import math
 
 import pytest
@@ -101,6 +102,49 @@ def test_truncated_pressure_near_limit(full2, unit_ceiling, step_ceiling):
     assert got == pytest.approx(-(math.log(2.0) - math.log(GOLDEN)), abs=0.005)
     got = induced_pressure_truncated(full2, step_ceiling, (0,), 200.0, eta=2.0)
     assert got == pytest.approx(-0.5 * math.log(2.0), abs=0.005)
+
+
+def _brute_window_sum(heights, order, hole, t):
+    """Sum of e^{S_w p} over hole-avoiding full-2-shift words whose
+    sup-completed lattice-1 ceiling sum lies in the default window
+    (t - sup - 1, t]. Heights are >= 1, so every word longer than t misses it.
+    """
+    full2 = build_markov_shift([[0.5, 0.5], [0.5, 0.5]])
+    eta = max(heights.values()) + 1
+    total = 0.0
+    for length in range(1, t + 1):
+        for word in itertools.product((0, 1), repeat=length):
+            if any(word[j : j + len(hole)] == hole for j in range(length - len(hole) + 1)):
+                continue
+            best = max(
+                sum(heights[(word + tail)[j : j + order]] for j in range(length))
+                for tail in itertools.product((0, 1), repeat=order - 1)
+            )
+            if t - eta < best <= t:
+                total += math.exp(word_log_weight(full2, word))
+    return total
+
+
+@pytest.mark.parametrize(
+    "heights",
+    [
+        pytest.param(
+            {(0,): 1, (1,): 2},
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="order-1 ceilings: words past the suffix depth are summed "
+                "without their first letter's height",
+            ),
+        ),
+        {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 1},
+    ],
+)
+def test_truncated_pressure_matches_brute_force_window_sum(full2, heights):
+    order = len(next(iter(heights)))
+    ceiling = cylinder_function(order, {w: float(k) for w, k in heights.items()}, lattice=1.0)
+    want = math.log(_brute_window_sum(heights, order, (0, 0), 8)) / 8.0
+    got = induced_pressure_truncated(full2, ceiling, (0, 0), 8.0)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_truncated_pressure_window_choice_is_second_order(full2, unit_ceiling):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import flowescape.shift
 from flowescape import (
     InadmissibleWordError,
     NonArithmeticCeilingError,
@@ -203,6 +204,22 @@ def test_escape_rate_slope_matches_radius(full2):
     radius = max(abs(np.linalg.eigvals(chain.matrix)))
     slope = escape_rate_from_survival_slope(full2, (0, 0))
     assert slope == pytest.approx(-math.log(radius), abs=1e-6)
+
+
+def test_escape_rate_slope_builds_one_chain(full2, monkeypatch):
+    builds = []
+    build = flowescape.shift.survivor_matrix
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(flowescape.shift, "survivor_matrix", counting_build)
+    slope = escape_rate_from_survival_slope(full2, (0, 0))
+    assert len(builds) == 1
+    ns = np.arange(20, 61, dtype=float)
+    values = [survival_measure_exact(full2, (0, 0), int(n)) for n in ns]
+    assert slope == -float(np.polyfit(ns, np.log(values), 1)[0])
 
 
 # ---------------------------------------------------------------------------
