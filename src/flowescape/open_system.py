@@ -13,11 +13,16 @@ are built here:
 
 Both have the same escape rate; the refined matrix is entrywise nonnegative
 while the bordered one mixes signs, so the two need different spectral-radius
-strategies (power iteration vs polynomial root).
+strategies. The refined radius collapses each word's tower: with P the base
+transitions between hole-free words and k_C the ceiling heights, the radius
+is e^{-s*} for the root s* of rho(diag(e^{s k}) P) = 1, found on the small
+word operator instead of the tall block matrix. The bordered radius is the
+reciprocal of a polynomial root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,29 +328,168 @@ def matrix_spectral_radius(
             node = comp[0]
             radius = max(radius, float(mat[node, node]))
             continue
-        sub = mat[np.ix_(comp, comp)]
-        if len(comp) <= 128:
-            # Dense eigenvalues beat power iteration outright at this size,
-            # and stay fast when a small spectral gap would stall it.
-            estimate = float(np.abs(np.linalg.eigvals(sub)).max())
-        else:
-            estimate = _power_iteration_radius(sub, tol, max_iter)
-            if estimate is None:
-                estimate = float(np.abs(np.linalg.eigvals(sub)).max())
-        radius = max(radius, estimate)
+        radius = max(radius, _component_radius(mat[np.ix_(comp, comp)], tol, max_iter))
     return radius
+
+
+def _component_radius(sub: np.ndarray, tol: float, max_iter: int = 200_000) -> float:
+    """Spectral radius of one irreducible nonnegative block."""
+    if len(sub) <= 128:
+        # Dense eigenvalues beat power iteration outright at this size,
+        # and stay fast when a small spectral gap would stall it.
+        return float(np.abs(np.linalg.eigvals(sub)).max())
+    estimate = _power_iteration_radius(sub, tol, max_iter)
+    if estimate is None:
+        estimate = float(np.abs(np.linalg.eigvals(sub)).max())
+    return estimate
+
+
+# The word-operator root stops once its bracket is 4 ulp of s* wide or
+# |log rho| is within 4 ulp of 0.
+_ROOT_WIDTH = 4.0 * float(np.finfo(float).eps)
+_ROOT_MAX_STEPS = 100
+# Largest log of a row weight the root evaluates (e^709 is the float limit).
+_ROOT_MAX_LOG_WEIGHT = 700.0
+
+
+def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) -> float:
+    """The s* with rho(diag(e^{s h}) P) = 1, for P nonnegative and heights h
+    positive; +inf when P is nilpotent.
+
+    f(s) = log rho(diag(e^{s h}) P) is convex, with slope a Perron average of
+    the heights on the cyclic components of P. So from f(0) = log rho(P) the
+    root lies between near = -f(0)/h_max and -f(0)/h_min, over those
+    heights. Equal heights close that bracket with one radius evaluation.
+    Otherwise f(near) is evaluated. When rho(P) < 1, convexity keeps f above
+    the chord through (0, f(0)) and (near, f(near)) past near, so the chord's
+    zero is a second, usually much closer, upper end. Illinois steps
+    then shrink the bracket to about 4 ulp of s*, or stop early where |f| is
+    within 4 ulp of 0. Weights are e^{s h} unscaled, so the radii are near 1
+    close to the root. The upper end is clamped where a weight reaches e^700,
+    and NoConvergenceError is raised only when the root lies past that
+    clamp, outside the float range. ``tol`` is the power-iteration tolerance
+    of each radius.
+    """
+    h = np.asarray(heights, dtype=float)
+    live = h[P.any(axis=1)]
+    if live.size == 0:
+        return math.inf
+    if live.min() == live.max():
+        radius = matrix_spectral_radius(P, tol=tol)
+        return -math.log(radius) / live[0] if radius > 0.0 else math.inf
+    # Positive row weights keep the strongly connected components, so they
+    # are found once; each evaluation takes the radius of the cyclic ones.
+    parts = [
+        (P[np.ix_(comp, comp)], h[comp])
+        for comp in _strongly_connected_components(P > 0.0)
+        if len(comp) > 1 or P[comp[0], comp[0]] > 0.0
+    ]
+    if not parts:
+        return math.inf
+    cyclic = np.concatenate([hp for _, hp in parts])
+    h_min, h_max = float(cyclic.min()), float(cyclic.max())
+
+    def f(s: float) -> float:
+        return math.log(
+            max(_component_radius(np.exp(s * hp)[:, None] * sub, tol) for sub, hp in parts)
+        )
+
+    f0 = f(0.0)
+    near = -f0 / h_max
+    if f0 == 0.0 or h_min == h_max:
+        return near
+    limit = _ROOT_MAX_LOG_WEIGHT / h_max
+    if near > limit:
+        raise NoConvergenceError(
+            f"word-operator root lies past s = {near!r}, where the weights "
+            "e^(s h) leave the float range"
+        )
+    f_near = f(near)
+    if f_near * f0 <= 0.0:
+        # The bounds put the root on the far side of near, so a value of the
+        # other sign there is rounding noise.
+        return near
+    far = -f0 / h_min
+    if f0 < f_near < 0.0:
+        far = min(far, near - f_near * near / (f_near - f0))
+    clamped = far > limit
+    if clamped:
+        far = limit
+    f_far = f(far)
+    if f_far * f0 >= 0.0:
+        if clamped and f_far != 0.0:
+            raise NoConvergenceError(
+                f"word-operator root lies past s = {limit!r}, where the weights "
+                "e^(s h) leave the float range"
+            )
+        # far is a bound too, so its value there is noise as well.
+        return far
+    (lo, f_lo), (hi, f_hi) = sorted(((near, f_near), (far, f_far)))
+    kept = None
+    for _ in range(_ROOT_MAX_STEPS):
+        if hi - lo <= _ROOT_WIDTH * max(-lo, hi):
+            return 0.5 * (lo + hi)
+        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) <= _ROOT_WIDTH:
+            # log rho carries rounding noise of a few ulp, so no further
+            # step would sharpen the root.
+            return mid
+        # Illinois: an end kept twice running has its value halved, so the
+        # false-position point moves towards it and that end is replaced too.
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, f_hi = mid, f_mid
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+    raise NoConvergenceError(
+        f"word-operator root bracket [{lo!r}, {hi!r}] still open after "
+        f"{_ROOT_MAX_STEPS} steps"
+    )
+
+
+def _block_hole_root(
+    system: SuspensionSystem, matrix: np.ndarray, rows: "tuple[int, ...]", tol: float = 1e-13
+) -> float:
+    """Root s* of the block chain with ``rows`` removed, so its radius is e^{-s*}.
+
+    ``matrix`` is ``system.block_matrix`` with ``rows`` zeroed. The chain is
+    collapsed onto its words: P[C, C'] is the entry from the top block of C
+    to the level-0 block of C', and the row of every word whose tower holds a
+    removed row is zeroed, since no mass passes that tower. With all heights
+    1 the chain is already the word chain and ``matrix`` is used as it is.
+    """
+    heights = system.heights
+    if heights.max() == 1:
+        return _word_operator_root(matrix, heights, tol=tol)
+    level0 = np.cumsum(heights) - heights
+    P = matrix[np.ix_(level0 + heights - 1, level0)]
+    P[np.repeat(np.arange(len(heights)), heights)[list(rows)], :] = 0.0
+    return _word_operator_root(P, heights, tol=tol)
 
 
 def open_spectral_radius(open_matrix: OpenMatrix, tol: float = 1e-13) -> float:
     """Spectral radius of the open operator in either representation.
 
-    The refined matrix is nonnegative, so component-wise power iteration
-    applies directly. The bordered matrix has signed entries whose determinant
-    identity pins the radius as the reciprocal of the smallest real root >= 1
-    of its characteristic polynomial det(I - zA).
+    The refined radius is e^{-s*} for the root s* of the word operator
+    rho(diag(e^{s k}) P) = 1 (the block chain collapsed onto its words, see
+    ``_block_hole_root``); ``tol`` is the power-iteration tolerance of each
+    radius it evaluates. The bordered matrix has signed entries whose
+    determinant identity pins the radius as the reciprocal of the smallest
+    real root >= 1 of its characteristic polynomial det(I - zA).
     """
     if open_matrix.representation == "refined":
-        return matrix_spectral_radius(open_matrix.matrix, tol=tol)
+        root = _block_hole_root(
+            open_matrix.system, open_matrix.matrix, open_matrix.hole_rows, tol=tol
+        )
+        return math.exp(-root)
     from .zeta import char_poly, smallest_root_geq_one
 
     poly = char_poly(open_matrix.matrix)
@@ -368,9 +512,13 @@ def escape_rate_flow(
     """Escape rate of the suspension flow through the hole, in flow-time units.
 
     This is -log(radius)/lambda for the open time-lambda operator; +inf when
-    everything escapes (radius 0).
+    everything escapes (radius 0). The refined route returns the word-operator
+    root s*/lambda directly rather than -log(e^{-s*})/lambda, which would
+    lose relative accuracy when s* is small.
     """
     om = build_open_matrix(system, hole, representation=representation, cap=cap)
+    if om.representation == "refined":
+        return _block_hole_root(om.system, om.matrix, om.hole_rows) / system.lattice_scale
     radius = open_spectral_radius(om)
     if radius <= 0.0:
         return float("inf")
@@ -379,16 +527,14 @@ def escape_rate_flow(
 
 def escape_rate_block_hole(system: SuspensionSystem, rows: "tuple[int, ...] | list[int]") -> float:
     """Escape rate when the hole is an arbitrary union of blocks (given as row
-    indices of the block matrix)."""
+    indices of the block matrix). A row at any level of a word's tower removes
+    that whole word from the word-operator root."""
     rows = tuple(int(r) for r in rows)
     if len(rows) == 0:
         raise ValueError("block hole needs at least one row")
     matrix = system.block_matrix.copy()
     matrix[list(rows), :] = 0.0
-    radius = matrix_spectral_radius(matrix)
-    if radius <= 0.0:
-        return float("inf")
-    return -float(np.log(radius)) / system.lattice_scale
+    return _block_hole_root(system, matrix, rows) / system.lattice_scale
 
 
 def survival_curve_flow(

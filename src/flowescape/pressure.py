@@ -12,12 +12,13 @@ It equals -rho, the escape rate of the suspension flow through the hole. Two
 independent estimators live here: a truncated window sum via the lattice-sum
 DP of ``shift`` on (suffix, ceiling sum) states, and the root beta* of
 radius(W(beta)) = 1 for the weighted survivor matrix W(beta) with entries
-p(a, b) e^{-beta phi}.
+p(a, b) e^{-beta phi}, solved by the word-operator root of ``open_system``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     PressureNotNegativeError,
     WindowEmptyError,
 )
-from .open_system import escape_rate_flow, matrix_spectral_radius
+from .open_system import _word_operator_root, escape_rate_flow
 from .shift import (
     DEFAULT_STATE_CAP,
     CylinderFunction,
@@ -171,7 +172,8 @@ def induced_pressure_truncated(
             if in_window(_sup_completed_sum(shift, heights, n, word)):
                 total_sum += weight * row_max[word[-1]]
             if length == depth:
-                dist[suffix_index[word], determined] += weight
+                if determined <= t_norm:
+                    dist[suffix_index[word], determined] += weight
                 continue
             for b in shift.successors(word[-1]):
                 extended = word + (b,)
@@ -265,16 +267,27 @@ def induced_pressure_via_root(
     ceiling: CylinderFunction,
     hole: Word,
     beta_lo: float = -50.0,
-    tol: float = 1e-10,
+    tol: "float | None" = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """The root beta* of radius(W(beta)) = 1; exactly -rho for lattice ceilings.
 
-    W(beta) lives on hole-free words of length max(order, hole length), with
-    entries p(last, next) * e^{-beta phi(prefix)}. The radius is strictly
-    decreasing in beta, radius(0) < 1 for a genuine hole, so bisection on
-    [beta_lo, 0] brackets the root; the ceiling need not be arithmetic here.
+    W(beta) = diag(e^{-beta phi}) P lives on hole-free words of length
+    max(order, hole length), with P[w, w'] = p(last, next) for each one-letter
+    shift w -> w'. beta* = -s* for the word-operator root s* of
+    ``open_system``, located to a few ulp. ``tol`` is deprecated and ignored
+    (it was the bisection tolerance); passing it emits a DeprecationWarning.
+    The ceiling need not be arithmetic here. Raises
+    PressureNotNegativeError when beta* >= 0 and NoBracketError when
+    beta* < beta_lo (beta* = -inf when no hole-avoiding word survives forever).
     """
+    if tol is not None:
+        warnings.warn(
+            "induced_pressure_via_root: tol is ignored, since the root is located "
+            "to a few ulp, and will be removed",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     hole_word = tuple(hole)
     if not shift.is_admissible(hole_word) or len(hole_word) == 0:
         raise InadmissibleWordError(f"hole word {hole_word} is not admissible")
@@ -288,48 +301,21 @@ def induced_pressure_via_root(
         raise PressureNotNegativeError("no surviving words at all; the hole is everything")
     index = {w: i for i, w in enumerate(states)}
     phi = np.array([ceiling.value(w) for w in states])
-    links = []
+    P = np.zeros((len(states), len(states)))
     for i, w in enumerate(states):
         for b in shift.successors(w[-1]):
             j = index.get(w[1:] + (b,))
             if j is not None:
-                links.append((i, j, float(shift.transitions[w[-1], b])))
+                P[i, j] = shift.transitions[w[-1], b]
 
-    def radius(beta: float) -> float:
-        weights = np.exp(-beta * phi)
-        mat = np.zeros((len(states), len(states)))
-        for i, j, prob in links:
-            mat[i, j] = prob * weights[i]
-        return matrix_spectral_radius(mat)
-
-    if radius(0.0) >= 1.0 - 1e-13:
+    beta = -_word_operator_root(P, phi)
+    if beta >= 0.0:
         raise PressureNotNegativeError("spectral radius at beta = 0 is not below 1")
-    if radius(beta_lo) < 1.0:
+    if beta < beta_lo:
         raise NoBracketError(
             f"spectral radius stays below 1 down to beta = {beta_lo}; no root bracketed"
         )
-    lo, hi = beta_lo, 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if radius(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    # Secant polish on log radius(beta), which is smooth and strictly
-    # decreasing; bisection alone leaves an error of order tol.
-    x0, x1 = lo, hi
-    f0, f1 = math.log(radius(x0)), math.log(radius(x1))
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (beta_lo <= x2 <= 0.0):
-            break
-        x0, f0, x1 = x1, f1, x2
-        f1 = math.log(radius(x1))
-        if abs(x1 - x0) <= 1e-15 * max(1.0, abs(x1)):
-            break
-    return x1
+    return beta
 
 
 # ===========================================================================

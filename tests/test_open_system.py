@@ -1,20 +1,26 @@
 """Hole quantities, open matrices in both representations, escape rates."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import flowescape.open_system as open_system
 from flowescape import (
     HoleShorterThanCeilingOrderError,
     InadmissibleWordError,
+    NoConvergenceError,
     NotReducedError,
+    build_markov_shift,
     build_open_bordered,
     build_open_matrix,
     build_open_refined,
     build_suspension,
     char_poly,
     constant_function,
+    cylinder_function,
     escape_rate_block_hole,
     escape_rate_flow,
     hole_quantities,
@@ -175,6 +181,163 @@ def test_block_hole_shadow_slabs(step_system):
     top = (step_system.block_index((1,), 1),)
     assert escape_rate_block_hole(step_system, bottom) == pytest.approx(math.log(2), abs=1e-12)
     assert escape_rate_block_hole(step_system, top) == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_block_hole_any_level_of_a_tall_word(full3, cycle2):
+    # Removing any block of a word's tower stops all passage through it, so a
+    # mid-level row and the level-0 row of the same word give one rate.
+    ceiling = cylinder_function(1, {(0,): 1.15, (1,): 2.95, (2,): 2.0}, lattice=0.05)
+    system = build_suspension(full3, ceiling)
+    word = (1,)
+    mid = escape_rate_block_hole(system, (system.block_index(word, 30),))
+    bottom = escape_rate_block_hole(system, (system.block_index(word, 0),))
+    assert mid == bottom
+    assert mid == pytest.approx(escape_rate_flow(system, word, "refined"), rel=1e-13, abs=0.0)
+    # Killing word 0 of the 2-cycle leaves no cycle: nilpotent, rate inf.
+    ceiling = cylinder_function(1, {(0,): 3.0, (1,): 1.85}, lattice=0.05)
+    tall_cycle = build_suspension(cycle2, ceiling)
+    mid = (tall_cycle.block_index((0,), 17),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert escape_rate_block_hole(tall_cycle, mid) == math.inf
+        assert escape_rate_flow(tall_cycle, (0,), "refined") == math.inf
+
+
+def test_equal_heights_root_takes_one_radius(monkeypatch, unit_system):
+    om = build_open_refined(unit_system, (0, 1, 1, 0, 1, 0, 0, 1, 1, 1))
+    assert om.matrix.shape == (1024, 1024)
+    want = matrix_spectral_radius(om.matrix)
+    shapes = []
+
+    def counted(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return matrix_spectral_radius(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(open_system, "matrix_spectral_radius", counted)
+    got = open_spectral_radius(om)
+    assert shapes == [(1024, 1024)]
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_power_iterated_word_operator_root(monkeypatch, step_system):
+    # 255 surviving words with heights 1 and 2: each radius of the root is
+    # power-iterated, which is accurate to about 1e-13, not to the ulp.
+    om = build_open_refined(step_system, (1, 1, 1, 0, 0, 0, 0, 0))
+    assert om.matrix.shape == (384, 384)
+    sizes = []
+    component_radius = open_system._component_radius
+
+    def counted(sub, *args, **kwargs):
+        sizes.append(len(sub))
+        return component_radius(sub, *args, **kwargs)
+
+    monkeypatch.setattr(open_system, "_component_radius", counted)
+    got = open_spectral_radius(om)
+    # Five evaluations: f(0), the two bracket ends and two Illinois steps.
+    # The bound leaves room for rounding that differs between BLAS builds.
+    assert set(sizes) == {255}
+    assert len(sizes) <= 8
+    monkeypatch.undo()
+    assert got == pytest.approx(matrix_spectral_radius(om.matrix), rel=1e-12, abs=0.0)
+    dense = float(np.abs(np.linalg.eigvals(om.matrix)).max())
+    assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def test_word_operator_root_near_the_float_range():
+    # A 2-cycle with heights 1 and 2 and both entries 1e-200: the root solves
+    # e^{3 s} 1e-400 = 1, s* = 307. The weight e^{2 s} of the second row
+    # reaches e^700 at s = 350, so with entries 1e-300 (s* = 460) it raises.
+    heights = np.array([1.0, 2.0])
+    cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
+    root = open_system._word_operator_root(1e-200 * cycle, heights)
+    assert root == pytest.approx(400.0 * math.log(10.0) / 3.0, rel=1e-14)
+    with pytest.raises(NoConvergenceError):
+        open_system._word_operator_root(1e-300 * cycle, heights)
+
+
+# Lattice-0.05 towers, heights up to 60 (flow ceilings up to 3.0), holes of
+# length 1-3: the refined block chains have 70-1314 blocks, the word
+# operators 1-27 words. The last rate is 3.5e-5, so a detour through the
+# radius, -log(e^{-s*}), would lose about 2e-11 of it.
+ORACLE_TOWERS = [
+    ([[0.49, 0.51], [0.07, 0.93]], (28, 40), (0, 1, 0)),
+    ([[0.08, 0.92, 0.0], [0.33, 0.33, 0.34], [0.67, 0.33, 0.0]], (23, 51, 20), (0, 0)),
+    ([[0.42, 0.27, 0.31], [0.17, 0.43, 0.40], [0.41, 0.18, 0.41]], (39, 58, 49), (1, 1, 0)),
+    ([[0.0, 1.0, 0.0], [0.0, 0.89, 0.11], [0.3, 0.35, 0.35]], (57, 20, 54), (2,)),
+    ([[0.9999, 0.0001], [0.5, 0.5]], (57, 13), (1,)),
+]
+
+
+def _mp_smallest_root(transitions, heights, hole, guess):
+    """Smallest positive zero of det(I - diag(e^{s k}) P) at 50 digits.
+
+    P is the base chain on the admissible words of the hole's length, with
+    the rows of words that begin with the hole zeroed, and k the height of
+    each word's first letter. It is built here from the transition floats,
+    not from the library's block matrix. ``guess`` only sets the scan grid:
+    the first sign change of the determinant on it is refined by Illinois.
+    """
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    size = len(transitions)
+    words = [
+        w
+        for w in itertools.product(range(size), repeat=len(hole))
+        if all(transitions[a][b] > 0.0 for a, b in zip(w, w[1:]))
+    ]
+    index = {w: i for i, w in enumerate(words)}
+    n = len(words)
+
+    def det(s):
+        rows = []
+        for i, w in enumerate(words):
+            row = [mp.mpf(int(i == j)) for j in range(n)]
+            if w != tuple(hole):
+                weight = mp.exp(s * heights[w[0]])
+                for b in range(size):
+                    j = index.get(w[1:] + (b,))
+                    if j is not None and transitions[w[-1]][b] > 0.0:
+                        row[j] -= weight * mp.mpf(transitions[w[-1]][b])
+            rows.append(row)
+        # Gaussian elimination with partial pivoting.
+        value = mp.mpf(1)
+        for c in range(n):
+            p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+            if rows[p][c] == 0:
+                return mp.mpf(0)
+            if p != c:
+                rows[c], rows[p] = rows[p], rows[c]
+                value = -value
+            value *= rows[c][c]
+            for r in range(c + 1, n):
+                if rows[r][c] != 0:
+                    factor = rows[r][c] / rows[c][c]
+                    rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+        return value
+
+    step = mp.mpf(guess) / 16
+    lo = mp.mpf(0)
+    assert det(lo) > 0
+    for _ in range(64):
+        if det(lo + step) <= 0:
+            break
+        lo += step
+    else:
+        pytest.fail(f"no sign change of the determinant below {lo}")
+    return mp.findroot(det, (lo, lo + step), solver="illinois", tol=mp.mpf(10) ** -45)
+
+
+@pytest.mark.parametrize("transitions, heights, hole", ORACLE_TOWERS)
+def test_refined_rate_matches_50_digit_root(transitions, heights, hole):
+    shift = build_markov_shift(transitions)
+    ceiling = cylinder_function(
+        1, {(a,): 0.05 * k for a, k in enumerate(heights)}, lattice=0.05
+    )
+    system = build_suspension(shift, ceiling)
+    got = escape_rate_flow(system, hole, representation="refined")
+    root = _mp_smallest_root(shift.transitions.tolist(), heights, hole, got * 0.05)
+    want = float(root / 0.05)
+    assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def test_non_reduced_hole_served_by_refined_path(golden_mean):

@@ -12,9 +12,11 @@ from flowescape import (
     WindowEmptyError,
     admissible_words,
     build_markov_shift,
+    build_suspension,
     check_pressure_equals_minus_rho,
     constant_function,
     cylinder_function,
+    escape_rate_flow,
     gibbs_constant,
     gibbs_ratio,
     induced_pressure_truncated,
@@ -81,6 +83,30 @@ def test_root_pressure_scales_with_ceiling(full2, unit_ceiling):
     assert doubled == pytest.approx(base / 2.0, abs=1e-14)
 
 
+def test_root_pressure_wide_height_ratio():
+    # Surviving words 1 and 2 with P = [[.1, .1], [.1, .1]] and heights 0.01
+    # and 5: the root solves e^{0.01 s} + e^{5 s} = 10, s* = 0.4393. The
+    # crude bracket end -log(0.2)/0.01 puts a weight of e^803 on word 2, so
+    # the root must be found without evaluating there.
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    want = -float(mp.findroot(lambda s: mp.exp(s / 100) + mp.exp(5 * s) - 10, 0.44))
+    shift = build_markov_shift([[0.9, 0.05, 0.05], [0.8, 0.1, 0.1], [0.8, 0.1, 0.1]])
+    heights = {(0,): 1.0, (1,): 0.01, (2,): 5.0}
+    beta = induced_pressure_via_root(shift, cylinder_function(1, heights), (0,))
+    assert beta == pytest.approx(want, rel=1e-13, abs=0.0)
+    # The same ceiling on the lattice 0.01: 601 blocks, heights 100, 1, 500.
+    system = build_suspension(shift, cylinder_function(1, heights, lattice=0.01))
+    rate = escape_rate_flow(system, (0,), representation="refined")
+    assert rate == pytest.approx(-want, rel=1e-13, abs=0.0)
+
+
+def test_root_pressure_tol_is_deprecated(full2, unit_ceiling):
+    with pytest.warns(DeprecationWarning, match="tol is ignored"):
+        beta = induced_pressure_via_root(full2, unit_ceiling, (0,), tol=1e-6)
+    assert beta == induced_pressure_via_root(full2, unit_ceiling, (0,))
+
+
 def test_root_pressure_error_paths(cycle2, golden_mean):
     with pytest.raises(NoBracketError):
         induced_pressure_via_root(cycle2, constant_function(cycle2, 1.0), (0,))
@@ -145,6 +171,22 @@ def test_truncated_pressure_matches_brute_force_window_sum(full2, heights):
     want = math.log(_brute_window_sum(heights, order, (0, 0), 8)) / 8.0
     got = induced_pressure_truncated(full2, ceiling, (0, 0), 8.0)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_max", [1, 2, 3, 4, 6, 8])
+def test_truncated_pressure_prefix_sums_past_t_max(full2, t_max):
+    # Depth-3 prefixes such as 011 already sum past small t_max; they must
+    # drop out of the DP instead of indexing past its sum axis.
+    heights = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
+    ceiling = cylinder_function(2, {w: float(k) for w, k in heights.items()}, lattice=1.0)
+    hole = (0, 0, 0, 1)
+    want = _brute_window_sum(heights, 2, hole, t_max)
+    if want == 0.0:
+        with pytest.raises(WindowEmptyError):
+            induced_pressure_truncated(full2, ceiling, hole, float(t_max))
+    else:
+        got = induced_pressure_truncated(full2, ceiling, hole, float(t_max))
+        assert got == math.log(want) / t_max
 
 
 def test_truncated_pressure_window_choice_is_second_order(full2, unit_ceiling):
