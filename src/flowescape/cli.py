@@ -27,7 +27,7 @@ from .asymptotics import (
 )
 from .errors import DomainError
 from .montecarlo import SimulationConfig, estimate_deviation_prob, estimate_survival
-from .open_system import build_open_matrix, open_spectral_radius
+from .open_system import build_open_matrix, escape_rate_flow, open_spectral_radius
 from .pressure import check_pressure_equals_minus_rho
 from .shift import (
     CylinderFunction,
@@ -174,9 +174,8 @@ def _cmd_escape_rate(args) -> int:
     system = build_suspension(shift, ceiling)
     om = build_open_matrix(system, hole)
     radius = open_spectral_radius(om)
-    rho = float("inf") if radius <= 0.0 else -math.log(radius) / system.lattice_scale
     results = {
-        "rho": rho,
+        "rho": escape_rate_flow(system, hole),
         "spectral-radius": radius,
         "representation": om.representation,
         "lattice-scale": system.lattice_scale,

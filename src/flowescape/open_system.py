@@ -13,10 +13,11 @@ are built here:
 
 Both have the same escape rate; the refined matrix is entrywise nonnegative
 while the bordered one mixes signs, so the two need different spectral-radius
-strategies. The refined radius collapses each word's tower: with P the base
-transitions between hole-free words and k_C the ceiling heights, the radius
-is e^{-s*} for the root s* of rho(diag(e^{s k}) P) = 1, found on the small
-word operator instead of the tall block matrix. The bordered radius is the
+strategies. The refined radius collapses each word's tower: with P the
+``shift.survivor_matrix`` of the hole (the base chain on the words of length
+max(m, n), hole rows zeroed) and k_C the ceiling heights, the radius is
+e^{-s*} for the root s* of rho(diag(e^{s k}) P) = 1, found on the small word
+operator without building the tall block matrix. The bordered radius is the
 reciprocal of a polynomial root.
 """
 
@@ -33,7 +34,7 @@ from .errors import (
     NoConvergenceError,
     NotReducedError,
 )
-from .shift import DEFAULT_STATE_CAP, Word, _survival_curve, is_reduced
+from .shift import DEFAULT_STATE_CAP, Word, _survival_curve, is_reduced, survivor_matrix
 from .suspension import SuspensionSystem, refine_suspension
 
 
@@ -218,16 +219,22 @@ def build_open_matrix(
 ) -> OpenMatrix:
     """Build the requested representation; ``auto`` prefers refined and falls
     back to bordered when the refinement would exceed the state cap."""
-    if representation == "refined":
-        return build_open_refined(system, hole, cap=cap)
-    if representation == "bordered":
-        return build_open_bordered(system, hole)
-    if representation != "auto":
-        raise ValueError(f"unknown representation {representation!r}")
-    refined_order = max(len(hole), system.order)
-    if system.base.alphabet_size ** refined_order <= cap:
+    if _representation(system, hole, representation, cap) == "refined":
         return build_open_refined(system, hole, cap=cap)
     return build_open_bordered(system, hole)
+
+
+def _representation(
+    system: SuspensionSystem, hole: Word, representation: str, cap: int
+) -> str:
+    """``representation`` with ``auto`` resolved: refined when the alphabet
+    power of the refined order is within the cap, bordered otherwise."""
+    if representation == "auto":
+        refined_order = max(len(hole), system.order)
+        return "refined" if system.base.alphabet_size ** refined_order <= cap else "bordered"
+    if representation not in ("refined", "bordered"):
+        raise ValueError(f"unknown representation {representation!r}")
+    return representation
 
 
 # ===========================================================================
@@ -455,41 +462,40 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) 
     )
 
 
-def _block_hole_root(
-    system: SuspensionSystem, matrix: np.ndarray, rows: "tuple[int, ...]", tol: float = 1e-13
+def _open_root(
+    system: SuspensionSystem, hole: Word, cap: int = DEFAULT_STATE_CAP, tol: float = 1e-13
 ) -> float:
-    """Root s* of the block chain with ``rows`` removed, so its radius is e^{-s*}.
+    """Word-operator root s* of the refined open system, so its radius is e^{-s*}.
 
-    ``matrix`` is ``system.block_matrix`` with ``rows`` zeroed. The chain is
-    collapsed onto its words: P[C, C'] is the entry from the top block of C
-    to the level-0 block of C', and the row of every word whose tower holds a
-    removed row is zeroed, since no mass passes that tower. With all heights
-    1 the chain is already the word chain and ``matrix`` is used as it is.
+    P is ``survivor_matrix`` of the base at order q = max(len(hole), order),
+    weighted by the ceiling height of each word. ``cap`` is charged only when
+    q exceeds the order: the system already holds its own order-n words,
+    whatever cap it was built at.
     """
-    heights = system.heights
-    if heights.max() == 1:
-        return _word_operator_root(matrix, heights, tol=tol)
-    level0 = np.cumsum(heights) - heights
-    P = matrix[np.ix_(level0 + heights - 1, level0)]
-    P[np.repeat(np.arange(len(heights)), heights)[list(rows)], :] = 0.0
-    return _word_operator_root(P, heights, tol=tol)
+    word = tuple(hole)
+    if not system.base.is_admissible(word) or len(word) == 0:
+        raise InadmissibleWordError(f"hole word {word} is not admissible")
+    q = max(len(word), system.order)
+    chain = survivor_matrix(
+        system.base, word, order=q, cap=cap if q > system.order else math.inf
+    )
+    heights = np.array([system.height_of(w) for w in chain.states])
+    return _word_operator_root(chain.matrix, heights, tol=tol)
 
 
 def open_spectral_radius(open_matrix: OpenMatrix, tol: float = 1e-13) -> float:
     """Spectral radius of the open operator in either representation.
 
     The refined radius is e^{-s*} for the root s* of the word operator
-    rho(diag(e^{s k}) P) = 1 (the block chain collapsed onto its words, see
-    ``_block_hole_root``); ``tol`` is the power-iteration tolerance of each
-    radius it evaluates. The bordered matrix has signed entries whose
-    determinant identity pins the radius as the reciprocal of the smallest
-    real root >= 1 of its characteristic polynomial det(I - zA).
+    rho(diag(e^{s k}) P) = 1, where P is the survivor matrix of the refined
+    system's words and k their heights; ``open_matrix.matrix`` is not read.
+    ``tol`` is the power-iteration tolerance of each radius the root
+    evaluates. The bordered matrix has signed entries whose determinant
+    identity pins the radius as the reciprocal of the smallest real root >= 1
+    of its characteristic polynomial det(I - zA).
     """
     if open_matrix.representation == "refined":
-        root = _block_hole_root(
-            open_matrix.system, open_matrix.matrix, open_matrix.hole_rows, tol=tol
-        )
-        return math.exp(-root)
+        return math.exp(-_open_root(open_matrix.system, open_matrix.hole, tol=tol))
     from .zeta import char_poly, smallest_root_geq_one
 
     poly = char_poly(open_matrix.matrix)
@@ -514,12 +520,11 @@ def escape_rate_flow(
     This is -log(radius)/lambda for the open time-lambda operator; +inf when
     everything escapes (radius 0). The refined route returns the word-operator
     root s*/lambda directly rather than -log(e^{-s*})/lambda, which would
-    lose relative accuracy when s* is small.
+    lose relative accuracy when s* is small. It needs no block matrix.
     """
-    om = build_open_matrix(system, hole, representation=representation, cap=cap)
-    if om.representation == "refined":
-        return _block_hole_root(om.system, om.matrix, om.hole_rows) / system.lattice_scale
-    radius = open_spectral_radius(om)
+    if _representation(system, hole, representation, cap) == "refined":
+        return _open_root(system, hole, cap) / system.lattice_scale
+    radius = open_spectral_radius(build_open_bordered(system, hole))
     if radius <= 0.0:
         return float("inf")
     return -float(np.log(radius)) / system.lattice_scale
@@ -528,13 +533,16 @@ def escape_rate_flow(
 def escape_rate_block_hole(system: SuspensionSystem, rows: "tuple[int, ...] | list[int]") -> float:
     """Escape rate when the hole is an arbitrary union of blocks (given as row
     indices of the block matrix). A row at any level of a word's tower removes
-    that whole word from the word-operator root."""
+    that whole word: its row of the survivor matrix of the system's words is
+    zeroed before the word-operator root."""
     rows = tuple(int(r) for r in rows)
     if len(rows) == 0:
         raise ValueError("block hole needs at least one row")
-    matrix = system.block_matrix.copy()
-    matrix[list(rows), :] = 0.0
-    return _block_hole_root(system, matrix, rows) / system.lattice_scale
+    heights = system.heights
+    # The system already holds its order-n words, so no cap is charged.
+    P = survivor_matrix(system.base, None, order=system.order, cap=math.inf).matrix.copy()
+    P[np.repeat(np.arange(len(heights)), heights)[list(rows)], :] = 0.0
+    return _word_operator_root(P, heights) / system.lattice_scale
 
 
 def survival_curve_flow(

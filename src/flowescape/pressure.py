@@ -11,14 +11,14 @@ over hole-avoiding words, with Birkhoff sums sup-completed over the cylinder.
 It equals -rho, the escape rate of the suspension flow through the hole. Two
 independent estimators live here: a truncated window sum via the lattice-sum
 DP of ``shift`` on (suffix, ceiling sum) states, and the root beta* of
-radius(W(beta)) = 1 for the weighted survivor matrix W(beta) with entries
-p(a, b) e^{-beta phi}, solved by the word-operator root of ``open_system``.
+radius(W(beta)) = 1 for W(beta) = diag(e^{-beta phi}) P, with P the
+``survivor_matrix`` of the hole, solved by the word-operator root of
+``open_system``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,7 @@ from .shift import (
     cylinder_function,
     cylinder_measure,
     refine_cylinder_function,
+    survivor_matrix,
 )
 from .suspension import build_suspension
 
@@ -267,48 +268,33 @@ def induced_pressure_via_root(
     ceiling: CylinderFunction,
     hole: Word,
     beta_lo: float = -50.0,
-    tol: "float | None" = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """The root beta* of radius(W(beta)) = 1; exactly -rho for lattice ceilings.
 
-    W(beta) = diag(e^{-beta phi}) P lives on hole-free words of length
-    max(order, hole length), with P[w, w'] = p(last, next) for each one-letter
-    shift w -> w'. beta* = -s* for the word-operator root s* of
-    ``open_system``, located to a few ulp. ``tol`` is deprecated and ignored
-    (it was the bisection tolerance); passing it emits a DeprecationWarning.
-    The ceiling need not be arithmetic here. Raises
-    PressureNotNegativeError when beta* >= 0 and NoBracketError when
-    beta* < beta_lo (beta* = -inf when no hole-avoiding word survives forever).
+    W(beta) = diag(e^{-beta phi}) P, with P the ``survivor_matrix`` of the
+    hole on the words of length max(order, hole length), restricted to the
+    words that avoid the hole: p(last, next) for each one-letter shift
+    w -> w'. Only those words need a ceiling value. beta* = -s* for the
+    word-operator root s* of ``open_system``, located to a few ulp. The
+    ceiling need not be arithmetic here. Raises PressureNotNegativeError when
+    beta* >= 0 or every word holds the hole, and NoBracketError when
+    beta* < beta_lo (beta* = -inf when no hole-avoiding word survives
+    forever).
     """
-    if tol is not None:
-        warnings.warn(
-            "induced_pressure_via_root: tol is ignored, since the root is located "
-            "to a few ulp, and will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     hole_word = tuple(hole)
     if not shift.is_admissible(hole_word) or len(hole_word) == 0:
         raise InadmissibleWordError(f"hole word {hole_word} is not admissible")
     if min(ceiling.values.values()) <= 0.0:
         raise NonPositiveCeilingError("the ceiling must be strictly positive")
     q = max(ceiling.order, len(hole_word))
-    states = [
-        w for w in admissible_words(shift, q, cap=cap) if not _contains_hole(w, hole_word)
-    ]
-    if not states:
+    chain = survivor_matrix(shift, hole_word, order=q, cap=cap)
+    live = [i for i, w in enumerate(chain.states) if not _contains_hole(w, hole_word)]
+    if not live:
         raise PressureNotNegativeError("no surviving words at all; the hole is everything")
-    index = {w: i for i, w in enumerate(states)}
-    phi = np.array([ceiling.value(w) for w in states])
-    P = np.zeros((len(states), len(states)))
-    for i, w in enumerate(states):
-        for b in shift.successors(w[-1]):
-            j = index.get(w[1:] + (b,))
-            if j is not None:
-                P[i, j] = shift.transitions[w[-1], b]
+    phi = np.array([ceiling.value(chain.states[i]) for i in live])
 
-    beta = -_word_operator_root(P, phi)
+    beta = -_word_operator_root(chain.matrix[np.ix_(live, live)], phi)
     if beta >= 0.0:
         raise PressureNotNegativeError("spectral radius at beta = 0 is not below 1")
     if beta < beta_lo:

@@ -7,7 +7,13 @@ import sys
 
 import pytest
 
-from flowescape import build_suspension, survival_curve_flow
+from flowescape import (
+    build_suspension,
+    escape_rate_flow,
+    load_ceiling,
+    load_model,
+    survival_curve_flow,
+)
 from flowescape.cli import main
 
 
@@ -81,6 +87,23 @@ def test_escape_rate_exact_value(capsys, files):
     assert results["lattice-scale"] == 1.0
     assert results["total-mass"] == 1.0
     assert results["representation"] in {"refined", "bordered"}
+
+
+def test_escape_rate_rho_is_the_library_rate(capsys, tmp_path):
+    # A small rate on a tall tower: -log(radius)/lambda would miss the
+    # library rate by 2e-11 relative, while .17g round-trips it exactly.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"transitions": [[0.9999, 0.0001], [0.5, 0.5]]}))
+    ceiling = tmp_path / "ceiling.json"
+    values = {"0": 0.05 * 57, "1": 0.05 * 13}
+    ceiling.write_text(json.dumps({"order": 1, "values": values, "lattice": 0.05}))
+    code, out, _ = run(
+        capsys, ["escape-rate", "--model", str(model), "--ceiling", str(ceiling), "--hole", "1"]
+    )
+    assert code == 0
+    shift = load_model(model)
+    system = build_suspension(shift, load_ceiling(shift, ceiling))
+    assert json.loads(out)["results"]["rho"] == escape_rate_flow(system, (1,))
 
 
 def test_escape_rate_infinite_serializes(capsys, files):

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import flowescape.open_system as open_system
+import flowescape.suspension as suspension
 from flowescape import (
     HoleShorterThanCeilingOrderError,
     InadmissibleWordError,
     NoConvergenceError,
     NotReducedError,
+    admissible_words,
     build_markov_shift,
     build_open_bordered,
     build_open_matrix,
@@ -23,6 +25,7 @@ from flowescape import (
     cylinder_function,
     escape_rate_block_hole,
     escape_rate_flow,
+    escape_rate_zeta,
     hole_quantities,
     matrix_spectral_radius,
     open_spectral_radius,
@@ -243,6 +246,50 @@ def test_power_iterated_word_operator_root(monkeypatch, step_system):
     assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
+def test_refined_rate_builds_no_block_matrix(monkeypatch, step_system):
+    # A hole longer than the order: the refined rate needs one survivor
+    # matrix of the base and no refined suspension.
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(suspension, "build_suspension")
+    counted(suspension, "refine_suspension")
+    counted(open_system, "refine_suspension")
+    counted(open_system, "survivor_matrix")
+    rate = escape_rate_flow(step_system, (1, 1, 0), representation="refined")
+    assert calls == ["survivor_matrix"]
+    monkeypatch.undo()
+    bordered = escape_rate_flow(step_system, (1, 1, 0), representation="bordered")
+    assert rate == pytest.approx(bordered, rel=1e-12)
+
+
+def test_system_built_past_the_cap_keeps_its_words():
+    # 65 letters, i -> i + 1 (mod 65) and i -> 0: 129 words of length 2, but
+    # 65^2 = 4225 is past the default cap. A system built at a larger cap
+    # already holds them, so neither route charges the cap again.
+    size = 65
+    transitions = np.zeros((size, size))
+    for i in range(size):
+        transitions[i, (i + 1) % size] += 0.5
+        transitions[i, 0] += 0.5
+    shift = build_markov_shift(transitions.tolist())
+    words = admissible_words(shift, 2, cap=5000)
+    ceiling = cylinder_function(2, {w: 0.5 * (1 + w[0] % 3) for w in words}, lattice=0.5)
+    system = build_suspension(shift, ceiling, cap=5000)
+    assert len(system.words) == 129
+    assert escape_rate_flow(system, (5,), "refined") == float.fromhex("0x1.6eb958d2cca61p-6")
+    row = system.block_index(system.words[10], 0)
+    assert escape_rate_block_hole(system, (row,)) == float.fromhex("0x1.556e016aa05e9p-7")
+
+
 def test_word_operator_root_near_the_float_range():
     # A 2-cycle with heights 1 and 2 and both entries 1e-200: the root solves
     # e^{3 s} 1e-400 = 1, s* = 307. The weight e^{2 s} of the second row
@@ -329,6 +376,9 @@ def _mp_smallest_root(transitions, heights, hole, guess):
 
 @pytest.mark.parametrize("transitions, heights, hole", ORACLE_TOWERS)
 def test_refined_rate_matches_50_digit_root(transitions, heights, hole):
+    # One oracle root per tower, against all three exact routes. The bound of
+    # the bordered and zeta routes is looser: their polynomial roots missed
+    # the oracle by up to 4.4e-11 and 2.8e-11, both on the 3.5e-5 tower.
     shift = build_markov_shift(transitions)
     ceiling = cylinder_function(
         1, {(a,): 0.05 * k for a, k in enumerate(heights)}, lattice=0.05
@@ -338,6 +388,9 @@ def test_refined_rate_matches_50_digit_root(transitions, heights, hole):
     root = _mp_smallest_root(shift.transitions.tolist(), heights, hole, got * 0.05)
     want = float(root / 0.05)
     assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+    bordered = escape_rate_flow(system, hole, representation="bordered")
+    assert bordered == pytest.approx(want, rel=1e-10, abs=0.0)
+    assert escape_rate_zeta(system, hole) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_non_reduced_hole_served_by_refined_path(golden_mean):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import flowescape.pressure as pressure
 from flowescape import (
     InadmissibleWordError,
     NoBracketError,
@@ -101,10 +102,27 @@ def test_root_pressure_wide_height_ratio():
     assert rate == pytest.approx(-want, rel=1e-13, abs=0.0)
 
 
-def test_root_pressure_tol_is_deprecated(full2, unit_ceiling):
-    with pytest.warns(DeprecationWarning, match="tol is ignored"):
-        beta = induced_pressure_via_root(full2, unit_ceiling, (0,), tol=1e-6)
-    assert beta == induced_pressure_via_root(full2, unit_ceiling, (0,))
+def test_root_pressure_builds_one_survivor_matrix(monkeypatch, full2, step_ceiling):
+    build = pressure.survivor_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pressure, "survivor_matrix", counted)
+    beta = induced_pressure_via_root(full2, step_ceiling, (1, 1, 0))
+    assert len(calls) == 1
+    system = build_suspension(full2, step_ceiling)
+    assert beta == pytest.approx(-escape_rate_flow(system, (1, 1, 0)), rel=1e-13)
+
+
+def test_root_pressure_reads_the_ceiling_off_the_hole_only(full2, unit_ceiling):
+    # Words that hold the hole never survive, so the ceiling need not be
+    # defined on them.
+    off_hole = cylinder_function(1, {(0,): 1.0})
+    got = induced_pressure_via_root(full2, off_hole, (1,))
+    assert got == induced_pressure_via_root(full2, unit_ceiling, (1,))
 
 
 def test_root_pressure_error_paths(cycle2, golden_mean):
