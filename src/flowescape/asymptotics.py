@@ -39,11 +39,11 @@ from .suspension import SuspensionSystem, build_suspension
 from .zeta import (
     ONE_MINUS_Z,
     Polynomial,
+    _series_quotient,
     char_poly,
     cofactor_poly,
     deflate_at_one,
     smallest_root_geq_one,
-    taylor_at_one,
 )
 
 
@@ -243,6 +243,16 @@ def _root_equation_series(
     return out
 
 
+def _times_one_minus_z(series: tuple[float, ...]) -> tuple[float, ...]:
+    """Taylor series at z = 1 of (1 - z) f from the series of f.
+
+    Since 1 - z = -(z - 1), this shifts the series one place and negates it,
+    so the zero at z = 1 is exact. Expanding the product polynomial instead
+    leaves a rounding residue at z = 1 that feeds a_1 and b_0.
+    """
+    return (0.0,) + tuple(-c for c in series)
+
+
 def expansion_coefficients(
     family: PeriodicOrbitFamily, nu: int, order: int
 ) -> ExpansionCoefficients:
@@ -262,19 +272,29 @@ def expansion_coefficients(
     c_o = family.orbit_weight
     k0 = o * s_count
     den = Polynomial((1.0,) + (0.0,) * (o - 1) + (-c_o,))
+    # den(1) = 1 - c_o > 0 (build_family), so the quotients need no cancellation.
+    den_series = den.taylor_at_one(order + 1)
 
-    g1_num = ONE_MINUS_Z * family.deflated
-    a = taylor_at_one(g1_num, den, order)
+    a = _series_quotient(
+        _times_one_minus_z(family.deflated.taylor_at_one(order)), den_series, order
+    )
     if abs(a[1]) < 1e-12:
         raise DegenerateLinearTermError(f"linear coefficient {a[1]:.3e} vanishes")
 
+    b_order = max(order - 1, 0)
     mu_t = cylinder_measure(family.system.base, family.t_word)
-    head = family.cofactor * den
-    tail = (ONE_MINUS_Z * family.deflated).scale(
+    head = (family.cofactor * den).scale(1.0 / mu_t).shift_power(k0)
+    tail = family.deflated.scale(
         c_o ** (1 - family.order_over_period) / family.word_measure
-    )
-    g2_num = (head.scale(1.0 / mu_t) - tail).shift_power(k0)
-    b = taylor_at_one(g2_num, den, max(order - 1, 0))
+    ).shift_power(k0)
+    g2_num = [
+        h - t
+        for h, t in zip(
+            head.taylor_at_one(b_order + 1),
+            _times_one_minus_z(tail.taylor_at_one(b_order)),
+        )
+    ]
+    b = _series_quotient(g2_num, den_series, b_order)
 
     s_values = [0.0] * order
     for j in range(1, order + 1):

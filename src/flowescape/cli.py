@@ -27,9 +27,16 @@ from .asymptotics import (
 )
 from .errors import DomainError
 from .montecarlo import SimulationConfig, estimate_deviation_prob, estimate_survival
-from .open_system import build_open_matrix, escape_rate_flow, open_spectral_radius
+from .open_system import (
+    _open_root,
+    _representation,
+    build_open_bordered,
+    escape_rate_flow,
+    open_spectral_radius,
+)
 from .pressure import check_pressure_equals_minus_rho
 from .shift import (
+    DEFAULT_STATE_CAP,
     CylinderFunction,
     MarkovShift,
     cylinder_measure,
@@ -172,12 +179,16 @@ def _cmd_validate(args) -> int:
 def _cmd_escape_rate(args) -> int:
     shift, ceiling, hole = _load(args)
     system = build_suspension(shift, ceiling)
-    om = build_open_matrix(system, hole)
-    radius = open_spectral_radius(om)
+    # The refined radius is read off the word-operator root; no block matrix.
+    representation = _representation(system, hole, "auto", DEFAULT_STATE_CAP)
+    if representation == "refined":
+        radius = math.exp(-_open_root(system, hole))
+    else:
+        radius = open_spectral_radius(build_open_bordered(system, hole))
     results = {
         "rho": escape_rate_flow(system, hole),
         "spectral-radius": radius,
-        "representation": om.representation,
+        "representation": representation,
         "lattice-scale": system.lattice_scale,
         "total-mass": system.total_mass,
     }

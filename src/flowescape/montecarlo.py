@@ -1,11 +1,13 @@
 """Monte Carlo cross-checks: survival sampling and Birkhoff deviation bounds.
 
 Simulation is fully deterministic given a seed: one Philox generator keyed by
-the seed draws every uniform up front as a (steps, samples) block, so column i
-is sample i's private stream and results are bit-identical across reruns and
-independent of how many samples have already died. Exact counterparts for both
-estimators (the survival curve and the lattice-sum DP of ``shift`` for the deviation
-probabilities) let tests hold the sampler to 3-sigma.
+the seed draws one row of ``samples`` uniforms per step. Philox is a stream, so
+the rows are the same numbers as one (steps, samples) block drawn up front:
+column i is sample i's private stream, and results are bit-identical across
+reruns and independent of how many samples have already died. Both samplers
+keep O(samples) state and build no (steps, samples) array. Exact counterparts
+for both estimators (the survival curve and the lattice-sum DP of ``shift`` for
+the deviation probabilities) let tests hold the sampler to 3-sigma.
 """
 
 from __future__ import annotations
@@ -51,13 +53,22 @@ class SimulationConfig:
             raise ValueError(f"confidence_z must be positive, got {self.confidence_z}")
 
 
-def _uniform_block(seed: int, rows: int, cols: int) -> np.ndarray:
-    """The canonical uniform draw: row t feeds step t, column i is sample i."""
-    return np.random.Generator(np.random.Philox(seed)).random((rows, cols))
+def _uniform_rows(seed: int) -> np.random.Generator:
+    """The canonical uniform stream: the t-th ``random(samples)`` call is the
+    row that feeds step t, and column i is sample i."""
+    return np.random.Generator(np.random.Philox(seed))
 
 
-def _sample_categorical(thresholds_row: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    return np.searchsorted(thresholds_row, uniforms, side="right")
+def _pick(
+    columns: np.ndarray, states: np.ndarray, uniforms: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """``offsets`` (updated in place) plus each sample's branch: how many
+    cumulative thresholds of its state lie below its uniform. ``columns[j]``
+    is threshold j of every state, so the count runs one column at a time
+    with no (samples, width) temporary."""
+    for column in columns:
+        offsets += uniforms > column[states]
+    return offsets
 
 
 # ===========================================================================
@@ -102,31 +113,34 @@ def estimate_survival(
         branch_targets.append(js)
         branch_thresholds.append(np.cumsum(matrix[i, js])[:-1])
         width = max(width, len(js))
+    # Row-major (state, branch) table, read at state * width + branch.
     targets = np.zeros((size, width), dtype=np.int64)
-    thresholds = np.full((size, max(width - 1, 1)), 2.0)
+    # Padding 2.0 lies above every uniform, so a padded column never counts.
+    columns = np.full((width - 1, size), 2.0)
     for i in range(size):
         js = branch_targets[i]
         targets[i, : len(js)] = js
         targets[i, len(js) :] = js[-1]
-        thresholds[i, : len(js) - 1] = branch_thresholds[i]
+        columns[: len(js) - 1, i] = branch_thresholds[i]
 
     in_hole = np.zeros(size, dtype=bool)
     in_hole[list(om.hole_rows)] = True
 
-    uniforms = _uniform_block(config.seed, config.t_max + 1, config.samples)
-    states = np.searchsorted(init_cum, uniforms[0], side="right")
+    rows = _uniform_rows(config.seed)
+    states = np.searchsorted(init_cum, rows.random(config.samples), side="right")
     alive = np.ones(config.samples, dtype=bool)
 
     estimates = np.empty(config.t_max + 1)
     stderrs = np.zeros(config.t_max + 1)
     estimates[0] = 1.0
     for t in range(1, config.t_max + 1):
+        if t > 1:
+            uniforms = rows.random(config.samples)
+            states = targets.ravel()[_pick(columns, states, uniforms, states * width)]
         alive &= ~in_hole[states]
         p_hat = np.count_nonzero(alive) / config.samples
         estimates[t] = p_hat
         stderrs[t] = math.sqrt(p_hat * (1.0 - p_hat) / config.samples)
-        picks = (uniforms[t][:, None] > thresholds[states]).sum(axis=1)
-        states = targets[states, picks]
     return SurvivalEstimate(
         ts=np.arange(config.t_max + 1),
         estimates=estimates,
@@ -256,32 +270,33 @@ def estimate_deviation_prob(
             code = code * size + a
         kmap[code] = k
 
-    steps = l_max + n - 1
-    uniforms = _uniform_block(config.seed, steps, config.samples)
+    samples = config.samples
+    rows = _uniform_rows(config.seed)
     pi_cum = np.cumsum(shift.stationary)[:-1]
-    trans_cum = np.cumsum(shift.transitions, axis=1)[:, :-1]
+    trans_columns = np.cumsum(shift.transitions, axis=1)[:, :-1].T
 
-    symbols = np.empty((steps, config.samples), dtype=np.int64)
-    symbols[0] = np.searchsorted(pi_cum, uniforms[0], side="right")
-    for i in range(1, steps):
-        rows = trans_cum[symbols[i - 1]]
-        symbols[i] = (uniforms[i][:, None] > rows).sum(axis=1)
+    def successor(symbol):
+        offsets = np.zeros(samples, dtype=np.int64)
+        return _pick(trans_columns, symbol, rows.random(samples), offsets)
 
-    codes = np.zeros(config.samples, dtype=np.int64)
-    for i in range(n):
-        codes = codes * size + symbols[i]
+    symbol = np.searchsorted(pi_cum, rows.random(samples), side="right")
+    codes = symbol
+    for _ in range(n - 1):
+        symbol = successor(symbol)
+        codes = codes * size + symbol
     tail_mod = size ** (n - 1)
-    running = np.zeros(config.samples, dtype=np.int64)
-    deviated = np.zeros((l_max, config.samples), dtype=bool)
+    running = np.zeros(samples, dtype=np.int64)
+    # The last l at which each sample deviated (0: never); P_k is the fraction >= k.
+    last_deviation = np.zeros(samples, dtype=np.int64)
     for l in range(1, l_max + 1):
-        running = running + kmap[codes]
-        deviated[l - 1] = np.abs(lam * running / l - mean) >= epsilon
+        running += kmap[codes]
+        last_deviation[np.abs(lam * running / l - mean) >= epsilon] = l
         if l < l_max:
-            codes = (codes % tail_mod) * size + symbols[l + n - 1]
+            symbol = successor(symbol)
+            codes = (codes % tail_mod) * size + symbol
 
-    any_from = np.flip(np.logical_or.accumulate(np.flip(deviated, axis=0), axis=0), axis=0)
-    probabilities = np.array([any_from[k - 1].mean() for k in ks])
-    stderrs = np.sqrt(probabilities * (1.0 - probabilities) / config.samples)
+    probabilities = np.array([(last_deviation >= k).mean() for k in ks])
+    stderrs = np.sqrt(probabilities * (1.0 - probabilities) / samples)
     return DeviationEstimate(
         epsilon=epsilon,
         k_values=ks,

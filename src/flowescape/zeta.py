@@ -207,6 +207,12 @@ def taylor_at_one(
         den.pop(0)
     else:
         raise PoleAtOneError("denominator vanishes to high order at z = 1")
+    return _series_quotient(num, den, order)
+
+
+def _series_quotient(num, den, order: int) -> tuple[float, ...]:
+    """First ``order + 1`` coefficients of the power-series quotient num/den,
+    from at least that many coefficients of each; den[0] must not vanish."""
     out = []
     for l in range(order + 1):
         acc = num[l] - sum(out[j] * den[l - j] for j in range(l))

@@ -1,6 +1,7 @@
 """Seeded sampling against exact counterparts, and the deviation diagnostic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from flowescape import (
     AllMassEscapedError,
     SimulationConfig,
     SurvivalEstimate,
+    build_markov_shift,
+    build_open_refined,
+    build_suspension,
+    cylinder_function,
     escape_rate_flow,
     estimate_deviation_prob,
     estimate_survival,
@@ -17,6 +22,7 @@ from flowescape import (
     fit_escape_rate,
     survival_curve_flow,
 )
+from flowescape.montecarlo import _deviation_setup
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +191,137 @@ def test_fit_decay_on_pure_geometric_sequence():
     probabilities = [0.5 ** k for k in ks]
     assert fit_decay(ks, probabilities) == pytest.approx(0.5)
     assert fit_decay((3,), (0.0,)) is None
+
+
+# ---------------------------------------------------------------------------
+# Streamed draws against the block-draw reference
+# ---------------------------------------------------------------------------
+
+def _survival_reference(system, hole, config):
+    """The block-draw sampler: every uniform drawn up front as one
+    (t_max + 1, samples) block, picks from a (samples, width) comparison."""
+    om = build_open_refined(system, hole)
+    matrix = om.system.block_matrix
+    size = matrix.shape[0]
+    init_cum = np.cumsum(om.system.block_measure / om.system.mass_normalized)[:-1]
+    rows = [np.nonzero(matrix[i] > 0.0)[0] for i in range(size)]
+    width = max(len(js) for js in rows)
+    targets = np.zeros((size, width), dtype=np.int64)
+    thresholds = np.full((size, max(width - 1, 1)), 2.0)
+    for i, js in enumerate(rows):
+        targets[i, : len(js)] = js
+        targets[i, len(js) :] = js[-1]
+        thresholds[i, : len(js) - 1] = np.cumsum(matrix[i, js])[:-1]
+    in_hole = np.zeros(size, dtype=bool)
+    in_hole[list(om.hole_rows)] = True
+
+    uniforms = np.random.Generator(np.random.Philox(config.seed)).random(
+        (config.t_max + 1, config.samples)
+    )
+    states = np.searchsorted(init_cum, uniforms[0], side="right")
+    alive = np.ones(config.samples, dtype=bool)
+    estimates = np.empty(config.t_max + 1)
+    stderrs = np.zeros(config.t_max + 1)
+    estimates[0] = 1.0
+    for t in range(1, config.t_max + 1):
+        alive &= ~in_hole[states]
+        p_hat = np.count_nonzero(alive) / config.samples
+        estimates[t] = p_hat
+        stderrs[t] = math.sqrt(p_hat * (1.0 - p_hat) / config.samples)
+        picks = (uniforms[t][:, None] > thresholds[states]).sum(axis=1)
+        states = targets[states, picks]
+    return estimates, stderrs
+
+
+def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
+    """The block-draw deviation sampler: a (steps, samples) symbol matrix, an
+    (l_max, samples) deviation matrix and a flipped or-accumulate."""
+    ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
+    size = shift.alphabet_size
+    kmap = np.zeros(size ** n, dtype=np.int64)
+    for w, k in heights.items():
+        code = 0
+        for a in w:
+            code = code * size + a
+        kmap[code] = k
+    steps = l_max + n - 1
+    uniforms = np.random.Generator(np.random.Philox(config.seed)).random((steps, config.samples))
+    pi_cum = np.cumsum(shift.stationary)[:-1]
+    trans_cum = np.cumsum(shift.transitions, axis=1)[:, :-1]
+    symbols = np.empty((steps, config.samples), dtype=np.int64)
+    symbols[0] = np.searchsorted(pi_cum, uniforms[0], side="right")
+    for i in range(1, steps):
+        symbols[i] = (uniforms[i][:, None] > trans_cum[symbols[i - 1]]).sum(axis=1)
+    codes = np.zeros(config.samples, dtype=np.int64)
+    for i in range(n):
+        codes = codes * size + symbols[i]
+    running = np.zeros(config.samples, dtype=np.int64)
+    deviated = np.zeros((l_max, config.samples), dtype=bool)
+    for l in range(1, l_max + 1):
+        running = running + kmap[codes]
+        deviated[l - 1] = np.abs(lam * running / l - mean) >= epsilon
+        if l < l_max:
+            codes = (codes % size ** (n - 1)) * size + symbols[l + n - 1]
+    any_from = np.flip(np.logical_or.accumulate(np.flip(deviated, axis=0), axis=0), axis=0)
+    probabilities = np.array([any_from[k - 1].mean() for k in ks])
+    return probabilities, np.sqrt(probabilities * (1.0 - probabilities) / config.samples)
+
+
+_FULL2 = build_markov_shift([[0.5, 0.5], [0.5, 0.5]])
+_STREAMING_CASES = {
+    "step-full2": (_FULL2, cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1.0), (0,)),
+    # Three letters and a forbidden transition: two threshold columns.
+    "three-letter": (
+        build_markov_shift([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]]),
+        cylinder_function(1, {(0,): 1.0, (1,): 2.0, (2,): 3.0}, lattice=1.0),
+        (1, 0),
+    ),
+    "order-2": (
+        build_markov_shift([[0.9, 0.1], [0.2, 0.8]]),
+        cylinder_function(2, {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 1.0}, lattice=1.0),
+        (0, 1, 1),
+    ),
+    # Heights 10 and 17: interior tower blocks have a single successor.
+    "lattice-0.05": (
+        _FULL2, cylinder_function(1, {(0,): 0.5, (1,): 0.85}, lattice=0.05), (1, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STREAMING_CASES))
+@pytest.mark.parametrize("seed", (0, 7, 42))
+def test_samplers_equal_block_draw_reference(name, seed):
+    shift, ceiling, hole = _STREAMING_CASES[name]
+    system = build_suspension(shift, ceiling)
+    config = SimulationConfig(seed=seed, samples=3000, t_max=40)
+    est = estimate_survival(system, hole, config)
+    want_estimates, want_stderrs = _survival_reference(system, hole, config)
+    assert np.array_equal(est.estimates, want_estimates)
+    assert np.array_equal(est.stderrs, want_stderrs)
+
+    ks = (2, 5, 10, 20)
+    dev = estimate_deviation_prob(shift, ceiling, 0.1, ks, config, l_max=60)
+    want_p, want_se = _deviation_reference(shift, ceiling, 0.1, ks, config, 60)
+    assert np.array_equal(dev.probabilities, want_p)
+    assert np.array_equal(dev.stderrs, want_se)
+    assert np.any(want_p > 0.0)
+
+
+def _traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampler_memory_is_linear_in_samples(full2, step_ceiling, step_system):
+    """No (steps, samples) array: a (400, 20 000) block alone is 64 MB."""
+    deviation = SimulationConfig(seed=5, samples=20_000, t_max=1)
+    peak = _traced_peak_mb(
+        lambda: estimate_deviation_prob(full2, step_ceiling, 0.25, (5, 50), deviation, l_max=400)
+    )
+    assert peak < 8.0
+    survival = SimulationConfig(seed=5, samples=100_000, t_max=64)
+    assert _traced_peak_mb(lambda: estimate_survival(step_system, (0,), survival)) < 16.0
