@@ -27,13 +27,7 @@ from .asymptotics import (
 )
 from .errors import DomainError
 from .montecarlo import SimulationConfig, estimate_deviation_prob, estimate_survival
-from .open_system import (
-    _open_root,
-    _representation,
-    build_open_bordered,
-    escape_rate_flow,
-    open_spectral_radius,
-)
+from .open_system import _open_rate
 from .pressure import check_pressure_equals_minus_rho
 from .shift import (
     DEFAULT_STATE_CAP,
@@ -164,7 +158,7 @@ def _cmd_validate(args) -> int:
             "order": ceiling.order,
             "lattice": ceiling.lattice,
             "total-mass": system.total_mass,
-            "blocks": len(system.blocks),
+            "blocks": len(system.block_measure),
         }
     if hole is not None:
         results["hole"] = {
@@ -179,14 +173,9 @@ def _cmd_validate(args) -> int:
 def _cmd_escape_rate(args) -> int:
     shift, ceiling, hole = _load(args)
     system = build_suspension(shift, ceiling)
-    # The refined radius is read off the word-operator root; no block matrix.
-    representation = _representation(system, hole, "auto", DEFAULT_STATE_CAP)
-    if representation == "refined":
-        radius = math.exp(-_open_root(system, hole))
-    else:
-        radius = open_spectral_radius(build_open_bordered(system, hole))
+    representation, rate, radius = _open_rate(system, hole, "auto", DEFAULT_STATE_CAP)
     results = {
-        "rho": escape_rate_flow(system, hole),
+        "rho": rate,
         "spectral-radius": radius,
         "representation": representation,
         "lattice-scale": system.lattice_scale,

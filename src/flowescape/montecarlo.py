@@ -5,9 +5,12 @@ the seed draws one row of ``samples`` uniforms per step. Philox is a stream, so
 the rows are the same numbers as one (steps, samples) block drawn up front:
 column i is sample i's private stream, and results are bit-identical across
 reruns and independent of how many samples have already died. Both samplers
-keep O(samples) state and build no (steps, samples) array. Exact counterparts
-for both estimators (the survival curve and the lattice-sum DP of ``shift`` for
-the deviation probabilities) let tests hold the sampler to 3-sigma.
+keep O(samples) state and build no (steps, samples) array. The survival sampler
+walks the tower of the refined system's ``word_matrix``: an interior block
+climbs one level and a top branches to its successors' level-0 blocks, so no
+block matrix is built. Exact counterparts for both estimators (the survival
+curve and the lattice-sum DP of ``shift`` for the deviation probabilities) let
+tests hold the sampler to 3-sigma.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllMassEscapedError
-from .open_system import build_open_refined
+from .open_system import _refined
 from .shift import (
     DEFAULT_STATE_CAP,
     CylinderFunction,
@@ -30,7 +33,7 @@ from .shift import (
     admissible_words,
     cylinder_measure,
 )
-from .suspension import SuspensionSystem
+from .suspension import SuspensionSystem, flow_invariant_vector
 
 
 @dataclass(frozen=True)
@@ -98,33 +101,27 @@ def estimate_survival(
     Dead samples keep being stepped so the uniform consumption pattern (and
     hence every later number) does not depend on who has died.
     """
-    om = build_open_refined(system, hole, cap=cap)
-    refined = om.system
-    matrix = refined.block_matrix
-    size = matrix.shape[0]
-    init = refined.block_measure / refined.mass_normalized
-    init_cum = np.cumsum(init)[:-1]
+    refined, hole_words = _refined(system, hole, cap)
+    starts = refined._starts
+    tops = starts + refined.heights - 1
+    size = len(refined.block_measure)
+    init_cum = np.cumsum(flow_invariant_vector(refined))[:-1]
 
-    branch_targets = []
-    branch_thresholds = []
-    width = 0
-    for i in range(size):
-        js = np.nonzero(matrix[i] > 0.0)[0]
-        branch_targets.append(js)
-        branch_thresholds.append(np.cumsum(matrix[i, js])[:-1])
-        width = max(width, len(js))
-    # Row-major (state, branch) table, read at state * width + branch.
-    targets = np.zeros((size, width), dtype=np.int64)
+    successors = [np.nonzero(row > 0.0)[0] for row in refined.word_matrix]
+    width = max(len(js) for js in successors)
+    # Row-major (block, branch) table, read at block * width + branch. An
+    # interior block climbs to the next level; a top branches to the level-0
+    # blocks of its word's successors.
+    targets = np.repeat(np.arange(1, size + 1), width).reshape(size, width)
     # Padding 2.0 lies above every uniform, so a padded column never counts.
     columns = np.full((width - 1, size), 2.0)
-    for i in range(size):
-        js = branch_targets[i]
-        targets[i, : len(js)] = js
-        targets[i, len(js) :] = js[-1]
-        columns[: len(js) - 1, i] = branch_thresholds[i]
+    for top, row, js in zip(tops, refined.word_matrix, successors):
+        targets[top, : len(js)] = starts[js]
+        targets[top, len(js) :] = starts[js[-1]]
+        columns[: len(js) - 1, top] = np.cumsum(row[js])[:-1]
 
     in_hole = np.zeros(size, dtype=bool)
-    in_hole[list(om.hole_rows)] = True
+    in_hole[starts[list(hole_words)]] = True
 
     rows = _uniform_rows(config.seed)
     states = np.searchsorted(init_cum, rows.random(config.samples), side="right")

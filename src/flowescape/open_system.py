@@ -17,8 +17,9 @@ strategies. The refined radius collapses each word's tower: with P the
 ``shift.survivor_matrix`` of the hole (the base chain on the words of length
 max(m, n), hole rows zeroed) and k_C the ceiling heights, the radius is
 e^{-s*} for the root s* of rho(diag(e^{s k}) P) = 1, found on the small word
-operator without building the tall block matrix. The bordered radius is the
-reciprocal of a polynomial root.
+operator. The exact survival curve steps mass on the tower of the refined
+words' hole-free P. Neither builds the tall block matrix. The bordered radius
+is the reciprocal of a polynomial root.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     NotReducedError,
 )
 from .shift import DEFAULT_STATE_CAP, Word, _survival_curve, is_reduced, survivor_matrix
-from .suspension import SuspensionSystem, refine_suspension
+from .suspension import SuspensionSystem, flow_invariant_vector, refine_suspension
 
 
 # ===========================================================================
@@ -142,10 +143,9 @@ class OpenMatrix:
     quantities: "HoleQuantities | None" = None
 
 
-def build_open_refined(
-    system: SuspensionSystem, hole: Word, cap: int = DEFAULT_STATE_CAP
-) -> OpenMatrix:
-    """Open matrix on blocks refined to order max(len(hole), order)."""
+def _refined(system: SuspensionSystem, hole: Word, cap: int) -> tuple[SuspensionSystem, tuple]:
+    """The system at order max(len(hole), order), and the indices of its words
+    that begin with the hole word (their level-0 blocks are the hole)."""
     word = tuple(hole)
     if not system.base.is_admissible(word) or len(word) == 0:
         raise InadmissibleWordError(f"hole word {word} is not admissible")
@@ -155,11 +155,16 @@ def build_open_refined(
         if refined_order > system.order
         else system
     )
-    hole_rows = tuple(
-        i
-        for i, (w, level) in enumerate(refined.blocks)
-        if level == 0 and w[: len(word)] == word
-    )
+    rows = tuple(i for i, w in enumerate(refined.words) if w[: len(word)] == word)
+    return refined, rows
+
+
+def build_open_refined(
+    system: SuspensionSystem, hole: Word, cap: int = DEFAULT_STATE_CAP
+) -> OpenMatrix:
+    """Open matrix on blocks refined to order max(len(hole), order)."""
+    refined, rows = _refined(system, hole, cap)
+    hole_rows = tuple(int(refined._starts[i]) for i in rows)
     matrix = refined.block_matrix.copy()
     matrix[list(hole_rows), :] = 0.0
     matrix.setflags(write=False)
@@ -167,7 +172,7 @@ def build_open_refined(
         representation="refined",
         matrix=matrix,
         system=refined,
-        hole=word,
+        hole=tuple(hole),
         hole_rows=hole_rows,
     )
 
@@ -509,6 +514,21 @@ def open_spectral_radius(open_matrix: OpenMatrix, tol: float = 1e-13) -> float:
 # Escape rates and survival curves
 # ===========================================================================
 
+def _open_rate(
+    system: SuspensionSystem, hole: Word, representation: str, cap: int
+) -> tuple[str, float, float]:
+    """(representation with ``auto`` resolved, flow escape rate, radius of the
+    open time-lambda operator), from one root of that representation."""
+    representation = _representation(system, hole, representation, cap)
+    if representation == "refined":
+        root = _open_root(system, hole, cap)
+        return representation, root / system.lattice_scale, math.exp(-root)
+    radius = open_spectral_radius(build_open_bordered(system, hole))
+    if radius <= 0.0:
+        return representation, float("inf"), radius
+    return representation, -float(np.log(radius)) / system.lattice_scale, radius
+
+
 def escape_rate_flow(
     system: SuspensionSystem,
     hole: Word,
@@ -522,27 +542,21 @@ def escape_rate_flow(
     root s*/lambda directly rather than -log(e^{-s*})/lambda, which would
     lose relative accuracy when s* is small. It needs no block matrix.
     """
-    if _representation(system, hole, representation, cap) == "refined":
-        return _open_root(system, hole, cap) / system.lattice_scale
-    radius = open_spectral_radius(build_open_bordered(system, hole))
-    if radius <= 0.0:
-        return float("inf")
-    return -float(np.log(radius)) / system.lattice_scale
+    return _open_rate(system, hole, representation, cap)[1]
 
 
 def escape_rate_block_hole(system: SuspensionSystem, rows: "tuple[int, ...] | list[int]") -> float:
     """Escape rate when the hole is an arbitrary union of blocks (given as row
-    indices of the block matrix). A row at any level of a word's tower removes
-    that whole word: its row of the survivor matrix of the system's words is
-    zeroed before the word-operator root."""
-    rows = tuple(int(r) for r in rows)
-    if len(rows) == 0:
-        raise ValueError("block hole needs at least one row")
-    heights = system.heights
-    # The system already holds its order-n words, so no cap is charged.
-    P = survivor_matrix(system.base, None, order=system.order, cap=math.inf).matrix.copy()
-    P[np.repeat(np.arange(len(heights)), heights)[list(rows)], :] = 0.0
-    return _word_operator_root(P, heights) / system.lattice_scale
+    indices 0..blocks-1 of the block matrix; ValueError otherwise). A row at
+    any level of a word's tower removes that whole word: its row of the
+    system's ``word_matrix`` is zeroed before the word-operator root."""
+    rows = [int(r) for r in rows]
+    size = len(system.block_measure)
+    if not rows or not all(0 <= r < size for r in rows):
+        raise ValueError(f"block hole needs rows within [0, {size}), got {rows}")
+    P = system.word_matrix.copy()
+    P[np.searchsorted(system._starts, rows, side="right") - 1, :] = 0.0
+    return _word_operator_root(P, system.heights) / system.lattice_scale
 
 
 def survival_curve_flow(
@@ -555,10 +569,12 @@ def survival_curve_flow(
 
     S(t) is the mass of points whose first t block-chain positions all avoid
     the hole; S(0) = 1 by convention (no kill has happened yet). Time is in
-    lattice steps: one step is lambda units of flow time.
+    lattice steps: one step is lambda units of flow time. The mass steps on
+    the tower of the refined hole-free ``word_matrix``, so mass above level 0
+    of a hole word climbs out alive. No block matrix is built.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    om = build_open_refined(system, hole, cap=cap)
-    mass = om.system.block_measure / om.system.mass_normalized
-    return _survival_curve(mass, om.system.block_matrix, om.hole_rows, 1, t_max)
+    refined, rows = _refined(system, hole, cap)
+    mass = flow_invariant_vector(refined)
+    return _survival_curve(mass, refined.word_matrix, rows, 1, t_max, refined.heights)

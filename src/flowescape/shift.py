@@ -385,12 +385,7 @@ def survivor_matrix(
     if order < min_order:
         raise ValueError(f"order {order} is smaller than the hole length {min_order}")
     states = admissible_words(shift, order, cap=cap)
-    index = {w: i for i, w in enumerate(states)}
-    mat = np.zeros((len(states), len(states)))
-    for i, w in enumerate(states):
-        for b in shift.successors(w[-1]):
-            nxt = w[1:] + (b,)
-            mat[i, index[nxt]] = shift.transitions[w[-1], b]
+    mat = _word_transitions(shift, states)
     hole_rows: tuple[int, ...] = ()
     if hole_word is not None:
         hole_rows = tuple(
@@ -399,6 +394,17 @@ def survivor_matrix(
         mat[list(hole_rows), :] = 0.0
     mat.setflags(write=False)
     return SurvivorMatrix(states=states, matrix=mat, hole=hole_word, hole_rows=hole_rows)
+
+
+def _word_transitions(shift: MarkovShift, states: tuple[Word, ...]) -> np.ndarray:
+    """Hole-free P on ``states`` (all admissible words of one length, in
+    lexicographic order): p(last, b) from each word w to w[1:] + (b,)."""
+    index = {w: i for i, w in enumerate(states)}
+    mat = np.zeros((len(states), len(states)))
+    for i, w in enumerate(states):
+        for b in shift.successors(w[-1]):
+            mat[i, index[w[1:] + (b,)]] = shift.transitions[w[-1], b]
+    return mat
 
 
 def escape_rate_from_survival_slope(
@@ -447,16 +453,25 @@ def _survival_by_length(shift: MarkovShift, hole: Word, n: int) -> np.ndarray:
     return _survival_curve(mass, chain.matrix, chain.hole_rows, m, n - m + 1)
 
 
-def _survival_curve(mass, matrix, hole_rows, lead: int, length: int) -> np.ndarray:
+def _survival_curve(mass, matrix, hole_rows, lead: int, length: int, heights=None) -> np.ndarray:
     """Survival kernel: ``lead`` ones, then ``length`` rounds of zeroing the mass
-    in ``hole_rows``, recording the total and stepping it through ``matrix``."""
+    on the level-0 blocks of the words ``hole_rows``, recording the total and
+    stepping it. ``mass`` lies on the tower of ``heights`` (default 1) blocks
+    per word of ``matrix``, level 0 first: a step moves every level up one and
+    sends the tops through ``matrix`` onto level 0."""
+    if heights is None:
+        heights = np.ones(len(matrix), dtype=int)
+    tops = np.cumsum(heights) - 1
+    starts = tops - heights + 1
     killer = np.ones(len(mass))
-    killer[list(hole_rows)] = 0.0
+    killer[starts[list(hole_rows)]] = 0.0
     out = np.ones(lead + length)
     for t in range(lead, lead + length):
         mass = mass * killer
         out[t] = mass.sum()
-        mass = mass @ matrix
+        climbed = mass[tops] @ matrix
+        mass[1:] = mass[:-1]
+        mass[starts] = climbed
     return out
 
 

@@ -6,13 +6,16 @@ lambda * Z. Internally the ceiling is normalized to lattice 1: each word C of
 length n gets an integer height k_C = phi(C) / lambda, and the time-lambda map
 becomes a finite Markov chain on blocks (C, level) with level in 0..k_C-1.
 Levels below the top step up deterministically; the top level steps through the
-base shift transition. Everything downstream (open matrices, zeta determinants,
-expansions) works on this block chain and converts rates back by 1/lambda.
+base shift transition. This block chain is the tower over the word operator P
+of the order-n words: a system stores P and the heights, and builds the blocks
+and the dense block matrix on first read. Everything downstream (open matrices,
+zeta determinants, expansions) works on it and converts rates back by 1/lambda.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
+    _word_transitions,
     admissible_words,
     cylinder_function,
     cylinder_measure,
@@ -37,14 +41,16 @@ Block = tuple[Word, int]
 
 @dataclass(frozen=True, eq=False)
 class SuspensionSystem:
-    """Block-chain form of a suspension flow with an arithmetic ceiling.
+    """Tower form of a suspension flow with an arithmetic ceiling.
 
-    ``blocks`` lists (word, level) pairs lexicographically by word then level;
-    ``block_matrix`` is the row-stochastic time-lambda transition matrix on
-    them. ``block_measure`` holds the base cylinder measure of each block's
-    word, so ``mass_normalized = sum(block_measure)`` is the integral of the
-    normalized (lattice-1) ceiling and ``total_mass`` the integral of the
-    original one.
+    ``word_matrix`` is the hole-free base chain on ``words`` (the no-hole
+    ``survivor_matrix``). Word i owns the ``heights[i]`` blocks from
+    sum(heights[:i]) on, level 0 first; ``blocks`` lists these (word, level)
+    pairs and ``block_matrix`` is the row-stochastic time-lambda transition
+    matrix on them, both derived from the tower on first read.
+    ``block_measure`` holds the base cylinder measure of each block's word, so
+    ``mass_normalized = sum(block_measure)`` is the integral of the normalized
+    (lattice-1) ceiling and ``total_mass`` the integral of the original one.
     """
 
     base: MarkovShift
@@ -53,17 +59,31 @@ class SuspensionSystem:
     lattice_scale: float
     words: tuple[Word, ...]
     heights: np.ndarray
-    blocks: tuple[Block, ...]
-    block_matrix: np.ndarray
+    word_matrix: np.ndarray
     block_measure: np.ndarray
     mass_normalized: float
     _word_index: dict[Word, int] = field(repr=False)
-    _block_index: dict[Block, int] = field(repr=False)
+    _starts: np.ndarray = field(repr=False)
 
     @property
     def total_mass(self) -> float:
         """Integral of the ceiling against the base measure."""
         return self.lattice_scale * self.mass_normalized
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple((w, level) for w, k in zip(self.words, self.heights) for level in range(k))
+
+    @cached_property
+    def block_matrix(self) -> np.ndarray:
+        """Levels step up by one; each top steps through ``word_matrix`` onto
+        the level-0 blocks."""
+        tops = self._starts + self.heights - 1
+        matrix = np.eye(len(self.block_measure), k=1)
+        matrix[tops] = 0.0
+        matrix[tops[:, None], self._starts] = self.word_matrix
+        matrix.setflags(write=False)
+        return matrix
 
     def height_of(self, word: Word) -> int:
         """Integer (normalized) ceiling height over the order-n cylinder of ``word``."""
@@ -73,10 +93,10 @@ class SuspensionSystem:
         return int(self.heights[idx])
 
     def block_index(self, word: Word, level: int) -> int:
-        idx = self._block_index.get((tuple(word), int(level)))
-        if idx is None:
+        idx = self._word_index.get(tuple(word))
+        if idx is None or not 0 <= int(level) < self.heights.item(idx):
             raise KeyError(f"block ({word}, {level}) is not in this suspension")
-        return idx
+        return self._starts.item(idx) + int(level)
 
 
 def build_suspension(
@@ -84,7 +104,7 @@ def build_suspension(
     ceiling: CylinderFunction,
     cap: int = DEFAULT_STATE_CAP,
 ) -> SuspensionSystem:
-    """Assemble the block chain of the suspension of ``base`` under ``ceiling``.
+    """Lay out the tower of the suspension of ``base`` under ``ceiling``.
 
     The ceiling must declare a lattice (NonArithmeticCeilingError otherwise)
     and be strictly positive on every admissible word (NonPositiveCeilingError).
@@ -107,26 +127,11 @@ def build_suspension(
             )
         heights[i] = k
 
-    blocks: list[Block] = []
-    for w, k in zip(words, heights):
-        blocks.extend((w, level) for level in range(int(k)))
-    index = {blk: i for i, blk in enumerate(blocks)}
-    word_pos = {w: i for i, w in enumerate(words)}
-
-    matrix = np.zeros((len(blocks), len(blocks)))
-    measure = np.zeros(len(blocks))
-    for i, (w, level) in enumerate(blocks):
-        measure[i] = cylinder_measure(base, w)
-        if level < int(heights[word_pos[w]]) - 1:
-            matrix[i, index[(w, level + 1)]] = 1.0
-        else:
-            for b in base.successors(w[-1]):
-                nxt = w[1:] + (b,)
-                matrix[i, index[(nxt, 0)]] = base.transitions[w[-1], b]
-
-    heights.setflags(write=False)
-    matrix.setflags(write=False)
-    measure.setflags(write=False)
+    word_matrix = _word_transitions(base, words)
+    measure = np.repeat([cylinder_measure(base, w) for w in words], heights)
+    starts = np.cumsum(heights) - heights
+    for array in (heights, word_matrix, measure, starts):
+        array.setflags(write=False)
     return SuspensionSystem(
         base=base,
         ceiling=ceiling,
@@ -134,12 +139,11 @@ def build_suspension(
         lattice_scale=scale,
         words=words,
         heights=heights,
-        blocks=tuple(blocks),
-        block_matrix=matrix,
+        word_matrix=word_matrix,
         block_measure=measure,
         mass_normalized=float(measure.sum()),
-        _word_index=word_pos,
-        _block_index=index,
+        _word_index={w: i for i, w in enumerate(words)},
+        _starts=starts,
     )
 
 

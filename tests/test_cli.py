@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import flowescape.open_system as open_system
+import flowescape.zeta as zeta
 from flowescape import (
     build_suspension,
     escape_rate_flow,
@@ -114,6 +116,35 @@ def test_escape_rate_infinite_serializes(capsys, files):
     assert code == 0
     assert "Infinity" in out
     assert json.loads(out)["results"]["rho"] == math.inf
+
+
+def test_escape_rate_solves_the_root_once(capsys, files, monkeypatch):
+    # The radius and the rate come from one root: one characteristic
+    # polynomial for a bordered hole, one word-operator root for a refined one.
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(zeta, "char_poly")
+    counted(open_system, "_open_root")
+    # 2^13 words pass the default state cap, so `auto` takes the bordered route.
+    cases = [("0" * 13, "bordered", "char_poly"), ("110", "refined", "_open_root")]
+    for hole, representation, want in cases:
+        calls.clear()
+        code, out, _ = run(
+            capsys,
+            ["escape-rate", "--model", files["full2"], "--ceiling", files["step"], "--hole", hole],
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["representation"] == representation
+        assert calls == [want]
 
 
 def test_zeta_check_reports_factorization(capsys, files):

@@ -186,6 +186,13 @@ def test_block_hole_shadow_slabs(step_system):
     assert escape_rate_block_hole(step_system, top) == pytest.approx(math.log(2), abs=1e-12)
 
 
+def test_block_hole_rejects_rows_outside_the_chain(step_system):
+    # Three blocks: row -1 must not wrap round to the last block's word.
+    for row in (-1, 3):
+        with pytest.raises(ValueError):
+            escape_rate_block_hole(step_system, (row,))
+
+
 def test_block_hole_any_level_of_a_tall_word(full3, cycle2):
     # Removing any block of a word's tower stops all passage through it, so a
     # mid-level row and the level-0 row of the same word give one rate.
@@ -426,3 +433,39 @@ def test_survival_curve_tail_slope_matches_rate(step_system):
     curve = survival_curve_flow(step_system, (0,), 80)
     slope = (math.log(curve[40]) - math.log(curve[80])) / 40.0
     assert slope == pytest.approx(0.5 * math.log(2), abs=1e-6)
+
+
+def _survival_reference(system, hole, t_max):
+    """The block-matrix survival curve: the level-0 hole blocks of the
+    refined open matrix killed, then one step of the refined block matrix."""
+    om = build_open_refined(system, hole)
+    mass = om.system.block_measure / om.system.mass_normalized
+    killer = np.ones(len(mass))
+    killer[list(om.hole_rows)] = 0.0
+    out = np.ones(t_max + 1)
+    for t in range(1, t_max + 1):
+        mass = mass * killer
+        out[t] = mass.sum()
+        mass = mass @ om.system.block_matrix
+    return out
+
+
+# Every hole word's tower is taller than one block, so mass that starts above
+# level 0 of a hole word must climb out through its top.
+SURVIVAL_TOWERS = {
+    "step-hole-1": ([[0.5, 0.5], [0.5, 0.5]], (1, 2), 1.0, (1,)),
+    "lattice-0.05": ([[0.49, 0.51], [0.07, 0.93]], (28, 40), 0.05, (0, 1, 0)),
+    "three-letter": ([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]], (1, 2, 3), 1.0, (2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURVIVAL_TOWERS))
+def test_survival_curve_matches_block_matrix_reference(name):
+    transitions, heights, lattice, hole = SURVIVAL_TOWERS[name]
+    shift = build_markov_shift(transitions)
+    ceiling = cylinder_function(
+        1, {(a,): lattice * k for a, k in enumerate(heights)}, lattice=lattice
+    )
+    system = build_suspension(shift, ceiling)
+    got = survival_curve_flow(system, hole, 200)
+    assert got == pytest.approx(_survival_reference(system, hole, 200), rel=1e-14, abs=0.0)

@@ -9,12 +9,21 @@ from flowescape import (
     EpsilonTooLargeError,
     NonArithmeticCeilingError,
     NonPositiveCeilingError,
+    SimulationConfig,
+    SuspensionSystem,
+    admissible_words,
+    build_markov_shift,
     build_suspension,
     constant_function,
     cylinder_function,
+    cylinder_measure,
+    escape_rate_flow,
+    estimate_survival,
     flow_invariant_vector,
+    induced_pressure_via_root,
     rationalize_ceiling,
     refine_suspension,
+    survival_curve_flow,
 )
 
 
@@ -95,6 +104,80 @@ def test_refine_suspension_preserves_mass(step_system):
     assert fine.total_mass == pytest.approx(step_system.total_mass, rel=1e-12)
     v = flow_invariant_vector(fine)
     np.testing.assert_allclose(v @ fine.block_matrix, v, atol=1e-12)
+
+
+def _block_chain_reference(shift, ceiling):
+    """The block chain laid out block by block: blocks, block matrix, block
+    measures and the (word, level) -> row index."""
+    words = admissible_words(shift, ceiling.order)
+    heights = [int(round(ceiling.value(w) / ceiling.lattice)) for w in words]
+    blocks = [(w, level) for w, k in zip(words, heights) for level in range(k)]
+    index = {blk: i for i, blk in enumerate(blocks)}
+    matrix = np.zeros((len(blocks), len(blocks)))
+    measure = np.zeros(len(blocks))
+    for i, (w, level) in enumerate(blocks):
+        measure[i] = cylinder_measure(shift, w)
+        if level < heights[words.index(w)] - 1:
+            matrix[i, index[(w, level + 1)]] = 1.0
+        else:
+            for b in shift.successors(w[-1]):
+                matrix[i, index[(w[1:] + (b,), 0)]] = shift.transitions[w[-1], b]
+    return tuple(blocks), matrix, measure, index
+
+
+_THREE = [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]]
+CHAIN_CASES = {
+    "order-1": ([[0.9, 0.1], [0.2, 0.8]], 1, 1.0, 3),
+    "order-2": ([[0.9, 0.1], [0.2, 0.8]], 2, 0.5, 4),
+    "order-3": ([[0.5, 0.5], [0.5, 0.5]], 3, 1.0, 3),
+    "lattice-0.05": ([[0.49, 0.51], [0.07, 0.93]], 1, 0.05, 60),
+    "forbidden": (_THREE, 2, 0.5, 5),
+}
+
+
+def _chain_case(name):
+    transitions, order, lattice, top = CHAIN_CASES[name]
+    shift = build_markov_shift(transitions)
+    words = admissible_words(shift, order)
+    values = {w: lattice * (1 + (7 * i + 3) % top) for i, w in enumerate(words)}
+    return shift, cylinder_function(order, values, lattice=lattice)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_block_chain_equals_block_loop(name):
+    shift, ceiling = _chain_case(name)
+    system = build_suspension(shift, ceiling)
+    blocks, matrix, measure, index = _block_chain_reference(shift, ceiling)
+    assert system.blocks == blocks
+    assert system.block_matrix.tobytes() == matrix.tobytes()
+    assert system.block_measure.tobytes() == measure.tobytes()
+    assert system.mass_normalized == float(measure.sum())
+    assert [system.block_index(w, level) for w, level in blocks] == list(index.values())
+    for w in system.words:
+        for level in (-1, system.height_of(w)):
+            with pytest.raises(KeyError):
+                system.block_index(w, level)
+    with pytest.raises(KeyError):
+        system.block_index((shift.alphabet_size,) * ceiling.order, 0)
+
+
+def test_block_chain_is_built_only_when_read(monkeypatch):
+    # Neither the system nor its refinement builds the block chain for the
+    # refined rate, the pressure root, the survival curve or the sampler.
+    shift, ceiling = _chain_case("forbidden")
+    system = build_suspension(shift, ceiling)
+
+    def unread(self):
+        raise AssertionError("the block chain was built")
+
+    monkeypatch.setattr(SuspensionSystem, "block_matrix", property(unread))
+    for hole in [(1, 0), (2, 1, 0)]:
+        escape_rate_flow(system, hole, "refined")
+        induced_pressure_via_root(shift, ceiling, hole)
+        survival_curve_flow(system, hole, 30)
+        estimate_survival(system, hole, SimulationConfig(seed=1, samples=200, t_max=10))
+    assert "block_matrix" not in system.__dict__
+    assert "blocks" not in system.__dict__
 
 
 # ---------------------------------------------------------------------------
