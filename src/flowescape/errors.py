@@ -75,7 +75,9 @@ class HoleShorterThanCeilingOrderError(DomainError):
 # ---------------------------------------------------------------------------
 
 class DimensionTooLargeError(DomainError):
-    """Matrix dimension exceeds the cap for dense polynomial extraction."""
+    """A dense matrix would exceed its dimension cap: ``DENSE_DIMENSION_CAP``
+    for polynomial extraction, or ``DEFAULT_STATE_CAP`` blocks for the block
+    matrix of a suspension (raised before anything is allocated)."""
 
 
 class NoZeroAtOneError(DomainError):

@@ -31,11 +31,17 @@ import numpy as np
 
 from .errors import (
     HoleShorterThanCeilingOrderError,
-    InadmissibleWordError,
     NoConvergenceError,
     NotReducedError,
 )
-from .shift import DEFAULT_STATE_CAP, Word, _survival_curve, is_reduced, survivor_matrix
+from .shift import (
+    DEFAULT_STATE_CAP,
+    Word,
+    _checked_hole,
+    _survival_curve,
+    is_reduced,
+    survivor_matrix,
+)
 from .suspension import SuspensionSystem, flow_invariant_vector, refine_suspension
 
 
@@ -77,10 +83,8 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
     Raises InadmissibleWordError, NotReducedError, or
     HoleShorterThanCeilingOrderError when the word fails a precondition.
     """
-    word = tuple(hole)
     base = system.base
-    if not base.is_admissible(word) or len(word) == 0:
-        raise InadmissibleWordError(f"hole word {word} is not admissible")
+    word = _checked_hole(base, hole)
     if not is_reduced(base, word):
         raise NotReducedError(f"hole word {word} admits no last-letter substitution")
     n = system.order
@@ -146,9 +150,7 @@ class OpenMatrix:
 def _refined(system: SuspensionSystem, hole: Word, cap: int) -> tuple[SuspensionSystem, tuple]:
     """The system at order max(len(hole), order), and the indices of its words
     that begin with the hole word (their level-0 blocks are the hole)."""
-    word = tuple(hole)
-    if not system.base.is_admissible(word) or len(word) == 0:
-        raise InadmissibleWordError(f"hole word {word} is not admissible")
+    word = _checked_hole(system.base, hole)
     refined_order = max(len(word), system.order)
     refined = (
         refine_suspension(system, refined_order, cap=cap)
@@ -477,9 +479,7 @@ def _open_root(
     q exceeds the order: the system already holds its own order-n words,
     whatever cap it was built at.
     """
-    word = tuple(hole)
-    if not system.base.is_admissible(word) or len(word) == 0:
-        raise InadmissibleWordError(f"hole word {word} is not admissible")
+    word = _checked_hole(system.base, hole)
     q = max(len(word), system.order)
     chain = survivor_matrix(
         system.base, word, order=q, cap=cap if q > system.order else math.inf

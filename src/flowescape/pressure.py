@@ -9,8 +9,9 @@ surviving collection is the growth rate
 
 over hole-avoiding words, with Birkhoff sums sup-completed over the cylinder.
 It equals -rho, the escape rate of the suspension flow through the hole. Two
-independent estimators live here: a truncated window sum via the lattice-sum
-DP of ``shift`` on (suffix, ceiling sum) states, and the root beta* of
+independent estimators live here: a truncated window sum, one pass of the
+lattice-sum DP of ``shift`` on (word, ceiling sum) states from length 1 on,
+with the short words as their own states, and the root beta* of
 radius(W(beta)) = 1 for W(beta) = diag(e^{-beta phi}) P, with P the
 ``survivor_matrix`` of the hole, solved by the word-operator root of
 ``open_system``.
@@ -36,6 +37,7 @@ from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
+    _checked_hole,
     _integer_heights,
     _lattice_links,
     _lattice_step,
@@ -126,14 +128,18 @@ def induced_pressure_truncated(
     The window keeps hole-avoiding words whose sup-completed ceiling sum lands
     in (t - eta, t]; eta defaults to one lattice step above the ceiling sup so
     the window is never starved. t_max must sit on the ceiling lattice.
+
+    One lattice-sum DP walks the words letter by letter, from length 1 on. Its
+    states are the hole-avoiding words of length 1..depth, depth = max(order - 1,
+    hole length - 1, 1): a word is its own state up to length depth, and its last
+    depth letters after that. A state's sum is the ceiling sum of the windows that
+    lie inside the word; each length reads out the words whose sum plus their
+    state's sup-completion lands in the window.
     """
-    hole_word = tuple(hole)
-    if not shift.is_admissible(hole_word) or len(hole_word) == 0:
-        raise InadmissibleWordError(f"hole word {hole_word} is not admissible")
+    hole_word = _checked_hole(shift, hole)
     heights = _integer_heights(ceiling)
     lam = float(ceiling.lattice)
     n = ceiling.order
-    m = len(hole_word)
     t_norm = t_max / lam
     if abs(t_norm - round(t_norm)) > 1e-9 or round(t_norm) < 1:
         raise ValueError(f"t_max = {t_max} does not sit on the ceiling lattice {lam}")
@@ -147,61 +153,39 @@ def induced_pressure_truncated(
             raise ValueError(f"eta must be positive, got {eta}")
         eta_norm = eta / lam
 
-    depth = max(n - 1, m - 1, 1)
-    row_max = {a: float(shift.transitions[a].max()) for a in range(shift.alphabet_size)}
-    completion = _completion_table(shift, heights, n)
+    depth = max(n - 1, len(hole_word) - 1, 1)
+    states = [
+        w
+        for length in range(1, depth + 1)
+        for w in admissible_words(shift, length, cap=cap)
+        if not _contains_hole(w, hole_word)
+    ]
+    index = {w: i for i, w in enumerate(states)}
+    links = _lattice_links(shift, heights, n, index, hole=hole_word)
 
-    def in_window(total: int) -> bool:
-        return t_norm - eta_norm < total <= t_norm
+    # Sums above t_norm can never come back down (heights are positive), so the
+    # sum axis is clipped there.
+    dist = np.zeros((len(states), t_norm + 1))
+    for i, w in enumerate(states):
+        seed = heights[w] if len(w) == n == 1 else 0
+        if len(w) == 1 and seed <= t_norm:
+            dist[i, seed] = 1.0
+    completion = np.array([_sup_completion(shift, heights, n, w) for w in states])
+    totals = np.arange(t_norm + 1)[None, :] + completion[:, None]
+    row_max = np.array([shift.transitions[w[-1]].max() for w in states])
+    readout = ((totals > t_norm - eta_norm) & (totals <= t_norm)) * row_max[:, None]
 
-    # Phase 1: explicit words up to the suffix depth. Each word is read out
-    # (its sup-completed sum may already land in the window) and the
-    # depth-length survivors seed the DP.
     total_sum = 0.0
-    suffixes = [
-        w for w in admissible_words(shift, depth, cap=cap) if not _contains_hole(w, hole_word)
-    ]
-    suffix_index = {w: i for i, w in enumerate(suffixes)}
-    dist = np.zeros((len(suffixes), t_norm + 1))
-
-    frontier: list[tuple[Word, float, int]] = [
-        ((a,), 1.0, 0) for a in range(shift.alphabet_size) if not _contains_hole((a,), hole_word)
-    ]
-    for length in range(1, depth + 1):
-        next_frontier = []
-        for word, weight, determined in frontier:
-            if in_window(_sup_completed_sum(shift, heights, n, word)):
-                total_sum += weight * row_max[word[-1]]
-            if length == depth:
-                if determined <= t_norm:
-                    dist[suffix_index[word], determined] += weight
-                continue
-            for b in shift.successors(word[-1]):
-                extended = word + (b,)
-                if len(extended) >= m and extended[-m:] == hole_word:
-                    continue
-                gained = heights[extended[-n:]] if len(extended) >= n else 0
-                next_frontier.append(
-                    (extended, weight * float(shift.transitions[word[-1], b]), determined + gained)
-                )
-        frontier = next_frontier
-
-    # Phase 2: DP on (suffix, determined sum). Sums above t_norm can never come
-    # back down (heights are positive), so the sum axis is clipped there.
-    links = _lattice_links(shift, heights, n, suffix_index, hole=hole_word)
-    comp_by_suffix = np.array(
-        [completion[w[-(n - 1) :]] if n > 1 else 0 for w in suffixes], dtype=int
-    )
-    readout_factor = np.array([row_max[w[-1]] for w in suffixes])
-    totals = np.arange(t_norm + 1)[None, :] + comp_by_suffix[:, None]
-    window_mask = (totals > t_norm - eta_norm) & (totals <= t_norm)
-
     max_length = t_norm // max(min_k, 1) + n + 1
-    for _ in range(depth + 1, max_length + 1):
-        dist = _lattice_step(dist, links)
-        if not dist.any():
-            break
-        total_sum += float((dist * window_mask * readout_factor[:, None]).sum())
+    for length in range(1, max_length + 1):
+        if length > 1:
+            dist = _lattice_step(dist, links)
+            if not dist.any():
+                break
+        total_sum += float((dist * readout).sum())
+        if length == depth:
+            # Every word is now at least depth long: the shorter states stay empty.
+            links = [link for link in links if len(states[link[0]]) == depth]
 
     if total_sum <= 0.0:
         raise WindowEmptyError(
@@ -210,53 +194,15 @@ def induced_pressure_truncated(
     return math.log(total_sum) / float(t_max)
 
 
-def _sup_completed_sum(
-    shift: MarkovShift, heights: dict[Word, int], n: int, word: Word
-) -> int:
-    """Sup over x in [word] of the normalized Birkhoff len(word)-sum.
-
-    Windows that stick out past the word's end are completed by the best
-    admissible continuation of length n - 1, maximized jointly.
-    """
-    l = len(word)
-    start = max(l - n + 1, 0)
-    determined = sum(heights[word[j : j + n]] for j in range(start))
-    if n == 1:
-        return determined
-    best = None
-    stack: list[tuple[Word, int]] = [(word, n - 1)]
-    while stack:
-        tail, remaining = stack.pop()
-        if remaining == 0:
-            value = sum(heights[tail[j : j + n]] for j in range(start, l))
-            best = value if best is None or value > best else best
-            continue
-        for b in shift.successors(tail[-1]):
-            stack.append((tail + (b,), remaining - 1))
-    return determined + (best or 0)
-
-
-def _completion_table(
-    shift: MarkovShift, heights: dict[Word, int], n: int
-) -> dict[Word, int]:
-    """Max ceiling sum of the n - 1 windows peeking past a word's end, keyed
-    by its last n - 1 letters."""
-    if n == 1:
-        return {(): 0}
-    memo: dict[tuple[Word, int], int] = {}
-
-    def best(state: Word, steps: int) -> int:
-        if steps == 0:
-            return 0
-        key = (state, steps)
-        if key not in memo:
-            memo[key] = max(
-                heights[(state + (b,))[-n:]] + best((state + (b,))[1:], steps - 1)
-                for b in shift.successors(state[-1])
-            )
-        return memo[key]
-
-    return {w: best(w, n - 1) for w in admissible_words(shift, n - 1)}
+def _sup_completion(shift: MarkovShift, heights: dict[Word, int], n: int, word: Word) -> int:
+    """Max over admissible continuations of [word] of the normalized ceiling sum
+    of its windows that stick out past its end (those starting in its last
+    n - 1 letters; none when n = 1)."""
+    tails = [word]
+    for _ in range(n - 1):
+        tails = [w + (b,) for w in tails for b in shift.successors(w[-1])]
+    start = max(len(word) - n + 1, 0)
+    return max(sum(heights[w[j : j + n]] for j in range(start, len(word))) for w in tails)
 
 
 # ===========================================================================
@@ -282,9 +228,7 @@ def induced_pressure_via_root(
     beta* < beta_lo (beta* = -inf when no hole-avoiding word survives
     forever).
     """
-    hole_word = tuple(hole)
-    if not shift.is_admissible(hole_word) or len(hole_word) == 0:
-        raise InadmissibleWordError(f"hole word {hole_word} is not admissible")
+    hole_word = _checked_hole(shift, hole)
     if min(ceiling.values.values()) <= 0.0:
         raise NonPositiveCeilingError("the ceiling must be strictly positive")
     q = max(ceiling.order, len(hole_word))

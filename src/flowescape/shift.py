@@ -2,7 +2,10 @@
 cylinder functions, Birkhoff sums, and exact survival through a cylinder hole.
 
 Every exact word-level DP runs on one of two kernels here: the survival curve
-and the lattice-sum DP over (suffix word, integer ceiling sum).
+and the lattice-sum DP over (word, integer ceiling sum). The lattice-sum words
+are all suffixes of one length, or, for the truncated pressure, every
+hole-avoiding word up to that length, so words shorter than it are their own
+states.
 
 A shift is described by a row-stochastic, irreducible transition matrix P over
 symbols 0..S-1 together with its stationary vector pi. Words are tuples of
@@ -212,6 +215,14 @@ def is_reduced(shift: MarkovShift, word: Word) -> bool:
         b != last and shift.transitions[prev, b] > 0.0
         for b in range(shift.alphabet_size)
     )
+
+
+def _checked_hole(shift: MarkovShift, hole: Word) -> Word:
+    """The hole as a word; InadmissibleWordError when it is empty or not admissible."""
+    word = tuple(hole)
+    if len(word) == 0 or not shift.is_admissible(word):
+        raise InadmissibleWordError(f"hole word {word} is not admissible")
+    return word
 
 
 def admissible_words(
@@ -487,17 +498,20 @@ def _integer_heights(ceiling: CylinderFunction) -> dict[Word, int]:
 
 
 def _lattice_links(shift: MarkovShift, heights, order: int, index, hole=None) -> list[tuple]:
-    """Links (i, j, g, p) of the lattice-sum DP over (suffix word, integer ceiling sum):
-    suffix i plus letter b, minus its first letter, is suffix j; g is the height of its
-    last window and p = p(last, b). Extensions ending in ``hole`` are dropped."""
+    """Links (i, j, g, p) of the lattice-sum DP over (word, integer ceiling sum): word i
+    plus letter b, cut to its last ``depth`` letters (the longest word of ``index``), is
+    word j; g is the height of its last window, 0 while it is shorter than ``order``,
+    and p = p(last, b). Extensions ending in ``hole`` are dropped."""
+    depth = max(map(len, index))
     links = []
     for w, i in index.items():
         for b in shift.successors(w[-1]):
             extended = w + (b,)
             if hole is not None and extended[-len(hole) :] == hole:
                 continue
+            gain = heights[extended[-order:]] if len(extended) >= order else 0
             prob = float(shift.transitions[w[-1], b])
-            links.append((i, index[extended[1:]], heights[extended[-order:]], prob))
+            links.append((i, index[extended[-depth:]], gain, prob))
     return links
 
 

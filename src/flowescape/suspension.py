@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DimensionTooLargeError,
     EpsilonTooLargeError,
     NonArithmeticCeilingError,
     NonPositiveCeilingError,
@@ -77,9 +78,15 @@ class SuspensionSystem:
     @cached_property
     def block_matrix(self) -> np.ndarray:
         """Levels step up by one; each top steps through ``word_matrix`` onto
-        the level-0 blocks."""
+        the level-0 blocks. Raises DimensionTooLargeError past
+        ``DEFAULT_STATE_CAP`` blocks, before anything is allocated."""
+        size = len(self.block_measure)
+        if size > DEFAULT_STATE_CAP:
+            raise DimensionTooLargeError(
+                f"{size} blocks exceed the cap of {DEFAULT_STATE_CAP} for a dense block matrix"
+            )
         tops = self._starts + self.heights - 1
-        matrix = np.eye(len(self.block_measure), k=1)
+        matrix = np.eye(size, k=1)
         matrix[tops] = 0.0
         matrix[tops[:, None], self._starts] = self.word_matrix
         matrix.setflags(write=False)

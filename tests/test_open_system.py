@@ -10,6 +10,7 @@ import pytest
 import flowescape.open_system as open_system
 import flowescape.suspension as suspension
 from flowescape import (
+    DimensionTooLargeError,
     HoleShorterThanCeilingOrderError,
     InadmissibleWordError,
     NoConvergenceError,
@@ -276,6 +277,19 @@ def test_refined_rate_builds_no_block_matrix(monkeypatch, step_system):
     monkeypatch.undo()
     bordered = escape_rate_flow(step_system, (1, 1, 0), representation="bordered")
     assert rate == pytest.approx(bordered, rel=1e-12)
+
+
+def test_block_matrix_past_the_cap_raises(full2):
+    # Heights 39 and 58 refined to the 128 words of the length-7 hole: 6208
+    # blocks, past the cap. The dense matrix would be 308 MB; the refined
+    # rate reads only the word operator.
+    ceiling = cylinder_function(1, {(0,): 1.95, (1,): 2.9}, lattice=0.05)
+    system = build_suspension(full2, ceiling)
+    hole = (0, 1, 1, 0, 1, 0, 1)
+    with pytest.raises(DimensionTooLargeError):
+        build_open_refined(system, hole)
+    rate = escape_rate_flow(system, hole, "refined")
+    assert rate == float.fromhex("0x1.af536b7c5cd76p-9")
 
 
 def test_system_built_past_the_cap_keeps_its_words():

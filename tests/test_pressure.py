@@ -140,8 +140,10 @@ def test_root_pressure_error_paths(cycle2, golden_mean):
 # ---------------------------------------------------------------------------
 
 def test_truncated_pressure_near_limit(full2, unit_ceiling, step_ceiling):
+    # Only the words 1^l survive, each of weight 2^-l, and the window
+    # (198, 200] keeps l = 199 and 200: the log(t)/t error, exactly.
     got = induced_pressure_truncated(full2, unit_ceiling, (0,), 200.0)
-    assert got == pytest.approx(-math.log(2.0), abs=0.005)
+    assert got == pytest.approx(math.log(3.0) / 200.0 - math.log(2.0), rel=1e-12)
     got = induced_pressure_truncated(full2, unit_ceiling, (0, 0), 200.0)
     assert got == pytest.approx(-(math.log(2.0) - math.log(GOLDEN)), abs=0.005)
     got = induced_pressure_truncated(full2, step_ceiling, (0,), 200.0, eta=2.0)
@@ -169,25 +171,33 @@ def _brute_window_sum(heights, order, hole, t):
     return total
 
 
+ORDER3_HEIGHTS = {
+    (0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 0): 3, (0, 1, 1): 1,
+    (1, 0, 0): 2, (1, 0, 1): 1, (1, 1, 0): 3, (1, 1, 1): 2,
+}
+
+
 @pytest.mark.parametrize(
-    "heights",
+    "heights, hole, t",
     [
+        pytest.param({(0,): 1, (1,): 2}, (0, 0), 8, id="order1-hole00"),
+        pytest.param({(0,): 1, (1,): 2}, (0, 0, 1), 8, id="order1-hole001"),
         pytest.param(
-            {(0,): 1, (1,): 2},
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="order-1 ceilings: words past the suffix depth are summed "
-                "without their first letter's height",
-            ),
+            {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 1}, (0, 0), 8, id="order2-hole00"
         ),
-        {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 1},
+        # Holes shorter than the order: the length-1 words are shorter than
+        # order - 1, so their whole sum is the sup-completion. The window
+        # (0, 4] reads them out.
+        pytest.param(ORDER3_HEIGHTS, (0, 1), 4, id="order3-hole01-t4"),
+        pytest.param(ORDER3_HEIGHTS, (0, 1), 9, id="order3-hole01"),
+        pytest.param(ORDER3_HEIGHTS, (1,), 7, id="order3-hole1"),
     ],
 )
-def test_truncated_pressure_matches_brute_force_window_sum(full2, heights):
+def test_truncated_pressure_matches_brute_force_window_sum(full2, heights, hole, t):
     order = len(next(iter(heights)))
     ceiling = cylinder_function(order, {w: float(k) for w, k in heights.items()}, lattice=1.0)
-    want = math.log(_brute_window_sum(heights, order, (0, 0), 8)) / 8.0
-    got = induced_pressure_truncated(full2, ceiling, (0, 0), 8.0)
+    want = math.log(_brute_window_sum(heights, order, hole, t)) / t
+    got = induced_pressure_truncated(full2, ceiling, hole, float(t))
     assert got == pytest.approx(want, rel=1e-12)
 
 
