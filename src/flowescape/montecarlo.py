@@ -15,6 +15,7 @@ tests hold the sampler to 3-sigma.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -242,6 +243,24 @@ def fit_decay(k_values, probabilities) -> "float | None":
     return float(np.exp(np.polyfit(ks, logs, 1)[0]))
 
 
+def _kept_sums(lam: float, mean: float, epsilon: float, l: int, top: int) -> tuple[int, int]:
+    """The ceiling sums s in 0..top with |lam * s / l - mean| < epsilon, as one
+    interval [lo, hi] (lo > hi when every sum deviates).
+
+    Both deviation routes decide through this one float expression. It is
+    monotone in s (rounding keeps order under a positive scale and a shift),
+    so the sums that do not deviate are contiguous, and bisecting on the
+    expression itself finds the interval that reproduces its every decision.
+    """
+    sums = range(top + 1)
+
+    def offset(s):
+        return lam * s / l - mean
+
+    lo = bisect.bisect_right(sums, -epsilon, key=offset)
+    return lo, bisect.bisect_left(sums, epsilon, lo=lo, key=offset) - 1
+
+
 def estimate_deviation_prob(
     shift: MarkovShift,
     ceiling: CylinderFunction,
@@ -252,10 +271,11 @@ def estimate_deviation_prob(
 ) -> DeviationEstimate:
     """Sample paths and estimate the deviation probabilities P_k.
 
-    The ceiling sum is accumulated as exact lattice integers, and the
-    deviation test |lambda * S / l - mean| >= epsilon uses the same float
-    expression as the exact dynamic program, so the two can be compared at
-    matching branch decisions.
+    The ceiling sum is accumulated as exact lattice integers. The deviation
+    test |lambda * S / l - mean| >= epsilon is the float expression of the
+    exact dynamic program. Once per l it is decided for every reachable sum
+    0..l * h_max, as an interval (``_kept_sums``), so each sample's decision
+    is two integer comparisons and matches the exact route bit for bit.
     """
     ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
 
@@ -266,6 +286,7 @@ def estimate_deviation_prob(
         for a in w:
             code = code * size + a
         kmap[code] = k
+    h_max = max(heights.values())
 
     samples = config.samples
     rows = _uniform_rows(config.seed)
@@ -281,16 +302,19 @@ def estimate_deviation_prob(
     for _ in range(n - 1):
         symbol = successor(symbol)
         codes = codes * size + symbol
-    tail_mod = size ** (n - 1)
+    # The code of each window's last n - 1 letters, times size: a step
+    # appends its letter with a gather and an add, and no int64 %.
+    shifted = np.arange(size ** n, dtype=np.int64) % size ** (n - 1) * size
     running = np.zeros(samples, dtype=np.int64)
     # The last l at which each sample deviated (0: never); P_k is the fraction >= k.
     last_deviation = np.zeros(samples, dtype=np.int64)
     for l in range(1, l_max + 1):
         running += kmap[codes]
-        last_deviation[np.abs(lam * running / l - mean) >= epsilon] = l
+        lo, hi = _kept_sums(lam, mean, epsilon, l, l * h_max)
+        np.copyto(last_deviation, l, where=(running < lo) | (running > hi))
         if l < l_max:
             symbol = successor(symbol)
-            codes = (codes % tail_mod) * size + symbol
+            codes = shifted[codes] + symbol
 
     probabilities = np.array([(last_deviation >= k).mean() for k in ks])
     stderrs = np.sqrt(probabilities * (1.0 - probabilities) / samples)
@@ -315,28 +339,40 @@ def exact_deviation_prob(
 ) -> tuple[float, ...]:
     """Exact P_k by the lattice-sum DP of ``shift`` over (suffix, integer ceiling sum).
 
-    Mass that has deviated at any l in [k, l_max] is absorbed; P_k is one
-    minus what survives to l_max. The deviation test is the same float
-    expression the sampler uses.
+    One forward pass, with no absorption, gives the distribution dist_k at each
+    k. One backward pass gives V_l, the probability of not deviating at any l'
+    in [l, l_max] from each (suffix, sum): V_{l_max} = keep_{l_max} and
+    V_l = keep_l * (T V_{l+1}), where keep_l is the non-deviating interval of
+    ``_kept_sums``, the sampler's test. Then P_k = 1 - sum(dist_k * V_k), so
+    every k costs max k + l_max - min k steps in all.
     """
     ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
     suffix_len = max(n - 1, 1)
     index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
     links = _lattice_links(shift, heights, n, index)
-    max_sum = l_max * max(heights.values())
-    sums = np.arange(max_sum + 1, dtype=np.int64)
+    h_max = max(heights.values())
 
-    start = np.zeros((len(index), max_sum + 1))
+    dist = np.zeros((len(index), l_max * h_max + 1))
     for w in admissible_words(shift, max(n, suffix_len)):
-        start[index[w[-suffix_len:]], heights[w[-n:]]] += cylinder_measure(shift, w)
-    out = []
-    for k in ks:
-        dist = start
-        for l in range(1, l_max + 1):
-            if l > 1:
-                dist = _lattice_step(dist, links)
-            if l >= k:
-                keep = np.abs(lam * sums / l - mean) < epsilon
-                dist = dist * keep[None, :]
-        out.append(1.0 - float(dist.sum()))
-    return tuple(out)
+        dist[index[w[-suffix_len:]], heights[w[-n:]]] += cylinder_measure(shift, w)
+    dists = {}
+    for l in range(1, ks[-1] + 1):
+        if l > 1:
+            dist = _lattice_step(dist, links)
+        if l in ks:
+            dists[l] = dist
+
+    # T V is the forward step with every link reversed, on the reversed sum axis.
+    reverse = [(j, i, g, p) for i, j, g, p in links]
+    survive = np.ones_like(dist)
+    out = {}
+    for l in range(l_max, ks[0] - 1, -1):
+        if l < l_max:
+            survive = _lattice_step(survive[:, ::-1], reverse)[:, ::-1]
+        # Sums above l * h_max are unreachable at l, so zeroing them is harmless.
+        lo, hi = _kept_sums(lam, mean, epsilon, l, l * h_max)
+        survive[:, :lo] = 0.0
+        survive[:, hi + 1 :] = 0.0
+        if l in dists:
+            out[l] = 1.0 - float(np.sum(dists[l] * survive))
+    return tuple(out[k] for k in ks)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +65,15 @@ class MarkovShift:
     def alphabet_size(self) -> int:
         return self.transitions.shape[0]
 
+    @cached_property
+    def _successor_table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(int(b) for b in np.nonzero(row > 0.0)[0]) for row in self.transitions
+        )
+
     def successors(self, symbol: int) -> tuple[int, ...]:
-        """Symbols b with p(symbol, b) > 0."""
-        return tuple(int(b) for b in np.nonzero(self.transitions[symbol] > 0.0)[0])
+        """Symbols b with p(symbol, b) > 0, read from a table built on first use."""
+        return self._successor_table[symbol]
 
     def is_admissible(self, word: Word) -> bool:
         """True when the cylinder [word] has positive measure."""

@@ -10,6 +10,7 @@ from flowescape import (
     AllMassEscapedError,
     SimulationConfig,
     SurvivalEstimate,
+    admissible_words,
     build_markov_shift,
     build_open_refined,
     build_suspension,
@@ -22,7 +23,9 @@ from flowescape import (
     fit_escape_rate,
     survival_curve_flow,
 )
-from flowescape.montecarlo import _deviation_setup
+from flowescape import montecarlo
+from flowescape.montecarlo import _deviation_setup, _kept_sums
+from flowescape.shift import _lattice_links, _lattice_step, cylinder_measure
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +189,114 @@ def test_deviation_rejects_bad_arguments(full2, step_ceiling):
         exact_deviation_prob(full2, step_ceiling, 0.25, [10], 5)
 
 
+_FULL2 = build_markov_shift([[0.5, 0.5], [0.5, 0.5]])
+_BIASED2 = build_markov_shift([[0.9, 0.1], [0.2, 0.8]])
+# Three letters with the transition 1 -> 2 forbidden.
+_THREE = build_markov_shift([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]])
+_STEP_CEILING = cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1.0)
+_ORDER2_CEILING = cylinder_function(
+    2, {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 1.0}, lattice=1.0
+)
+_ORDER3_CEILING = cylinder_function(
+    3,
+    {w: float(1 + (w[0] + 2 * w[1] + w[2]) % 3) for w in admissible_words(_THREE, 3)},
+    lattice=1.0,
+)
+
+
+@pytest.mark.parametrize(
+    "ceiling",
+    [_STEP_CEILING, cylinder_function(1, {(0,): 0.5, (1,): 0.85}, lattice=0.05)],
+    ids=["lattice-1", "lattice-0.05"],
+)
+@pytest.mark.parametrize("epsilon", (0.25, 0.1, 0.001))
+def test_kept_sums_equal_the_float_test(full2, ceiling, epsilon):
+    """[lo_l, hi_l] decides every reachable sum as the float expression does,
+    including the empty interval of a tiny epsilon."""
+    ks, l_max, heights, lam, n, mean = _deviation_setup(full2, ceiling, epsilon, (10,), 60)
+    top = max(heights.values())
+    empty = 0
+    for l in range(1, l_max + 1):
+        lo, hi = _kept_sums(lam, mean, epsilon, l, l * top)
+        empty += lo > hi
+        for s in range(l * top + 1):
+            assert (lo <= s <= hi) == (abs(lam * s / l - mean) < epsilon), (l, s)
+    if epsilon == 0.001:
+        assert empty > 0
+
+
+def test_kept_sums_exact_tie_deviates(full2, step_ceiling):
+    """mean 1.5, epsilon 0.25, l = 4: s = 5 gives exactly -0.25, which deviates."""
+    _, _, _, lam, _, mean = _deviation_setup(full2, step_ceiling, 0.25, (4,), 4)
+    assert mean == 1.5 and lam * 5 / 4 - mean == -0.25
+    assert _kept_sums(lam, mean, 0.25, 4, 8) == (6, 6)
+
+
+def _per_k_deviation_dp(shift, ceiling, epsilon, k_values, l_max):
+    """The per-k absorbing DP: one full l_max-step pass per k, with the mass
+    that has deviated at any l >= k zeroed as it goes."""
+    ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
+    suffix_len = max(n - 1, 1)
+    index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
+    links = _lattice_links(shift, heights, n, index)
+    max_sum = l_max * max(heights.values())
+    sums = np.arange(max_sum + 1, dtype=np.int64)
+    start = np.zeros((len(index), max_sum + 1))
+    for w in admissible_words(shift, max(n, suffix_len)):
+        start[index[w[-suffix_len:]], heights[w[-n:]]] += cylinder_measure(shift, w)
+    out = []
+    for k in ks:
+        dist = start
+        for l in range(1, l_max + 1):
+            if l > 1:
+                dist = _lattice_step(dist, links)
+            if l >= k:
+                dist = dist * (np.abs(lam * sums / l - mean) < epsilon)[None, :]
+        out.append(1.0 - float(dist.sum()))
+    return tuple(out)
+
+
+_EXACT_CASES = {
+    "order-1": (_FULL2, _STEP_CEILING, 0.25),
+    "order-2": (_BIASED2, _ORDER2_CEILING, 0.1),
+    "three-letter-order-2": (
+        _THREE,
+        cylinder_function(
+            2, {w: 0.05 * (3 + 2 * w[0] + w[1]) for w in admissible_words(_THREE, 2)}, lattice=0.05
+        ),
+        0.02,
+    ),
+    "three-letter-order-3": (_THREE, _ORDER3_CEILING, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_CASES))
+@pytest.mark.parametrize(
+    "k_values, l_max", [((5, 10, 20, 40), 80), ([12, 3, 12, 1, 7], 30), ([9, 9], 9)]
+)
+def test_exact_deviation_matches_per_k_dp(name, k_values, l_max):
+    shift, ceiling, epsilon = _EXACT_CASES[name]
+    got = exact_deviation_prob(shift, ceiling, epsilon, k_values, l_max)
+    want = _per_k_deviation_dp(shift, ceiling, epsilon, k_values, l_max)
+    assert len(got) == len(set(k_values))
+    assert got == pytest.approx(want, abs=1e-13, rel=0)
+    assert any(0.0 < p < 1.0 for p in want)
+
+
+def test_exact_deviation_is_one_forward_and_one_backward_pass(monkeypatch, full2, step_ceiling):
+    """At most max k + l_max lattice steps; the per-k DP makes len(ks) * (l_max - 1)."""
+    calls = []
+
+    def counted(dist, links):
+        calls.append(1)
+        return _lattice_step(dist, links)
+
+    monkeypatch.setattr(montecarlo, "_lattice_step", counted)
+    ks, l_max = (5, 10, 20, 40), 160
+    exact_deviation_prob(full2, step_ceiling, 0.25, ks, l_max)
+    assert len(calls) <= max(ks) + l_max < len(ks) * (l_max - 1)
+
+
 def test_fit_decay_on_pure_geometric_sequence():
     ks = (2, 4, 6, 8)
     probabilities = [0.5 ** k for k in ks]
@@ -267,20 +378,17 @@ def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
     return probabilities, np.sqrt(probabilities * (1.0 - probabilities) / config.samples)
 
 
-_FULL2 = build_markov_shift([[0.5, 0.5], [0.5, 0.5]])
 _STREAMING_CASES = {
-    "step-full2": (_FULL2, cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1.0), (0,)),
+    "step-full2": (_FULL2, _STEP_CEILING, (0,)),
     # Three letters and a forbidden transition: two threshold columns.
     "three-letter": (
-        build_markov_shift([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]]),
+        _THREE,
         cylinder_function(1, {(0,): 1.0, (1,): 2.0, (2,): 3.0}, lattice=1.0),
         (1, 0),
     ),
-    "order-2": (
-        build_markov_shift([[0.9, 0.1], [0.2, 0.8]]),
-        cylinder_function(2, {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 1.0}, lattice=1.0),
-        (0, 1, 1),
-    ),
+    "order-2": (_BIASED2, _ORDER2_CEILING, (0, 1, 1)),
+    # A window code of three letters: the step keeps its last two.
+    "order-3": (_THREE, _ORDER3_CEILING, (0, 2)),
     # Heights 10 and 17: interior tower blocks have a single successor.
     "lattice-0.05": (
         _FULL2, cylinder_function(1, {(0,): 0.5, (1,): 0.85}, lattice=0.05), (1, 1)
