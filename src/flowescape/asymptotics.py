@@ -27,7 +27,6 @@ from .errors import (
     NotReducedError,
 )
 from .shift import (
-    DEFAULT_STATE_CAP,
     CylinderFunction,
     MarkovShift,
     Word,
@@ -39,9 +38,9 @@ from .suspension import SuspensionSystem, build_suspension
 from .zeta import (
     ONE_MINUS_Z,
     Polynomial,
+    _closed_and_cofactor,
+    _open_determinant,
     _series_quotient,
-    char_poly,
-    cofactor_poly,
     deflate_at_one,
     smallest_root_geq_one,
 )
@@ -83,7 +82,6 @@ def build_family(
     shift: MarkovShift,
     ceiling: CylinderFunction,
     base_word: Word,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> PeriodicOrbitFamily:
     """Validate a base word and precompute its hole-family data.
 
@@ -118,15 +116,15 @@ def build_family(
         )
 
     order = p * ((ceiling.order + p - 1) // p)
-    padded = refine_cylinder_function(shift, ceiling, order, cap=cap)
-    system = build_suspension(shift, padded, cap=cap)
+    padded = refine_cylinder_function(shift, ceiling, order)
+    system = build_suspension(shift, padded)
 
     reps = (p + order - 1) // p + 1
     extended = word * reps
     orbit_height = sum(system.height_of(extended[j : j + order]) for j in range(p))
     t_word = extended[:order]
     t_index = system.block_index(t_word, 0)
-    closed = char_poly(system.block_matrix)
+    closed, cofactor = _closed_and_cofactor(system.block_matrix, t_index, t_index)
     return PeriodicOrbitFamily(
         system=system,
         base_word=word,
@@ -138,7 +136,7 @@ def build_family(
         t_index=t_index,
         nu_min=order // p + 1,
         deflated=deflate_at_one(closed),
-        cofactor=cofactor_poly(system.block_matrix, t_index, t_index),
+        cofactor=cofactor,
     )
 
 
@@ -174,7 +172,7 @@ def family_zeta_op(family: PeriodicOrbitFamily, nu: int) -> Polynomial:
     alpha = family_hole_measure(family, nu) / cylinder_measure(
         family.system.base, family.t_word
     )
-    return closed * Polynomial(tuple(corr)) + family.cofactor.shift_power(o * s).scale(alpha)
+    return _open_determinant(closed, Polynomial(tuple(corr)), family.cofactor, alpha, o * s)
 
 
 # ===========================================================================
@@ -423,14 +421,13 @@ def local_rate_sweep(
     ceiling: CylinderFunction,
     base_word: Word,
     nus: "list[int] | tuple[int, ...]",
-    cap: int = DEFAULT_STATE_CAP,
 ) -> LocalRateReport:
     """Escape rate over hole measure along the family, for the given ceiling
     and for the unit ceiling, with the respective local-rate limits."""
     from .shift import constant_function
 
-    fam_ceiling = build_family(shift, ceiling, base_word, cap=cap)
-    fam_unit = build_family(shift, constant_function(shift, 1.0), base_word, cap=cap)
+    fam_ceiling = build_family(shift, ceiling, base_word)
+    fam_unit = build_family(shift, constant_function(shift, 1.0), base_word)
     rows = []
     for nu in nus:
         mu_nu = family_hole_measure(fam_ceiling, nu)

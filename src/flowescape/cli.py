@@ -30,7 +30,6 @@ from .montecarlo import SimulationConfig, estimate_deviation_prob, estimate_surv
 from .open_system import _open_rate
 from .pressure import check_pressure_equals_minus_rho
 from .shift import (
-    DEFAULT_STATE_CAP,
     CylinderFunction,
     MarkovShift,
     cylinder_measure,
@@ -173,7 +172,7 @@ def _cmd_validate(args) -> int:
 def _cmd_escape_rate(args) -> int:
     shift, ceiling, hole = _load(args)
     system = build_suspension(shift, ceiling)
-    representation, rate, radius = _open_rate(system, hole, "auto", DEFAULT_STATE_CAP)
+    representation, rate, radius = _open_rate(system, hole, "auto")
     results = {
         "rho": rate,
         "spectral-radius": radius,

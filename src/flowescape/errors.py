@@ -39,7 +39,8 @@ class WordTooShortError(DomainError):
 
 
 class RefinementTooLargeError(DomainError):
-    """Refining to the requested word length would exceed the state cap."""
+    """More than ``DEFAULT_STATE_CAP`` words of the requested length are
+    admissible; the cap counts those words and is not a parameter."""
 
 
 # ---------------------------------------------------------------------------

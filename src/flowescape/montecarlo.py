@@ -24,7 +24,6 @@ import numpy as np
 from .errors import AllMassEscapedError
 from .open_system import _refined
 from .shift import (
-    DEFAULT_STATE_CAP,
     CylinderFunction,
     MarkovShift,
     Word,
@@ -94,7 +93,6 @@ def estimate_survival(
     system: SuspensionSystem,
     hole: Word,
     config: SimulationConfig,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> SurvivalEstimate:
     """Sample the block chain from the flow-invariant measure and record the
     fraction avoiding the hole through each time step.
@@ -102,7 +100,7 @@ def estimate_survival(
     Dead samples keep being stepped so the uniform consumption pattern (and
     hence every later number) does not depend on who has died.
     """
-    refined, hole_words = _refined(system, hole, cap)
+    refined, hole_words = _refined(system, hole)
     starts = refined._starts
     tops = starts + refined.heights - 1
     size = len(refined.block_measure)

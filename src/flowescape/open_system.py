@@ -35,10 +35,10 @@ from .errors import (
     NotReducedError,
 )
 from .shift import (
-    DEFAULT_STATE_CAP,
     Word,
     _checked_hole,
     _survival_curve,
+    _within_state_cap,
     is_reduced,
     survivor_matrix,
 )
@@ -147,25 +147,21 @@ class OpenMatrix:
     quantities: "HoleQuantities | None" = None
 
 
-def _refined(system: SuspensionSystem, hole: Word, cap: int) -> tuple[SuspensionSystem, tuple]:
+def _refined(system: SuspensionSystem, hole: Word) -> tuple[SuspensionSystem, tuple]:
     """The system at order max(len(hole), order), and the indices of its words
     that begin with the hole word (their level-0 blocks are the hole)."""
     word = _checked_hole(system.base, hole)
     refined_order = max(len(word), system.order)
     refined = (
-        refine_suspension(system, refined_order, cap=cap)
-        if refined_order > system.order
-        else system
+        refine_suspension(system, refined_order) if refined_order > system.order else system
     )
     rows = tuple(i for i, w in enumerate(refined.words) if w[: len(word)] == word)
     return refined, rows
 
 
-def build_open_refined(
-    system: SuspensionSystem, hole: Word, cap: int = DEFAULT_STATE_CAP
-) -> OpenMatrix:
+def build_open_refined(system: SuspensionSystem, hole: Word) -> OpenMatrix:
     """Open matrix on blocks refined to order max(len(hole), order)."""
-    refined, rows = _refined(system, hole, cap)
+    refined, rows = _refined(system, hole)
     hole_rows = tuple(int(refined._starts[i]) for i in rows)
     matrix = refined.block_matrix.copy()
     matrix[list(hole_rows), :] = 0.0
@@ -222,23 +218,21 @@ def build_open_matrix(
     system: SuspensionSystem,
     hole: Word,
     representation: str = "auto",
-    cap: int = DEFAULT_STATE_CAP,
 ) -> OpenMatrix:
     """Build the requested representation; ``auto`` prefers refined and falls
-    back to bordered when the refinement would exceed the state cap."""
-    if _representation(system, hole, representation, cap) == "refined":
-        return build_open_refined(system, hole, cap=cap)
+    back to bordered when the refined words would exceed ``DEFAULT_STATE_CAP``."""
+    if _representation(system, hole, representation) == "refined":
+        return build_open_refined(system, hole)
     return build_open_bordered(system, hole)
 
 
-def _representation(
-    system: SuspensionSystem, hole: Word, representation: str, cap: int
-) -> str:
-    """``representation`` with ``auto`` resolved: refined when the alphabet
-    power of the refined order is within the cap, bordered otherwise."""
+def _representation(system: SuspensionSystem, hole: Word, representation: str) -> str:
+    """``representation`` with ``auto`` resolved: refined when the admissible
+    words of length max(len(hole), order) number at most ``DEFAULT_STATE_CAP``,
+    bordered otherwise."""
     if representation == "auto":
         refined_order = max(len(hole), system.order)
-        return "refined" if system.base.alphabet_size ** refined_order <= cap else "bordered"
+        return "refined" if _within_state_cap(system.base, refined_order) else "bordered"
     if representation not in ("refined", "bordered"):
         raise ValueError(f"unknown representation {representation!r}")
     return representation
@@ -469,21 +463,15 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) 
     )
 
 
-def _open_root(
-    system: SuspensionSystem, hole: Word, cap: int = DEFAULT_STATE_CAP, tol: float = 1e-13
-) -> float:
+def _open_root(system: SuspensionSystem, hole: Word, tol: float = 1e-13) -> float:
     """Word-operator root s* of the refined open system, so its radius is e^{-s*}.
 
     P is ``survivor_matrix`` of the base at order q = max(len(hole), order),
-    weighted by the ceiling height of each word. ``cap`` is charged only when
-    q exceeds the order: the system already holds its own order-n words,
-    whatever cap it was built at.
+    weighted by the ceiling height of each word.
     """
     word = _checked_hole(system.base, hole)
     q = max(len(word), system.order)
-    chain = survivor_matrix(
-        system.base, word, order=q, cap=cap if q > system.order else math.inf
-    )
+    chain = survivor_matrix(system.base, word, order=q)
     heights = np.array([system.height_of(w) for w in chain.states])
     return _word_operator_root(chain.matrix, heights, tol=tol)
 
@@ -515,13 +503,13 @@ def open_spectral_radius(open_matrix: OpenMatrix, tol: float = 1e-13) -> float:
 # ===========================================================================
 
 def _open_rate(
-    system: SuspensionSystem, hole: Word, representation: str, cap: int
+    system: SuspensionSystem, hole: Word, representation: str
 ) -> tuple[str, float, float]:
     """(representation with ``auto`` resolved, flow escape rate, radius of the
     open time-lambda operator), from one root of that representation."""
-    representation = _representation(system, hole, representation, cap)
+    representation = _representation(system, hole, representation)
     if representation == "refined":
-        root = _open_root(system, hole, cap)
+        root = _open_root(system, hole)
         return representation, root / system.lattice_scale, math.exp(-root)
     radius = open_spectral_radius(build_open_bordered(system, hole))
     if radius <= 0.0:
@@ -533,7 +521,6 @@ def escape_rate_flow(
     system: SuspensionSystem,
     hole: Word,
     representation: str = "auto",
-    cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """Escape rate of the suspension flow through the hole, in flow-time units.
 
@@ -542,7 +529,7 @@ def escape_rate_flow(
     root s*/lambda directly rather than -log(e^{-s*})/lambda, which would
     lose relative accuracy when s* is small. It needs no block matrix.
     """
-    return _open_rate(system, hole, representation, cap)[1]
+    return _open_rate(system, hole, representation)[1]
 
 
 def escape_rate_block_hole(system: SuspensionSystem, rows: "tuple[int, ...] | list[int]") -> float:
@@ -559,12 +546,7 @@ def escape_rate_block_hole(system: SuspensionSystem, rows: "tuple[int, ...] | li
     return _word_operator_root(P, system.heights) / system.lattice_scale
 
 
-def survival_curve_flow(
-    system: SuspensionSystem,
-    hole: Word,
-    t_max: int,
-    cap: int = DEFAULT_STATE_CAP,
-) -> np.ndarray:
+def survival_curve_flow(system: SuspensionSystem, hole: Word, t_max: int) -> np.ndarray:
     """Exact survival probabilities S(0..t_max) under the flow-invariant measure.
 
     S(t) is the mass of points whose first t block-chain positions all avoid
@@ -575,6 +557,6 @@ def survival_curve_flow(
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    refined, rows = _refined(system, hole, cap)
+    refined, rows = _refined(system, hole)
     mass = flow_invariant_vector(refined)
     return _survival_curve(mass, refined.word_matrix, rows, 1, t_max, refined.heights)

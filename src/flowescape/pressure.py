@@ -33,7 +33,6 @@ from .errors import (
 )
 from .open_system import _word_operator_root, escape_rate_flow
 from .shift import (
-    DEFAULT_STATE_CAP,
     CylinderFunction,
     MarkovShift,
     Word,
@@ -121,7 +120,6 @@ def induced_pressure_truncated(
     hole: Word,
     t_max: float,
     eta: "float | None" = None,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """(1/t) log of the window sum at t = t_max; converges to -rho like log(t)/t.
 
@@ -157,7 +155,7 @@ def induced_pressure_truncated(
     states = [
         w
         for length in range(1, depth + 1)
-        for w in admissible_words(shift, length, cap=cap)
+        for w in admissible_words(shift, length)
         if not _contains_hole(w, hole_word)
     ]
     index = {w: i for i, w in enumerate(states)}
@@ -214,7 +212,6 @@ def induced_pressure_via_root(
     ceiling: CylinderFunction,
     hole: Word,
     beta_lo: float = -50.0,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """The root beta* of radius(W(beta)) = 1; exactly -rho for lattice ceilings.
 
@@ -232,7 +229,7 @@ def induced_pressure_via_root(
     if min(ceiling.values.values()) <= 0.0:
         raise NonPositiveCeilingError("the ceiling must be strictly positive")
     q = max(ceiling.order, len(hole_word))
-    chain = survivor_matrix(shift, hole_word, order=q, cap=cap)
+    chain = survivor_matrix(shift, hole_word, order=q)
     live = [i for i, w in enumerate(chain.states) if not _contains_hole(w, hole_word)]
     if not live:
         raise PressureNotNegativeError("no surviving words at all; the hole is everything")
@@ -272,13 +269,12 @@ def check_pressure_equals_minus_rho(
     hole: Word,
     t_max: float,
     eta: "float | None" = None,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> PressureReport:
     """Both pressure estimates against the escape rate of the suspension flow."""
-    system = build_suspension(shift, ceiling, cap=cap)
-    rho = escape_rate_flow(system, tuple(hole), cap=cap)
-    beta_root = induced_pressure_via_root(shift, ceiling, hole, cap=cap)
-    beta_trunc = induced_pressure_truncated(shift, ceiling, hole, t_max, eta=eta, cap=cap)
+    system = build_suspension(shift, ceiling)
+    rho = escape_rate_flow(system, tuple(hole))
+    beta_root = induced_pressure_via_root(shift, ceiling, hole)
+    beta_trunc = induced_pressure_truncated(shift, ceiling, hole, t_max, eta=eta)
     rows = [
         PressureRow("root", beta_root, rho, abs(beta_root + rho)),
         PressureRow("truncated", beta_trunc, rho, abs(beta_trunc + rho)),
@@ -300,7 +296,6 @@ def superadditivity_check(
     hole: Word,
     ceiling_a: CylinderFunction,
     ceiling_b: CylinderFunction,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> SuperadditivityReport:
     """1/P is superadditive in the ceiling: 1/P(a+b) >= 1/P(a) + 1/P(b) - 1e-10.
 
@@ -308,14 +303,14 @@ def superadditivity_check(
     the combined ceiling is the plain sum of values on the common refinement.
     """
     order = max(ceiling_a.order, ceiling_b.order)
-    fa = refine_cylinder_function(shift, ceiling_a, order, cap=cap)
-    fb = refine_cylinder_function(shift, ceiling_b, order, cap=cap)
+    fa = refine_cylinder_function(shift, ceiling_a, order)
+    fb = refine_cylinder_function(shift, ceiling_b, order)
     combined = cylinder_function(
         order, {w: fa.value(w) + fb.value(w) for w in fa.values}
     )
-    p_a = induced_pressure_via_root(shift, ceiling_a, hole, cap=cap)
-    p_b = induced_pressure_via_root(shift, ceiling_b, hole, cap=cap)
-    p_ab = induced_pressure_via_root(shift, combined, hole, cap=cap)
+    p_a = induced_pressure_via_root(shift, ceiling_a, hole)
+    p_b = induced_pressure_via_root(shift, ceiling_b, hole)
+    p_ab = induced_pressure_via_root(shift, combined, hole)
     for value in (p_a, p_b, p_ab):
         if value >= 0.0:
             raise PressureNotNegativeError(f"induced pressure {value} is not negative")

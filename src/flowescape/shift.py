@@ -37,7 +37,9 @@ from .errors import (
 
 Word = tuple[int, ...]
 
-#: Hard cap on the number of refined word-states dense routines will build.
+#: Hard cap on the number of word-states dense routines will build. It counts
+#: the admissible words of the refined length, not alphabet powers, and it is
+#: a constant, not a parameter.
 DEFAULT_STATE_CAP = 4096
 
 _ROW_SUM_TOL = 1e-9
@@ -232,18 +234,36 @@ def _checked_hole(shift: MarkovShift, hole: Word) -> Word:
     return word
 
 
-def admissible_words(
-    shift: MarkovShift, length: int, cap: int = DEFAULT_STATE_CAP
-) -> tuple[Word, ...]:
+def _word_count(shift: MarkovShift, length: int) -> int:
+    """Number of admissible words of ``length``, 1^T A^(length-1) 1 for the 0/1
+    transition pattern A: per-last-letter counts pushed through ``successors``."""
+    counts = [1] * shift.alphabet_size
+    for _ in range(length - 1):
+        nxt = [0] * shift.alphabet_size
+        for a, count in enumerate(counts):
+            for b in shift.successors(a):
+                nxt[b] += count
+        counts = nxt
+    return sum(counts)
+
+
+def _within_state_cap(shift: MarkovShift, length: int) -> bool:
+    """True when at most ``DEFAULT_STATE_CAP`` admissible words of ``length`` exist."""
+    return _word_count(shift, length) <= DEFAULT_STATE_CAP
+
+
+def admissible_words(shift: MarkovShift, length: int) -> tuple[Word, ...]:
     """All admissible words of the given length, in lexicographic order.
 
-    Raises RefinementTooLargeError when the alphabet power exceeds ``cap``.
+    Raises RefinementTooLargeError, before building anything, when more than
+    ``DEFAULT_STATE_CAP`` words of that length are admissible.
     """
     if length < 1:
         raise ValueError(f"word length must be >= 1, got {length}")
-    if shift.alphabet_size ** length > cap:
+    if not _within_state_cap(shift, length):
         raise RefinementTooLargeError(
-            f"{shift.alphabet_size}^{length} words exceeds the cap of {cap} states"
+            f"{_word_count(shift, length)} admissible words of length {length} exceed "
+            f"the cap of {DEFAULT_STATE_CAP} states"
         )
     words: list[Word] = [(a,) for a in range(shift.alphabet_size)]
     for _ in range(length - 1):
@@ -326,14 +346,13 @@ def refine_cylinder_function(
     shift: MarkovShift,
     func: CylinderFunction,
     new_order: int,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> CylinderFunction:
     """Re-express ``func`` on cylinders of a larger order (values unchanged)."""
     if new_order < func.order:
         raise ValueError(f"cannot refine order {func.order} down to {new_order}")
     if new_order == func.order:
         return func
-    values = {w: func.value(w) for w in admissible_words(shift, new_order, cap=cap)}
+    values = {w: func.value(w) for w in admissible_words(shift, new_order)}
     return cylinder_function(new_order, values, lattice=func.lattice)
 
 
@@ -387,7 +406,6 @@ def survivor_matrix(
     shift: MarkovShift,
     hole: "Word | None",
     order: "int | None" = None,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> SurvivorMatrix:
     """Word-level transition matrix with rows inside the hole cylinder zeroed.
 
@@ -402,7 +420,7 @@ def survivor_matrix(
         order = min_order
     if order < min_order:
         raise ValueError(f"order {order} is smaller than the hole length {min_order}")
-    states = admissible_words(shift, order, cap=cap)
+    states = admissible_words(shift, order)
     mat = _word_transitions(shift, states)
     hole_rows: tuple[int, ...] = ()
     if hole_word is not None:

@@ -109,7 +109,6 @@ class SuspensionSystem:
 def build_suspension(
     base: MarkovShift,
     ceiling: CylinderFunction,
-    cap: int = DEFAULT_STATE_CAP,
 ) -> SuspensionSystem:
     """Lay out the tower of the suspension of ``base`` under ``ceiling``.
 
@@ -121,7 +120,7 @@ def build_suspension(
             "suspension needs an arithmetic ceiling with a declared lattice"
         )
     scale = float(ceiling.lattice)
-    words = admissible_words(base, ceiling.order, cap=cap)
+    words = admissible_words(base, ceiling.order)
     heights = np.zeros(len(words), dtype=int)
     for i, w in enumerate(words):
         value = ceiling.value(w)
@@ -154,12 +153,10 @@ def build_suspension(
     )
 
 
-def refine_suspension(
-    system: SuspensionSystem, new_order: int, cap: int = DEFAULT_STATE_CAP
-) -> SuspensionSystem:
+def refine_suspension(system: SuspensionSystem, new_order: int) -> SuspensionSystem:
     """Rebuild the block chain with the ceiling re-expressed at a larger order."""
-    refined = refine_cylinder_function(system.base, system.ceiling, new_order, cap=cap)
-    return build_suspension(system.base, refined, cap=cap)
+    refined = refine_cylinder_function(system.base, system.ceiling, new_order)
+    return build_suspension(system.base, refined)
 
 
 def flow_invariant_vector(system: SuspensionSystem) -> np.ndarray:

@@ -153,13 +153,18 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
 
 def cofactor_poly(matrix: np.ndarray, t_index: int, r_index: int) -> Polynomial:
     """(t, r) cofactor of I - zM, i.e. adj(I - zM)[r, t], 0-based indices."""
+    return _closed_and_cofactor(matrix, t_index, r_index)[1]
+
+
+def _closed_and_cofactor(
+    matrix: np.ndarray, t_index: int, r_index: int
+) -> tuple[Polynomial, Polynomial]:
+    """det(I - zM) and its (t, r) cofactor from one Faddeev-LeVerrier pass."""
     size = np.asarray(matrix).shape[0]
     if not (0 <= t_index < size and 0 <= r_index < size):
         raise ValueError(f"cofactor indices ({t_index}, {r_index}) out of range for size {size}")
-    if size == 1:
-        return Polynomial((1.0,))
-    _, adj_coeffs = _leverrier(matrix, entry=(r_index, t_index))
-    return Polynomial(tuple(adj_coeffs))
+    det_coeffs, adj_coeffs = _leverrier(matrix, entry=(r_index, t_index))
+    return Polynomial(tuple(det_coeffs)), Polynomial(tuple(adj_coeffs))
 
 
 # ===========================================================================
@@ -353,6 +358,17 @@ def correlation_poly(quantities: HoleQuantities) -> Polynomial:
     return Polynomial((1.0,) + quantities.correlation)
 
 
+def _open_determinant(
+    closed: Polynomial, corr: Polynomial, cofactor: Polynomial, alpha: float, k0: int
+) -> Polynomial:
+    """det(I - z M_op) = closed * corr + alpha z^k0 C_{t,r}. With k0 = 0 (hole
+    length equals the order) expanding det along the zeroed t-row leaves
+    exactly the (t, t) minor C."""
+    if k0 == 0:
+        return cofactor
+    return closed * corr + cofactor.shift_power(k0).scale(alpha)
+
+
 def zeta_op_factorized(
     system: SuspensionSystem, hole: Word, tol: float = 1e-9
 ) -> ZetaBundle:
@@ -364,16 +380,10 @@ def zeta_op_factorized(
     disagreement beyond ``tol`` raises FactorizationMismatchError.
     """
     q = hole_quantities(system, hole)
-    closed = char_poly(system.block_matrix)
+    closed, cof = _closed_and_cofactor(system.block_matrix, q.t_index, q.r_index)
     deflated = deflate_at_one(closed)
-    cof = cofactor_poly(system.block_matrix, q.t_index, q.r_index)
     corr = correlation_poly(q)
-    if q.k0 == 0:
-        # Hole length equals the order: expanding det along the zeroed t-row
-        # leaves exactly the (t, t) minor.
-        assembled = cof
-    else:
-        assembled = closed * corr + cof.shift_power(q.k0).scale(q.alpha)
+    assembled = _open_determinant(closed, corr, cof, q.alpha, q.k0)
     direct = char_poly(build_open_bordered(system, hole).matrix)
     width = max(len(assembled.coefficients), len(direct.coefficients))
     deviation = 0.0

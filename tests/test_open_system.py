@@ -138,8 +138,27 @@ def test_bordered_step_ceiling_dimension(step_system):
 def test_auto_representation_picks_refined_when_small(unit_system):
     om = build_open_matrix(unit_system, (0, 0))
     assert om.representation == "refined"
-    om = build_open_matrix(unit_system, (0, 0), cap=2)
+    # 0^12 1 on the full 2-shift refines to 2^13 = 8192 admissible words,
+    # past the state cap, so `auto` takes the bordered route.
+    hole = (0,) * 12 + (1,)
+    om = build_open_matrix(unit_system, hole)
     assert om.representation == "bordered"
+    assert escape_rate_flow(unit_system, hole) == pytest.approx(
+        escape_rate_zeta(unit_system, hole), rel=1e-12
+    )
+
+
+def test_auto_refines_long_holes_on_a_subshift(golden_mean):
+    # 0^12 10 is not reduced, so bordered rejects it; `auto` refines it,
+    # because the golden mean has only 987 admissible words of length 14
+    # (2^14 = 16384 would be past the state cap).
+    system = build_suspension(golden_mean, constant_function(golden_mean, 1.0))
+    hole = (0,) * 12 + (1, 0)
+    with pytest.raises(NotReducedError):
+        escape_rate_flow(system, hole, "bordered")
+    want = float.fromhex("0x1.5602e2c3fa9e0p-13")
+    assert escape_rate_flow(system, hole) == want
+    assert escape_rate_flow(system, hole, "refined") == want
 
 
 def test_spectral_radius_edge_cases():
@@ -293,18 +312,17 @@ def test_block_matrix_past_the_cap_raises(full2):
 
 
 def test_system_built_past_the_cap_keeps_its_words():
-    # 65 letters, i -> i + 1 (mod 65) and i -> 0: 129 words of length 2, but
-    # 65^2 = 4225 is past the default cap. A system built at a larger cap
-    # already holds them, so neither route charges the cap again.
+    # 65 letters, i -> i + 1 (mod 65) and i -> 0: 129 words of length 2.
+    # The cap counts those words, not 65^2 = 4225, so both routes run.
     size = 65
     transitions = np.zeros((size, size))
     for i in range(size):
         transitions[i, (i + 1) % size] += 0.5
         transitions[i, 0] += 0.5
     shift = build_markov_shift(transitions.tolist())
-    words = admissible_words(shift, 2, cap=5000)
+    words = admissible_words(shift, 2)
     ceiling = cylinder_function(2, {w: 0.5 * (1 + w[0] % 3) for w in words}, lattice=0.5)
-    system = build_suspension(shift, ceiling, cap=5000)
+    system = build_suspension(shift, ceiling)
     assert len(system.words) == 129
     assert escape_rate_flow(system, (5,), "refined") == float.fromhex("0x1.6eb958d2cca61p-6")
     row = system.block_index(system.words[10], 0)

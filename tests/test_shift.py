@@ -12,6 +12,7 @@ from flowescape import (
     NonArithmeticCeilingError,
     NotIrreducibleError,
     NotRowStochasticError,
+    RefinementTooLargeError,
     WordTooShortError,
     admissible_words,
     birkhoff_sum,
@@ -99,11 +100,16 @@ def test_is_reduced_golden_mean(golden_mean):
     assert not is_reduced(golden_mean, (1, 0))
 
 
-def test_admissible_words_counts(golden_mean):
+def test_admissible_words_counts(golden_mean, full2):
     # Words of length k avoiding "11" are counted by Fibonacci numbers.
     assert len(admissible_words(golden_mean, 1)) == 2
     assert len(admissible_words(golden_mean, 2)) == 3
     assert len(admissible_words(golden_mean, 5)) == 13
+    # The state cap counts admissible words: 987 pass at length 14, where
+    # 2^14 would not; the full 2-shift's 2^13 words at length 13 do not.
+    assert len(admissible_words(golden_mean, 14)) == 987
+    with pytest.raises(RefinementTooLargeError, match="8192 admissible words"):
+        admissible_words(full2, 13)
 
 
 def test_parse_and_format_word(full2):

@@ -11,6 +11,7 @@ from flowescape import (
     NoZeroAtOneError,
     PoleAtOneError,
     Polynomial,
+    build_family,
     build_suspension,
     char_poly,
     cofactor_poly,
@@ -24,6 +25,7 @@ from flowescape import (
     taylor_at_one,
     zeta_op_factorized,
 )
+import flowescape.zeta as zeta
 from flowescape.zeta import correlation_poly
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -221,6 +223,33 @@ def test_factorization_closed_factor_deflates(unit_system):
 def test_cofactor_value_identity(step_system):
     bundle = zeta_op_factorized(step_system, (1, 1, 1))
     assert bundle.cofactor_value == pytest.approx(bundle.cofactor_predicted, abs=1e-12)
+
+
+def test_one_leverrier_pass_per_block_matrix(monkeypatch, full2, step_ceiling, step_system):
+    # det(I - zM) and the (t, r) cofactor come out of one pass over the
+    # block matrix: zeta_op_factorized adds only the bordered determinant,
+    # and build_family makes no other pass.
+    hole = (1, 1, 1)
+    want_closed = char_poly(step_system.block_matrix)
+    q = hole_quantities(step_system, hole)
+    want_cof = cofactor_poly(step_system.block_matrix, q.t_index, q.r_index)
+    passes = []
+    leverrier = zeta._leverrier
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return leverrier(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "_leverrier", counted)
+    bundle = zeta_op_factorized(step_system, hole)
+    assert len(passes) == 2
+    assert bundle.zeta_closed_inverse.coefficients == want_closed.coefficients
+    assert bundle.cofactor.coefficients == want_cof.coefficients
+    passes.clear()
+    family = build_family(full2, step_ceiling, (1,))
+    assert len(passes) == 1
+    t = family.t_index
+    assert family.cofactor.coefficients == cofactor_poly(family.system.block_matrix, t, t).coefficients
 
 
 def test_escape_rate_zeta_matches_flow(step_system):
