@@ -40,7 +40,8 @@ class WordTooShortError(DomainError):
 
 class RefinementTooLargeError(DomainError):
     """More than ``DEFAULT_STATE_CAP`` words of the requested length are
-    admissible; the cap counts those words and is not a parameter."""
+    admissible, or a hole automaton has more than that many states; the cap
+    is not a parameter."""
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ are built here:
 
 Both have the same escape rate; the refined matrix is entrywise nonnegative
 while the bordered one mixes signs, so the two need different spectral-radius
-strategies. The refined radius collapses each word's tower: with P the
-``shift.survivor_matrix`` of the hole (the base chain on the words of length
-max(m, n), hole rows zeroed) and k_C the ceiling heights, the radius is
-e^{-s*} for the root s* of rho(diag(e^{s k}) P) = 1, found on the small word
-operator. The exact survival curve steps mass on the tower of the refined
-words' hole-free P. Neither builds the tall block matrix. The bordered radius
-is the reciprocal of a polynomial root.
+strategies. The refined radius collapses each word's tower: with P the hole
+automaton of ``shift`` (states: the last n letters u and the
+Knuth-Morris-Pratt match j < m of the text read; an edge that completes the
+hole is dropped) and k_u the ceiling heights, the radius is e^{-s*} for the
+root s* of rho(diag(e^{s k}) P) = 1. The automaton has at most
+|words of length n| * m states, where the refined block chain has one tower
+per word of length max(m, n). The exact survival curve steps mass on the tower
+of the refined words' hole-free P. Neither builds the tall block matrix. The
+bordered radius is the reciprocal of a polynomial root.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from .errors import (
 from .shift import (
     Word,
     _checked_hole,
+    _hole_automaton,
     _survival_curve,
     _within_state_cap,
     is_reduced,
-    survivor_matrix,
 )
 from .suspension import SuspensionSystem, flow_invariant_vector, refine_suspension
 
@@ -384,7 +386,7 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) 
         return math.inf
     if live.min() == live.max():
         radius = matrix_spectral_radius(P, tol=tol)
-        return -math.log(radius) / live[0] if radius > 0.0 else math.inf
+        return -math.log(radius) / float(live[0]) if radius > 0.0 else math.inf
     # Positive row weights keep the strongly connected components, so they
     # are found once; each evaluation takes the radius of the cyclic ones.
     parts = [
@@ -466,22 +468,21 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) 
 def _open_root(system: SuspensionSystem, hole: Word, tol: float = 1e-13) -> float:
     """Word-operator root s* of the refined open system, so its radius is e^{-s*}.
 
-    P is ``survivor_matrix`` of the base at order q = max(len(hole), order),
-    weighted by the ceiling height of each word.
+    P is the hole automaton of the base at the system's order, each state
+    (u, j) weighted by the ceiling height of its last letters u.
     """
     word = _checked_hole(system.base, hole)
-    q = max(len(word), system.order)
-    chain = survivor_matrix(system.base, word, order=q)
-    heights = np.array([system.height_of(w) for w in chain.states])
-    return _word_operator_root(chain.matrix, heights, tol=tol)
+    states, P = _hole_automaton(system.base, word, system.order)
+    heights = np.array([system.height_of(u) for u, _ in states])
+    return _word_operator_root(P, heights, tol=tol)
 
 
 def open_spectral_radius(open_matrix: OpenMatrix, tol: float = 1e-13) -> float:
     """Spectral radius of the open operator in either representation.
 
     The refined radius is e^{-s*} for the root s* of the word operator
-    rho(diag(e^{s k}) P) = 1, where P is the survivor matrix of the refined
-    system's words and k their heights; ``open_matrix.matrix`` is not read.
+    rho(diag(e^{s k}) P) = 1, where P is the hole automaton at the refined
+    system's order and k its heights; ``open_matrix.matrix`` is not read.
     ``tol`` is the power-iteration tolerance of each radius the root
     evaluates. The bordered matrix has signed entries whose determinant
     identity pins the radius as the reciprocal of the smallest real root >= 1

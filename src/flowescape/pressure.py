@@ -13,8 +13,8 @@ independent estimators live here: a truncated window sum, one pass of the
 lattice-sum DP of ``shift`` on (word, ceiling sum) states from length 1 on,
 with the short words as their own states, and the root beta* of
 radius(W(beta)) = 1 for W(beta) = diag(e^{-beta phi}) P, with P the
-``survivor_matrix`` of the hole, solved by the word-operator root of
-``open_system``.
+hole automaton of ``shift`` (last order letters, Knuth-Morris-Pratt match of
+the hole), solved by the word-operator root of ``open_system``.
 """
 
 from __future__ import annotations
@@ -37,14 +37,14 @@ from .shift import (
     MarkovShift,
     Word,
     _checked_hole,
+    _hole_automaton,
+    _hole_free_words,
     _integer_heights,
     _lattice_links,
     _lattice_step,
-    admissible_words,
     cylinder_function,
     cylinder_measure,
     refine_cylinder_function,
-    survivor_matrix,
 )
 from .suspension import build_suspension
 
@@ -102,15 +102,6 @@ def gibbs_constant(shift: MarkovShift) -> float:
 
 
 # ===========================================================================
-# Shared hole bookkeeping
-# ===========================================================================
-
-def _contains_hole(word: Word, hole: Word) -> bool:
-    m = len(hole)
-    return any(word[j : j + m] == hole for j in range(len(word) - m + 1))
-
-
-# ===========================================================================
 # Truncated window estimator
 # ===========================================================================
 
@@ -152,12 +143,7 @@ def induced_pressure_truncated(
         eta_norm = eta / lam
 
     depth = max(n - 1, len(hole_word) - 1, 1)
-    states = [
-        w
-        for length in range(1, depth + 1)
-        for w in admissible_words(shift, length)
-        if not _contains_hole(w, hole_word)
-    ]
+    states = [w for layer in _hole_free_words(shift, hole_word, depth) for w in layer]
     index = {w: i for i, w in enumerate(states)}
     links = _lattice_links(shift, heights, n, index, hole=hole_word)
 
@@ -215,27 +201,27 @@ def induced_pressure_via_root(
 ) -> float:
     """The root beta* of radius(W(beta)) = 1; exactly -rho for lattice ceilings.
 
-    W(beta) = diag(e^{-beta phi}) P, with P the ``survivor_matrix`` of the
-    hole on the words of length max(order, hole length), restricted to the
-    words that avoid the hole: p(last, next) for each one-letter shift
-    w -> w'. Only those words need a ceiling value. beta* = -s* for the
-    word-operator root s* of ``open_system``, located to a few ulp. The
-    ceiling need not be arithmetic here. Raises PressureNotNegativeError when
-    beta* >= 0 or every word holds the hole, and NoBracketError when
-    beta* < beta_lo (beta* = -inf when no hole-avoiding word survives
-    forever).
+    W(beta) = diag(e^{-beta phi}) P, with P the hole automaton of ``shift``
+    at the ceiling's order: its states (u, j) hold the last order letters u
+    of a hole-avoiding text and its Knuth-Morris-Pratt match j of the hole,
+    and an edge that completes the hole is dropped. Only the hole-avoiding
+    words u need a ceiling value. beta* = -s* for the word-operator root s*
+    of ``open_system``, located to a few ulp. The ceiling need not be
+    arithmetic here. Raises PressureNotNegativeError when beta* >= 0 or
+    every word of length max(order, hole length) holds the hole, and
+    NoBracketError when beta* < beta_lo (beta* = -inf when no hole-avoiding
+    word survives forever).
     """
     hole_word = _checked_hole(shift, hole)
     if min(ceiling.values.values()) <= 0.0:
         raise NonPositiveCeilingError("the ceiling must be strictly positive")
-    q = max(ceiling.order, len(hole_word))
-    chain = survivor_matrix(shift, hole_word, order=q)
-    live = [i for i, w in enumerate(chain.states) if not _contains_hole(w, hole_word)]
-    if not live:
-        raise PressureNotNegativeError("no surviving words at all; the hole is everything")
-    phi = np.array([ceiling.value(chain.states[i]) for i in live])
+    states, P = _hole_automaton(shift, hole_word, ceiling.order)
+    phi = np.array([ceiling.value(u) for u, _ in states])
 
-    beta = -_word_operator_root(chain.matrix[np.ix_(live, live)], phi)
+    beta = -_word_operator_root(P, phi)
+    q = max(ceiling.order, len(hole_word))
+    if beta == -math.inf and not _hole_free_words(shift, hole_word, q)[-1]:
+        raise PressureNotNegativeError("no surviving words at all; the hole is everything")
     if beta >= 0.0:
         raise PressureNotNegativeError("spectral radius at beta = 0 is not below 1")
     if beta < beta_lo:

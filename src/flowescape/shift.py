@@ -5,7 +5,9 @@ Every exact word-level DP runs on one of two kernels here: the survival curve
 and the lattice-sum DP over (word, integer ceiling sum). The lattice-sum words
 are all suffixes of one length, or, for the truncated pressure, every
 hole-avoiding word up to that length, so words shorter than it are their own
-states.
+states. The survival DP, the refined rate and the pressure root run on the
+hole's pattern automaton: (last letters, Knuth-Morris-Pratt match) states,
+linear in the hole length, where ``survivor_matrix`` has one state per word.
 
 A shift is described by a row-stochastic, irreducible transition matrix P over
 symbols 0..S-1 together with its stationary vector pi. Words are tuples of
@@ -252,6 +254,16 @@ def _within_state_cap(shift: MarkovShift, length: int) -> bool:
     return _word_count(shift, length) <= DEFAULT_STATE_CAP
 
 
+def _check_state_cap(shift: MarkovShift, length: int) -> None:
+    """RefinementTooLargeError when more than ``DEFAULT_STATE_CAP`` words of
+    ``length`` are admissible."""
+    if not _within_state_cap(shift, length):
+        raise RefinementTooLargeError(
+            f"{_word_count(shift, length)} admissible words of length {length} exceed "
+            f"the cap of {DEFAULT_STATE_CAP} states"
+        )
+
+
 def admissible_words(shift: MarkovShift, length: int) -> tuple[Word, ...]:
     """All admissible words of the given length, in lexicographic order.
 
@@ -260,15 +272,31 @@ def admissible_words(shift: MarkovShift, length: int) -> tuple[Word, ...]:
     """
     if length < 1:
         raise ValueError(f"word length must be >= 1, got {length}")
-    if not _within_state_cap(shift, length):
-        raise RefinementTooLargeError(
-            f"{_word_count(shift, length)} admissible words of length {length} exceed "
-            f"the cap of {DEFAULT_STATE_CAP} states"
-        )
+    _check_state_cap(shift, length)
     words: list[Word] = [(a,) for a in range(shift.alphabet_size)]
     for _ in range(length - 1):
         words = [w + (b,) for w in words for b in shift.successors(w[-1])]
     return tuple(words)
+
+
+def _hole_free_words(shift: MarkovShift, hole: Word, length: int) -> list[list[Word]]:
+    """The admissible words of lengths 1..``length`` that hold no copy of ``hole``,
+    one lexicographic list per length. Words grow letter by letter, and an
+    extension that ends in the hole is dropped. Raises RefinementTooLargeError,
+    before building anything, as ``admissible_words`` does at ``length``."""
+    _check_state_cap(shift, length)
+    m = len(hole)
+    layers = [[(a,) for a in range(shift.alphabet_size) if (a,) != hole]]
+    for _ in range(length - 1):
+        layers.append(
+            [
+                w + (b,)
+                for w in layers[-1]
+                for b in shift.successors(w[-1])
+                if (w + (b,))[-m:] != hole
+            ]
+        )
+    return layers
 
 
 # ===========================================================================
@@ -388,12 +416,15 @@ def birkhoff_sum_cyclic(func: CylinderFunction, word: Word) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SurvivorMatrix:
-    """Transition matrix over word-states with hole rows zeroed.
+    """Dense reference chain: the base transition matrix on all admissible
+    words of one order, with the rows of the words that begin with the hole
+    zeroed.
 
-    ``states`` lists the admissible words of the chosen order in lexicographic
-    order; ``matrix`` is the base transition matrix on those states with every
-    row starting with the hole word set to zero (``hole_rows``). With no hole
-    the matrix is plain row-stochastic.
+    ``states`` lists the words in lexicographic order, and ``hole_rows`` the
+    zeroed rows. With no hole the matrix is plain row-stochastic. Its size
+    grows like alphabet^order, so no library route runs on it: the rates and
+    the survival DP run on ``_hole_automaton``, which has the same nonzero
+    spectrum. It stays public as the reference that tests compare against.
     """
 
     states: tuple[Word, ...]
@@ -443,6 +474,70 @@ def _word_transitions(shift: MarkovShift, states: tuple[Word, ...]) -> np.ndarra
     return mat
 
 
+def _hole_automaton(
+    shift: MarkovShift, hole: Word, order: int
+) -> tuple[list[tuple[Word, int]], np.ndarray]:
+    """The hole's pattern automaton over the base chain, as (states, P).
+
+    A state (u, j) holds the last ``order`` letters u of a text that holds no
+    copy of the hole, and the length j < len(hole) of the longest suffix of
+    that text that is a proper prefix of the hole: its Knuth-Morris-Pratt
+    state. Letter b leads to (u[1:] + b, j'), with P entry p(u[-1], b); an
+    edge that completes the hole is dropped. The states are reached
+    breadth-first from the hole-free words of length ``order``, which come
+    first, in lexicographic order, each with the state it reaches from j = 0.
+    So there are at most |words of length order| * len(hole) states, and
+    RefinementTooLargeError is raised once they pass ``DEFAULT_STATE_CAP``.
+
+    A closed walk of the automaton reads one period of a periodic text that
+    avoids the hole, and so does a closed walk of ``survivor_matrix`` at any
+    order >= len(hole). With each row weighted by a function of u, traces of
+    all powers agree, so the nonzero spectra do too: the rate roots and the
+    survival slope need only this automaton. The chain has one state per
+    word of length max(len(hole), order); the automaton's size grows with
+    len(hole) only linearly.
+    """
+    m = len(hole)
+    size = shift.alphabet_size
+    # delta[j][b]: the state after reading b in state j; m completes the hole.
+    delta = [[0] * size for _ in range(m)]
+    delta[0][hole[0]] = 1
+    border = 0
+    for j in range(1, m):
+        delta[j] = list(delta[border])
+        delta[j][hole[j]] = j + 1
+        border = delta[border][hole[j]]
+    states: list[tuple[Word, int]] = []
+    for u in _hole_free_words(shift, hole, order)[-1]:
+        j = 0
+        for a in u:
+            j = delta[j][a]
+        states.append((u, j))
+    index = {state: i for i, state in enumerate(states)}
+    rows, cols, probs = [], [], []
+    for i, (u, j) in enumerate(states):  # grows while it is read: breadth-first
+        for b in shift.successors(u[-1]):
+            k = delta[j][b]
+            if k == m:
+                continue
+            target = (u[1:] + (b,), k)
+            t = index.get(target)
+            if t is None:
+                if len(states) == DEFAULT_STATE_CAP:
+                    raise RefinementTooLargeError(
+                        f"the automaton of hole {hole} at order {order} passes the cap "
+                        f"of {DEFAULT_STATE_CAP} states"
+                    )
+                t = index[target] = len(states)
+                states.append(target)
+            rows.append(i)
+            cols.append(t)
+            probs.append(shift.transitions[u[-1], b])
+    matrix = np.zeros((len(states), len(states)))
+    matrix[rows, cols] = probs
+    return states, matrix
+
+
 def escape_rate_from_survival_slope(
     shift: MarkovShift, hole: Word, n_lo: int = 20, n_hi: int = 60
 ) -> float:
@@ -484,9 +579,15 @@ def _survival_by_length(shift: MarkovShift, hole: Word, n: int) -> np.ndarray:
     m = len(hole_word)
     if n < m:
         return np.ones(n + 1)
-    chain = survivor_matrix(shift, hole_word)
-    mass = np.array([cylinder_measure(shift, w) for w in chain.states])
-    return _survival_curve(mass, chain.matrix, chain.hole_rows, m, n - m + 1)
+    # The automaton at order 1 starts from the hole-free letters, each with its
+    # stationary mass; mass that completes the hole leaves on the dropped edges.
+    states, matrix = _hole_automaton(shift, hole_word, 1)
+    letters = [a for a in range(shift.alphabet_size) if (a,) != hole_word]
+    mass = np.zeros(len(states))
+    mass[: len(letters)] = shift.stationary[letters]
+    out = _survival_curve(mass, matrix, (), 1, n)
+    out[:m] = 1.0
+    return out
 
 
 def _survival_curve(mass, matrix, hole_rows, lead: int, length: int, heights=None) -> np.ndarray:

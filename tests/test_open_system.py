@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import flowescape.open_system as open_system
+import flowescape.shift as shift_module
 import flowescape.suspension as suspension
 from flowescape import (
     DimensionTooLargeError,
@@ -15,6 +16,7 @@ from flowescape import (
     InadmissibleWordError,
     NoConvergenceError,
     NotReducedError,
+    RefinementTooLargeError,
     admissible_words,
     build_markov_shift,
     build_open_bordered,
@@ -26,12 +28,15 @@ from flowescape import (
     cylinder_function,
     escape_rate_block_hole,
     escape_rate_flow,
+    escape_rate_from_survival_slope,
     escape_rate_zeta,
     hole_quantities,
+    induced_pressure_via_root,
     matrix_spectral_radius,
     open_spectral_radius,
     survival_curve_flow,
     survival_measure_exact,
+    survivor_matrix,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -156,9 +161,47 @@ def test_auto_refines_long_holes_on_a_subshift(golden_mean):
     hole = (0,) * 12 + (1, 0)
     with pytest.raises(NotReducedError):
         escape_rate_flow(system, hole, "bordered")
-    want = float.fromhex("0x1.5602e2c3fa9e0p-13")
+    want = float.fromhex("0x1.5602e2c4d0a6fp-13")
     assert escape_rate_flow(system, hole) == want
     assert escape_rate_flow(system, hole, "refined") == want
+
+
+def test_long_subshift_hole_matches_50_digit_chain_root(golden_mean):
+    # The oracle is the radius of the word chain on the 987 golden-mean words
+    # of length 14, not of the hole automaton the library uses. 2P has entries
+    # 0, 1 and 2, so power iteration on the chain runs in exact integers; its
+    # second eigenvalue is 0.572 of the first, so after 300 steps the ratio of
+    # successive sums is the radius far past 50 digits.
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    hole = (0,) * 12 + (1, 0)
+    twice = [[int(2 * p) for p in row] for row in golden_mean.transitions.tolist()]
+    words = [
+        w
+        for w in itertools.product(range(2), repeat=len(hole))
+        if all(twice[a][b] for a, b in zip(w, w[1:]))
+    ]
+    assert len(words) == 987
+    index = {w: i for i, w in enumerate(words)}
+    links = [
+        [(index[w[1:] + (b,)], twice[w[-1]][b]) for b in (0, 1) if twice[w[-1]][b]]
+        if w != hole
+        else []
+        for w in words
+    ]
+    mass = [1] * len(words)
+    sums = []
+    for _ in range(300):
+        step = [0] * len(words)
+        for i, x in enumerate(mass):
+            for j, c in links[i]:
+                step[j] += c * x
+        mass = step
+        sums.append(sum(mass))
+    want = -mp.log(mp.mpf(sums[-1]) / (2 * sums[-2]))
+    system = build_suspension(golden_mean, constant_function(golden_mean, 1.0))
+    got = escape_rate_flow(system, hole, "refined")
+    assert got == pytest.approx(float(want), rel=1e-11, abs=0.0)
 
 
 def test_spectral_radius_edge_cases():
@@ -233,10 +276,10 @@ def test_block_hole_any_level_of_a_tall_word(full3, cycle2):
         assert escape_rate_flow(tall_cycle, (0,), "refined") == math.inf
 
 
-def test_equal_heights_root_takes_one_radius(monkeypatch, unit_system):
-    om = build_open_refined(unit_system, (0, 1, 1, 0, 1, 0, 0, 1, 1, 1))
-    assert om.matrix.shape == (1024, 1024)
-    want = matrix_spectral_radius(om.matrix)
+def test_equal_heights_root_takes_one_radius(monkeypatch, unit_system, full2):
+    # The word chain of this hole has 1024 states; the hole automaton has at
+    # most 2 * 10, and equal heights need one radius of it.
+    hole = (0, 1, 1, 0, 1, 0, 0, 1, 1, 1)
     shapes = []
 
     def counted(matrix, *args, **kwargs):
@@ -244,9 +287,15 @@ def test_equal_heights_root_takes_one_radius(monkeypatch, unit_system):
         return matrix_spectral_radius(matrix, *args, **kwargs)
 
     monkeypatch.setattr(open_system, "matrix_spectral_radius", counted)
-    got = open_spectral_radius(om)
-    assert shapes == [(1024, 1024)]
-    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    got = escape_rate_flow(unit_system, hole, "refined")
+    assert len(shapes) == 1
+    assert shapes[0][0] <= 2 * len(hole)
+    monkeypatch.undo()
+    # The reference radius is power-iterated to a bracket of 1e-13.
+    chain = survivor_matrix(full2, hole)
+    assert chain.matrix.shape == (1024, 1024)
+    want = matrix_spectral_radius(chain.matrix)
+    assert math.exp(-got) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_power_iterated_word_operator_root(monkeypatch, step_system):
@@ -274,8 +323,8 @@ def test_power_iterated_word_operator_root(monkeypatch, step_system):
 
 
 def test_refined_rate_builds_no_block_matrix(monkeypatch, step_system):
-    # A hole longer than the order: the refined rate needs one survivor
-    # matrix of the base and no refined suspension.
+    # A hole longer than the order: the refined rate needs one hole
+    # automaton of the base and no refined suspension.
     calls = []
 
     def counted(module, name):
@@ -290,9 +339,9 @@ def test_refined_rate_builds_no_block_matrix(monkeypatch, step_system):
     counted(suspension, "build_suspension")
     counted(suspension, "refine_suspension")
     counted(open_system, "refine_suspension")
-    counted(open_system, "survivor_matrix")
+    counted(open_system, "_hole_automaton")
     rate = escape_rate_flow(step_system, (1, 1, 0), representation="refined")
-    assert calls == ["survivor_matrix"]
+    assert calls == ["_hole_automaton"]
     monkeypatch.undo()
     bordered = escape_rate_flow(step_system, (1, 1, 0), representation="bordered")
     assert rate == pytest.approx(bordered, rel=1e-12)
@@ -308,7 +357,49 @@ def test_block_matrix_past_the_cap_raises(full2):
     with pytest.raises(DimensionTooLargeError):
         build_open_refined(system, hole)
     rate = escape_rate_flow(system, hole, "refined")
-    assert rate == float.fromhex("0x1.af536b7c5cd76p-9")
+    assert rate == float.fromhex("0x1.af536b7c5cf96p-9")
+
+
+def test_long_hole_runs_on_the_automaton(monkeypatch, full2, unit_system):
+    # Heights 6 and 9 and a length-10 hole: the word chain has 1024 states and
+    # would be power-iterated; the automaton has at most 20, and every radius
+    # of the root is a small dense one.
+    shift = build_markov_shift([[0.6, 0.4], [0.3, 0.7]])
+    ceiling = cylinder_function(1, {(0,): 1.5, (1,): 2.25}, lattice=0.25)
+    system = build_suspension(shift, ceiling)
+    hole = (0, 1, 0, 0, 1, 0, 1, 0, 0, 1)
+    states, _ = shift_module._hole_automaton(shift, hole, 1)
+    assert len(states) <= 20
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration on the refined route")
+
+    monkeypatch.setattr(open_system, "_power_iteration_radius", refuse)
+    refined = escape_rate_flow(system, hole, "refined")
+    monkeypatch.undo()
+    bordered = escape_rate_flow(system, hole, "bordered")
+    assert refined == pytest.approx(bordered, rel=1e-12, abs=0.0)
+    # 0^13 on the full 2-shift: 8192 words of length 13, past the cap, but 13
+    # automaton states. The refined rate and the survival slope both answer.
+    hole = (0,) * 13
+    with pytest.raises(RefinementTooLargeError):
+        survivor_matrix(full2, hole)
+    bordered = escape_rate_flow(unit_system, hole, "bordered")
+    assert escape_rate_flow(unit_system, hole, "refined") == pytest.approx(
+        bordered, rel=1e-10, abs=0.0
+    )
+    assert escape_rate_from_survival_slope(full2, hole) == pytest.approx(
+        bordered, rel=0.0, abs=1e-9
+    )
+
+
+def test_rates_are_python_floats_on_both_root_branches(full2, unit_system, step_system):
+    # Equal heights take one radius, unequal ones the bracketed root; both
+    # return a float, not a numpy scalar.
+    for system in (unit_system, step_system):
+        assert type(escape_rate_flow(system, (0, 0), "refined")) is float
+        beta = induced_pressure_via_root(full2, system.ceiling, (0, 0))
+        assert type(beta) is float
 
 
 def test_system_built_past_the_cap_keeps_its_words():

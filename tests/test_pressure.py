@@ -102,15 +102,15 @@ def test_root_pressure_wide_height_ratio():
     assert rate == pytest.approx(-want, rel=1e-13, abs=0.0)
 
 
-def test_root_pressure_builds_one_survivor_matrix(monkeypatch, full2, step_ceiling):
-    build = pressure.survivor_matrix
+def test_root_pressure_builds_one_automaton(monkeypatch, full2, step_ceiling):
+    build = pressure._hole_automaton
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(pressure, "survivor_matrix", counted)
+    monkeypatch.setattr(pressure, "_hole_automaton", counted)
     beta = induced_pressure_via_root(full2, step_ceiling, (1, 1, 0))
     assert len(calls) == 1
     system = build_suspension(full2, step_ceiling)
@@ -131,6 +131,13 @@ def test_root_pressure_error_paths(cycle2, golden_mean):
     one = build_markov_shift([[1.0]])
     with pytest.raises(PressureNotNegativeError):
         induced_pressure_via_root(one, constant_function(one, 1.0), (0,))
+    # Every word of length 2 holds the hole 00, although the single letter
+    # of the order-1 ceiling does not.
+    with pytest.raises(PressureNotNegativeError):
+        induced_pressure_via_root(one, constant_function(one, 1.0), (0, 0))
+    order3 = cylinder_function(3, {(0, 1, 0): 1.0, (1, 0, 1): 1.0})
+    with pytest.raises(PressureNotNegativeError):
+        induced_pressure_via_root(cycle2, order3, (0,))
     with pytest.raises(InadmissibleWordError):
         induced_pressure_via_root(golden_mean, constant_function(golden_mean, 1.0), (1, 1))
 

@@ -212,15 +212,58 @@ def test_escape_rate_slope_matches_radius(full2):
     assert slope == pytest.approx(-math.log(radius), abs=1e-6)
 
 
+HOLE_CASES = [
+    ([[0.5, 0.5], [1.0, 0.0]], (0, 1, 0, 0), 1),
+    ([[0.5, 0.5], [1.0, 0.0]], (0, 0, 0), 2),
+    ([[0.9, 0.1], [0.2, 0.8]], (1, 1, 0, 1, 1), 1),
+    ([[0.9, 0.1], [0.2, 0.8]], (0, 1), 3),
+    ([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]], (2, 0, 2), 2),
+]
+
+
+@pytest.mark.parametrize("transitions, hole, order", HOLE_CASES)
+def test_hole_automaton_matches_the_word_chain(transitions, hole, order):
+    # The automaton and the dense word chain at order max(len(hole), order)
+    # share their spectral radius, and the survival DP on the automaton
+    # matches mass stepped on the chain with the hole rows killed.
+    shift = build_markov_shift(transitions)
+    states, matrix = flowescape.shift._hole_automaton(shift, hole, order)
+    assert len(states) <= len(admissible_words(shift, order)) * len(hole)
+    chain = survivor_matrix(shift, hole, order=max(len(hole), order))
+    radius = float(np.abs(np.linalg.eigvals(chain.matrix)).max())
+    got = float(np.abs(np.linalg.eigvals(matrix)).max())
+    assert got == pytest.approx(radius, rel=1e-12, abs=0.0)
+    chain = survivor_matrix(shift, hole)
+    mass = np.array([cylinder_measure(shift, w) for w in chain.states])
+    mass[list(chain.hole_rows)] = 0.0
+    for n in range(len(hole), 40):
+        assert survival_measure_exact(shift, hole, n) == pytest.approx(
+            mass.sum(), rel=1e-13, abs=0.0
+        )
+        mass = mass @ chain.matrix
+        mass[list(chain.hole_rows)] = 0.0
+
+
+def test_hole_automaton_past_the_cap_raises(full2):
+    # The hole 0^5000 needs 5000 automaton states at order 1.
+    hole = (0,) * 5000
+    with pytest.raises(RefinementTooLargeError, match="automaton"):
+        flowescape.shift._hole_automaton(full2, hole, 1)
+    with pytest.raises(RefinementTooLargeError):
+        survival_measure_exact(full2, hole, 5000)
+    states, _ = flowescape.shift._hole_automaton(full2, hole[:4000], 1)
+    assert len(states) == 4000
+
+
 def test_escape_rate_slope_builds_one_chain(full2, monkeypatch):
     builds = []
-    build = flowescape.shift.survivor_matrix
+    build = flowescape.shift._hole_automaton
 
     def counting_build(*args, **kwargs):
         builds.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(flowescape.shift, "survivor_matrix", counting_build)
+    monkeypatch.setattr(flowescape.shift, "_hole_automaton", counting_build)
     slope = escape_rate_from_survival_slope(full2, (0, 0))
     assert len(builds) == 1
     ns = np.arange(20, 61, dtype=float)
