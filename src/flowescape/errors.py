@@ -79,7 +79,9 @@ class HoleShorterThanCeilingOrderError(DomainError):
 class DimensionTooLargeError(DomainError):
     """A dense matrix would exceed its dimension cap: ``DENSE_DIMENSION_CAP``
     for polynomial extraction, or ``DEFAULT_STATE_CAP`` blocks for the block
-    matrix of a suspension (raised before anything is allocated)."""
+    matrix of a suspension (raised before anything is allocated). The first
+    cap does not track cost: tower matrices take O(n^2) per Faddeev-LeVerrier
+    step."""
 
 
 class NoZeroAtOneError(DomainError):

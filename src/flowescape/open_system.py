@@ -188,6 +188,18 @@ def build_open_bordered(system: SuspensionSystem, hole: Word) -> OpenMatrix:
     it collapses to subtracting alpha from the (t, r) entry.
     """
     q = hole_quantities(system, hole)
+    return OpenMatrix(
+        representation="bordered",
+        matrix=_bordered_matrix(system, q),
+        system=system,
+        hole=tuple(hole),
+        quantities=q,
+    )
+
+
+def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
+    """The read-only bordered open matrix of ``build_open_bordered`` from the
+    hole's quantities ``q``."""
     base_matrix = system.block_matrix
     size = base_matrix.shape[0]
     if q.k0 == 0:
@@ -207,13 +219,7 @@ def build_open_bordered(system: SuspensionSystem, hole: Word) -> OpenMatrix:
             matrix[size + k - 1, size + k] = 1.0
         matrix[size + q.k0 - 2, q.r_index] = 1.0
     matrix.setflags(write=False)
-    return OpenMatrix(
-        representation="bordered",
-        matrix=matrix,
-        system=system,
-        hole=tuple(hole),
-        quantities=q,
-    )
+    return matrix
 
 
 def build_open_matrix(

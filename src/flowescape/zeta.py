@@ -14,6 +14,13 @@ polynomials and cofactors come from a Faddeev-LeVerrier pass, the (1 - z)
 factor is removed by synthetic division, Taylor data at z = 1 feeds the
 asymptotic expansions, and root isolation on [1, oo) turns determinants back
 into spectral radii.
+
+The pass takes n steps of X -> M X. Block and bordered matrices are towers:
+of their rows, all but a few (word tops with several successors, border rows
+carrying a correlation coefficient) have at most one nonzero, and such a row
+of M X is a scaled copy of one row of X. From 64 dims on the pass gathers
+those rows and multiplies only the others over their nonzero columns, O(n^2)
+per step; below 64 one dense O(n^3) product per step is faster.
 """
 
 from __future__ import annotations
@@ -30,11 +37,13 @@ from .errors import (
     NoZeroAtOneError,
     PoleAtOneError,
 )
-from .open_system import HoleQuantities, build_open_bordered, hole_quantities
+from .open_system import HoleQuantities, _bordered_matrix, hole_quantities
 from .shift import Word, cylinder_measure
 from .suspension import SuspensionSystem
 
-#: Largest matrix dimension accepted for dense polynomial extraction.
+#: Largest matrix dimension accepted for polynomial extraction. It fixes which
+#: block and bordered dimensions the polynomial routes answer; it does not track
+#: cost, since tower matrices take O(n^2) per Faddeev-LeVerrier step.
 DENSE_DIMENSION_CAP = 320
 
 
@@ -113,12 +122,25 @@ ONE_MINUS_Z = Polynomial((1.0, -1.0))
 # Characteristic polynomials and cofactors (Faddeev-LeVerrier)
 # ===========================================================================
 
+#: Dimension from which ``_leverrier`` gathers rows instead of multiplying
+#: densely. Below it one BLAS product beats the per-step numpy calls of the
+#: gathered pass; on a 3-word tower the two cross at 55-60 dims.
+_GATHER_MIN_DIMENSION = 64
+
+
 def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
     """One Faddeev-LeVerrier pass over M.
 
     Returns the ascending coefficients of det(I - zM) and, when ``entry`` =
     (row, col) is given, the ascending coefficients of that entry of
     adj(I - zM) (which is the (col, row) cofactor of I - zM).
+
+    Step k forms A_k = M X_{k-1}, c_k = -tr(A_k) / k and X_k = A_k + c_k I;
+    X_k[row, col] is the z^k coefficient of the adjugate entry. Below
+    ``_GATHER_MIN_DIMENSION`` M X is one dense product, O(n^3) per step.
+    From it on, ``_gathered_product`` forms M X at O(n^2) per step, which
+    pays on tower and bordered matrices, where all but a few rows have at
+    most one nonzero.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -128,21 +150,71 @@ def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
         raise DimensionTooLargeError(
             f"dimension {size} exceeds the dense cap {DENSE_DIMENSION_CAP}"
         )
+    if size >= _GATHER_MIN_DIMENSION:
+        order, position, multiply = _gathered_product(mat)
+    else:
+        order = position = np.arange(size)
+
+        def multiply(x: np.ndarray, out: np.ndarray) -> None:
+            np.matmul(mat, x, out=out)
+
+    # Row position[i] of the iterate holds row i of X; columns keep their order.
+    diagonal = position * size + np.arange(size)
     det_coeffs = [1.0]
     adj_coeffs: "list[float] | None" = None
     if entry is not None:
-        row, col = entry
-        adj_coeffs = [1.0 if row == col else 0.0]
-    acc = mat.copy()
-    coeff = -float(np.trace(acc))
-    det_coeffs.append(coeff)
-    for k in range(2, size + 1):
-        if adj_coeffs is not None and k - 1 <= size - 1:
-            adj_coeffs.append(float(acc[entry[0], entry[1]]) + (coeff if entry[0] == entry[1] else 0.0))
-        acc = mat @ (acc + coeff * np.eye(size))
-        coeff = -float(np.trace(acc)) / k
+        adj_coeffs = [1.0 if entry[0] == entry[1] else 0.0]
+        adj_flat = position[entry[0]] * size + entry[1]
+    cur = mat[order]
+    nxt = np.empty_like(cur)
+    for k in range(1, size + 1):
+        coeff = -float(cur.take(diagonal).sum()) / k
         det_coeffs.append(coeff)
+        if k == size:
+            break
+        cur.reshape(-1)[diagonal] += coeff
+        if adj_coeffs is not None:
+            adj_coeffs.append(float(cur.take(adj_flat)))
+        multiply(cur, nxt)
+        cur, nxt = nxt, cur
     return det_coeffs, adj_coeffs
+
+
+def _gathered_product(mat: np.ndarray):
+    """Row order, its inverse and the product X -> M X into a buffer, for
+    ``_leverrier`` at O(n^2) per step.
+
+    A row with at most one nonzero (a tower level, a border link, a zeroed
+    hole row) makes its row of M X as ``val * X[col]``: one ``np.take`` of
+    the source rows into the output buffer, scaled unless ``val`` is 1. Only
+    the rows with several nonzeros (word tops with several successors, border
+    rows carrying a correlation coefficient) take a product, one for all of
+    them, over the columns where any of them is nonzero. The iterate keeps
+    rows in the returned order: unit rows, scaled rows, then product rows.
+    """
+    size = mat.shape[0]
+    single = np.count_nonzero(mat, axis=1) <= 1
+    cols = np.argmax(mat != 0.0, axis=1)
+    unit = single & (mat[np.arange(size), cols] == 1.0)
+    scaled = np.flatnonzero(single & ~unit)
+    multiplied = np.flatnonzero(~single)
+    order = np.concatenate((np.flatnonzero(unit), scaled, multiplied))
+    position = np.empty(size, dtype=np.intp)
+    position[order] = np.arange(size)
+    n_unit = int(unit.sum())
+    n_gathered = n_unit + len(scaled)
+    sources = position[cols[order[:n_gathered]]]
+    vals = mat[scaled, cols[scaled]][:, None]
+    links = np.flatnonzero(mat[multiplied].any(axis=0))
+    weights = mat[np.ix_(multiplied, links)]
+    link_rows = position[links]
+
+    def multiply(x: np.ndarray, out: np.ndarray) -> None:
+        np.take(x, sources, axis=0, out=out[:n_gathered], mode="clip")
+        out[n_unit:n_gathered] *= vals
+        np.matmul(weights, x[link_rows], out=out[n_gathered:])
+
+    return order, position, multiply
 
 
 def char_poly(matrix: np.ndarray) -> Polynomial:
@@ -384,7 +456,7 @@ def zeta_op_factorized(
     deflated = deflate_at_one(closed)
     corr = correlation_poly(q)
     assembled = _open_determinant(closed, corr, cof, q.alpha, q.k0)
-    direct = char_poly(build_open_bordered(system, hole).matrix)
+    direct = char_poly(_bordered_matrix(system, q))
     width = max(len(assembled.coefficients), len(direct.coefficients))
     deviation = 0.0
     for i in range(width):

@@ -1,6 +1,8 @@
 """Polynomial machinery and the open determinant factorization."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from flowescape import (
     PoleAtOneError,
     Polynomial,
     build_family,
+    build_markov_shift,
+    build_open_bordered,
     build_suspension,
     char_poly,
     cofactor_poly,
@@ -25,6 +29,7 @@ from flowescape import (
     taylor_at_one,
     zeta_op_factorized,
 )
+import flowescape.open_system as open_system
 import flowescape.zeta as zeta
 from flowescape.zeta import correlation_poly
 
@@ -98,6 +103,110 @@ def test_cofactor_matches_adjugate_identity():
     det = char_poly(m)(z)
     adj = np.array([[cofactor_poly(m, t, r)(z) for t in range(4)] for r in range(4)])
     np.testing.assert_allclose(a @ adj, det * np.eye(4), atol=1e-12)
+
+
+def _dense_leverrier(matrix, entry):
+    """Reference Faddeev-LeVerrier pass: one dense n x n product per step."""
+    mat = np.asarray(matrix, dtype=float)
+    size = mat.shape[0]
+    det_coeffs = [1.0]
+    adj_coeffs = [1.0 if entry[0] == entry[1] else 0.0]
+    acc = mat.copy()
+    coeff = -float(np.trace(acc))
+    det_coeffs.append(coeff)
+    for k in range(2, size + 1):
+        adj_coeffs.append(float(acc[entry]) + (coeff if entry[0] == entry[1] else 0.0))
+        acc = mat @ (acc + coeff * np.eye(size))
+        coeff = -float(np.trace(acc)) / k
+        det_coeffs.append(coeff)
+    return det_coeffs, adj_coeffs
+
+
+@pytest.fixture(scope="module")
+def gathered_cases(full2):
+    """Matrices of at least 64 dims, where _leverrier gathers rows, with the
+    adjugate entry to compare."""
+    # Heights 32 and 64: a 96-block tower whose top rows have two successors.
+    lattice = build_suspension(full2, cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1 / 32))
+    tower = lattice.block_matrix
+    top = lattice.block_index((1,), 0)
+    q = hole_quantities(lattice, (1, 1, 1))
+    assert q.k0 == 128 and q.correlation[63] == 0.5
+    bordered = build_open_bordered(lattice, (1, 1, 1)).matrix
+    assert np.count_nonzero(bordered[tower.shape[0] + 63]) == 2
+    assert hole_quantities(lattice, (1,)).k0 == 0
+    zero_row = build_open_bordered(lattice, (1,)).matrix
+    assert not zero_row[top].any()
+    dense = np.random.default_rng(12).uniform(0.0, 1.0, (70, 70))
+    dense /= dense.sum(axis=1, keepdims=True)
+    return {
+        "tower diagonal entry": (tower, (top, top)),
+        "tower off-diagonal entry": (tower, (top, 0)),
+        "bordered self-overlapping hole": (bordered, (top, top)),
+        "bordered k0 = 0": (zero_row, (0, top)),
+        "random dense": (dense, (3, 5)),
+        "scaled 64-cycle": (0.9 * np.roll(np.eye(64), 1, axis=1), (7, 7)),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "tower diagonal entry",
+        "tower off-diagonal entry",
+        "bordered self-overlapping hole",
+        "bordered k0 = 0",
+        "random dense",
+        "scaled 64-cycle",
+    ],
+)
+def test_gathered_leverrier_matches_dense_reference(gathered_cases, name):
+    # The row-gathering pass sums the few multi-nonzero rows in another order
+    # than a dense product, so the coefficients may differ in the last bits.
+    matrix, entry = gathered_cases[name]
+    assert matrix.shape[0] >= zeta._GATHER_MIN_DIMENSION
+    det, adj = zeta._leverrier(matrix, entry=entry)
+    want_det, want_adj = _dense_leverrier(matrix, entry)
+    for got, want in ((det, want_det), (adj, want_adj)):
+        assert len(got) == len(want)
+        got, want = np.array(got), np.array(want)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _poly_mul(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def test_closed_determinant_of_degree_300_matches_exact_leibniz():
+    # det(I - z M_block) = det(I - diag(z^h) P) for a tower with heights h;
+    # the Leibniz formula over the 3 x 3 matrix gives its exact coefficients.
+    probs = [[0.3, 0.7, 0.0], [0.5, 0.2, 0.3], [0.6, 0.0, 0.4]]
+    heights = (90, 100, 110)
+    shift = build_markov_shift(probs)
+    system = build_suspension(
+        shift, cylinder_function(1, {(a,): float(h) for a, h in enumerate(heights)}, lattice=1.0)
+    )
+    assert system.block_matrix.shape == (300, 300)
+    p = [[Fraction(x) for x in row] for row in shift.transitions.tolist()]
+    exact = {}
+    for perm in itertools.permutations(range(3)):
+        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        term = {0: Fraction((-1) ** inversions)}
+        for i, j in enumerate(perm):
+            entry = {0: Fraction(1)} if i == j else {}
+            if p[i][j]:
+                entry[heights[i]] = entry.get(heights[i], 0) - p[i][j]
+            term = _poly_mul(term, entry)
+        for d, c in term.items():
+            exact[d] = exact.get(d, 0) + c
+    want = np.array([float(exact.get(d, 0)) for d in range(301)])
+    got = np.array(char_poly(system.block_matrix).coefficients)
+    got = np.pad(got, (0, 301 - len(got)))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_deflate_simple():
@@ -250,6 +359,21 @@ def test_one_leverrier_pass_per_block_matrix(monkeypatch, full2, step_ceiling, s
     assert len(passes) == 1
     t = family.t_index
     assert family.cofactor.coefficients == cofactor_poly(family.system.block_matrix, t, t).coefficients
+
+
+def test_one_hole_quantities_call_per_factorization(monkeypatch, step_system):
+    # The bordered matrix is built from the quantities already computed.
+    calls = []
+    quantities = open_system.hole_quantities
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quantities(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "hole_quantities", counted)
+    monkeypatch.setattr(open_system, "hole_quantities", counted)
+    zeta_op_factorized(step_system, (1, 1, 1))
+    assert len(calls) == 1
 
 
 def test_escape_rate_zeta_matches_flow(step_system):
