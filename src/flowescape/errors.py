@@ -77,11 +77,9 @@ class HoleShorterThanCeilingOrderError(DomainError):
 # ---------------------------------------------------------------------------
 
 class DimensionTooLargeError(DomainError):
-    """A dense matrix would exceed its dimension cap: ``DENSE_DIMENSION_CAP``
-    for polynomial extraction, or ``DEFAULT_STATE_CAP`` blocks for the block
-    matrix of a suspension (raised before anything is allocated). The first
-    cap does not track cost: tower matrices take O(n^2) per Faddeev-LeVerrier
-    step."""
+    """A dense matrix would have more than ``DEFAULT_STATE_CAP`` states: the
+    block matrix of a suspension, or the bordered open matrix (blocks plus
+    k0 - 1 border states). Raised before anything is allocated."""
 
 
 class NoZeroAtOneError(DomainError):

@@ -32,11 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionTooLargeError,
     HoleShorterThanCeilingOrderError,
     NoConvergenceError,
     NotReducedError,
 )
 from .shift import (
+    DEFAULT_STATE_CAP,
     Word,
     _checked_hole,
     _hole_automaton,
@@ -180,12 +182,14 @@ def build_open_refined(system: SuspensionSystem, hole: Word) -> OpenMatrix:
 def build_open_bordered(system: SuspensionSystem, hole: Word) -> OpenMatrix:
     """Open matrix on the original blocks plus k0 - 1 border states.
 
-    Requires len(hole) >= order. The border encodes the passage through the
-    hole: the t-row leaks -alpha into the border chain, border state k carries
-    the correlation coefficient c_k, and the last border state re-enters at the
-    r-block. With k0 = 0 (hole length equals the order) the border is empty and
-    the matrix is the block matrix with the single hole row zeroed; with k0 = 1
-    it collapses to subtracting alpha from the (t, r) entry.
+    Requires len(hole) >= order, and at most ``DEFAULT_STATE_CAP`` states
+    (DimensionTooLargeError otherwise). The border encodes the passage
+    through the hole: the t-row leaks -alpha into the border chain, border
+    state k carries the correlation coefficient c_k, and the last border
+    state re-enters at the r-block. With k0 = 0 (hole length equals the
+    order) the border is empty and the matrix is the block matrix with the
+    single hole row zeroed; with k0 = 1 it collapses to subtracting alpha
+    from the (t, r) entry.
     """
     q = hole_quantities(system, hole)
     return OpenMatrix(
@@ -199,9 +203,16 @@ def build_open_bordered(system: SuspensionSystem, hole: Word) -> OpenMatrix:
 
 def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
     """The read-only bordered open matrix of ``build_open_bordered`` from the
-    hole's quantities ``q``."""
+    hole's quantities ``q``. Raises DimensionTooLargeError past
+    ``DEFAULT_STATE_CAP`` states, before anything is allocated."""
+    size = len(system.block_measure)
+    dim = size + max(q.k0 - 1, 0)
+    if dim > DEFAULT_STATE_CAP:
+        raise DimensionTooLargeError(
+            f"{size} blocks and {dim - size} border states exceed the cap of "
+            f"{DEFAULT_STATE_CAP} for a dense bordered matrix"
+        )
     base_matrix = system.block_matrix
-    size = base_matrix.shape[0]
     if q.k0 == 0:
         matrix = base_matrix.copy()
         matrix[q.t_index, :] = 0.0
@@ -209,7 +220,6 @@ def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
         matrix = base_matrix.copy()
         matrix[q.t_index, q.r_index] -= q.alpha
     else:
-        dim = size + q.k0 - 1
         matrix = np.zeros((dim, dim))
         matrix[:size, :size] = base_matrix
         matrix[q.t_index, size] = -q.alpha
@@ -513,15 +523,27 @@ def _open_rate(
     system: SuspensionSystem, hole: Word, representation: str
 ) -> tuple[str, float, float]:
     """(representation with ``auto`` resolved, flow escape rate, radius of the
-    open time-lambda operator), from one root of that representation."""
-    representation = _representation(system, hole, representation)
-    if representation == "refined":
+    open time-lambda operator), from one root of that representation.
+
+    ``auto`` follows ``build_open_matrix`` (refined within the word cap,
+    bordered past it), except that a hole the bordered route rejects on a
+    precondition of its own (not reduced, shorter than the order, too many
+    states) takes the refined root, which needs only the hole automaton."""
+    resolved = _representation(system, hole, representation)
+    if resolved == "bordered":
+        try:
+            open_matrix = build_open_bordered(system, hole)
+        except (NotReducedError, HoleShorterThanCeilingOrderError, DimensionTooLargeError):
+            if representation != "auto":
+                raise
+            resolved = "refined"
+    if resolved == "refined":
         root = _open_root(system, hole)
-        return representation, root / system.lattice_scale, math.exp(-root)
-    radius = open_spectral_radius(build_open_bordered(system, hole))
+        return resolved, root / system.lattice_scale, math.exp(-root)
+    radius = open_spectral_radius(open_matrix)
     if radius <= 0.0:
-        return representation, float("inf"), radius
-    return representation, -float(np.log(radius)) / system.lattice_scale, radius
+        return resolved, float("inf"), radius
+    return resolved, -float(np.log(radius)) / system.lattice_scale, radius
 
 
 def escape_rate_flow(
@@ -535,6 +557,8 @@ def escape_rate_flow(
     everything escapes (radius 0). The refined route returns the word-operator
     root s*/lambda directly rather than -log(e^{-s*})/lambda, which would
     lose relative accuracy when s* is small. It needs no block matrix.
+    ``auto`` answers on the refined route wherever the bordered one rejects
+    the hole and the hole automaton fits ``DEFAULT_STATE_CAP``.
     """
     return _open_rate(system, hole, representation)[1]
 

@@ -15,12 +15,15 @@ factor is removed by synthetic division, Taylor data at z = 1 feeds the
 asymptotic expansions, and root isolation on [1, oo) turns determinants back
 into spectral radii.
 
-The pass takes n steps of X -> M X. Block and bordered matrices are towers:
-of their rows, all but a few (word tops with several successors, border rows
-carrying a correlation coefficient) have at most one nonzero, and such a row
-of M X is a scaled copy of one row of X. From 64 dims on the pass gathers
-those rows and multiplies only the others over their nonzero columns, O(n^2)
-per step; below 64 one dense O(n^3) product per step is faster.
+Block and bordered matrices are towers: of their rows, all but a few (word
+tops with several successors, border rows carrying a correlation
+coefficient) have at most one nonzero. Removing those states leaves the tower
+expansion det(I - z M_block) = det(I - W(z)), W(z) = diag(z^h) P (Parry &
+Pollicott, Asterisque 187-188, ch. 6): from 64 dims on, the pass runs over
+the few kept states with polynomial entries, and the tower levels, border
+links and zeroed hole rows never enter it. Below 64 dims, and where the
+collapse removes too few states to pay, it is one dense O(n^3) product per
+step.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from math import comb
 import numpy as np
 
 from .errors import (
-    DimensionTooLargeError,
     FactorizationMismatchError,
     NoSignChangeError,
     NoZeroAtOneError,
@@ -40,12 +42,6 @@ from .errors import (
 from .open_system import HoleQuantities, _bordered_matrix, hole_quantities
 from .shift import Word, cylinder_measure
 from .suspension import SuspensionSystem
-
-#: Largest matrix dimension accepted for polynomial extraction. It fixes which
-#: block and bordered dimensions the polynomial routes answer; it does not track
-#: cost, since tower matrices take O(n^2) per Faddeev-LeVerrier step.
-DENSE_DIMENSION_CAP = 320
-
 
 # ===========================================================================
 # Polynomials
@@ -122,50 +118,43 @@ ONE_MINUS_Z = Polynomial((1.0, -1.0))
 # Characteristic polynomials and cofactors (Faddeev-LeVerrier)
 # ===========================================================================
 
-#: Dimension from which ``_leverrier`` gathers rows instead of multiplying
-#: densely. Below it one BLAS product beats the per-step numpy calls of the
-#: gathered pass; on a 3-word tower the two cross at 55-60 dims.
-_GATHER_MIN_DIMENSION = 64
+#: Dimension from which ``_leverrier`` tries the tower collapse. Below it
+#: one BLAS product per step beats the collapse's set-up, and every matrix
+#: keeps the dense pass.
+_COLLAPSE_MIN_DIMENSION = 64
 
 
 def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
-    """One Faddeev-LeVerrier pass over M.
+    """One Faddeev-LeVerrier pass for det(I - zM).
 
     Returns the ascending coefficients of det(I - zM) and, when ``entry`` =
     (row, col) is given, the ascending coefficients of that entry of
     adj(I - zM) (which is the (col, row) cofactor of I - zM).
 
-    Step k forms A_k = M X_{k-1}, c_k = -tr(A_k) / k and X_k = A_k + c_k I;
-    X_k[row, col] is the z^k coefficient of the adjugate entry. Below
-    ``_GATHER_MIN_DIMENSION`` M X is one dense product, O(n^3) per step.
-    From it on, ``_gathered_product`` forms M X at O(n^2) per step, which
-    pays on tower and bordered matrices, where all but a few rows have at
-    most one nonzero.
+    From ``_COLLAPSE_MIN_DIMENSION`` dims on, the pass runs on the tower
+    collapse of M (``_collapse``) when it pays: the states whose rows have
+    at most one nonzero are removed, and FL runs over the few kept states
+    with polynomial entries (``_collapsed_leverrier``). Otherwise, and
+    always below that dimension, it is the dense pass: step k forms
+    A_k = M X_{k-1}, c_k = -tr(A_k) / k and X_k = A_k + c_k I, and X_k[row,
+    col] is the z^k coefficient of the adjugate entry, at one O(n^3) product
+    per step.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     size = mat.shape[0]
-    if size > DENSE_DIMENSION_CAP:
-        raise DimensionTooLargeError(
-            f"dimension {size} exceeds the dense cap {DENSE_DIMENSION_CAP}"
-        )
-    if size >= _GATHER_MIN_DIMENSION:
-        order, position, multiply = _gathered_product(mat)
-    else:
-        order = position = np.arange(size)
-
-        def multiply(x: np.ndarray, out: np.ndarray) -> None:
-            np.matmul(mat, x, out=out)
-
-    # Row position[i] of the iterate holds row i of X; columns keep their order.
-    diagonal = position * size + np.arange(size)
+    if size >= _COLLAPSE_MIN_DIMENSION:
+        collapse = _collapse(mat, entry)
+        if collapse is not None:
+            return _collapsed_leverrier(size, entry, *collapse)
     det_coeffs = [1.0]
     adj_coeffs: "list[float] | None" = None
     if entry is not None:
         adj_coeffs = [1.0 if entry[0] == entry[1] else 0.0]
-        adj_flat = position[entry[0]] * size + entry[1]
-    cur = mat[order]
+        adj_flat = entry[0] * size + entry[1]
+    diagonal = np.arange(size) * (size + 1)
+    cur = mat.copy()
     nxt = np.empty_like(cur)
     for k in range(1, size + 1):
         coeff = -float(cur.take(diagonal).sum()) / k
@@ -175,46 +164,137 @@ def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
         cur.reshape(-1)[diagonal] += coeff
         if adj_coeffs is not None:
             adj_coeffs.append(float(cur.take(adj_flat)))
-        multiply(cur, nxt)
+        np.matmul(mat, cur, out=nxt)
         cur, nxt = nxt, cur
     return det_coeffs, adj_coeffs
 
 
-def _gathered_product(mat: np.ndarray):
-    """Row order, its inverse and the product X -> M X into a buffer, for
-    ``_leverrier`` at O(n^2) per step.
+def _collapse(mat: np.ndarray, entry: "tuple[int, int] | None"):
+    """The tower collapse of M for ``_leverrier``, or None when it removes
+    no state or costs more than the dense pass.
 
-    A row with at most one nonzero (a tower level, a border link, a zeroed
-    hole row) makes its row of M X as ``val * X[col]``: one ``np.take`` of
-    the source rows into the output buffer, scaled unless ``val`` is 1. Only
-    the rows with several nonzeros (word tops with several successors, border
-    rows carrying a correlation coefficient) take a product, one for all of
-    them, over the columns where any of them is nonzero. The iterate keeps
-    rows in the returned order: unit rows, scaled rows, then product rows.
+    A state whose row has at most one nonzero (a tower level, a border link,
+    a zeroed hole row) is removed, unless it is ``entry``'s row or column.
+    On each cycle made only of such states the first state reached is kept
+    instead. So the removed states form a forest under their single
+    successors, the block of I - zM on them is unit triangular, and by the
+    Schur complement det(I - zM) = det(I - W(z)), with the adjugate entries
+    between kept states equal too. W(z)[i, j] sums, over each nonzero
+    M[i, c] of a kept row, the chain from c through removed states to kept
+    state j: z to the chain's number of steps, times the product of its
+    entries. A chain ending on a zero row adds nothing.
+
+    Returns d, ``position`` (``position[i]`` is the index of kept state i
+    among the d kept states, -1 when i is removed) and ``layers``, the pairs
+    (p, W_p) with W_p the d x d coefficient of z^p in W, in ascending p.
     """
     size = mat.shape[0]
-    single = np.count_nonzero(mat, axis=1) <= 1
-    cols = np.argmax(mat != 0.0, axis=1)
-    unit = single & (mat[np.arange(size), cols] == 1.0)
-    scaled = np.flatnonzero(single & ~unit)
-    multiplied = np.flatnonzero(~single)
-    order = np.concatenate((np.flatnonzero(unit), scaled, multiplied))
-    position = np.empty(size, dtype=np.intp)
-    position[order] = np.arange(size)
-    n_unit = int(unit.sum())
-    n_gathered = n_unit + len(scaled)
-    sources = position[cols[order[:n_gathered]]]
-    vals = mat[scaled, cols[scaled]][:, None]
-    links = np.flatnonzero(mat[multiplied].any(axis=0))
-    weights = mat[np.ix_(multiplied, links)]
-    link_rows = position[links]
+    nonzero = mat != 0.0
+    counts = np.count_nonzero(nonzero, axis=1)
+    keep = counts >= 2
+    if entry is not None:
+        keep[list(entry)] = True
+    if keep.all():
+        return None
+    successor = np.argmax(nonzero, axis=1)
+    step = mat[np.arange(size), successor].tolist()
+    successor = successor.tolist()
+    single = (counts == 1).tolist()
+    keep = keep.tolist()
+    # A removed state resolves to (kept target, steps, product of entries),
+    # or to target -1 when its chain ends on a zero row; -2 is unresolved.
+    target = [-2] * size
+    steps = [0] * size
+    weight = [0.0] * size
+    on_path = [False] * size
+    for start in range(size):
+        if keep[start] or target[start] != -2:
+            continue
+        path = []
+        cur = start
+        while not keep[cur] and target[cur] == -2 and single[cur]:
+            if on_path[cur]:
+                # An unresolved state met again closes a cycle on this path.
+                keep[cur] = True
+                break
+            on_path[cur] = True
+            path.append(cur)
+            cur = successor[cur]
+        if keep[cur]:
+            t, p, w = cur, 0, 1.0
+        elif target[cur] == -2:
+            target[cur] = -1
+            t, p, w = -1, 0, 0.0
+        else:
+            t, p, w = target[cur], steps[cur], weight[cur]
+        for state in reversed(path):
+            if keep[state]:
+                t, p, w = state, 0, 1.0
+                continue
+            if t >= 0:
+                p, w = p + 1, step[state] * w
+            target[state], steps[state], weight[state] = t, p, w
+    kept = [i for i in range(size) if keep[i]]
+    dim = len(kept)
+    position = np.full(size, -1, dtype=np.intp)
+    position[kept] = np.arange(dim)
+    terms: dict[int, np.ndarray] = {}
+    for i in kept:
+        row = position[i]
+        for col in np.flatnonzero(nonzero[i]).tolist():
+            value = float(mat[i, col])
+            if keep[col]:
+                t, p = col, 1
+            elif target[col] >= 0:
+                t, p, value = target[col], steps[col] + 1, value * weight[col]
+            else:
+                continue
+            layer = terms.get(p)
+            if layer is None:
+                layer = terms[p] = np.zeros((dim, dim))
+            layer[row, position[t]] += value
+    # Cost in multiply-adds: d steps of one d x d by d x d(n + 1) product per
+    # power, against n steps of one n x n by n x n product.
+    if len(terms) * dim**4 * (size + 1) >= size**4:
+        return None
+    return dim, position, sorted(terms.items())
 
-    def multiply(x: np.ndarray, out: np.ndarray) -> None:
-        np.take(x, sources, axis=0, out=out[:n_gathered], mode="clip")
-        out[n_unit:n_gathered] *= vals
-        np.matmul(weights, x[link_rows], out=out[n_gathered:])
 
-    return order, position, multiply
+def _collapsed_leverrier(size: int, entry, dim: int, position: np.ndarray, layers):
+    """Faddeev-LeVerrier over the d kept states of ``_collapse``, with
+    polynomial entries truncated at degree ``size``.
+
+    X_0 = I, A_k = W X_{k-1}, c_k = -tr(A_k) / k, X_k = A_k + c_k I. For the
+    characteristic polynomial det(lambda I - W) = sum_k c_k lambda^{d-k}, so
+    det(I - W) = sum_{k=0}^{d} c_k and adj(I - W) = sum_{k=0}^{d-1} X_k. The
+    iterate is stored degree-major within each row, x[j, deg, col], so
+    multiplying by z^p is a shift of its flattened rows by p d columns.
+    """
+    width = size + 1
+    diag = np.arange(dim)
+    det = np.zeros(width)
+    det[0] = 1.0
+    cur = np.zeros((dim, width, dim))
+    cur[diag, 0, diag] = 1.0
+    adj = None
+    if entry is not None:
+        r, t = int(position[entry[0]]), int(position[entry[1]])
+        adj = cur[r, :, t].copy()
+    nxt = np.empty_like(cur)
+    for k in range(1, dim + 1):
+        nxt.fill(0.0)
+        flat_in, flat_out = cur.reshape(dim, -1), nxt.reshape(dim, -1)
+        for p, layer in layers:
+            flat_out[:, p * dim :] += layer @ flat_in[:, : (width - p) * dim]
+        coeff = nxt[diag, :, diag].sum(axis=0) / -k
+        det += coeff
+        if k == dim:
+            break
+        nxt[diag, :, diag] += coeff
+        if adj is not None:
+            adj += nxt[r, :, t]
+        cur, nxt = nxt, cur
+    return det.tolist(), None if adj is None else adj[:size].tolist()
 
 
 def char_poly(matrix: np.ndarray) -> Polynomial:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -164,6 +165,49 @@ def test_auto_refines_long_holes_on_a_subshift(golden_mean):
     want = float.fromhex("0x1.5602e2c4d0a6fp-13")
     assert escape_rate_flow(system, hole) == want
     assert escape_rate_flow(system, hole, "refined") == want
+
+
+def test_auto_answers_where_bordered_rejects_and_the_automaton_fits(golden_mean):
+    # 0^15 10 on the golden mean: 4181 admissible words of length 17, past
+    # the state cap, so the word count alone would send `auto` to bordered,
+    # which rejects the hole as not reduced. Its automaton has 17 states.
+    system = build_suspension(golden_mean, constant_function(golden_mean, 1.0))
+    hole = (0,) * 15 + (1, 0)
+    with pytest.raises(RefinementTooLargeError, match="4181 admissible words"):
+        admissible_words(golden_mean, len(hole))
+    states, _ = shift_module._hole_automaton(golden_mean, hole, 1)
+    assert len(states) == 17
+    with pytest.raises(NotReducedError):
+        escape_rate_flow(system, hole, "bordered")
+    want = escape_rate_flow(system, hole, "refined")
+    assert want == pytest.approx(2.0351e-05, rel=1e-4)
+    assert escape_rate_flow(system, hole) == want
+
+
+def test_bordered_matrix_past_the_cap_raises_before_allocating(full2):
+    # Heights 32 and 64 and the hole 1^70: k0 = 69 * 64 = 4416 alone passes
+    # the cap. The dense bordered matrix would be 4511 x 4511 (163 MB); the
+    # guard raises before it is allocated, on every route that builds it.
+    system = build_suspension(
+        full2, cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1 / 32)
+    )
+    hole = (1,) * 70
+    assert hole_quantities(system, hole).k0 == 4416
+    tracemalloc.start()
+    try:
+        for route in (
+            lambda: build_open_bordered(system, hole),
+            lambda: escape_rate_flow(system, hole, "bordered"),
+            lambda: escape_rate_zeta(system, hole),
+        ):
+            with pytest.raises(DimensionTooLargeError, match="4415 border states"):
+                route()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # `auto` takes the refined root on the hole automaton instead.
+    assert escape_rate_flow(system, hole) == escape_rate_flow(system, hole, "refined")
 
 
 def test_long_subshift_hole_matches_50_digit_chain_root(golden_mean):

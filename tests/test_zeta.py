@@ -16,6 +16,7 @@ from flowescape import (
     build_family,
     build_markov_shift,
     build_open_bordered,
+    build_open_refined,
     build_suspension,
     char_poly,
     cofactor_poly,
@@ -123,9 +124,9 @@ def _dense_leverrier(matrix, entry):
 
 
 @pytest.fixture(scope="module")
-def gathered_cases(full2):
-    """Matrices of at least 64 dims, where _leverrier gathers rows, with the
-    adjugate entry to compare."""
+def collapsed_cases(full2):
+    """Matrices of at least 64 dims, where _leverrier tries the tower
+    collapse, with the adjugate entry to compare."""
     # Heights 32 and 64: a 96-block tower whose top rows have two successors.
     lattice = build_suspension(full2, cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1 / 32))
     tower = lattice.block_matrix
@@ -139,6 +140,19 @@ def gathered_cases(full2):
     assert not zero_row[top].any()
     dense = np.random.default_rng(12).uniform(0.0, 1.0, (70, 70))
     dense /= dense.sum(axis=1, keepdims=True)
+    # The tower beside a disjoint 40-cycle of single-successor states, which
+    # no branching state breaks.
+    ring = np.random.default_rng(13).uniform(0.5, 1.0, (40, 1)) * np.roll(np.eye(40), 1, axis=1)
+    with_ring = np.block([[tower, np.zeros((96, 40))], [np.zeros((40, 96)), ring]])
+    # Order-2 refinement with the level-0 rows of words 01 and 11 zeroed, and
+    # level 5 of word 10: chains into them end on a zero row, after five
+    # removed states for the last.
+    refined = build_open_refined(lattice, (0, 1)).system
+    holed = refined.block_matrix.copy()
+    zeroed = [((0, 1), 0), ((1, 1), 0), ((1, 0), 5)]
+    holed[[refined.block_index(w, level) for w, level in zeroed], :] = 0.0
+    inside = (refined.block_index((0, 0), 3), refined.block_index((0, 0), 0))
+    level = lattice.block_index((1,), 10)
     return {
         "tower diagonal entry": (tower, (top, top)),
         "tower off-diagonal entry": (tower, (top, 0)),
@@ -146,31 +160,76 @@ def gathered_cases(full2):
         "bordered k0 = 0": (zero_row, (0, top)),
         "random dense": (dense, (3, 5)),
         "scaled 64-cycle": (0.9 * np.roll(np.eye(64), 1, axis=1), (7, 7)),
+        "single-successor cycle kept at one state": (with_ring, (top, top)),
+        "single-successor cycle with the entry on it": (with_ring, (96 + 3, 96 + 17)),
+        "zeroed hole rows": (holed, inside),
+        "entry on two tower levels": (tower, (level, 5)),
     }
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "tower diagonal entry",
-        "tower off-diagonal entry",
-        "bordered self-overlapping hole",
-        "bordered k0 = 0",
-        "random dense",
-        "scaled 64-cycle",
-    ],
-)
-def test_gathered_leverrier_matches_dense_reference(gathered_cases, name):
-    # The row-gathering pass sums the few multi-nonzero rows in another order
+COLLAPSED_CASES = [
+    "tower diagonal entry",
+    "tower off-diagonal entry",
+    "bordered self-overlapping hole",
+    "bordered k0 = 0",
+    "random dense",
+    "scaled 64-cycle",
+    "single-successor cycle kept at one state",
+    "single-successor cycle with the entry on it",
+    "zeroed hole rows",
+    "entry on two tower levels",
+]
+
+
+@pytest.mark.parametrize("name", COLLAPSED_CASES)
+def test_collapsed_leverrier_matches_dense_reference(collapsed_cases, name):
+    # The collapsed pass sums the chains and the kept rows in another order
     # than a dense product, so the coefficients may differ in the last bits.
-    matrix, entry = gathered_cases[name]
-    assert matrix.shape[0] >= zeta._GATHER_MIN_DIMENSION
+    matrix, entry = collapsed_cases[name]
+    assert matrix.shape[0] >= zeta._COLLAPSE_MIN_DIMENSION
     det, adj = zeta._leverrier(matrix, entry=entry)
     want_det, want_adj = _dense_leverrier(matrix, entry)
     for got, want in ((det, want_det), (adj, want_adj)):
         assert len(got) == len(want)
         got, want = np.array(got), np.array(want)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_collapse_keeps_branching_states_entry_and_one_state_per_cycle(collapsed_cases):
+    # The 96-block tower keeps its two tops (blocks 31 and 95); the entry
+    # adds its row and column; a single-successor cycle keeps one state
+    # unless the entry already lies on it.
+    def kept(name):
+        matrix, entry = collapsed_cases[name]
+        dim, position, _ = zeta._collapse(matrix, entry)
+        states = np.flatnonzero(position >= 0).tolist()
+        assert dim == len(states)
+        return states
+
+    assert kept("tower diagonal entry") == [31, 32, 95]
+    assert kept("tower off-diagonal entry") == [0, 31, 32, 95]
+    assert kept("entry on two tower levels") == [5, 31, 42, 95]
+    assert kept("single-successor cycle kept at one state") == [31, 32, 95, 96]
+    assert kept("single-successor cycle with the entry on it") == [31, 95, 99, 113]
+    assert kept("scaled 64-cycle") == [7]
+
+
+def test_dense_pass_where_the_collapse_does_not_pay(collapsed_cases, monkeypatch):
+    # Nothing collapses in the random dense matrix. With three of its rows
+    # cut to one nonzero, 67 states would stay, and 67 polynomial steps cost
+    # more than 70 dense ones.
+    dense, entry = collapsed_cases["random dense"]
+    thinned = dense.copy()
+    thinned[[10, 20, 30], :-1] = 0.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("collapsed pass where the dense one is cheaper")
+
+    monkeypatch.setattr(zeta, "_collapsed_leverrier", refuse)
+    for matrix in (dense, thinned):
+        assert zeta._collapse(matrix, entry) is None
+        det, adj = zeta._leverrier(matrix, entry=entry)
+        assert (det, adj) == _dense_leverrier(matrix, entry)
 
 
 def _poly_mul(a, b):
@@ -381,6 +440,25 @@ def test_escape_rate_zeta_matches_flow(step_system):
         a = escape_rate_zeta(step_system, hole)
         b = escape_rate_flow(step_system, hole, representation="refined")
         assert a == pytest.approx(b, abs=1e-10), hole
+
+
+def test_bordered_dimension_375_answers_on_every_route():
+    # Ceiling (1.95, 2.9, 3.1) on lattice 0.05 gives heights 39, 58, 62 (159
+    # blocks); the hole 01210 has k0 = 217, so the bordered matrix has 375
+    # dims. The refined root, the bordered determinant and the factorized
+    # zeta determinant agree.
+    shift = build_markov_shift([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
+    ceiling = cylinder_function(1, {(0,): 1.95, (1,): 2.9, (2,): 3.1}, lattice=0.05)
+    system = build_suspension(shift, ceiling)
+    hole = (0, 1, 2, 1, 0)
+    assert build_open_bordered(system, hole).matrix.shape == (375, 375)
+    refined = escape_rate_flow(system, hole, "refined")
+    assert refined == pytest.approx(3.9004e-4, rel=1e-4)
+    for rate in (escape_rate_flow(system, hole, "bordered"), escape_rate_zeta(system, hole)):
+        assert rate == pytest.approx(refined, rel=1e-9, abs=0.0)
+    bundle = zeta_op_factorized(system, hole)
+    assert bundle.max_deviation < 1e-9
+    assert abs(bundle.cofactor_value - bundle.cofactor_predicted) < 1e-9
 
 
 def test_root_radius_duality(unit_system, step_system):
