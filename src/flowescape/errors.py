@@ -77,9 +77,12 @@ class HoleShorterThanCeilingOrderError(DomainError):
 # ---------------------------------------------------------------------------
 
 class DimensionTooLargeError(DomainError):
-    """A dense matrix would have more than ``DEFAULT_STATE_CAP`` states: the
-    block matrix of a suspension, or the bordered open matrix (blocks plus
-    k0 - 1 border states). Raised before anything is allocated."""
+    """A dense matrix is too large: the block matrix of a suspension, or the
+    bordered open matrix (blocks plus k0 - 1 border states), would have more
+    than ``DEFAULT_STATE_CAP`` states (raised before anything is allocated);
+    or a determinant or cofactor would take the dense Faddeev-LeVerrier pass
+    past 320 dims, because the tower collapse does not shrink the matrix
+    enough to pay."""
 
 
 class NoZeroAtOneError(DomainError):

@@ -36,6 +36,7 @@ from .errors import (
     HoleShorterThanCeilingOrderError,
     NoConvergenceError,
     NotReducedError,
+    RefinementTooLargeError,
 )
 from .shift import (
     DEFAULT_STATE_CAP,
@@ -528,22 +529,29 @@ def _open_rate(
     ``auto`` follows ``build_open_matrix`` (refined within the word cap,
     bordered past it), except that a hole the bordered route rejects on a
     precondition of its own (not reduced, shorter than the order, too many
-    states) takes the refined root, which needs only the hole automaton."""
+    states, a determinant past the dense cap) takes the refined root, which
+    needs only the hole automaton. When that automaton is past the cap too,
+    its RefinementTooLargeError is raised from the bordered route's error."""
     resolved = _representation(system, hole, representation)
+    bordered_error = None
     if resolved == "bordered":
         try:
-            open_matrix = build_open_bordered(system, hole)
-        except (NotReducedError, HoleShorterThanCeilingOrderError, DimensionTooLargeError):
+            radius = open_spectral_radius(build_open_bordered(system, hole))
+        except (NotReducedError, HoleShorterThanCeilingOrderError, DimensionTooLargeError) as error:
             if representation != "auto":
                 raise
-            resolved = "refined"
-    if resolved == "refined":
+            resolved, bordered_error = "refined", error
+        else:
+            if radius <= 0.0:
+                return resolved, float("inf"), radius
+            return resolved, -float(np.log(radius)) / system.lattice_scale, radius
+    try:
         root = _open_root(system, hole)
-        return resolved, root / system.lattice_scale, math.exp(-root)
-    radius = open_spectral_radius(open_matrix)
-    if radius <= 0.0:
-        return resolved, float("inf"), radius
-    return resolved, -float(np.log(radius)) / system.lattice_scale, radius
+    except RefinementTooLargeError as error:
+        if bordered_error is None:
+            raise
+        raise error from bordered_error
+    return resolved, root / system.lattice_scale, math.exp(-root)
 
 
 def escape_rate_flow(
@@ -558,7 +566,9 @@ def escape_rate_flow(
     root s*/lambda directly rather than -log(e^{-s*})/lambda, which would
     lose relative accuracy when s* is small. It needs no block matrix.
     ``auto`` answers on the refined route wherever the bordered one rejects
-    the hole and the hole automaton fits ``DEFAULT_STATE_CAP``.
+    the hole and the hole automaton fits ``DEFAULT_STATE_CAP``; where it does
+    not, ``auto`` raises RefinementTooLargeError, whose ``__cause__`` is the
+    bordered route's error.
     """
     return _open_rate(system, hole, representation)[1]
 

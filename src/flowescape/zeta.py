@@ -23,7 +23,9 @@ Pollicott, Asterisque 187-188, ch. 6): from 64 dims on, the pass runs over
 the few kept states with polynomial entries, and the tower levels, border
 links and zeroed hole rows never enter it. Below 64 dims, and where the
 collapse removes too few states to pay, it is one dense O(n^3) product per
-step.
+step, and past 320 dims such a matrix raises DimensionTooLargeError (the
+bordered matrix of a hole that overlaps itself at many shifts, such as 0^m,
+keeps nearly all of its border states).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from math import comb
 import numpy as np
 
 from .errors import (
+    DimensionTooLargeError,
     FactorizationMismatchError,
     NoSignChangeError,
     NoZeroAtOneError,
@@ -118,10 +121,21 @@ ONE_MINUS_Z = Polynomial((1.0, -1.0))
 # Characteristic polynomials and cofactors (Faddeev-LeVerrier)
 # ===========================================================================
 
-#: Dimension from which ``_leverrier`` tries the tower collapse. Below it
-#: one BLAS product per step beats the collapse's set-up, and every matrix
-#: keeps the dense pass.
+#: Dimension from which ``_leverrier`` tries the tower collapse; every
+#: matrix below it keeps the dense pass. The value is the threshold of the
+#: earlier row-gathering pass, kept so that the small matrices give the same
+#: coefficients as before. It is not the collapse's crossover: on the block
+#: matrices of the 3-shift [[.5,.3,.2],[.1,.6,.3],[.4,.4,.2]] with heights
+#: near n/3 each and the (0, 1) adjugate entry (5 kept states; one OpenBLAS
+#: thread on a 2-core x86-64 Xeon, set-up included), the two passes break
+#: even at about 32 dims, the dense one is 1.7-2.3x faster at 16-20 dims,
+#: and the collapse 2.3x faster at 48 and 3.5-4.3x at 64.
 _COLLAPSE_MIN_DIMENSION = 64
+
+#: Largest matrix the dense pass accepts. Its cost grows as n^4 and its
+#: error with n, so a matrix past this that the collapse does not shrink
+#: raises DimensionTooLargeError at once.
+_DENSE_MAX_DIMENSION = 320
 
 
 def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
@@ -138,7 +152,9 @@ def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
     always below that dimension, it is the dense pass: step k forms
     A_k = M X_{k-1}, c_k = -tr(A_k) / k and X_k = A_k + c_k I, and X_k[row,
     col] is the z^k coefficient of the adjugate entry, at one O(n^3) product
-    per step.
+    per step. A matrix past ``_DENSE_MAX_DIMENSION`` dims that would take
+    the dense pass raises DimensionTooLargeError instead; the collapsed pass
+    has no dimension cap.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -148,6 +164,11 @@ def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
         collapse = _collapse(mat, entry)
         if collapse is not None:
             return _collapsed_leverrier(size, entry, *collapse)
+    if size > _DENSE_MAX_DIMENSION:
+        raise DimensionTooLargeError(
+            f"dimension {size} exceeds the dense cap {_DENSE_MAX_DIMENSION}, and "
+            "the tower collapse does not shrink it enough to pay"
+        )
     det_coeffs = [1.0]
     adj_coeffs: "list[float] | None" = None
     if entry is not None:
@@ -236,6 +257,11 @@ def _collapse(mat: np.ndarray, entry: "tuple[int, int] | None"):
             target[state], steps[state], weight[state] = t, p, w
     kept = [i for i in range(size) if keep[i]]
     dim = len(kept)
+    # Cost in multiply-adds: d steps of one d x d by d x d(n + 1) product per
+    # power, against n steps of one n x n by n x n product. One power is the
+    # least, so a collapse that fails this does not pay.
+    if dim**4 * (size + 1) >= size**4:
+        return None
     position = np.full(size, -1, dtype=np.intp)
     position[kept] = np.arange(dim)
     terms: dict[int, np.ndarray] = {}
@@ -253,8 +279,6 @@ def _collapse(mat: np.ndarray, entry: "tuple[int, int] | None"):
             if layer is None:
                 layer = terms[p] = np.zeros((dim, dim))
             layer[row, position[t]] += value
-    # Cost in multiply-adds: d steps of one d x d by d x d(n + 1) product per
-    # power, against n steps of one n x n by n x n product.
     if len(terms) * dim**4 * (size + 1) >= size**4:
         return None
     return dim, position, sorted(terms.items())

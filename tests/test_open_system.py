@@ -210,6 +210,20 @@ def test_bordered_matrix_past_the_cap_raises_before_allocating(full2):
     assert escape_rate_flow(system, hole) == escape_rate_flow(system, hole, "refined")
 
 
+def test_auto_raises_the_automaton_error_from_the_bordered_one(unit_system):
+    # 1 0^4199: k0 - 1 = 4198 border states pass the bordered cap, and the
+    # automaton needs a state per match length, 4200 of them. `auto` raises
+    # the refined route's error with the bordered route's as its cause.
+    hole = (1,) + (0,) * 4199
+    with pytest.raises(DimensionTooLargeError, match="4198 border states"):
+        escape_rate_flow(unit_system, hole, "bordered")
+    with pytest.raises(RefinementTooLargeError, match="automaton"):
+        escape_rate_flow(unit_system, hole, "refined")
+    with pytest.raises(RefinementTooLargeError, match="automaton") as caught:
+        escape_rate_flow(unit_system, hole)
+    assert isinstance(caught.value.__cause__, DimensionTooLargeError)
+
+
 def test_long_subshift_hole_matches_50_digit_chain_root(golden_mean):
     # The oracle is the radius of the word chain on the 987 golden-mean words
     # of length 14, not of the hole automaton the library uses. 2P has entries

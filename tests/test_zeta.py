@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from flowescape import (
+    DimensionTooLargeError,
     FactorizationMismatchError,
     NoSignChangeError,
     NoZeroAtOneError,
@@ -230,6 +231,26 @@ def test_dense_pass_where_the_collapse_does_not_pay(collapsed_cases, monkeypatch
         assert zeta._collapse(matrix, entry) is None
         det, adj = zeta._leverrier(matrix, entry=entry)
         assert (det, adj) == _dense_leverrier(matrix, entry)
+
+
+def test_dense_pass_past_320_dims_raises_before_it_starts(unit_system):
+    # 0^m on the full 2-shift overlaps itself at every shift, so every border
+    # row branches and the collapse keeps all m states. At m = 400 the dense
+    # pass would run 400 steps of a 400 x 400 product; it raises instead.
+    hole = (0,) * 400
+    matrix = build_open_bordered(unit_system, hole).matrix
+    assert matrix.shape == (400, 400)
+    assert zeta._collapse(matrix, None) is None
+    for route in (
+        lambda: char_poly(matrix),
+        lambda: cofactor_poly(matrix, 0, 1),
+        lambda: escape_rate_zeta(unit_system, hole),
+        lambda: escape_rate_flow(unit_system, hole, "bordered"),
+    ):
+        with pytest.raises(DimensionTooLargeError, match="dense cap 320"):
+            route()
+    # `auto` takes the refined root on the 400-state hole automaton.
+    assert escape_rate_flow(unit_system, hole) == escape_rate_flow(unit_system, hole, "refined")
 
 
 def _poly_mul(a, b):
