@@ -124,7 +124,7 @@ def build_family(
     orbit_height = sum(system.height_of(extended[j : j + order]) for j in range(p))
     t_word = extended[:order]
     t_index = system.block_index(t_word, 0)
-    closed, cofactor = _closed_and_cofactor(system.block_matrix, t_index, t_index)
+    closed, cofactor = _closed_and_cofactor(system, t_word, t_word)
     return PeriodicOrbitFamily(
         system=system,
         base_word=word,

@@ -41,6 +41,7 @@ from .errors import (
 from .shift import (
     DEFAULT_STATE_CAP,
     Word,
+    _borders,
     _checked_hole,
     _hole_automaton,
     _survival_curve,
@@ -78,10 +79,6 @@ class HoleQuantities:
     r_index: int
 
 
-def _self_overlap(word: Word, shift_by: int) -> bool:
-    return all(word[i] == word[i + shift_by] for i in range(len(word) - shift_by))
-
-
 def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
     """Compute the overlap data of a reduced hole word at least as long as the order.
 
@@ -104,6 +101,10 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
     for i in range(n - 1, m - 1):
         alpha *= float(base.transitions[word[i], word[i + 1]])
 
+    # The word overlaps itself at shift j when it has a border of length m - j.
+    border, overlaps, length = _borders(word), set(), m
+    while length := border[length]:
+        overlaps.add(m - length)
     correlation = [0.0] * max(k0 - 1, 0)
     overlap_shift: list["int | None"] = [None] * max(k0 - 1, 0)
     partial_sum = 0
@@ -111,7 +112,7 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
     for j in range(1, m - n):
         partial_sum += system.height_of(word[j - 1 : j - 1 + n])
         weight *= float(base.transitions[word[j - 1], word[j]])
-        if partial_sum <= k0 - 1 and _self_overlap(word, j):
+        if partial_sum <= k0 - 1 and j in overlaps:
             correlation[partial_sum - 1] = weight
             overlap_shift[partial_sum - 1] = j
 
@@ -202,17 +203,24 @@ def build_open_bordered(system: SuspensionSystem, hole: Word) -> OpenMatrix:
     )
 
 
+def _tower_dimension(system: SuspensionSystem, q: "HoleQuantities | None") -> int:
+    """States of the block matrix, or of the bordered open matrix of ``q``;
+    DimensionTooLargeError past ``DEFAULT_STATE_CAP``."""
+    size = len(system.block_measure)
+    dim = size if q is None else size + max(q.k0 - 1, 0)
+    if dim > DEFAULT_STATE_CAP:
+        raise DimensionTooLargeError(
+            f"{size} blocks and {dim - size} border states exceed the cap of "
+            f"{DEFAULT_STATE_CAP} for a dense matrix"
+        )
+    return dim
+
+
 def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
     """The read-only bordered open matrix of ``build_open_bordered`` from the
     hole's quantities ``q``. Raises DimensionTooLargeError past
     ``DEFAULT_STATE_CAP`` states, before anything is allocated."""
-    size = len(system.block_measure)
-    dim = size + max(q.k0 - 1, 0)
-    if dim > DEFAULT_STATE_CAP:
-        raise DimensionTooLargeError(
-            f"{size} blocks and {dim - size} border states exceed the cap of "
-            f"{DEFAULT_STATE_CAP} for a dense bordered matrix"
-        )
+    dim, size = _tower_dimension(system, q), len(system.block_measure)
     base_matrix = system.block_matrix
     if q.k0 == 0:
         matrix = base_matrix.copy()
@@ -380,8 +388,9 @@ _ROOT_MAX_LOG_WEIGHT = 700.0
 
 
 def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) -> float:
-    """The s* with rho(diag(e^{s h}) P) = 1, for P nonnegative and heights h
-    positive; +inf when P is nilpotent.
+    """The s* with rho(diag(e^{s h}) P) = 1, for P substochastic and heights
+    h positive; +inf when P is nilpotent. rho(P) <= 1 makes s* >= 0, so where
+    rounding puts log rho(P) at or above 0 the root is +0.0.
 
     f(s) = log rho(diag(e^{s h}) P) is convex, with slope a Perron average of
     the heights on the cyclic components of P. So from f(0) = log rho(P) the
@@ -403,6 +412,8 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) 
         return math.inf
     if live.min() == live.max():
         radius = matrix_spectral_radius(P, tol=tol)
+        if radius >= 1.0:
+            return 0.0
         return -math.log(radius) / float(live[0]) if radius > 0.0 else math.inf
     # Positive row weights keep the strongly connected components, so they
     # are found once; each evaluation takes the radius of the cyclic ones.
@@ -422,8 +433,10 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) 
         )
 
     f0 = f(0.0)
+    if f0 >= 0.0:
+        return 0.0
     near = -f0 / h_max
-    if f0 == 0.0 or h_min == h_max:
+    if h_min == h_max:
         return near
     limit = _ROOT_MAX_LOG_WEIGHT / h_max
     if near > limit:
@@ -501,19 +514,25 @@ def open_spectral_radius(open_matrix: OpenMatrix, tol: float = 1e-13) -> float:
     rho(diag(e^{s k}) P) = 1, where P is the hole automaton at the refined
     system's order and k its heights; ``open_matrix.matrix`` is not read.
     ``tol`` is the power-iteration tolerance of each radius the root
-    evaluates. The bordered matrix has signed entries whose determinant
+    evaluates. The bordered matrix A has signed entries whose determinant
     identity pins the radius as the reciprocal of the smallest real root >= 1
-    of its characteristic polynomial det(I - zA).
+    of det(I - zA), taken over the word operator of the system and
+    ``open_matrix.quantities`` where that pays, else from ``open_matrix.matrix``.
     """
     if open_matrix.representation == "refined":
         return math.exp(-_open_root(open_matrix.system, open_matrix.hole, tol=tol))
-    from .zeta import char_poly, smallest_root_geq_one
+    return 1.0 / _bordered_root(open_matrix.system, open_matrix.quantities, open_matrix.matrix)
 
-    poly = char_poly(open_matrix.matrix)
-    root = smallest_root_geq_one(poly)
-    if root <= 0.0:
-        raise NoConvergenceError("characteristic polynomial root search degenerated")
-    return 1.0 / root
+
+def _bordered_root(
+    system: SuspensionSystem, q: HoleQuantities, matrix: "np.ndarray | None" = None
+) -> float:
+    """Smallest root >= 1 of det(I - z M_op), M_op the bordered matrix of
+    ``q``; ``matrix`` is M_op when the caller holds it."""
+    from .zeta import Polynomial, _tower_leverrier, smallest_root_geq_one
+
+    det, _ = _tower_leverrier(system, q, matrix=matrix)
+    return smallest_root_geq_one(Polynomial(tuple(det)))
 
 
 # ===========================================================================
@@ -536,15 +555,15 @@ def _open_rate(
     bordered_error = None
     if resolved == "bordered":
         try:
-            radius = open_spectral_radius(build_open_bordered(system, hole))
+            root = _bordered_root(system, hole_quantities(system, hole))
         except (NotReducedError, HoleShorterThanCeilingOrderError, DimensionTooLargeError) as error:
             if representation != "auto":
                 raise
             resolved, bordered_error = "refined", error
         else:
-            if radius <= 0.0:
-                return resolved, float("inf"), radius
-            return resolved, -float(np.log(radius)) / system.lattice_scale, radius
+            # A root of 1 is a rate below float resolution: +0.0, not -0.0.
+            rate = -float(np.log(1.0 / root)) / system.lattice_scale if root > 1.0 else 0.0
+            return resolved, rate, 1.0 / root
     try:
         root = _open_root(system, hole)
     except RefinementTooLargeError as error:
@@ -564,11 +583,12 @@ def escape_rate_flow(
     This is -log(radius)/lambda for the open time-lambda operator; +inf when
     everything escapes (radius 0). The refined route returns the word-operator
     root s*/lambda directly rather than -log(e^{-s*})/lambda, which would
-    lose relative accuracy when s* is small. It needs no block matrix.
-    ``auto`` answers on the refined route wherever the bordered one rejects
-    the hole and the hole automaton fits ``DEFAULT_STATE_CAP``; where it does
-    not, ``auto`` raises RefinementTooLargeError, whose ``__cause__`` is the
-    bordered route's error.
+    lose relative accuracy when s* is small. It needs no block matrix, nor
+    does the bordered route from 64 states. A radius that rounds to 1 gives
+    +0.0. ``auto`` answers on the refined route wherever the bordered one
+    rejects the hole and the hole automaton fits ``DEFAULT_STATE_CAP``; where
+    it does not, ``auto`` raises RefinementTooLargeError, whose ``__cause__``
+    is the bordered route's error.
     """
     return _open_rate(system, hole, representation)[1]
 

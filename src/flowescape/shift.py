@@ -474,6 +474,22 @@ def _word_transitions(shift: MarkovShift, states: tuple[Word, ...]) -> np.ndarra
     return mat
 
 
+def _borders(word: Word) -> list[int]:
+    """The Knuth-Morris-Pratt failure function: entry j is the length of the
+    longest proper border (prefix that is also a suffix) of word[:j], for j =
+    0..len(word), in O(len(word)) steps. The borders of the whole word are
+    the chain border[m], border[border[m]], ..., down to 0."""
+    border = [0] * (len(word) + 1)
+    k = 0
+    for j in range(1, len(word)):
+        while k and word[j] != word[k]:
+            k = border[k]
+        if word[j] == word[k]:
+            k += 1
+        border[j + 1] = k
+    return border
+
+
 def _hole_automaton(
     shift: MarkovShift, hole: Word, order: int
 ) -> tuple[list[tuple[Word, int]], np.ndarray]:
@@ -499,14 +515,14 @@ def _hole_automaton(
     """
     m = len(hole)
     size = shift.alphabet_size
+    border = _borders(hole)
     # delta[j][b]: the state after reading b in state j; m completes the hole.
+    # Past a mismatch, state j reads on as its longest proper border does.
     delta = [[0] * size for _ in range(m)]
     delta[0][hole[0]] = 1
-    border = 0
     for j in range(1, m):
-        delta[j] = list(delta[border])
+        delta[j] = list(delta[border[j]])
         delta[j][hole[j]] = j + 1
-        border = delta[border][hole[j]]
     states: list[tuple[Word, int]] = []
     for u in _hole_free_words(shift, hole, order)[-1]:
         j = 0

@@ -15,22 +15,27 @@ factor is removed by synthetic division, Taylor data at z = 1 feeds the
 asymptotic expansions, and root isolation on [1, oo) turns determinants back
 into spectral radii.
 
-Block and bordered matrices are towers: of their rows, all but a few (word
-tops with several successors, border rows carrying a correlation
-coefficient) have at most one nonzero. Removing those states leaves the tower
-expansion det(I - z M_block) = det(I - W(z)), W(z) = diag(z^h) P (Parry &
-Pollicott, Asterisque 187-188, ch. 6): from 64 dims on, the pass runs over
-the few kept states with polynomial entries, and the tower levels, border
-links and zeroed hole rows never enter it. Below 64 dims, and where the
-collapse removes too few states to pay, it is one dense O(n^3) product per
-step, and past 320 dims such a matrix raises DimensionTooLargeError (the
-bordered matrix of a hole that overlaps itself at many shifts, such as 0^m,
-keeps nearly all of its border states).
+Block and bordered matrices are towers over the word operator W(z) =
+diag(z^h) P (Parry & Pollicott, Asterisque 187-188, ch. 6): det(I - z
+M_block) = det(I - W(z)), and for a hole that overlaps itself the bordered
+matrix adds one border state whose loop carries the correlation polynomial.
+From 64 states on, the determinants of a (system, hole) pair are taken over
+W with polynomial entries, built from the words' P and heights with each
+word of a single successor folded into the rows that lead to it, so neither
+matrix is built and a hole that overlaps itself at many shifts, such as 0^m,
+keeps one border state for all of them. W is taken where its pass costs less
+than the dense one, and past 320 states less than the dense one at 320
+states. Below 64 states, where the dense pass is cheaper, and for
+``char_poly`` and ``cofactor_poly`` of a raw matrix, the pass is one dense
+O(n^3) product per step, and past 320 dims it raises DimensionTooLargeError
+before it starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+import math
 from math import comb
 
 import numpy as np
@@ -42,7 +47,12 @@ from .errors import (
     NoZeroAtOneError,
     PoleAtOneError,
 )
-from .open_system import HoleQuantities, _bordered_matrix, hole_quantities
+from .open_system import (
+    HoleQuantities,
+    _bordered_matrix,
+    _tower_dimension,
+    hole_quantities,
+)
 from .shift import Word, cylinder_measure
 from .suspension import SuspensionSystem
 
@@ -121,53 +131,42 @@ ONE_MINUS_Z = Polynomial((1.0, -1.0))
 # Characteristic polynomials and cofactors (Faddeev-LeVerrier)
 # ===========================================================================
 
-#: Dimension from which ``_leverrier`` tries the tower collapse; every
-#: matrix below it keeps the dense pass. The value is the threshold of the
-#: earlier row-gathering pass, kept so that the small matrices give the same
-#: coefficients as before. It is not the collapse's crossover: on the block
-#: matrices of the 3-shift [[.5,.3,.2],[.1,.6,.3],[.4,.4,.2]] with heights
-#: near n/3 each and the (0, 1) adjugate entry (5 kept states; one OpenBLAS
-#: thread on a 2-core x86-64 Xeon, set-up included), the two passes break
-#: even at about 32 dims, the dense one is 1.7-2.3x faster at 16-20 dims,
-#: and the collapse 2.3x faster at 48 and 3.5-4.3x at 64.
-_COLLAPSE_MIN_DIMENSION = 64
+#: Size from which tower determinants run over the word operator
+#: (``_tower_leverrier``). The two passes break even near 32 dims (3-shift
+#: [[.5,.3,.2],[.1,.6,.3],[.4,.4,.2]], heights near n/3, one OpenBLAS thread
+#: on a 2-core x86-64 Xeon: dense 1.7-2.3x faster at 16-20 dims, W 2.3x
+#: faster at 48 and 3.5-4.3x at 64). 64 stays so that smaller towers keep
+#: their coefficients bit for bit: criterion 7 checks s1 of the 2-6-block
+#: shrinking-hole families to 1 ulp, and a random +-2e-16 relative change of
+#: each coefficient of their G and C broke it in 460 of 665 (family, nu,
+#: draw) evaluations.
+_WORD_OPERATOR_MIN_DIMENSION = 64
 
 #: Largest matrix the dense pass accepts. Its cost grows as n^4 and its
-#: error with n, so a matrix past this that the collapse does not shrink
-#: raises DimensionTooLargeError at once.
+#: error with n, so a larger matrix that takes it raises
+#: DimensionTooLargeError at once. Past it, the word operator is taken only
+#: where it costs less than the dense pass at this size.
 _DENSE_MAX_DIMENSION = 320
 
 
 def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
-    """One Faddeev-LeVerrier pass for det(I - zM).
+    """One dense Faddeev-LeVerrier pass for det(I - zM).
 
     Returns the ascending coefficients of det(I - zM) and, when ``entry`` =
     (row, col) is given, the ascending coefficients of that entry of
-    adj(I - zM) (which is the (col, row) cofactor of I - zM).
-
-    From ``_COLLAPSE_MIN_DIMENSION`` dims on, the pass runs on the tower
-    collapse of M (``_collapse``) when it pays: the states whose rows have
-    at most one nonzero are removed, and FL runs over the few kept states
-    with polynomial entries (``_collapsed_leverrier``). Otherwise, and
-    always below that dimension, it is the dense pass: step k forms
+    adj(I - zM) (which is the (col, row) cofactor of I - zM). Step k forms
     A_k = M X_{k-1}, c_k = -tr(A_k) / k and X_k = A_k + c_k I, and X_k[row,
     col] is the z^k coefficient of the adjugate entry, at one O(n^3) product
-    per step. A matrix past ``_DENSE_MAX_DIMENSION`` dims that would take
-    the dense pass raises DimensionTooLargeError instead; the collapsed pass
-    has no dimension cap.
+    per step. A matrix past ``_DENSE_MAX_DIMENSION`` dims raises
+    DimensionTooLargeError instead.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     size = mat.shape[0]
-    if size >= _COLLAPSE_MIN_DIMENSION:
-        collapse = _collapse(mat, entry)
-        if collapse is not None:
-            return _collapsed_leverrier(size, entry, *collapse)
     if size > _DENSE_MAX_DIMENSION:
         raise DimensionTooLargeError(
-            f"dimension {size} exceeds the dense cap {_DENSE_MAX_DIMENSION}, and "
-            "the tower collapse does not shrink it enough to pay"
+            f"dimension {size} exceeds the dense cap {_DENSE_MAX_DIMENSION}"
         )
     det_coeffs = [1.0]
     adj_coeffs: "list[float] | None" = None
@@ -190,109 +189,145 @@ def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
     return det_coeffs, adj_coeffs
 
 
-def _collapse(mat: np.ndarray, entry: "tuple[int, int] | None"):
-    """The tower collapse of M for ``_leverrier``, or None when it removes
-    no state or costs more than the dense pass.
+def _word_layers(
+    system: SuspensionSystem,
+    q: "HoleQuantities | None",
+    size: int,
+    entry: "tuple[int, int] | None" = None,
+):
+    """The word operator W(z) of the block matrix, or of the bordered open
+    matrix of ``q``, as (d, layers, loop, entry): ``layers`` lists the
+    triples (p, rows, W_p[rows]) of the rows with a z^p term, in ascending
+    p; ``loop`` is None or (b, a, g) with W[b, b] = sum_i a[i] z^i, the row
+    of b in I - W scaled by g; ``entry`` is the states of the words of
+    ``entry``. None, before any layer is allocated, when FL over W costs as
+    much as the dense pass at min(``size``, ``_DENSE_MAX_DIMENSION``) states.
 
-    A state whose row has at most one nonzero (a tower level, a border link,
-    a zeroed hole row) is removed, unless it is ``entry``'s row or column.
-    On each cycle made only of such states the first state reached is kept
-    instead. So the removed states form a forest under their single
-    successors, the block of I - zM on them is unit triangular, and by the
-    Schur complement det(I - zM) = det(I - W(z)), with the adjugate entries
-    between kept states equal too. W(z)[i, j] sums, over each nonzero
-    M[i, c] of a kept row, the chain from c through removed states to kept
-    state j: z to the chain's number of steps, times the product of its
-    entries. A chain ending on a zero row adds nothing.
-
-    Returns d, ``position`` (``position[i]`` is the index of kept state i
-    among the d kept states, -1 when i is removed) and ``layers``, the pairs
-    (p, W_p) with W_p the d x d coefficient of z^p in W, in ascending p.
+    The states are the level-0 blocks of the words, W[u, v] = z^{h_u} P[u,
+    v], and for a hole that overlaps itself (some c_k nonzero) one border
+    state b: W[t, b] = -alpha z, W[b, b] = -sum_k c_k z^k, W[b, r] = z^{k0 -
+    1}. Otherwise k0 = 0 zeroes the row of t and k0 >= 1 adds -alpha z^k0 to
+    W[t, r]. A word u whose only successor is another word v is folded into
+    the rows that lead to it, W[w, v] += W[w, u] z^{h_u} P[u, v], along
+    chains of such words, except for t, the words of ``entry`` and one word
+    on each cycle made only of such words. The other states (levels above
+    0, border states but b, folded words) lead at most one step on among
+    themselves, so I - zM is unit triangular on them and, by the Schur
+    complement, det(I - zM) = det(I - W(z)), with equal adjugate entries
+    between kept states (Parry & Pollicott, Asterisque 187-188, ch. 6).
     """
-    size = mat.shape[0]
-    nonzero = mat != 0.0
-    counts = np.count_nonzero(nonzero, axis=1)
-    keep = counts >= 2
+    matrix, heights = system.word_matrix, system.heights.tolist()
+    words, nonzero = len(heights), matrix != 0.0
+    follow = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1).tolist()
+    keep = [u for u in range(words) if follow[u] == u] + list(entry or ())
+    if q is not None:
+        t, r = system._word_index[q.t_word], system._word_index[q.r_word]
+        keep.append(t)
+    for u in keep:
+        follow[u] = -1
+    # A folded word resolves to the kept word its chain ends on, with the
+    # heights and transition weights of the chain from it on.
+    target, extra, weight = list(range(words)), [0] * words, [1.0] * words
+    seen = [u < 0 for u in follow]
+    for start in range(words):
+        path, u = [], start
+        while not seen[u]:
+            seen[u] = True
+            path.append(u)
+            u = follow[u]
+        if u in path:
+            follow[u] = -1
+        for w in reversed(path):
+            if (v := follow[w]) >= 0:
+                target[w], extra[w] = target[v], heights[w] + extra[v]
+                weight[w] = matrix.item(w, v) * weight[v]
+    state = np.cumsum(np.array(follow) < 0) - 1
+    state[np.array(follow) >= 0] = -1
+    overlaps = q is not None and any(q.correlation)
+    dim = int(state.max()) + 1 + overlaps
+
+    def term(i, v, p, value):
+        """The term value z^p of W from state i to word v, carried along the
+        chain of v to the state it ends on."""
+        return i, state.item(target[v]), p + extra[v], value * weight[v]
+
+    terms = [
+        term(state.item(u), v, heights[u], matrix.item(u, v))
+        for u, v in zip(*(a.tolist() for a in np.nonzero(nonzero)))
+        if follow[u] < 0 and not (q is not None and q.k0 == 0 and u == t)
+    ]
+    loop = None
+    if overlaps:
+        # Row b of I - W is scaled by g = 2^-e near 1 / Q(1), Q(z) = 1 +
+        # sum_k c_k z^k, which is exact in binary: W[b, b] = 1 - g Q(z) then
+        # has coefficients summing to at most 2.5 in absolute value. Unscaled,
+        # -sum_k c_k z^k sums to up to 1 / (1 - p) on a hole that overlaps
+        # itself with weight p, and FL cancels terms of size (1 / (1 - p))^d.
+        scale = 2.0 ** round(math.log2(1.0 + math.fsum(q.correlation)))
+        coeffs = np.array((1.0 - scale,) + q.correlation) / -scale
+        loop = (dim - 1, np.trim_zeros(coeffs, "b"), scale)
+        terms += [(state.item(t), dim - 1, 1, -q.alpha), term(dim - 1, r, q.k0 - 1, 1.0 / scale)]
+    elif q is not None and q.k0 >= 1:
+        terms.append(term(state.item(t), r, q.k0, -q.alpha))
+    # Cost in multiply-adds: d steps of, per power p, the rows of W_p times
+    # a d x d(n + 1) iterate, and of the loop's convolution along the degrees
+    # of row b; against n steps of one n x n by n x n product.
+    row_terms = len({(p, i) for i, _, p, _ in terms})
+    loop_terms = 0 if loop is None else loop[1].size
+    if dim**2 * (size + 1) * (row_terms * dim + loop_terms) >= min(size, _DENSE_MAX_DIMENSION) ** 4:
+        return None
+    layers: dict[int, np.ndarray] = {}
+    for i, j, p, value in terms:
+        layers.setdefault(p, np.zeros((dim, dim)))[i, j] += value
+    rows = {p: np.flatnonzero(layer.any(axis=1)) for p, layer in layers.items()}
+    return dim, [
+        (p, slice(None) if rows[p].size == dim else rows[p], layers[p][rows[p]])
+        for p in sorted(layers)
+    ], loop, None if entry is None else (state.item(entry[0]), state.item(entry[1]))
+
+
+def _tower_leverrier(
+    system: SuspensionSystem,
+    q: "HoleQuantities | None" = None,
+    entry: "tuple[int, int] | None" = None,
+    matrix: "np.ndarray | None" = None,
+):
+    """``_leverrier`` for the block matrix of ``system``, or for the bordered
+    open matrix of ``q``, with ``entry`` = (row, col) the words whose level-0
+    blocks hold the adjugate entry. From ``_WORD_OPERATOR_MIN_DIMENSION``
+    states it runs over ``_word_layers`` where that pays; otherwise the dense
+    pass takes ``matrix``, the tower's matrix when the caller holds it, or
+    builds it, after the ``_DENSE_MAX_DIMENSION`` check.
+    DimensionTooLargeError past ``DEFAULT_STATE_CAP`` states comes first.
+    """
+    size = _tower_dimension(system, q)
+    if size >= _WORD_OPERATOR_MIN_DIMENSION:
+        tower = _word_layers(system, q, size, entry)
+        if tower is not None:
+            return _word_leverrier(size, *tower)
+    if size > _DENSE_MAX_DIMENSION:
+        raise DimensionTooLargeError(
+            f"dimension {size} exceeds the dense cap {_DENSE_MAX_DIMENSION}, and "
+            "its word operator costs more than the dense pass at the cap"
+        )
+    if matrix is None:
+        matrix = system.block_matrix if q is None else _bordered_matrix(system, q)
     if entry is not None:
-        keep[list(entry)] = True
-    if keep.all():
-        return None
-    successor = np.argmax(nonzero, axis=1)
-    step = mat[np.arange(size), successor].tolist()
-    successor = successor.tolist()
-    single = (counts == 1).tolist()
-    keep = keep.tolist()
-    # A removed state resolves to (kept target, steps, product of entries),
-    # or to target -1 when its chain ends on a zero row; -2 is unresolved.
-    target = [-2] * size
-    steps = [0] * size
-    weight = [0.0] * size
-    on_path = [False] * size
-    for start in range(size):
-        if keep[start] or target[start] != -2:
-            continue
-        path = []
-        cur = start
-        while not keep[cur] and target[cur] == -2 and single[cur]:
-            if on_path[cur]:
-                # An unresolved state met again closes a cycle on this path.
-                keep[cur] = True
-                break
-            on_path[cur] = True
-            path.append(cur)
-            cur = successor[cur]
-        if keep[cur]:
-            t, p, w = cur, 0, 1.0
-        elif target[cur] == -2:
-            target[cur] = -1
-            t, p, w = -1, 0, 0.0
-        else:
-            t, p, w = target[cur], steps[cur], weight[cur]
-        for state in reversed(path):
-            if keep[state]:
-                t, p, w = state, 0, 1.0
-                continue
-            if t >= 0:
-                p, w = p + 1, step[state] * w
-            target[state], steps[state], weight[state] = t, p, w
-    kept = [i for i in range(size) if keep[i]]
-    dim = len(kept)
-    # Cost in multiply-adds: d steps of one d x d by d x d(n + 1) product per
-    # power, against n steps of one n x n by n x n product. One power is the
-    # least, so a collapse that fails this does not pay.
-    if dim**4 * (size + 1) >= size**4:
-        return None
-    position = np.full(size, -1, dtype=np.intp)
-    position[kept] = np.arange(dim)
-    terms: dict[int, np.ndarray] = {}
-    for i in kept:
-        row = position[i]
-        for col in np.flatnonzero(nonzero[i]).tolist():
-            value = float(mat[i, col])
-            if keep[col]:
-                t, p = col, 1
-            elif target[col] >= 0:
-                t, p, value = target[col], steps[col] + 1, value * weight[col]
-            else:
-                continue
-            layer = terms.get(p)
-            if layer is None:
-                layer = terms[p] = np.zeros((dim, dim))
-            layer[row, position[t]] += value
-    if len(terms) * dim**4 * (size + 1) >= size**4:
-        return None
-    return dim, position, sorted(terms.items())
+        entry = (system._starts.item(entry[0]), system._starts.item(entry[1]))
+    return _leverrier(matrix, entry)
 
 
-def _collapsed_leverrier(size: int, entry, dim: int, position: np.ndarray, layers):
-    """Faddeev-LeVerrier over the d kept states of ``_collapse``, with
-    polynomial entries truncated at degree ``size``.
+def _word_leverrier(size: int, dim: int, layers, loop, entry):
+    """Faddeev-LeVerrier over the d states of the word operator W(z) with
+    ``layers`` and ``loop``, with polynomial entries truncated at degree
+    ``size``.
 
     X_0 = I, A_k = W X_{k-1}, c_k = -tr(A_k) / k, X_k = A_k + c_k I. For the
     characteristic polynomial det(lambda I - W) = sum_k c_k lambda^{d-k}, so
     det(I - W) = sum_{k=0}^{d} c_k and adj(I - W) = sum_{k=0}^{d-1} X_k. The
     iterate is stored degree-major within each row, x[j, deg, col], so
-    multiplying by z^p is a shift of its flattened rows by p d columns.
+    multiplying by z^p is a shift of its flattened rows by p d columns, and
+    the loop on b is one convolution per column of row b.
     """
     width = size + 1
     diag = np.arange(dim)
@@ -302,14 +337,18 @@ def _collapsed_leverrier(size: int, entry, dim: int, position: np.ndarray, layer
     cur[diag, 0, diag] = 1.0
     adj = None
     if entry is not None:
-        r, t = int(position[entry[0]]), int(position[entry[1]])
+        r, t = entry
         adj = cur[r, :, t].copy()
     nxt = np.empty_like(cur)
     for k in range(1, dim + 1):
         nxt.fill(0.0)
         flat_in, flat_out = cur.reshape(dim, -1), nxt.reshape(dim, -1)
-        for p, layer in layers:
-            flat_out[:, p * dim :] += layer @ flat_in[:, : (width - p) * dim]
+        for p, rows, block in layers:
+            flat_out[rows, p * dim :] += block @ flat_in[:, : (width - p) * dim]
+        if loop is not None:
+            b, coeffs, _ = loop
+            for col in range(dim):
+                nxt[b, :, col] += np.convolve(cur[b, :, col], coeffs)[:width]
         coeff = nxt[diag, :, diag].sum(axis=0) / -k
         det += coeff
         if k == dim:
@@ -318,7 +357,8 @@ def _collapsed_leverrier(size: int, entry, dim: int, position: np.ndarray, layer
         if adj is not None:
             adj += nxt[r, :, t]
         cur, nxt = nxt, cur
-    return det.tolist(), None if adj is None else adj[:size].tolist()
+    scale = 1.0 if loop is None else loop[2]
+    return (det * scale).tolist(), None if adj is None else (adj[:size] * scale).tolist()
 
 
 def char_poly(matrix: np.ndarray) -> Polynomial:
@@ -329,18 +369,18 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
 
 def cofactor_poly(matrix: np.ndarray, t_index: int, r_index: int) -> Polynomial:
     """(t, r) cofactor of I - zM, i.e. adj(I - zM)[r, t], 0-based indices."""
-    return _closed_and_cofactor(matrix, t_index, r_index)[1]
-
-
-def _closed_and_cofactor(
-    matrix: np.ndarray, t_index: int, r_index: int
-) -> tuple[Polynomial, Polynomial]:
-    """det(I - zM) and its (t, r) cofactor from one Faddeev-LeVerrier pass."""
     size = np.asarray(matrix).shape[0]
     if not (0 <= t_index < size and 0 <= r_index < size):
         raise ValueError(f"cofactor indices ({t_index}, {r_index}) out of range for size {size}")
-    det_coeffs, adj_coeffs = _leverrier(matrix, entry=(r_index, t_index))
-    return Polynomial(tuple(det_coeffs)), Polynomial(tuple(adj_coeffs))
+    return Polynomial(tuple(_leverrier(matrix, entry=(r_index, t_index))[1]))
+
+
+def _closed_and_cofactor(system: SuspensionSystem, t_word: Word, r_word: Word):
+    """det(I - z M_block) and its cofactor adj(I - z M_block)[r, t] between the
+    level-0 blocks r, t of ``r_word`` and ``t_word``, from one pass."""
+    index = system._word_index
+    det, adj = _tower_leverrier(system, entry=(index[r_word], index[t_word]))
+    return Polynomial(tuple(det)), Polynomial(tuple(adj))
 
 
 # ===========================================================================
@@ -556,17 +596,13 @@ def zeta_op_factorized(
     disagreement beyond ``tol`` raises FactorizationMismatchError.
     """
     q = hole_quantities(system, hole)
-    closed, cof = _closed_and_cofactor(system.block_matrix, q.t_index, q.r_index)
+    closed, cof = _closed_and_cofactor(system, q.t_word, q.r_word)
     deflated = deflate_at_one(closed)
     corr = correlation_poly(q)
     assembled = _open_determinant(closed, corr, cof, q.alpha, q.k0)
-    direct = char_poly(_bordered_matrix(system, q))
-    width = max(len(assembled.coefficients), len(direct.coefficients))
-    deviation = 0.0
-    for i in range(width):
-        a = assembled.coefficients[i] if i < len(assembled.coefficients) else 0.0
-        d = direct.coefficients[i] if i < len(direct.coefficients) else 0.0
-        deviation = max(deviation, abs(a - d))
+    direct = Polynomial(tuple(_tower_leverrier(system, q)[0]))
+    pairs = zip_longest(assembled.coefficients, direct.coefficients, fillvalue=0.0)
+    deviation = max(abs(a - d) for a, d in pairs)
     if deviation > tol:
         raise FactorizationMismatchError(
             f"factorized and direct determinants differ by {deviation:.3e}"

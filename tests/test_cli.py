@@ -119,8 +119,8 @@ def test_escape_rate_infinite_serializes(capsys, files):
 
 
 def test_escape_rate_solves_the_root_once(capsys, files, monkeypatch):
-    # The radius and the rate come from one root: one characteristic
-    # polynomial for a bordered hole, one word-operator root for a refined one.
+    # The radius and the rate come from one root: one tower determinant for
+    # a bordered hole, one word-operator root for a refined one.
     calls = []
 
     def counted(module, name):
@@ -132,10 +132,10 @@ def test_escape_rate_solves_the_root_once(capsys, files, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapped)
 
-    counted(zeta, "char_poly")
+    counted(zeta, "_tower_leverrier")
     counted(open_system, "_open_root")
     # 2^13 words pass the default state cap, so `auto` takes the bordered route.
-    cases = [("0" * 13, "bordered", "char_poly"), ("110", "refined", "_open_root")]
+    cases = [("0" * 13, "bordered", "_tower_leverrier"), ("110", "refined", "_open_root")]
     for hole, representation, want in cases:
         calls.clear()
         code, out, _ = run(

@@ -11,12 +11,15 @@ import pytest
 import flowescape.open_system as open_system
 import flowescape.shift as shift_module
 import flowescape.suspension as suspension
+import flowescape.zeta as zeta
 from flowescape import (
+    DEFAULT_STATE_CAP,
     DimensionTooLargeError,
     HoleShorterThanCeilingOrderError,
     InadmissibleWordError,
     NoConvergenceError,
     NotReducedError,
+    PressureNotNegativeError,
     RefinementTooLargeError,
     admissible_words,
     build_markov_shift,
@@ -33,6 +36,7 @@ from flowescape import (
     escape_rate_zeta,
     hole_quantities,
     induced_pressure_via_root,
+    is_reduced,
     matrix_spectral_radius,
     open_spectral_radius,
     survival_curve_flow,
@@ -100,6 +104,67 @@ def test_quantities_reject_inadmissible(golden_mean):
         hole_quantities(system, (1, 1))
 
 
+def _brute_force_quantities(system, word):
+    """(alpha, k0, correlation, overlap_shift) from their definition: the
+    word overlaps itself at shift j when it agrees with itself shifted by j,
+    letter by letter, at O(m^2) steps."""
+    n, m = system.order, len(word)
+    p = system.base.transitions
+    k0 = sum(system.height_of(word[j : j + n]) for j in range(m - n))
+    alpha = 1.0
+    for i in range(n - 1, m - 1):
+        alpha *= float(p[word[i], word[i + 1]])
+    correlation = [0.0] * max(k0 - 1, 0)
+    overlap_shift = [None] * max(k0 - 1, 0)
+    for j in range(1, m - n):
+        partial_sum = sum(system.height_of(word[i : i + n]) for i in range(j))
+        weight = 1.0
+        for i in range(j):
+            weight *= float(p[word[i], word[i + 1]])
+        if partial_sum <= k0 - 1 and all(word[i] == word[i + j] for i in range(m - j)):
+            correlation[partial_sum - 1] = weight
+            overlap_shift[partial_sum - 1] = j
+    return alpha, k0, tuple(correlation), tuple(overlap_shift)
+
+
+def _fibonacci_word(length):
+    word = (0,)
+    while len(word) < length:
+        word = sum(((0, 1) if a == 0 else (0,) for a in word), ())
+    return word[:length]
+
+
+def test_quantities_match_their_brute_force_definition(full2, golden_mean):
+    # The overlaps come from the Knuth-Morris-Pratt borders of the word.
+    step = {(0,): 1.0, (1,): 2.0}
+    pairs = {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 1.0}
+    systems = [
+        build_suspension(full2, cylinder_function(1, step, lattice=1.0)),
+        build_suspension(full2, cylinder_function(2, pairs, lattice=1.0)),
+        build_suspension(golden_mean, cylinder_function(1, step, lattice=1.0)),
+    ]
+    checked = 0
+    for system in systems:
+        words = [
+            w
+            for length in range(1, 11)
+            for w in itertools.product(range(2), repeat=length)
+            if system.base.is_admissible(w)
+        ]
+        words += [(0,) * m for m in (50, 200)]
+        if system.base is golden_mean:
+            words += [_fibonacci_word(m) for m in range(11, 200, 9)]
+        for word in words:
+            if len(word) < system.order or not is_reduced(system.base, word):
+                continue
+            q = hole_quantities(system, word)
+            assert (q.alpha, q.k0, q.correlation, q.overlap_shift) == _brute_force_quantities(
+                system, word
+            ), word
+            checked += 1
+    assert checked > 3000
+
+
 # ---------------------------------------------------------------------------
 # Open matrices
 # ---------------------------------------------------------------------------
@@ -125,6 +190,20 @@ def test_bordered_dimension_and_radius_triple_zero(unit_system):
     assert om.matrix.shape == (3, 3)
     fine = build_open_refined(unit_system, (0, 0, 0))
     assert open_spectral_radius(om) == pytest.approx(open_spectral_radius(fine), abs=1e-12)
+
+
+def test_bordered_radius_reads_the_matrix_it_holds(monkeypatch, step_system):
+    # Below 64 states the radius takes the dense pass over the bordered
+    # matrix the OpenMatrix already holds, and builds no second one.
+    om = build_open_bordered(step_system, (1, 1, 1))
+    want = open_spectral_radius(om)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bordered matrix built twice")
+
+    monkeypatch.setattr(open_system, "_bordered_matrix", refuse)
+    monkeypatch.setattr(zeta, "_bordered_matrix", refuse)
+    assert open_spectral_radius(om) == want
 
 
 def test_bordered_k0_one_no_extra_rows(unit_system):
@@ -208,6 +287,49 @@ def test_bordered_matrix_past_the_cap_raises_before_allocating(full2):
     assert peak < 8 * 2**20
     # `auto` takes the refined root on the hole automaton instead.
     assert escape_rate_flow(system, hole) == escape_rate_flow(system, hole, "refined")
+
+
+TINY_HOLES = [
+    # Measure 2^-70 on heights 32 and 64 at lattice 1/32; k0 = 4416 puts the
+    # bordered matrix past the state cap.
+    ((1.0, 2.0), 1 / 32, (1,) * 70),
+    # Measure 2^-100 under a unit ceiling: 1 - rho is below float resolution.
+    ((1.0, 1.0), 1.0, (0,) * 100),
+]
+
+
+@pytest.mark.parametrize("values, lattice, hole", TINY_HOLES)
+def test_tiny_holes_give_no_negative_rate(full2, values, lattice, hole):
+    # The hole-punched chain is substochastic, so rho <= 1 and every rate is
+    # >= 0; a radius that rounds to 1 gives +0.0, not -0.0 or -2e-15.
+    ceiling = cylinder_function(1, {(0,): values[0], (1,): values[1]}, lattice=lattice)
+    system = build_suspension(full2, ceiling)
+    routes = {
+        "refined": lambda: escape_rate_flow(system, hole, "refined"),
+        "bordered": lambda: escape_rate_flow(system, hole, "bordered"),
+        "auto": lambda: escape_rate_flow(system, hole),
+        "zeta": lambda: escape_rate_zeta(system, hole),
+    }
+    capped = hole_quantities(system, hole).k0 + len(system.block_measure) > DEFAULT_STATE_CAP
+    for name, route in routes.items():
+        if capped and name in ("bordered", "zeta"):
+            with pytest.raises(DimensionTooLargeError):
+                route()
+            continue
+        rate = route()
+        assert rate >= 0.0 and math.copysign(1.0, rate) == 1.0, name
+    with pytest.raises(PressureNotNegativeError):
+        induced_pressure_via_root(full2, ceiling, hole)
+
+
+def test_block_hole_below_float_resolution_gives_no_negative_rate():
+    # A block hole is a union of whole words, so it cannot hold the long
+    # holes above. The word 2 of this chain has measure 1.1e-16, and the
+    # radius of the chain without it rounds to 1.
+    shift = build_markov_shift([[0.5 - 1e-16, 0.5, 1e-16], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    system = build_suspension(shift, constant_function(shift, 1.0))
+    rate = escape_rate_block_hole(system, [system.block_index((2,), 0)])
+    assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
 
 
 def test_auto_raises_the_automaton_error_from_the_bordered_one(unit_system):

@@ -17,7 +17,6 @@ from flowescape import (
     build_family,
     build_markov_shift,
     build_open_bordered,
-    build_open_refined,
     build_suspension,
     char_poly,
     cofactor_poly,
@@ -33,6 +32,7 @@ from flowescape import (
 )
 import flowescape.open_system as open_system
 import flowescape.zeta as zeta
+from flowescape.suspension import SuspensionSystem
 from flowescape.zeta import correlation_poly
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -125,132 +125,191 @@ def _dense_leverrier(matrix, entry):
 
 
 @pytest.fixture(scope="module")
-def collapsed_cases(full2):
-    """Matrices of at least 64 dims, where _leverrier tries the tower
-    collapse, with the adjugate entry to compare."""
+def word_operator_cases(full2, golden_mean):
+    """Towers of at least 64 states, where the determinants run over the word
+    operator: (system, hole or None, adjugate entry as (row, col) words)."""
     # Heights 32 and 64: a 96-block tower whose top rows have two successors.
     lattice = build_suspension(full2, cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1 / 32))
-    tower = lattice.block_matrix
-    top = lattice.block_index((1,), 0)
     q = hole_quantities(lattice, (1, 1, 1))
     assert q.k0 == 128 and q.correlation[63] == 0.5
-    bordered = build_open_bordered(lattice, (1, 1, 1)).matrix
-    assert np.count_nonzero(bordered[tower.shape[0] + 63]) == 2
     assert hole_quantities(lattice, (1,)).k0 == 0
-    zero_row = build_open_bordered(lattice, (1,)).matrix
-    assert not zero_row[top].any()
-    dense = np.random.default_rng(12).uniform(0.0, 1.0, (70, 70))
-    dense /= dense.sum(axis=1, keepdims=True)
-    # The tower beside a disjoint 40-cycle of single-successor states, which
-    # no branching state breaks.
-    ring = np.random.default_rng(13).uniform(0.5, 1.0, (40, 1)) * np.roll(np.eye(40), 1, axis=1)
-    with_ring = np.block([[tower, np.zeros((96, 40))], [np.zeros((40, 96)), ring]])
-    # Order-2 refinement with the level-0 rows of words 01 and 11 zeroed, and
-    # level 5 of word 10: chains into them end on a zero row, after five
-    # removed states for the last.
-    refined = build_open_refined(lattice, (0, 1)).system
-    holed = refined.block_matrix.copy()
-    zeroed = [((0, 1), 0), ((1, 1), 0), ((1, 0), 5)]
-    holed[[refined.block_index(w, level) for w, level in zeroed], :] = 0.0
-    inside = (refined.block_index((0, 0), 3), refined.block_index((0, 0), 0))
-    level = lattice.block_index((1,), 10)
+    # Heights 1 and 70: the height-1 word 0 holds t for the hole 01 (k0 = 1)
+    # and r for the hole 10 (k0 = 70).
+    thin = build_suspension(full2, cylinder_function(1, {(0,): 1.0, (1,): 70.0}, lattice=1.0))
+    assert hole_quantities(thin, (0, 1)).k0 == 1
+    assert hole_quantities(thin, (1, 0)).k0 == 70
+    # Golden mean with heights 40 and 30: word 1 has the single successor 0.
+    golden = build_suspension(
+        golden_mean, cylinder_function(1, {(0,): 40.0, (1,): 30.0}, lattice=1.0)
+    )
+    assert golden_mean.successors(1) == (0,)
+    # Words 00, 01, 10 of a golden-mean chain with heights 19, 22, 25: 01
+    # has the single successor 10 and is folded into the row of 00 unless
+    # it holds t, also where it holds r. Its weight sits 2^-44 below 1,
+    # which the shift accepts, so that the fold must carry it.
+    chain = build_markov_shift([[0.37, 0.63], [1.0 - 2.0**-44, 0.0]])
+    folded = build_suspension(
+        chain, cylinder_function(2, {(0, 0): 19.0, (0, 1): 22.0, (1, 0): 25.0}, lattice=1.0)
+    )
+    assert zeta._word_layers(folded, None, 66, (0, 2))[0] == 2
+    # 0010001 overlaps itself and keeps a border state; 10001 does not.
+    for hole, size, dim in (((0, 0, 1, 0, 0, 0, 1), 169, 3), ((1, 0, 0, 0, 1), 128, 2)):
+        q = hole_quantities(folded, hole)
+        assert q.r_word == (0, 1) and zeta._word_layers(folded, q, size, (0, 2))[0] == dim
     return {
-        "tower diagonal entry": (tower, (top, top)),
-        "tower off-diagonal entry": (tower, (top, 0)),
-        "bordered self-overlapping hole": (bordered, (top, top)),
-        "bordered k0 = 0": (zero_row, (0, top)),
-        "random dense": (dense, (3, 5)),
-        "scaled 64-cycle": (0.9 * np.roll(np.eye(64), 1, axis=1), (7, 7)),
-        "single-successor cycle kept at one state": (with_ring, (top, top)),
-        "single-successor cycle with the entry on it": (with_ring, (96 + 3, 96 + 17)),
-        "zeroed hole rows": (holed, inside),
-        "entry on two tower levels": (tower, (level, 5)),
+        "tower diagonal entry": (lattice, None, (1, 1)),
+        "tower off-diagonal entry": (lattice, None, (1, 0)),
+        "bordered self-overlapping hole": (lattice, (1, 1, 1), (1, 1)),
+        "bordered k0 = 0": (lattice, (1,), (0, 1)),
+        "bordered k0 = 1, t of height 1": (thin, (0, 1), (0, 1)),
+        "bordered r of height 1": (thin, (1, 0), (1, 0)),
+        "tower with a single-successor word": (golden, None, (1, 0)),
+        "bordered single-successor r": (golden, (0, 0, 1), (1, 1)),
+        "tower with a folded word": (folded, None, (0, 2)),
+        "bordered with a folded r": (folded, (0, 0, 1, 0, 0, 0, 1), (0, 2)),
+        "bordered with a folded r and no border state": (folded, (1, 0, 0, 0, 1), (0, 2)),
     }
 
 
-COLLAPSED_CASES = [
+WORD_OPERATOR_CASES = [
     "tower diagonal entry",
     "tower off-diagonal entry",
     "bordered self-overlapping hole",
     "bordered k0 = 0",
-    "random dense",
-    "scaled 64-cycle",
-    "single-successor cycle kept at one state",
-    "single-successor cycle with the entry on it",
-    "zeroed hole rows",
-    "entry on two tower levels",
+    "bordered k0 = 1, t of height 1",
+    "bordered r of height 1",
+    "tower with a single-successor word",
+    "bordered single-successor r",
+    "tower with a folded word",
+    "bordered with a folded r",
+    "bordered with a folded r and no border state",
 ]
 
 
-@pytest.mark.parametrize("name", COLLAPSED_CASES)
-def test_collapsed_leverrier_matches_dense_reference(collapsed_cases, name):
-    # The collapsed pass sums the chains and the kept rows in another order
+@pytest.mark.parametrize("name", WORD_OPERATOR_CASES)
+def test_collapsed_leverrier_matches_dense_reference(word_operator_cases, monkeypatch, name):
+    # FL over the word operator sums the chains of the tower in another order
     # than a dense product, so the coefficients may differ in the last bits.
-    matrix, entry = collapsed_cases[name]
-    assert matrix.shape[0] >= zeta._COLLAPSE_MIN_DIMENSION
-    det, adj = zeta._leverrier(matrix, entry=entry)
-    want_det, want_adj = _dense_leverrier(matrix, entry)
+    system, hole, entry = word_operator_cases[name]
+    q = None if hole is None else hole_quantities(system, hole)
+    matrix = system.block_matrix if q is None else build_open_bordered(system, hole).matrix
+    assert matrix.shape[0] >= zeta._WORD_OPERATOR_MIN_DIMENSION
+    want_det, want_adj = _dense_leverrier(matrix, tuple(system._starts[list(entry)]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense pass on a tower whose word operator pays")
+
+    monkeypatch.setattr(zeta, "_leverrier", refuse)
+    det, adj = zeta._tower_leverrier(system, q, entry)
     for got, want in ((det, want_det), (adj, want_adj)):
         assert len(got) == len(want)
         got, want = np.array(got), np.array(want)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-def test_collapse_keeps_branching_states_entry_and_one_state_per_cycle(collapsed_cases):
-    # The 96-block tower keeps its two tops (blocks 31 and 95); the entry
-    # adds its row and column; a single-successor cycle keeps one state
-    # unless the entry already lies on it.
-    def kept(name):
-        matrix, entry = collapsed_cases[name]
-        dim, position, _ = zeta._collapse(matrix, entry)
-        states = np.flatnonzero(position >= 0).tolist()
-        assert dim == len(states)
-        return states
-
-    assert kept("tower diagonal entry") == [31, 32, 95]
-    assert kept("tower off-diagonal entry") == [0, 31, 32, 95]
-    assert kept("entry on two tower levels") == [5, 31, 42, 95]
-    assert kept("single-successor cycle kept at one state") == [31, 32, 95, 96]
-    assert kept("single-successor cycle with the entry on it") == [31, 95, 99, 113]
-    assert kept("scaled 64-cycle") == [7]
-
-
-def test_dense_pass_where_the_collapse_does_not_pay(collapsed_cases, monkeypatch):
-    # Nothing collapses in the random dense matrix. With three of its rows
-    # cut to one nonzero, 67 states would stay, and 67 polynomial steps cost
-    # more than 70 dense ones.
-    dense, entry = collapsed_cases["random dense"]
-    thinned = dense.copy()
-    thinned[[10, 20, 30], :-1] = 0.0
+def test_dense_pass_where_the_collapse_does_not_pay(full2):
+    # The 64 words of length 6 with unit heights: 64 blocks and a 64-state
+    # word operator, whose polynomial steps cost more than the dense ones.
+    words = itertools.product((0, 1), repeat=6)
+    system = build_suspension(full2, cylinder_function(6, {w: 1.0 for w in words}, lattice=1.0))
+    assert len(system.block_measure) == 64
+    assert zeta._word_layers(system, None, 64) is None
 
     def refuse(*args, **kwargs):
-        raise AssertionError("collapsed pass where the dense one is cheaper")
+        raise AssertionError("word operator where the dense pass is cheaper")
 
-    monkeypatch.setattr(zeta, "_collapsed_leverrier", refuse)
-    for matrix in (dense, thinned):
-        assert zeta._collapse(matrix, entry) is None
-        det, adj = zeta._leverrier(matrix, entry=entry)
-        assert (det, adj) == _dense_leverrier(matrix, entry)
+    # Unit heights: block i is word i, and words 0 and 63 are 0^6 and 1^6.
+    want = _dense_leverrier(system.block_matrix, (0, 63))
+    passes = []
+    leverrier = zeta._leverrier
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return leverrier(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeta, "_word_leverrier", refuse)
+        patch.setattr(zeta, "_leverrier", counted)
+        got = zeta._tower_leverrier(system, None, (0, 63))
+    assert len(passes) == 1
+    assert got == want
 
 
 def test_dense_pass_past_320_dims_raises_before_it_starts(unit_system):
-    # 0^m on the full 2-shift overlaps itself at every shift, so every border
-    # row branches and the collapse keeps all m states. At m = 400 the dense
-    # pass would run 400 steps of a 400 x 400 product; it raises instead.
-    hole = (0,) * 400
-    matrix = build_open_bordered(unit_system, hole).matrix
+    # char_poly and cofactor_poly of a raw matrix always take the dense pass;
+    # at 400 dims it would run 400 steps of a 400 x 400 product, and raises.
+    matrix = build_open_bordered(unit_system, (0,) * 400).matrix
     assert matrix.shape == (400, 400)
-    assert zeta._collapse(matrix, None) is None
-    for route in (
-        lambda: char_poly(matrix),
-        lambda: cofactor_poly(matrix, 0, 1),
-        lambda: escape_rate_zeta(unit_system, hole),
-        lambda: escape_rate_flow(unit_system, hole, "bordered"),
-    ):
+    for route in (lambda: char_poly(matrix), lambda: cofactor_poly(matrix, 0, 1)):
         with pytest.raises(DimensionTooLargeError, match="dense cap 320"):
             route()
-    # `auto` takes the refined root on the 400-state hole automaton.
-    assert escape_rate_flow(unit_system, hole) == escape_rate_flow(unit_system, hole, "refined")
+
+
+def test_self_overlapping_hole_past_320_dims_answers_on_the_word_operator(unit_system):
+    # 0^400 on the full 2-shift overlaps itself at every shift, so each of
+    # its 398 border states carries a correlation coefficient and branches;
+    # the word operator keeps the first only, and the bordered and zeta
+    # routes answer.
+    # The rate, about 2^-400, is far below the float resolution of 1 - rho.
+    hole = (0,) * 400
+    assert hole_quantities(unit_system, hole).k0 == 399
+    bordered = escape_rate_flow(unit_system, hole, "bordered")
+    for rate in (escape_rate_zeta(unit_system, hole), bordered):
+        assert 0.0 <= rate < 1e-13 and math.copysign(1.0, rate) == 1.0
+    # `auto` no longer falls back to the refined root: 2^400 words are past
+    # the state cap, and the bordered route answers.
+    assert escape_rate_flow(unit_system, hole) == bordered
+
+
+def test_word_operator_keeps_one_word_per_cycle():
+    # A 3-cycle with heights 25, 26, 27: every word has one successor, so
+    # the word operator keeps one of them, W(z) = z^78, and det(I - z M) =
+    # 1 - z^78.
+    shift = build_markov_shift([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    system = build_suspension(
+        shift, cylinder_function(1, {(0,): 25.0, (1,): 26.0, (2,): 27.0}, lattice=1.0)
+    )
+    assert zeta._word_layers(system, None, 78)[0] == 1
+    det, _ = zeta._tower_leverrier(system)
+    assert det == [1.0] + [0.0] * 77 + [-1.0]
+
+
+def _sticky_order_5():
+    # 32 words of length 5 with unit heights on a chain that stays on 0
+    # with probability 0.99: 0^m overlaps itself at every shift with weight
+    # 0.99, so its correlation polynomial sums to about 100 at z = 1.
+    shift = build_markov_shift([[0.99, 0.01], [0.5, 0.5]])
+    words = itertools.product((0, 1), repeat=5)
+    return build_suspension(shift, cylinder_function(5, {w: 1.0 for w in words}, lattice=1.0))
+
+
+def test_long_zero_run_on_32_words_matches_the_refined_root():
+    # 0^400: 426 bordered dims and a 33-state word operator. With the loop
+    # -sum_k c_k z^k on its border state unscaled, FL cancelled terms of size
+    # 100^33 here and the bordered determinant had no root.
+    system, hole = _sticky_order_5(), (0,) * 400
+    q = hole_quantities(system, hole)
+    assert zeta._word_layers(system, q, 426)[0] == 33
+    refined = escape_rate_flow(system, hole, "refined")
+    assert refined == pytest.approx(1.92008e-4, rel=1e-5)
+    for rate in (escape_rate_flow(system, hole, "bordered"), escape_rate_zeta(system, hole)):
+        assert rate == pytest.approx(refined, rel=1e-9, abs=0.0)
+
+
+def test_long_zero_run_past_the_cap_cost_raises_before_any_step(monkeypatch):
+    # 0^3000: 3026 bordered dims. FL over the 33-state word operator, with
+    # a loop of 2996 coefficients, would cost more multiply-adds than the
+    # dense pass at 320 dims, so the bordered and zeta routes raise at once.
+    system, hole = _sticky_order_5(), (0,) * 3000
+    assert zeta._word_layers(system, hole_quantities(system, hole), 3026) is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("FL started past the cost cap")
+
+    monkeypatch.setattr(zeta, "_word_leverrier", refuse)
+    for route in (lambda: escape_rate_flow(system, hole, "bordered"), lambda: escape_rate_zeta(system, hole)):
+        with pytest.raises(DimensionTooLargeError, match="dense pass at the cap"):
+            route()
 
 
 def _poly_mul(a, b):
@@ -270,7 +329,7 @@ def test_closed_determinant_of_degree_300_matches_exact_leibniz():
     system = build_suspension(
         shift, cylinder_function(1, {(a,): float(h) for a, h in enumerate(heights)}, lattice=1.0)
     )
-    assert system.block_matrix.shape == (300, 300)
+    assert len(system.block_measure) == 300
     p = [[Fraction(x) for x in row] for row in shift.transitions.tolist()]
     exact = {}
     for perm in itertools.permutations(range(3)):
@@ -284,8 +343,14 @@ def test_closed_determinant_of_degree_300_matches_exact_leibniz():
         for d, c in term.items():
             exact[d] = exact.get(d, 0) + c
     want = np.array([float(exact.get(d, 0)) for d in range(301)])
-    got = np.array(char_poly(system.block_matrix).coefficients)
-    got = np.pad(got, (0, 301 - len(got)))
+    # The pass runs over the three words, never over the 300-block matrix.
+    def refuse(self):
+        raise AssertionError("block matrix built for a tower determinant")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SuspensionSystem, "block_matrix", property(refuse))
+        closed, _ = zeta._closed_and_cofactor(system, (0,), (0,))
+    got = np.pad(np.array(closed.coefficients), (0, 301 - len(closed.coefficients)))
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -463,15 +528,19 @@ def test_escape_rate_zeta_matches_flow(step_system):
         assert a == pytest.approx(b, abs=1e-10), hole
 
 
-def test_bordered_dimension_375_answers_on_every_route():
+def _pair_375():
     # Ceiling (1.95, 2.9, 3.1) on lattice 0.05 gives heights 39, 58, 62 (159
     # blocks); the hole 01210 has k0 = 217, so the bordered matrix has 375
-    # dims. The refined root, the bordered determinant and the factorized
-    # zeta determinant agree.
+    # dims.
     shift = build_markov_shift([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
     ceiling = cylinder_function(1, {(0,): 1.95, (1,): 2.9, (2,): 3.1}, lattice=0.05)
-    system = build_suspension(shift, ceiling)
-    hole = (0, 1, 2, 1, 0)
+    return build_suspension(shift, ceiling), (0, 1, 2, 1, 0)
+
+
+def test_bordered_dimension_375_answers_on_every_route():
+    # The refined root, the bordered determinant and the factorized zeta
+    # determinant agree.
+    system, hole = _pair_375()
     assert build_open_bordered(system, hole).matrix.shape == (375, 375)
     refined = escape_rate_flow(system, hole, "refined")
     assert refined == pytest.approx(3.9004e-4, rel=1e-4)
@@ -480,6 +549,87 @@ def test_bordered_dimension_375_answers_on_every_route():
     bundle = zeta_op_factorized(system, hole)
     assert bundle.max_deviation < 1e-9
     assert abs(bundle.cofactor_value - bundle.cofactor_predicted) < 1e-9
+
+
+def test_bordered_dimension_375_builds_no_dense_matrix(monkeypatch):
+    # The closed, cofactor and bordered determinants run over the word
+    # operator, so neither the 159-block matrix nor the 375-dim bordered
+    # matrix is built.
+    system, hole = _pair_375()
+    want = escape_rate_flow(system, hole, "refined")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix built for a tower determinant")
+
+    monkeypatch.setattr(SuspensionSystem, "block_matrix", property(refuse))
+    monkeypatch.setattr(open_system, "_bordered_matrix", refuse)
+    monkeypatch.setattr(zeta, "_bordered_matrix", refuse)
+    bundle = zeta_op_factorized(system, hole)
+    assert bundle.max_deviation < 1e-9
+    for rate in (escape_rate_zeta(system, hole), escape_rate_flow(system, hole, "bordered")):
+        assert rate == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def _mp_zero_run_rate(transitions, heights, lattice, m, guess):
+    """Flow escape rate through the hole 0^m at 50 digits, from the smallest
+    s > 0 with det(I - W(e^s)) = 0.
+
+    W(z) is the word operator of the bordered matrix, with entries evaluated
+    in mpmath from the transition floats: W[u, v] = z^{h_u} p(u, v) on the
+    words, and one border state b with W[0, b] = -alpha z, W[b, b] = -sum_j
+    p00^j z^{j h_0} (0^m overlaps itself at every shift j = 1..m - 2) and
+    W[b, 0] = z^{k0 - 1}, where alpha = p00^(m - 1) and k0 = (m - 1) h_0. No
+    polynomial coefficient enters. ``guess`` only sets the scan grid.
+    """
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 50
+    p = [[mp.mpf(x) for x in row] for row in transitions]
+    alpha = p[0][0] ** (m - 1)
+    k0 = (m - 1) * heights[0]
+
+    def det(s):
+        z = mp.exp(s)
+        lift = [z ** h for h in heights]
+        step, power, loop = p[0][0] * lift[0], mp.mpf(1), mp.mpf(0)
+        for _ in range(m - 2):
+            power *= step
+            loop += power
+        w = mp.matrix(
+            [
+                [lift[0] * p[0][0], lift[0] * p[0][1], -alpha * z],
+                [lift[1] * p[1][0], lift[1] * p[1][1], 0],
+                [z ** (k0 - 1), 0, -loop],
+            ]
+        )
+        return mp.det(mp.eye(3) - w)
+
+    step = mp.mpf(guess * lattice) / 16
+    lo = mp.mpf(0)
+    assert det(lo) > 0
+    for _ in range(64):
+        if det(lo + step) <= 0:
+            break
+        lo += step
+    else:
+        pytest.fail(f"no sign change of the determinant below {lo}")
+    root = mp.findroot(det, (lo, lo + step), solver="illinois", tol=mp.mpf(10) ** -45)
+    return float(root / lattice)
+
+
+@pytest.mark.parametrize("m", [200, 400, 800])
+@pytest.mark.parametrize("heights, lattice", [((1, 1), 1.0), ((4, 6), 0.25)])
+def test_long_self_overlapping_hole_matches_50_digit_root(m, heights, lattice):
+    # 0^m on a sticky chain: 200-3205 bordered dims, a single border state
+    # in the word operator. Bound fixed before measuring: 1e-9 relative.
+    transitions = [[0.99, 0.01], [0.5, 0.5]]
+    shift = build_markov_shift(transitions)
+    values = {(a,): h * lattice for a, h in enumerate(heights)}
+    system = build_suspension(shift, cylinder_function(1, values, lattice=lattice))
+    hole = (0,) * m
+    bordered = escape_rate_flow(system, hole, "bordered")
+    want = _mp_zero_run_rate(transitions, heights, lattice, m, bordered)
+    assert bordered == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert escape_rate_zeta(system, hole) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_root_radius_duality(unit_system, step_system):
