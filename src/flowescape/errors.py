@@ -125,10 +125,6 @@ class WindowEmptyError(DomainError):
     """No surviving word has its ceiling sum inside the truncation window."""
 
 
-class NoBracketError(DomainError):
-    """Spectral radius stays below 1 on the whole bisection bracket."""
-
-
 class PressureNotNegativeError(DomainError):
     """Induced pressure is not negative, so reciprocal bounds are undefined."""
 

@@ -2,8 +2,8 @@
 
 The hole over a word a_1..a_m is the bottom slab of its cylinder. Removing it
 from the time-lambda block chain zeroes the rows of all level-0 blocks whose
-word extends the hole word. Two matrix representations of the open operator
-are built here:
+word extends the hole word. The open operator has two representations, and
+``escape_rate_flow(..., representation=...)`` is the public route to each:
 
 * ``refined``: refine the ceiling to order max(m, n) so the hole is a union of
   blocks, then zero those rows. Dimension grows with the refinement.
@@ -11,17 +11,17 @@ are built here:
   that carry the hole's overlap structure (alpha, the correlation coefficients
   c_k, and a return column). Dimension n-blocks + k0 - 1, independent of m.
 
-Both have the same escape rate; the refined matrix is entrywise nonnegative
-while the bordered one mixes signs, so the two need different spectral-radius
-strategies. The refined radius collapses each word's tower: with P the hole
-automaton of ``shift`` (states: the last n letters u and the
-Knuth-Morris-Pratt match j < m of the text read; an edge that completes the
-hole is dropped) and k_u the ceiling heights, the radius is e^{-s*} for the
-root s* of rho(diag(e^{s k}) P) = 1. The automaton has at most
-|words of length n| * m states, where the refined block chain has one tower
-per word of length max(m, n). The exact survival curve steps mass on the tower
-of the refined words' hole-free P. Neither builds the tall block matrix. The
-bordered radius is the reciprocal of a polynomial root.
+Both have the same escape rate, and neither route builds its tall matrix.
+The refined rate collapses each word's tower: with P the hole automaton of
+``shift`` (states: the last n letters u and the Knuth-Morris-Pratt match
+j < m of the text read; an edge that completes the hole is dropped) and k_u
+the ceiling heights, the radius is e^{-s*} for the root s* of
+rho(diag(e^{s k}) P) = 1. The automaton has at most |words of length n| * m
+states, where the refined block chain has one tower per word of length
+max(m, n). The bordered radius is the reciprocal of the smallest root >= 1
+of its determinant, which ``zeta`` takes over the word operator W(z) from 64
+states and over the dense bordered matrix below that. The exact survival
+curve steps mass on the tower of the refined words' hole-free P.
 """
 
 from __future__ import annotations
@@ -135,24 +135,6 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
 # Open matrix representations
 # ===========================================================================
 
-@dataclass(frozen=True, eq=False)
-class OpenMatrix:
-    """Matrix form of the open (hole-punched) time-lambda operator.
-
-    For the ``refined`` representation ``system`` is the refined suspension and
-    ``hole_rows`` lists the zeroed block rows. For ``bordered`` the matrix acts
-    on the original blocks plus k0 - 1 border states and ``quantities`` carries
-    the overlap data used to assemble it.
-    """
-
-    representation: str
-    matrix: np.ndarray
-    system: SuspensionSystem
-    hole: Word
-    hole_rows: tuple[int, ...] = ()
-    quantities: "HoleQuantities | None" = None
-
-
 def _refined(system: SuspensionSystem, hole: Word) -> tuple[SuspensionSystem, tuple]:
     """The system at order max(len(hole), order), and the indices of its words
     that begin with the hole word (their level-0 blocks are the hole)."""
@@ -163,44 +145,6 @@ def _refined(system: SuspensionSystem, hole: Word) -> tuple[SuspensionSystem, tu
     )
     rows = tuple(i for i, w in enumerate(refined.words) if w[: len(word)] == word)
     return refined, rows
-
-
-def build_open_refined(system: SuspensionSystem, hole: Word) -> OpenMatrix:
-    """Open matrix on blocks refined to order max(len(hole), order)."""
-    refined, rows = _refined(system, hole)
-    hole_rows = tuple(int(refined._starts[i]) for i in rows)
-    matrix = refined.block_matrix.copy()
-    matrix[list(hole_rows), :] = 0.0
-    matrix.setflags(write=False)
-    return OpenMatrix(
-        representation="refined",
-        matrix=matrix,
-        system=refined,
-        hole=tuple(hole),
-        hole_rows=hole_rows,
-    )
-
-
-def build_open_bordered(system: SuspensionSystem, hole: Word) -> OpenMatrix:
-    """Open matrix on the original blocks plus k0 - 1 border states.
-
-    Requires len(hole) >= order, and at most ``DEFAULT_STATE_CAP`` states
-    (DimensionTooLargeError otherwise). The border encodes the passage
-    through the hole: the t-row leaks -alpha into the border chain, border
-    state k carries the correlation coefficient c_k, and the last border
-    state re-enters at the r-block. With k0 = 0 (hole length equals the
-    order) the border is empty and the matrix is the block matrix with the
-    single hole row zeroed; with k0 = 1 it collapses to subtracting alpha
-    from the (t, r) entry.
-    """
-    q = hole_quantities(system, hole)
-    return OpenMatrix(
-        representation="bordered",
-        matrix=_bordered_matrix(system, q),
-        system=system,
-        hole=tuple(hole),
-        quantities=q,
-    )
 
 
 def _tower_dimension(system: SuspensionSystem, q: "HoleQuantities | None") -> int:
@@ -217,9 +161,13 @@ def _tower_dimension(system: SuspensionSystem, q: "HoleQuantities | None") -> in
 
 
 def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
-    """The read-only bordered open matrix of ``build_open_bordered`` from the
-    hole's quantities ``q``. Raises DimensionTooLargeError past
-    ``DEFAULT_STATE_CAP`` states, before anything is allocated."""
+    """The read-only bordered open matrix of the hole's quantities ``q``: the
+    original blocks plus k0 - 1 border states. The t-row leaks -alpha into
+    the border chain, border state k carries the correlation coefficient
+    c_k, and the last border state re-enters at the r-block. With k0 = 0
+    the matrix is the block matrix with the hole row zeroed; with k0 = 1 it
+    subtracts alpha from the (t, r) entry. Raises DimensionTooLargeError
+    past ``DEFAULT_STATE_CAP`` states, before anything is allocated."""
     dim, size = _tower_dimension(system, q), len(system.block_measure)
     base_matrix = system.block_matrix
     if q.k0 == 0:
@@ -239,18 +187,6 @@ def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
         matrix[size + q.k0 - 2, q.r_index] = 1.0
     matrix.setflags(write=False)
     return matrix
-
-
-def build_open_matrix(
-    system: SuspensionSystem,
-    hole: Word,
-    representation: str = "auto",
-) -> OpenMatrix:
-    """Build the requested representation; ``auto`` prefers refined and falls
-    back to bordered when the refined words would exceed ``DEFAULT_STATE_CAP``."""
-    if _representation(system, hole, representation) == "refined":
-        return build_open_refined(system, hole)
-    return build_open_bordered(system, hole)
 
 
 def _representation(system: SuspensionSystem, hole: Word, representation: str) -> str:
@@ -318,8 +254,12 @@ def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
     return components
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
 def _power_iteration_radius(matrix: np.ndarray, tol: float, max_iter: int) -> "float | None":
-    """Collatz-Wielandt bracket via power iteration on (M + I)/2.
+    """Collatz-Wielandt bracket via power iteration on (M + I)/2, over the
+    entries of the iterate that are normal floats.
 
     The shift makes the iteration primitive on an irreducible block, so the
     min/max ratio bounds close geometrically. Returns None when the budget runs
@@ -329,7 +269,10 @@ def _power_iteration_radius(matrix: np.ndarray, tol: float, max_iter: int) -> "f
     vec = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
     for _ in range(max_iter):
         nxt = vec @ half
-        ratios = nxt / vec
+        # Entries below the smallest normal float carry no digits (0/0 on a
+        # long hole's Perron vector), so the ratios skip them.
+        normal = vec >= _TINY
+        ratios = nxt[normal] / vec[normal]
         low, high = float(ratios.min()), float(ratios.max())
         if high - low <= tol * max(1.0, high):
             return max(2.0 * 0.5 * (low + high) - 1.0, 0.0)
@@ -343,7 +286,9 @@ def _power_iteration_radius(matrix: np.ndarray, tol: float, max_iter: int) -> "f
 def matrix_spectral_radius(
     matrix: np.ndarray, tol: float = 1e-13, max_iter: int = 200_000
 ) -> float:
-    """Spectral radius of an entrywise nonnegative matrix.
+    """Spectral radius of an entrywise nonnegative matrix: the tests' dense
+    reference, with no library caller (the rates take the radii of the
+    word operator's cyclic components through ``_word_operator_root``).
 
     Decomposes into strongly connected components and power-iterates each
     irreducible block, so reducible matrices with defective eigenvalues (the
@@ -359,16 +304,14 @@ def matrix_spectral_radius(
         raise ValueError("matrix_spectral_radius needs a nonnegative matrix")
     radius = 0.0
     for comp in _strongly_connected_components(mat > 0.0):
-        if len(comp) == 1:
-            node = comp[0]
-            radius = max(radius, float(mat[node, node]))
-            continue
         radius = max(radius, _component_radius(mat[np.ix_(comp, comp)], tol, max_iter))
     return radius
 
 
 def _component_radius(sub: np.ndarray, tol: float, max_iter: int = 200_000) -> float:
     """Spectral radius of one irreducible nonnegative block."""
+    if len(sub) == 1:
+        return float(sub[0, 0])
     if len(sub) <= 128:
         # Dense eigenvalues beat power iteration outright at this size,
         # and stay fast when a small spectral gap would stall it.
@@ -385,9 +328,11 @@ _ROOT_WIDTH = 4.0 * float(np.finfo(float).eps)
 _ROOT_MAX_STEPS = 100
 # Largest log of a row weight the root evaluates (e^709 is the float limit).
 _ROOT_MAX_LOG_WEIGHT = 700.0
+# Power-iteration tolerance of each radius the root evaluates.
+_ROOT_RADIUS_TOL = 1e-13
 
 
-def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) -> float:
+def _word_operator_root(P: np.ndarray, heights: np.ndarray) -> float:
     """The s* with rho(diag(e^{s h}) P) = 1, for P substochastic and heights
     h positive; +inf when P is nilpotent. rho(P) <= 1 makes s* >= 0, so where
     rounding puts log rho(P) at or above 0 the root is +0.0.
@@ -403,18 +348,9 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) 
     within 4 ulp of 0. Weights are e^{s h} unscaled, so the radii are near 1
     close to the root. The upper end is clamped where a weight reaches e^700,
     and NoConvergenceError is raised only when the root lies past that
-    clamp, outside the float range. ``tol`` is the power-iteration tolerance
-    of each radius.
+    clamp, outside the float range.
     """
     h = np.asarray(heights, dtype=float)
-    live = h[P.any(axis=1)]
-    if live.size == 0:
-        return math.inf
-    if live.min() == live.max():
-        radius = matrix_spectral_radius(P, tol=tol)
-        if radius >= 1.0:
-            return 0.0
-        return -math.log(radius) / float(live[0]) if radius > 0.0 else math.inf
     # Positive row weights keep the strongly connected components, so they
     # are found once; each evaluation takes the radius of the cyclic ones.
     parts = [
@@ -429,7 +365,10 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) 
 
     def f(s: float) -> float:
         return math.log(
-            max(_component_radius(np.exp(s * hp)[:, None] * sub, tol) for sub, hp in parts)
+            max(
+                _component_radius(np.exp(s * hp)[:, None] * sub, _ROOT_RADIUS_TOL)
+                for sub, hp in parts
+            )
         )
 
     f0 = f(0.0)
@@ -495,7 +434,7 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray, tol: float = 1e-13) 
     )
 
 
-def _open_root(system: SuspensionSystem, hole: Word, tol: float = 1e-13) -> float:
+def _open_root(system: SuspensionSystem, hole: Word) -> float:
     """Word-operator root s* of the refined open system, so its radius is e^{-s*}.
 
     P is the hole automaton of the base at the system's order, each state
@@ -504,34 +443,15 @@ def _open_root(system: SuspensionSystem, hole: Word, tol: float = 1e-13) -> floa
     word = _checked_hole(system.base, hole)
     states, P = _hole_automaton(system.base, word, system.order)
     heights = np.array([system.height_of(u) for u, _ in states])
-    return _word_operator_root(P, heights, tol=tol)
+    return _word_operator_root(P, heights)
 
 
-def open_spectral_radius(open_matrix: OpenMatrix, tol: float = 1e-13) -> float:
-    """Spectral radius of the open operator in either representation.
-
-    The refined radius is e^{-s*} for the root s* of the word operator
-    rho(diag(e^{s k}) P) = 1, where P is the hole automaton at the refined
-    system's order and k its heights; ``open_matrix.matrix`` is not read.
-    ``tol`` is the power-iteration tolerance of each radius the root
-    evaluates. The bordered matrix A has signed entries whose determinant
-    identity pins the radius as the reciprocal of the smallest real root >= 1
-    of det(I - zA), taken over the word operator of the system and
-    ``open_matrix.quantities`` where that pays, else from ``open_matrix.matrix``.
-    """
-    if open_matrix.representation == "refined":
-        return math.exp(-_open_root(open_matrix.system, open_matrix.hole, tol=tol))
-    return 1.0 / _bordered_root(open_matrix.system, open_matrix.quantities, open_matrix.matrix)
-
-
-def _bordered_root(
-    system: SuspensionSystem, q: HoleQuantities, matrix: "np.ndarray | None" = None
-) -> float:
+def _bordered_root(system: SuspensionSystem, q: HoleQuantities) -> float:
     """Smallest root >= 1 of det(I - z M_op), M_op the bordered matrix of
-    ``q``; ``matrix`` is M_op when the caller holds it."""
+    ``q``: the bordered radius is its reciprocal."""
     from .zeta import Polynomial, _tower_leverrier, smallest_root_geq_one
 
-    det, _ = _tower_leverrier(system, q, matrix=matrix)
+    det, _ = _tower_leverrier(system, q)
     return smallest_root_geq_one(Polynomial(tuple(det)))
 
 
@@ -545,7 +465,7 @@ def _open_rate(
     """(representation with ``auto`` resolved, flow escape rate, radius of the
     open time-lambda operator), from one root of that representation.
 
-    ``auto`` follows ``build_open_matrix`` (refined within the word cap,
+    ``auto`` follows ``_representation`` (refined within the word cap,
     bordered past it), except that a hole the bordered route rejects on a
     precondition of its own (not reduced, shorter than the order, too many
     states, a determinant past the dense cap) takes the refined root, which

@@ -9,12 +9,13 @@ surviving collection is the growth rate
 
 over hole-avoiding words, with Birkhoff sums sup-completed over the cylinder.
 It equals -rho, the escape rate of the suspension flow through the hole. Two
-independent estimators live here: a truncated window sum, one pass of the
-lattice-sum DP of ``shift`` on (word, ceiling sum) states from length 1 on,
-with the short words as their own states, and the root beta* of
-radius(W(beta)) = 1 for W(beta) = diag(e^{-beta phi}) P, with P the
-hole automaton of ``shift`` (last order letters, Knuth-Morris-Pratt match of
-the hole), solved by the word-operator root of ``open_system``.
+estimators live here: a truncated window sum, one pass of the lattice-sum DP
+of ``shift`` on (word, ceiling sum) states from length 1 on, with the short
+words as their own states, and the root beta* of radius(W(beta)) = 1 for
+W(beta) = diag(e^{-beta phi}) P, with P the hole automaton of ``shift`` (last
+order letters, Knuth-Morris-Pratt match of the hole). The root is the
+word-operator root of ``open_system`` that also gives the refined escape
+rate, so it is -rho to rounding, and -inf exactly where rho is +inf.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .errors import (
     InadmissibleWordError,
-    NoBracketError,
     NonPositiveCeilingError,
     PressureNotNegativeError,
     WindowEmptyError,
@@ -197,7 +197,6 @@ def induced_pressure_via_root(
     shift: MarkovShift,
     ceiling: CylinderFunction,
     hole: Word,
-    beta_lo: float = -50.0,
 ) -> float:
     """The root beta* of radius(W(beta)) = 1; exactly -rho for lattice ceilings.
 
@@ -207,10 +206,9 @@ def induced_pressure_via_root(
     and an edge that completes the hole is dropped. Only the hole-avoiding
     words u need a ceiling value. beta* = -s* for the word-operator root s*
     of ``open_system``, located to a few ulp. The ceiling need not be
-    arithmetic here. Raises PressureNotNegativeError when beta* >= 0 or
-    every word of length max(order, hole length) holds the hole, and
-    NoBracketError when beta* < beta_lo (beta* = -inf when no hole-avoiding
-    word survives forever).
+    arithmetic here. beta* = -inf exactly where the refined escape rate is
+    +inf: no hole-avoiding word survives forever, including when every word
+    holds the hole. Raises PressureNotNegativeError when beta* >= 0.
     """
     hole_word = _checked_hole(shift, hole)
     if min(ceiling.values.values()) <= 0.0:
@@ -219,15 +217,8 @@ def induced_pressure_via_root(
     phi = np.array([ceiling.value(u) for u, _ in states])
 
     beta = -_word_operator_root(P, phi)
-    q = max(ceiling.order, len(hole_word))
-    if beta == -math.inf and not _hole_free_words(shift, hole_word, q)[-1]:
-        raise PressureNotNegativeError("no surviving words at all; the hole is everything")
     if beta >= 0.0:
         raise PressureNotNegativeError("spectral radius at beta = 0 is not below 1")
-    if beta < beta_lo:
-        raise NoBracketError(
-            f"spectral radius stays below 1 down to beta = {beta_lo}; no root bracketed"
-        )
     return beta
 
 
@@ -256,14 +247,15 @@ def check_pressure_equals_minus_rho(
     t_max: float,
     eta: "float | None" = None,
 ) -> PressureReport:
-    """Both pressure estimates against the escape rate of the suspension flow."""
+    """Both pressure estimates against the escape rate of the suspension flow.
+    An estimate equal to -rho has gap 0, also where rho is +inf."""
     system = build_suspension(shift, ceiling)
     rho = escape_rate_flow(system, tuple(hole))
     beta_root = induced_pressure_via_root(shift, ceiling, hole)
     beta_trunc = induced_pressure_truncated(shift, ceiling, hole, t_max, eta=eta)
     rows = [
-        PressureRow("root", beta_root, rho, abs(beta_root + rho)),
-        PressureRow("truncated", beta_trunc, rho, abs(beta_trunc + rho)),
+        PressureRow(method, beta, rho, 0.0 if beta == -rho else abs(beta + rho))
+        for method, beta in (("root", beta_root), ("truncated", beta_trunc))
     ]
     return PressureReport(rho=rho, rows=rows)
 
@@ -285,8 +277,9 @@ def superadditivity_check(
 ) -> SuperadditivityReport:
     """1/P is superadditive in the ceiling: 1/P(a+b) >= 1/P(a) + 1/P(b) - 1e-10.
 
-    All three pressures must be negative (PressureNotNegativeError otherwise);
-    the combined ceiling is the plain sum of values on the common refinement.
+    All three pressures must be negative (``induced_pressure_via_root`` raises
+    PressureNotNegativeError otherwise); the combined ceiling is the plain sum
+    of values on the common refinement.
     """
     order = max(ceiling_a.order, ceiling_b.order)
     fa = refine_cylinder_function(shift, ceiling_a, order)
@@ -297,9 +290,6 @@ def superadditivity_check(
     p_a = induced_pressure_via_root(shift, ceiling_a, hole)
     p_b = induced_pressure_via_root(shift, ceiling_b, hole)
     p_ab = induced_pressure_via_root(shift, combined, hole)
-    for value in (p_a, p_b, p_ab):
-        if value >= 0.0:
-            raise PressureNotNegativeError(f"induced pressure {value} is not negative")
     slack = 1.0 / p_ab - (1.0 / p_a + 1.0 / p_b)
     return SuperadditivityReport(
         pressure_a=p_a,

@@ -290,14 +290,12 @@ def _tower_leverrier(
     system: SuspensionSystem,
     q: "HoleQuantities | None" = None,
     entry: "tuple[int, int] | None" = None,
-    matrix: "np.ndarray | None" = None,
 ):
     """``_leverrier`` for the block matrix of ``system``, or for the bordered
     open matrix of ``q``, with ``entry`` = (row, col) the words whose level-0
     blocks hold the adjugate entry. From ``_WORD_OPERATOR_MIN_DIMENSION``
     states it runs over ``_word_layers`` where that pays; otherwise the dense
-    pass takes ``matrix``, the tower's matrix when the caller holds it, or
-    builds it, after the ``_DENSE_MAX_DIMENSION`` check.
+    pass builds the tower's matrix, after the ``_DENSE_MAX_DIMENSION`` check.
     DimensionTooLargeError past ``DEFAULT_STATE_CAP`` states comes first.
     """
     size = _tower_dimension(system, q)
@@ -310,8 +308,7 @@ def _tower_leverrier(
             f"dimension {size} exceeds the dense cap {_DENSE_MAX_DIMENSION}, and "
             "its word operator costs more than the dense pass at the cap"
         )
-    if matrix is None:
-        matrix = system.block_matrix if q is None else _bordered_matrix(system, q)
+    matrix = system.block_matrix if q is None else _bordered_matrix(system, q)
     if entry is not None:
         entry = (system._starts.item(entry[0]), system._starts.item(entry[1]))
     return _leverrier(matrix, entry)

@@ -12,7 +12,6 @@ from flowescape import (
     SurvivalEstimate,
     admissible_words,
     build_markov_shift,
-    build_open_refined,
     build_suspension,
     cylinder_function,
     escape_rate_flow,
@@ -26,6 +25,7 @@ from flowescape import (
 from flowescape import montecarlo
 from flowescape.montecarlo import _deviation_setup, _kept_sums
 from flowescape.shift import _lattice_links, _lattice_step, cylinder_measure
+from oracles import refined_open_matrix
 
 
 @pytest.fixture(scope="module")
@@ -311,10 +311,10 @@ def test_fit_decay_on_pure_geometric_sequence():
 def _survival_reference(system, hole, config):
     """The block-draw sampler: every uniform drawn up front as one
     (t_max + 1, samples) block, picks from a (samples, width) comparison."""
-    om = build_open_refined(system, hole)
-    matrix = om.system.block_matrix
+    _, refined, hole_rows = refined_open_matrix(system, hole)
+    matrix = refined.block_matrix
     size = matrix.shape[0]
-    init_cum = np.cumsum(om.system.block_measure / om.system.mass_normalized)[:-1]
+    init_cum = np.cumsum(refined.block_measure / refined.mass_normalized)[:-1]
     rows = [np.nonzero(matrix[i] > 0.0)[0] for i in range(size)]
     width = max(len(js) for js in rows)
     targets = np.zeros((size, width), dtype=np.int64)
@@ -324,7 +324,7 @@ def _survival_reference(system, hole, config):
         targets[i, len(js) :] = js[-1]
         thresholds[i, : len(js) - 1] = np.cumsum(matrix[i, js])[:-1]
     in_hole = np.zeros(size, dtype=bool)
-    in_hole[list(om.hole_rows)] = True
+    in_hole[hole_rows] = True
 
     uniforms = np.random.Generator(np.random.Philox(config.seed)).random(
         (config.t_max + 1, config.samples)

@@ -1,7 +1,9 @@
-"""Hole quantities, open matrices in both representations, escape rates."""
+"""Hole quantities, both open representations against their dense matrices,
+escape rates."""
 
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -11,7 +13,6 @@ import pytest
 import flowescape.open_system as open_system
 import flowescape.shift as shift_module
 import flowescape.suspension as suspension
-import flowescape.zeta as zeta
 from flowescape import (
     DEFAULT_STATE_CAP,
     DimensionTooLargeError,
@@ -23,9 +24,6 @@ from flowescape import (
     RefinementTooLargeError,
     admissible_words,
     build_markov_shift,
-    build_open_bordered,
-    build_open_matrix,
-    build_open_refined,
     build_suspension,
     char_poly,
     constant_function,
@@ -38,11 +36,12 @@ from flowescape import (
     induced_pressure_via_root,
     is_reduced,
     matrix_spectral_radius,
-    open_spectral_radius,
     survival_curve_flow,
     survival_measure_exact,
     survivor_matrix,
 )
+from flowescape.open_system import _open_rate
+from oracles import bordered_open_matrix, refined_open_matrix
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -166,68 +165,46 @@ def test_quantities_match_their_brute_force_definition(full2, golden_mean):
 
 
 # ---------------------------------------------------------------------------
-# Open matrices
+# Open radii against the dense open matrices
 # ---------------------------------------------------------------------------
 
-def test_refined_rows_zeroed(step_system):
-    om = build_open_refined(step_system, (0,))
-    for i in om.hole_rows:
-        assert np.all(om.matrix[i] == 0.0)
-    # Surviving 2x2 sub-chain over the [1]-blocks has radius sqrt(1/2).
-    keep = [i for i in range(om.matrix.shape[0]) if i not in om.hole_rows]
-    sub = om.matrix[np.ix_(keep, keep)]
-    assert matrix_spectral_radius(sub) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-
-
 def test_refined_fibonacci_radius(unit_system):
-    om = build_open_refined(unit_system, (0, 0))
-    assert om.matrix.shape == (4, 4)
-    assert open_spectral_radius(om) == pytest.approx((1 + math.sqrt(5)) / 4, abs=1e-12)
+    matrix, _, _ = refined_open_matrix(unit_system, (0, 0))
+    assert matrix.shape == (4, 4)
+    want = (1 + math.sqrt(5)) / 4
+    assert matrix_spectral_radius(matrix) == pytest.approx(want, abs=1e-12)
+    assert _open_rate(unit_system, (0, 0), "refined")[2] == pytest.approx(want, abs=1e-12)
 
 
 def test_bordered_dimension_and_radius_triple_zero(unit_system):
-    om = build_open_bordered(unit_system, (0, 0, 0))
-    assert om.matrix.shape == (3, 3)
-    fine = build_open_refined(unit_system, (0, 0, 0))
-    assert open_spectral_radius(om) == pytest.approx(open_spectral_radius(fine), abs=1e-12)
-
-
-def test_bordered_radius_reads_the_matrix_it_holds(monkeypatch, step_system):
-    # Below 64 states the radius takes the dense pass over the bordered
-    # matrix the OpenMatrix already holds, and builds no second one.
-    om = build_open_bordered(step_system, (1, 1, 1))
-    want = open_spectral_radius(om)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("bordered matrix built twice")
-
-    monkeypatch.setattr(open_system, "_bordered_matrix", refuse)
-    monkeypatch.setattr(zeta, "_bordered_matrix", refuse)
-    assert open_spectral_radius(om) == want
+    assert bordered_open_matrix(unit_system, (0, 0, 0)).shape == (3, 3)
+    bordered = _open_rate(unit_system, (0, 0, 0), "bordered")[2]
+    assert bordered == pytest.approx(_open_rate(unit_system, (0, 0, 0), "refined")[2], abs=1e-12)
 
 
 def test_bordered_k0_one_no_extra_rows(unit_system):
-    om = build_open_bordered(unit_system, (0, 1))
-    assert om.matrix.shape == (2, 2)
-    poly = char_poly(om.matrix)
+    matrix = bordered_open_matrix(unit_system, (0, 1))
+    assert matrix.shape == (2, 2)
+    poly = char_poly(matrix)
     assert poly.coefficients == pytest.approx((1.0, -1.0, 0.25))
 
 
 def test_bordered_step_ceiling_dimension(step_system):
-    om = build_open_bordered(step_system, (1, 1, 1))
-    assert om.matrix.shape == (6, 6)
-    fine = build_open_refined(step_system, (1, 1, 1))
-    assert open_spectral_radius(om) == pytest.approx(open_spectral_radius(fine), abs=1e-10)
+    hole = (1, 1, 1)
+    assert bordered_open_matrix(step_system, hole).shape == (6, 6)
+    fine, _, _ = refined_open_matrix(step_system, hole)
+    want = matrix_spectral_radius(fine)
+    for representation in ("bordered", "refined"):
+        got = _open_rate(step_system, hole, representation)[2]
+        assert got == pytest.approx(want, abs=1e-10), representation
 
 
 def test_auto_representation_picks_refined_when_small(unit_system):
-    om = build_open_matrix(unit_system, (0, 0))
-    assert om.representation == "refined"
+    assert _open_rate(unit_system, (0, 0), "auto")[0] == "refined"
     # 0^12 1 on the full 2-shift refines to 2^13 = 8192 admissible words,
     # past the state cap, so `auto` takes the bordered route.
     hole = (0,) * 12 + (1,)
-    om = build_open_matrix(unit_system, hole)
-    assert om.representation == "bordered"
+    assert _open_rate(unit_system, hole, "auto")[0] == "bordered"
     assert escape_rate_flow(unit_system, hole) == pytest.approx(
         escape_rate_zeta(unit_system, hole), rel=1e-12
     )
@@ -275,7 +252,7 @@ def test_bordered_matrix_past_the_cap_raises_before_allocating(full2):
     tracemalloc.start()
     try:
         for route in (
-            lambda: build_open_bordered(system, hole),
+            lambda: bordered_open_matrix(system, hole),
             lambda: escape_rate_flow(system, hole, "bordered"),
             lambda: escape_rate_zeta(system, hole),
         ):
@@ -458,31 +435,17 @@ def test_block_hole_any_level_of_a_tall_word(full3, cycle2):
 
 def test_equal_heights_root_takes_one_radius(monkeypatch, unit_system, full2):
     # The word chain of this hole has 1024 states; the hole automaton has at
-    # most 2 * 10, and equal heights need one radius of it.
+    # most 2 * 10. Equal heights close the root's bracket at f(0), so each
+    # cyclic component of the automaton takes one radius and no further
+    # point is evaluated.
     hole = (0, 1, 1, 0, 1, 0, 0, 1, 1, 1)
-    shapes = []
-
-    def counted(matrix, *args, **kwargs):
-        shapes.append(matrix.shape)
-        return matrix_spectral_radius(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(open_system, "matrix_spectral_radius", counted)
-    got = escape_rate_flow(unit_system, hole, "refined")
-    assert len(shapes) == 1
-    assert shapes[0][0] <= 2 * len(hole)
-    monkeypatch.undo()
-    # The reference radius is power-iterated to a bracket of 1e-13.
-    chain = survivor_matrix(full2, hole)
-    assert chain.matrix.shape == (1024, 1024)
-    want = matrix_spectral_radius(chain.matrix)
-    assert math.exp(-got) == pytest.approx(want, rel=1e-13, abs=0.0)
-
-
-def test_power_iterated_word_operator_root(monkeypatch, step_system):
-    # 255 surviving words with heights 1 and 2: each radius of the root is
-    # power-iterated, which is accurate to about 1e-13, not to the ulp.
-    om = build_open_refined(step_system, (1, 1, 1, 0, 0, 0, 0, 0))
-    assert om.matrix.shape == (384, 384)
+    _, P = shift_module._hole_automaton(full2, hole, 1)
+    assert len(P) <= 2 * len(hole)
+    cyclic = [
+        comp
+        for comp in open_system._strongly_connected_components(P > 0.0)
+        if len(comp) > 1 or P[comp[0], comp[0]] > 0.0
+    ]
     sizes = []
     component_radius = open_system._component_radius
 
@@ -491,14 +454,96 @@ def test_power_iterated_word_operator_root(monkeypatch, step_system):
         return component_radius(sub, *args, **kwargs)
 
     monkeypatch.setattr(open_system, "_component_radius", counted)
-    got = open_spectral_radius(om)
+    got = escape_rate_flow(unit_system, hole, "refined")
+    assert sorted(sizes) == sorted(len(comp) for comp in cyclic)
+    monkeypatch.undo()
+    # The reference radius is power-iterated to a bracket of 1e-13.
+    chain = survivor_matrix(full2, hole)
+    assert chain.matrix.shape == (1024, 1024)
+    want = matrix_spectral_radius(chain.matrix)
+    assert math.exp(-got) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_equal_heights_root_is_the_log_radius_to_the_bit():
+    # On constant ceilings the root is -log(rho(P)) / h: the bracket's near
+    # end, with the radius taken component by component as the dense
+    # reference takes it.
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(200):
+        letters = int(rng.integers(2, 4))
+        transitions = rng.random((letters, letters)) * (rng.random((letters, letters)) < 0.8)
+        transitions[np.arange(letters), (np.arange(letters) + 1) % letters] += 0.1
+        transitions /= transitions.sum(axis=1, keepdims=True)
+        shift = build_markov_shift(transitions.tolist())
+        hole = tuple(int(a) for a in rng.integers(0, letters, size=int(rng.integers(1, 6))))
+        if not shift.is_admissible(hole):
+            continue
+        height = int(rng.integers(1, 8))
+        _, P = shift_module._hole_automaton(shift, hole, 1)
+        got = open_system._word_operator_root(P, np.full(len(P), float(height)))
+        radius = matrix_spectral_radius(P)
+        if radius >= 1.0:
+            want = 0.0
+        elif radius > 0.0:
+            want = -math.log(radius) / height
+        else:
+            want = math.inf
+        assert got == want and type(got) is float, (transitions, hole, height)
+        checked += 1
+    assert checked > 100
+
+
+def test_power_iteration_skips_underflowed_entries():
+    # The hole 0^400 on a chain that leaves 0 with weight 0.9: the
+    # automaton's 400 match states form one component, which is
+    # power-iterated, and its Perron vector falls like 0.1^j, below the
+    # smallest float past j = 308. Those entries carry no digits, so the
+    # Collatz-Wielandt bracket is taken over the others; on 0/0 it would be
+    # NaN and the iteration would run its whole budget.
+    shift = build_markov_shift([[0.1, 0.9], [0.5, 0.5]])
+    system = build_suspension(shift, constant_function(shift, 1.0))
+    iterations = []
+    power_iteration = open_system._power_iteration_radius
+
+    def counted(*args, **kwargs):
+        iterations.append(args)
+        return power_iteration(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        patch.setattr(open_system, "_power_iteration_radius", counted)
+        start = time.perf_counter()
+        rate = escape_rate_flow(system, (0,) * 400, representation="refined")
+        elapsed = time.perf_counter() - start
+    assert iterations
+    assert 0.0 <= rate <= 1e-12 and math.copysign(1.0, rate) == 1.0
+    assert elapsed < 1.0
+
+
+def test_power_iterated_word_operator_root(monkeypatch, step_system):
+    # 255 surviving words with heights 1 and 2: each radius of the root is
+    # power-iterated, which is accurate to about 1e-13, not to the ulp.
+    hole = (1, 1, 1, 0, 0, 0, 0, 0)
+    matrix, refined, _ = refined_open_matrix(step_system, hole)
+    assert matrix.shape == (384, 384)
+    sizes = []
+    component_radius = open_system._component_radius
+
+    def counted(sub, *args, **kwargs):
+        sizes.append(len(sub))
+        return component_radius(sub, *args, **kwargs)
+
+    monkeypatch.setattr(open_system, "_component_radius", counted)
+    # The root on the refined system's automaton: one state per word.
+    got = _open_rate(refined, hole, "refined")[2]
     # Five evaluations: f(0), the two bracket ends and two Illinois steps.
     # The bound leaves room for rounding that differs between BLAS builds.
     assert set(sizes) == {255}
     assert len(sizes) <= 8
     monkeypatch.undo()
-    assert got == pytest.approx(matrix_spectral_radius(om.matrix), rel=1e-12, abs=0.0)
-    dense = float(np.abs(np.linalg.eigvals(om.matrix)).max())
+    assert got == pytest.approx(matrix_spectral_radius(matrix), rel=1e-12, abs=0.0)
+    dense = float(np.abs(np.linalg.eigvals(matrix)).max())
     assert got == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
@@ -535,7 +580,7 @@ def test_block_matrix_past_the_cap_raises(full2):
     system = build_suspension(full2, ceiling)
     hole = (0, 1, 1, 0, 1, 0, 1)
     with pytest.raises(DimensionTooLargeError):
-        build_open_refined(system, hole)
+        refined_open_matrix(system, hole)
     rate = escape_rate_flow(system, hole, "refined")
     assert rate == float.fromhex("0x1.af536b7c5cf96p-9")
 
@@ -706,7 +751,7 @@ def test_refined_rate_matches_50_digit_root(transitions, heights, hole):
 def test_non_reduced_hole_served_by_refined_path(golden_mean):
     system = build_suspension(golden_mean, constant_function(golden_mean, 1.0))
     with pytest.raises(NotReducedError):
-        build_open_bordered(system, (1, 0))
+        escape_rate_flow(system, (1, 0), representation="bordered")
     assert escape_rate_flow(system, (1, 0), representation="refined") == pytest.approx(
         math.log(2), abs=1e-12
     )
@@ -741,15 +786,15 @@ def test_survival_curve_tail_slope_matches_rate(step_system):
 def _survival_reference(system, hole, t_max):
     """The block-matrix survival curve: the level-0 hole blocks of the
     refined open matrix killed, then one step of the refined block matrix."""
-    om = build_open_refined(system, hole)
-    mass = om.system.block_measure / om.system.mass_normalized
+    _, refined, hole_rows = refined_open_matrix(system, hole)
+    mass = refined.block_measure / refined.mass_normalized
     killer = np.ones(len(mass))
-    killer[list(om.hole_rows)] = 0.0
+    killer[hole_rows] = 0.0
     out = np.ones(t_max + 1)
     for t in range(1, t_max + 1):
         mass = mass * killer
         out[t] = mass.sum()
-        mass = mass @ om.system.block_matrix
+        mass = mass @ refined.block_matrix
     return out
 
 

@@ -3,12 +3,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import flowescape.pressure as pressure
+import property_suites
 from flowescape import (
     InadmissibleWordError,
-    NoBracketError,
     PressureNotNegativeError,
     WindowEmptyError,
     admissible_words,
@@ -72,12 +73,6 @@ def test_root_pressure_exact_values(full2, unit_ceiling, step_ceiling):
     assert beta == pytest.approx(-0.5 * math.log(2.0), abs=1e-12)
 
 
-def test_root_pressure_independent_of_bracket(full2, unit_ceiling):
-    wide = induced_pressure_via_root(full2, unit_ceiling, (0,))
-    narrow = induced_pressure_via_root(full2, unit_ceiling, (0,), beta_lo=-10.0)
-    assert wide == narrow
-
-
 def test_root_pressure_scales_with_ceiling(full2, unit_ceiling):
     base = induced_pressure_via_root(full2, unit_ceiling, (0,))
     doubled = induced_pressure_via_root(full2, constant_function(full2, 2.0), (0,))
@@ -125,21 +120,46 @@ def test_root_pressure_reads_the_ceiling_off_the_hole_only(full2, unit_ceiling):
     assert got == induced_pressure_via_root(full2, unit_ceiling, (1,))
 
 
-def test_root_pressure_error_paths(cycle2, golden_mean):
-    with pytest.raises(NoBracketError):
-        induced_pressure_via_root(cycle2, constant_function(cycle2, 1.0), (0,))
+def test_root_pressure_error_paths(cycle2, golden_mean, full2, unit_ceiling):
+    # Everything escapes: beta* = -inf, as the refined rate is +inf.
+    assert induced_pressure_via_root(cycle2, constant_function(cycle2, 1.0), (0,)) == -math.inf
     one = build_markov_shift([[1.0]])
-    with pytest.raises(PressureNotNegativeError):
-        induced_pressure_via_root(one, constant_function(one, 1.0), (0,))
+    assert induced_pressure_via_root(one, constant_function(one, 1.0), (0,)) == -math.inf
     # Every word of length 2 holds the hole 00, although the single letter
     # of the order-1 ceiling does not.
-    with pytest.raises(PressureNotNegativeError):
-        induced_pressure_via_root(one, constant_function(one, 1.0), (0, 0))
+    assert induced_pressure_via_root(one, constant_function(one, 1.0), (0, 0)) == -math.inf
     order3 = cylinder_function(3, {(0, 1, 0): 1.0, (1, 0, 1): 1.0})
+    assert induced_pressure_via_root(cycle2, order3, (0,)) == -math.inf
+    # A hole of measure 2^-100: the radius rounds to 1, so beta* = 0.
     with pytest.raises(PressureNotNegativeError):
-        induced_pressure_via_root(cycle2, order3, (0,))
+        induced_pressure_via_root(full2, unit_ceiling, (0,) * 100)
     with pytest.raises(InadmissibleWordError):
         induced_pressure_via_root(golden_mean, constant_function(golden_mean, 1.0), (1, 1))
+
+
+def test_root_pressure_is_minus_the_refined_rate():
+    # The two entry points of the word-operator root: beta* = -inf exactly
+    # where the rate is +inf (everything escapes), and -rate to rounding
+    # elsewhere. Lattice-1 and lattice-0.05 ceilings on the property-suite
+    # shifts, holes up to length 4.
+    rng = np.random.default_rng(77)
+    outcomes = {"inf": 0, "finite": 0}
+    for draw in range(300):
+        shift = property_suites.random_shift(rng)
+        ceiling = property_suites.random_integer_ceiling(rng, shift)
+        if draw % 2:
+            heights = {w: 0.05 * int(rng.integers(20, 61)) for w in ceiling.values}
+            ceiling = cylinder_function(1, heights, lattice=0.05)
+        hole = property_suites.random_hole(rng, shift, max_len=4)
+        rate = escape_rate_flow(build_suspension(shift, ceiling), hole, "refined")
+        beta = induced_pressure_via_root(shift, ceiling, hole)
+        if math.isinf(rate):
+            assert beta == -math.inf, (hole, rate, beta)
+            outcomes["inf"] += 1
+        else:
+            assert beta == pytest.approx(-rate, rel=1e-12, abs=0.0), (hole, rate, beta)
+            outcomes["finite"] += 1
+    assert outcomes["inf"] > 0 and outcomes["finite"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +281,16 @@ def test_pressure_report_both_methods(full2, step_ceiling):
         assert row.abs_gap == pytest.approx(abs(row.beta + report.rho))
 
 
+def test_pressure_report_where_everything_escapes(cycle2):
+    # Every orbit of the 2-cycle passes 0: the rate is +inf and the root
+    # -inf, which is no gap. The truncated sum at t = 1 still sees the word 1.
+    report = check_pressure_equals_minus_rho(cycle2, constant_function(cycle2, 1.0), (0,), 1.0)
+    by_method = {row.method: row for row in report.rows}
+    assert report.rho == math.inf
+    assert (by_method["root"].beta, by_method["root"].abs_gap) == (-math.inf, 0.0)
+    assert by_method["truncated"].abs_gap == math.inf
+
+
 # ---------------------------------------------------------------------------
 # Reciprocal superadditivity
 # ---------------------------------------------------------------------------
@@ -278,7 +308,7 @@ def test_superadditivity_strict_for_mixed_ceilings(full2, unit_ceiling, step_cei
     assert report.slack > 1e-3
 
 
-def test_superadditivity_rejects_nonnegative_pressure(cycle2, unit_ceiling):
-    ceiling = constant_function(cycle2, 1.0)
-    with pytest.raises((PressureNotNegativeError, NoBracketError)):
-        superadditivity_check(cycle2, (0,), ceiling, ceiling)
+def test_superadditivity_rejects_nonnegative_pressure(full2, unit_ceiling):
+    # The hole 0^100 has measure 2^-100, so beta* rounds to 0.
+    with pytest.raises(PressureNotNegativeError):
+        superadditivity_check(full2, (0,) * 100, unit_ceiling, unit_ceiling)

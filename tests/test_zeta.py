@@ -16,7 +16,6 @@ from flowescape import (
     Polynomial,
     build_family,
     build_markov_shift,
-    build_open_bordered,
     build_suspension,
     char_poly,
     cofactor_poly,
@@ -33,7 +32,9 @@ from flowescape import (
 import flowescape.open_system as open_system
 import flowescape.zeta as zeta
 from flowescape.suspension import SuspensionSystem
+from flowescape.open_system import _open_rate
 from flowescape.zeta import correlation_poly
+from oracles import bordered_open_matrix
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -192,7 +193,7 @@ def test_collapsed_leverrier_matches_dense_reference(word_operator_cases, monkey
     # than a dense product, so the coefficients may differ in the last bits.
     system, hole, entry = word_operator_cases[name]
     q = None if hole is None else hole_quantities(system, hole)
-    matrix = system.block_matrix if q is None else build_open_bordered(system, hole).matrix
+    matrix = system.block_matrix if q is None else bordered_open_matrix(system, hole)
     assert matrix.shape[0] >= zeta._WORD_OPERATOR_MIN_DIMENSION
     want_det, want_adj = _dense_leverrier(matrix, tuple(system._starts[list(entry)]))
 
@@ -238,7 +239,7 @@ def test_dense_pass_where_the_collapse_does_not_pay(full2):
 def test_dense_pass_past_320_dims_raises_before_it_starts(unit_system):
     # char_poly and cofactor_poly of a raw matrix always take the dense pass;
     # at 400 dims it would run 400 steps of a 400 x 400 product, and raises.
-    matrix = build_open_bordered(unit_system, (0,) * 400).matrix
+    matrix = bordered_open_matrix(unit_system, (0,) * 400)
     assert matrix.shape == (400, 400)
     for route in (lambda: char_poly(matrix), lambda: cofactor_poly(matrix, 0, 1)):
         with pytest.raises(DimensionTooLargeError, match="dense cap 320"):
@@ -541,7 +542,7 @@ def test_bordered_dimension_375_answers_on_every_route():
     # The refined root, the bordered determinant and the factorized zeta
     # determinant agree.
     system, hole = _pair_375()
-    assert build_open_bordered(system, hole).matrix.shape == (375, 375)
+    assert bordered_open_matrix(system, hole).shape == (375, 375)
     refined = escape_rate_flow(system, hole, "refined")
     assert refined == pytest.approx(3.9004e-4, rel=1e-4)
     for rate in (escape_rate_flow(system, hole, "bordered"), escape_rate_zeta(system, hole)):
@@ -633,11 +634,8 @@ def test_long_self_overlapping_hole_matches_50_digit_root(m, heights, lattice):
 
 
 def test_root_radius_duality(unit_system, step_system):
-    from flowescape import build_open_matrix, open_spectral_radius
-
     for system, hole in [(unit_system, (0, 0)), (step_system, (1, 1))]:
-        om = build_open_matrix(system, hole, representation="refined")
-        radius = open_spectral_radius(om)
+        radius = _open_rate(system, hole, "refined")[2]
         root = smallest_root_geq_one(zeta_op_factorized(system, hole).zeta_open_inverse)
         assert math.exp(escape_rate_flow(system, hole) * system.lattice_scale) * radius == pytest.approx(1.0, abs=1e-10)
         assert root * radius == pytest.approx(1.0, abs=1e-10)
