@@ -1,16 +1,17 @@
 """Monte Carlo cross-checks: survival sampling and Birkhoff deviation bounds.
 
-Simulation is fully deterministic given a seed: one Philox generator keyed by
-the seed draws one row of ``samples`` uniforms per step. Philox is a stream, so
-the rows are the same numbers as one (steps, samples) block drawn up front:
-column i is sample i's private stream, and results are bit-identical across
-reruns and independent of how many samples have already died. Both samplers
-keep O(samples) state and build no (steps, samples) array. The survival sampler
-walks the tower of the refined system's ``word_matrix``: an interior block
-climbs one level and a top branches to its successors' level-0 blocks, so no
-block matrix is built. Exact counterparts for both estimators (the survival
-curve and the lattice-sum DP of ``shift`` for the deviation probabilities) let
-tests hold the sampler to 3-sigma.
+Simulation is fully deterministic given a seed: numpy's PCG64 stream
+(``default_rng(seed)``) draws one row of ``samples`` uniforms per step. A
+stream's rows are the same numbers as one (steps, samples) block drawn up
+front: column i is sample i's private stream, and results are bit-identical
+across reruns and independent of how many samples have already died. Both
+samplers keep O(samples) state and build no (steps, samples) array. The
+survival sampler walks the tower of the refined system's ``word_matrix``: an
+interior block climbs one level and a top branches to its successors' level-0
+blocks, so no block matrix is built; a sample that enters the hole moves to a
+sink state and stays there. Exact counterparts for both estimators (the
+survival curve and the lattice-sum DP of ``shift`` for the deviation
+probabilities) let tests hold the sampler to 3-sigma.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ class SimulationConfig:
 
 
 def _uniform_rows(seed: int) -> np.random.Generator:
-    """The canonical uniform stream: the t-th ``random(samples)`` call is the
-    row that feeds step t, and column i is sample i."""
-    return np.random.Generator(np.random.Philox(seed))
+    """The canonical uniform stream, numpy's PCG64: the t-th ``random(samples)``
+    call is the row that feeds step t, and column i is sample i."""
+    return np.random.default_rng(seed)
 
 
 def _pick(
@@ -70,7 +71,7 @@ def _pick(
     is threshold j of every state, so the count runs one column at a time
     with no (samples, width) temporary."""
     for column in columns:
-        offsets += uniforms > column[states]
+        offsets += uniforms > np.take(column, states)
     return offsets
 
 
@@ -97,8 +98,16 @@ def estimate_survival(
     """Sample the block chain from the flow-invariant measure and record the
     fraction avoiding the hole through each time step.
 
-    Dead samples keep being stepped so the uniform consumption pattern (and
-    hence every later number) does not depend on who has died.
+    Like ``survival_curve_flow``, it walks the tower of the system refined to
+    all admissible words of length max(len(hole), order), so it raises
+    RefinementTooLargeError past ``DEFAULT_STATE_CAP`` words even where
+    ``escape_rate_flow`` answers from the hole automaton (the full 2-shift
+    with hole ``0^13`` has 8192 such words and 13 automaton states).
+
+    A sample that enters a hole block moves to a sink state and stays there,
+    and the estimate at t is the fraction outside the sink. Every sample,
+    absorbed or not, takes one uniform per step, so the uniform consumption
+    pattern (and hence every later number) does not depend on who has died.
     """
     refined, hole_words = _refined(system, hole)
     starts = refined._starts
@@ -108,35 +117,42 @@ def estimate_survival(
 
     successors = [np.nonzero(row > 0.0)[0] for row in refined.word_matrix]
     width = max(len(js) for js in successors)
-    # Row-major (block, branch) table, read at block * width + branch. An
+    # Row-major (state, branch) table, read at state * width + branch. An
     # interior block climbs to the next level; a top branches to the level-0
-    # blocks of its word's successors.
-    targets = np.repeat(np.arange(1, size + 1), width).reshape(size, width)
+    # blocks of its word's successors. State ``size`` is the sink.
+    sink = size
+    targets = np.repeat(np.arange(1, size + 2), width).reshape(size + 1, width)
+    targets[sink] = sink
     # Padding 2.0 lies above every uniform, so a padded column never counts.
-    columns = np.full((width - 1, size), 2.0)
+    columns = np.full((width - 1, size + 1), 2.0)
     for top, row, js in zip(tops, refined.word_matrix, successors):
         targets[top, : len(js)] = starts[js]
         targets[top, len(js) :] = starts[js[-1]]
         columns[: len(js) - 1, top] = np.cumsum(row[js])[:-1]
+    # A hole block is replaced by the sink wherever it is a target.
+    to_sink = np.arange(size + 1)
+    to_sink[starts[list(hole_words)]] = sink
+    flat = to_sink[targets].ravel()
 
-    in_hole = np.zeros(size, dtype=bool)
-    in_hole[starts[list(hole_words)]] = True
-
+    samples = config.samples
     rows = _uniform_rows(config.seed)
-    states = np.searchsorted(init_cum, rows.random(config.samples), side="right")
-    alive = np.ones(config.samples, dtype=bool)
+    states = to_sink[np.searchsorted(init_cum, rows.random(samples), side="right")]
+    uniforms = np.empty(samples)
+    offsets = np.empty(samples, dtype=np.int64)
 
     estimates = np.empty(config.t_max + 1)
     stderrs = np.zeros(config.t_max + 1)
     estimates[0] = 1.0
     for t in range(1, config.t_max + 1):
         if t > 1:
-            uniforms = rows.random(config.samples)
-            states = targets.ravel()[_pick(columns, states, uniforms, states * width)]
-        alive &= ~in_hole[states]
-        p_hat = np.count_nonzero(alive) / config.samples
+            rows.random(out=uniforms)
+            np.multiply(states, width, out=offsets)
+            # Every offset is in range by construction; mode="clip" lets take
+            # write into ``states`` without the buffered copy of mode="raise".
+            np.take(flat, _pick(columns, states, uniforms, offsets), out=states, mode="clip")
+        p_hat = np.count_nonzero(states != sink) / samples
         estimates[t] = p_hat
-        stderrs[t] = math.sqrt(p_hat * (1.0 - p_hat) / config.samples)
+        stderrs[t] = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return SurvivalEstimate(
         ts=np.arange(config.t_max + 1),
         estimates=estimates,
@@ -289,30 +305,34 @@ def estimate_deviation_prob(
     samples = config.samples
     rows = _uniform_rows(config.seed)
     pi_cum = np.cumsum(shift.stationary)[:-1]
-    trans_columns = np.cumsum(shift.transitions, axis=1)[:, :-1].T
-
-    def successor(symbol):
-        offsets = np.zeros(samples, dtype=np.int64)
-        return _pick(trans_columns, symbol, rows.random(samples), offsets)
-
-    symbol = np.searchsorted(pi_cum, rows.random(samples), side="right")
-    codes = symbol
-    for _ in range(n - 1):
-        symbol = successor(symbol)
-        codes = codes * size + symbol
-    # The code of each window's last n - 1 letters, times size: a step
-    # appends its letter with a gather and an add, and no int64 %.
+    # A step takes each window code to the code of its last n - 1 letters,
+    # times size, plus the next letter: a gather and a branch count, and no
+    # int64 %. A code branches on the thresholds of its last letter. A window
+    # of fewer than n letters steps the same way, so it grows to n letters.
     shifted = np.arange(size ** n, dtype=np.int64) % size ** (n - 1) * size
+    columns = np.cumsum(shift.transitions, axis=1)[:, :-1].T[:, np.arange(size ** n) % size]
+    uniforms = np.empty(samples)
+    spare = np.empty(samples, dtype=np.int64)
+    gathered = np.empty(samples, dtype=np.int64)
+
+    def step(codes, spare):
+        """The stepped codes, written into ``spare``, and the freed buffer."""
+        rows.random(out=uniforms)
+        np.take(shifted, codes, out=spare, mode="clip")  # see estimate_survival
+        return _pick(columns, codes, uniforms, spare), codes
+
+    codes = np.searchsorted(pi_cum, rows.random(samples), side="right")
+    for _ in range(n - 1):
+        codes, spare = step(codes, spare)
     running = np.zeros(samples, dtype=np.int64)
     # The last l at which each sample deviated (0: never); P_k is the fraction >= k.
     last_deviation = np.zeros(samples, dtype=np.int64)
     for l in range(1, l_max + 1):
-        running += kmap[codes]
+        running += np.take(kmap, codes, out=gathered, mode="clip")
         lo, hi = _kept_sums(lam, mean, epsilon, l, l * h_max)
         np.copyto(last_deviation, l, where=(running < lo) | (running > hi))
         if l < l_max:
-            symbol = successor(symbol)
-            codes = shifted[codes] + symbol
+            codes, spare = step(codes, spare)
 
     probabilities = np.array([(last_deviation >= k).mean() for k in ks])
     stderrs = np.sqrt(probabilities * (1.0 - probabilities) / samples)

@@ -535,6 +535,13 @@ def survival_curve_flow(system: SuspensionSystem, hole: Word, t_max: int) -> np.
     lattice steps: one step is lambda units of flow time. The mass steps on
     the tower of the refined hole-free ``word_matrix``, so mass above level 0
     of a hole word climbs out alive. No block matrix is built.
+
+    The refined tower holds every admissible word of length
+    max(len(hole), order), so past ``DEFAULT_STATE_CAP`` such words this
+    raises RefinementTooLargeError where ``escape_rate_flow`` still answers
+    from the hole automaton: the full 2-shift with hole ``0^13`` has 8192
+    words of length 13 and 13 automaton states. ``estimate_survival`` walks
+    the same tower.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")

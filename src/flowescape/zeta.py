@@ -516,14 +516,15 @@ def _polish_candidate(
         # The true root can sit slightly outside a bracket that converged
         # inside the noise band, so polish within a pad, not the bracket.
         pad = 1e-6 * max(1.0, abs(cand))
-        alt = _newton_polish(deriv, cand, cand - pad, cand + pad)
+        alt = _newton_polish(deriv, deriv.derivative(), cand, cand - pad, cand + pad)
         if abs(poly(alt)) <= 1e-12 * max(1.0, scale):
             return alt
-    return _newton_polish(poly, cand, lo, hi)
+    return _newton_polish(poly, deriv, cand, lo, hi)
 
 
-def _newton_polish(poly: Polynomial, start: float, lo: float, hi: float) -> float:
-    deriv = poly.derivative()
+def _newton_polish(
+    poly: Polynomial, deriv: Polynomial, start: float, lo: float, hi: float
+) -> float:
     x = start
     for _ in range(30):
         dv = deriv(x)
