@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     DegenerateLinearTermError,
-    NoSignChangeError,
     NotCyclicallyAdmissibleError,
     NotPrimePeriodError,
     NotReducedError,
@@ -68,7 +67,6 @@ class PeriodicOrbitFamily:
     orbit_weight: float
     word_measure: float
     t_word: Word
-    t_index: int
     nu_min: int
     deflated: Polynomial
     cofactor: Polynomial
@@ -123,7 +121,6 @@ def build_family(
     extended = word * reps
     orbit_height = sum(system.height_of(extended[j : j + order]) for j in range(p))
     t_word = extended[:order]
-    t_index = system.block_index(t_word, 0)
     closed, cofactor = _closed_and_cofactor(system, t_word, t_word)
     return PeriodicOrbitFamily(
         system=system,
@@ -133,7 +130,6 @@ def build_family(
         orbit_weight=c_o,
         word_measure=cylinder_measure(shift, word),
         t_word=t_word,
-        t_index=t_index,
         nu_min=order // p + 1,
         deflated=deflate_at_one(closed),
         cofactor=cofactor,
@@ -352,26 +348,15 @@ def verify_expansion(
 ) -> list[AsymptoticsRow]:
     """Locate z_nu and compare it against the order-``order`` partial sum.
 
-    The root is first sought inside the theoretical bracket
-    [1, 1 + 4 s_1 mu_nu], widening geometrically when nu is too small for the
-    bracket to hold yet, with an unrestricted fallback at the end.
+    z_nu is the smallest root >= 1 of the family's open inverse zeta, found
+    by ``smallest_root_geq_one`` as for the family's escape rates.
     """
     rows = []
     for nu in nus:
         coeffs = expansion_coefficients(family, nu, max(order, 2))
         s_norm = coeffs.s_normalized
         mu_nu = family_hole_measure(family, nu)
-        poly = family_zeta_op(family, nu)
-        root = None
-        for widen in range(24):
-            hi = 1.0 + (4.0 * s_norm[0] * mu_nu) * 2 ** widen
-            try:
-                root = smallest_root_geq_one(poly, hi=hi, companion_fallback=False)
-                break
-            except NoSignChangeError:
-                continue
-        if root is None:
-            root = smallest_root_geq_one(poly)
+        root = smallest_root_geq_one(family_zeta_op(family, nu))
         partial = 1.0 + sum(s_norm[i] * mu_nu ** (i + 1) for i in range(order))
         rows.append(
             AsymptoticsRow(

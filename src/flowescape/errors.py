@@ -80,9 +80,9 @@ class DimensionTooLargeError(DomainError):
     """A dense matrix is too large: the block matrix of a suspension, or the
     bordered open matrix (blocks plus k0 - 1 border states), would have more
     than ``DEFAULT_STATE_CAP`` states (raised before anything is allocated);
-    or a determinant or cofactor would take the dense Faddeev-LeVerrier pass
-    past 320 dims: ``char_poly`` or ``cofactor_poly`` of a raw matrix, or a
-    tower whose word operator costs more than the dense pass at 320 dims."""
+    or a tower's determinant or cofactor would take the dense
+    Faddeev-LeVerrier pass past 320 dims, because its word operator costs
+    more than the dense pass at 320 dims."""
 
 
 class NoZeroAtOneError(DomainError):

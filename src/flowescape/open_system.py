@@ -44,6 +44,7 @@ from .shift import (
     _borders,
     _checked_hole,
     _hole_automaton,
+    _strongly_connected_components,
     _survival_curve,
     _within_state_cap,
     is_reduced,
@@ -63,9 +64,8 @@ class HoleQuantities:
     hole past its first n letters; ``k0`` the ceiling sum over the first m - n
     shifts (normalized lattice); ``correlation[k-1]`` = c_k for k = 1..k0-1,
     nonzero exactly when the word overlaps itself at a shift whose ceiling sum
-    is k, in which case ``overlap_shift[k-1]`` records that shift. ``t_index``
-    and ``r_index`` locate the blocks of the first and last n letters at level
-    0 in the block chain.
+    is k, in which case ``overlap_shift[k-1]`` records that shift.
+    ``t_word`` and ``r_word`` are the first and last n letters.
     """
 
     word: Word
@@ -75,8 +75,6 @@ class HoleQuantities:
     overlap_shift: tuple["int | None", ...]
     t_word: Word
     r_word: Word
-    t_index: int
-    r_index: int
 
 
 def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
@@ -126,8 +124,6 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
         overlap_shift=tuple(overlap_shift),
         t_word=t_word,
         r_word=r_word,
-        t_index=system.block_index(t_word, 0),
-        r_index=system.block_index(r_word, 0),
     )
 
 
@@ -169,22 +165,23 @@ def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
     subtracts alpha from the (t, r) entry. Raises DimensionTooLargeError
     past ``DEFAULT_STATE_CAP`` states, before anything is allocated."""
     dim, size = _tower_dimension(system, q), len(system.block_measure)
+    t, r = system.block_index(q.t_word, 0), system.block_index(q.r_word, 0)
     base_matrix = system.block_matrix
     if q.k0 == 0:
         matrix = base_matrix.copy()
-        matrix[q.t_index, :] = 0.0
+        matrix[t, :] = 0.0
     elif q.k0 == 1:
         matrix = base_matrix.copy()
-        matrix[q.t_index, q.r_index] -= q.alpha
+        matrix[t, r] -= q.alpha
     else:
         matrix = np.zeros((dim, dim))
         matrix[:size, :size] = base_matrix
-        matrix[q.t_index, size] = -q.alpha
+        matrix[t, size] = -q.alpha
         for k in range(1, q.k0):
             matrix[size + k - 1, size] = -q.correlation[k - 1]
         for k in range(1, q.k0 - 1):
             matrix[size + k - 1, size + k] = 1.0
-        matrix[size + q.k0 - 2, q.r_index] = 1.0
+        matrix[size + q.k0 - 2, r] = 1.0
     matrix.setflags(write=False)
     return matrix
 
@@ -205,76 +202,32 @@ def _representation(system: SuspensionSystem, hole: Word, representation: str) -
 # Spectral radii
 # ===========================================================================
 
-def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to survive large graphs."""
-    size = adjacency.shape[0]
-    succ = [np.nonzero(adjacency[i])[0].tolist() for i in range(size)]
-    index = [-1] * size
-    low = [0] * size
-    on_stack = [False] * size
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(size):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, child_pos = work[-1]
-            if child_pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for pos in range(child_pos, len(succ[node])):
-                nxt = succ[node][pos]
-                if index[nxt] == -1:
-                    work[-1] = (node, pos + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    comp.append(member)
-                    if member == node:
-                        break
-                components.append(comp)
-    return components
-
-
 _TINY = float(np.finfo(float).tiny)
+# Relative width at which the power iteration's bracket on a radius closes,
+# and its iteration budget.
+_RADIUS_TOL = 1e-13
+_RADIUS_MAX_ITER = 200_000
 
 
-def _power_iteration_radius(matrix: np.ndarray, tol: float, max_iter: int) -> "float | None":
+def _power_iteration_radius(matrix: np.ndarray) -> "float | None":
     """Collatz-Wielandt bracket via power iteration on (M + I)/2, over the
     entries of the iterate that are normal floats.
 
     The shift makes the iteration primitive on an irreducible block, so the
-    min/max ratio bounds close geometrically. Returns None when the budget runs
-    out (caller falls back to dense eigenvalues).
+    min/max ratio bounds close geometrically, to ``_RADIUS_TOL``. Returns None
+    when ``_RADIUS_MAX_ITER`` steps run out (caller falls back to dense
+    eigenvalues).
     """
     half = 0.5 * (matrix + np.eye(matrix.shape[0]))
     vec = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
-    for _ in range(max_iter):
+    for _ in range(_RADIUS_MAX_ITER):
         nxt = vec @ half
         # Entries below the smallest normal float carry no digits (0/0 on a
         # long hole's Perron vector), so the ratios skip them.
         normal = vec >= _TINY
         ratios = nxt[normal] / vec[normal]
         low, high = float(ratios.min()), float(ratios.max())
-        if high - low <= tol * max(1.0, high):
+        if high - low <= _RADIUS_TOL * max(1.0, high):
             return max(2.0 * 0.5 * (low + high) - 1.0, 0.0)
         total = nxt.sum()
         if total <= 0.0:
@@ -283,32 +236,7 @@ def _power_iteration_radius(matrix: np.ndarray, tol: float, max_iter: int) -> "f
     return None
 
 
-def matrix_spectral_radius(
-    matrix: np.ndarray, tol: float = 1e-13, max_iter: int = 200_000
-) -> float:
-    """Spectral radius of an entrywise nonnegative matrix: the tests' dense
-    reference, with no library caller (the rates take the radii of the
-    word operator's cyclic components through ``_word_operator_root``).
-
-    Decomposes into strongly connected components and power-iterates each
-    irreducible block, so reducible matrices with defective eigenvalues (the
-    usual shape of survivor chains) still converge geometrically. Falls back
-    to dense eigenvalues if a block stalls.
-    """
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    if mat.shape[0] == 0:
-        return 0.0
-    if mat.min() < 0.0:
-        raise ValueError("matrix_spectral_radius needs a nonnegative matrix")
-    radius = 0.0
-    for comp in _strongly_connected_components(mat > 0.0):
-        radius = max(radius, _component_radius(mat[np.ix_(comp, comp)], tol, max_iter))
-    return radius
-
-
-def _component_radius(sub: np.ndarray, tol: float, max_iter: int = 200_000) -> float:
+def _component_radius(sub: np.ndarray) -> float:
     """Spectral radius of one irreducible nonnegative block."""
     if len(sub) == 1:
         return float(sub[0, 0])
@@ -316,7 +244,7 @@ def _component_radius(sub: np.ndarray, tol: float, max_iter: int = 200_000) -> f
         # Dense eigenvalues beat power iteration outright at this size,
         # and stay fast when a small spectral gap would stall it.
         return float(np.abs(np.linalg.eigvals(sub)).max())
-    estimate = _power_iteration_radius(sub, tol, max_iter)
+    estimate = _power_iteration_radius(sub)
     if estimate is None:
         estimate = float(np.abs(np.linalg.eigvals(sub)).max())
     return estimate
@@ -328,8 +256,6 @@ _ROOT_WIDTH = 4.0 * float(np.finfo(float).eps)
 _ROOT_MAX_STEPS = 100
 # Largest log of a row weight the root evaluates (e^709 is the float limit).
 _ROOT_MAX_LOG_WEIGHT = 700.0
-# Power-iteration tolerance of each radius the root evaluates.
-_ROOT_RADIUS_TOL = 1e-13
 
 
 def _word_operator_root(P: np.ndarray, heights: np.ndarray) -> float:
@@ -366,7 +292,7 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray) -> float:
     def f(s: float) -> float:
         return math.log(
             max(
-                _component_radius(np.exp(s * hp)[:, None] * sub, _ROOT_RADIUS_TOL)
+                _component_radius(np.exp(s * hp)[:, None] * sub)
                 for sub, hp in parts
             )
         )

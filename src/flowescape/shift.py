@@ -7,7 +7,7 @@ are all suffixes of one length, or, for the truncated pressure, every
 hole-avoiding word up to that length, so words shorter than it are their own
 states. The survival DP, the refined rate and the pressure root run on the
 hole's pattern automaton: (last letters, Knuth-Morris-Pratt match) states,
-linear in the hole length, where ``survivor_matrix`` has one state per word.
+linear in the hole length, where the word chain has one state per word.
 
 A shift is described by a row-stochastic, irreducible transition matrix P over
 symbols 0..S-1 together with its stationary vector pi. Words are tuples of
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -117,11 +117,53 @@ def _stationary_vector(transitions: np.ndarray) -> np.ndarray:
     return pi
 
 
-def _is_strongly_connected(adjacency: np.ndarray) -> bool:
-    reach = adjacency | np.eye(adjacency.shape[0], dtype=bool)
-    for _ in range(max(1, int(np.ceil(np.log2(adjacency.shape[0] + 1))) + 1)):
-        reach = reach | (reach @ reach)
-    return bool(reach.all())
+def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
+    """Tarjan's algorithm, iterative to survive large graphs."""
+    size = adjacency.shape[0]
+    succ = [np.nonzero(adjacency[i])[0].tolist() for i in range(size)]
+    index = [-1] * size
+    low = [0] * size
+    on_stack = [False] * size
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(size):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, child_pos = work[-1]
+            if child_pos == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            advanced = False
+            for pos in range(child_pos, len(succ[node])):
+                nxt = succ[node][pos]
+                if index[nxt] == -1:
+                    work[-1] = (node, pos + 1)
+                    work.append((nxt, 0))
+                    advanced = True
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    comp.append(member)
+                    if member == node:
+                        break
+                components.append(comp)
+    return components
 
 
 def build_markov_shift(
@@ -144,7 +186,7 @@ def build_markov_shift(
         raise NotRowStochasticError(
             f"row sums deviate from 1 by {row_err:.3e} (tolerance {_ROW_SUM_TOL:.0e})"
         )
-    if not _is_strongly_connected(mat > 0.0):
+    if len(_strongly_connected_components(mat > 0.0)) != 1:
         raise NotIrreducibleError("transition digraph is not strongly connected")
     if labels is None:
         labels = tuple(str(i) for i in range(mat.shape[0]))
@@ -411,57 +453,8 @@ def birkhoff_sum_cyclic(func: CylinderFunction, word: Word) -> float:
 
 
 # ===========================================================================
-# Survivor chains, exact survival and the two exact DP kernels
+# Word chains, exact survival and the two exact DP kernels
 # ===========================================================================
-
-@dataclass(frozen=True, eq=False)
-class SurvivorMatrix:
-    """Dense reference chain: the base transition matrix on all admissible
-    words of one order, with the rows of the words that begin with the hole
-    zeroed.
-
-    ``states`` lists the words in lexicographic order, and ``hole_rows`` the
-    zeroed rows. With no hole the matrix is plain row-stochastic. Its size
-    grows like alphabet^order, so no library route runs on it: the rates and
-    the survival DP run on ``_hole_automaton``, which has the same nonzero
-    spectrum. It stays public as the reference that tests compare against.
-    """
-
-    states: tuple[Word, ...]
-    matrix: np.ndarray
-    hole: "Word | None"
-    hole_rows: tuple[int, ...] = field(default=())
-
-
-def survivor_matrix(
-    shift: MarkovShift,
-    hole: "Word | None",
-    order: "int | None" = None,
-) -> SurvivorMatrix:
-    """Word-level transition matrix with rows inside the hole cylinder zeroed.
-
-    ``order`` defaults to the hole length (1 with no hole) and must be at least
-    the hole length so the hole is a union of states.
-    """
-    hole_word: "Word | None" = tuple(hole) if hole is not None and len(hole) > 0 else None
-    if hole_word is not None and not shift.is_admissible(hole_word):
-        raise InadmissibleWordError(f"hole word {hole_word} is not admissible")
-    min_order = len(hole_word) if hole_word is not None else 1
-    if order is None:
-        order = min_order
-    if order < min_order:
-        raise ValueError(f"order {order} is smaller than the hole length {min_order}")
-    states = admissible_words(shift, order)
-    mat = _word_transitions(shift, states)
-    hole_rows: tuple[int, ...] = ()
-    if hole_word is not None:
-        hole_rows = tuple(
-            i for i, w in enumerate(states) if w[: len(hole_word)] == hole_word
-        )
-        mat[list(hole_rows), :] = 0.0
-    mat.setflags(write=False)
-    return SurvivorMatrix(states=states, matrix=mat, hole=hole_word, hole_rows=hole_rows)
-
 
 def _word_transitions(shift: MarkovShift, states: tuple[Word, ...]) -> np.ndarray:
     """Hole-free P on ``states`` (all admissible words of one length, in
@@ -506,12 +499,13 @@ def _hole_automaton(
     RefinementTooLargeError is raised once they pass ``DEFAULT_STATE_CAP``.
 
     A closed walk of the automaton reads one period of a periodic text that
-    avoids the hole, and so does a closed walk of ``survivor_matrix`` at any
-    order >= len(hole). With each row weighted by a function of u, traces of
-    all powers agree, so the nonzero spectra do too: the rate roots and the
-    survival slope need only this automaton. The chain has one state per
-    word of length max(len(hole), order); the automaton's size grows with
-    len(hole) only linearly.
+    avoids the hole, and so does a closed walk of the word chain: P on the
+    admissible words of any one length >= len(hole), with the rows of the
+    words that begin with the hole zeroed. With each row weighted by a
+    function of u, traces of all powers agree, so the nonzero spectra do too:
+    the rate roots and the survival slope need only this automaton. The chain
+    has one state per word of length max(len(hole), order); the automaton's
+    size grows with len(hole) only linearly.
     """
     m = len(hole)
     size = shift.alphabet_size

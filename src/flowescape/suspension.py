@@ -44,8 +44,7 @@ Block = tuple[Word, int]
 class SuspensionSystem:
     """Tower form of a suspension flow with an arithmetic ceiling.
 
-    ``word_matrix`` is the hole-free base chain on ``words`` (the no-hole
-    ``survivor_matrix``). Word i owns the ``heights[i]`` blocks from
+    ``word_matrix`` is the hole-free base chain on ``words``. Word i owns the ``heights[i]`` blocks from
     sum(heights[:i]) on, level 0 first; ``blocks`` lists these (word, level)
     pairs and ``block_matrix`` is the row-stochastic time-lambda transition
     matrix on them, both derived from the tower on first read.

@@ -9,11 +9,10 @@ cofactor of I - z Mbar,
     det(I - z M_op) = det(I - z Mbar) * (1 + sum_k c_k z^k)
                       + C_{t,r}(z) * alpha * z^{k0}.
 
-Everything here is dense polynomial arithmetic in float64: characteristic
-polynomials and cofactors come from a Faddeev-LeVerrier pass, the (1 - z)
-factor is removed by synthetic division, Taylor data at z = 1 feeds the
-asymptotic expansions, and root isolation on [1, oo) turns determinants back
-into spectral radii.
+Everything here is polynomial arithmetic in float64: determinants and
+cofactors come from a Faddeev-LeVerrier pass, the (1 - z) factor is removed
+by synthetic division, Taylor data at z = 1 feeds the asymptotic expansions,
+and root isolation on [1, oo) turns determinants back into spectral radii.
 
 Block and bordered matrices are towers over the word operator W(z) =
 diag(z^h) P (Parry & Pollicott, Asterisque 187-188, ch. 6): det(I - z
@@ -25,10 +24,10 @@ word of a single successor folded into the rows that lead to it, so neither
 matrix is built and a hole that overlaps itself at many shifts, such as 0^m,
 keeps one border state for all of them. W is taken where its pass costs less
 than the dense one, and past 320 states less than the dense one at 320
-states. Below 64 states, where the dense pass is cheaper, and for
-``char_poly`` and ``cofactor_poly`` of a raw matrix, the pass is one dense
-O(n^3) product per step, and past 320 dims it raises DimensionTooLargeError
-before it starts.
+states. Below 64 states, where the dense pass is faster, it builds the
+tower's matrix and takes one dense O(n^3) product per step; a tower past 320
+states whose W costs more raises DimensionTooLargeError before either pass
+starts.
 """
 
 from __future__ import annotations
@@ -135,46 +134,40 @@ ONE_MINUS_Z = Polynomial((1.0, -1.0))
 #: (``_tower_leverrier``). The two passes break even near 32 dims (3-shift
 #: [[.5,.3,.2],[.1,.6,.3],[.4,.4,.2]], heights near n/3, one OpenBLAS thread
 #: on a 2-core x86-64 Xeon: dense 1.7-2.3x faster at 16-20 dims, W 2.3x
-#: faster at 48 and 3.5-4.3x at 64). 64 stays so that smaller towers keep
-#: their coefficients bit for bit: criterion 7 checks s1 of the 2-6-block
-#: shrinking-hole families to 1 ulp, and a random +-2e-16 relative change of
-#: each coefficient of their G and C broke it in 460 of 665 (family, nu,
-#: draw) evaluations.
+#: faster at 48 and 3.5-4.3x at 64). Below the cut the per-step overhead of
+#: the polynomial layers costs more than the dense products it saves: with W
+#: at every size, the ``zeta-grid`` benchmark (seed 5, two alternating 10 s
+#: pairs on the same host, one BLAS thread) ran 347-357 cases/s at a median
+#: case time of 1.89-1.96 ms, against 437-447 cases/s and 1.04-1.07 ms with
+#: this cut.
 _WORD_OPERATOR_MIN_DIMENSION = 64
 
-#: Largest matrix the dense pass accepts. Its cost grows as n^4 and its
-#: error with n, so a larger matrix that takes it raises
-#: DimensionTooLargeError at once. Past it, the word operator is taken only
-#: where it costs less than the dense pass at this size.
+#: Largest tower the dense pass takes. Its cost grows as n^4 and its error
+#: with n; past it, the word operator is taken only where it costs less than
+#: the dense pass at this size, and the tower raises DimensionTooLargeError
+#: otherwise.
 _DENSE_MAX_DIMENSION = 320
 
 
 def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
-    """One dense Faddeev-LeVerrier pass for det(I - zM).
+    """One dense Faddeev-LeVerrier pass for det(I - zM), M a tower's square
+    matrix of at most ``_DENSE_MAX_DIMENSION`` dims.
 
     Returns the ascending coefficients of det(I - zM) and, when ``entry`` =
     (row, col) is given, the ascending coefficients of that entry of
     adj(I - zM) (which is the (col, row) cofactor of I - zM). Step k forms
     A_k = M X_{k-1}, c_k = -tr(A_k) / k and X_k = A_k + c_k I, and X_k[row,
     col] is the z^k coefficient of the adjugate entry, at one O(n^3) product
-    per step. A matrix past ``_DENSE_MAX_DIMENSION`` dims raises
-    DimensionTooLargeError instead.
+    per step.
     """
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    size = mat.shape[0]
-    if size > _DENSE_MAX_DIMENSION:
-        raise DimensionTooLargeError(
-            f"dimension {size} exceeds the dense cap {_DENSE_MAX_DIMENSION}"
-        )
+    size = matrix.shape[0]
     det_coeffs = [1.0]
     adj_coeffs: "list[float] | None" = None
     if entry is not None:
         adj_coeffs = [1.0 if entry[0] == entry[1] else 0.0]
         adj_flat = entry[0] * size + entry[1]
     diagonal = np.arange(size) * (size + 1)
-    cur = mat.copy()
+    cur = matrix.copy()
     nxt = np.empty_like(cur)
     for k in range(1, size + 1):
         coeff = -float(cur.take(diagonal).sum()) / k
@@ -184,7 +177,7 @@ def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
         cur.reshape(-1)[diagonal] += coeff
         if adj_coeffs is not None:
             adj_coeffs.append(float(cur.take(adj_flat)))
-        np.matmul(mat, cur, out=nxt)
+        np.matmul(matrix, cur, out=nxt)
         cur, nxt = nxt, cur
     return det_coeffs, adj_coeffs
 
@@ -358,20 +351,6 @@ def _word_leverrier(size: int, dim: int, layers, loop, entry):
     return (det * scale).tolist(), None if adj is None else (adj[:size] * scale).tolist()
 
 
-def char_poly(matrix: np.ndarray) -> Polynomial:
-    """det(I - zM) as a polynomial in z (reversed characteristic polynomial)."""
-    det_coeffs, _ = _leverrier(matrix)
-    return Polynomial(tuple(det_coeffs))
-
-
-def cofactor_poly(matrix: np.ndarray, t_index: int, r_index: int) -> Polynomial:
-    """(t, r) cofactor of I - zM, i.e. adj(I - zM)[r, t], 0-based indices."""
-    size = np.asarray(matrix).shape[0]
-    if not (0 <= t_index < size and 0 <= r_index < size):
-        raise ValueError(f"cofactor indices ({t_index}, {r_index}) out of range for size {size}")
-    return Polynomial(tuple(_leverrier(matrix, entry=(r_index, t_index))[1]))
-
-
 def _closed_and_cofactor(system: SuspensionSystem, t_word: Word, r_word: Word):
     """det(I - z M_block) and its cofactor adj(I - z M_block)[r, t] between the
     level-0 blocks r, t of ``r_word`` and ``t_word``, from one pass."""
@@ -384,14 +363,18 @@ def _closed_and_cofactor(system: SuspensionSystem, t_word: Word, r_word: Word):
 # Deflation, Taylor data, root isolation
 # ===========================================================================
 
-def deflate_at_one(poly: Polynomial, tol: float = 1e-9) -> Polynomial:
-    """Divide by (1 - z), requiring a zero at z = 1 within ``tol``.
+#: Largest |p(1)| that ``deflate_at_one`` takes for a zero at z = 1.
+_DEFLATE_TOL = 1e-9
+
+
+def deflate_at_one(poly: Polynomial) -> Polynomial:
+    """Divide by (1 - z), requiring a zero at z = 1 within ``_DEFLATE_TOL``.
 
     Returns G with poly = (1 - z) G. Raises NoZeroAtOneError otherwise.
     """
     value = poly(1.0)
-    if abs(value) >= tol:
-        raise NoZeroAtOneError(f"|p(1)| = {abs(value):.3e} is not below {tol:.0e}")
+    if abs(value) >= _DEFLATE_TOL:
+        raise NoZeroAtOneError(f"|p(1)| = {abs(value):.3e} is not below {_DEFLATE_TOL:.0e}")
     coeffs = poly.coefficients
     out = [coeffs[0]]
     for c in coeffs[1:-1]:
@@ -438,17 +421,19 @@ def _series_quotient(num, den, order: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def smallest_root_geq_one(
-    poly: Polynomial,
-    hi: "float | None" = None,
-    companion_fallback: bool = True,
-) -> float:
-    """Smallest real root of ``poly`` in [1, hi], assuming poly(1) >= 0.
+#: Right ends of the brackets that ``smallest_root_geq_one`` scans in turn:
+#: [1, 2], [2, 4], ..., up to 2^21.
+_ROOT_BRACKETS = tuple(float(2**j) for j in range(1, 22))
 
-    Scans for a sign change, then bisects and polishes with Newton. Without a
-    sign change (even roots) it falls back to companion-matrix eigenvalues and
-    polishes on the derivative when the root is multiple. Raises
-    NoSignChangeError when nothing is found.
+
+def smallest_root_geq_one(poly: Polynomial) -> float:
+    """Smallest real root of ``poly`` in [1, 2^21], assuming poly(1) >= 0.
+
+    Scans 512 points of each bracket [2^(j-1), 2^j] in turn for a sign change,
+    then bisects and polishes with Newton. Without a sign change (even roots)
+    it falls back to companion-matrix eigenvalues and polishes on the
+    derivative when the root is multiple. Raises NoSignChangeError when
+    nothing is found.
     """
     scale = max(abs(c) for c in poly.coefficients)
     at_one = poly(1.0)
@@ -457,12 +442,9 @@ def smallest_root_geq_one(
     if at_one < 0.0:
         raise ValueError(f"poly(1) = {at_one:.3e} is negative; no survival mass")
 
-    brackets = [hi] if hi is not None else [float(2 ** j) for j in range(1, 22)]
     left = 1.0
     found: "tuple[float, float] | None" = None
-    for right in brackets:
-        if right <= left:
-            continue
+    for right in _ROOT_BRACKETS:
         xs = np.linspace(left, right, 512)
         prev_x, prev_v = left, poly(left)
         for x in xs[1:]:
@@ -486,9 +468,9 @@ def smallest_root_geq_one(
                 b = mid
         return _polish_candidate(poly, 0.5 * (a + b), a, b, scale)
 
-    if companion_fallback and poly.degree >= 1:
+    if poly.degree >= 1:
         roots = np.roots(list(reversed(poly.coefficients)))
-        top = hi if hi is not None else float(2 ** 21)
+        top = _ROOT_BRACKETS[-1]
         candidates = [
             float(r.real)
             for r in roots
@@ -567,7 +549,7 @@ class ZetaBundle:
     cofactor_predicted: float
 
 
-def correlation_poly(quantities: HoleQuantities) -> Polynomial:
+def _correlation_poly(quantities: HoleQuantities) -> Polynomial:
     """The hole's correlation polynomial 1 + sum_{k=1}^{k0-1} c_k z^k."""
     return Polynomial((1.0,) + quantities.correlation)
 
@@ -583,25 +565,29 @@ def _open_determinant(
     return closed * corr + cofactor.shift_power(k0).scale(alpha)
 
 
-def zeta_op_factorized(
-    system: SuspensionSystem, hole: Word, tol: float = 1e-9
-) -> ZetaBundle:
+#: Largest coefficient gap that ``zeta_op_factorized`` accepts between the
+#: assembled and the direct open determinant.
+_FACTORIZATION_TOL = 1e-9
+
+
+def zeta_op_factorized(system: SuspensionSystem, hole: Word) -> ZetaBundle:
     """Assemble det(I - z M_op) from the factorization and cross-check it.
 
     The direct route takes the characteristic polynomial of the bordered open
     matrix; the assembled route multiplies the closed determinant by the
     correlation polynomial and adds the cofactor term. Coefficientwise
-    disagreement beyond ``tol`` raises FactorizationMismatchError.
+    disagreement beyond ``_FACTORIZATION_TOL`` raises
+    FactorizationMismatchError.
     """
     q = hole_quantities(system, hole)
     closed, cof = _closed_and_cofactor(system, q.t_word, q.r_word)
     deflated = deflate_at_one(closed)
-    corr = correlation_poly(q)
+    corr = _correlation_poly(q)
     assembled = _open_determinant(closed, corr, cof, q.alpha, q.k0)
     direct = Polynomial(tuple(_tower_leverrier(system, q)[0]))
     pairs = zip_longest(assembled.coefficients, direct.coefficients, fillvalue=0.0)
     deviation = max(abs(a - d) for a, d in pairs)
-    if deviation > tol:
+    if deviation > _FACTORIZATION_TOL:
         raise FactorizationMismatchError(
             f"factorized and direct determinants differ by {deviation:.3e}"
         )

@@ -1,11 +1,20 @@
-"""Dense open matrices of the paper's two representations, as test oracles.
+"""Dense references the library routes are checked against.
 
-The library's rate routes never build these; the tests build them here to
-check the routes against a dense radius, determinant or sampler.
+The library's rate and determinant routes never build these matrices; the
+tests build them here to check the routes against a dense radius,
+determinant or sampler: the open matrices of the paper's two
+representations, the word chain with the hole's rows zeroed, a plain
+Faddeev-LeVerrier pass with the determinant and cofactor read off it, and
+the spectral radius of a nonnegative matrix.
 """
 
-from flowescape import hole_quantities, refine_suspension
-from flowescape.open_system import _bordered_matrix
+from dataclasses import dataclass
+
+import numpy as np
+
+from flowescape import Polynomial, admissible_words, hole_quantities, refine_suspension
+from flowescape.open_system import _bordered_matrix, _component_radius
+from flowescape.shift import Word, _strongly_connected_components, _word_transitions
 
 
 def refined_open_matrix(system, hole):
@@ -23,3 +32,64 @@ def refined_open_matrix(system, hole):
 def bordered_open_matrix(system, hole):
     """The bordered open matrix: the order-n blocks plus k0 - 1 border states."""
     return _bordered_matrix(system, hole_quantities(system, hole))
+
+
+@dataclass(frozen=True, eq=False)
+class SurvivorMatrix:
+    """The word chain: the base transition matrix on the admissible words of
+    one order, in lexicographic order, with the rows ``hole_rows`` of the
+    words that begin with the hole zeroed."""
+
+    states: tuple[Word, ...]
+    matrix: np.ndarray
+    hole_rows: tuple[int, ...]
+
+
+def survivor_matrix(shift, hole, order=None):
+    """The word chain at ``order`` (default the hole length) for ``hole``;
+    RefinementTooLargeError past ``DEFAULT_STATE_CAP`` words."""
+    hole = tuple(hole)
+    states = admissible_words(shift, len(hole) if order is None else order)
+    matrix = _word_transitions(shift, states)
+    hole_rows = tuple(i for i, w in enumerate(states) if w[: len(hole)] == hole)
+    matrix[list(hole_rows), :] = 0.0
+    return SurvivorMatrix(states=states, matrix=matrix, hole_rows=hole_rows)
+
+
+def dense_leverrier(matrix, entry):
+    """Faddeev-LeVerrier with one dense n x n product per step: the ascending
+    coefficients of det(I - zM) and of the ``entry`` = (row, col) entry of
+    adj(I - zM)."""
+    mat = np.asarray(matrix, dtype=float)
+    size = mat.shape[0]
+    det_coeffs = [1.0]
+    adj_coeffs = [1.0 if entry[0] == entry[1] else 0.0]
+    acc = mat.copy()
+    coeff = -float(np.trace(acc))
+    det_coeffs.append(coeff)
+    for k in range(2, size + 1):
+        adj_coeffs.append(float(acc[entry]) + (coeff if entry[0] == entry[1] else 0.0))
+        acc = mat @ (acc + coeff * np.eye(size))
+        coeff = -float(np.trace(acc)) / k
+        det_coeffs.append(coeff)
+    return det_coeffs, adj_coeffs
+
+
+def char_poly(matrix):
+    """det(I - zM) as a polynomial in z (reversed characteristic polynomial)."""
+    return Polynomial(tuple(dense_leverrier(matrix, (0, 0))[0]))
+
+
+def cofactor_poly(matrix, t_index, r_index):
+    """(t, r) cofactor of I - zM, i.e. adj(I - zM)[r, t], 0-based indices."""
+    return Polynomial(tuple(dense_leverrier(matrix, (r_index, t_index))[1]))
+
+
+def matrix_spectral_radius(matrix):
+    """Spectral radius of a nonnegative matrix, the largest radius of its
+    strongly connected components, each taken as the word-operator root
+    takes the radii of its cyclic components."""
+    radius = 0.0
+    for comp in _strongly_connected_components(matrix > 0.0):
+        radius = max(radius, _component_radius(matrix[np.ix_(comp, comp)]))
+    return radius

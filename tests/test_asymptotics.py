@@ -23,8 +23,10 @@ from flowescape import (
     local_rate_sweep,
     second_order_check,
     verify_expansion,
+    smallest_root_geq_one,
     zeta_op_factorized,
 )
+from test_acceptance import FAMILY_SPECS, _ceiling, _shift
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +205,19 @@ def test_root_bracket_beyond_settling(unit_family):
     for nu in range(unit_family.nu_min + 2, 13):
         row = verify_expansion(unit_family, [nu], 2)[0]
         assert 1.0 <= row.z_nu <= 1.0 + 4.0 * row.s1 * row.mu_nu, nu
+
+
+def test_verify_expansion_root_is_the_plain_root():
+    # z_nu is the root that the family's escape rates take, to the bit, on
+    # the acceptance suite's families up to nu = 15.
+    for shift_name, ceiling_kind, word in FAMILY_SPECS + (("full2", "step1", (1,)),):
+        shift = _shift(shift_name)
+        family = build_family(shift, _ceiling(shift, ceiling_kind), word)
+        nus = range(family.nu_min, 16)
+        rows = verify_expansion(family, nus, 2)
+        for nu, row in zip(nus, rows):
+            want = smallest_root_geq_one(family_zeta_op(family, nu))
+            assert row.z_nu == want, (shift_name, ceiling_kind, word, nu)
 
 
 # ---------------------------------------------------------------------------

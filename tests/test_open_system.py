@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,7 +26,6 @@ from flowescape import (
     admissible_words,
     build_markov_shift,
     build_suspension,
-    char_poly,
     constant_function,
     cylinder_function,
     escape_rate_block_hole,
@@ -35,13 +35,17 @@ from flowescape import (
     hole_quantities,
     induced_pressure_via_root,
     is_reduced,
-    matrix_spectral_radius,
     survival_curve_flow,
     survival_measure_exact,
-    survivor_matrix,
 )
 from flowescape.open_system import _open_rate
-from oracles import bordered_open_matrix, refined_open_matrix
+from oracles import (
+    bordered_open_matrix,
+    char_poly,
+    matrix_spectral_radius,
+    refined_open_matrix,
+    survivor_matrix,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -329,7 +333,7 @@ def test_long_subshift_hole_matches_50_digit_chain_root(golden_mean):
     # 0, 1 and 2, so power iteration on the chain runs in exact integers; its
     # second eigenvalue is 0.572 of the first, so after 300 steps the ratio of
     # successive sums is the radius far past 50 digits.
-    mp = pytest.importorskip("mpmath").mp.clone()
+    mp = mpmath.mp.clone()
     mp.dps = 50
     hole = (0,) * 12 + (1, 0)
     twice = [[int(2 * p) for p in row] for row in golden_mean.transitions.tolist()]
@@ -679,7 +683,7 @@ def _mp_smallest_root(transitions, heights, hole, guess):
     not from the library's block matrix. ``guess`` only sets the scan grid:
     the first sign change of the determinant on it is refined by Illinois.
     """
-    mp = pytest.importorskip("mpmath").mp.clone()
+    mp = mpmath.mp.clone()
     mp.dps = 50
     size = len(transitions)
     words = [

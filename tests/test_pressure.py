@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -84,7 +85,7 @@ def test_root_pressure_wide_height_ratio():
     # and 5: the root solves e^{0.01 s} + e^{5 s} = 10, s* = 0.4393. The
     # crude bracket end -log(0.2)/0.01 puts a weight of e^803 on word 2, so
     # the root must be found without evaluating there.
-    mp = pytest.importorskip("mpmath").mp.clone()
+    mp = mpmath.mp.clone()
     mp.dps = 40
     want = -float(mp.findroot(lambda s: mp.exp(s / 100) + mp.exp(5 * s) - 10, 0.44))
     shift = build_markov_shift([[0.9, 0.05, 0.05], [0.8, 0.1, 0.1], [0.8, 0.1, 0.1]])

@@ -31,8 +31,8 @@ from flowescape import (
     shift_from_json,
     shift_to_json,
     survival_measure_exact,
-    survivor_matrix,
 )
+from oracles import survivor_matrix
 
 
 # ---------------------------------------------------------------------------

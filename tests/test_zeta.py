@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,8 +18,6 @@ from flowescape import (
     build_family,
     build_markov_shift,
     build_suspension,
-    char_poly,
-    cofactor_poly,
     constant_function,
     cylinder_function,
     deflate_at_one,
@@ -33,8 +32,7 @@ import flowescape.open_system as open_system
 import flowescape.zeta as zeta
 from flowescape.suspension import SuspensionSystem
 from flowescape.open_system import _open_rate
-from flowescape.zeta import correlation_poly
-from oracles import bordered_open_matrix
+from oracles import bordered_open_matrix, char_poly, cofactor_poly, dense_leverrier
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -108,23 +106,6 @@ def test_cofactor_matches_adjugate_identity():
     np.testing.assert_allclose(a @ adj, det * np.eye(4), atol=1e-12)
 
 
-def _dense_leverrier(matrix, entry):
-    """Reference Faddeev-LeVerrier pass: one dense n x n product per step."""
-    mat = np.asarray(matrix, dtype=float)
-    size = mat.shape[0]
-    det_coeffs = [1.0]
-    adj_coeffs = [1.0 if entry[0] == entry[1] else 0.0]
-    acc = mat.copy()
-    coeff = -float(np.trace(acc))
-    det_coeffs.append(coeff)
-    for k in range(2, size + 1):
-        adj_coeffs.append(float(acc[entry]) + (coeff if entry[0] == entry[1] else 0.0))
-        acc = mat @ (acc + coeff * np.eye(size))
-        coeff = -float(np.trace(acc)) / k
-        det_coeffs.append(coeff)
-    return det_coeffs, adj_coeffs
-
-
 @pytest.fixture(scope="module")
 def word_operator_cases(full2, golden_mean):
     """Towers of at least 64 states, where the determinants run over the word
@@ -195,7 +176,7 @@ def test_collapsed_leverrier_matches_dense_reference(word_operator_cases, monkey
     q = None if hole is None else hole_quantities(system, hole)
     matrix = system.block_matrix if q is None else bordered_open_matrix(system, hole)
     assert matrix.shape[0] >= zeta._WORD_OPERATOR_MIN_DIMENSION
-    want_det, want_adj = _dense_leverrier(matrix, tuple(system._starts[list(entry)]))
+    want_det, want_adj = dense_leverrier(matrix, tuple(system._starts[list(entry)]))
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense pass on a tower whose word operator pays")
@@ -220,7 +201,7 @@ def test_dense_pass_where_the_collapse_does_not_pay(full2):
         raise AssertionError("word operator where the dense pass is cheaper")
 
     # Unit heights: block i is word i, and words 0 and 63 are 0^6 and 1^6.
-    want = _dense_leverrier(system.block_matrix, (0, 63))
+    want = dense_leverrier(system.block_matrix, (0, 63))
     passes = []
     leverrier = zeta._leverrier
 
@@ -234,16 +215,6 @@ def test_dense_pass_where_the_collapse_does_not_pay(full2):
         got = zeta._tower_leverrier(system, None, (0, 63))
     assert len(passes) == 1
     assert got == want
-
-
-def test_dense_pass_past_320_dims_raises_before_it_starts(unit_system):
-    # char_poly and cofactor_poly of a raw matrix always take the dense pass;
-    # at 400 dims it would run 400 steps of a 400 x 400 product, and raises.
-    matrix = bordered_open_matrix(unit_system, (0,) * 400)
-    assert matrix.shape == (400, 400)
-    for route in (lambda: char_poly(matrix), lambda: cofactor_poly(matrix, 0, 1)):
-        with pytest.raises(DimensionTooLargeError, match="dense cap 320"):
-            route()
 
 
 def test_self_overlapping_hole_past_320_dims_answers_on_the_word_operator(unit_system):
@@ -410,16 +381,16 @@ def test_taylor_cancels_common_zero():
 # ---------------------------------------------------------------------------
 
 def test_root_fibonacci_quadratic():
-    got = smallest_root_geq_one(Polynomial((1.0, -0.5, -0.25)), hi=2.0)
+    got = smallest_root_geq_one(Polynomial((1.0, -0.5, -0.25)))
     assert got == pytest.approx(2 / GOLDEN, abs=1e-14)
 
 
 def test_root_at_one():
-    assert smallest_root_geq_one(Polynomial((1.0, -1.0)), hi=2.0) == 1.0
+    assert smallest_root_geq_one(Polynomial((1.0, -1.0))) == 1.0
 
 
 def test_root_linear():
-    assert smallest_root_geq_one(Polynomial((1.0, -0.5)), hi=3.0) == pytest.approx(2.0, abs=1e-14)
+    assert smallest_root_geq_one(Polynomial((1.0, -0.5))) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_root_double():
@@ -429,7 +400,7 @@ def test_root_double():
 
 def test_root_none_found():
     with pytest.raises(NoSignChangeError):
-        smallest_root_geq_one(Polynomial((1.0, 0.0, 1.0)), hi=4.0, companion_fallback=False)
+        smallest_root_geq_one(Polynomial((1.0, 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +408,9 @@ def test_root_none_found():
 # ---------------------------------------------------------------------------
 
 def test_correlation_poly_cases(unit_system, step_system):
-    assert correlation_poly(hole_quantities(unit_system, (0, 1))).coefficients == (1.0,)
-    assert correlation_poly(hole_quantities(unit_system, (0, 0, 0))).coefficients == (1.0, 0.5)
-    assert correlation_poly(hole_quantities(step_system, (1, 1, 1))).coefficients == (
+    assert zeta._correlation_poly(hole_quantities(unit_system, (0, 1))).coefficients == (1.0,)
+    assert zeta._correlation_poly(hole_quantities(unit_system, (0, 0, 0))).coefficients == (1.0, 0.5)
+    assert zeta._correlation_poly(hole_quantities(step_system, (1, 1, 1))).coefficients == (
         1.0,
         0.0,
         0.5,
@@ -487,7 +458,8 @@ def test_one_leverrier_pass_per_block_matrix(monkeypatch, full2, step_ceiling, s
     hole = (1, 1, 1)
     want_closed = char_poly(step_system.block_matrix)
     q = hole_quantities(step_system, hole)
-    want_cof = cofactor_poly(step_system.block_matrix, q.t_index, q.r_index)
+    t, r = (step_system.block_index(word, 0) for word in (q.t_word, q.r_word))
+    want_cof = cofactor_poly(step_system.block_matrix, t, r)
     passes = []
     leverrier = zeta._leverrier
 
@@ -503,7 +475,7 @@ def test_one_leverrier_pass_per_block_matrix(monkeypatch, full2, step_ceiling, s
     passes.clear()
     family = build_family(full2, step_ceiling, (1,))
     assert len(passes) == 1
-    t = family.t_index
+    t = family.system.block_index(family.t_word, 0)
     assert family.cofactor.coefficients == cofactor_poly(family.system.block_matrix, t, t).coefficients
 
 
@@ -582,7 +554,7 @@ def _mp_zero_run_rate(transitions, heights, lattice, m, guess):
     W[b, 0] = z^{k0 - 1}, where alpha = p00^(m - 1) and k0 = (m - 1) h_0. No
     polynomial coefficient enters. ``guess`` only sets the scan grid.
     """
-    mp = pytest.importorskip("mpmath").mp.clone()
+    mp = mpmath.mp.clone()
     mp.dps = 50
     p = [[mp.mpf(x) for x in row] for row in transitions]
     alpha = p[0][0] ** (m - 1)
