@@ -38,7 +38,7 @@ targets = {
 for hole, target in targets.items():
     by_radius = escape_rate_flow(system, hole)
     by_zeta = escape_rate_zeta(system, hole)
-    by_slope = escape_rate_from_survival_slope(shift, hole, 20, 60)
+    by_slope = escape_rate_from_survival_slope(shift, hole)
     print(f"hole [{format_word(shift, hole)}]")
     print(f"  closed form        {target:.15f}")
     print(f"  spectral radius    {by_radius:.15f}  (gap {abs(by_radius - target):.2e})")

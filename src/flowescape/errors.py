@@ -31,7 +31,8 @@ class NotIrreducibleError(DomainError):
 
 
 class InadmissibleWordError(DomainError):
-    """A word contains a forbidden transition (some p(a,b) = 0 along it)."""
+    """A word contains a forbidden transition (some p(a,b) = 0 along it), a
+    hole is empty, or a ceiling has no value on a word that a route reads."""
 
 
 class WordTooShortError(DomainError):
@@ -49,7 +50,8 @@ class RefinementTooLargeError(DomainError):
 # ---------------------------------------------------------------------------
 
 class NonArithmeticCeilingError(DomainError):
-    """The ceiling function has no declared lattice or values off its lattice."""
+    """The ceiling has no declared lattice, or a value a lattice route reads is
+    off its lattice or rounds to height 0."""
 
 
 class NonPositiveCeilingError(DomainError):

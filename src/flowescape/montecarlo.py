@@ -28,13 +28,12 @@ from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
-    _integer_heights,
     _lattice_links,
     _lattice_step,
     admissible_words,
     cylinder_measure,
 )
-from .suspension import SuspensionSystem, flow_invariant_vector
+from .suspension import SuspensionSystem, build_suspension, flow_invariant_vector
 
 
 @dataclass(frozen=True)
@@ -172,22 +171,16 @@ class EscapeRateEstimate:
     window: tuple[int, int]
 
 
-def fit_escape_rate(
-    estimate: SurvivalEstimate, window: "tuple[int, int] | None" = None
-) -> EscapeRateEstimate:
-    """Bracket the escape rate from the sampled curve over a time window.
+def fit_escape_rate(estimate: SurvivalEstimate) -> EscapeRateEstimate:
+    """Bracket the escape rate from the sampled curve over its second half.
 
-    Each t gives -log(p_hat -+ z * se) / (t * lambda) as rate bounds; the
-    bracket is their union over the window (default: the second half of the
-    curve). A zero estimate inside the window raises AllMassEscapedError; an
-    interval within 10% of its midpoint counts as converged.
+    Each t in the window [max(1, t_max // 2), t_max] gives -log(p_hat -+ z * se)
+    / (t * lambda) as rate bounds; the bracket is their union. A zero estimate
+    inside the window raises AllMassEscapedError; an interval within 10% of its
+    midpoint counts as converged.
     """
     t_max = estimate.config.t_max
-    if window is None:
-        window = (max(1, t_max // 2), t_max)
-    lo_t, hi_t = window
-    if not (1 <= lo_t <= hi_t <= t_max):
-        raise ValueError(f"window {window} does not fit inside [1, {t_max}]")
+    lo_t, hi_t = window = (max(1, t_max // 2), t_max)
     z = estimate.config.confidence_z
     lam = estimate.lattice_scale
     lowers = []
@@ -233,17 +226,13 @@ def _deviation_setup(shift, ceiling, epsilon, k_values, l_max):
     ks = tuple(sorted({int(k) for k in k_values}))
     if not ks or ks[0] < 1:
         raise ValueError(f"k values must be positive integers, got {k_values}")
-    heights = _integer_heights(ceiling)
-    lam = float(ceiling.lattice)
-    n = ceiling.order
-    mean = lam * sum(
-        cylinder_measure(shift, w) * heights[w] for w in admissible_words(shift, n)
-    )
+    system = build_suspension(shift, ceiling)
+    heights = dict(zip(system.words, system.heights.tolist()))
     if l_max is None:
         l_max = 4 * ks[-1]
     if l_max < ks[-1]:
         raise ValueError(f"l_max = {l_max} is below the largest k = {ks[-1]}")
-    return ks, l_max, heights, lam, n, mean
+    return ks, l_max, heights, system.lattice_scale, ceiling.order, system.total_mass
 
 
 def fit_decay(k_values, probabilities) -> "float | None":
@@ -290,6 +279,7 @@ def estimate_deviation_prob(
     exact dynamic program. Once per l it is decided for every reachable sum
     0..l * h_max, as an interval (``_kept_sums``), so each sample's decision
     is two integer comparisons and matches the exact route bit for bit.
+    The ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
     """
     ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
 
@@ -363,6 +353,8 @@ def exact_deviation_prob(
     V_l = keep_l * (T V_{l+1}), where keep_l is the non-deviating interval of
     ``_kept_sums``, the sampler's test. Then P_k = 1 - sum(dist_k * V_k), so
     every k costs max k + l_max - min k steps in all.
+    Heights, lattice and mean come from ``build_suspension(shift, ceiling)``,
+    which reads every admissible word of the ceiling's order and raises as it does.
     """
     ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
     suffix_len = max(n - 1, 1)
@@ -371,8 +363,8 @@ def exact_deviation_prob(
     h_max = max(heights.values())
 
     dist = np.zeros((len(index), l_max * h_max + 1))
-    for w in admissible_words(shift, max(n, suffix_len)):
-        dist[index[w[-suffix_len:]], heights[w[-n:]]] += cylinder_measure(shift, w)
+    for w, k in heights.items():
+        dist[index[w[-suffix_len:]], k] += cylinder_measure(shift, w)
     dists = {}
     for l in range(1, ks[-1] + 1):
         if l > 1:

@@ -473,4 +473,4 @@ def survival_curve_flow(system: SuspensionSystem, hole: Word, t_max: int) -> np.
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     refined, rows = _refined(system, hole)
     mass = flow_invariant_vector(refined)
-    return _survival_curve(mass, refined.word_matrix, rows, 1, t_max, refined.heights)
+    return _survival_curve(mass, refined.word_matrix, rows, t_max, refined.heights)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     InadmissibleWordError,
-    NonPositiveCeilingError,
     PressureNotNegativeError,
     WindowEmptyError,
 )
@@ -36,10 +35,10 @@ from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
+    _ceiling_values,
     _checked_hole,
     _hole_automaton,
     _hole_free_words,
-    _integer_heights,
     _lattice_links,
     _lattice_step,
     cylinder_function,
@@ -118,6 +117,9 @@ def induced_pressure_truncated(
     in (t - eta, t]; eta defaults to one lattice step above the ceiling sup so
     the window is never starved. t_max must sit on the ceiling lattice.
 
+    Heights and lattice come from ``build_suspension(shift, ceiling)``, which
+    reads every admissible word of the ceiling's order and raises as it does.
+
     One lattice-sum DP walks the words letter by letter, from length 1 on. Its
     states are the hole-avoiding words of length 1..depth, depth = max(order - 1,
     hole length - 1, 1): a word is its own state up to length depth, and its last
@@ -126,8 +128,9 @@ def induced_pressure_truncated(
     state's sup-completion lands in the window.
     """
     hole_word = _checked_hole(shift, hole)
-    heights = _integer_heights(ceiling)
-    lam = float(ceiling.lattice)
+    system = build_suspension(shift, ceiling)
+    heights = dict(zip(system.words, system.heights.tolist()))
+    lam = system.lattice_scale
     n = ceiling.order
     t_norm = t_max / lam
     if abs(t_norm - round(t_norm)) > 1e-9 or round(t_norm) < 1:
@@ -203,18 +206,17 @@ def induced_pressure_via_root(
     W(beta) = diag(e^{-beta phi}) P, with P the hole automaton of ``shift``
     at the ceiling's order: its states (u, j) hold the last order letters u
     of a hole-avoiding text and its Knuth-Morris-Pratt match j of the hole,
-    and an edge that completes the hole is dropped. Only the hole-avoiding
-    words u need a ceiling value. beta* = -s* for the word-operator root s*
-    of ``open_system``, located to a few ulp. The ceiling need not be
-    arithmetic here. beta* = -inf exactly where the refined escape rate is
-    +inf: no hole-avoiding word survives forever, including when every word
-    holds the hole. Raises PressureNotNegativeError when beta* >= 0.
+    and an edge that completes the hole is dropped. The ceiling is read only
+    on the hole-avoiding words u: a missing value there raises
+    InadmissibleWordError, a value <= 0 NonPositiveCeilingError. It need not
+    be arithmetic. beta* = -s* for the word-operator root s* of ``open_system``,
+    located to a few ulp. beta* = -inf exactly where the refined escape rate
+    is +inf: no hole-avoiding word survives forever, including when every
+    word holds the hole. Raises PressureNotNegativeError when beta* >= 0.
     """
     hole_word = _checked_hole(shift, hole)
-    if min(ceiling.values.values()) <= 0.0:
-        raise NonPositiveCeilingError("the ceiling must be strictly positive")
     states, P = _hole_automaton(shift, hole_word, ceiling.order)
-    phi = np.array([ceiling.value(u) for u, _ in states])
+    phi = np.array(_ceiling_values(ceiling, [u for u, _ in states]))
 
     beta = -_word_operator_root(P, phi)
     if beta >= 0.0:
@@ -279,13 +281,13 @@ def superadditivity_check(
 
     All three pressures must be negative (``induced_pressure_via_root`` raises
     PressureNotNegativeError otherwise); the combined ceiling is the plain sum
-    of values on the common refinement.
+    of values on the common refinement, on the words where both hold one.
     """
     order = max(ceiling_a.order, ceiling_b.order)
     fa = refine_cylinder_function(shift, ceiling_a, order)
     fb = refine_cylinder_function(shift, ceiling_b, order)
     combined = cylinder_function(
-        order, {w: fa.value(w) + fb.value(w) for w in fa.values}
+        order, {w: v + fb.values[w] for w, v in fa.values.items() if w in fb.values}
     )
     p_a = induced_pressure_via_root(shift, ceiling_a, hole)
     p_b = induced_pressure_via_root(shift, ceiling_b, hole)

@@ -46,6 +46,9 @@ DEFAULT_STATE_CAP = 4096
 
 _ROW_SUM_TOL = 1e-9
 _STATIONARY_TOL = 1e-12
+_LATTICE_TOL = 1e-12  # relative to max(1, |value|), for every lattice check
+_SLOPE_N_LO = 20  # the slope route fits log survival(n) for n in [lo, hi]
+_SLOPE_N_HI = 60
 
 
 # ===========================================================================
@@ -396,11 +399,23 @@ def cylinder_function(
             raise NonArithmeticCeilingError(f"lattice must be positive, got {lattice}")
         for w, v in clean.items():
             nearest = lattice * round(v / lattice)
-            if abs(v - nearest) > 1e-12 * max(1.0, abs(v)):
+            if abs(v - nearest) > _LATTICE_TOL * max(1.0, abs(v)):
                 raise NonArithmeticCeilingError(
                     f"value {v} at word {w} is not a multiple of the lattice {lattice}"
                 )
     return CylinderFunction(order=order, values=dict(clean), lattice=lattice)
+
+
+def _ceiling_values(ceiling: CylinderFunction, words) -> list[float]:
+    """The ceiling's values on ``words``, the words a route reads: a missing
+    value raises InadmissibleWordError, a value <= 0 NonPositiveCeilingError."""
+    values = []
+    for w in words:
+        value = ceiling.value(w)
+        if value <= 0.0:
+            raise NonPositiveCeilingError(f"ceiling value {value} at word {w} is not positive")
+        values.append(value)
+    return values
 
 
 def constant_function(shift: MarkovShift, value: float) -> CylinderFunction:
@@ -548,19 +563,16 @@ def _hole_automaton(
     return states, matrix
 
 
-def escape_rate_from_survival_slope(
-    shift: MarkovShift, hole: Word, n_lo: int = 20, n_hi: int = 60
-) -> float:
+def escape_rate_from_survival_slope(shift: MarkovShift, hole: Word) -> float:
     """Escape rate of the base map as the least-squares slope of -log survival.
 
-    Fits log(survival(n)) against n over [n_lo, n_hi]; with a spectral gap the
-    tail is exactly geometric, so the slope recovers -log(radius). Serves as
-    an arithmetic-free cross-check on the spectral routes.
+    Fits log(survival(n)) against n over the fixed window 20 <= n <= 60; with
+    a spectral gap the tail is exactly geometric, so the slope recovers
+    -log(radius). Serves as an arithmetic-free cross-check on the spectral
+    routes. An empty or inadmissible hole raises InadmissibleWordError.
     """
-    if not (0 < n_lo < n_hi):
-        raise ValueError(f"need 0 < n_lo < n_hi, got ({n_lo}, {n_hi})")
-    ns = np.arange(n_lo, n_hi + 1, dtype=float)
-    values = _survival_by_length(shift, hole, n_hi)[n_lo:]
+    ns = np.arange(_SLOPE_N_LO, _SLOPE_N_HI + 1, dtype=float)
+    values = _survival_by_length(shift, hole, _SLOPE_N_HI)[_SLOPE_N_LO:]
     if values.min() <= 0.0:
         raise InadmissibleWordError("survival hit zero inside the fit range")
     slope = np.polyfit(ns, np.log(values), 1)[0]
@@ -572,18 +584,15 @@ def survival_measure_exact(shift: MarkovShift, hole: Word, n: int) -> float:
 
     Equivalently, the stationary mass of n-cylinders whose word avoids the hole
     word as a substring. For n below the hole length nothing can have escaped,
-    so the survival is exactly 1.
+    so the survival is exactly 1. An empty or inadmissible hole raises
+    InadmissibleWordError.
     """
     return float(_survival_by_length(shift, hole, n)[n])
 
 
 def _survival_by_length(shift: MarkovShift, hole: Word, n: int) -> np.ndarray:
     """Survival for every length 0..n, from one pass of the survival kernel."""
-    hole_word = tuple(hole)
-    if len(hole_word) == 0:
-        raise WordTooShortError("hole word must be nonempty")
-    if not shift.is_admissible(hole_word):
-        raise InadmissibleWordError(f"hole word {hole_word} is not admissible")
+    hole_word = _checked_hole(shift, hole)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     m = len(hole_word)
@@ -595,13 +604,13 @@ def _survival_by_length(shift: MarkovShift, hole: Word, n: int) -> np.ndarray:
     letters = [a for a in range(shift.alphabet_size) if (a,) != hole_word]
     mass = np.zeros(len(states))
     mass[: len(letters)] = shift.stationary[letters]
-    out = _survival_curve(mass, matrix, (), 1, n)
+    out = _survival_curve(mass, matrix, (), n)
     out[:m] = 1.0
     return out
 
 
-def _survival_curve(mass, matrix, hole_rows, lead: int, length: int, heights=None) -> np.ndarray:
-    """Survival kernel: ``lead`` ones, then ``length`` rounds of zeroing the mass
+def _survival_curve(mass, matrix, hole_rows, length: int, heights=None) -> np.ndarray:
+    """Survival kernel: a leading one, then ``length`` rounds of zeroing the mass
     on the level-0 blocks of the words ``hole_rows``, recording the total and
     stepping it. ``mass`` lies on the tower of ``heights`` (default 1) blocks
     per word of ``matrix``, level 0 first: a step moves every level up one and
@@ -612,25 +621,14 @@ def _survival_curve(mass, matrix, hole_rows, lead: int, length: int, heights=Non
     starts = tops - heights + 1
     killer = np.ones(len(mass))
     killer[starts[list(hole_rows)]] = 0.0
-    out = np.ones(lead + length)
-    for t in range(lead, lead + length):
+    out = np.ones(1 + length)
+    for t in range(1, 1 + length):
         mass = mass * killer
         out[t] = mass.sum()
         climbed = mass[tops] @ matrix
         mass[1:] = mass[:-1]
         mass[starts] = climbed
     return out
-
-
-def _integer_heights(ceiling: CylinderFunction) -> dict[Word, int]:
-    if ceiling.lattice is None:
-        raise NonArithmeticCeilingError("this estimator needs an arithmetic ceiling")
-    heights = {}
-    for w, v in ceiling.values.items():
-        if v <= 0.0:
-            raise NonPositiveCeilingError(f"ceiling value {v} at word {w} is not positive")
-        heights[w] = int(round(v / ceiling.lattice))
-    return heights
 
 
 def _lattice_links(shift: MarkovShift, heights, order: int, index, hole=None) -> list[tuple]:

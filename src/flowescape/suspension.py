@@ -26,10 +26,12 @@ from .errors import (
     NonPositiveCeilingError,
 )
 from .shift import (
+    _LATTICE_TOL,
     DEFAULT_STATE_CAP,
     CylinderFunction,
     MarkovShift,
     Word,
+    _ceiling_values,
     _word_transitions,
     admissible_words,
     cylinder_function,
@@ -111,8 +113,12 @@ def build_suspension(
 ) -> SuspensionSystem:
     """Lay out the tower of the suspension of ``base`` under ``ceiling``.
 
-    The ceiling must declare a lattice (NonArithmeticCeilingError otherwise)
-    and be strictly positive on every admissible word (NonPositiveCeilingError).
+    The ceiling is read on every admissible word of its order and nowhere
+    else: a missing value raises InadmissibleWordError, a value <= 0
+    NonPositiveCeilingError. It must declare a lattice, and each value must be
+    k >= 1 lattice steps to within 1e-12 relative, k being the word's height
+    (NonArithmeticCeilingError otherwise). Every lattice route reads its
+    heights from here.
     """
     if ceiling.lattice is None:
         raise NonArithmeticCeilingError(
@@ -120,17 +126,15 @@ def build_suspension(
         )
     scale = float(ceiling.lattice)
     words = admissible_words(base, ceiling.order)
-    heights = np.zeros(len(words), dtype=int)
-    for i, w in enumerate(words):
-        value = ceiling.value(w)
-        if value <= 0.0:
-            raise NonPositiveCeilingError(f"ceiling value {value} at word {w} is not positive")
-        k = int(round(value / scale))
-        if k < 1 or abs(value - k * scale) > 1e-9 * max(1.0, abs(value)):
+    heights = []
+    for w, value in zip(words, _ceiling_values(ceiling, words)):
+        k = round(value / scale)
+        if k < 1 or abs(value - k * scale) > _LATTICE_TOL * max(1.0, abs(value)):
             raise NonArithmeticCeilingError(
                 f"ceiling value {value} at word {w} is off the lattice {scale}"
             )
-        heights[i] = k
+        heights.append(k)
+    heights = np.array(heights)
 
     word_matrix = _word_transitions(base, words)
     measure = np.repeat([cylinder_measure(base, w) for w in words], heights)

@@ -140,7 +140,7 @@ def test_criterion_01_exact_baselines():
     for hole, (target, tol) in targets.items():
         assert escape_rate_flow(system, hole) == pytest.approx(target, abs=tol)
         assert escape_rate_zeta(system, hole) == pytest.approx(target, abs=tol)
-        slope = escape_rate_from_survival_slope(shift, hole, 20, 60)
+        slope = escape_rate_from_survival_slope(shift, hole)
         assert slope == pytest.approx(target, abs=1e-6)
 
 
