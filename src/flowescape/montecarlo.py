@@ -6,10 +6,11 @@ stream's rows are the same numbers as one (steps, samples) block drawn up
 front: column i is sample i's private stream, and results are bit-identical
 across reruns and independent of how many samples have already died. Both
 samplers keep O(samples) state and build no (steps, samples) array. The
-survival sampler walks the tower of the refined system's ``word_matrix``: an
-interior block climbs one level and a top branches to its successors' level-0
-blocks, so no block matrix is built; a sample that enters the hole moves to a
-sink state and stays there. Exact counterparts for both estimators (the
+survival sampler walks the tower on which ``survival_curve_flow`` steps its
+mass: an interior block climbs one level and a top branches to its
+successors' level-0 blocks, so no block matrix is built; the deficit of a
+row, the edges its operator lacks, branches to a sink state that a sample
+never leaves. Exact counterparts for both estimators (the
 survival curve and the lattice-sum DP of ``shift`` for the deviation
 probabilities) let tests hold the sampler to 3-sigma.
 """
@@ -23,17 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllMassEscapedError
-from .open_system import _refined
+from .open_system import _survival_tower
 from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
     _lattice_links,
     _lattice_step,
+    _survival_curve,
     admissible_words,
     cylinder_measure,
 )
-from .suspension import SuspensionSystem, build_suspension, flow_invariant_vector
+from .suspension import SuspensionSystem, build_suspension
 
 
 @dataclass(frozen=True)
@@ -97,45 +99,48 @@ def estimate_survival(
     """Sample the block chain from the flow-invariant measure and record the
     fraction avoiding the hole through each time step.
 
-    Like ``survival_curve_flow``, it walks the tower of the system refined to
-    all admissible words of length max(len(hole), order), so it raises
-    RefinementTooLargeError past ``DEFAULT_STATE_CAP`` words even where
-    ``escape_rate_flow`` answers from the hole automaton (the full 2-shift
-    with hole ``0^13`` has 8192 such words and 13 automaton states).
-
-    A sample that enters a hole block moves to a sink state and stays there,
-    and the estimate at t is the fraction outside the sink. Every sample,
-    absorbed or not, takes one uniform per step, so the uniform consumption
-    pattern (and hence every later number) does not depend on who has died.
+    It walks the tower that ``survival_curve_flow`` steps its mass on
+    (``_survival_tower``): an interior block climbs one level, and a top
+    branches to the level-0 blocks of its state's successors, or, with the
+    deficit of its row, to a sink state, where the sample stays. Samples
+    start from the exact mass at the tower's delay, the mass already dead
+    by then in the sink, and the estimate at t is the fraction outside the
+    sink. Every sample, absorbed or not, takes one uniform per step, so the
+    uniform consumption pattern (and hence every later number) does not
+    depend on who has died.
     """
-    refined, hole_words = _refined(system, hole)
-    starts = refined._starts
-    tops = starts + refined.heights - 1
-    size = len(refined.block_measure)
-    init_cum = np.cumsum(flow_invariant_vector(refined))[:-1]
+    operator, heights, start, delay = _survival_tower(system, hole)
+    mass = _survival_curve(start, operator, delay, heights)[1]
+    tops = np.cumsum(heights) - 1
+    starts = tops - heights + 1
+    size = len(mass)
+    init_cum = np.cumsum(mass)
 
-    successors = [np.nonzero(row > 0.0)[0] for row in refined.word_matrix]
-    width = max(len(js) for js in successors)
+    successors = [np.nonzero(row > 0.0)[0] for row in operator]
+    # A row's cumulative weights are its branch thresholds. One that ends
+    # below 1 keeps them all, and the rest of the row branches to the sink.
+    thresholds = []
+    for row, js in zip(operator, successors):
+        cum = np.cumsum(row[js])
+        thresholds.append(cum if len(js) == 0 or cum[-1] < 1.0 else cum[:-1])
+    width = 1 + max(map(len, thresholds))
     # Row-major (state, branch) table, read at state * width + branch. An
     # interior block climbs to the next level; a top branches to the level-0
-    # blocks of its word's successors. State ``size`` is the sink.
+    # blocks of its state's successors, then to the sink, state ``size``.
     sink = size
     targets = np.repeat(np.arange(1, size + 2), width).reshape(size + 1, width)
     targets[sink] = sink
     # Padding 2.0 lies above every uniform, so a padded column never counts.
     columns = np.full((width - 1, size + 1), 2.0)
-    for top, row, js in zip(tops, refined.word_matrix, successors):
+    for top, js, cum in zip(tops, successors, thresholds):
+        targets[top] = sink
         targets[top, : len(js)] = starts[js]
-        targets[top, len(js) :] = starts[js[-1]]
-        columns[: len(js) - 1, top] = np.cumsum(row[js])[:-1]
-    # A hole block is replaced by the sink wherever it is a target.
-    to_sink = np.arange(size + 1)
-    to_sink[starts[list(hole_words)]] = sink
-    flat = to_sink[targets].ravel()
+        columns[: len(cum), top] = cum
+    flat = targets.ravel()
 
     samples = config.samples
     rows = _uniform_rows(config.seed)
-    states = to_sink[np.searchsorted(init_cum, rows.random(samples), side="right")]
+    states = np.searchsorted(init_cum, rows.random(samples), side="right")
     uniforms = np.empty(samples)
     offsets = np.empty(samples, dtype=np.int64)
 

@@ -21,7 +21,10 @@ states, where the refined block chain has one tower per word of length
 max(m, n). The bordered radius is the reciprocal of the smallest root >= 1
 of its determinant, which ``zeta`` takes over the word operator W(z) from 64
 states and over the dense bordered matrix below that. The exact survival
-curve steps mass on the tower of the refined words' hole-free P.
+curve and the survival sampler step on one tower: the order-n word operator
+with the hole's edges dropped, or, for a hole longer than the order, the
+hole automaton, read k0 steps late. An orbit dies only on an edge that
+operator lacks, and no route builds the words of the hole's length.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ from .shift import (
     _borders,
     _checked_hole,
     _hole_automaton,
-    _strongly_connected_components,
+    _cyclic_components,
     _survival_curve,
     _within_state_cap,
     is_reduced,
 )
-from .suspension import SuspensionSystem, flow_invariant_vector, refine_suspension
+from .suspension import SuspensionSystem, flow_invariant_vector
 
 
 # ===========================================================================
@@ -77,6 +80,13 @@ class HoleQuantities:
     r_word: Word
 
 
+def _prefix_height(system: SuspensionSystem, word: Word) -> int:
+    """k0: the ceiling sum over the first len(word) - order shifts of ``word``
+    (normalized lattice), 0 when the word is no longer than the order."""
+    n = system.order
+    return sum(system.height_of(word[j : j + n]) for j in range(len(word) - n))
+
+
 def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
     """Compute the overlap data of a reduced hole word at least as long as the order.
 
@@ -94,7 +104,7 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
             f"hole length {m} is below the ceiling order {n}"
         )
 
-    k0 = sum(system.height_of(word[j : j + n]) for j in range(m - n))
+    k0 = _prefix_height(system, word)
     alpha = 1.0
     for i in range(n - 1, m - 1):
         alpha *= float(base.transitions[word[i], word[i + 1]])
@@ -130,18 +140,6 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
 # ===========================================================================
 # Open matrix representations
 # ===========================================================================
-
-def _refined(system: SuspensionSystem, hole: Word) -> tuple[SuspensionSystem, tuple]:
-    """The system at order max(len(hole), order), and the indices of its words
-    that begin with the hole word (their level-0 blocks are the hole)."""
-    word = _checked_hole(system.base, hole)
-    refined_order = max(len(word), system.order)
-    refined = (
-        refine_suspension(system, refined_order) if refined_order > system.order else system
-    )
-    rows = tuple(i for i, w in enumerate(refined.words) if w[: len(word)] == word)
-    return refined, rows
-
 
 def _tower_dimension(system: SuspensionSystem, q: "HoleQuantities | None") -> int:
     """States of the block matrix, or of the bordered open matrix of ``q``;
@@ -279,11 +277,7 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray) -> float:
     h = np.asarray(heights, dtype=float)
     # Positive row weights keep the strongly connected components, so they
     # are found once; each evaluation takes the radius of the cyclic ones.
-    parts = [
-        (P[np.ix_(comp, comp)], h[comp])
-        for comp in _strongly_connected_components(P > 0.0)
-        if len(comp) > 1 or P[comp[0], comp[0]] > 0.0
-    ]
+    parts = [(P[np.ix_(comp, comp)], h[comp]) for comp in _cyclic_components(P)]
     if not parts:
         return math.inf
     cyclic = np.concatenate([hp for _, hp in parts])
@@ -408,7 +402,9 @@ def _open_rate(
             resolved, bordered_error = "refined", error
         else:
             # A root of 1 is a rate below float resolution: +0.0, not -0.0.
-            rate = -float(np.log(1.0 / root)) / system.lattice_scale if root > 1.0 else 0.0
+            # A root of inf (every orbit meets the hole) is a rate of inf.
+            with np.errstate(divide="ignore"):
+                rate = -float(np.log(1.0 / root)) / system.lattice_scale if root > 1.0 else 0.0
             return resolved, rate, 1.0 / root
     try:
         root = _open_root(system, hole)
@@ -453,24 +449,67 @@ def escape_rate_block_hole(system: SuspensionSystem, rows: "tuple[int, ...] | li
     return _word_operator_root(P, system.heights) / system.lattice_scale
 
 
+def _survival_tower(
+    system: SuspensionSystem, hole: Word
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(operator, heights, start mass, delay): the tower on which the exact
+    survival curve and the survival sampler step. Each state of the
+    substochastic operator owns a tower of its height, level 0 first, and
+    the start mass is the flow-invariant vector laid out on those blocks.
+    Mass dies only on an edge the operator lacks, and it dies ``delay``
+    lattice steps after the level-0 visit of the hole it records.
+
+    With the hole no longer than the order n, the hole is the level-0 blocks
+    of the words that begin with it: the operator is ``word_matrix`` with
+    their columns dropped, their level-0 start mass is zeroed, and the delay
+    is 0. A longer hole runs on the hole automaton at order n, each state
+    (u, j) a tower of the height of u. The edge that completes a copy of the
+    hole comes k0 (``_prefix_height``) steps after the level-0 block of the
+    copy's first n letters u0, so the delay is k0. The mass above level 0 of
+    u0 starts on one extra last state whose row is u0's row of
+    ``word_matrix``, so it takes no part in the copy that starts below it:
+    the automaton's first states are the system's words, in the same order.
+    RefinementTooLargeError where the automaton passes ``DEFAULT_STATE_CAP``.
+    """
+    word = _checked_hole(system.base, hole)
+    n, m = system.order, len(word)
+    start = np.array(flow_invariant_vector(system))
+    if m <= n:
+        rows = [i for i, w in enumerate(system.words) if w[:m] == word]
+        operator = system.word_matrix.copy()
+        operator[:, rows] = 0.0
+        start[system._starts[rows]] = 0.0
+        return operator, system.heights, start, 0
+    states, P = _hole_automaton(system.base, word, n)
+    size = len(states)
+    first = system._word_index[word[:n]]
+    operator = np.zeros((size + 1, size + 1))
+    operator[:size, :size] = P
+    operator[size, : len(system.words)] = system.word_matrix[first]
+    heights = np.array([system.height_of(u) for u, _ in states] + [system.heights[first]])
+    mass = np.zeros(int(heights.sum()))
+    mass[: len(start)] = start
+    above = slice(system._starts[first] + 1, system._starts[first] + heights[-1])
+    mass[len(mass) - heights[-1] + 1 :] = mass[above]
+    mass[above] = 0.0
+    return operator, heights, mass, _prefix_height(system, word)
+
+
 def survival_curve_flow(system: SuspensionSystem, hole: Word, t_max: int) -> np.ndarray:
     """Exact survival probabilities S(0..t_max) under the flow-invariant measure.
 
     S(t) is the mass of points whose first t block-chain positions all avoid
     the hole; S(0) = 1 by convention (no kill has happened yet). Time is in
     lattice steps: one step is lambda units of flow time. The mass steps on
-    the tower of the refined hole-free ``word_matrix``, so mass above level 0
-    of a hole word climbs out alive. No block matrix is built.
-
-    The refined tower holds every admissible word of length
-    max(len(hole), order), so past ``DEFAULT_STATE_CAP`` such words this
-    raises RefinementTooLargeError where ``escape_rate_flow`` still answers
-    from the hole automaton: the full 2-shift with hole ``0^13`` has 8192
-    words of length 13 and 13 automaton states. ``estimate_survival`` walks
-    the same tower.
+    the tower of ``_survival_tower``, the word operator with the hole's edges
+    dropped, or the hole automaton for a hole longer than the order; there S
+    is read k0 steps late, where the dropped edges complete the hole. No
+    block matrix is built, and RefinementTooLargeError is raised exactly
+    where ``escape_rate_flow(..., "refined")`` raises it.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    refined, rows = _refined(system, hole)
-    mass = flow_invariant_vector(refined)
-    return _survival_curve(mass, refined.word_matrix, rows, t_max, refined.heights)
+    operator, heights, start, delay = _survival_tower(system, hole)
+    curve = _survival_curve(start, operator, delay + t_max, heights)[0][delay:]
+    curve[0] = 1.0
+    return curve

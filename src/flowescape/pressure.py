@@ -32,6 +32,7 @@ from .errors import (
 )
 from .open_system import _word_operator_root, escape_rate_flow
 from .shift import (
+    _LATTICE_TOL,
     CylinderFunction,
     MarkovShift,
     Word,
@@ -115,7 +116,8 @@ def induced_pressure_truncated(
 
     The window keeps hole-avoiding words whose sup-completed ceiling sum lands
     in (t - eta, t]; eta defaults to one lattice step above the ceiling sup so
-    the window is never starved. t_max must sit on the ceiling lattice.
+    the window is never starved. t_max must sit on the ceiling lattice, to
+    the relative tolerance of ``build_suspension``; t is that lattice point.
 
     Heights and lattice come from ``build_suspension(shift, ceiling)``, which
     reads every admissible word of the ceiling's order and raises as it does.
@@ -132,10 +134,9 @@ def induced_pressure_truncated(
     heights = dict(zip(system.words, system.heights.tolist()))
     lam = system.lattice_scale
     n = ceiling.order
-    t_norm = t_max / lam
-    if abs(t_norm - round(t_norm)) > 1e-9 or round(t_norm) < 1:
+    t_norm = round(t_max / lam)
+    if t_norm < 1 or abs(t_max - t_norm * lam) > _LATTICE_TOL * max(1.0, abs(t_max)):
         raise ValueError(f"t_max = {t_max} does not sit on the ceiling lattice {lam}")
-    t_norm = int(round(t_norm))
     sup_k = max(heights.values())
     min_k = min(heights.values())
     if eta is None:
@@ -178,7 +179,7 @@ def induced_pressure_truncated(
         raise WindowEmptyError(
             f"no hole-avoiding word lands in the window ({t_max - eta_norm * lam}, {t_max}]"
         )
-    return math.log(total_sum) / float(t_max)
+    return math.log(total_sum) / (t_norm * lam)
 
 
 def _sup_completion(shift: MarkovShift, heights: dict[Word, int], n: int, word: Word) -> int:

@@ -7,7 +7,9 @@ are all suffixes of one length, or, for the truncated pressure, every
 hole-avoiding word up to that length, so words shorter than it are their own
 states. The survival DP, the refined rate and the pressure root run on the
 hole's pattern automaton: (last letters, Knuth-Morris-Pratt match) states,
-linear in the hole length, where the word chain has one state per word.
+linear in the hole length, where the word chain has one state per word. The
+survival kernel kills nothing itself: mass dies only on the edges its
+substochastic operator lacks.
 
 A shift is described by a row-stochastic, irreducible transition matrix P over
 symbols 0..S-1 together with its stationary vector pi. Words are tuples of
@@ -19,6 +21,7 @@ the primitives here.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -167,6 +170,17 @@ def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
                         break
                 components.append(comp)
     return components
+
+
+def _cyclic_components(matrix: np.ndarray) -> list[list[int]]:
+    """The strongly connected components of ``matrix > 0`` that hold a cycle:
+    more than one state, or one state with a loop. None exist exactly when
+    the matrix is nilpotent."""
+    return [
+        comp
+        for comp in _strongly_connected_components(matrix > 0.0)
+        if len(comp) > 1 or matrix[comp[0], comp[0]] > 0.0
+    ]
 
 
 def build_markov_shift(
@@ -569,10 +583,16 @@ def escape_rate_from_survival_slope(shift: MarkovShift, hole: Word) -> float:
     Fits log(survival(n)) against n over the fixed window 20 <= n <= 60; with
     a spectral gap the tail is exactly geometric, so the slope recovers
     -log(radius). Serves as an arithmetic-free cross-check on the spectral
-    routes. An empty or inadmissible hole raises InadmissibleWordError.
+    routes. +inf where the order-1 hole automaton has no cyclic component,
+    that is where every orbit meets the hole. An empty or inadmissible hole
+    raises InadmissibleWordError.
     """
+    word = _checked_hole(shift, hole)
+    states, matrix = _hole_automaton(shift, word, 1)
+    if not _cyclic_components(matrix):
+        return math.inf
     ns = np.arange(_SLOPE_N_LO, _SLOPE_N_HI + 1, dtype=float)
-    values = _survival_by_length(shift, hole, _SLOPE_N_HI)[_SLOPE_N_LO:]
+    values = _survival_by_length(shift, word, states, matrix, _SLOPE_N_HI)[_SLOPE_N_LO:]
     if values.min() <= 0.0:
         raise InadmissibleWordError("survival hit zero inside the fit range")
     slope = np.polyfit(ns, np.log(values), 1)[0]
@@ -587,48 +607,46 @@ def survival_measure_exact(shift: MarkovShift, hole: Word, n: int) -> float:
     so the survival is exactly 1. An empty or inadmissible hole raises
     InadmissibleWordError.
     """
-    return float(_survival_by_length(shift, hole, n)[n])
-
-
-def _survival_by_length(shift: MarkovShift, hole: Word, n: int) -> np.ndarray:
-    """Survival for every length 0..n, from one pass of the survival kernel."""
-    hole_word = _checked_hole(shift, hole)
+    word = _checked_hole(shift, hole)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = len(hole_word)
-    if n < m:
-        return np.ones(n + 1)
+    if n < len(word):
+        return 1.0
+    return float(_survival_by_length(shift, word, *_hole_automaton(shift, word, 1), n)[n])
+
+
+def _survival_by_length(shift: MarkovShift, word: Word, states, matrix, n: int) -> np.ndarray:
+    """Survival for every length 0..n >= len(word), from one pass of the
+    survival kernel over the order-1 hole automaton (states, matrix) of ``word``."""
     # The automaton at order 1 starts from the hole-free letters, each with its
     # stationary mass; mass that completes the hole leaves on the dropped edges.
-    states, matrix = _hole_automaton(shift, hole_word, 1)
-    letters = [a for a in range(shift.alphabet_size) if (a,) != hole_word]
+    letters = [a for a in range(shift.alphabet_size) if (a,) != word]
     mass = np.zeros(len(states))
     mass[: len(letters)] = shift.stationary[letters]
-    out = _survival_curve(mass, matrix, (), n)
-    out[:m] = 1.0
+    out = _survival_curve(mass, matrix, n)[0]
+    out[: len(word)] = 1.0
     return out
 
 
-def _survival_curve(mass, matrix, hole_rows, length: int, heights=None) -> np.ndarray:
-    """Survival kernel: a leading one, then ``length`` rounds of zeroing the mass
-    on the level-0 blocks of the words ``hole_rows``, recording the total and
-    stepping it. ``mass`` lies on the tower of ``heights`` (default 1) blocks
-    per word of ``matrix``, level 0 first: a step moves every level up one and
-    sends the tops through ``matrix`` onto level 0."""
+def _survival_curve(mass, matrix, length: int, heights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Survival kernel: (a leading one, then ``length`` rounds of recording the
+    total mass and stepping it; the mass after the last step). ``mass`` lies
+    on the tower of ``heights`` (default 1) blocks per state of ``matrix``,
+    level 0 first: a step moves every level up one and sends the tops through
+    ``matrix`` onto level 0. Mass dies only where a row of the substochastic
+    ``matrix`` lacks an edge."""
     if heights is None:
         heights = np.ones(len(matrix), dtype=int)
     tops = np.cumsum(heights) - 1
     starts = tops - heights + 1
-    killer = np.ones(len(mass))
-    killer[starts[list(hole_rows)]] = 0.0
+    mass = np.array(mass, dtype=float)
     out = np.ones(1 + length)
     for t in range(1, 1 + length):
-        mass = mass * killer
         out[t] = mass.sum()
         climbed = mass[tops] @ matrix
         mass[1:] = mass[:-1]
         mass[starts] = climbed
-    return out
+    return out, mass
 
 
 def _lattice_links(shift: MarkovShift, heights, order: int, index, hole=None) -> list[tuple]:

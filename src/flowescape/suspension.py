@@ -172,19 +172,22 @@ def rationalize_ceiling(
 ) -> tuple[CylinderFunction, float]:
     """Round a ceiling onto the lattice epsilon/2, returning (psi, sup|phi - psi|).
 
-    An already-arithmetic ceiling is a fixed point: it comes back unchanged
-    with error 0 for any epsilon. Raises EpsilonTooLargeError when epsilon
-    reaches the infimum of the ceiling (the rounded ceiling could vanish).
+    Every stored value is rounded; which of them must be positive is left to
+    the routes that read them. An already-arithmetic ceiling is a fixed point:
+    it comes back unchanged with error 0 for any epsilon. Raises
+    NonPositiveCeilingError when no value is positive, and EpsilonTooLargeError
+    when epsilon reaches the smallest positive value (it could round to 0).
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if ceiling.lattice is not None:
         return ceiling, 0.0
-    if min(ceiling.values.values()) <= 0.0:
-        raise NonPositiveCeilingError("cannot rationalize a ceiling with nonpositive values")
-    if epsilon >= min(ceiling.values.values()):
+    positive = [v for v in ceiling.values.values() if v > 0.0]
+    if not positive:
+        raise NonPositiveCeilingError("cannot rationalize a ceiling with no positive value")
+    if epsilon >= min(positive):
         raise EpsilonTooLargeError(
-            f"epsilon {epsilon} reaches the ceiling infimum {min(ceiling.values.values())}"
+            f"epsilon {epsilon} reaches the smallest positive ceiling value {min(positive)}"
         )
     delta = epsilon / 2.0
     rounded = {}

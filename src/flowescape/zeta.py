@@ -432,8 +432,8 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
     Scans 512 points of each bracket [2^(j-1), 2^j] in turn for a sign change,
     then bisects and polishes with Newton. Without a sign change (even roots)
     it falls back to companion-matrix eigenvalues and polishes on the
-    derivative when the root is multiple. Raises NoSignChangeError when
-    nothing is found.
+    derivative when the root is multiple. A positive constant has no root:
+    math.inf. Raises NoSignChangeError when nothing is found.
     """
     scale = max(abs(c) for c in poly.coefficients)
     at_one = poly(1.0)
@@ -441,6 +441,8 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
         return 1.0
     if at_one < 0.0:
         raise ValueError(f"poly(1) = {at_one:.3e} is negative; no survival mass")
+    if poly.degree == 0:
+        return math.inf
 
     left = 1.0
     found: "tuple[float, float] | None" = None
@@ -606,7 +608,8 @@ def zeta_op_factorized(system: SuspensionSystem, hole: Word) -> ZetaBundle:
 
 
 def escape_rate_zeta(system: SuspensionSystem, hole: Word) -> float:
-    """Escape rate from the smallest zero >= 1 of the open inverse zeta."""
+    """Escape rate from the smallest zero >= 1 of the open inverse zeta; +inf
+    where that inverse is a constant, so every orbit meets the hole."""
     bundle = zeta_op_factorized(system, hole)
     root = smallest_root_geq_one(bundle.zeta_open_inverse)
     return float(np.log(root)) / system.lattice_scale

@@ -24,8 +24,8 @@ from flowescape import (
 )
 from flowescape import montecarlo
 from flowescape.montecarlo import _deviation_setup, _kept_sums
-from flowescape.shift import _lattice_links, _lattice_step, cylinder_measure
-from oracles import refined_open_matrix
+from flowescape.open_system import _survival_tower
+from flowescape.shift import _lattice_links, _lattice_step, _survival_curve, cylinder_measure
 
 
 @pytest.fixture(scope="module")
@@ -307,38 +307,44 @@ def test_fit_decay_on_pure_geometric_sequence():
 # ---------------------------------------------------------------------------
 
 def _survival_reference(system, hole, config):
-    """The block-draw sampler: every uniform drawn up front as one
-    (t_max + 1, samples) block, picks from a (samples, width) comparison."""
-    _, refined, hole_rows = refined_open_matrix(system, hole)
-    matrix = refined.block_matrix
-    size = matrix.shape[0]
-    init_cum = np.cumsum(refined.block_measure / refined.mass_normalized)[:-1]
+    """The block-draw sampler on the tower of ``_survival_tower``: its dense
+    block matrix, every uniform drawn up front as one (t_max + 1, samples)
+    block, and picks from a (samples, width) comparison. A row's deficit
+    branches to a dead state past the blocks."""
+    operator, heights, start, delay = _survival_tower(system, hole)
+    tops = np.cumsum(heights) - 1
+    starts = tops - heights + 1
+    size = int(heights.sum())
+    matrix = np.eye(size, k=1)
+    matrix[tops] = 0.0
+    matrix[tops[:, None], starts] = operator
+    mass = _survival_curve(start, operator, delay, heights)[1]
+    init_cum = np.cumsum(mass)
+    dead = size
     rows = [np.nonzero(matrix[i] > 0.0)[0] for i in range(size)]
-    width = max(len(js) for js in rows)
-    targets = np.zeros((size, width), dtype=np.int64)
-    thresholds = np.full((size, max(width - 1, 1)), 2.0)
-    for i, js in enumerate(rows):
+    cums = [np.cumsum(matrix[i, js]) for i, js in enumerate(rows)]
+    width = 1 + max(len(js) for js in rows)
+    targets = np.full((size + 1, width), dead, dtype=np.int64)
+    thresholds = np.full((size + 1, width - 1), 2.0)
+    for i, (js, cum) in enumerate(zip(rows, cums)):
         targets[i, : len(js)] = js
-        targets[i, len(js) :] = js[-1]
-        thresholds[i, : len(js) - 1] = np.cumsum(matrix[i, js])[:-1]
-    in_hole = np.zeros(size, dtype=bool)
-    in_hole[hole_rows] = True
+        kept = cum if len(js) == 0 or cum[-1] < 1.0 else cum[:-1]
+        thresholds[i, : len(kept)] = kept
 
     uniforms = np.random.default_rng(config.seed).random(
         (config.t_max + 1, config.samples)
     )
     states = np.searchsorted(init_cum, uniforms[0], side="right")
-    alive = np.ones(config.samples, dtype=bool)
     estimates = np.empty(config.t_max + 1)
     stderrs = np.zeros(config.t_max + 1)
     estimates[0] = 1.0
     for t in range(1, config.t_max + 1):
-        alive &= ~in_hole[states]
-        p_hat = np.count_nonzero(alive) / config.samples
+        if t > 1:
+            picks = (uniforms[t - 1][:, None] > thresholds[states]).sum(axis=1)
+            states = targets[states, picks]
+        p_hat = np.count_nonzero(states != dead) / config.samples
         estimates[t] = p_hat
         stderrs[t] = math.sqrt(p_hat * (1.0 - p_hat) / config.samples)
-        picks = (uniforms[t][:, None] > thresholds[states]).sum(axis=1)
-        states = targets[states, picks]
     return estimates, stderrs
 
 

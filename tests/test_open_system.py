@@ -23,6 +23,7 @@ from flowescape import (
     NotReducedError,
     PressureNotNegativeError,
     RefinementTooLargeError,
+    SimulationConfig,
     admissible_words,
     build_markov_shift,
     build_suspension,
@@ -32,6 +33,7 @@ from flowescape import (
     escape_rate_flow,
     escape_rate_from_survival_slope,
     escape_rate_zeta,
+    estimate_survival,
     hole_quantities,
     induced_pressure_via_root,
     is_reduced,
@@ -447,7 +449,7 @@ def test_equal_heights_root_takes_one_radius(monkeypatch, unit_system, full2):
     assert len(P) <= 2 * len(hole)
     cyclic = [
         comp
-        for comp in open_system._strongly_connected_components(P > 0.0)
+        for comp in shift_module._strongly_connected_components(P > 0.0)
         if len(comp) > 1 or P[comp[0], comp[0]] > 0.0
     ]
     sizes = []
@@ -567,7 +569,6 @@ def test_refined_rate_builds_no_block_matrix(monkeypatch, step_system):
 
     counted(suspension, "build_suspension")
     counted(suspension, "refine_suspension")
-    counted(open_system, "refine_suspension")
     counted(open_system, "_hole_automaton")
     rate = escape_rate_flow(step_system, (1, 1, 0), representation="refined")
     assert calls == ["_hole_automaton"]
@@ -821,3 +822,73 @@ def test_survival_curve_matches_block_matrix_reference(name):
     system = build_suspension(shift, ceiling)
     got = survival_curve_flow(system, hole, 200)
     assert got == pytest.approx(_survival_reference(system, hole, 200), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [13, 40])
+def test_survival_curve_of_long_zero_runs_matches_exact(unit_system, full2, m):
+    # 2^m words of length m, past the cap from m = 13; the hole automaton
+    # has m states.
+    hole = (0,) * m
+    curve = survival_curve_flow(unit_system, hole, 60)
+    for t, got in enumerate(curve):
+        assert got == pytest.approx(survival_measure_exact(full2, hole, t + m - 1), abs=1e-14)
+
+
+def test_survival_curve_extra_start_state_at_order_2():
+    # The hole's first two letters have a tower of three blocks, so the
+    # survival tower's extra state starts with the mass above its level 0.
+    shift = build_markov_shift([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]])
+    values = {w: 0.25 * (1 + (3 * w[0] + w[1]) % 4) for w in admissible_words(shift, 2)}
+    system = build_suspension(shift, cylinder_function(2, values, lattice=0.25))
+    hole = (2, 0, 2, 1)
+    assert system.height_of(hole[:2]) == 3
+    got = survival_curve_flow(system, hole, 200)
+    assert got == pytest.approx(_survival_reference(system, hole, 200), rel=1e-14, abs=0.0)
+
+
+def test_length_13_hole_curve_slope_and_sampler(step_system):
+    # 8192 words of length 13 on the full 2-shift: only the automaton fits.
+    hole = (0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1)
+    curve = survival_curve_flow(step_system, hole, 400)
+    rate = escape_rate_flow(step_system, hole, "refined")
+    slope = (math.log(curve[200]) - math.log(curve[400])) / 200.0
+    assert slope == pytest.approx(rate, rel=1e-6)
+    config = SimulationConfig(seed=42, samples=100_000, t_max=60)
+    est = estimate_survival(step_system, hole, config)
+    z = (est.estimates[60] - curve[60]) / est.stderrs[60]
+    assert abs(z) < 3.0
+
+
+def test_survival_routes_raise_where_the_refined_rate_does(unit_system):
+    # The zero run of length 5000 has an automaton of 5000 states, past the
+    # cap of 4096; the runs of lengths 13 and 40 above fit.
+    hole = (0,) * 5000
+    config = SimulationConfig(seed=1, samples=100, t_max=3)
+    with pytest.raises(RefinementTooLargeError):
+        escape_rate_flow(unit_system, hole, "refined")
+    with pytest.raises(RefinementTooLargeError):
+        survival_curve_flow(unit_system, hole, 3)
+    with pytest.raises(RefinementTooLargeError):
+        estimate_survival(unit_system, hole, config)
+
+
+# ---------------------------------------------------------------------------
+# Holes that every orbit meets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "transitions, hole",
+    [([[0.5, 0.5], [1.0, 0.0]], (0,)), ([[0.0, 1.0], [0.601, 0.399]], (1,))],
+)
+@pytest.mark.parametrize("heights", [(1, 1), (2, 3)])
+def test_every_exact_route_is_infinite_where_every_orbit_meets_the_hole(
+    transitions, hole, heights
+):
+    shift = build_markov_shift(transitions)
+    ceiling = cylinder_function(1, {(0,): float(heights[0]), (1,): float(heights[1])}, lattice=1.0)
+    system = build_suspension(shift, ceiling)
+    for representation in ("refined", "bordered", "auto"):
+        assert escape_rate_flow(system, hole, representation) == math.inf
+    assert escape_rate_zeta(system, hole) == math.inf
+    assert escape_rate_from_survival_slope(shift, hole) == math.inf
+    assert induced_pressure_via_root(shift, ceiling, hole) == -math.inf

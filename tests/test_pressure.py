@@ -266,6 +266,14 @@ def test_truncated_pressure_error_paths(full2, unit_ceiling, golden_mean):
         induced_pressure_truncated(golden_mean, constant_function(golden_mean, 1.0), (1, 1), 10.0)
 
 
+def test_truncated_pressure_reads_t_max_to_the_lattice_tolerance(full2, unit_ceiling):
+    at_20 = induced_pressure_truncated(full2, unit_ceiling, (0, 1), 20)
+    assert at_20 == -0.4876034873512798
+    with pytest.raises(ValueError):
+        induced_pressure_truncated(full2, unit_ceiling, (0, 1), 20 + 1e-10)
+    assert induced_pressure_truncated(full2, unit_ceiling, (0, 1), 20 + 1e-12) == at_20
+
+
 # ---------------------------------------------------------------------------
 # Pressure equals minus the escape rate
 # ---------------------------------------------------------------------------

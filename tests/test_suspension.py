@@ -205,6 +205,22 @@ def test_rationalize_epsilon_too_large():
         rationalize_ceiling(phi, 0.5)
 
 
+def test_rationalize_leaves_unread_values_to_the_routes(full2):
+    # The value on letter 2 lies outside the full 2-shift, so no route reads it.
+    phi = cylinder_function(1, {(0,): 1.3, (1,): 1.7, (2,): -1.0})
+    psi, err = rationalize_ceiling(phi, 0.1)
+    assert psi.lattice == 0.05
+    assert err <= 0.05
+    raw = induced_pressure_via_root(full2, phi, (0, 1))
+    assert raw == -0.40773363562349724
+    # Rounding moves 1.7 by one ulp, to 34 * 0.05.
+    assert induced_pressure_via_root(full2, psi, (0, 1)) == pytest.approx(raw, rel=1e-15)
+    with pytest.raises(NonPositiveCeilingError):
+        rationalize_ceiling(cylinder_function(1, {(0,): 0.0, (1,): -1.0}), 0.1)
+    with pytest.raises(EpsilonTooLargeError):
+        rationalize_ceiling(phi, 1.3)
+
+
 def test_rationalize_bound_holds_for_awkward_values(full3):
     values = {(0,): 0.713, (1,): 1.0009, (2,): 2.4142}
     phi = cylinder_function(1, values)

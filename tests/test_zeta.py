@@ -403,6 +403,11 @@ def test_root_none_found():
         smallest_root_geq_one(Polynomial((1.0, 0.0, 1.0)))
 
 
+def test_positive_constant_has_its_root_at_infinity():
+    assert smallest_root_geq_one(Polynomial((1.0,))) == math.inf
+    assert smallest_root_geq_one(Polynomial((0.5, 0.0))) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # Correlation polynomial and the factorization
 # ---------------------------------------------------------------------------
