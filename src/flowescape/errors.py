@@ -136,7 +136,10 @@ class PressureNotNegativeError(DomainError):
 # ---------------------------------------------------------------------------
 
 class AllMassEscapedError(DomainError):
-    """Every sample escaped inside the fit window; no rate can be bracketed."""
+    """No mass survives where a rate is read off survival: every sample
+    escaped inside the sampler's fit window, so no rate can be bracketed, or
+    the exact survival underflowed to 0 inside the slope route's fit range,
+    so its log has no slope."""
 
 
 class NoConvergenceError(DomainError):

@@ -29,8 +29,8 @@ from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
-    _lattice_links,
-    _lattice_step,
+    _gain_step,
+    _lattice_operators,
     _survival_curve,
     admissible_words,
     cylinder_measure,
@@ -74,6 +74,17 @@ def _pick(
     for column in columns:
         offsets += uniforms > np.take(column, states)
     return offsets
+
+
+def _first_states(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Each sample's start: how many of the cumulative masses ``cum`` lie at
+    or below its uniform, the index ``np.searchsorted(cum, uniforms,
+    side="right")`` gives. The count runs one threshold at a time, as
+    ``_pick`` counts a step's branches, with no binary search per uniform."""
+    states = np.zeros(len(uniforms), dtype=np.int64)
+    for threshold in cum:
+        states += uniforms >= threshold
+    return states
 
 
 # ===========================================================================
@@ -140,7 +151,7 @@ def estimate_survival(
 
     samples = config.samples
     rows = _uniform_rows(config.seed)
-    states = np.searchsorted(init_cum, rows.random(samples), side="right")
+    states = _first_states(init_cum, rows.random(samples))
     uniforms = np.empty(samples)
     offsets = np.empty(samples, dtype=np.int64)
 
@@ -316,7 +327,7 @@ def estimate_deviation_prob(
         np.take(shifted, codes, out=spare, mode="clip")  # see estimate_survival
         return _pick(columns, codes, uniforms, spare), codes
 
-    codes = np.searchsorted(pi_cum, rows.random(samples), side="right")
+    codes = _first_states(pi_cum, rows.random(samples))
     for _ in range(n - 1):
         codes, spare = step(codes, spare)
     running = np.zeros(samples, dtype=np.int64)
@@ -357,14 +368,18 @@ def exact_deviation_prob(
     in [l, l_max] from each (suffix, sum): V_{l_max} = keep_{l_max} and
     V_l = keep_l * (T V_{l+1}), where keep_l is the non-deviating interval of
     ``_kept_sums``, the sampler's test. Then P_k = 1 - sum(dist_k * V_k), so
-    every k costs max k + l_max - min k steps in all.
+    every k costs max k + l_max - min k steps in all. Both passes run in
+    length order, since keep_l depends on l, and step with the per-gain
+    operators A_g of ``_lattice_operators``: the forward step is
+    new[:, g:] += A_g @ dist[:, :width - g], and T V is the same step with
+    A_g^T on the reversed sum axis.
     Heights, lattice and mean come from ``build_suspension(shift, ceiling)``,
     which reads every admissible word of the ceiling's order and raises as it does.
     """
     ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
     suffix_len = max(n - 1, 1)
     index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
-    links = _lattice_links(shift, heights, n, index)
+    operators = _lattice_operators(shift, heights, n, index)
     h_max = max(heights.values())
 
     dist = np.zeros((len(index), l_max * h_max + 1))
@@ -373,17 +388,17 @@ def exact_deviation_prob(
     dists = {}
     for l in range(1, ks[-1] + 1):
         if l > 1:
-            dist = _lattice_step(dist, links)
+            dist = _gain_step(dist, operators)
         if l in ks:
             dists[l] = dist
 
-    # T V is the forward step with every link reversed, on the reversed sum axis.
-    reverse = [(j, i, g, p) for i, j, g, p in links]
+    # T V is the forward step with every operator transposed, on the reversed sum axis.
+    transposed = {g: op.T for g, op in operators.items()}
     survive = np.ones_like(dist)
     out = {}
     for l in range(l_max, ks[0] - 1, -1):
         if l < l_max:
-            survive = _lattice_step(survive[:, ::-1], reverse)[:, ::-1]
+            survive = _gain_step(survive[:, ::-1], transposed)[:, ::-1]
         # Sums above l * h_max are unreachable at l, so zeroing them is harmless.
         lo, hi = _kept_sums(lam, mean, epsilon, l, l * h_max)
         survive[:, :lo] = 0.0

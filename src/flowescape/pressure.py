@@ -40,8 +40,7 @@ from .shift import (
     _checked_hole,
     _hole_automaton,
     _hole_free_words,
-    _lattice_links,
-    _lattice_step,
+    _lattice_operators,
     cylinder_function,
     cylinder_measure,
     refine_cylinder_function,
@@ -122,12 +121,22 @@ def induced_pressure_truncated(
     Heights and lattice come from ``build_suspension(shift, ceiling)``, which
     reads every admissible word of the ceiling's order and raises as it does.
 
-    One lattice-sum DP walks the words letter by letter, from length 1 on. Its
-    states are the hole-avoiding words of length 1..depth, depth = max(order - 1,
-    hole length - 1, 1): a word is its own state up to length depth, and its last
-    depth letters after that. A state's sum is the ceiling sum of the windows that
-    lie inside the word; each length reads out the words whose sum plus their
-    state's sup-completion lands in the window.
+    The sum runs over the hole-avoiding words of every length. Their states
+    are the words of length 1..depth, depth = max(order - 1, hole length - 1, 1):
+    a word is its own state up to length depth, and its last depth letters
+    after that. A state's sum is the ceiling sum of the windows that lie
+    inside the word, and a word is read out when that sum plus its state's
+    sup-completion lands in the window. The readout is linear, so it reads
+    only F, the total over every word length of the (state, sum) distribution.
+
+    With F[s] its vector over the states at sum s, F solves
+    F[s] = init[s] + A_0 F[s] + sum_{g >= 1} A_g F[s - g], with A_g the links
+    of gain g (``_lattice_operators``) and init the one-letter words. A_0
+    only lengthens words shorter than the order, so it is nilpotent, and the
+    lift (I - A_0)^-1 is the finite sum I + A_0 + A_0^2 + .... F is solved in
+    sum order, g_min sums per product, g_min the smallest positive gain:
+    those sums read only earlier ones. So the solve takes ceil((t + 1) / g_min)
+    products, one per block of sums.
     """
     hole_word = _checked_hole(shift, hole)
     system = build_suspension(shift, ceiling)
@@ -138,7 +147,6 @@ def induced_pressure_truncated(
     if t_norm < 1 or abs(t_max - t_norm * lam) > _LATTICE_TOL * max(1.0, abs(t_max)):
         raise ValueError(f"t_max = {t_max} does not sit on the ceiling lattice {lam}")
     sup_k = max(heights.values())
-    min_k = min(heights.values())
     if eta is None:
         eta_norm = float(sup_k + 1)
     else:
@@ -149,32 +157,42 @@ def induced_pressure_truncated(
     depth = max(n - 1, len(hole_word) - 1, 1)
     states = [w for layer in _hole_free_words(shift, hole_word, depth) for w in layer]
     index = {w: i for i, w in enumerate(states)}
-    links = _lattice_links(shift, heights, n, index, hole=hole_word)
+    operators = _lattice_operators(shift, heights, n, index, hole=hole_word)
+    lift = np.eye(len(states))
+    if 0 in operators:
+        a0 = operators.pop(0)
+        term = a0
+        while term.any():
+            lift += term
+            term = a0 @ term
+    # Sums above t_norm never come back down (heights are positive), so the
+    # sum axis is clipped there and larger gains drop out.
+    width = t_norm + 1
+    gains = [g for g in operators if g <= t_norm]
+    block = gains[0] if gains else width
+    top = gains[-1] if gains else 0
 
-    # Sums above t_norm can never come back down (heights are positive), so the
-    # sum axis is clipped there.
-    dist = np.zeros((len(states), t_norm + 1))
+    # Row top + s of F holds sum s; the top rows before it stand for negative
+    # sums, and the last block may run past t_norm. A one-letter word starts
+    # at the sum of its window, when the order is 1, lifted.
+    F = np.zeros((top + -(-width // block) * block, len(states)))
     for i, w in enumerate(states):
         seed = heights[w] if len(w) == n == 1 else 0
         if len(w) == 1 and seed <= t_norm:
-            dist[i, seed] = 1.0
+            F[top + seed] += lift[:, i]
+    if gains:
+        # Rows (g, j) of the stacked (lift @ A_g)^T meet columns (g, j) of the
+        # block's sums s - g, read off F in the same order.
+        stacked = np.concatenate([(lift @ operators[g]).T for g in gains])
+        lags = np.arange(block)[:, None] - np.array(gains)[None, :]
+        for start in range(top, len(F), block):
+            F[start : start + block] += F[lags + start].reshape(block, -1) @ stacked
+
     completion = np.array([_sup_completion(shift, heights, n, w) for w in states])
-    totals = np.arange(t_norm + 1)[None, :] + completion[:, None]
+    totals = np.arange(width)[:, None] + completion[None, :]
     row_max = np.array([shift.transitions[w[-1]].max() for w in states])
-    readout = ((totals > t_norm - eta_norm) & (totals <= t_norm)) * row_max[:, None]
-
-    total_sum = 0.0
-    max_length = t_norm // max(min_k, 1) + n + 1
-    for length in range(1, max_length + 1):
-        if length > 1:
-            dist = _lattice_step(dist, links)
-            if not dist.any():
-                break
-        total_sum += float((dist * readout).sum())
-        if length == depth:
-            # Every word is now at least depth long: the shorter states stay empty.
-            links = [link for link in links if len(states[link[0]]) == depth]
-
+    readout = ((totals > t_norm - eta_norm) & (totals <= t_norm)) * row_max[None, :]
+    total_sum = float((F[top : top + width] * readout).sum())
     if total_sum <= 0.0:
         raise WindowEmptyError(
             f"no hole-avoiding word lands in the window ({t_max - eta_norm * lam}, {t_max}]"

@@ -2,7 +2,8 @@
 cylinder functions, Birkhoff sums, and exact survival through a cylinder hole.
 
 Every exact word-level DP runs on one of two kernels here: the survival curve
-and the lattice-sum DP over (word, integer ceiling sum). The lattice-sum words
+and the lattice-sum DP over (word, integer ceiling sum), whose links are
+grouped into one operator per gain of the sum. The lattice-sum words
 are all suffixes of one length, or, for the truncated pressure, every
 hole-avoiding word up to that length, so words shorter than it are their own
 states. The survival DP, the refined rate and the pressure root run on the
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    AllMassEscapedError,
     InadmissibleWordError,
     NoConvergenceError,
     NonArithmeticCeilingError,
@@ -585,7 +587,8 @@ def escape_rate_from_survival_slope(shift: MarkovShift, hole: Word) -> float:
     -log(radius). Serves as an arithmetic-free cross-check on the spectral
     routes. +inf where the order-1 hole automaton has no cyclic component,
     that is where every orbit meets the hole. An empty or inadmissible hole
-    raises InadmissibleWordError.
+    raises InadmissibleWordError, and AllMassEscapedError is raised where the
+    survival underflows to 0 inside the fit window, so its log has no slope.
     """
     word = _checked_hole(shift, hole)
     states, matrix = _hole_automaton(shift, word, 1)
@@ -594,7 +597,9 @@ def escape_rate_from_survival_slope(shift: MarkovShift, hole: Word) -> float:
     ns = np.arange(_SLOPE_N_LO, _SLOPE_N_HI + 1, dtype=float)
     values = _survival_by_length(shift, word, states, matrix, _SLOPE_N_HI)[_SLOPE_N_LO:]
     if values.min() <= 0.0:
-        raise InadmissibleWordError("survival hit zero inside the fit range")
+        raise AllMassEscapedError(
+            f"survival underflowed to 0 inside the fit range n = {_SLOPE_N_LO}..{_SLOPE_N_HI}"
+        )
     slope = np.polyfit(ns, np.log(values), 1)[0]
     return -float(slope)
 
@@ -649,31 +654,38 @@ def _survival_curve(mass, matrix, length: int, heights=None) -> tuple[np.ndarray
     return out, mass
 
 
-def _lattice_links(shift: MarkovShift, heights, order: int, index, hole=None) -> list[tuple]:
-    """Links (i, j, g, p) of the lattice-sum DP over (word, integer ceiling sum): word i
-    plus letter b, cut to its last ``depth`` letters (the longest word of ``index``), is
-    word j; g is the height of its last window, 0 while it is shorter than ``order``,
-    and p = p(last, b). Extensions ending in ``hole`` are dropped."""
+def _lattice_operators(shift: MarkovShift, heights, order: int, index, hole=None) -> dict:
+    """The lattice-sum DP over (word, integer ceiling sum) as one operator per gain.
+
+    Word i plus letter b, cut to its last ``depth`` letters (the longest word
+    of ``index``), is word j, and its gain g is the height of its last window,
+    0 while it is shorter than ``order``. A_g[j, i] = p(last, b) on the links
+    of gain g; extensions ending in ``hole`` are dropped. Keys run upward, so
+    a gain-0 operator, which only lengthens words shorter than ``order`` and
+    is therefore nilpotent, comes first.
+    """
     depth = max(map(len, index))
-    links = []
+    operators: dict[int, np.ndarray] = {}
     for w, i in index.items():
         for b in shift.successors(w[-1]):
             extended = w + (b,)
             if hole is not None and extended[-len(hole) :] == hole:
                 continue
             gain = heights[extended[-order:]] if len(extended) >= order else 0
-            prob = float(shift.transitions[w[-1], b])
-            links.append((i, index[extended[-depth:]], gain, prob))
-    return links
+            if gain not in operators:
+                operators[gain] = np.zeros((len(index), len(index)))
+            operators[gain][index[extended[-depth:]], i] = shift.transitions[w[-1], b]
+    return dict(sorted(operators.items()))
 
 
-def _lattice_step(dist: np.ndarray, links: list[tuple]) -> np.ndarray:
-    """One letter of the lattice-sum DP; sums pushed past the last column drop out."""
+def _gain_step(dist: np.ndarray, operators: dict) -> np.ndarray:
+    """One letter of the lattice-sum DP on dist (states x sums): new[:, g:] +=
+    A_g @ dist[:, :width - g]; sums pushed past the last column drop out."""
     width = dist.shape[1]
     new = np.zeros_like(dist)
-    for i, j, g, p in links:
+    for g, op in operators.items():
         if g < width:
-            new[j, g:] += p * dist[i, : width - g]
+            new[:, g:] += op @ dist[:, : width - g]
     return new
 
 

@@ -1,20 +1,35 @@
-"""Dense references the library routes are checked against.
+"""Dense and step-by-step references the library routes are checked against.
 
 The library's rate and determinant routes never build these matrices; the
 tests build them here to check the routes against a dense radius,
 determinant or sampler: the open matrices of the paper's two
 representations, the word chain with the hole's rows zeroed, a plain
 Faddeev-LeVerrier pass with the determinant and cofactor read off it, and
-the spectral radius of a nonnegative matrix.
+the spectral radius of a nonnegative matrix. The lattice-sum DP is here one
+slice-add per link and one step per word length, where the library groups
+links by gain and solves the truncated pressure in sum order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from flowescape import Polynomial, admissible_words, hole_quantities, refine_suspension
+from flowescape import (
+    Polynomial,
+    admissible_words,
+    build_suspension,
+    hole_quantities,
+    refine_suspension,
+)
 from flowescape.open_system import _bordered_matrix, _component_radius
-from flowescape.shift import Word, _strongly_connected_components, _word_transitions
+from flowescape.pressure import _sup_completion
+from flowescape.shift import (
+    Word,
+    _hole_free_words,
+    _strongly_connected_components,
+    _word_transitions,
+)
 
 
 def refined_open_matrix(system, hole):
@@ -93,3 +108,65 @@ def matrix_spectral_radius(matrix):
     for comp in _strongly_connected_components(matrix > 0.0):
         radius = max(radius, _component_radius(matrix[np.ix_(comp, comp)]))
     return radius
+
+
+def lattice_links(shift, heights, order, index, hole=None):
+    """Links (i, j, g, p) of the lattice-sum DP over (word, integer ceiling
+    sum), one per link: word i plus letter b, cut to its last ``depth``
+    letters (the longest word of ``index``), is word j; g is the height of
+    its last window, 0 while it is shorter than ``order``, and p = p(last, b).
+    Extensions ending in ``hole`` are dropped."""
+    depth = max(map(len, index))
+    links = []
+    for w, i in index.items():
+        for b in shift.successors(w[-1]):
+            extended = w + (b,)
+            if hole is not None and extended[-len(hole) :] == hole:
+                continue
+            gain = heights[extended[-order:]] if len(extended) >= order else 0
+            prob = float(shift.transitions[w[-1], b])
+            links.append((i, index[extended[-depth:]], gain, prob))
+    return links
+
+
+def lattice_step(dist, links):
+    """One letter of the lattice-sum DP, one slice-add per link; sums pushed
+    past the last column drop out."""
+    width = dist.shape[1]
+    new = np.zeros_like(dist)
+    for i, j, g, p in links:
+        if g < width:
+            new[j, g:] += p * dist[i, : width - g]
+    return new
+
+
+def truncated_pressure_by_length(shift, ceiling, hole, t_max, eta=None):
+    """``induced_pressure_truncated`` the length-order way: one lattice-sum
+    DP step per word length, each length read out on its own, until every
+    sum has passed t; -inf where no word lands in the window. Checks are left
+    to the library route."""
+    system = build_suspension(shift, ceiling)
+    heights = dict(zip(system.words, system.heights.tolist()))
+    lam = system.lattice_scale
+    n = ceiling.order
+    t_norm = round(t_max / lam)
+    eta_norm = float(max(heights.values()) + 1) if eta is None else eta / lam
+
+    depth = max(n - 1, len(hole) - 1, 1)
+    states = [w for layer in _hole_free_words(shift, hole, depth) for w in layer]
+    index = {w: i for i, w in enumerate(states)}
+    links = lattice_links(shift, heights, n, index, hole=hole)
+    dist = np.zeros((len(states), t_norm + 1))
+    for i, w in enumerate(states):
+        seed = heights[w] if len(w) == n == 1 else 0
+        if len(w) == 1 and seed <= t_norm:
+            dist[i, seed] = 1.0
+    completion = np.array([_sup_completion(shift, heights, n, w) for w in states])
+    totals = np.arange(t_norm + 1)[None, :] + completion[:, None]
+    row_max = np.array([shift.transitions[w[-1]].max() for w in states])
+    readout = ((totals > t_norm - eta_norm) & (totals <= t_norm)) * row_max[:, None]
+    total_sum = float((dist * readout).sum())
+    while dist.any():
+        dist = lattice_step(dist, links)
+        total_sum += float((dist * readout).sum())
+    return math.log(total_sum) / (t_norm * lam) if total_sum > 0.0 else -math.inf

@@ -23,9 +23,10 @@ from flowescape import (
     survival_curve_flow,
 )
 from flowescape import montecarlo
-from flowescape.montecarlo import _deviation_setup, _kept_sums
+from flowescape.montecarlo import _deviation_setup, _first_states, _kept_sums
 from flowescape.open_system import _survival_tower
-from flowescape.shift import _lattice_links, _lattice_step, _survival_curve, cylinder_measure
+from flowescape.shift import _gain_step, _survival_curve, cylinder_measure
+from oracles import lattice_links, lattice_step
 
 
 @pytest.fixture(scope="module")
@@ -232,11 +233,12 @@ def test_kept_sums_exact_tie_deviates(full2, step_ceiling):
 
 def _per_k_deviation_dp(shift, ceiling, epsilon, k_values, l_max):
     """The per-k absorbing DP: one full l_max-step pass per k, with the mass
-    that has deviated at any l >= k zeroed as it goes."""
+    that has deviated at any l >= k zeroed as it goes. It steps one link at
+    a time (``oracles.lattice_step``), not with the library's operators."""
     ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
     suffix_len = max(n - 1, 1)
     index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
-    links = _lattice_links(shift, heights, n, index)
+    links = lattice_links(shift, heights, n, index)
     max_sum = l_max * max(heights.values())
     sums = np.arange(max_sum + 1, dtype=np.int64)
     start = np.zeros((len(index), max_sum + 1))
@@ -247,7 +249,7 @@ def _per_k_deviation_dp(shift, ceiling, epsilon, k_values, l_max):
         dist = start
         for l in range(1, l_max + 1):
             if l > 1:
-                dist = _lattice_step(dist, links)
+                dist = lattice_step(dist, links)
             if l >= k:
                 dist = dist * (np.abs(lam * sums / l - mean) < epsilon)[None, :]
         out.append(1.0 - float(dist.sum()))
@@ -285,11 +287,11 @@ def test_exact_deviation_is_one_forward_and_one_backward_pass(monkeypatch, full2
     """At most max k + l_max lattice steps; the per-k DP makes len(ks) * (l_max - 1)."""
     calls = []
 
-    def counted(dist, links):
+    def counted(dist, operators):
         calls.append(1)
-        return _lattice_step(dist, links)
+        return _gain_step(dist, operators)
 
-    monkeypatch.setattr(montecarlo, "_lattice_step", counted)
+    monkeypatch.setattr(montecarlo, "_gain_step", counted)
     ks, l_max = (5, 10, 20, 40), 160
     exact_deviation_prob(full2, step_ceiling, 0.25, ks, l_max)
     assert len(calls) <= max(ks) + l_max < len(ks) * (l_max - 1)
@@ -305,6 +307,19 @@ def test_fit_decay_on_pure_geometric_sequence():
 # ---------------------------------------------------------------------------
 # Streamed draws against the block-draw reference
 # ---------------------------------------------------------------------------
+
+def test_first_states_is_searchsorted_right():
+    """Counting thresholds at or below each uniform gives the index that
+    ``searchsorted(..., side="right")`` gives, ties included, and the index
+    past the last mass (the sink) where the masses end below 1."""
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 4, 27, 64):
+        cum = np.cumsum(rng.random(size))
+        cum /= cum[-1] * 1.25
+        uniforms = np.concatenate([rng.random(5000), cum, [0.0, np.nextafter(1.0, 0.0)]])
+        want = np.searchsorted(cum, uniforms, side="right")
+        assert np.array_equal(_first_states(cum, uniforms), want)
+
 
 def _survival_reference(system, hole, config):
     """The block-draw sampler on the tower of ``_survival_tower``: its dense

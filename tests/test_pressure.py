@@ -11,6 +11,7 @@ import flowescape.pressure as pressure
 import property_suites
 from flowescape import (
     InadmissibleWordError,
+    NotIrreducibleError,
     PressureNotNegativeError,
     WindowEmptyError,
     admissible_words,
@@ -27,6 +28,7 @@ from flowescape import (
     superadditivity_check,
     word_log_weight,
 )
+from oracles import truncated_pressure_by_length
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -243,6 +245,49 @@ def test_truncated_pressure_prefix_sums_past_t_max(full2, t_max):
     else:
         got = induced_pressure_truncated(full2, ceiling, hole, float(t_max))
         assert got == math.log(want) / t_max
+
+
+def _sweep_draw(rng, order, lattice):
+    """A random irreducible 2- or 3-letter shift, an order-``order`` ceiling
+    with heights 1-6 (10-60 at lattice 0.05), a hole of 1-3 letters and a
+    lattice point t in [2, 200]."""
+    while True:
+        size = int(rng.integers(2, 4))
+        probs = rng.uniform(0.2, 1.0, (size, size)) * (rng.random((size, size)) < 0.8)
+        if probs.sum(axis=1).min() > 0.0:
+            probs /= probs.sum(axis=1, keepdims=True)
+            try:
+                shift = build_markov_shift(probs)
+                break
+            except NotIrreducibleError:
+                continue
+    lo, hi = (10, 60) if lattice == 0.05 else (1, 6)
+    values = {w: lattice * int(rng.integers(lo, hi + 1)) for w in admissible_words(shift, order)}
+    hole = [int(rng.integers(size))]
+    for _ in range(int(rng.integers(0, 3))):
+        hole.append(int(rng.choice(shift.successors(hole[-1]))))
+    t = lattice * int(rng.integers(round(2 / lattice), round(200 / lattice) + 1))
+    return shift, cylinder_function(order, values, lattice=lattice), tuple(hole), t
+
+
+@pytest.mark.parametrize("lattice", [1.0, 0.5, 0.05])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_truncated_pressure_matches_length_order_oracle(order, lattice):
+    """The sum-order solve against one DP step per word length. Order 3
+    has gain-0 links (one-letter words grow to two letters), so it checks
+    the lift; the first draw of each setting sits at t = 200."""
+    rng = np.random.default_rng([order, round(100 * lattice)])
+    for draw in range(6):
+        shift, ceiling, hole, t = _sweep_draw(rng, order, lattice)
+        if draw == 0:
+            t = 200.0
+        want = truncated_pressure_by_length(shift, ceiling, hole, t)
+        if want == -math.inf:
+            with pytest.raises(WindowEmptyError):
+                induced_pressure_truncated(shift, ceiling, hole, t)
+        else:
+            got = induced_pressure_truncated(shift, ceiling, hole, t)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (shift.transitions, hole, t)
 
 
 def test_truncated_pressure_window_choice_is_second_order(full2, unit_ceiling):

@@ -8,6 +8,7 @@ import pytest
 
 import flowescape.shift
 from flowescape import (
+    AllMassEscapedError,
     InadmissibleWordError,
     NonArithmeticCeilingError,
     NotIrreducibleError,
@@ -18,11 +19,13 @@ from flowescape import (
     birkhoff_sum,
     birkhoff_sum_cyclic,
     build_markov_shift,
+    build_suspension,
     ceiling_from_json,
     ceiling_to_json,
     constant_function,
     cylinder_function,
     cylinder_measure,
+    escape_rate_flow,
     escape_rate_from_survival_slope,
     format_word,
     is_reduced,
@@ -210,6 +213,17 @@ def test_escape_rate_slope_matches_radius(full2):
     radius = max(abs(np.linalg.eigvals(chain.matrix)))
     slope = escape_rate_from_survival_slope(full2, (0, 0))
     assert slope == pytest.approx(-math.log(radius), abs=1e-6)
+
+
+def test_escape_rate_slope_underflow_is_all_mass_escaped():
+    # Avoiding 0 means staying on 1 with probability 1e-7 a step, so the
+    # survival underflows to 0 near n = 46, inside the fit range, although
+    # the hole is admissible and the refined rate is -log(1e-7).
+    shift = build_markov_shift([[0.5, 0.5], [1 - 1e-7, 1e-7]])
+    with pytest.raises(AllMassEscapedError, match="underflowed"):
+        escape_rate_from_survival_slope(shift, (0,))
+    system = build_suspension(shift, constant_function(shift, 1.0))
+    assert escape_rate_flow(system, (0,), "refined") == pytest.approx(-math.log(1e-7), rel=1e-9)
 
 
 HOLE_CASES = [
