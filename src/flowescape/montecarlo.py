@@ -76,17 +76,6 @@ def _pick(
     return offsets
 
 
-def _first_states(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Each sample's start: how many of the cumulative masses ``cum`` lie at
-    or below its uniform, the index ``np.searchsorted(cum, uniforms,
-    side="right")`` gives. The count runs one threshold at a time, as
-    ``_pick`` counts a step's branches, with no binary search per uniform."""
-    states = np.zeros(len(uniforms), dtype=np.int64)
-    for threshold in cum:
-        states += uniforms >= threshold
-    return states
-
-
 # ===========================================================================
 # Survival sampling
 # ===========================================================================
@@ -151,7 +140,7 @@ def estimate_survival(
 
     samples = config.samples
     rows = _uniform_rows(config.seed)
-    states = _first_states(init_cum, rows.random(samples))
+    states = np.searchsorted(init_cum, rows.random(samples), side="right")
     uniforms = np.empty(samples)
     offsets = np.empty(samples, dtype=np.int64)
 
@@ -327,7 +316,7 @@ def estimate_deviation_prob(
         np.take(shifted, codes, out=spare, mode="clip")  # see estimate_survival
         return _pick(columns, codes, uniforms, spare), codes
 
-    codes = _first_states(pi_cum, rows.random(samples))
+    codes = np.searchsorted(pi_cum, rows.random(samples), side="right")
     for _ in range(n - 1):
         codes, spare = step(codes, spare)
     running = np.zeros(samples, dtype=np.int64)
@@ -369,10 +358,10 @@ def exact_deviation_prob(
     V_l = keep_l * (T V_{l+1}), where keep_l is the non-deviating interval of
     ``_kept_sums``, the sampler's test. Then P_k = 1 - sum(dist_k * V_k), so
     every k costs max k + l_max - min k steps in all. Both passes run in
-    length order, since keep_l depends on l, and step with the per-gain
-    operators A_g of ``_lattice_operators``: the forward step is
-    new[:, g:] += A_g @ dist[:, :width - g], and T V is the same step with
-    A_g^T on the reversed sum axis.
+    length order, since keep_l depends on l, and step with the sparse
+    per-gain operators A_g of ``_lattice_operators``: the forward step is
+    new[:, g:] += A_g @ dist[:, :width - g], one slice-add per link, and T V
+    is the same step with every link reversed (A_g^T) on the reversed sum axis.
     Heights, lattice and mean come from ``build_suspension(shift, ceiling)``,
     which reads every admissible word of the ceiling's order and raises as it does.
     """
@@ -392,8 +381,8 @@ def exact_deviation_prob(
         if l in ks:
             dists[l] = dist
 
-    # T V is the forward step with every operator transposed, on the reversed sum axis.
-    transposed = {g: op.T for g, op in operators.items()}
+    # T V is the forward step with every link reversed, on the reversed sum axis.
+    transposed = {g: (dst, src, p) for g, (src, dst, p) in operators.items()}
     survive = np.ones_like(dist)
     out = {}
     for l in range(l_max, ks[0] - 1, -1):

@@ -130,13 +130,18 @@ def induced_pressure_truncated(
     only F, the total over every word length of the (state, sum) distribution.
 
     With F[s] its vector over the states at sum s, F solves
-    F[s] = init[s] + A_0 F[s] + sum_{g >= 1} A_g F[s - g], with A_g the links
-    of gain g (``_lattice_operators``) and init the one-letter words. A_0
-    only lengthens words shorter than the order, so it is nilpotent, and the
-    lift (I - A_0)^-1 is the finite sum I + A_0 + A_0^2 + .... F is solved in
-    sum order, g_min sums per product, g_min the smallest positive gain:
-    those sums read only earlier ones. So the solve takes ceil((t + 1) / g_min)
-    products, one per block of sums.
+    F[s] = init[s] + A_0 F[s] + sum_{g >= 1} A_g F[s - g], with A_g the sparse
+    links of gain g (``_lattice_operators``) and init the one-letter words.
+    A_0 only lengthens words shorter than order - 1 letters, so it is
+    nilpotent, and the lift (I - A_0)^-1 is the finite sum I + A_0 + A_0^2 +
+    .... Each A_g with g >= 1 lands on words of at least order - 1 letters,
+    which A_0 leaves alone, so the lift acts on init only:
+    F[s] = (I - A_0)^-1 init[s] + sum_{g >= 1} A_g F[s - g]. F is solved in
+    sum order, g_min sums per pass over the links, g_min the smallest
+    positive gain: those sums read only earlier ones. So the solve takes
+    ceil((t + 1) / g_min) passes, each one gather and one scatter-add over
+    g_min rows of links, and holds F, (t + g_max + g_min) x states, with no
+    states x states matrix.
     """
     hole_word = _checked_hole(shift, hole)
     system = build_suspension(shift, ceiling)
@@ -158,13 +163,7 @@ def induced_pressure_truncated(
     states = [w for layer in _hole_free_words(shift, hole_word, depth) for w in layer]
     index = {w: i for i, w in enumerate(states)}
     operators = _lattice_operators(shift, heights, n, index, hole=hole_word)
-    lift = np.eye(len(states))
-    if 0 in operators:
-        a0 = operators.pop(0)
-        term = a0
-        while term.any():
-            lift += term
-            term = a0 @ term
+    a0 = operators.pop(0, None)
     # Sums above t_norm never come back down (heights are positive), so the
     # sum axis is clipped there and larger gains drop out.
     width = t_norm + 1
@@ -174,19 +173,38 @@ def induced_pressure_truncated(
 
     # Row top + s of F holds sum s; the top rows before it stand for negative
     # sums, and the last block may run past t_norm. A one-letter word starts
-    # at the sum of its window, when the order is 1, lifted.
-    F = np.zeros((top + -(-width // block) * block, len(states)))
+    # at the sum of its window, when the order is 1.
+    size = len(states)
+    F = np.zeros((top + -(-width // block) * block, size))
     for i, w in enumerate(states):
         seed = heights[w] if len(w) == n == 1 else 0
         if len(w) == 1 and seed <= t_norm:
-            F[top + seed] += lift[:, i]
+            F[top + seed, i] = 1.0
+    if a0 is not None:
+        # Gain-0 links need order >= 3, where every one-letter word starts at
+        # sum 0: the lift adds their extensions to that row, A_0 at a time.
+        src, dst, p = a0
+        term = F[top].copy()
+        while term.any():
+            term = np.bincount(dst, weights=p * term[src], minlength=size)
+            F[top] += term
     if gains:
-        # Rows (g, j) of the stacked (lift @ A_g)^T meet columns (g, j) of the
-        # block's sums s - g, read off F in the same order.
-        stacked = np.concatenate([(lift @ operators[g]).T for g in gains])
-        lags = np.arange(block)[:, None] - np.array(gains)[None, :]
+        # Entry (r, link) of a block starting at row `start` reads F at row
+        # start + r - gain, column src, and adds into row start + r, column
+        # dst; both are flat offsets into F, the read one relative to row
+        # start - top.
+        src, dst, p = (np.concatenate([operators[g][k] for g in gains]) for k in range(3))
+        lag = np.repeat(gains, [len(operators[g][0]) for g in gains])
+        rows = np.arange(block)[:, None]
+        read = ((top + rows - lag) * size + src).ravel()
+        write = (rows * size + dst).ravel()
+        weights = np.tile(p, block)
+        flat = F.reshape(-1)
         for start in range(top, len(F), block):
-            F[start : start + block] += F[lags + start].reshape(block, -1) @ stacked
+            moved = flat[(start - top) * size :][read] * weights
+            F[start : start + block] += np.bincount(
+                write, weights=moved, minlength=block * size
+            ).reshape(block, size)
 
     completion = np.array([_sup_completion(shift, heights, n, w) for w in states])
     totals = np.arange(width)[:, None] + completion[None, :]

@@ -655,37 +655,40 @@ def _survival_curve(mass, matrix, length: int, heights=None) -> tuple[np.ndarray
 
 
 def _lattice_operators(shift: MarkovShift, heights, order: int, index, hole=None) -> dict:
-    """The lattice-sum DP over (word, integer ceiling sum) as one operator per gain.
+    """The lattice-sum DP over (word, integer ceiling sum) as one sparse operator per gain.
 
     Word i plus letter b, cut to its last ``depth`` letters (the longest word
     of ``index``), is word j, and its gain g is the height of its last window,
-    0 while it is shorter than ``order``. A_g[j, i] = p(last, b) on the links
-    of gain g; extensions ending in ``hole`` are dropped. Keys run upward, so
-    a gain-0 operator, which only lengthens words shorter than ``order`` and
-    is therefore nilpotent, comes first.
+    0 while it is shorter than ``order``. Operator g holds its links as index
+    arrays (src, dst, p): A_g[j, i] = p(last, b) on each link (i, j) of gain
+    g, so it takes one entry per link, not states^2. Extensions ending in
+    ``hole`` are dropped. Keys run upward, so the gain-0 links, which only
+    lengthen words shorter than ``order - 1`` letters, come first.
     """
     depth = max(map(len, index))
-    operators: dict[int, np.ndarray] = {}
+    links: dict[int, list] = {}
     for w, i in index.items():
         for b in shift.successors(w[-1]):
             extended = w + (b,)
             if hole is not None and extended[-len(hole) :] == hole:
                 continue
             gain = heights[extended[-order:]] if len(extended) >= order else 0
-            if gain not in operators:
-                operators[gain] = np.zeros((len(index), len(index)))
-            operators[gain][index[extended[-depth:]], i] = shift.transitions[w[-1], b]
-    return dict(sorted(operators.items()))
+            prob = shift.transitions[w[-1], b]
+            links.setdefault(gain, []).append((i, index[extended[-depth:]], prob))
+    return {g: tuple(map(np.array, zip(*links[g]))) for g in sorted(links)}
 
 
 def _gain_step(dist: np.ndarray, operators: dict) -> np.ndarray:
     """One letter of the lattice-sum DP on dist (states x sums): new[:, g:] +=
-    A_g @ dist[:, :width - g]; sums pushed past the last column drop out."""
+    A_g @ dist[:, :width - g], one slice-add per link of A_g; sums pushed past
+    the last column drop out."""
     width = dist.shape[1]
     new = np.zeros_like(dist)
-    for g, op in operators.items():
+    for g, (src, dst, p) in operators.items():
         if g < width:
-            new[:, g:] += op @ dist[:, : width - g]
+            head = dist[:, : width - g]
+            for i, j, q in zip(src.tolist(), dst.tolist(), p.tolist()):
+                new[j, g:] += q * head[i]
     return new
 
 

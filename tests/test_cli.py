@@ -302,21 +302,6 @@ def test_domain_error_is_exit_one_with_envelope(capsys, files):
     assert doc["error"]["code"] == "InadmissibleWord"
 
 
-def test_escape_rate_answers_where_the_slope_underflows(capsys, tmp_path):
-    # The survival slope raises AllMassEscapedError on this admissible hole
-    # (its survival underflows before n = 60); no subcommand runs the slope,
-    # and escape-rate answers it with exit 0.
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({"transitions": [[0.5, 0.5], [1 - 1e-7, 1e-7]]}))
-    ceiling = tmp_path / "ceiling.json"
-    ceiling.write_text(json.dumps({"order": 1, "values": {"0": 1.0, "1": 1.0}, "lattice": 1.0}))
-    code, out, err = run(
-        capsys, ["escape-rate", "--model", str(model), "--ceiling", str(ceiling), "--hole", "0"]
-    )
-    assert code == 0 and err == ""
-    assert json.loads(out)["results"]["rho"] == pytest.approx(-math.log(1e-7), rel=1e-9)
-
-
 def test_usage_errors_are_exit_two(capsys, files, tmp_path):
     code, _, err = run(
         capsys,

@@ -23,7 +23,7 @@ from flowescape import (
     survival_curve_flow,
 )
 from flowescape import montecarlo
-from flowescape.montecarlo import _deviation_setup, _first_states, _kept_sums
+from flowescape.montecarlo import _deviation_setup, _kept_sums
 from flowescape.open_system import _survival_tower
 from flowescape.shift import _gain_step, _survival_curve, cylinder_measure
 from oracles import lattice_links, lattice_step
@@ -307,19 +307,6 @@ def test_fit_decay_on_pure_geometric_sequence():
 # ---------------------------------------------------------------------------
 # Streamed draws against the block-draw reference
 # ---------------------------------------------------------------------------
-
-def test_first_states_is_searchsorted_right():
-    """Counting thresholds at or below each uniform gives the index that
-    ``searchsorted(..., side="right")`` gives, ties included, and the index
-    past the last mass (the sink) where the masses end below 1."""
-    rng = np.random.default_rng(3)
-    for size in (1, 2, 4, 27, 64):
-        cum = np.cumsum(rng.random(size))
-        cum /= cum[-1] * 1.25
-        uniforms = np.concatenate([rng.random(5000), cum, [0.0, np.nextafter(1.0, 0.0)]])
-        want = np.searchsorted(cum, uniforms, side="right")
-        assert np.array_equal(_first_states(cum, uniforms), want)
-
 
 def _survival_reference(system, hole, config):
     """The block-draw sampler on the tower of ``_survival_tower``: its dense

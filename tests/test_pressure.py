@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -288,6 +289,33 @@ def test_truncated_pressure_matches_length_order_oracle(order, lattice):
         else:
             got = induced_pressure_truncated(shift, ceiling, hole, t)
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), (shift.transitions, hole, t)
+
+
+def test_truncated_pressure_at_the_state_cap_counts_words_in_little_memory():
+    """The hole 0^13 on the full 2-shift with the unit ceiling: 8190 states,
+    words of 1-12 letters, the most the state cap allows. Each word of
+    length L weighs 2^-L, so the window (t - 2, t] sums N_L 2^-L over
+    L = t - 1, t, with N_L the binary words of length L free of 0^13,
+    counted here by the run of trailing zeros. The links are stored
+    sparsely: one dense 8190 x 8190 operator alone would take 512 MiB."""
+    shift = build_markov_shift([[0.5, 0.5], [0.5, 0.5]])
+    hole, t = (0,) * 13, 30
+
+    def free_words(length):
+        runs = [1] + [0] * 12
+        for _ in range(length):
+            runs = [sum(runs)] + runs[:-1]
+        return sum(runs)
+
+    want = math.log(sum(free_words(L) / 2**L for L in (t - 1, t))) / t
+    tracemalloc.start()
+    try:
+        got = induced_pressure_truncated(shift, constant_function(shift, 1.0), hole, float(t))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert peak < 64 * 2**20
 
 
 def test_truncated_pressure_window_choice_is_second_order(full2, unit_ceiling):

@@ -19,13 +19,11 @@ from flowescape import (
     birkhoff_sum,
     birkhoff_sum_cyclic,
     build_markov_shift,
-    build_suspension,
     ceiling_from_json,
     ceiling_to_json,
     constant_function,
     cylinder_function,
     cylinder_measure,
-    escape_rate_flow,
     escape_rate_from_survival_slope,
     format_word,
     is_reduced,
@@ -222,8 +220,6 @@ def test_escape_rate_slope_underflow_is_all_mass_escaped():
     shift = build_markov_shift([[0.5, 0.5], [1 - 1e-7, 1e-7]])
     with pytest.raises(AllMassEscapedError, match="underflowed"):
         escape_rate_from_survival_slope(shift, (0,))
-    system = build_suspension(shift, constant_function(shift, 1.0))
-    assert escape_rate_flow(system, (0,), "refined") == pytest.approx(-math.log(1e-7), rel=1e-9)
 
 
 HOLE_CASES = [
