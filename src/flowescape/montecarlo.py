@@ -7,12 +7,12 @@ front: column i is sample i's private stream, and results are bit-identical
 across reruns and independent of how many samples have already died. Both
 samplers keep O(samples) state and build no (steps, samples) array. The
 survival sampler walks the tower on which ``survival_curve_flow`` steps its
-mass: an interior block climbs one level and a top branches to its
-successors' level-0 blocks, so no block matrix is built; the deficit of a
-row, the edges its operator lacks, branches to a sink state that a sample
-never leaves. Exact counterparts for both estimators (the
-survival curve and the lattice-sum DP of ``shift`` for the deviation
-probabilities) let tests hold the sampler to 3-sigma.
+mass: an interior block climbs one level and a top branches along its
+state's links to their level-0 blocks, so no block matrix is built; the
+deficit of a row, the edges its operator lacks, branches to a sink state that
+a sample never leaves. Exact counterparts for both estimators (the survival
+curve and the lattice-sum DP of ``shift`` for the deviation probabilities) let
+tests hold the sampler to 3-sigma.
 """
 
 from __future__ import annotations
@@ -109,20 +109,19 @@ def estimate_survival(
     uniform consumption pattern (and hence every later number) does not
     depend on who has died.
     """
-    operator, heights, start, delay = _survival_tower(system, hole)
-    mass = _survival_curve(start, operator, delay, heights)[1]
+    links, heights, start, delay = _survival_tower(system, hole)
+    mass = _survival_curve(start, links, delay, heights)[1]
     tops = np.cumsum(heights) - 1
     starts = tops - heights + 1
     size = len(mass)
     init_cum = np.cumsum(mass)
 
-    successors = [np.nonzero(row > 0.0)[0] for row in operator]
-    # A row's cumulative weights are its branch thresholds. One that ends
-    # below 1 keeps them all, and the rest of the row branches to the sink.
-    thresholds = []
-    for row, js in zip(operator, successors):
-        cum = np.cumsum(row[js])
-        thresholds.append(cum if len(js) == 0 or cum[-1] < 1.0 else cum[:-1])
+    # A row's cumulative weights, over its slice of the links, are its branch
+    # thresholds. One that ends below 1 keeps them all; the rest goes to the sink.
+    src, dst, p = links
+    bounds = np.searchsorted(src, np.arange(len(heights) + 1)).tolist()
+    cums = [np.cumsum(p[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    thresholds = [cum if len(cum) == 0 or cum[-1] < 1.0 else cum[:-1] for cum in cums]
     width = 1 + max(map(len, thresholds))
     # Row-major (state, branch) table, read at state * width + branch. An
     # interior block climbs to the next level; a top branches to the level-0
@@ -132,9 +131,9 @@ def estimate_survival(
     targets[sink] = sink
     # Padding 2.0 lies above every uniform, so a padded column never counts.
     columns = np.full((width - 1, size + 1), 2.0)
-    for top, js, cum in zip(tops, successors, thresholds):
+    for top, lo, hi, cum in zip(tops, bounds, bounds[1:], thresholds):
         targets[top] = sink
-        targets[top, : len(js)] = starts[js]
+        targets[top, : hi - lo] = starts[dst[lo:hi]]
         columns[: len(cum), top] = cum
     flat = targets.ravel()
 

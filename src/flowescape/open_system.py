@@ -24,7 +24,8 @@ states and over the dense bordered matrix below that. The exact survival
 curve and the survival sampler step on one tower: the order-n word operator
 with the hole's edges dropped, or, for a hole longer than the order, the
 hole automaton, read k0 steps late. An orbit dies only on an edge that
-operator lacks, and no route builds the words of the hole's length.
+operator lacks, and no route builds the words of the hole's length. Only
+the radius of a component up to 128 states, or a stalled one, goes dense.
 """
 
 from __future__ import annotations
@@ -207,19 +208,19 @@ _RADIUS_TOL = 1e-13
 _RADIUS_MAX_ITER = 200_000
 
 
-def _power_iteration_radius(matrix: np.ndarray) -> "float | None":
-    """Collatz-Wielandt bracket via power iteration on (M + I)/2, over the
-    entries of the iterate that are normal floats.
+def _power_iteration_radius(links, size: int) -> "float | None":
+    """Collatz-Wielandt bracket via power iteration on (M + I)/2, M the block
+    of ``size`` states with ``links``, over the iterate's normal-float entries.
 
     The shift makes the iteration primitive on an irreducible block, so the
     min/max ratio bounds close geometrically, to ``_RADIUS_TOL``. Returns None
     when ``_RADIUS_MAX_ITER`` steps run out (caller falls back to dense
     eigenvalues).
     """
-    half = 0.5 * (matrix + np.eye(matrix.shape[0]))
-    vec = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
+    src, dst, p = links
+    vec = np.full(size, 1.0 / size)
     for _ in range(_RADIUS_MAX_ITER):
-        nxt = vec @ half
+        nxt = 0.5 * (vec + np.bincount(dst, weights=vec[src] * p, minlength=size))
         # Entries below the smallest normal float carry no digits (0/0 on a
         # long hole's Perron vector), so the ratios skip them.
         normal = vec >= _TINY
@@ -234,16 +235,17 @@ def _power_iteration_radius(matrix: np.ndarray) -> "float | None":
     return None
 
 
-def _component_radius(sub: np.ndarray) -> float:
-    """Spectral radius of one irreducible nonnegative block."""
-    if len(sub) == 1:
-        return float(sub[0, 0])
-    if len(sub) <= 128:
-        # Dense eigenvalues beat power iteration outright at this size,
-        # and stay fast when a small spectral gap would stall it.
-        return float(np.abs(np.linalg.eigvals(sub)).max())
-    estimate = _power_iteration_radius(sub)
+def _component_radius(links, size: int) -> float:
+    """Spectral radius of one irreducible nonnegative block of ``size`` states."""
+    src, dst, p = links
+    if size == 1:
+        return float(p[0])
+    # Dense eigenvalues beat power iteration outright up to 128 states, and
+    # take over where a small spectral gap stalls it.
+    estimate = _power_iteration_radius(links, size) if size > 128 else None
     if estimate is None:
+        sub = np.zeros((size, size))
+        sub[src, dst] = p
         estimate = float(np.abs(np.linalg.eigvals(sub)).max())
     return estimate
 
@@ -256,10 +258,10 @@ _ROOT_MAX_STEPS = 100
 _ROOT_MAX_LOG_WEIGHT = 700.0
 
 
-def _word_operator_root(P: np.ndarray, heights: np.ndarray) -> float:
-    """The s* with rho(diag(e^{s h}) P) = 1, for P substochastic and heights
-    h positive; +inf when P is nilpotent. rho(P) <= 1 makes s* >= 0, so where
-    rounding puts log rho(P) at or above 0 the root is +0.0.
+def _word_operator_root(links, heights: np.ndarray) -> float:
+    """The s* with rho(diag(e^{s h}) P) = 1, for the links of P substochastic
+    and heights h positive; +inf when P is nilpotent. rho(P) <= 1 makes s* >=
+    0, so where rounding puts log rho(P) at or above 0 the root is +0.0.
 
     f(s) = log rho(diag(e^{s h}) P) is convex, with slope a Perron average of
     the heights on the cyclic components of P. So from f(0) = log rho(P) the
@@ -275,19 +277,26 @@ def _word_operator_root(P: np.ndarray, heights: np.ndarray) -> float:
     clamp, outside the float range.
     """
     h = np.asarray(heights, dtype=float)
-    # Positive row weights keep the strongly connected components, so they
-    # are found once; each evaluation takes the radius of the cyclic ones.
-    parts = [(P[np.ix_(comp, comp)], h[comp]) for comp in _cyclic_components(P)]
-    if not parts:
+    src, dst, p = links
+    # Positive row weights keep the strongly connected components, so the links
+    # inside each cyclic one are split off once, renumbered, with their row's height.
+    comps = _cyclic_components(len(h), src, dst)
+    if not comps:
         return math.inf
-    cyclic = np.concatenate([hp for _, hp in parts])
+    label, local, parts = np.full(len(h), -1), np.zeros(len(h), dtype=np.int64), []
+    for c, comp in enumerate(comps):
+        label[comp], local[comp] = c, np.arange(len(comp))
+        inside = (label[src] == c) & (label[dst] == c)
+        rows, cols = src[inside], dst[inside]
+        parts.append((local[rows], local[cols], p[inside], h[rows], len(comp)))
+    cyclic = h[np.concatenate(comps)]
     h_min, h_max = float(cyclic.min()), float(cyclic.max())
 
     def f(s: float) -> float:
         return math.log(
             max(
-                _component_radius(np.exp(s * hp)[:, None] * sub)
-                for sub, hp in parts
+                _component_radius((ls, ld, lp * np.exp(s * hl)), size)
+                for ls, ld, lp, hl, size in parts
             )
         )
 
@@ -361,9 +370,9 @@ def _open_root(system: SuspensionSystem, hole: Word) -> float:
     (u, j) weighted by the ceiling height of its last letters u.
     """
     word = _checked_hole(system.base, hole)
-    states, P = _hole_automaton(system.base, word, system.order)
+    states, links = _hole_automaton(system.base, word, system.order)
     heights = np.array([system.height_of(u) for u, _ in states])
-    return _word_operator_root(P, heights)
+    return _word_operator_root(links, heights)
 
 
 def _bordered_root(system: SuspensionSystem, q: HoleQuantities) -> float:
@@ -437,22 +446,21 @@ def escape_rate_flow(
 
 def escape_rate_block_hole(system: SuspensionSystem, rows: "tuple[int, ...] | list[int]") -> float:
     """Escape rate when the hole is an arbitrary union of blocks (given as row
-    indices 0..blocks-1 of the block matrix; ValueError otherwise). A row at
-    any level of a word's tower removes that whole word: its row of the
-    system's ``word_matrix`` is zeroed before the word-operator root."""
-    rows = [int(r) for r in rows]
+    indices 0..blocks-1 of the block matrix; ValueError otherwise, fractions
+    included). A row at any level of a word's tower removes that whole word:
+    its links of ``word_links`` are dropped before the word-operator root."""
     size = len(system.block_measure)
-    if not rows or not all(0 <= r < size for r in rows):
-        raise ValueError(f"block hole needs rows within [0, {size}), got {rows}")
-    P = system.word_matrix.copy()
-    P[np.searchsorted(system._starts, rows, side="right") - 1, :] = 0.0
-    return _word_operator_root(P, system.heights) / system.lattice_scale
+    if not rows or not all(int(r) == r and 0 <= r < size for r in rows):
+        raise ValueError(f"block hole needs rows within [0, {size}), got {list(rows)}")
+    src, dst, p = system.word_links
+    kept = ~np.isin(src, np.searchsorted(system._starts, rows, side="right") - 1)
+    return _word_operator_root((src[kept], dst[kept], p[kept]), system.heights) / system.lattice_scale
 
 
 def _survival_tower(
     system: SuspensionSystem, hole: Word
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """(operator, heights, start mass, delay): the tower on which the exact
+) -> tuple[tuple, np.ndarray, np.ndarray, int]:
+    """(links, heights, start mass, delay): the tower on which the exact
     survival curve and the survival sampler step. Each state of the
     substochastic operator owns a tower of its height, level 0 first, and
     the start mass is the flow-invariant vector laid out on those blocks.
@@ -460,39 +468,38 @@ def _survival_tower(
     lattice steps after the level-0 visit of the hole it records.
 
     With the hole no longer than the order n, the hole is the level-0 blocks
-    of the words that begin with it: the operator is ``word_matrix`` with
-    their columns dropped, their level-0 start mass is zeroed, and the delay
+    of the words that begin with it: the operator is ``word_links`` without
+    the links into them, their level-0 start mass is zeroed, and the delay
     is 0. A longer hole runs on the hole automaton at order n, each state
     (u, j) a tower of the height of u. The edge that completes a copy of the
     hole comes k0 (``_prefix_height``) steps after the level-0 block of the
     copy's first n letters u0, so the delay is k0. The mass above level 0 of
-    u0 starts on one extra last state whose row is u0's row of
-    ``word_matrix``, so it takes no part in the copy that starts below it:
+    u0 starts on one extra last state whose links are u0's links of
+    ``word_links``, so it takes no part in the copy that starts below it:
     the automaton's first states are the system's words, in the same order.
     RefinementTooLargeError where the automaton passes ``DEFAULT_STATE_CAP``.
     """
     word = _checked_hole(system.base, hole)
     n, m = system.order, len(word)
     start = np.array(flow_invariant_vector(system))
+    src, dst, p = system.word_links
     if m <= n:
         rows = [i for i, w in enumerate(system.words) if w[:m] == word]
-        operator = system.word_matrix.copy()
-        operator[:, rows] = 0.0
+        kept = ~np.isin(dst, rows)
         start[system._starts[rows]] = 0.0
-        return operator, system.heights, start, 0
-    states, P = _hole_automaton(system.base, word, n)
-    size = len(states)
+        return (src[kept], dst[kept], p[kept]), system.heights, start, 0
+    states, automaton = _hole_automaton(system.base, word, n)
     first = system._word_index[word[:n]]
-    operator = np.zeros((size + 1, size + 1))
-    operator[:size, :size] = P
-    operator[size, : len(system.words)] = system.word_matrix[first]
+    row = src == first
+    extra = (np.full(np.count_nonzero(row), len(states)), dst[row], p[row])
+    links = tuple(map(np.concatenate, zip(automaton, extra)))
     heights = np.array([system.height_of(u) for u, _ in states] + [system.heights[first]])
     mass = np.zeros(int(heights.sum()))
     mass[: len(start)] = start
     above = slice(system._starts[first] + 1, system._starts[first] + heights[-1])
     mass[len(mass) - heights[-1] + 1 :] = mass[above]
     mass[above] = 0.0
-    return operator, heights, mass, _prefix_height(system, word)
+    return links, heights, mass, _prefix_height(system, word)
 
 
 def survival_curve_flow(system: SuspensionSystem, hole: Word, t_max: int) -> np.ndarray:
@@ -509,7 +516,7 @@ def survival_curve_flow(system: SuspensionSystem, hole: Word, t_max: int) -> np.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    operator, heights, start, delay = _survival_tower(system, hole)
-    curve = _survival_curve(start, operator, delay + t_max, heights)[0][delay:]
+    links, heights, start, delay = _survival_tower(system, hole)
+    curve = _survival_curve(start, links, delay + t_max, heights)[0][delay:]
     curve[0] = 1.0
     return curve

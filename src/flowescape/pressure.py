@@ -252,10 +252,10 @@ def induced_pressure_via_root(
     word holds the hole. Raises PressureNotNegativeError when beta* >= 0.
     """
     hole_word = _checked_hole(shift, hole)
-    states, P = _hole_automaton(shift, hole_word, ceiling.order)
+    states, links = _hole_automaton(shift, hole_word, ceiling.order)
     phi = np.array(_ceiling_values(ceiling, [u for u, _ in states]))
 
-    beta = -_word_operator_root(P, phi)
+    beta = -_word_operator_root(links, phi)
     if beta >= 0.0:
         raise PressureNotNegativeError("spectral radius at beta = 0 is not below 1")
     return beta

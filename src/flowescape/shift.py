@@ -8,9 +8,9 @@ are all suffixes of one length, or, for the truncated pressure, every
 hole-avoiding word up to that length, so words shorter than it are their own
 states. The survival DP, the refined rate and the pressure root run on the
 hole's pattern automaton: (last letters, Knuth-Morris-Pratt match) states,
-linear in the hole length, where the word chain has one state per word. The
-survival kernel kills nothing itself: mass dies only on the edges its
-substochastic operator lacks.
+linear in the hole length, where the word chain has one state per word. Each
+chain is kept as links (src, dst, p), sorted by (src, dst). The survival
+kernel kills nothing itself: mass dies only on the links its operator lacks.
 
 A shift is described by a row-stochastic, irreducible transition matrix P over
 symbols 0..S-1 together with its stationary vector pi. Words are tuples of
@@ -44,9 +44,9 @@ from .errors import (
 
 Word = tuple[int, ...]
 
-#: Hard cap on the number of word-states dense routines will build. It counts
-#: the admissible words of the refined length, not alphabet powers, and it is
-#: a constant, not a parameter.
+#: Hard cap on the states of a word chain or hole automaton and on the blocks
+#: of a dense matrix. It counts the admissible words of the refined length,
+#: not alphabet powers, and it is a constant, not a parameter.
 DEFAULT_STATE_CAP = 4096
 
 _ROW_SUM_TOL = 1e-9
@@ -125,10 +125,10 @@ def _stationary_vector(transitions: np.ndarray) -> np.ndarray:
     return pi
 
 
-def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to survive large graphs."""
-    size = adjacency.shape[0]
-    succ = [np.nonzero(adjacency[i])[0].tolist() for i in range(size)]
+def _strongly_connected_components(size: int, src, dst) -> list[list[int]]:
+    """Tarjan's algorithm over sorted edges, iterative to survive large graphs."""
+    bounds, targets = np.searchsorted(src, np.arange(size + 1)).tolist(), dst.tolist()
+    succ = [targets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     index = [-1] * size
     low = [0] * size
     on_stack = [False] * size
@@ -174,14 +174,15 @@ def _strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
     return components
 
 
-def _cyclic_components(matrix: np.ndarray) -> list[list[int]]:
-    """The strongly connected components of ``matrix > 0`` that hold a cycle:
-    more than one state, or one state with a loop. None exist exactly when
-    the matrix is nilpotent."""
+def _cyclic_components(size: int, src, dst) -> list[list[int]]:
+    """The strongly connected components of the sorted edges (src, dst) that
+    hold a cycle: more than one state, or one state with a loop (src == dst).
+    None exist exactly when the chain is nilpotent."""
+    loops = set(src[src == dst].tolist())
     return [
         comp
-        for comp in _strongly_connected_components(matrix > 0.0)
-        if len(comp) > 1 or matrix[comp[0], comp[0]] > 0.0
+        for comp in _strongly_connected_components(size, src, dst)
+        if len(comp) > 1 or comp[0] in loops
     ]
 
 
@@ -205,7 +206,7 @@ def build_markov_shift(
         raise NotRowStochasticError(
             f"row sums deviate from 1 by {row_err:.3e} (tolerance {_ROW_SUM_TOL:.0e})"
         )
-    if len(_strongly_connected_components(mat > 0.0)) != 1:
+    if len(_strongly_connected_components(len(mat), *np.nonzero(mat))) != 1:
         raise NotIrreducibleError("transition digraph is not strongly connected")
     if labels is None:
         labels = tuple(str(i) for i in range(mat.shape[0]))
@@ -487,17 +488,6 @@ def birkhoff_sum_cyclic(func: CylinderFunction, word: Word) -> float:
 # Word chains, exact survival and the two exact DP kernels
 # ===========================================================================
 
-def _word_transitions(shift: MarkovShift, states: tuple[Word, ...]) -> np.ndarray:
-    """Hole-free P on ``states`` (all admissible words of one length, in
-    lexicographic order): p(last, b) from each word w to w[1:] + (b,)."""
-    index = {w: i for i, w in enumerate(states)}
-    mat = np.zeros((len(states), len(states)))
-    for i, w in enumerate(states):
-        for b in shift.successors(w[-1]):
-            mat[i, index[w[1:] + (b,)]] = shift.transitions[w[-1], b]
-    return mat
-
-
 def _borders(word: Word) -> list[int]:
     """The Knuth-Morris-Pratt failure function: entry j is the length of the
     longest proper border (prefix that is also a suffix) of word[:j], for j =
@@ -516,8 +506,8 @@ def _borders(word: Word) -> list[int]:
 
 def _hole_automaton(
     shift: MarkovShift, hole: Word, order: int
-) -> tuple[list[tuple[Word, int]], np.ndarray]:
-    """The hole's pattern automaton over the base chain, as (states, P).
+) -> tuple[list[tuple[Word, int]], tuple]:
+    """The hole's pattern automaton over the base chain, as (states, links of P).
 
     A state (u, j) holds the last ``order`` letters u of a text that holds no
     copy of the hole, and the length j < len(hole) of the longest suffix of
@@ -574,9 +564,9 @@ def _hole_automaton(
             rows.append(i)
             cols.append(t)
             probs.append(shift.transitions[u[-1], b])
-    matrix = np.zeros((len(states), len(states)))
-    matrix[rows, cols] = probs
-    return states, matrix
+    src, dst = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    ranked = np.lexsort((dst, src))
+    return states, (src[ranked], dst[ranked], np.array(probs)[ranked])
 
 
 def escape_rate_from_survival_slope(shift: MarkovShift, hole: Word) -> float:
@@ -591,11 +581,11 @@ def escape_rate_from_survival_slope(shift: MarkovShift, hole: Word) -> float:
     survival underflows to 0 inside the fit window, so its log has no slope.
     """
     word = _checked_hole(shift, hole)
-    states, matrix = _hole_automaton(shift, word, 1)
-    if not _cyclic_components(matrix):
+    states, links = _hole_automaton(shift, word, 1)
+    if not _cyclic_components(len(states), *links[:2]):
         return math.inf
     ns = np.arange(_SLOPE_N_LO, _SLOPE_N_HI + 1, dtype=float)
-    values = _survival_by_length(shift, word, states, matrix, _SLOPE_N_HI)[_SLOPE_N_LO:]
+    values = _survival_by_length(shift, word, states, links, _SLOPE_N_HI)[_SLOPE_N_LO:]
     if values.min() <= 0.0:
         raise AllMassEscapedError(
             f"survival underflowed to 0 inside the fit range n = {_SLOPE_N_LO}..{_SLOPE_N_HI}"
@@ -620,35 +610,35 @@ def survival_measure_exact(shift: MarkovShift, hole: Word, n: int) -> float:
     return float(_survival_by_length(shift, word, *_hole_automaton(shift, word, 1), n)[n])
 
 
-def _survival_by_length(shift: MarkovShift, word: Word, states, matrix, n: int) -> np.ndarray:
+def _survival_by_length(shift: MarkovShift, word: Word, states, links, n: int) -> np.ndarray:
     """Survival for every length 0..n >= len(word), from one pass of the
-    survival kernel over the order-1 hole automaton (states, matrix) of ``word``."""
+    survival kernel over the order-1 hole automaton (states, links) of ``word``."""
     # The automaton at order 1 starts from the hole-free letters, each with its
     # stationary mass; mass that completes the hole leaves on the dropped edges.
     letters = [a for a in range(shift.alphabet_size) if (a,) != word]
     mass = np.zeros(len(states))
     mass[: len(letters)] = shift.stationary[letters]
-    out = _survival_curve(mass, matrix, n)[0]
+    out = _survival_curve(mass, links, n, np.ones(len(states), dtype=int))[0]
     out[: len(word)] = 1.0
     return out
 
 
-def _survival_curve(mass, matrix, length: int, heights=None) -> tuple[np.ndarray, np.ndarray]:
+def _survival_curve(mass, links, length: int, heights) -> tuple[np.ndarray, np.ndarray]:
     """Survival kernel: (a leading one, then ``length`` rounds of recording the
     total mass and stepping it; the mass after the last step). ``mass`` lies
-    on the tower of ``heights`` (default 1) blocks per state of ``matrix``,
-    level 0 first: a step moves every level up one and sends the tops through
-    ``matrix`` onto level 0. Mass dies only where a row of the substochastic
-    ``matrix`` lacks an edge."""
-    if heights is None:
-        heights = np.ones(len(matrix), dtype=int)
+    on the tower of ``heights`` blocks per state of the substochastic
+    operator with ``links``, level 0 first: a step moves every level up one
+    and sends the tops along the links onto level 0. Mass dies only where a
+    row lacks an edge."""
+    src, dst, p = links
     tops = np.cumsum(heights) - 1
     starts = tops - heights + 1
+    feeds = tops[src]
     mass = np.array(mass, dtype=float)
     out = np.ones(1 + length)
     for t in range(1, 1 + length):
         out[t] = mass.sum()
-        climbed = mass[tops] @ matrix
+        climbed = np.bincount(dst, weights=mass[feeds] * p, minlength=len(heights))
         mass[1:] = mass[:-1]
         mass[starts] = climbed
     return out, mass

@@ -7,9 +7,9 @@ length n gets an integer height k_C = phi(C) / lambda, and the time-lambda map
 becomes a finite Markov chain on blocks (C, level) with level in 0..k_C-1.
 Levels below the top step up deterministically; the top level steps through the
 base shift transition. This block chain is the tower over the word operator P
-of the order-n words: a system stores P and the heights, and builds the blocks
-and the dense block matrix on first read. Everything downstream (open matrices,
-zeta determinants, expansions) works on it and converts rates back by 1/lambda.
+of the order-n words: a system stores P as links and the heights, and builds
+the blocks and the dense block matrix on first read. Everything downstream
+works on it and converts rates back by 1/lambda.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .shift import (
     MarkovShift,
     Word,
     _ceiling_values,
-    _word_transitions,
+    _lattice_operators,
     admissible_words,
     cylinder_function,
     cylinder_measure,
@@ -46,10 +46,10 @@ Block = tuple[Word, int]
 class SuspensionSystem:
     """Tower form of a suspension flow with an arithmetic ceiling.
 
-    ``word_matrix`` is the hole-free base chain on ``words``. Word i owns the ``heights[i]`` blocks from
-    sum(heights[:i]) on, level 0 first; ``blocks`` lists these (word, level)
-    pairs and ``block_matrix`` is the row-stochastic time-lambda transition
-    matrix on them, both derived from the tower on first read.
+    ``word_links`` is the hole-free base chain on ``words``, as read-only sorted links.
+    Word i owns the ``heights[i]`` blocks from sum(heights[:i]) on, level 0
+    first; ``blocks`` lists these (word, level) pairs and ``block_matrix`` is
+    the row-stochastic time-lambda transition matrix on them, both built on first read.
     ``block_measure`` holds the base cylinder measure of each block's word, so
     ``mass_normalized = sum(block_measure)`` is the integral of the normalized
     (lattice-1) ceiling and ``total_mass`` the integral of the original one.
@@ -61,7 +61,7 @@ class SuspensionSystem:
     lattice_scale: float
     words: tuple[Word, ...]
     heights: np.ndarray
-    word_matrix: np.ndarray
+    word_links: tuple[np.ndarray, np.ndarray, np.ndarray]
     block_measure: np.ndarray
     mass_normalized: float
     _word_index: dict[Word, int] = field(repr=False)
@@ -78,7 +78,7 @@ class SuspensionSystem:
 
     @cached_property
     def block_matrix(self) -> np.ndarray:
-        """Levels step up by one; each top steps through ``word_matrix`` onto
+        """Levels step up by one; each top steps along ``word_links`` onto
         the level-0 blocks. Raises DimensionTooLargeError past
         ``DEFAULT_STATE_CAP`` blocks, before anything is allocated."""
         size = len(self.block_measure)
@@ -87,9 +87,10 @@ class SuspensionSystem:
                 f"{size} blocks exceed the cap of {DEFAULT_STATE_CAP} for a dense block matrix"
             )
         tops = self._starts + self.heights - 1
+        src, dst, p = self.word_links
         matrix = np.eye(size, k=1)
         matrix[tops] = 0.0
-        matrix[tops[:, None], self._starts] = self.word_matrix
+        matrix[tops[src], self._starts[dst]] = p
         matrix.setflags(write=False)
         return matrix
 
@@ -136,10 +137,12 @@ def build_suspension(
         heights.append(k)
     heights = np.array(heights)
 
-    word_matrix = _word_transitions(base, words)
+    index = {w: i for i, w in enumerate(words)}
+    # The word chain is the lattice-sum operator of a ceiling of height 0.
+    word_links = _lattice_operators(base, dict.fromkeys(words, 0), ceiling.order, index)[0]
     measure = np.repeat([cylinder_measure(base, w) for w in words], heights)
     starts = np.cumsum(heights) - heights
-    for array in (heights, word_matrix, measure, starts):
+    for array in (heights, *word_links, measure, starts):
         array.setflags(write=False)
     return SuspensionSystem(
         base=base,
@@ -148,10 +151,10 @@ def build_suspension(
         lattice_scale=scale,
         words=words,
         heights=heights,
-        word_matrix=word_matrix,
+        word_links=word_links,
         block_measure=measure,
         mass_normalized=float(measure.sum()),
-        _word_index={w: i for i, w in enumerate(words)},
+        _word_index=index,
         _starts=starts,
     )
 

@@ -209,9 +209,9 @@ def _word_layers(
     complement, det(I - zM) = det(I - W(z)), with equal adjugate entries
     between kept states (Parry & Pollicott, Asterisque 187-188, ch. 6).
     """
-    matrix, heights = system.word_matrix, system.heights.tolist()
-    words, nonzero = len(heights), matrix != 0.0
-    follow = np.where(nonzero.sum(axis=1) == 1, nonzero.argmax(axis=1), -1).tolist()
+    (src, dst, prob), heights, words = system.word_links, system.heights.tolist(), len(system.words)
+    first = np.searchsorted(src, np.arange(words))  # each word's first link
+    follow = np.where(np.bincount(src, minlength=words) == 1, dst[first], -1).tolist()
     keep = [u for u in range(words) if follow[u] == u] + list(entry or ())
     if q is not None:
         t, r = system._word_index[q.t_word], system._word_index[q.r_word]
@@ -233,7 +233,7 @@ def _word_layers(
         for w in reversed(path):
             if (v := follow[w]) >= 0:
                 target[w], extra[w] = target[v], heights[w] + extra[v]
-                weight[w] = matrix.item(w, v) * weight[v]
+                weight[w] = prob.item(first[w]) * weight[v]
     state = np.cumsum(np.array(follow) < 0) - 1
     state[np.array(follow) >= 0] = -1
     overlaps = q is not None and any(q.correlation)
@@ -245,8 +245,8 @@ def _word_layers(
         return i, state.item(target[v]), p + extra[v], value * weight[v]
 
     terms = [
-        term(state.item(u), v, heights[u], matrix.item(u, v))
-        for u, v in zip(*(a.tolist() for a in np.nonzero(nonzero)))
+        term(state.item(u), v, heights[u], value)
+        for u, v, value in zip(src.tolist(), dst.tolist(), prob.tolist())
         if follow[u] < 0 and not (q is not None and q.k0 == 0 and u == t)
     ]
     loop = None

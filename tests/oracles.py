@@ -5,7 +5,8 @@ tests build them here to check the routes against a dense radius,
 determinant or sampler: the open matrices of the paper's two
 representations, the word chain with the hole's rows zeroed, a plain
 Faddeev-LeVerrier pass with the determinant and cofactor read off it, and
-the spectral radius of a nonnegative matrix. The lattice-sum DP is here one
+the spectral radius of a nonnegative matrix. ``dense`` rebuilds the matrix of
+a chain the library keeps as sparse links. The lattice-sum DP is here one
 slice-add per link and one step per word length, where the library groups
 links by gain and solves the truncated pressure in sum order.
 """
@@ -27,9 +28,17 @@ from flowescape.pressure import _sup_completion
 from flowescape.shift import (
     Word,
     _hole_free_words,
-    _strongly_connected_components,
-    _word_transitions,
+    _cyclic_components,
+    _lattice_operators,
 )
+
+
+def dense(links, n):
+    """The n x n matrix of the links (src, dst, p): entry p at (src, dst)."""
+    src, dst, p = links
+    matrix = np.zeros((n, n))
+    matrix[src, dst] = p
+    return matrix
 
 
 def refined_open_matrix(system, hole):
@@ -65,7 +74,9 @@ def survivor_matrix(shift, hole, order=None):
     RefinementTooLargeError past ``DEFAULT_STATE_CAP`` words."""
     hole = tuple(hole)
     states = admissible_words(shift, len(hole) if order is None else order)
-    matrix = _word_transitions(shift, states)
+    index = {w: i for i, w in enumerate(states)}
+    links = _lattice_operators(shift, dict.fromkeys(states, 0), len(states[0]), index)[0]
+    matrix = dense(links, len(states))
     hole_rows = tuple(i for i, w in enumerate(states) if w[: len(hole)] == hole)
     matrix[list(hole_rows), :] = 0.0
     return SurvivorMatrix(states=states, matrix=matrix, hole_rows=hole_rows)
@@ -102,11 +113,12 @@ def cofactor_poly(matrix, t_index, r_index):
 
 def matrix_spectral_radius(matrix):
     """Spectral radius of a nonnegative matrix, the largest radius of its
-    strongly connected components, each taken as the word-operator root
-    takes the radii of its cyclic components."""
+    cyclic components, each taken as the word-operator root takes it; 0
+    when there is none."""
     radius = 0.0
-    for comp in _strongly_connected_components(matrix > 0.0):
-        radius = max(radius, _component_radius(matrix[np.ix_(comp, comp)]))
+    for comp in _cyclic_components(len(matrix), *np.nonzero(matrix)):
+        sub = matrix[np.ix_(comp, comp)]
+        radius = max(radius, _component_radius((*np.nonzero(sub), sub[sub != 0.0]), len(comp)))
     return radius
 
 

@@ -26,7 +26,7 @@ from flowescape import montecarlo
 from flowescape.montecarlo import _deviation_setup, _kept_sums
 from flowescape.open_system import _survival_tower
 from flowescape.shift import _gain_step, _survival_curve, cylinder_measure
-from oracles import lattice_links, lattice_step
+from oracles import dense, lattice_links, lattice_step
 
 
 @pytest.fixture(scope="module")
@@ -313,14 +313,14 @@ def _survival_reference(system, hole, config):
     block matrix, every uniform drawn up front as one (t_max + 1, samples)
     block, and picks from a (samples, width) comparison. A row's deficit
     branches to a dead state past the blocks."""
-    operator, heights, start, delay = _survival_tower(system, hole)
+    links, heights, start, delay = _survival_tower(system, hole)
     tops = np.cumsum(heights) - 1
     starts = tops - heights + 1
     size = int(heights.sum())
     matrix = np.eye(size, k=1)
     matrix[tops] = 0.0
-    matrix[tops[:, None], starts] = operator
-    mass = _survival_curve(start, operator, delay, heights)[1]
+    matrix[tops[:, None], starts] = dense(links, len(heights))
+    mass = _survival_curve(start, links, delay, heights)[1]
     init_cum = np.cumsum(mass)
     dead = size
     rows = [np.nonzero(matrix[i] > 0.0)[0] for i in range(size)]

@@ -44,6 +44,7 @@ from flowescape.open_system import _open_rate
 from oracles import (
     bordered_open_matrix,
     char_poly,
+    dense,
     matrix_spectral_radius,
     refined_open_matrix,
     survivor_matrix,
@@ -413,8 +414,9 @@ def test_block_hole_shadow_slabs(step_system):
 
 
 def test_block_hole_rejects_rows_outside_the_chain(step_system):
-    # Three blocks: row -1 must not wrap round to the last block's word.
-    for row in (-1, 3):
+    # Three blocks: row -1 must not wrap round to the last block's word, and
+    # a fraction of a row must not be truncated to row 0.
+    for row in (-1, 3, 0.5, 1e-9):
         with pytest.raises(ValueError):
             escape_rate_block_hole(step_system, (row,))
 
@@ -445,19 +447,20 @@ def test_equal_heights_root_takes_one_radius(monkeypatch, unit_system, full2):
     # cyclic component of the automaton takes one radius and no further
     # point is evaluated.
     hole = (0, 1, 1, 0, 1, 0, 0, 1, 1, 1)
-    _, P = shift_module._hole_automaton(full2, hole, 1)
+    states, links = shift_module._hole_automaton(full2, hole, 1)
+    P = dense(links, len(states))
     assert len(P) <= 2 * len(hole)
     cyclic = [
         comp
-        for comp in shift_module._strongly_connected_components(P > 0.0)
+        for comp in shift_module._strongly_connected_components(len(P), *np.nonzero(P))
         if len(comp) > 1 or P[comp[0], comp[0]] > 0.0
     ]
     sizes = []
     component_radius = open_system._component_radius
 
-    def counted(sub, *args, **kwargs):
-        sizes.append(len(sub))
-        return component_radius(sub, *args, **kwargs)
+    def counted(links, size):
+        sizes.append(size)
+        return component_radius(links, size)
 
     monkeypatch.setattr(open_system, "_component_radius", counted)
     got = escape_rate_flow(unit_system, hole, "refined")
@@ -486,9 +489,9 @@ def test_equal_heights_root_is_the_log_radius_to_the_bit():
         if not shift.is_admissible(hole):
             continue
         height = int(rng.integers(1, 8))
-        _, P = shift_module._hole_automaton(shift, hole, 1)
-        got = open_system._word_operator_root(P, np.full(len(P), float(height)))
-        radius = matrix_spectral_radius(P)
+        states, links = shift_module._hole_automaton(shift, hole, 1)
+        got = open_system._word_operator_root(links, np.full(len(states), float(height)))
+        radius = matrix_spectral_radius(dense(links, len(states)))
         if radius >= 1.0:
             want = 0.0
         elif radius > 0.0:
@@ -536,9 +539,9 @@ def test_power_iterated_word_operator_root(monkeypatch, step_system):
     sizes = []
     component_radius = open_system._component_radius
 
-    def counted(sub, *args, **kwargs):
-        sizes.append(len(sub))
-        return component_radius(sub, *args, **kwargs)
+    def counted(links, size):
+        sizes.append(size)
+        return component_radius(links, size)
 
     monkeypatch.setattr(open_system, "_component_radius", counted)
     # The root on the refined system's automaton: one state per word.
@@ -655,11 +658,11 @@ def test_word_operator_root_near_the_float_range():
     # e^{3 s} 1e-400 = 1, s* = 307. The weight e^{2 s} of the second row
     # reaches e^700 at s = 350, so with entries 1e-300 (s* = 460) it raises.
     heights = np.array([1.0, 2.0])
-    cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
-    root = open_system._word_operator_root(1e-200 * cycle, heights)
+    src, dst = np.array([0, 1]), np.array([1, 0])
+    root = open_system._word_operator_root((src, dst, np.full(2, 1e-200)), heights)
     assert root == pytest.approx(400.0 * math.log(10.0) / 3.0, rel=1e-14)
     with pytest.raises(NoConvergenceError):
-        open_system._word_operator_root(1e-300 * cycle, heights)
+        open_system._word_operator_root((src, dst, np.full(2, 1e-300)), heights)
 
 
 # Lattice-0.05 towers, heights up to 60 (flow ceilings up to 3.0), holes of
@@ -804,20 +807,33 @@ def _survival_reference(system, hole, t_max):
 
 
 # Every hole word's tower is taller than one block, so mass that starts above
-# level 0 of a hole word must climb out through its top.
+# level 0 of a hole word must climb out through its top. Heights follow the
+# admissible words of the order in lexicographic order. At order 2 the hole
+# (0,) is no longer than the order and begins the three words 00, 01 and 02.
 SURVIVAL_TOWERS = {
-    "step-hole-1": ([[0.5, 0.5], [0.5, 0.5]], (1, 2), 1.0, (1,)),
-    "lattice-0.05": ([[0.49, 0.51], [0.07, 0.93]], (28, 40), 0.05, (0, 1, 0)),
-    "three-letter": ([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]], (1, 2, 3), 1.0, (2, 1)),
+    "step-hole-1": ([[0.5, 0.5], [0.5, 0.5]], 1, (1, 2), 1.0, (1,)),
+    "lattice-0.05": ([[0.49, 0.51], [0.07, 0.93]], 1, (28, 40), 0.05, (0, 1, 0)),
+    "three-letter": (
+        [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]], 1, (1, 2, 3), 1.0, (2, 1)
+    ),
+    "order-2-hole-1": (
+        [[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]],
+        2,
+        (2, 3, 4, 1, 2, 3, 1, 2),
+        0.5,
+        (0,),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SURVIVAL_TOWERS))
 def test_survival_curve_matches_block_matrix_reference(name):
-    transitions, heights, lattice, hole = SURVIVAL_TOWERS[name]
+    transitions, order, heights, lattice, hole = SURVIVAL_TOWERS[name]
     shift = build_markov_shift(transitions)
+    words = admissible_words(shift, order)
+    assert len(words) == len(heights)
     ceiling = cylinder_function(
-        1, {(a,): lattice * k for a, k in enumerate(heights)}, lattice=lattice
+        order, {w: lattice * k for w, k in zip(words, heights)}, lattice=lattice
     )
     system = build_suspension(shift, ceiling)
     got = survival_curve_flow(system, hole, 200)
@@ -844,6 +860,43 @@ def test_survival_curve_extra_start_state_at_order_2():
     assert system.height_of(hole[:2]) == 3
     got = survival_curve_flow(system, hole, 200)
     assert got == pytest.approx(_survival_reference(system, hole, 200), rel=1e-14, abs=0.0)
+
+
+def test_order_12_routes_keep_the_word_chain_sparse(full2):
+    # The full 2-shift with the order-12 ceiling 1 + last letter: 4096 words,
+    # two links per word. One dense copy of the word chain, or of the 4096
+    # states of the hole automaton of 0^13, takes 128 MiB.
+    words = admissible_words(full2, 12)
+    ceiling = cylinder_function(12, {w: 1.0 + w[-1] for w in words}, lattice=1.0)
+    hole = (0,) * 13
+    config = SimulationConfig(seed=1, samples=1000, t_max=10)
+    peaks = {}
+
+    def traced(name, fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out
+
+    system = traced("build_suspension", build_suspension, full2, ceiling)
+    assert system.block_index((0,) * 12, 0) == 0
+    rate = traced("refined", escape_rate_flow, system, hole, "refined")
+    block = traced("block hole", escape_rate_block_hole, system, [0])
+    traced("survival curve", survival_curve_flow, system, hole, 10)
+    traced("sampler", estimate_survival, system, hole, config)
+    assert max(peaks.values()) < 32 * 2**20, peaks
+    # 1 + x_0 and 1 + x_11 differ by a coboundary, so the order-1 ceiling
+    # (1, 2) has the same rates. Its references are the holes 0^13 and 0^12
+    # (block row 0 is the word 0^12), on automata of 13 and 12 states whose
+    # radii are dense eigenvalues.
+    small = build_suspension(full2, cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1.0))
+    assert rate == pytest.approx(escape_rate_flow(small, hole, "refined"), rel=0.0, abs=1e-12)
+    assert block == pytest.approx(
+        escape_rate_flow(small, hole[:12], "refined"), rel=0.0, abs=1e-12
+    )
 
 
 def test_length_13_hole_curve_slope_and_sampler(step_system):

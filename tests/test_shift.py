@@ -33,7 +33,7 @@ from flowescape import (
     shift_to_json,
     survival_measure_exact,
 )
-from oracles import survivor_matrix
+from oracles import dense, survivor_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,8 @@ def test_hole_automaton_matches_the_word_chain(transitions, hole, order):
     # share their spectral radius, and the survival DP on the automaton
     # matches mass stepped on the chain with the hole rows killed.
     shift = build_markov_shift(transitions)
-    states, matrix = flowescape.shift._hole_automaton(shift, hole, order)
+    states, links = flowescape.shift._hole_automaton(shift, hole, order)
+    matrix = dense(links, len(states))
     assert len(states) <= len(admissible_words(shift, order)) * len(hole)
     chain = survivor_matrix(shift, hole, order=max(len(hole), order))
     radius = float(np.abs(np.linalg.eigvals(chain.matrix)).max())
