@@ -5,19 +5,25 @@ Simulation is fully deterministic given a seed: numpy's PCG64 stream
 stream's rows are the same numbers as one (steps, samples) block drawn up
 front: column i is sample i's private stream, and results are bit-identical
 across reruns and independent of how many samples have already died. Both
-samplers keep O(samples) state and build no (steps, samples) array. The
-survival sampler walks the tower on which ``survival_curve_flow`` steps its
-mass: an interior block climbs one level and a top branches along its
-state's links to their level-0 blocks, so no block matrix is built; the
-deficit of a row, the edges its operator lacks, branches to a sink state that
-a sample never leaves. Exact counterparts for both estimators (the survival
-curve and the lattice-sum DP of ``shift`` for the deviation probabilities) let
-tests hold the sampler to 3-sigma.
+samplers keep O(samples) state and build no (steps, samples) array. They
+step on one kernel, ``_brancher``: a sample's state is its row offset
+(state * width) into row-major (state, branch) tables of thresholds and
+pre-scaled target offsets, and a step gathers each threshold column, adds
+the count of thresholds below the uniform to the offset and gathers the
+targets, all in buffers allocated once. The survival sampler walks the
+tower on which ``survival_curve_flow`` steps its mass: an interior block
+climbs one level and a top branches along its state's links to their level-0
+blocks, so no block matrix is built; the deficit of a row, the edges its
+operator lacks, branches to a sink state that a sample never leaves. The
+deviation sampler keeps one boolean row per k bucket [k_i, k_{i+1}) (the last
+to l_max), set where the sample deviated at some l in the bucket, and reads
+P_k off a reverse cumulative OR of the rows. Exact counterparts for both
+estimators (the survival curve and the lattice-sum DP of ``shift`` for the
+deviation probabilities) let tests hold the sampler to 3-sigma.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -29,11 +35,11 @@ from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
+    _gain_plan,
     _gain_step,
     _lattice_operators,
     _survival_curve,
     admissible_words,
-    cylinder_measure,
 )
 from .suspension import SuspensionSystem, build_suspension
 
@@ -64,16 +70,39 @@ def _uniform_rows(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _pick(
-    columns: np.ndarray, states: np.ndarray, uniforms: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """``offsets`` (updated in place) plus each sample's branch: how many
-    cumulative thresholds of its state lie below its uniform. ``columns[j]``
-    is threshold j of every state, so the count runs one column at a time
-    with no (samples, width) temporary."""
-    for column in columns:
-        offsets += uniforms > np.take(column, states)
-    return offsets
+def _brancher(rows, thresholds, targets, width, samples):
+    """The step of both samplers on row-major (state, branch) tables read at
+    a sample's offset, state * width: ``thresholds[offset + j]`` is its state's
+    cumulative threshold j < width - 1 (entry width - 1 of a row is never
+    read), and ``targets[offset + b]`` is the
+    offset of the state that branch b leads to. ``step(offsets)`` draws the
+    next uniform row and moves every offset in place: each threshold column
+    gathered and compared with the uniforms, the count of thresholds below
+    each uniform added to its offset, then the targets gathered once. Its
+    buffers are allocated here, once, so a step allocates nothing."""
+    uniforms = np.empty(samples)
+    column = np.empty(samples)
+    bits = np.empty(samples, dtype=bool)
+    # The branch count, then the index into ``targets``; 0 with no column.
+    index = np.zeros(samples, dtype=np.int64)
+    # Column j is the table from entry j on, read at the same offsets.
+    columns = [thresholds[j:] for j in range(width - 1)]
+
+    def step(offsets):
+        rows.random(out=uniforms)
+        for j, col in enumerate(columns):
+            # Every offset is in range by construction; mode="clip" lets take
+            # write into its out buffer without the buffered copy of mode="raise".
+            np.take(col, offsets, out=column, mode="clip")
+            np.greater(uniforms, column, out=bits)
+            if j:
+                np.add(index, bits, out=index)
+            else:
+                np.copyto(index, bits)
+        np.add(index, offsets, out=index)
+        np.take(targets, index, out=offsets, mode="clip")
+
+    return step
 
 
 # ===========================================================================
@@ -123,37 +152,33 @@ def estimate_survival(
     cums = [np.cumsum(p[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     thresholds = [cum if len(cum) == 0 or cum[-1] < 1.0 else cum[:-1] for cum in cums]
     width = 1 + max(map(len, thresholds))
-    # Row-major (state, branch) table, read at state * width + branch. An
+    # Row-major (state, branch) tables, read at state * width + branch. An
     # interior block climbs to the next level; a top branches to the level-0
     # blocks of its state's successors, then to the sink, state ``size``.
     sink = size
     targets = np.repeat(np.arange(1, size + 2), width).reshape(size + 1, width)
     targets[sink] = sink
     # Padding 2.0 lies above every uniform, so a padded column never counts.
-    columns = np.full((width - 1, size + 1), 2.0)
+    table = np.full((size + 1, width), 2.0)
     for top, lo, hi, cum in zip(tops, bounds, bounds[1:], thresholds):
         targets[top] = sink
         targets[top, : hi - lo] = starts[dst[lo:hi]]
-        columns[: len(cum), top] = cum
-    flat = targets.ravel()
+        table[top, : len(cum)] = cum
 
     samples = config.samples
     rows = _uniform_rows(config.seed)
-    states = np.searchsorted(init_cum, rows.random(samples), side="right")
-    uniforms = np.empty(samples)
-    offsets = np.empty(samples, dtype=np.int64)
+    step = _brancher(rows, table.ravel(), (targets * width).ravel(), width, samples)
+    offsets = np.searchsorted(init_cum, rows.random(samples), side="right")
+    offsets *= width
+    alive = np.empty(samples, dtype=bool)
 
     estimates = np.empty(config.t_max + 1)
     stderrs = np.zeros(config.t_max + 1)
     estimates[0] = 1.0
     for t in range(1, config.t_max + 1):
         if t > 1:
-            rows.random(out=uniforms)
-            np.multiply(states, width, out=offsets)
-            # Every offset is in range by construction; mode="clip" lets take
-            # write into ``states`` without the buffered copy of mode="raise".
-            np.take(flat, _pick(columns, states, uniforms, offsets), out=states, mode="clip")
-        p_hat = np.count_nonzero(states != sink) / samples
+            step(offsets)
+        p_hat = np.count_nonzero(np.not_equal(offsets, sink * width, out=alive)) / samples
         estimates[t] = p_hat
         stderrs[t] = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return SurvivalEstimate(
@@ -224,7 +249,8 @@ class DeviationEstimate:
 
 def _deviation_setup(shift, ceiling, epsilon, k_values, l_max):
     """Checks shared by both deviation routes; returns the sorted k values, l_max
-    (default 4 * max k), heights, lattice, order and mean ceiling."""
+    (default 4 * max k), heights, lattice, order, mean ceiling and the
+    cylinder measure of each word of ``heights``, in its order."""
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     ks = tuple(sorted({int(k) for k in k_values}))
@@ -236,7 +262,8 @@ def _deviation_setup(shift, ceiling, epsilon, k_values, l_max):
         l_max = 4 * ks[-1]
     if l_max < ks[-1]:
         raise ValueError(f"l_max = {l_max} is below the largest k = {ks[-1]}")
-    return ks, l_max, heights, system.lattice_scale, ceiling.order, system.total_mass
+    masses = system.block_measure[system._starts]
+    return ks, l_max, heights, system.lattice_scale, ceiling.order, system.total_mass, masses
 
 
 def fit_decay(k_values, probabilities) -> "float | None":
@@ -250,22 +277,31 @@ def fit_decay(k_values, probabilities) -> "float | None":
     return float(np.exp(np.polyfit(ks, logs, 1)[0]))
 
 
-def _kept_sums(lam: float, mean: float, epsilon: float, l: int, top: int) -> tuple[int, int]:
-    """The ceiling sums s in 0..top with |lam * s / l - mean| < epsilon, as one
-    interval [lo, hi] (lo > hi when every sum deviates).
+def _kept_sums(lam: float, mean: float, epsilon: float, l_max: int, h_max: int):
+    """(lo, hi), entry l - 1 for each l = 1..l_max: the ceiling sums s in
+    0..l * h_max with |lam * s / l - mean| < epsilon, as one interval
+    [lo, hi] (lo > hi when every sum deviates).
 
     Both deviation routes decide through this one float expression. It is
     monotone in s (rounding keeps order under a positive scale and a shift),
-    so the sums that do not deviate are contiguous, and bisecting on the
-    expression itself finds the interval that reproduces its every decision.
+    so the sums that do not deviate are contiguous: lo counts the sums with
+    offset <= -epsilon, and hi + 1 those with offset < epsilon. The float
+    expression is off the exact one by far less than a lattice step lam / l,
+    so it decides as exact arithmetic does on every sum more than one step
+    from the boundary l * (mean -+ epsilon) / lam; each count evaluates it only
+    on the five sums around that boundary, from two below its floor.
     """
-    sums = range(top + 1)
+    ls = np.arange(1, l_max + 1)
+    tops = ls * h_max
 
-    def offset(s):
-        return lam * s / l - mean
+    def count(bound, holds):
+        first = np.floor(ls * (mean + bound) / lam).astype(np.int64) - 2
+        sums = first[:, None] + np.arange(5)
+        offset = lam * sums / ls[:, None] - mean
+        inside = (sums >= 0) & (sums <= tops[:, None]) & holds(offset, bound)
+        return np.clip(first, 0, tops + 1) + np.count_nonzero(inside, axis=1)
 
-    lo = bisect.bisect_right(sums, -epsilon, key=offset)
-    return lo, bisect.bisect_left(sums, epsilon, lo=lo, key=offset) - 1
+    return count(-epsilon, np.less_equal), count(epsilon, np.less) - 1
 
 
 def estimate_deviation_prob(
@@ -280,55 +316,69 @@ def estimate_deviation_prob(
 
     The ceiling sum is accumulated as exact lattice integers. The deviation
     test |lambda * S / l - mean| >= epsilon is the float expression of the
-    exact dynamic program. Once per l it is decided for every reachable sum
-    0..l * h_max, as an interval (``_kept_sums``), so each sample's decision
-    is two integer comparisons and matches the exact route bit for bit.
-    The ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
+    exact dynamic program, decided for every l and every reachable sum
+    0..l * h_max at once as intervals (``_kept_sums``), so each sample's
+    decision is one unsigned comparison and matches the exact route bit for
+    bit. The ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
     """
-    ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
+    ks, l_max, heights, lam, n, mean, _ = _deviation_setup(
+        shift, ceiling, epsilon, k_values, l_max
+    )
 
     size = shift.alphabet_size
-    kmap = np.zeros(size ** n, dtype=np.int64)
+    # Row-major (window code, letter) tables read at offset code * size + b.
+    # A step takes a code to the code of its last n - 1 letters, times size,
+    # plus the next letter b, on the thresholds of the code's last letter: a
+    # gather, a branch count and no int64 %. A window of fewer than n letters
+    # steps the same way, so it grows to n letters. ``kmap`` holds each
+    # code's height at its offset.
+    codes = np.arange(size ** n)
+    targets = (codes % size ** (n - 1) * size)[:, None] + np.arange(size)
+    table = np.empty((size ** n, size))
+    table[:, :-1] = np.cumsum(shift.transitions, axis=1)[codes % size, :-1]
+    kmap = np.zeros(size ** n * size, dtype=np.int64)
     for w, k in heights.items():
         code = 0
         for a in w:
             code = code * size + a
-        kmap[code] = k
+        kmap[code * size] = k
     h_max = max(heights.values())
 
     samples = config.samples
     rows = _uniform_rows(config.seed)
+    step = _brancher(rows, table.ravel(), (targets * size).ravel(), size, samples)
     pi_cum = np.cumsum(shift.stationary)[:-1]
-    # A step takes each window code to the code of its last n - 1 letters,
-    # times size, plus the next letter: a gather and a branch count, and no
-    # int64 %. A code branches on the thresholds of its last letter. A window
-    # of fewer than n letters steps the same way, so it grows to n letters.
-    shifted = np.arange(size ** n, dtype=np.int64) % size ** (n - 1) * size
-    columns = np.cumsum(shift.transitions, axis=1)[:, :-1].T[:, np.arange(size ** n) % size]
-    uniforms = np.empty(samples)
-    spare = np.empty(samples, dtype=np.int64)
-    gathered = np.empty(samples, dtype=np.int64)
-
-    def step(codes, spare):
-        """The stepped codes, written into ``spare``, and the freed buffer."""
-        rows.random(out=uniforms)
-        np.take(shifted, codes, out=spare, mode="clip")  # see estimate_survival
-        return _pick(columns, codes, uniforms, spare), codes
-
-    codes = np.searchsorted(pi_cum, rows.random(samples), side="right")
+    offsets = np.searchsorted(pi_cum, rows.random(samples), side="right")
+    offsets *= size
     for _ in range(n - 1):
-        codes, spare = step(codes, spare)
-    running = np.zeros(samples, dtype=np.int64)
-    # The last l at which each sample deviated (0: never); P_k is the fraction >= k.
-    last_deviation = np.zeros(samples, dtype=np.int64)
-    for l in range(1, l_max + 1):
-        running += np.take(kmap, codes, out=gathered, mode="clip")
-        lo, hi = _kept_sums(lam, mean, epsilon, l, l * h_max)
-        np.copyto(last_deviation, l, where=(running < lo) | (running > hi))
-        if l < l_max:
-            codes, spare = step(codes, spare)
+        step(offsets)
 
-    probabilities = np.array([(last_deviation >= k).mean() for k in ks])
+    lows, highs = (bound.tolist() for bound in _kept_sums(lam, mean, epsilon, l_max, h_max))
+    # Row i: the sample deviated at some l in [k_i, k_{i+1}), the last row to
+    # l_max, so P_k is the fraction deviating in row i or any later one.
+    flags = np.zeros((len(ks), samples), dtype=bool)
+    bucket = (np.searchsorted(ks, np.arange(1, l_max + 1), side="right") - 1).tolist()
+    running = np.zeros(samples, dtype=np.int64)
+    gathered = np.empty(samples, dtype=np.int64)
+    gap = np.empty(samples, dtype=np.int64)
+    bits = np.empty(samples, dtype=bool)
+    for l in range(1, l_max + 1):
+        running += np.take(kmap, offsets, out=gathered, mode="clip")
+        if l >= ks[0]:
+            lo, hi = lows[l - 1], highs[l - 1]
+            row = flags[bucket[l - 1]]
+            if lo > hi:
+                row[:] = True
+            else:
+                # running lies outside [lo, hi] iff running - lo, read unsigned
+                # (a negative gap wraps past every bound), exceeds hi - lo.
+                np.subtract(running, lo, out=gap)
+                np.greater(gap.view(np.uint64), np.uint64(hi - lo), out=bits)
+                np.logical_or(row, bits, out=row)
+        if l < l_max:
+            step(offsets)
+
+    probabilities = np.logical_or.accumulate(flags[::-1], axis=0)[::-1].mean(axis=1)
     stderrs = np.sqrt(probabilities * (1.0 - probabilities) / samples)
     return DeviationEstimate(
         epsilon=epsilon,
@@ -358,39 +408,44 @@ def exact_deviation_prob(
     ``_kept_sums``, the sampler's test. Then P_k = 1 - sum(dist_k * V_k), so
     every k costs max k + l_max - min k steps in all. Both passes run in
     length order, since keep_l depends on l, and step with the sparse
-    per-gain operators A_g of ``_lattice_operators``: the forward step is
-    new[:, g:] += A_g @ dist[:, :width - g], one slice-add per link, and T V
-    is the same step with every link reversed (A_g^T) on the reversed sum axis.
-    Heights, lattice and mean come from ``build_suspension(shift, ceiling)``,
-    which reads every admissible word of the ceiling's order and raises as it does.
+    per-gain operators A_g of ``_lattice_operators``, laid out once per pass
+    by ``_gain_plan``: the forward step is new[:, g:] += A_g @ dist[:, :width - g],
+    and T V is the same step with every link reversed (A_g^T) on the reversed
+    sum axis. Heights, lattice, mean and the start masses (the cylinder
+    measures of the words of the ceiling's order) come from
+    ``build_suspension(shift, ceiling)``, which reads every admissible word of
+    that order and raises as it does.
     """
-    ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
+    ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
+        shift, ceiling, epsilon, k_values, l_max
+    )
     suffix_len = max(n - 1, 1)
     index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
     operators = _lattice_operators(shift, heights, n, index)
     h_max = max(heights.values())
+    width = l_max * h_max + 1
 
-    dist = np.zeros((len(index), l_max * h_max + 1))
-    for w, k in heights.items():
-        dist[index[w[-suffix_len:]], k] += cylinder_measure(shift, w)
+    cells = [index[w[-suffix_len:]] * width + k for w, k in heights.items()]
+    dist = np.bincount(cells, weights=masses, minlength=len(index) * width)
+    dist = dist.reshape(len(index), width)
+    forward = _gain_plan(operators, width)
     dists = {}
     for l in range(1, ks[-1] + 1):
         if l > 1:
-            dist = _gain_step(dist, operators)
+            dist = _gain_step(dist, forward)
         if l in ks:
             dists[l] = dist
 
-    # T V is the forward step with every link reversed, on the reversed sum axis.
-    transposed = {g: (dst, src, p) for g, (src, dst, p) in operators.items()}
+    backward = _gain_plan(operators, width, reverse=True)
+    lows, highs = (bound.tolist() for bound in _kept_sums(lam, mean, epsilon, l_max, h_max))
     survive = np.ones_like(dist)
     out = {}
     for l in range(l_max, ks[0] - 1, -1):
         if l < l_max:
-            survive = _gain_step(survive[:, ::-1], transposed)[:, ::-1]
+            survive = _gain_step(survive, backward)
         # Sums above l * h_max are unreachable at l, so zeroing them is harmless.
-        lo, hi = _kept_sums(lam, mean, epsilon, l, l * h_max)
-        survive[:, :lo] = 0.0
-        survive[:, hi + 1 :] = 0.0
+        survive[:, : lows[l - 1]] = 0.0
+        survive[:, highs[l - 1] + 1 :] = 0.0
         if l in dists:
             out[l] = 1.0 - float(np.sum(dists[l] * survive))
     return tuple(out[k] for k in ks)

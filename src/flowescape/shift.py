@@ -668,18 +668,34 @@ def _lattice_operators(shift: MarkovShift, heights, order: int, index, hole=None
     return {g: tuple(map(np.array, zip(*links[g]))) for g in sorted(links)}
 
 
-def _gain_step(dist: np.ndarray, operators: dict) -> np.ndarray:
-    """One letter of the lattice-sum DP on dist (states x sums): new[:, g:] +=
-    A_g @ dist[:, :width - g], one slice-add per link of A_g; sums pushed past
-    the last column drop out."""
-    width = dist.shape[1]
-    new = np.zeros_like(dist)
+def _gain_plan(operators: dict, width: int, reverse: bool = False) -> tuple:
+    """One letter of the lattice-sum DP on a states x width array as flat
+    offsets (read, write, p): entry (src, c) times p adds into (dst, c + g),
+    link by link of each gain, sums pushed past the last column dropped.
+    ``reverse`` lays out T V for the backward pass instead: every link
+    reversed on the reversed sum axis, (dst, width - 1 - c) into
+    (src, width - 1 - g - c). Built once per DP and read by ``_gain_step``."""
+    reads, writes, weights = [], [], []
     for g, (src, dst, p) in operators.items():
         if g < width:
-            head = dist[:, : width - g]
-            for i, j, q in zip(src.tolist(), dst.tolist(), p.tolist()):
-                new[j, g:] += q * head[i]
-    return new
+            cols = np.arange(width - g)
+            if reverse:
+                reads.append((dst[:, None] * width + (width - 1 - cols)).ravel())
+                writes.append((src[:, None] * width + (width - 1 - g - cols)).ravel())
+            else:
+                reads.append((src[:, None] * width + cols).ravel())
+                writes.append((dst[:, None] * width + g + cols).ravel())
+            weights.append(np.repeat(p, width - g))
+    return np.concatenate(reads), np.concatenate(writes), np.concatenate(weights)
+
+
+def _gain_step(dist: np.ndarray, plan: tuple) -> np.ndarray:
+    """One letter of the lattice-sum DP on dist (states x sums) along a
+    ``_gain_plan``: one gather, times p, and one ``np.bincount``. It adds in
+    plan order from 0.0, so each cell sums its links in gain, then link order."""
+    read, write, p = plan
+    new = np.bincount(write, weights=dist.ravel()[read] * p, minlength=dist.size)
+    return new.reshape(dist.shape)
 
 
 # ===========================================================================

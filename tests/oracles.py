@@ -8,9 +8,12 @@ Faddeev-LeVerrier pass with the determinant and cofactor read off it, and
 the spectral radius of a nonnegative matrix. ``dense`` rebuilds the matrix of
 a chain the library keeps as sparse links. The lattice-sum DP is here one
 slice-add per link and one step per word length, where the library groups
-links by gain and solves the truncated pressure in sum order.
+links by gain and solves the truncated pressure in sum order, and the
+deviation routes' kept sums are bisected one l at a time, where the library
+solves every l at once.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -182,3 +185,16 @@ def truncated_pressure_by_length(shift, ceiling, hole, t_max, eta=None):
         dist = lattice_step(dist, links)
         total_sum += float((dist * readout).sum())
     return math.log(total_sum) / (t_norm * lam) if total_sum > 0.0 else -math.inf
+
+
+def kept_sums(lam, mean, epsilon, l, top):
+    """The ceiling sums s in 0..top with |lam * s / l - mean| < epsilon, as one
+    interval [lo, hi] (lo > hi when every sum deviates), by bisecting on the
+    float expression itself, which is monotone in s."""
+    sums = range(top + 1)
+
+    def offset(s):
+        return lam * s / l - mean
+
+    lo = bisect.bisect_right(sums, -epsilon, key=offset)
+    return lo, bisect.bisect_left(sums, epsilon, lo=lo, key=offset) - 1

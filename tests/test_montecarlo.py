@@ -25,8 +25,14 @@ from flowescape import (
 from flowescape import montecarlo
 from flowescape.montecarlo import _deviation_setup, _kept_sums
 from flowescape.open_system import _survival_tower
-from flowescape.shift import _gain_step, _survival_curve, cylinder_measure
-from oracles import dense, lattice_links, lattice_step
+from flowescape.shift import (
+    _gain_plan,
+    _gain_step,
+    _lattice_operators,
+    _survival_curve,
+    cylinder_measure,
+)
+from oracles import dense, kept_sums, lattice_links, lattice_step
 
 
 @pytest.fixture(scope="module")
@@ -212,30 +218,97 @@ _ORDER3_CEILING = cylinder_function(
 def test_kept_sums_equal_the_float_test(full2, ceiling, epsilon):
     """[lo_l, hi_l] decides every reachable sum as the float expression does,
     including the empty interval of a tiny epsilon."""
-    ks, l_max, heights, lam, n, mean = _deviation_setup(full2, ceiling, epsilon, (10,), 60)
+    ks, l_max, heights, lam, n, mean, _ = _deviation_setup(full2, ceiling, epsilon, (10,), 60)
     top = max(heights.values())
-    empty = 0
-    for l in range(1, l_max + 1):
-        lo, hi = _kept_sums(lam, mean, epsilon, l, l * top)
-        empty += lo > hi
+    lows, highs = _kept_sums(lam, mean, epsilon, l_max, top)
+    assert len(lows) == len(highs) == l_max
+    for l, lo, hi in zip(range(1, l_max + 1), lows.tolist(), highs.tolist()):
         for s in range(l * top + 1):
             assert (lo <= s <= hi) == (abs(lam * s / l - mean) < epsilon), (l, s)
     if epsilon == 0.001:
-        assert empty > 0
+        assert np.any(lows > highs)
 
 
 def test_kept_sums_exact_tie_deviates(full2, step_ceiling):
     """mean 1.5, epsilon 0.25, l = 4: s = 5 gives exactly -0.25, which deviates."""
-    _, _, _, lam, _, mean = _deviation_setup(full2, step_ceiling, 0.25, (4,), 4)
+    _, _, _, lam, _, mean, _ = _deviation_setup(full2, step_ceiling, 0.25, (4,), 4)
     assert mean == 1.5 and lam * 5 / 4 - mean == -0.25
-    assert _kept_sums(lam, mean, 0.25, 4, 8) == (6, 6)
+    lows, highs = _kept_sums(lam, mean, 0.25, 4, 2)
+    assert (lows[3], highs[3]) == kept_sums(lam, mean, 0.25, 4, 8) == (6, 6)
+
+
+def test_kept_sums_equal_the_bisection_oracle():
+    """The bounds of every l at once equal the scalar bisection, l by l, on a
+    seeded grid of lattice, mean, epsilon and h_max. Means and epsilons on
+    quarter lattice steps put sums exactly on the boundary; tiny epsilons
+    leave l with no kept sum."""
+    rng = np.random.default_rng(2026)
+    grid = [(1.0, 1.5, 0.25, 2)]
+    for _ in range(300):
+        lam = float(rng.choice([1.0, 0.5, 0.25, 0.1, 0.05, 1.0 / 3.0, 0.7]))
+        h_max = int(rng.integers(1, 13))
+        if rng.random() < 0.5:
+            mean = lam * int(rng.integers(4, 4 * h_max + 1)) / 4
+            epsilon = lam * int(rng.integers(1, 9)) / 4
+        else:
+            mean = lam * float(rng.uniform(1.0, h_max))
+            epsilon = float(rng.choice([0.25, 0.1, 0.001, rng.uniform(0.0, lam * h_max)]))
+        grid.append((lam, mean, epsilon, h_max))
+    l_max = 60
+    ties = empty = 0
+    for lam, mean, epsilon, h_max in grid:
+        lows, highs = _kept_sums(lam, mean, epsilon, l_max, h_max)
+        for l, lo, hi in zip(range(1, l_max + 1), lows.tolist(), highs.tolist()):
+            assert (lo, hi) == kept_sums(lam, mean, epsilon, l, l * h_max), (lam, mean, epsilon, l)
+            empty += lo > hi
+            ties += lam * (lo - 1) / l - mean == -epsilon or lam * (hi + 1) / l - mean == epsilon
+    assert ties > 0 and empty > 0
+
+
+_GAIN_CASES = {
+    "order-1": (_FULL2, _STEP_CEILING),
+    "order-2": (_BIASED2, _ORDER2_CEILING),
+    "three-letter-order-3": (_THREE, _ORDER3_CEILING),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GAIN_CASES))
+@pytest.mark.parametrize("reverse", (False, True), ids=["forward", "backward"])
+def test_gain_step_equals_the_per_link_step(name, reverse):
+    """One plan step equals the per-link step over the same links in the
+    same order (gain, then link), both layouts; the states are every word up
+    to order - 1 letters, so order 3 has gain-0 links."""
+    shift, ceiling = _GAIN_CASES[name]
+    system = build_suspension(shift, ceiling)
+    heights = dict(zip(system.words, system.heights.tolist()))
+    n = ceiling.order
+    words = [w for m in range(1, max(n - 1, 1) + 1) for w in admissible_words(shift, m)]
+    index = {w: i for i, w in enumerate(words)}
+    operators = _lattice_operators(shift, heights, n, index)
+    assert (0 in operators) == (n == 3)
+    dist = np.random.default_rng(3).random((len(words), 13))
+    got = _gain_step(dist, _gain_plan(operators, 13, reverse=reverse))
+    links = [
+        (i, j, g, q)
+        for g, (src, dst, p) in operators.items()
+        for i, j, q in zip(src.tolist(), dst.tolist(), p.tolist())
+    ]
+    assert sorted(links) == sorted(lattice_links(shift, heights, n, index))
+    if reverse:
+        links = [(j, i, g, p) for i, j, g, p in links]
+        want = lattice_step(dist[:, ::-1], links)[:, ::-1]
+    else:
+        want = lattice_step(dist, links)
+    assert np.array_equal(got, want)
 
 
 def _per_k_deviation_dp(shift, ceiling, epsilon, k_values, l_max):
     """The per-k absorbing DP: one full l_max-step pass per k, with the mass
     that has deviated at any l >= k zeroed as it goes. It steps one link at
     a time (``oracles.lattice_step``), not with the library's operators."""
-    ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
+    ks, l_max, heights, lam, n, mean, _ = _deviation_setup(
+        shift, ceiling, epsilon, k_values, l_max
+    )
     suffix_len = max(n - 1, 1)
     index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
     links = lattice_links(shift, heights, n, index)
@@ -353,7 +426,9 @@ def _survival_reference(system, hole, config):
 def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
     """The block-draw deviation sampler: a (steps, samples) symbol matrix, an
     (l_max, samples) deviation matrix and a flipped or-accumulate."""
-    ks, l_max, heights, lam, n, mean = _deviation_setup(shift, ceiling, epsilon, k_values, l_max)
+    ks, l_max, heights, lam, n, mean, _ = _deviation_setup(
+        shift, ceiling, epsilon, k_values, l_max
+    )
     size = shift.alphabet_size
     kmap = np.zeros(size ** n, dtype=np.int64)
     for w, k in heights.items():
@@ -413,14 +488,15 @@ def test_samplers_equal_block_draw_reference(name, seed):
     assert np.array_equal(est.estimates, want_estimates)
     assert np.array_equal(est.stderrs, want_stderrs)
 
-    ks = (2, 5, 10, 20)
     # At epsilon 0.001 most l keep no sum at all (``_kept_sums`` gives lo > hi).
+    # The second k list tests from l = 1 and has a last bucket of l_max alone.
     for epsilon in (0.1, 0.001):
-        dev = estimate_deviation_prob(shift, ceiling, epsilon, ks, config, l_max=60)
-        want_p, want_se = _deviation_reference(shift, ceiling, epsilon, ks, config, 60)
-        assert np.array_equal(dev.probabilities, want_p)
-        assert np.array_equal(dev.stderrs, want_se)
-        assert np.any(want_p > 0.0)
+        for ks in ((2, 5, 10, 20), (1, 2, 5, 10, 20, 60)):
+            dev = estimate_deviation_prob(shift, ceiling, epsilon, ks, config, l_max=60)
+            want_p, want_se = _deviation_reference(shift, ceiling, epsilon, ks, config, 60)
+            assert np.array_equal(dev.probabilities, want_p)
+            assert np.array_equal(dev.stderrs, want_se)
+            assert np.any(want_p > 0.0)
 
 
 def _traced_peak_mb(call):
