@@ -83,23 +83,20 @@ def _brancher(rows, thresholds, targets, width, samples):
     uniforms = np.empty(samples)
     column = np.empty(samples)
     bits = np.empty(samples, dtype=bool)
-    # The branch count, then the index into ``targets``; 0 with no column.
-    index = np.zeros(samples, dtype=np.int64)
+    # The offset plus the branch count: the index into ``targets``.
+    index = np.empty(samples, dtype=np.int64)
     # Column j is the table from entry j on, read at the same offsets.
     columns = [thresholds[j:] for j in range(width - 1)]
 
     def step(offsets):
         rows.random(out=uniforms)
-        for j, col in enumerate(columns):
+        np.copyto(index, offsets)
+        for col in columns:
             # Every offset is in range by construction; mode="clip" lets take
             # write into its out buffer without the buffered copy of mode="raise".
             np.take(col, offsets, out=column, mode="clip")
             np.greater(uniforms, column, out=bits)
-            if j:
-                np.add(index, bits, out=index)
-            else:
-                np.copyto(index, bits)
-        np.add(index, offsets, out=index)
+            np.add(index, bits, out=index)
         np.take(targets, index, out=offsets, mode="clip")
 
     return step
@@ -251,7 +248,7 @@ def _deviation_setup(shift, ceiling, epsilon, k_values, l_max):
     """Checks shared by both deviation routes; returns the sorted k values, l_max
     (default 4 * max k), heights, lattice, order, mean ceiling and the
     cylinder measure of each word of ``heights``, in its order."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     ks = tuple(sorted({int(k) for k in k_values}))
     if not ks or ks[0] < 1:
@@ -295,7 +292,10 @@ def _kept_sums(lam: float, mean: float, epsilon: float, l_max: int, h_max: int):
     tops = ls * h_max
 
     def count(bound, holds):
-        first = np.floor(ls * (mean + bound) / lam).astype(np.int64) - 2
+        # Clipped in float before the int64 cast, which an epsilon of 1e300 or
+        # inf overflows; a window at either end of 0..top still counts right.
+        floor = np.clip(np.floor(ls * (mean + bound) / lam), 0, tops + 3)
+        first = floor.astype(np.int64) - 2
         sums = first[:, None] + np.arange(5)
         offset = lam * sums / ls[:, None] - mean
         inside = (sums >= 0) & (sums <= tops[:, None]) & holds(offset, bound)
@@ -408,10 +408,10 @@ def exact_deviation_prob(
     ``_kept_sums``, the sampler's test. Then P_k = 1 - sum(dist_k * V_k), so
     every k costs max k + l_max - min k steps in all. Both passes run in
     length order, since keep_l depends on l, and step with the sparse
-    per-gain operators A_g of ``_lattice_operators``, laid out once per pass
-    by ``_gain_plan``: the forward step is new[:, g:] += A_g @ dist[:, :width - g],
-    and T V is the same step with every link reversed (A_g^T) on the reversed
-    sum axis. Heights, lattice, mean and the start masses (the cylinder
+    per-gain operators A_g of ``_lattice_operators``, laid out once by
+    ``_gain_plan``: the forward step is new[:, g:] += A_g @ dist[:, :width - g],
+    and T V, new[:, :width - g] += A_g^T @ V[:, g:], is the same plan with read
+    and write swapped. Heights, lattice, mean and the start masses (the cylinder
     measures of the words of the ceiling's order) come from
     ``build_suspension(shift, ceiling)``, which reads every admissible word of
     that order and raises as it does.
@@ -436,7 +436,9 @@ def exact_deviation_prob(
         if l in ks:
             dists[l] = dist
 
-    backward = _gain_plan(operators, width, reverse=True)
+    # T V reads where the forward step writes and writes where it reads.
+    read, write, p = forward
+    backward = (write, read, p)
     lows, highs = (bound.tolist() for bound in _kept_sums(lam, mean, epsilon, l_max, h_max))
     survive = np.ones_like(dist)
     out = {}

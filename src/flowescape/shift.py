@@ -668,23 +668,18 @@ def _lattice_operators(shift: MarkovShift, heights, order: int, index, hole=None
     return {g: tuple(map(np.array, zip(*links[g]))) for g in sorted(links)}
 
 
-def _gain_plan(operators: dict, width: int, reverse: bool = False) -> tuple:
+def _gain_plan(operators: dict, width: int) -> tuple:
     """One letter of the lattice-sum DP on a states x width array as flat
     offsets (read, write, p): entry (src, c) times p adds into (dst, c + g),
     link by link of each gain, sums pushed past the last column dropped.
-    ``reverse`` lays out T V for the backward pass instead: every link
-    reversed on the reversed sum axis, (dst, width - 1 - c) into
-    (src, width - 1 - g - c). Built once per DP and read by ``_gain_step``."""
+    Swapping read and write gives T V, every link reversed: (dst, c + g) into
+    (src, c). Built once per DP and read by ``_gain_step``."""
     reads, writes, weights = [], [], []
     for g, (src, dst, p) in operators.items():
         if g < width:
             cols = np.arange(width - g)
-            if reverse:
-                reads.append((dst[:, None] * width + (width - 1 - cols)).ravel())
-                writes.append((src[:, None] * width + (width - 1 - g - cols)).ravel())
-            else:
-                reads.append((src[:, None] * width + cols).ravel())
-                writes.append((dst[:, None] * width + g + cols).ravel())
+            reads.append((src[:, None] * width + cols).ravel())
+            writes.append((dst[:, None] * width + g + cols).ravel())
             weights.append(np.repeat(p, width - g))
     return np.concatenate(reads), np.concatenate(writes), np.concatenate(weights)
 

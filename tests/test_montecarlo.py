@@ -182,6 +182,15 @@ def test_deviation_rejects_bad_arguments(full2, step_ceiling):
         estimate_deviation_prob(full2, step_ceiling, 0.0, [5], config)
     with pytest.raises(ValueError):
         exact_deviation_prob(full2, step_ceiling, -1.0, [5], 20)
+    with pytest.raises(ValueError):
+        estimate_deviation_prob(full2, step_ceiling, math.nan, [5], config)
+    with pytest.raises(ValueError):
+        exact_deviation_prob(full2, step_ceiling, math.nan, [5], 20)
+    # An epsilon past every reachable offset: nothing deviates.
+    for epsilon in (math.inf, 1e300):
+        assert exact_deviation_prob(full2, step_ceiling, epsilon, [5], 20) == (0.0,)
+        est = estimate_deviation_prob(full2, step_ceiling, epsilon, [5], config, l_max=20)
+        assert est.probabilities.tolist() == [0.0]
     # Both routes reject the same k lists and l_max.
     for k_values in ([0], [-1, 5], []):
         with pytest.raises(ValueError):
@@ -196,6 +205,8 @@ def test_deviation_rejects_bad_arguments(full2, step_ceiling):
 
 _FULL2 = build_markov_shift([[0.5, 0.5], [0.5, 0.5]])
 _BIASED2 = build_markov_shift([[0.9, 0.1], [0.2, 0.8]])
+# Every letter has one successor, with p = 1.
+_CYCLE2 = build_markov_shift([[0.0, 1.0], [1.0, 0.0]])
 # Three letters with the transition 1 -> 2 forbidden.
 _THREE = build_markov_shift([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.1, 0.6, 0.3]])
 _STEP_CEILING = cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1.0)
@@ -263,6 +274,11 @@ def test_kept_sums_equal_the_bisection_oracle():
             empty += lo > hi
             ties += lam * (lo - 1) / l - mean == -epsilon or lam * (hi + 1) / l - mean == epsilon
     assert ties > 0 and empty > 0
+    # A boundary far past the reachable sums keeps every sum.
+    for epsilon in (math.inf, 1e300):
+        lows, highs = _kept_sums(1.0, 1.5, epsilon, l_max, 2)
+        for l, lo, hi in zip(range(1, l_max + 1), lows.tolist(), highs.tolist()):
+            assert (lo, hi) == kept_sums(1.0, 1.5, epsilon, l, 2 * l) == (0, 2 * l)
 
 
 _GAIN_CASES = {
@@ -276,7 +292,8 @@ _GAIN_CASES = {
 @pytest.mark.parametrize("reverse", (False, True), ids=["forward", "backward"])
 def test_gain_step_equals_the_per_link_step(name, reverse):
     """One plan step equals the per-link step over the same links in the
-    same order (gain, then link), both layouts; the states are every word up
+    same order (gain, then link), forward and with read and write swapped,
+    as the backward pass steps; the states are every word up
     to order - 1 letters, so order 3 has gain-0 links."""
     shift, ceiling = _GAIN_CASES[name]
     system = build_suspension(shift, ceiling)
@@ -287,7 +304,8 @@ def test_gain_step_equals_the_per_link_step(name, reverse):
     operators = _lattice_operators(shift, heights, n, index)
     assert (0 in operators) == (n == 3)
     dist = np.random.default_rng(3).random((len(words), 13))
-    got = _gain_step(dist, _gain_plan(operators, 13, reverse=reverse))
+    read, write, p = _gain_plan(operators, 13)
+    got = _gain_step(dist, (write, read, p) if reverse else (read, write, p))
     links = [
         (i, j, g, q)
         for g, (src, dst, p) in operators.items()
@@ -470,6 +488,8 @@ _STREAMING_CASES = {
     "order-2": (_BIASED2, _ORDER2_CEILING, (0, 1, 1)),
     # A window code of three letters: the step keeps its last two.
     "order-3": (_THREE, _ORDER3_CEILING, (0, 2)),
+    # Every tower block has one successor: no threshold column.
+    "cycle2": (_CYCLE2, cylinder_function(1, {(0,): 3.0, (1,): 4.0}, lattice=1.0), (0,)),
     # Heights 10 and 17: interior tower blocks have a single successor.
     "lattice-0.05": (
         _FULL2, cylinder_function(1, {(0,): 0.5, (1,): 0.85}, lattice=0.05), (1, 1)
