@@ -10,14 +10,16 @@ step on one kernel, ``_brancher``: a sample's state is its row offset
 (state * width) into row-major (state, branch) tables of thresholds and
 pre-scaled target offsets, and a step gathers each threshold column, adds
 the count of thresholds below the uniform to the offset and gathers the
-targets, all in buffers allocated once. The survival sampler walks the
-tower on which ``survival_curve_flow`` steps its mass: an interior block
-climbs one level and a top branches along its state's links to their level-0
-blocks, so no block matrix is built; the deficit of a row, the edges its
-operator lacks, branches to a sink state that a sample never leaves. The
-deviation sampler keeps one boolean row per k bucket [k_i, k_{i+1}) (the last
-to l_max), set where the sample deviated at some l in the bucket, and reads
-P_k off a reverse cumulative OR of the rows. Exact counterparts for both
+targets, all in buffers allocated once; its start draw reads the first
+states off a cumulative distribution through a guide table, in the same
+buffers. The survival sampler walks the tower on which
+``survival_curve_flow`` steps its mass: an interior block climbs one level
+and a top branches along its state's links to their level-0 blocks, so no
+block matrix is built; the deficit of a row, the edges its operator lacks,
+branches to a sink state that a sample never leaves. The deviation sampler
+keeps one boolean row per k bucket [k_i, k_{i+1}) (the last to l_max), set
+where the sample deviated at some l in the bucket, and reads P_k off a
+reverse cumulative OR of the rows. Exact counterparts for both
 estimators (the survival curve and the lattice-sum DP of ``shift`` for the
 deviation probabilities) let tests hold the sampler to 3-sigma.
 """
@@ -71,15 +73,19 @@ def _uniform_rows(seed: int) -> np.random.Generator:
 
 
 def _brancher(rows, thresholds, targets, width, samples):
-    """The step of both samplers on row-major (state, branch) tables read at
-    a sample's offset, state * width: ``thresholds[offset + j]`` is its state's
-    cumulative threshold j < width - 1 (entry width - 1 of a row is never
-    read), and ``targets[offset + b]`` is the
-    offset of the state that branch b leads to. ``step(offsets)`` draws the
-    next uniform row and moves every offset in place: each threshold column
-    gathered and compared with the uniforms, the count of thresholds below
-    each uniform added to its offset, then the targets gathered once. Its
-    buffers are allocated here, once, so a step allocates nothing."""
+    """(start, step) of both samplers on row-major (state, branch) tables read
+    at a sample's offset, state * width: ``thresholds[offset + j]`` is its
+    state's cumulative threshold j < width - 1 (entry width - 1 of a row is
+    never read), and ``targets[offset + b]`` is the offset of the state that
+    branch b leads to.
+
+    ``start(cum)`` draws the next uniform row u and returns the offsets of
+    ``np.searchsorted(cum, u, side="right")``, cum a nondecreasing
+    cumulative distribution, every draw the same. ``step(offsets)`` draws
+    the next uniform row and moves every offset in place: each threshold
+    column gathered and compared with the uniforms, the count of thresholds
+    below each uniform added to its offset, then the targets gathered once.
+    Their buffers are allocated here, once, so a step allocates nothing."""
     uniforms = np.empty(samples)
     column = np.empty(samples)
     bits = np.empty(samples, dtype=bool)
@@ -87,6 +93,33 @@ def _brancher(rows, thresholds, targets, width, samples):
     index = np.empty(samples, dtype=np.int64)
     # Column j is the table from entry j on, read at the same offsets.
     columns = [thresholds[j:] for j in range(width - 1)]
+
+    def start(cum):
+        # A guide table over len(cum) + 1 buckets: a uniform in bucket
+        # floor(u * buckets) starts at the count of entries whose bucket, by
+        # the same float map, lies below its own. Those entries are all <= u
+        # (the map is monotone), so the start never overshoots, and a forward
+        # walk over the entries <= u that remain finishes the count.
+        buckets = len(cum) + 1
+        guide = np.searchsorted(np.floor(cum * buckets), np.arange(buckets))
+        # An entry above every uniform stops each walk at len(cum).
+        padded = np.append(cum, 2.0)
+        rows.random(out=uniforms)
+        np.multiply(uniforms, buckets, out=column)
+        np.floor(column, out=column)
+        np.copyto(index, column, casting="unsafe")
+        offsets = np.take(guide, index, mode="clip")
+        # Most walks end within one entry: that step is taken in the buffers
+        # on every sample, the rest only on the samples still walking.
+        np.take(padded, offsets, out=column, mode="clip")
+        np.add(offsets, np.less_equal(column, uniforms, out=bits), out=offsets)
+        np.take(padded, offsets, out=column, mode="clip")
+        walking = np.flatnonzero(np.less_equal(column, uniforms, out=bits))
+        while len(walking):
+            offsets[walking] += 1
+            walking = walking[padded[offsets[walking]] <= uniforms[walking]]
+        offsets *= width
+        return offsets
 
     def step(offsets):
         rows.random(out=uniforms)
@@ -99,7 +132,7 @@ def _brancher(rows, thresholds, targets, width, samples):
             np.add(index, bits, out=index)
         np.take(targets, index, out=offsets, mode="clip")
 
-    return step
+    return start, step
 
 
 # ===========================================================================
@@ -140,7 +173,6 @@ def estimate_survival(
     tops = np.cumsum(heights) - 1
     starts = tops - heights + 1
     size = len(mass)
-    init_cum = np.cumsum(mass)
 
     # A row's cumulative weights, over its slice of the links, are its branch
     # thresholds. One that ends below 1 keeps them all; the rest goes to the sink.
@@ -164,9 +196,8 @@ def estimate_survival(
 
     samples = config.samples
     rows = _uniform_rows(config.seed)
-    step = _brancher(rows, table.ravel(), (targets * width).ravel(), width, samples)
-    offsets = np.searchsorted(init_cum, rows.random(samples), side="right")
-    offsets *= width
+    start, step = _brancher(rows, table.ravel(), (targets * width).ravel(), width, samples)
+    offsets = start(np.cumsum(mass))
     alive = np.empty(samples, dtype=bool)
 
     estimates = np.empty(config.t_max + 1)
@@ -346,10 +377,8 @@ def estimate_deviation_prob(
 
     samples = config.samples
     rows = _uniform_rows(config.seed)
-    step = _brancher(rows, table.ravel(), (targets * size).ravel(), size, samples)
-    pi_cum = np.cumsum(shift.stationary)[:-1]
-    offsets = np.searchsorted(pi_cum, rows.random(samples), side="right")
-    offsets *= size
+    start, step = _brancher(rows, table.ravel(), (targets * size).ravel(), size, samples)
+    offsets = start(np.cumsum(shift.stationary)[:-1])
     for _ in range(n - 1):
         step(offsets)
 

@@ -24,8 +24,9 @@ states and over the dense bordered matrix below that. The exact survival
 curve and the survival sampler step on one tower: the order-n word operator
 with the hole's edges dropped, or, for a hole longer than the order, the
 hole automaton, read k0 steps late. An orbit dies only on an edge that
-operator lacks, and no route builds the words of the hole's length. Only
-the radius of a component up to 128 states, or a stalled one, goes dense.
+operator lacks, and no route builds the words of the hole's length. The
+radius of a cyclic component of 1-2 states is closed form; only one of 3 to
+128 states, or a larger one whose power iteration stalls, goes dense.
 """
 
 from __future__ import annotations
@@ -237,11 +238,20 @@ def _power_iteration_radius(links, size: int) -> "float | None":
 
 def _component_radius(links, size: int) -> float:
     """Spectral radius of one irreducible nonnegative block of ``size`` states."""
+    # 1-2 states are closed form. Dense eigenvalues beat power iteration
+    # outright from 3 up to 128 states, and take over where a small spectral
+    # gap stalls it past 128.
     src, dst, p = links
     if size == 1:
         return float(p[0])
-    # Dense eigenvalues beat power iteration outright up to 128 states, and
-    # take over where a small spectral gap stalls it.
+    if size == 2:
+        # The Perron root of [[a, b], [c, d]]: a sum of nonnegative terms with
+        # b * c taken as sqrt(b) * sqrt(c), so it neither cancels nor overflows.
+        entries = [[0.0, 0.0], [0.0, 0.0]]
+        for i, j, w in zip(src.tolist(), dst.tolist(), p.tolist()):
+            entries[i][j] = w
+        (a, b), (c, d) = entries
+        return 0.5 * (a + d) + math.hypot(0.5 * (a - d), math.sqrt(b) * math.sqrt(c))
     estimate = _power_iteration_radius(links, size) if size > 128 else None
     if estimate is None:
         sub = np.zeros((size, size))

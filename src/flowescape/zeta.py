@@ -447,14 +447,7 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
     left = 1.0
     found: "tuple[float, float] | None" = None
     for right in _ROOT_BRACKETS:
-        xs = np.linspace(left, right, 512)
-        prev_x, prev_v = left, poly(left)
-        for x in xs[1:]:
-            v = poly(float(x))
-            if prev_v > 0.0 >= v:
-                found = (prev_x, float(x))
-                break
-            prev_x, prev_v = float(x), v
+        found = _first_sign_change(poly, left, right)
         if found is not None:
             break
         left = right
@@ -483,6 +476,40 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
             cand = min(candidates)
             return _polish_candidate(poly, cand, 1.0, top, scale)
     raise NoSignChangeError("no root found at or beyond z = 1")
+
+
+def _first_sign_change(
+    poly: Polynomial, left: float, right: float
+) -> "tuple[float, float] | None":
+    """The first neighbours (x, y) of ``np.linspace(left, right, 512)`` with
+    poly(x) > 0 >= poly(y), or None.
+
+    The points are linspace's floats, j * step + left with the last one
+    ``right``. A root usually lies near ``left``, so the first 32 points are
+    evaluated one at a time; the rest of the bracket takes one vectorized
+    Horner pass, a multiply and an add per coefficient, which rounds as
+    ``poly(x)`` does, so the same pair is found.
+    """
+    step = (right - left) / 511
+    prev_x, prev_v = left, poly(left)
+    for j in range(1, 32):
+        x = j * step + left
+        v = poly(x)
+        if prev_v > 0.0 >= v:
+            return prev_x, x
+        prev_x, prev_v = x, v
+    xs = np.arange(31, 512) * step + left
+    xs[-1] = right
+    values = np.zeros_like(xs)
+    # Python floats overflow to inf and nan without a warning; so does this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in reversed(poly.coefficients):
+            np.multiply(values, xs, out=values)
+            np.add(values, c, out=values)
+    hits = np.flatnonzero((values[:-1] > 0.0) & (values[1:] <= 0.0))
+    if len(hits) == 0:
+        return None
+    return float(xs[hits[0]]), float(xs[hits[0] + 1])
 
 
 def _polish_candidate(

@@ -519,6 +519,53 @@ def test_samplers_equal_block_draw_reference(name, seed):
             assert np.any(want_p > 0.0)
 
 
+class _GivenRows:
+    """A uniform stream whose next row is ``row``, in place of PCG64."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, out):
+        out[:] = self.row
+
+
+# Cumulative distributions the start draw must read as searchsorted does:
+# ties from zero-mass entries (first, inside and a long run last), entries
+# on the guide's bucket edges k / (len + 1), exact and rounded, a last
+# entry below 1 (the rest is the sink's) and one just above it.
+_START_CDFS = {
+    "ties": np.cumsum([0.0, 0.0, 0.1, 0.0, 0.0, 0.25, 0.3, 0.0, 0.2]),
+    "binary-edges": np.array([0.125, 0.25, 0.25, 0.375, 0.625, 0.75, 0.875]),
+    "decimal-edges": np.array([0.2, 0.4, 0.6, 0.8]),
+    "below-one": np.cumsum(np.concatenate([np.full(40, 0.01), np.zeros(300)])),
+    "above-one": np.array([0.3, 0.7, 1.0 + 2.0**-52]),
+    "one-entry": np.array([0.5]),
+    "empty": np.zeros(0),
+    "skewed": np.cumsum(np.random.default_rng(3).random(500) ** 12) / 40.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_START_CDFS))
+def test_start_draw_equals_searchsorted(name):
+    cum = _START_CDFS[name]
+    edges = np.arange(len(cum) + 2) / (len(cum) + 1)
+    points = np.concatenate([cum, edges])
+    row = np.concatenate(
+        [
+            np.random.default_rng(11).random(20_000),
+            points,
+            np.nextafter(points, -1.0),
+            np.nextafter(points, 2.0),
+            [0.0, 1.0 - 2.0**-53],
+        ]
+    )
+    row = row[(row >= 0.0) & (row < 1.0)]
+    start, _ = montecarlo._brancher(
+        _GivenRows(row), np.zeros(2), np.zeros(3, dtype=np.int64), 3, len(row)
+    )
+    assert np.array_equal(start(cum), 3 * np.searchsorted(cum, row, side="right"))
+
+
 def _traced_peak_mb(call):
     tracemalloc.start()
     try:

@@ -376,6 +376,59 @@ def test_spectral_radius_edge_cases():
     )
 
 
+def test_one_and_two_state_radii_match_60_digit_perron_root():
+    # Entries log-uniform over 1e-150..1e150, each diagonal zero (no link) a
+    # quarter of the time, links in a random order. The bound was fixed at
+    # 4 eps before the test ran; numpy's eigvals comes within about 2 eps on
+    # such draws.
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    rng = np.random.default_rng(23)
+    eps = float(np.finfo(float).eps)
+    worst = 0.0
+    for _ in range(5000):
+        a, b, c, d = 10.0 ** rng.uniform(-150.0, 150.0, 4)
+        a, d = (0.0 if rng.random() < 0.25 else x for x in (a, d))
+        matrix = np.array([[a, b], [c, d]])
+        order = rng.permutation(4)
+        src, dst = np.divmod(order[matrix.ravel()[order] > 0.0], 2)
+        got = open_system._component_radius((src, dst, matrix[src, dst]), 2)
+        ma, mb, mc, md = map(mp.mpf, (a, b, c, d))
+        want = (ma + md) / 2 + mp.sqrt(((ma - md) / 2) ** 2 + mb * mc)
+        worst = max(worst, float(abs(mp.mpf(got) - want) / want))
+        one = open_system._component_radius((np.zeros(1, int), np.zeros(1, int), matrix[0, 1:]), 1)
+        assert one == b
+    assert worst <= 4.0 * eps
+
+
+def test_two_state_components_take_no_dense_eigenvalues(monkeypatch, full2):
+    # Heights 1 and 2 and the hole 00: the hole automaton has one cyclic
+    # component, of 2 states, so every radius of the refined root and of
+    # the pressure root is closed form. Unequal heights make the root take
+    # Illinois steps, not just f(0).
+    ceiling = cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1.0)
+    system = build_suspension(full2, ceiling)
+    hole = (0, 0)
+    states, (src, dst, _) = shift_module._hole_automaton(full2, hole, 1)
+    sizes = [len(comp) for comp in shift_module._cyclic_components(len(states), src, dst)]
+    assert max(sizes) == 2
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(matrix):
+        shapes.append(np.shape(matrix))
+        return eigvals(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rate = escape_rate_flow(system, hole, "refined")
+    beta = induced_pressure_via_root(full2, ceiling, hole)
+    monkeypatch.undo()
+    assert shapes == []
+    assert beta == -rate
+    assert escape_rate_flow(system, hole, "bordered") == pytest.approx(rate, rel=1e-9, abs=0.0)
+    assert escape_rate_zeta(system, hole) == pytest.approx(rate, rel=1e-9, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Escape rates
 # ---------------------------------------------------------------------------

@@ -403,6 +403,53 @@ def test_root_none_found():
         smallest_root_geq_one(Polynomial((1.0, 0.0, 1.0)))
 
 
+def _linspace_scan(poly, left, right):
+    """The scalar sign scan over np.linspace(left, right, 512), one
+    ``poly(x)`` per point."""
+    xs = np.linspace(left, right, 512)
+    prev_x, prev_v = left, poly(left)
+    for x in xs[1:]:
+        v = poly(float(x))
+        if prev_v > 0.0 >= v:
+            return prev_x, float(x)
+        prev_x, prev_v = float(x), v
+    return None
+
+
+def test_sign_scan_equals_the_scalar_linspace_scan():
+    # Roots spread over the brackets, in and past the first 32 points of
+    # theirs, double roots whose sign noise the scan may or may not meet,
+    # and coefficients whose Horner sums overflow to -inf at large z: the
+    # vectorized pass must find the same pair of floats, or none.
+    rng = np.random.default_rng(5)
+    # The first root lies between points 30 and 31 of [1, 2], where the
+    # one-at-a-time points end.
+    polys = [
+        Polynomial((1.0, -1.0 / (1.0 + 30.5 / 511))),
+        Polynomial((1e300,) + (-1e300,) * 40),
+        Polynomial((1.0, 0.0, 1.0)),
+    ]
+    for _ in range(24):
+        poly = Polynomial((float(rng.uniform(0.5, 2.0)),))
+        # One root anywhere, one within 6% of a bracket's left end (about
+        # its first 32 points), each simple or double.
+        spread = 2.0 ** rng.uniform(0.0, 21.0)
+        early = 2.0 ** rng.integers(0, 21) * rng.uniform(1.0, 1.06)
+        for root in (spread, early):
+            for _ in range(int(rng.integers(1, 3))):
+                poly = poly * Polynomial((1.0, -1.0 / float(root)))
+        polys.append(poly)
+    checked = 0
+    for poly in polys:
+        left = 1.0
+        for right in zeta._ROOT_BRACKETS:
+            want = _linspace_scan(poly, left, right)
+            assert zeta._first_sign_change(poly, left, right) == want, (poly, left)
+            checked += want is not None
+            left = right
+    assert checked > 15
+
+
 def test_positive_constant_has_its_root_at_infinity():
     assert smallest_root_geq_one(Polynomial((1.0,))) == math.inf
     assert smallest_root_geq_one(Polynomial((0.5, 0.0))) == math.inf
