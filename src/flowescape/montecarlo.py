@@ -98,26 +98,26 @@ def _brancher(rows, thresholds, targets, width, samples):
         # A guide table over len(cum) + 1 buckets: a uniform in bucket
         # floor(u * buckets) starts at the count of entries whose bucket, by
         # the same float map, lies below its own. Those entries are all <= u
-        # (the map is monotone), so the start never overshoots, and a forward
-        # walk over the entries <= u that remain finishes the count.
+        # (the map is monotone), so the start never overshoots, and counting
+        # the entries <= u that remain finishes the draw.
         buckets = len(cum) + 1
         guide = np.searchsorted(np.floor(cum * buckets), np.arange(buckets))
-        # An entry above every uniform stops each walk at len(cum).
+        # An entry above every uniform keeps the forward step within len(cum).
         padded = np.append(cum, 2.0)
         rows.random(out=uniforms)
         np.multiply(uniforms, buckets, out=column)
         np.floor(column, out=column)
         np.copyto(index, column, casting="unsafe")
         offsets = np.take(guide, index, mode="clip")
-        # Most walks end within one entry: that step is taken in the buffers
-        # on every sample, the rest only on the samples still walking.
+        # Most draws end within one entry: that step is taken in the buffers
+        # on every sample, and the samples still short are finished by a
+        # search, which a long run of tied entries cannot slow down.
         np.take(padded, offsets, out=column, mode="clip")
         np.add(offsets, np.less_equal(column, uniforms, out=bits), out=offsets)
         np.take(padded, offsets, out=column, mode="clip")
-        walking = np.flatnonzero(np.less_equal(column, uniforms, out=bits))
-        while len(walking):
-            offsets[walking] += 1
-            walking = walking[padded[offsets[walking]] <= uniforms[walking]]
+        short = np.flatnonzero(np.less_equal(column, uniforms, out=bits))
+        if len(short):
+            offsets[short] = np.searchsorted(cum, uniforms[short], side="right")
         offsets *= width
         return offsets
 

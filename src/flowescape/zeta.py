@@ -485,10 +485,15 @@ def _first_sign_change(
     poly(x) > 0 >= poly(y), or None.
 
     The points are linspace's floats, j * step + left with the last one
-    ``right``. A root usually lies near ``left``, so the first 32 points are
-    evaluated one at a time; the rest of the bracket takes one vectorized
-    Horner pass, a multiply and an add per coefficient, which rounds as
-    ``poly(x)`` does, so the same pair is found.
+    ``right``. The first 32 points are evaluated one at a time, and the rest
+    of the bracket takes one vectorized Horner pass, a multiply and an add per
+    coefficient, which rounds as ``poly(x)`` does, so the same pair is found.
+    The split is for speed: on the root calls of the ``zeta-grid`` benchmark
+    (seeds 5 and 6), 486 of the 576 sign changes lie in the first 32 points
+    and half of all of them by the fourth, where a few scalar calls beat a
+    numpy pass over the whole bracket: one numpy pass over all 512 points
+    took the seed-5 calls from 2.6 to 10.6 ms and the whole seed-5 pass from
+    110 to 125 ms.
     """
     step = (right - left) / 511
     prev_x, prev_v = left, poly(left)

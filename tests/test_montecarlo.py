@@ -530,14 +530,17 @@ class _GivenRows:
 
 
 # Cumulative distributions the start draw must read as searchsorted does:
-# ties from zero-mass entries (first, inside and a long run last), entries
-# on the guide's bucket edges k / (len + 1), exact and rounded, a last
-# entry below 1 (the rest is the sink's) and one just above it.
+# ties from zero-mass entries (first, inside, and long runs inside and last),
+# entries on the guide's bucket edges k / (len + 1), exact and rounded, a
+# last entry below 1 (the rest is the sink's) and one just above it.
 _START_CDFS = {
     "ties": np.cumsum([0.0, 0.0, 0.1, 0.0, 0.0, 0.25, 0.3, 0.0, 0.2]),
     "binary-edges": np.array([0.125, 0.25, 0.25, 0.375, 0.625, 0.75, 0.875]),
     "decimal-edges": np.array([0.2, 0.4, 0.6, 0.8]),
     "below-one": np.cumsum(np.concatenate([np.full(40, 0.01), np.zeros(300)])),
+    "long-tie-inside": np.concatenate(
+        [np.linspace(0.0, 0.5, 41)[1:], np.full(300, 0.5 + 1e-5), [0.75]]
+    ),
     "above-one": np.array([0.3, 0.7, 1.0 + 2.0**-52]),
     "one-entry": np.array([0.5]),
     "empty": np.zeros(0),
