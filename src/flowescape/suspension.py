@@ -35,7 +35,6 @@ from .shift import (
     _lattice_operators,
     admissible_words,
     cylinder_function,
-    cylinder_measure,
     refine_cylinder_function,
 )
 
@@ -140,7 +139,13 @@ def build_suspension(
     index = {w: i for i, w in enumerate(words)}
     # The word chain is the lattice-sum operator of a ceiling of height 0.
     word_links = _lattice_operators(base, dict.fromkeys(words, 0), ceiling.order, index)[0]
-    measure = np.repeat([cylinder_measure(base, w) for w in words], heights)
+    # Word masses as cylinder_measure takes them, pi of the first letter times
+    # P along the word from the left, one letter column at a time.
+    codes = np.array(words).T
+    mass = base.stationary[codes[0]]
+    for a, b in zip(codes, codes[1:]):
+        mass = mass * base.transitions[a, b]
+    measure = np.repeat(mass, heights)
     starts = np.cumsum(heights) - heights
     for array in (heights, *word_links, measure, starts):
         array.setflags(write=False)

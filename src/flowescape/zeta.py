@@ -12,7 +12,9 @@ cofactor of I - z Mbar,
 Everything here is polynomial arithmetic in float64: determinants and
 cofactors come from a Faddeev-LeVerrier pass, the (1 - z) factor is removed
 by synthetic division, Taylor data at z = 1 feeds the asymptotic expansions,
-and root isolation on [1, oo) turns determinants back into spectral radii.
+and root isolation on [1, oo) turns determinants back into spectral radii: a
+sign scan brackets the smallest root, Illinois false position narrows the
+bracket and Newton polishes the root.
 
 Block and bordered matrices are towers over the word operator W(z) =
 diag(z^h) P (Parry & Pollicott, Asterisque 187-188, ch. 6): det(I - z
@@ -33,9 +35,9 @@ starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 import math
-from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -66,12 +68,11 @@ class Polynomial:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0.0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (0.0,)
-        object.__setattr__(self, "coefficients", coeffs)
+        coeffs = tuple(map(float, self.coefficients))
+        end = len(coeffs)
+        while end > 1 and coeffs[end - 1] == 0.0:
+            end -= 1
+        object.__setattr__(self, "coefficients", coeffs[:end] if end else (0.0,))
 
     @property
     def degree(self) -> int:
@@ -116,11 +117,20 @@ class Polynomial:
         return Polynomial((0.0,) * exponent + self.coefficients)
 
     def taylor_at_one(self, terms: int) -> tuple[float, ...]:
-        """First ``terms`` Taylor coefficients at z = 1 (powers of z - 1)."""
-        return tuple(
-            float(sum(c * comb(i, l) for i, c in enumerate(self.coefficients) if i >= l))
-            for l in range(terms)
-        )
+        """First ``terms`` Taylor coefficients at z = 1 (powers of z - 1).
+
+        Term l is sum_{i >= l} c_i comb(i, l), summed in ascending i. The
+        binomials comb(l + j, l), j = 0, 1, ..., are the running sums of
+        comb(l - 1 + j, l - 1), so each row is built from the previous one.
+        """
+        coeffs = self.coefficients
+        row = [1] * len(coeffs)
+        out = []
+        for l in range(terms):
+            if l:
+                row = list(accumulate(row[:-1]))
+            out.append(float(sum(map(mul, coeffs[l:], row))))
+        return tuple(out)
 
 
 ONE_MINUS_Z = Polynomial((1.0, -1.0))
@@ -430,10 +440,11 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
     """Smallest real root of ``poly`` in [1, 2^21], assuming poly(1) >= 0.
 
     Scans 512 points of each bracket [2^(j-1), 2^j] in turn for a sign change,
-    then bisects and polishes with Newton. Without a sign change (even roots)
-    it falls back to companion-matrix eigenvalues and polishes on the
-    derivative when the root is multiple. A positive constant has no root:
-    math.inf. Raises NoSignChangeError when nothing is found.
+    narrows the first one found by Illinois false position
+    (``_refine_bracket``) and polishes with Newton. Without a sign change
+    (even roots) it falls back to companion-matrix eigenvalues and polishes
+    on the derivative when the root is multiple. A positive constant has no
+    root: math.inf. Raises NoSignChangeError when nothing is found.
     """
     scale = max(abs(c) for c in poly.coefficients)
     at_one = poly(1.0)
@@ -452,15 +463,7 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
             break
         left = right
     if found is not None:
-        a, b = found
-        for _ in range(200):
-            if b - a <= 1e-15 * b:
-                break
-            mid = 0.5 * (a + b)
-            if poly(mid) > 0.0:
-                a = mid
-            else:
-                b = mid
+        a, b = _refine_bracket(poly, *found)
         return _polish_candidate(poly, 0.5 * (a + b), a, b, scale)
 
     if poly.degree >= 1:
@@ -517,6 +520,52 @@ def _first_sign_change(
     return float(xs[hits[0]]), float(xs[hits[0] + 1])
 
 
+def _refine_bracket(poly: Polynomial, a: float, b: float) -> "tuple[float, float]":
+    """Narrow a bracket with poly(a) > 0 >= poly(b) to b - a <= 1e-15 b, in
+    at most 200 steps, keeping that sign pattern; a value that is not finite
+    counts as nonpositive.
+
+    Each step takes the false-position point of the two ends, with the
+    Illinois rule: an end kept twice running has its value halved, so the
+    next point moves towards it and that end is replaced too (Dowell &
+    Jarratt, BIT 11, 1971). The point is kept at least a quarter of the
+    stopping width inside either end: once one end sits within rounding of
+    the root, the point falls on that end, and the short step past it
+    closes the bracket. A bisection step is taken instead where the point
+    falls outside [a, b], an end value is not finite, or the last two steps
+    each left more than half of the bracket. On the open determinants of
+    the acceptance grid and the shrinking-hole families this takes about 9
+    evaluations, the two ends included, where bisection took about 42.
+    """
+    fa, fb = poly(a), poly(b)
+    kept = slow = 0
+    for _ in range(200):
+        width = b - a
+        if width <= 1e-15 * b:
+            break
+        mid = 0.5 * (a + b)
+        if slow < 2 and math.isfinite(fa) and math.isfinite(fb):
+            point = b - fb * width / (fb - fa)
+            if a <= point <= b:
+                # A quarter of the stopping width, more than half an ulp of
+                # either end, so the point never rounds back onto one.
+                tol = 0.25e-15 * b
+                mid = min(max(point, a + tol), b - tol)
+        value = poly(mid)
+        if value > 0.0:
+            a, fa = mid, value
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = mid, value
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+        slow = slow + 1 if b - a > 0.5 * width else 0
+    return a, b
+
+
 def _polish_candidate(
     poly: Polynomial, cand: float, lo: float, hi: float, scale: float
 ) -> float:
@@ -538,11 +587,27 @@ def _polish_candidate(
     return _newton_polish(poly, deriv, cand, lo, hi)
 
 
+#: Newton steps ``_newton_polish`` takes at most.
+_POLISH_STEPS = 30
+
+
 def _newton_polish(
     poly: Polynomial, deriv: Polynomial, start: float, lo: float, hi: float
 ) -> float:
+    """Newton iterates from ``start`` for ``_POLISH_STEPS`` steps, stopping
+    early on a zero derivative, an iterate outside [lo - 1e-12, hi + 1e-9]
+    (the last one inside is kept) or a step within 1e-16 relative.
+
+    From 1 on, 1e-16 relative is under an ulp, so next to a root the
+    iterates often stay on one float or bounce between a few neighbours
+    without meeting that stop. Each step depends on x alone, so once an
+    iterate recurs the rest is periodic, and the member of the cycle the
+    last step would land on is returned at once: the same float as the full
+    loop, for any start.
+    """
     x = start
-    for _ in range(30):
+    path, index = [x], {x: 0}
+    for k in range(1, _POLISH_STEPS + 1):
         dv = deriv(x)
         if dv == 0.0:
             break
@@ -553,6 +618,10 @@ def _newton_polish(
         x = nxt
         if abs(step) <= 1e-16 * max(1.0, abs(x)):
             break
+        first = index.setdefault(x, k)
+        if first < k:
+            return path[first + (_POLISH_STEPS - first) % (k - first)]
+        path.append(x)
     return x
 
 

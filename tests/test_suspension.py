@@ -161,6 +161,27 @@ def test_block_chain_equals_block_loop(name):
         system.block_index((shift.alphabet_size,) * ceiling.order, 0)
 
 
+@pytest.mark.parametrize(
+    "transitions, order",
+    [
+        ([[0.9, 0.1], [0.2, 0.8]], 1),
+        (_THREE, 1),
+        (_THREE, 3),
+        ([[0.5, 0.5], [0.5, 0.5]], 12),
+        ([[0.9, 0.1], [0.2, 0.8]], 12),
+    ],
+)
+def test_word_masses_equal_cylinder_measure(transitions, order):
+    # The masses are taken one letter column at a time for all words at
+    # once, with the multiplications of cylinder_measure in its order.
+    shift = build_markov_shift(transitions)
+    words = admissible_words(shift, order)
+    ceiling = cylinder_function(order, {w: 1.0 + w[-1] for w in words}, lattice=1.0)
+    system = build_suspension(shift, ceiling)
+    masses = system.block_measure[system._starts].tolist()
+    assert masses == [cylinder_measure(shift, w) for w in words]
+
+
 def test_block_chain_is_built_only_when_read(monkeypatch):
     # Neither the system nor its refinement builds the block chain for the
     # refined rate, the pressure root, the survival curve or the sampler.

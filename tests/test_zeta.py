@@ -23,6 +23,7 @@ from flowescape import (
     deflate_at_one,
     escape_rate_flow,
     escape_rate_zeta,
+    family_zeta_op,
     hole_quantities,
     smallest_root_geq_one,
     taylor_at_one,
@@ -33,6 +34,7 @@ import flowescape.zeta as zeta
 from flowescape.suspension import SuspensionSystem
 from flowescape.open_system import _open_rate
 from oracles import bordered_open_matrix, char_poly, cofactor_poly, dense_leverrier
+from test_acceptance import _families, _zeta_grid
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -61,6 +63,52 @@ def test_polynomial_arithmetic():
 def test_polynomial_derivative():
     p = Polynomial((1.0, -1.0, 0.25))
     assert p.derivative().coefficients == (-1.0, 0.5)
+
+
+def _trimmed_one_zero_at_a_time(coefficients):
+    """The stored coefficients of a Polynomial, trimmed as they once were:
+    one slice per trailing zero."""
+    coeffs = tuple(float(c) for c in coefficients)
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+        coeffs = coeffs[:-1]
+    return coeffs or (0.0,)
+
+
+def test_polynomial_trims_as_the_slice_per_zero_loop():
+    # repr tells -0.0 from 0.0, which == does not.
+    inputs = [
+        (),
+        (0.0,),
+        (-0.0,),
+        (0.0, 0.0, 0.0),
+        (-0.0, 0.0, -0.0),
+        (1.0, -0.5, 0.0, -0.0, 0.0),
+        (0.0, -0.0, 2.5),
+        (3, 0, -0.0),
+        np.array([1.0, 2.0, 0.0]),
+        (math.inf, math.nan, 0.0),
+        tuple(np.random.default_rng(3).normal(size=20)) + (0.0,) * 7,
+    ]
+    for coefficients in inputs:
+        want = _trimmed_one_zero_at_a_time(coefficients)
+        assert repr(Polynomial(coefficients).coefficients) == repr(want), coefficients
+
+
+def test_taylor_at_one_equals_the_math_comb_sums():
+    # Degree 80 puts comb(i, l) past 2^53, where c * comb(i, l) rounds the
+    # integer to a float: the running-sum rows must give the same integers
+    # and the same sums in the same order.
+    rng = np.random.default_rng(11)
+    polys = [Polynomial((0.0,)), Polynomial((2.0,)), Polynomial((1.0, -1.0, 0.25))]
+    polys += [Polynomial(tuple(rng.normal(size=degree + 1))) for degree in (1, 5, 17, 40, 80, 80)]
+    for poly in polys:
+        for terms in (1, 3, poly.degree + 1, poly.degree + 4):
+            want = tuple(
+                float(sum(c * math.comb(i, l) for i, c in enumerate(poly.coefficients) if i >= l))
+                for l in range(terms)
+            )
+            assert poly.taylor_at_one(terms) == want, (poly.degree, terms)
+    assert math.comb(80, 40) > 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +496,121 @@ def test_sign_scan_equals_the_scalar_linspace_scan():
             checked += want is not None
             left = right
     assert checked > 15
+
+
+@pytest.fixture(scope="module")
+def open_determinants():
+    """The open determinants of the criterion 3-4 grid (holes of length 2-5)
+    and of the shrinking-hole families of criteria 5-9 at nu = 4..10."""
+    polys = [
+        zeta_op_factorized(system, hole).zeta_open_inverse
+        for *_, system, hole in _zeta_grid(lengths=(2, 3, 4, 5))
+    ]
+    polys += [family_zeta_op(family, nu) for *_, family in _families() for nu in range(4, 11)]
+    return polys
+
+
+def test_root_calls_average_at_most_32_evaluations(open_determinants, monkeypatch):
+    # Counts every Polynomial evaluation, of the derivatives too. Bisecting
+    # the scan's 1/511 bracket down to 1e-15 took about 65 per root call.
+    calls = 0
+    evaluate = Polynomial.__call__
+
+    def counted(poly, z):
+        nonlocal calls
+        calls += 1
+        return evaluate(poly, z)
+
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    for poly in open_determinants:
+        smallest_root_geq_one(poly)
+    assert len(open_determinants) > 1000
+    assert calls <= 32 * len(open_determinants)
+
+
+def test_roots_lie_within_the_horner_error_bound_of_a_60_digit_root(open_determinants):
+    # Bound fixed before the refinement changed: max(4 ulp, gamma_2n
+    # sum_i |c_i| r^i / |p'(r)|), Horner's forward error bound with gamma_2n
+    # = 2n u / (1 - 2n u), u = 2^-53 and n the degree (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2002, section 5.1), carried to the
+    # root through p'. The reference is a 60-digit Newton root of the same
+    # float coefficients, started from the float root.
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    unit = 2.0**-53
+    errors = []
+    for poly in open_determinants:
+        root = smallest_root_geq_one(poly)
+        assert 1.0 < root < math.inf, poly
+        coeffs = [mp.mpf(c) for c in reversed(poly.coefficients)]
+        slopes = [mp.mpf(c) for c in reversed(poly.derivative().coefficients)]
+        want = mp.findroot(
+            lambda x: mp.polyval(coeffs, x), mp.mpf(root), solver="newton", tol=mp.mpf(10) ** -50
+        )
+        gamma = 2 * poly.degree * unit / (1.0 - 2 * poly.degree * unit)
+        size = math.fsum(abs(c) * root**i for i, c in enumerate(poly.coefficients))
+        slope = abs(float(mp.polyval(slopes, mp.mpf(root))))
+        ulp = float(np.spacing(root))
+        # A double root, such as that of (1 - z/2)^2, has p'(r) = 0 and no
+        # first-order bound.
+        bound = max(4.0 * ulp, gamma * size / slope if slope else math.inf)
+        error = abs(float(mp.mpf(root) - want))
+        assert error <= bound, (poly, root, error / ulp, bound / ulp)
+        errors.append(error / ulp)
+    assert float(np.median(errors)) < 1.0
+
+
+def _newton_thirty_steps(poly, deriv, x, lo, hi):
+    """The iterates of the Newton polish as a plain 30-step loop, with no
+    cycle check; the last one is what the polish returns."""
+    path = [x]
+    for _ in range(30):
+        dv = deriv(x)
+        if dv == 0.0:
+            break
+        step = poly(x) / dv
+        nxt = x - step
+        if not (lo - 1e-12 <= nxt <= hi + 1e-9):
+            break
+        x = nxt
+        path.append(x)
+        if abs(step) <= 1e-16 * max(1.0, abs(x)):
+            break
+    return path
+
+
+@pytest.mark.parametrize(
+    "coefficients, root",
+    [
+        # Newton on these bounces between two or three floats next to the
+        # root, each step an ulp or more.
+        ((1.0, 0.0, -0.5), math.sqrt(2.0)),
+        ((1.0, -1.0, 0.0, 0.125), 1.2360679774997898),
+        ((1.0, 0.0, -1.72, 0.0, 0.736, 0.0, -0.01472), 1.0022113439485918),
+        ((1.0, -0.5, -0.25, -0.125, -0.0625, -0.03125), 1.017320783284008),
+    ],
+)
+def test_polish_cycle_shortcut_returns_the_thirty_step_float(coefficients, root):
+    # Starts on every float within 12 ulp of the root, so the 30 steps end
+    # on each member of a cycle from some start: a shortcut that returned
+    # the wrong member would differ from the loop.
+    poly = Polynomial(coefficients)
+    deriv = poly.derivative()
+    starts = [root]
+    for direction in (-math.inf, math.inf):
+        x = root
+        for _ in range(12):
+            x = math.nextafter(x, direction)
+            starts.append(x)
+    lo, hi = min(starts), max(starts)
+    ends, cycled = set(), 0
+    for start in starts:
+        path = _newton_thirty_steps(poly, deriv, start, lo, hi)
+        assert zeta._newton_polish(poly, deriv, start, lo, hi) == path[-1], (coefficients, start)
+        ends.add(path[-1])
+        cycled += len(path) == 31 and len(set(path[-10:])) >= 2
+    assert cycled >= 4
+    assert len(ends) >= 2
 
 
 def test_positive_constant_has_its_root_at_infinity():
