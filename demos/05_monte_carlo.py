@@ -6,8 +6,10 @@ Sample trajectories of the suspension flow from the invariant measure and
 record the fraction that has avoided the hole at each time step. The sampled
 curve sits on top of the exactly-computed one, the fitted confidence bracket
 contains the true escape rate, and reruns with the same seed reproduce every
-byte. All randomness flows from one seeded PCG64 stream, so results are
-machine independent.
+byte. All randomness flows from one seeded PCG64 stream: reruns are
+byte-identical on one numpy build, and the sampled numbers also depend on
+numpy's binomial algorithm, through which its multinomial draws split the
+sample counts.
 """
 
 import numpy as np

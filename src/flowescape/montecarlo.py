@@ -1,27 +1,26 @@
 """Monte Carlo cross-checks: survival sampling and Birkhoff deviation bounds.
 
-Simulation is fully deterministic given a seed: numpy's PCG64 stream
-(``default_rng(seed)``) draws one row of ``samples`` uniforms per step. A
-stream's rows are the same numbers as one (steps, samples) block drawn up
-front: column i is sample i's private stream, and results are bit-identical
-across reruns and independent of how many samples have already died. Both
-samplers keep O(samples) state and build no (steps, samples) array. They
-step on one kernel, ``_brancher``: a sample's state is its row offset
-(state * width) into row-major (state, branch) tables of thresholds and
-pre-scaled target offsets, and a step gathers each threshold column, adds
-the count of thresholds below the uniform to the offset and gathers the
-targets, all in buffers allocated once; its start draw reads the first
-states off a cumulative distribution through a guide table, in the same
-buffers. The survival sampler walks the tower on which
-``survival_curve_flow`` steps its mass: an interior block climbs one level
-and a top branches along its state's links to their level-0 blocks, so no
-block matrix is built; the deficit of a row, the edges its operator lacks,
-branches to a sink state that a sample never leaves. The deviation sampler
-keeps one boolean row per k bucket [k_i, k_{i+1}) (the last to l_max), set
-where the sample deviated at some l in the bucket, and reads P_k off a
-reverse cumulative OR of the rows. Exact counterparts for both
-estimators (the survival curve and the lattice-sum DP of ``shift`` for the
-deviation probabilities) let tests hold the sampler to 3-sigma.
+Simulation is fully deterministic given a seed: every draw comes from
+numpy's PCG64 stream (``default_rng(seed)``), and reruns are bit-identical
+on one numpy build. The survival sampler steps the counts of samples on the
+blocks of the tower on which ``survival_curve_flow`` steps its mass: the
+samples are independent and exchangeable, so the counts are a Markov chain
+with the law of the per-sample walk. Interior counts climb one level a
+step, and each occupied top splits its count by one multinomial draw over
+its state's links to their level-0 blocks, the deficit of its row going to
+a sink where counts stay; its numbers also depend on numpy's binomial
+algorithm, and no array grows with the number of samples. The deviation
+sampler steps each path on one kernel, ``_brancher``, in buffers allocated
+once, one row of ``samples`` uniforms per step (column i is sample i's
+stream): a path's state is its row offset (state * width) into row-major
+(state, branch) tables, and a step gathers each threshold column, adds the
+count of thresholds below the uniform to the offset and gathers the packed
+target, the next offset and the height it adds to the ceiling sum. It keeps
+one boolean row per k bucket [k_i, k_{i+1}) (the last to l_max), set where
+the sample deviated at some l in the bucket, and reads P_k off a reverse
+cumulative OR of the rows. Exact counterparts for both estimators (the
+survival curve and the lattice-sum DP of ``shift`` for the deviation
+probabilities) let tests hold the samplers to 3-sigma.
 """
 
 from __future__ import annotations
@@ -67,25 +66,26 @@ class SimulationConfig:
 
 
 def _uniform_rows(seed: int) -> np.random.Generator:
-    """The canonical uniform stream, numpy's PCG64: the t-th ``random(samples)``
-    call is the row that feeds step t, and column i is sample i."""
+    """The canonical stream, numpy's PCG64. The deviation sampler's t-th
+    ``random(samples)`` call is the row that feeds step t, and column i is
+    sample i; the survival sampler draws its multinomial splits from it."""
     return np.random.default_rng(seed)
 
 
-def _brancher(rows, thresholds, targets, width, samples):
-    """(start, step) of both samplers on row-major (state, branch) tables read
-    at a sample's offset, state * width: ``thresholds[offset + j]`` is its
-    state's cumulative threshold j < width - 1 (entry width - 1 of a row is
-    never read), and ``targets[offset + b]`` is the offset of the state that
-    branch b leads to.
+def _brancher(rows, thresholds, width, samples):
+    """(start, step) of the deviation sampler on row-major (state, branch)
+    tables read at a sample's offset, state * width: ``thresholds[offset + j]``
+    is its state's cumulative threshold j < width - 1 (entry width - 1 of a
+    row is never read).
 
     ``start(cum)`` draws the next uniform row u and returns the offsets of
     ``np.searchsorted(cum, u, side="right")``, cum a nondecreasing
-    cumulative distribution, every draw the same. ``step(offsets)`` draws
-    the next uniform row and moves every offset in place: each threshold
-    column gathered and compared with the uniforms, the count of thresholds
-    below each uniform added to its offset, then the targets gathered once.
-    Their buffers are allocated here, once, so a step allocates nothing."""
+    cumulative distribution. ``step(offsets, targets, out)`` draws the next
+    uniform row, gathers each threshold column at the offsets and compares
+    it with the uniforms, adds the count of thresholds below each uniform to
+    its offset, and gathers ``targets`` there into ``out``: entry offset + b
+    of ``targets`` is what branch b of the state leads to. Its buffers are
+    allocated here, once, so a step allocates nothing."""
     uniforms = np.empty(samples)
     column = np.empty(samples)
     bits = np.empty(samples, dtype=bool)
@@ -95,42 +95,23 @@ def _brancher(rows, thresholds, targets, width, samples):
     columns = [thresholds[j:] for j in range(width - 1)]
 
     def start(cum):
-        # A guide table over len(cum) + 1 buckets: a uniform in bucket
-        # floor(u * buckets) starts at the count of entries whose bucket, by
-        # the same float map, lies below its own. Those entries are all <= u
-        # (the map is monotone), so the start never overshoots, and counting
-        # the entries <= u that remain finishes the draw.
-        buckets = len(cum) + 1
-        guide = np.searchsorted(np.floor(cum * buckets), np.arange(buckets))
-        # An entry above every uniform keeps the forward step within len(cum).
-        padded = np.append(cum, 2.0)
         rows.random(out=uniforms)
-        np.multiply(uniforms, buckets, out=column)
-        np.floor(column, out=column)
-        np.copyto(index, column, casting="unsafe")
-        offsets = np.take(guide, index, mode="clip")
-        # Most draws end within one entry: that step is taken in the buffers
-        # on every sample, and the samples still short are finished by a
-        # search, which a long run of tied entries cannot slow down.
-        np.take(padded, offsets, out=column, mode="clip")
-        np.add(offsets, np.less_equal(column, uniforms, out=bits), out=offsets)
-        np.take(padded, offsets, out=column, mode="clip")
-        short = np.flatnonzero(np.less_equal(column, uniforms, out=bits))
-        if len(short):
-            offsets[short] = np.searchsorted(cum, uniforms[short], side="right")
+        offsets = np.searchsorted(cum, uniforms, side="right")
         offsets *= width
         return offsets
 
-    def step(offsets):
+    def step(offsets, targets, out):
         rows.random(out=uniforms)
-        np.copyto(index, offsets)
+        # The first column adds into ``index`` from the offsets, the rest in place.
+        source = offsets
         for col in columns:
             # Every offset is in range by construction; mode="clip" lets take
             # write into its out buffer without the buffered copy of mode="raise".
             np.take(col, offsets, out=column, mode="clip")
             np.greater(uniforms, column, out=bits)
-            np.add(index, bits, out=index)
-        np.take(targets, index, out=offsets, mode="clip")
+            np.add(source, bits, out=index)
+            source = index
+        np.take(targets, source, out=out, mode="clip")
 
     return start, step
 
@@ -158,55 +139,58 @@ def estimate_survival(
     """Sample the block chain from the flow-invariant measure and record the
     fraction avoiding the hole through each time step.
 
-    It walks the tower that ``survival_curve_flow`` steps its mass on
-    (``_survival_tower``): an interior block climbs one level, and a top
-    branches to the level-0 blocks of its state's successors, or, with the
-    deficit of its row, to a sink state, where the sample stays. Samples
-    start from the exact mass at the tower's delay, the mass already dead
-    by then in the sink, and the estimate at t is the fraction outside the
-    sink. Every sample, absorbed or not, takes one uniform per step, so the
-    uniform consumption pattern (and hence every later number) does not
-    depend on who has died.
+    It steps the counts of samples on the tower of ``_survival_tower``, plus
+    a sink that holds the dead. The counts start as one multinomial draw
+    over the exact mass at the tower's delay, the mass dead by then going to
+    the sink; a step moves every interior count up one level and splits each
+    occupied top's count by one multinomial draw over its state's links to
+    their level-0 blocks and the deficit of its row. The estimate at t is
+    the fraction outside the sink. A step costs O(tops x branches) whatever
+    the number of samples, and reruns and t_max prefixes are byte-identical.
     """
     links, heights, start, delay = _survival_tower(system, hole)
     mass = _survival_curve(start, links, delay, heights)[1]
     tops = np.cumsum(heights) - 1
     starts = tops - heights + 1
-    size = len(mass)
+    sink = size = len(mass)
 
-    # A row's cumulative weights, over its slice of the links, are its branch
-    # thresholds. One that ends below 1 keeps them all; the rest goes to the sink.
+    # (state, branch) tables of a top's split, one column per link and a last
+    # one, the sink, which numpy's multinomial gives what the others leave.
+    # A link's share is the step of its row's cumulative weight, cut at 1;
+    # the last link of a row whose weight reaches 1 takes the sink's column.
     src, dst, p = links
-    bounds = np.searchsorted(src, np.arange(len(heights) + 1)).tolist()
-    cums = [np.cumsum(p[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    thresholds = [cum if len(cum) == 0 or cum[-1] < 1.0 else cum[:-1] for cum in cums]
-    width = 1 + max(map(len, thresholds))
-    # Row-major (state, branch) tables, read at state * width + branch. An
-    # interior block climbs to the next level; a top branches to the level-0
-    # blocks of its state's successors, then to the sink, state ``size``.
-    sink = size
-    targets = np.repeat(np.arange(1, size + 2), width).reshape(size + 1, width)
-    targets[sink] = sink
-    # Padding 2.0 lies above every uniform, so a padded column never counts.
-    table = np.full((size + 1, width), 2.0)
-    for top, lo, hi, cum in zip(tops, bounds, bounds[1:], thresholds):
-        targets[top] = sink
-        targets[top, : hi - lo] = starts[dst[lo:hi]]
-        table[top, : len(cum)] = cum
+    states = len(heights)
+    rank = np.arange(len(src)) - np.searchsorted(src, src)
+    branches = np.bincount(src, minlength=states)
+    pvals = np.zeros((states, 1 + int(branches.max(initial=0))))
+    pvals[src, rank] = p
+    cum = np.minimum(np.cumsum(pvals, axis=1), 1.0)
+    pvals = np.diff(cum, axis=1, prepend=0.0)
+    targets = np.full(pvals.shape, sink)
+    targets[src, rank] = starts[dst]
+    full = np.flatnonzero(cum[:, -1] == 1.0)
+    targets[full, -1] = targets[full, branches[full] - 1]
+    pvals[full, branches[full] - 1] = 0.0
 
     samples = config.samples
-    rows = _uniform_rows(config.seed)
-    start, step = _brancher(rows, table.ravel(), (targets * width).ravel(), width, samples)
-    offsets = start(np.cumsum(mass))
-    alive = np.empty(samples, dtype=bool)
+    rng = _uniform_rows(config.seed)
+    # The sink's entry is read as what the mass leaves: the samples already dead.
+    counts = rng.multinomial(samples, np.append(mass, 0.0))
 
     estimates = np.empty(config.t_max + 1)
     stderrs = np.zeros(config.t_max + 1)
     estimates[0] = 1.0
     for t in range(1, config.t_max + 1):
         if t > 1:
-            step(offsets)
-        p_hat = np.count_nonzero(np.not_equal(offsets, sink * width, out=alive)) / samples
+            top = counts[tops]
+            occupied = np.flatnonzero(top)
+            # A top's count climbs onto the next state's level 0, which the
+            # split then refills.
+            counts[1:size] = counts[: size - 1]
+            counts[starts] = 0
+            split = rng.multinomial(top[occupied], pvals[occupied])
+            np.add.at(counts, targets[occupied], split)
+        p_hat = (samples - int(counts[sink])) / samples
         estimates[t] = p_hat
         stderrs[t] = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return SurvivalEstimate(
@@ -361,51 +345,60 @@ def estimate_deviation_prob(
     # A step takes a code to the code of its last n - 1 letters, times size,
     # plus the next letter b, on the thresholds of the code's last letter: a
     # gather, a branch count and no int64 %. A window of fewer than n letters
-    # steps the same way, so it grows to n letters. ``kmap`` holds each
+    # steps the same way, so it grows to n letters. ``height`` holds each
     # code's height at its offset.
     codes = np.arange(size ** n)
-    targets = (codes % size ** (n - 1) * size)[:, None] + np.arange(size)
+    targets = ((codes % size ** (n - 1) * size)[:, None] + np.arange(size)).ravel() * size
     table = np.empty((size ** n, size))
     table[:, :-1] = np.cumsum(shift.transitions, axis=1)[codes % size, :-1]
-    kmap = np.zeros(size ** n * size, dtype=np.int64)
+    height = np.zeros(size ** n * size, dtype=np.int64)
     for w, k in heights.items():
         code = 0
         for a in w:
             code = code * size + a
-        kmap[code * size] = k
+        height[code * size] = k
     h_max = max(heights.values())
 
     samples = config.samples
     rows = _uniform_rows(config.seed)
-    start, step = _brancher(rows, table.ravel(), (targets * size).ravel(), size, samples)
+    start, step = _brancher(rows, table.ravel(), size, samples)
     offsets = start(np.cumsum(shift.stationary)[:-1])
     for _ in range(n - 1):
-        step(offsets)
+        step(offsets, targets, offsets)
 
-    lows, highs = (bound.tolist() for bound in _kept_sums(lam, mean, epsilon, l_max, h_max))
+    lows, highs = _kept_sums(lam, mean, epsilon, l_max, h_max)
+    # Each sample carries gap = S_l - lows[l], its ceiling sum less the low
+    # end of l's kept interval. A step's target table packs the target's
+    # offset in the low bits and its height less the step of lows in the
+    # high bits, so one mask and one arithmetic shift unpack what moves the
+    # offset and the gap; there is one table per distinct step of lows.
+    low = int(targets.max()).bit_length()
+    packed = np.left_shift(height[targets], low) + targets
+    tables = {d: packed - (d << low) for d in set(np.diff(lows).tolist())}
+    mask = (1 << low) - 1
+    lows, highs = lows.tolist(), highs.tolist()
     # Row i: the sample deviated at some l in [k_i, k_{i+1}), the last row to
     # l_max, so P_k is the fraction deviating in row i or any later one.
     flags = np.zeros((len(ks), samples), dtype=bool)
     bucket = (np.searchsorted(ks, np.arange(1, l_max + 1), side="right") - 1).tolist()
-    running = np.zeros(samples, dtype=np.int64)
-    gathered = np.empty(samples, dtype=np.int64)
-    gap = np.empty(samples, dtype=np.int64)
+    gap = np.take(height, offsets) - lows[0]
+    word = np.empty(samples, dtype=np.int64)
     bits = np.empty(samples, dtype=bool)
     for l in range(1, l_max + 1):
-        running += np.take(kmap, offsets, out=gathered, mode="clip")
         if l >= ks[0]:
             lo, hi = lows[l - 1], highs[l - 1]
             row = flags[bucket[l - 1]]
             if lo > hi:
                 row[:] = True
             else:
-                # running lies outside [lo, hi] iff running - lo, read unsigned
-                # (a negative gap wraps past every bound), exceeds hi - lo.
-                np.subtract(running, lo, out=gap)
+                # S_l lies outside [lo, hi] iff the gap, read unsigned (a
+                # negative gap wraps past every bound), exceeds hi - lo.
                 np.greater(gap.view(np.uint64), np.uint64(hi - lo), out=bits)
                 np.logical_or(row, bits, out=row)
         if l < l_max:
-            step(offsets)
+            step(offsets, tables[lows[l] - lows[l - 1]], word)
+            np.bitwise_and(word, mask, out=offsets)
+            np.add(gap, np.right_shift(word, low, out=word), out=gap)
 
     probabilities = np.logical_or.accumulate(flags[::-1], axis=0)[::-1].mean(axis=1)
     stderrs = np.sqrt(probabilities * (1.0 - probabilities) / samples)

@@ -396,46 +396,52 @@ def test_fit_decay_on_pure_geometric_sequence():
 
 
 # ---------------------------------------------------------------------------
-# Streamed draws against the block-draw reference
+# Samplers against draw-for-draw references
 # ---------------------------------------------------------------------------
 
 def _survival_reference(system, hole, config):
-    """The block-draw sampler on the tower of ``_survival_tower``: its dense
-    block matrix, every uniform drawn up front as one (t_max + 1, samples)
-    block, and picks from a (samples, width) comparison. A row's deficit
-    branches to a dead state past the blocks."""
+    """The counts sampler stepped block by block on the dense block matrix of
+    the tower of ``_survival_tower``: one multinomial draw of the start
+    counts, then, in block order, an interior block's count moved up a level
+    and one ``rng.multinomial`` call per occupied top, over the steps of its
+    row's cumulative weights cut at 1. The call's last category is the last
+    link of a row whose weight reaches 1, else a dead state past the blocks."""
     links, heights, start, delay = _survival_tower(system, hole)
     tops = np.cumsum(heights) - 1
     starts = tops - heights + 1
     size = int(heights.sum())
-    matrix = np.eye(size, k=1)
-    matrix[tops] = 0.0
+    matrix = np.zeros((size, size))
     matrix[tops[:, None], starts] = dense(links, len(heights))
     mass = _survival_curve(start, links, delay, heights)[1]
-    init_cum = np.cumsum(mass)
     dead = size
-    rows = [np.nonzero(matrix[i] > 0.0)[0] for i in range(size)]
-    cums = [np.cumsum(matrix[i, js]) for i, js in enumerate(rows)]
-    width = 1 + max(len(js) for js in rows)
-    targets = np.full((size + 1, width), dead, dtype=np.int64)
-    thresholds = np.full((size + 1, width - 1), 2.0)
-    for i, (js, cum) in enumerate(zip(rows, cums)):
-        targets[i, : len(js)] = js
-        kept = cum if len(js) == 0 or cum[-1] < 1.0 else cum[:-1]
-        thresholds[i, : len(kept)] = kept
 
-    uniforms = np.random.default_rng(config.seed).random(
-        (config.t_max + 1, config.samples)
-    )
-    states = np.searchsorted(init_cum, uniforms[0], side="right")
+    rng = np.random.default_rng(config.seed)
+    counts = rng.multinomial(config.samples, np.append(mass, 0.0))
     estimates = np.empty(config.t_max + 1)
     stderrs = np.zeros(config.t_max + 1)
     estimates[0] = 1.0
     for t in range(1, config.t_max + 1):
         if t > 1:
-            picks = (uniforms[t - 1][:, None] > thresholds[states]).sum(axis=1)
-            states = targets[states, picks]
-        p_hat = np.count_nonzero(states != dead) / config.samples
+            moved = np.zeros_like(counts)
+            moved[dead] = counts[dead]
+            for i in range(size):
+                if counts[i] == 0:
+                    continue
+                if i not in tops:
+                    moved[i + 1] += counts[i]
+                    continue
+                js = np.nonzero(matrix[i])[0].tolist()
+                cum = np.minimum(np.cumsum(matrix[i, js]), 1.0)
+                shares = np.diff(cum, prepend=0.0).tolist()
+                if js and cum[-1] == 1.0:
+                    explicit, last = js[:-1], js[-1]
+                else:
+                    explicit, last = js, dead
+                draw = rng.multinomial(counts[i], shares[: len(explicit)] + [0.0])
+                for j, c in zip(explicit + [last], draw.tolist()):
+                    moved[j] += c
+            counts = moved
+        p_hat = (config.samples - int(counts[dead])) / config.samples
         estimates[t] = p_hat
         stderrs[t] = math.sqrt(p_hat * (1.0 - p_hat) / config.samples)
     return estimates, stderrs
@@ -519,6 +525,43 @@ def test_samplers_equal_block_draw_reference(name, seed):
             assert np.any(want_p > 0.0)
 
 
+@pytest.mark.parametrize("name", ["step-full2", "lattice-0.05", "order-2"])
+def test_survival_counts_follow_the_exact_curve_at_a_trillion_samples(name):
+    """The counts chain has the law of the per-sample walk: at 10^12 samples,
+    every point of the curve lies within 5 of its standard deviations,
+    sqrt(S(1 - S) / samples), of the exact curve. The holes (1, 1) and
+    (0, 1, 1) are longer than their orders, 1 and 2."""
+    shift, ceiling, hole = _STREAMING_CASES[name]
+    system = build_suspension(shift, ceiling)
+    config = SimulationConfig(seed=11, samples=10**12, t_max=40)
+    est = estimate_survival(system, hole, config)
+    exact = survival_curve_flow(system, hole, config.t_max)
+    sigma = np.sqrt(exact * (1.0 - exact) / config.samples)
+    assert np.all(sigma[1:] > 0.0)
+    assert np.all(np.abs(est.estimates - exact)[1:] <= 5.0 * sigma[1:])
+
+
+def test_survival_samples_a_row_sum_just_above_one():
+    """Letter 2's row sums to 1 + 5e-10, inside the shift's tolerance (the
+    letter is rare, so the stationary residual stays below 1e-12). Its last
+    link takes the remainder, so no multinomial call sees probabilities
+    summing past 1, as all three links would: numpy rejects those."""
+    shift = build_markov_shift(
+        [[0.6, 0.3999, 0.0001], [0.5, 0.4999, 0.0001], [0.3, 0.2, 0.5 + 5e-10]]
+    )
+    assert shift.transitions[2].sum() > 1.0 + 1e-10
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).multinomial(5, np.append(shift.transitions[2], 0.0))
+    ceiling = cylinder_function(1, {(0,): 1.0, (1,): 2.0, (2,): 1.0}, lattice=1.0)
+    system = build_suspension(shift, ceiling)
+    config = SimulationConfig(seed=3, samples=10**6, t_max=20)
+    est = estimate_survival(system, (0, 0), config)
+    exact = survival_curve_flow(system, (0, 0), config.t_max)
+    assert np.all(np.diff(est.estimates) <= 0.0)
+    sigma = np.sqrt(exact * (1.0 - exact) / config.samples)
+    assert np.all(np.abs(est.estimates - exact)[1:] <= 5.0 * sigma[1:])
+
+
 class _GivenRows:
     """A uniform stream whose next row is ``row``, in place of PCG64."""
 
@@ -531,8 +574,8 @@ class _GivenRows:
 
 # Cumulative distributions the start draw must read as searchsorted does:
 # ties from zero-mass entries (first, inside, and long runs inside and last),
-# entries on the guide's bucket edges k / (len + 1), exact and rounded, a
-# last entry below 1 (the rest is the sink's) and one just above it.
+# entries on the edges k / (len + 1), exact and rounded, a last entry below 1
+# and one just above it.
 _START_CDFS = {
     "ties": np.cumsum([0.0, 0.0, 0.1, 0.0, 0.0, 0.25, 0.3, 0.0, 0.2]),
     "binary-edges": np.array([0.125, 0.25, 0.25, 0.375, 0.625, 0.75, 0.875]),
@@ -563,9 +606,7 @@ def test_start_draw_equals_searchsorted(name):
         ]
     )
     row = row[(row >= 0.0) & (row < 1.0)]
-    start, _ = montecarlo._brancher(
-        _GivenRows(row), np.zeros(2), np.zeros(3, dtype=np.int64), 3, len(row)
-    )
+    start, _ = montecarlo._brancher(_GivenRows(row), np.zeros(2), 3, len(row))
     assert np.array_equal(start(cum), 3 * np.searchsorted(cum, row, side="right"))
 
 

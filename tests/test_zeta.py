@@ -453,13 +453,13 @@ def test_root_none_found():
 
 def _linspace_scan(poly, left, right):
     """The scalar sign scan over np.linspace(left, right, 512), one
-    ``poly(x)`` per point."""
+    ``poly(x)`` per point: the pair of points and their two values."""
     xs = np.linspace(left, right, 512)
     prev_x, prev_v = left, poly(left)
     for x in xs[1:]:
         v = poly(float(x))
         if prev_v > 0.0 >= v:
-            return prev_x, float(x)
+            return prev_x, float(x), prev_v, v
         prev_x, prev_v = float(x), v
     return None
 
@@ -468,7 +468,8 @@ def test_sign_scan_equals_the_scalar_linspace_scan():
     # Roots spread over the brackets, in and past the first 32 points of
     # theirs, double roots whose sign noise the scan may or may not meet,
     # and coefficients whose Horner sums overflow to -inf at large z: the
-    # vectorized pass must find the same pair of floats, or none.
+    # vectorized pass must find the same pair of floats, with the values
+    # that ``poly(x)`` gives at them, or none.
     rng = np.random.default_rng(5)
     # The first root lies between points 30 and 31 of [1, 2], where the
     # one-at-a-time points end.
