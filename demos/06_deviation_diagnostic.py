@@ -7,7 +7,10 @@ averages of the ceiling concentrate: the probability that some average past
 time k strays from the mean by epsilon must decay geometrically. This script
 computes that tail probability exactly by dynamic programming over partial
 sums, checks a seeded Monte Carlo estimate against it, and fits the decay
-base zeta-hat, which must stay below 1.
+base zeta-hat, which must stay below 1. The sampler steps the counts of
+samples on cells (ceiling sum, window suffix, last k bucket in which the
+sample deviated), one multinomial split per occupied cell and step, so its
+cost does not grow with the number of samples.
 """
 
 from flowescape import (

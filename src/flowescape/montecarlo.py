@@ -2,23 +2,23 @@
 
 Simulation is fully deterministic given a seed: every draw comes from
 numpy's PCG64 stream (``default_rng(seed)``), and reruns are bit-identical
-on one numpy build. The survival sampler steps the counts of samples on the
-blocks of the tower on which ``survival_curve_flow`` steps its mass: the
-samples are independent and exchangeable, so the counts are a Markov chain
-with the law of the per-sample walk. Interior counts climb one level a
-step, and each occupied top splits its count by one multinomial draw over
-its state's links to their level-0 blocks, the deficit of its row going to
-a sink where counts stay; its numbers also depend on numpy's binomial
-algorithm, and no array grows with the number of samples. The deviation
-sampler steps each path on one kernel, ``_brancher``, in buffers allocated
-once, one row of ``samples`` uniforms per step (column i is sample i's
-stream): a path's state is its row offset (state * width) into row-major
-(state, branch) tables, and a step gathers each threshold column, adds the
-count of thresholds below the uniform to the offset and gathers the packed
-target, the next offset and the height it adds to the ceiling sum. It keeps
-one boolean row per k bucket [k_i, k_{i+1}) (the last to l_max), set where
-the sample deviated at some l in the bucket, and reads P_k off a reverse
-cumulative OR of the rows. Exact counterparts for both estimators (the
+on one numpy build. Neither sampler walks a sample: the samples are
+independent and exchangeable, so the counts of samples on the states of a
+path form a Markov chain with the law of the per-sample walk, and each
+sampler steps those counts, splitting every occupied state's count by one
+``Generator.multinomial`` call vectorized over the states. A share is the
+step of its row's cumulative weight cut at 1, the threshold a per-sample
+walk would compare a uniform with, and numpy gives what the shares leave to
+the last column, a successor or the sink, so a row summing just above 1
+never trips numpy. The survival
+sampler steps the blocks of the tower on which ``survival_curve_flow``
+steps its mass, plus a sink that holds the dead: interior counts climb one
+level a step, and each occupied top splits its count over its state's links
+and the deficit of its row. The deviation sampler steps cells (ceiling sum,
+window suffix, last k bucket in which the sample deviated), plus a sink for
+samples that deviated in the last bucket. The numbers depend on numpy's
+binomial algorithm, a step costs O(states x branches), and no array grows
+with the number of samples. Exact counterparts for both estimators (the
 survival curve and the lattice-sum DP of ``shift`` for the deviation
 probabilities) let tests hold the samplers to 3-sigma.
 """
@@ -63,57 +63,6 @@ class SimulationConfig:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         if self.confidence_z <= 0.0:
             raise ValueError(f"confidence_z must be positive, got {self.confidence_z}")
-
-
-def _uniform_rows(seed: int) -> np.random.Generator:
-    """The canonical stream, numpy's PCG64. The deviation sampler's t-th
-    ``random(samples)`` call is the row that feeds step t, and column i is
-    sample i; the survival sampler draws its multinomial splits from it."""
-    return np.random.default_rng(seed)
-
-
-def _brancher(rows, thresholds, width, samples):
-    """(start, step) of the deviation sampler on row-major (state, branch)
-    tables read at a sample's offset, state * width: ``thresholds[offset + j]``
-    is its state's cumulative threshold j < width - 1 (entry width - 1 of a
-    row is never read).
-
-    ``start(cum)`` draws the next uniform row u and returns the offsets of
-    ``np.searchsorted(cum, u, side="right")``, cum a nondecreasing
-    cumulative distribution. ``step(offsets, targets, out)`` draws the next
-    uniform row, gathers each threshold column at the offsets and compares
-    it with the uniforms, adds the count of thresholds below each uniform to
-    its offset, and gathers ``targets`` there into ``out``: entry offset + b
-    of ``targets`` is what branch b of the state leads to. Its buffers are
-    allocated here, once, so a step allocates nothing."""
-    uniforms = np.empty(samples)
-    column = np.empty(samples)
-    bits = np.empty(samples, dtype=bool)
-    # The offset plus the branch count: the index into ``targets``.
-    index = np.empty(samples, dtype=np.int64)
-    # Column j is the table from entry j on, read at the same offsets.
-    columns = [thresholds[j:] for j in range(width - 1)]
-
-    def start(cum):
-        rows.random(out=uniforms)
-        offsets = np.searchsorted(cum, uniforms, side="right")
-        offsets *= width
-        return offsets
-
-    def step(offsets, targets, out):
-        rows.random(out=uniforms)
-        # The first column adds into ``index`` from the offsets, the rest in place.
-        source = offsets
-        for col in columns:
-            # Every offset is in range by construction; mode="clip" lets take
-            # write into its out buffer without the buffered copy of mode="raise".
-            np.take(col, offsets, out=column, mode="clip")
-            np.greater(uniforms, column, out=bits)
-            np.add(source, bits, out=index)
-            source = index
-        np.take(targets, source, out=out, mode="clip")
-
-    return start, step
 
 
 # ===========================================================================
@@ -173,7 +122,7 @@ def estimate_survival(
     pvals[full, branches[full] - 1] = 0.0
 
     samples = config.samples
-    rng = _uniform_rows(config.seed)
+    rng = np.random.default_rng(config.seed)
     # The sink's entry is read as what the mass leaves: the samples already dead.
     counts = rng.multinomial(samples, np.append(mass, 0.0))
 
@@ -327,80 +276,91 @@ def estimate_deviation_prob(
     config: SimulationConfig,
     l_max: "int | None" = None,
 ) -> DeviationEstimate:
-    """Sample paths and estimate the deviation probabilities P_k.
+    """Estimate the deviation probabilities P_k by sampling.
 
-    The ceiling sum is accumulated as exact lattice integers. The deviation
-    test |lambda * S / l - mean| >= epsilon is the float expression of the
-    exact dynamic program, decided for every l and every reachable sum
-    0..l * h_max at once as intervals (``_kept_sums``), so each sample's
-    decision is one unsigned comparison and matches the exact route bit for
-    bit. The ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
+    It steps the counts of samples on cells (S_l, suffix, tag) plus a sink:
+    S_l is the ceiling sum as an exact lattice integer, the suffix the last
+    max(n - 1, 1) letters of the window, and the tag the last k bucket
+    [k_i, k_{i+1}) in which the sample deviated, or none. A cell is the flat
+    key (S * suffixes + suffix) * buckets + tag, so a sum's cells are one key
+    range. The counts start as one multinomial draw over the cylinder masses
+    of the n-words. At each l >= min k the cells outside the key range of
+    ``_kept_sums``' interval, the exact DP's test, deviate: they take l's
+    bucket as their tag, or go to the sink in the last bucket. Before the
+    next l every occupied cell splits its count in one multinomial draw over
+    its last letter's successors, a letter's share the step of the row's
+    cumulative weight cut at 1 and the last letter taking the remainder, and
+    one ``np.bincount`` merges the split counts onto their cells. P_k is the
+    fraction in the sink or tagged k's bucket or a later one. A step costs
+    O(cells x successors) and no array grows with the number of samples.
+    The ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
     """
-    ks, l_max, heights, lam, n, mean, _ = _deviation_setup(
+    ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
     )
-
-    size = shift.alphabet_size
-    # Row-major (window code, letter) tables read at offset code * size + b.
-    # A step takes a code to the code of its last n - 1 letters, times size,
-    # plus the next letter b, on the thresholds of the code's last letter: a
-    # gather, a branch count and no int64 %. A window of fewer than n letters
-    # steps the same way, so it grows to n letters. ``height`` holds each
-    # code's height at its offset.
-    codes = np.arange(size ** n)
-    targets = ((codes % size ** (n - 1) * size)[:, None] + np.arange(size)).ravel() * size
-    table = np.empty((size ** n, size))
-    table[:, :-1] = np.cumsum(shift.transitions, axis=1)[codes % size, :-1]
-    height = np.zeros(size ** n * size, dtype=np.int64)
-    for w, k in heights.items():
-        code = 0
-        for a in w:
-            code = code * size + a
-        height[code * size] = k
-    h_max = max(heights.values())
-
     samples = config.samples
-    rows = _uniform_rows(config.seed)
-    start, step = _brancher(rows, table.ravel(), size, samples)
-    offsets = start(np.cumsum(shift.stationary)[:-1])
-    for _ in range(n - 1):
-        step(offsets, targets, offsets)
+    if samples > 2**53:
+        raise ValueError(f"counts merge in float64, exact up to 2**53 samples, got {samples}")
 
-    lows, highs = _kept_sums(lam, mean, epsilon, l_max, h_max)
-    # Each sample carries gap = S_l - lows[l], its ceiling sum less the low
-    # end of l's kept interval. A step's target table packs the target's
-    # offset in the low bits and its height less the step of lows in the
-    # high bits, so one mask and one arithmetic shift unpack what moves the
-    # offset and the gap; there is one table per distinct step of lows.
-    low = int(targets.max()).bit_length()
-    packed = np.left_shift(height[targets], low) + targets
-    tables = {d: packed - (d << low) for d in set(np.diff(lows).tolist())}
-    mask = (1 << low) - 1
-    lows, highs = lows.tolist(), highs.tolist()
-    # Row i: the sample deviated at some l in [k_i, k_{i+1}), the last row to
-    # l_max, so P_k is the fraction deviating in row i or any later one.
-    flags = np.zeros((len(ks), samples), dtype=bool)
+    suffix_len = max(n - 1, 1)
+    index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
+    states = len(index)
+    buckets = len(ks)
+    # (suffix, branch) tables of a cell's split: the shares of its last
+    # letter's successors, the last one in the final column, where numpy's
+    # multinomial puts what the others leave, and the step each adds to a key.
+    width = max(len(shift.successors(a)) for a in range(shift.alphabet_size))
+    pvals = np.zeros((states, width))
+    delta = np.zeros((states, width), dtype=np.int64)
+    for w, i in index.items():
+        succ = shift.successors(w[-1])
+        cum = np.minimum(np.cumsum(shift.transitions[w[-1], list(succ)]), 1.0)
+        pvals[i, : len(succ) - 1] = np.diff(cum, prepend=0.0)[:-1]
+        for col, b in zip([*range(len(succ) - 1), -1], succ):
+            x = w + (b,)
+            delta[i, col] = (heights[x[-n:]] * states + index[x[-suffix_len:]] - i) * buckets
+
+    rng = np.random.default_rng(config.seed)
+    # Normalized, so the masses of all but the last word never pass 1.
+    start = rng.multinomial(samples, masses / masses.sum())
+    first = np.array([(k * states + index[w[-suffix_len:]]) * buckets for w, k in heights.items()])
+    merged = np.bincount(first, weights=start)
+    keys = np.flatnonzero(merged)
+    counts = merged[keys].astype(np.int64)
+
+    h_max = max(heights.values())
+    lows, highs = (bound.tolist() for bound in _kept_sums(lam, mean, epsilon, l_max, h_max))
     bucket = (np.searchsorted(ks, np.arange(1, l_max + 1), side="right") - 1).tolist()
-    gap = np.take(height, offsets) - lows[0]
-    word = np.empty(samples, dtype=np.int64)
-    bits = np.empty(samples, dtype=bool)
+    per_sum = states * buckets
+    sink = 0
     for l in range(1, l_max + 1):
         if l >= ks[0]:
-            lo, hi = lows[l - 1], highs[l - 1]
-            row = flags[bucket[l - 1]]
-            if lo > hi:
-                row[:] = True
+            # Keys are sorted, so the kept cells are one slice [lo, hi) (empty
+            # when lows[l - 1] = highs[l - 1] + 1) and the rest deviate.
+            lo, hi = np.searchsorted(keys, (lows[l - 1] * per_sum, (highs[l - 1] + 1) * per_sum))
+            tag = bucket[l - 1] + 1
+            if tag == buckets:
+                sink += int(counts[:lo].sum() + counts[hi:].sum())
+                keys, counts = keys[lo:hi], counts[lo:hi]
             else:
-                # S_l lies outside [lo, hi] iff the gap, read unsigned (a
-                # negative gap wraps past every bound), exceeds hi - lo.
-                np.greater(gap.view(np.uint64), np.uint64(hi - lo), out=bits)
-                np.logical_or(row, bits, out=row)
-        if l < l_max:
-            step(offsets, tables[lows[l] - lows[l - 1]], word)
-            np.bitwise_and(word, mask, out=offsets)
-            np.add(gap, np.right_shift(word, low, out=word), out=gap)
+                for out in (keys[:lo], keys[hi:]):
+                    out += tag - out % buckets
+        if l == l_max or not len(keys):
+            break
+        suffix = keys // buckets % states
+        split = rng.multinomial(counts, pvals[suffix])
+        moved = keys[:, None] + delta[suffix]
+        base = moved.min()
+        merged = np.bincount((moved - base).ravel(), weights=split.ravel())
+        occupied = np.flatnonzero(merged)
+        keys = occupied + base
+        counts = merged[occupied].astype(np.int64)
 
-    probabilities = np.logical_or.accumulate(flags[::-1], axis=0)[::-1].mean(axis=1)
+    # Tag t >= 1 is bucket t - 1: the samples that deviated at some l >= k_i
+    # are those tagged above i and the sink.
+    tagged = np.bincount(keys % buckets, weights=counts, minlength=buckets)
+    hits = sink + np.cumsum(tagged[::-1])[::-1].astype(np.int64)
+    probabilities = np.append(hits[1:], sink) / samples
     stderrs = np.sqrt(probabilities * (1.0 - probabilities) / samples)
     return DeviationEstimate(
         epsilon=epsilon,

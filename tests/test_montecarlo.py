@@ -203,6 +203,16 @@ def test_deviation_rejects_bad_arguments(full2, step_ceiling):
         exact_deviation_prob(full2, step_ceiling, 0.25, [10], 5)
 
 
+def test_deviation_counts_stay_exact_integers(full2, step_ceiling):
+    """The cell counts merge through float64 weights, exact up to 2**53."""
+    at_bound = SimulationConfig(seed=1, samples=2**53, t_max=1)
+    est = estimate_deviation_prob(full2, step_ceiling, 0.25, [5], at_bound, l_max=10)
+    assert 0.0 < est.probabilities[0] < 1.0
+    past = SimulationConfig(seed=1, samples=2**53 + 1, t_max=1)
+    with pytest.raises(ValueError):
+        estimate_deviation_prob(full2, step_ceiling, 0.25, [5], past, l_max=10)
+
+
 _FULL2 = build_markov_shift([[0.5, 0.5], [0.5, 0.5]])
 _BIASED2 = build_markov_shift([[0.9, 0.1], [0.2, 0.8]])
 # Every letter has one successor, with p = 1.
@@ -448,38 +458,57 @@ def _survival_reference(system, hole, config):
 
 
 def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
-    """The block-draw deviation sampler: a (steps, samples) symbol matrix, an
-    (l_max, samples) deviation matrix and a flipped or-accumulate."""
-    ks, l_max, heights, lam, n, mean, _ = _deviation_setup(
+    """The counts sampler stepped cell by cell: a dict of cells (ceiling sum,
+    suffix, tag), visited in sorted order, which is the sampler's key order.
+    One multinomial draw of the n-words from their normalized cylinder
+    masses; then, at each l, a cell whose average deviates (the float test,
+    from l = min k) takes l's k bucket as its tag, or goes to a sink in the
+    last bucket, and, before the next l, one ``rng.multinomial`` call per
+    cell over its last letter's successors, on the steps of their cumulative
+    weights cut at 1, the last successor taking what the others leave."""
+    ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
     )
-    size = shift.alphabet_size
-    kmap = np.zeros(size ** n, dtype=np.int64)
-    for w, k in heights.items():
-        code = 0
-        for a in w:
-            code = code * size + a
-        kmap[code] = k
-    steps = l_max + n - 1
-    uniforms = np.random.default_rng(config.seed).random((steps, config.samples))
-    pi_cum = np.cumsum(shift.stationary)[:-1]
-    trans_cum = np.cumsum(shift.transitions, axis=1)[:, :-1]
-    symbols = np.empty((steps, config.samples), dtype=np.int64)
-    symbols[0] = np.searchsorted(pi_cum, uniforms[0], side="right")
-    for i in range(1, steps):
-        symbols[i] = (uniforms[i][:, None] > trans_cum[symbols[i - 1]]).sum(axis=1)
-    codes = np.zeros(config.samples, dtype=np.int64)
-    for i in range(n):
-        codes = codes * size + symbols[i]
-    running = np.zeros(config.samples, dtype=np.int64)
-    deviated = np.zeros((l_max, config.samples), dtype=bool)
+    depth = max(n - 1, 1)
+    suffixes = admissible_words(shift, depth)
+    index = {w: i for i, w in enumerate(suffixes)}
+    bucket = [sum(k <= l for k in ks) - 1 for l in range(1, l_max + 1)]
+    last_bucket = len(ks) - 1
+    # Per suffix: the shares of its successors and, for each, (gain, next suffix).
+    branches = []
+    for w in suffixes:
+        succ = np.flatnonzero(shift.transitions[w[-1]]).tolist()
+        cum = np.minimum(np.cumsum(shift.transitions[w[-1], succ]), 1.0)
+        steps = [(heights[(w + (b,))[-n:]], index[(w + (b,))[-depth:]]) for b in succ]
+        branches.append((np.diff(cum, prepend=0.0), steps))
+
+    rng = np.random.default_rng(config.seed)
+    cells = {}
+    start = rng.multinomial(config.samples, masses / masses.sum())
+    for (w, h), c in zip(heights.items(), start.tolist()):
+        if c:
+            cell = (h, index[w[-depth:]], 0)
+            cells[cell] = cells.get(cell, 0) + c
+    sink = 0
     for l in range(1, l_max + 1):
-        running = running + kmap[codes]
-        deviated[l - 1] = np.abs(lam * running / l - mean) >= epsilon
-        if l < l_max:
-            codes = (codes % size ** (n - 1)) * size + symbols[l + n - 1]
-    any_from = np.flip(np.logical_or.accumulate(np.flip(deviated, axis=0), axis=0), axis=0)
-    probabilities = np.array([any_from[k - 1].mean() for k in ks])
+        moved = {}
+        for (total, s, tag), c in sorted(cells.items()):
+            if l >= ks[0] and abs(lam * total / l - mean) >= epsilon:
+                if bucket[l - 1] == last_bucket:
+                    sink += c
+                    continue
+                tag = bucket[l - 1] + 1
+            if l == l_max:
+                moved[(total, s, tag)] = moved.get((total, s, tag), 0) + c
+                continue
+            shares, steps = branches[s]
+            for (gain, nxt), got in zip(steps, rng.multinomial(c, shares).tolist()):
+                if got:
+                    cell = (total + gain, nxt, tag)
+                    moved[cell] = moved.get(cell, 0) + got
+        cells = moved
+    hits = [sink + sum(c for (_, _, tag), c in cells.items() if tag > i) for i in range(len(ks))]
+    probabilities = np.array(hits) / config.samples
     return probabilities, np.sqrt(probabilities * (1.0 - probabilities) / config.samples)
 
 
@@ -562,52 +591,40 @@ def test_survival_samples_a_row_sum_just_above_one():
     assert np.all(np.abs(est.estimates - exact)[1:] <= 5.0 * sigma[1:])
 
 
-class _GivenRows:
-    """A uniform stream whose next row is ``row``, in place of PCG64."""
-
-    def __init__(self, row):
-        self.row = row
-
-    def random(self, out):
-        out[:] = self.row
-
-
-# Cumulative distributions the start draw must read as searchsorted does:
-# ties from zero-mass entries (first, inside, and long runs inside and last),
-# entries on the edges k / (len + 1), exact and rounded, a last entry below 1
-# and one just above it.
-_START_CDFS = {
-    "ties": np.cumsum([0.0, 0.0, 0.1, 0.0, 0.0, 0.25, 0.3, 0.0, 0.2]),
-    "binary-edges": np.array([0.125, 0.25, 0.25, 0.375, 0.625, 0.75, 0.875]),
-    "decimal-edges": np.array([0.2, 0.4, 0.6, 0.8]),
-    "below-one": np.cumsum(np.concatenate([np.full(40, 0.01), np.zeros(300)])),
-    "long-tie-inside": np.concatenate(
-        [np.linspace(0.0, 0.5, 41)[1:], np.full(300, 0.5 + 1e-5), [0.75]]
-    ),
-    "above-one": np.array([0.3, 0.7, 1.0 + 2.0**-52]),
-    "one-entry": np.array([0.5]),
-    "empty": np.zeros(0),
-    "skewed": np.cumsum(np.random.default_rng(3).random(500) ** 12) / 40.0,
-}
+@pytest.mark.parametrize("name", ["step-full2", "order-2", "order-3"])
+def test_deviation_counts_follow_the_exact_dp_at_a_trillion_samples(name):
+    """The counts chain has the law of the per-sample walk: at 10^12 samples,
+    every P_k lies within 5 of its standard deviations, sqrt(P(1 - P) /
+    samples), of the exact lattice-sum DP."""
+    shift, ceiling, _ = _STREAMING_CASES[name]
+    ks = (5, 10, 20, 40)
+    config = SimulationConfig(seed=11, samples=10**12, t_max=1)
+    est = estimate_deviation_prob(shift, ceiling, 0.25, ks, config, l_max=160)
+    exact = np.array(exact_deviation_prob(shift, ceiling, 0.25, ks, 160))
+    sigma = np.sqrt(exact * (1.0 - exact) / config.samples)
+    assert np.all(sigma > 0.0)
+    assert np.all(np.abs(est.probabilities - exact) <= 5.0 * sigma)
 
 
-@pytest.mark.parametrize("name", sorted(_START_CDFS))
-def test_start_draw_equals_searchsorted(name):
-    cum = _START_CDFS[name]
-    edges = np.arange(len(cum) + 2) / (len(cum) + 1)
-    points = np.concatenate([cum, edges])
-    row = np.concatenate(
-        [
-            np.random.default_rng(11).random(20_000),
-            points,
-            np.nextafter(points, -1.0),
-            np.nextafter(points, 2.0),
-            [0.0, 1.0 - 2.0**-53],
-        ]
+def test_deviation_samples_a_row_sum_just_above_one():
+    """Letter 1's row sums to 1 + 6e-10 and its links before the last column
+    already pass 1, so numpy rejects the raw row. The sampler's shares are
+    cut at 1, its last successor taking the remainder, and the estimate
+    stays within 5 sigma of the exact DP."""
+    shift = build_markov_shift(
+        [[0.3, 0.2, 0.5 + 5e-10], [0.6, 0.4 + 5e-10, 1e-10], [0.2, 0.2, 0.6]]
     )
-    row = row[(row >= 0.0) & (row < 1.0)]
-    start, _ = montecarlo._brancher(_GivenRows(row), np.zeros(2), 3, len(row))
-    assert np.array_equal(start(cum), 3 * np.searchsorted(cum, row, side="right"))
+    assert shift.transitions[1, :-1].sum() > 1.0 + 1e-10
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).multinomial(5, shift.transitions[1])
+    ceiling = cylinder_function(1, {(0,): 1.0, (1,): 2.0, (2,): 1.0}, lattice=1.0)
+    ks = (5, 10, 20, 40)
+    config = SimulationConfig(seed=3, samples=10**6, t_max=1)
+    est = estimate_deviation_prob(shift, ceiling, 0.25, ks, config, l_max=160)
+    exact = np.array(exact_deviation_prob(shift, ceiling, 0.25, ks, 160))
+    sigma = np.sqrt(exact * (1.0 - exact) / config.samples)
+    assert np.all(sigma > 0.0)
+    assert np.all(np.abs(est.probabilities - exact) <= 5.0 * sigma)
 
 
 def _traced_peak_mb(call):
@@ -620,7 +637,8 @@ def _traced_peak_mb(call):
 
 
 def test_sampler_memory_is_linear_in_samples(full2, step_ceiling, step_system):
-    """No (steps, samples) array: a (400, 20 000) block alone is 64 MB."""
+    """Both samplers step counts, so no array grows with the samples: a
+    (400, 20 000) block of per-sample steps alone would be 64 MB."""
     deviation = SimulationConfig(seed=5, samples=20_000, t_max=1)
     peak = _traced_peak_mb(
         lambda: estimate_deviation_prob(full2, step_ceiling, 0.25, (5, 50), deviation, l_max=400)

@@ -63,6 +63,18 @@ def test_rejects_bad_row_sum():
         build_markov_shift([[0.5, 0.4], [0.5, 0.5]])
 
 
+def test_row_sums_inside_the_tolerance_build():
+    """Rows off 1 by 5e-10 on letters of mass near 1/3 leave a stationary
+    residual of 3e-10, inside the rows' own deviation; 2e-9 is past the
+    row-sum tolerance and still raises."""
+    shift = build_markov_shift([[0.3, 0.2, 0.5 + 5e-10], [0.5, 0.5 + 5e-10, 0.0], [0.2, 0.2, 0.6]])
+    residual = np.abs(shift.stationary @ shift.transitions - shift.stationary).max()
+    assert 1e-12 < residual <= 1e-12 + 5e-10
+    assert shift.stationary.sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(NotRowStochasticError):
+        build_markov_shift([[0.3, 0.2, 0.5 + 2e-9], [0.5, 0.5, 0.0], [0.2, 0.2, 0.6]])
+
+
 def test_rejects_reducible_matrix():
     with pytest.raises(NotIrreducibleError):
         build_markov_shift([[1.0, 0.0], [0.5, 0.5]])
