@@ -25,8 +25,10 @@ curve and the survival sampler step on one tower: the order-n word operator
 with the hole's edges dropped, or, for a hole longer than the order, the
 hole automaton, read k0 steps late. An orbit dies only on an edge that
 operator lacks, and no route builds the words of the hole's length. The
-radius of a cyclic component of 1-2 states is closed form; only one of 3 to
-128 states, or a larger one whose power iteration stalls, goes dense.
+radius of a cyclic component of 1-2 states is closed form, and one of 3-4
+states a guarded Newton root of its characteristic polynomial; only one of
+5 to 128 states, a 3-4 state one the guard rejects, or a larger one whose
+power iteration stalls, goes dense.
 """
 
 from __future__ import annotations
@@ -236,11 +238,108 @@ def _power_iteration_radius(links, size: int) -> "float | None":
     return None
 
 
+def _char_poly(a: list, sign: float) -> tuple:
+    """Coefficients, highest first, of det(xI - A) (``sign`` -1.0) or of
+    per(xI + A) (``sign`` 1.0) for the 3x3 or 4x4 list ``a``: five of them,
+    led by an exact 0.0 at 3 states, so that one Horner form serves both.
+
+    The coefficient of x^(d-k) is sign^k times the sum of the principal
+    k x k determinants (permanents) of A: the same products, with sign
+    taken where the determinant subtracts."""
+    if len(a) == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        m12 = a11 * a22 + sign * a12 * a21
+        pairs = a00 * a11 + sign * a01 * a10 + a00 * a22 + sign * a02 * a20 + m12
+        full = (
+            a00 * m12
+            + sign * a01 * (a10 * a22 + sign * a12 * a20)
+            + a02 * (a10 * a21 + sign * a11 * a20)
+        )
+        return 0.0, 1.0, sign * (a00 + a11 + a22), pairs, sign * full
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = a
+    # The 2 x 2 minors of rows 0-1 (u) and of rows 2-3 (v), by column pair:
+    # the 3 x 3 minors expand along a row of the other pair, and the 4 x 4
+    # one by Laplace over complementary column pairs.
+    u01, u02 = a00 * a11 + sign * a01 * a10, a00 * a12 + sign * a02 * a10
+    u03, u12 = a00 * a13 + sign * a03 * a10, a01 * a12 + sign * a02 * a11
+    u13, u23 = a01 * a13 + sign * a03 * a11, a02 * a13 + sign * a03 * a12
+    v01, v02 = a20 * a31 + sign * a21 * a30, a20 * a32 + sign * a22 * a30
+    v03, v12 = a20 * a33 + sign * a23 * a30, a21 * a32 + sign * a22 * a31
+    v13, v23 = a21 * a33 + sign * a23 * a31, a22 * a33 + sign * a23 * a32
+    pairs = (
+        u01 + v23 + a00 * a22 + sign * a02 * a20 + a00 * a33 + sign * a03 * a30
+        + a11 * a22 + sign * a12 * a21 + a11 * a33 + sign * a13 * a31
+    )
+    triples = (
+        a20 * u12 + sign * a21 * u02 + a22 * u01
+        + a30 * u13 + sign * a31 * u03 + a33 * u01
+        + a00 * v23 + sign * a02 * v03 + a03 * v02
+        + a11 * v23 + sign * a12 * v13 + a13 * v12
+    )
+    full = u01 * v23 + sign * u02 * v13 + u03 * v12 + u12 * v03 + sign * u13 * v02 + u23 * v01
+    return 1.0, sign * (a00 + a11 + a22 + a33), pairs, sign * triples, full
+
+
+# A 3-4 state Newton root stands when it stops within _NEWTON_MAX_STEPS and
+# its condition number against the rounding of the characteristic
+# polynomial is at most _NEWTON_MAX_CONDITION.
+_NEWTON_MAX_CONDITION = 16.0
+_NEWTON_MAX_STEPS = 60
+
+
+def _newton_radius(rows: list) -> "float | None":
+    """Perron root of the irreducible nonnegative 3x3 or 4x4 list ``rows``;
+    None where Newton does not settle it to a few ulp.
+
+    The matrix is scaled by a power of two so that its largest row sum, an
+    upper bound on the root (Collatz-Wielandt), lies in [0.5, 1). Newton on
+    p(x) = det(xI - A) runs down from that bound: p is increasing and convex
+    right of the root (Gauss-Lucas), so the iterates fall monotonically until
+    rounding stops them. p is evaluated from its coefficients, so its
+    rounding error is a few ulp of P(x) = per(xI + A), the same polynomial
+    with every sign +, and the root's relative error is that many ulp times
+    the condition number P(x) / (x p'(x)). The root stands where that is
+    at most 16; a near-double Perron root, a small spectral gap, fails it.
+    It does not stand where Newton takes more than 60 steps, which it does
+    only from a bound six or more orders of magnitude above the root. That cap
+    also keeps the root's x^4 far above the float range's floor, below
+    which products of entries would lose digits.
+    """
+    top = max(map(sum, rows))
+    if not 0.0 < top < math.inf:
+        return None
+    _, exponent = math.frexp(top)
+    if exponent < -1020:
+        # Subnormal rows: 2^-exponent is past the float range.
+        return None
+    scale = math.ldexp(1.0, -exponent)
+    a = [[w * scale for w in row] for row in rows]
+    b0, b1, b2, b3, b4 = _char_poly(a, -1.0)
+    x = top * scale
+    for _ in range(_NEWTON_MAX_STEPS):
+        value = (((b0 * x + b1) * x + b2) * x + b3) * x + b4
+        slope = ((4.0 * b0 * x + 3.0 * b1) * x + 2.0 * b2) * x + b3
+        if value <= 0.0 or slope <= 0.0:
+            break
+        step = x - value / slope
+        if not step < x:
+            break
+        x = step
+    else:
+        return None
+    e0, e1, e2, e3, e4 = _char_poly(a, 1.0)
+    bound = (((e0 * x + e1) * x + e2) * x + e3) * x + e4
+    if not bound <= _NEWTON_MAX_CONDITION * x * slope:
+        return None
+    return math.ldexp(x, exponent)
+
+
 def _component_radius(links, size: int) -> float:
     """Spectral radius of one irreducible nonnegative block of ``size`` states."""
-    # 1-2 states are closed form. Dense eigenvalues beat power iteration
-    # outright from 3 up to 128 states, and take over where a small spectral
-    # gap stalls it past 128.
+    # 1-2 states are closed form, and 3-4 states take guarded Newton on the
+    # characteristic polynomial. Dense eigenvalues beat power iteration
+    # outright up to 128 states, and take over where the Newton guard trips
+    # or a small spectral gap stalls the power iteration past 128.
     src, dst, p = links
     if size == 1:
         return float(p[0])
@@ -252,7 +351,13 @@ def _component_radius(links, size: int) -> float:
             entries[i][j] = w
         (a, b), (c, d) = entries
         return 0.5 * (a + d) + math.hypot(0.5 * (a - d), math.sqrt(b) * math.sqrt(c))
-    estimate = _power_iteration_radius(links, size) if size > 128 else None
+    if size <= 4:
+        entries = [[0.0] * size for _ in range(size)]
+        for i, j, w in zip(src.tolist(), dst.tolist(), p.tolist()):
+            entries[i][j] = w
+        estimate = _newton_radius(entries)
+    else:
+        estimate = _power_iteration_radius(links, size) if size > 128 else None
     if estimate is None:
         sub = np.zeros((size, size))
         sub[src, dst] = p

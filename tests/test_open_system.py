@@ -429,6 +429,91 @@ def test_two_state_components_take_no_dense_eigenvalues(monkeypatch, full2):
     assert escape_rate_zeta(system, hole) == pytest.approx(rate, rel=1e-9, abs=0.0)
 
 
+def _sparse_links(matrix, rng):
+    """(src, dst, weights) of the nonzero entries of ``matrix``, in a random order."""
+    size = len(matrix)
+    order = rng.permutation(size * size)
+    src, dst = np.divmod(order[matrix.ravel()[order] > 0.0], size)
+    return src, dst, matrix[src, dst]
+
+
+def test_three_and_four_state_radii_match_60_digit_perron_root():
+    # Irreducible draws: entries log-uniform over 1e-3..1e3, each entry off
+    # the cycle 0 -> 1 -> .. -> 0 and each diagonal zero (no link) a quarter
+    # of the time, links in a random order. Newton's root stands where its
+    # condition number is at most 16, and the bound on it was fixed at 8 eps
+    # before the test ran. Elsewhere the radius is numpy's eigvals, to the
+    # bit. Two 2-cycles, or a 2-cycle and a loop, joined by links of 1e-6
+    # have a double root to within 1e-6, so they must take that fallback.
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    rng = np.random.default_rng(27)
+    eps = float(np.finfo(float).eps)
+    tiny = 1e-6
+    draws = [
+        np.array([[0, 1, tiny, 0], [1, 0, 0, 0], [0, 0, 0, 1], [tiny, 0, 1, 0]], float),
+        np.array([[0, 1, tiny], [1, 0, 0], [tiny, 0, 1]], float),
+    ]
+    for size in (3, 4) * 300:
+        matrix = 10.0 ** rng.uniform(-3.0, 3.0, (size, size))
+        matrix[rng.random((size, size)) < 0.25] = 0.0
+        cycle = np.arange(size)
+        matrix[cycle, (cycle + 1) % size] = 10.0 ** rng.uniform(-3.0, 3.0, size)
+        draws.append(matrix)
+    assert all(open_system._newton_radius(m.tolist()) is None for m in draws[:2])
+    worst, guarded = 0.0, 0
+    for matrix in draws:
+        size = len(matrix)
+        got = open_system._component_radius(_sparse_links(matrix, rng), size)
+        dense = float(np.abs(np.linalg.eigvals(matrix)).max())
+        if open_system._newton_radius(matrix.tolist()) is None:
+            guarded += 1
+            assert got == dense, matrix
+            continue
+        # det(xI - A) by Faddeev-LeVerrier at 60 digits, from the float entries.
+        m, step, coefficients = mp.matrix(matrix.tolist()), mp.zeros(size), [mp.mpf(1)]
+        for j in range(1, size + 1):
+            step = m * (step + coefficients[-1] * mp.eye(size))
+            coefficients.append(-sum(step[i, i] for i in range(size)) / j)
+        want = mp.findroot(lambda x: mp.polyval(coefficients, x), mp.mpf(dense))
+        worst = max(worst, float(abs(mp.mpf(got) - want) / want))
+    assert guarded >= 3
+    assert worst <= 8.0 * eps
+
+
+def test_three_and_four_state_components_take_no_dense_eigenvalues(monkeypatch):
+    # Three towers of ORACLE_TOWERS whose hole automata have one cyclic
+    # component each, of 3 or 4 states: every radius of the refined root
+    # and of the pressure root is a Newton root, with no LAPACK call.
+    sizes = set()
+    for transitions, heights, hole in ORACLE_TOWERS[:3]:
+        shift = build_markov_shift(transitions)
+        ceiling = cylinder_function(
+            1, {(a,): 0.05 * k for a, k in enumerate(heights)}, lattice=0.05
+        )
+        system = build_suspension(shift, ceiling)
+        states, (src, dst, _) = shift_module._hole_automaton(shift, hole, 1)
+        comps = [len(comp) for comp in shift_module._cyclic_components(len(states), src, dst)]
+        assert set(comps) <= {3, 4}
+        sizes.update(comps)
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counted(matrix):
+            shapes.append(np.shape(matrix))
+            return eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        rate = escape_rate_flow(system, hole, "refined")
+        beta = induced_pressure_via_root(shift, ceiling, hole)
+        monkeypatch.undo()
+        assert shapes == []
+        assert beta == pytest.approx(-rate, rel=1e-14, abs=0.0)
+        assert escape_rate_flow(system, hole, "bordered") == pytest.approx(rate, rel=1e-9, abs=0.0)
+        assert escape_rate_zeta(system, hole) == pytest.approx(rate, rel=1e-9, abs=0.0)
+    assert sizes == {3, 4}
+
+
 # ---------------------------------------------------------------------------
 # Escape rates
 # ---------------------------------------------------------------------------
@@ -716,6 +801,30 @@ def test_word_operator_root_near_the_float_range():
     assert root == pytest.approx(400.0 * math.log(10.0) / 3.0, rel=1e-14)
     with pytest.raises(NoConvergenceError):
         open_system._word_operator_root((src, dst, np.full(2, 1e-300)), heights)
+
+
+@pytest.mark.parametrize("heights", [(1.0, 2.0, 2.0), (1.0, 1.0, 2.0, 2.0)])
+def test_cycle_word_operator_root_near_the_float_range(heights):
+    # A 3-cycle and a 4-cycle with heights summing to H and every entry
+    # 1e-200: the root solves e^{H s} 1e-200^d = 1. The weight e^{2 s}
+    # reaches e^700 at s = 350, where the product of four weights e^{s h}
+    # 1e-200 is past the float range unless the radius scales the block
+    # first. With entries 1e-300 the root lies past s = 350, and only
+    # NoConvergenceError may be raised: a RuntimeWarning fails the test.
+    size, total = len(heights), sum(heights)
+    src = np.arange(size)
+    dst = (src + 1) % size
+    # A cycle of weights w * (1, 2, 1/2, 1) has the root w, which Newton
+    # reaches from the row sum 2 w, also where w^d overflows or underflows.
+    for weight in (1e-100, 1e104):
+        links = (src, dst, weight * np.array([1.0, 2.0, 0.5, 1.0][:size]))
+        radius = open_system._component_radius(links, size)
+        assert radius == pytest.approx(weight, rel=4.0 * float(np.finfo(float).eps), abs=0.0)
+        assert radius == open_system._newton_radius(dense(links, size).tolist())
+    root = open_system._word_operator_root((src, dst, np.full(size, 1e-200)), np.array(heights))
+    assert root == pytest.approx(200.0 * size * math.log(10.0) / total, rel=1e-14)
+    with pytest.raises(NoConvergenceError):
+        open_system._word_operator_root((src, dst, np.full(size, 1e-300)), np.array(heights))
 
 
 # Lattice-0.05 towers, heights up to 60 (flow ceilings up to 3.0), holes of
