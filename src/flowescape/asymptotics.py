@@ -29,6 +29,7 @@ from .shift import (
     CylinderFunction,
     MarkovShift,
     Word,
+    constant_function,
     cylinder_measure,
     is_reduced,
     refine_cylinder_function,
@@ -409,8 +410,6 @@ def local_rate_sweep(
 ) -> LocalRateReport:
     """Escape rate over hole measure along the family, for the given ceiling
     and for the unit ceiling, with the respective local-rate limits."""
-    from .shift import constant_function
-
     fam_ceiling = build_family(shift, ceiling, base_word)
     fam_unit = build_family(shift, constant_function(shift, 1.0), base_word)
     rows = []

@@ -27,7 +27,7 @@ from .asymptotics import (
 )
 from .errors import DomainError
 from .montecarlo import SimulationConfig, estimate_deviation_prob, estimate_survival
-from .open_system import _open_rate
+from .open_system import _open_rate, survival_curve_flow
 from .pressure import check_pressure_equals_minus_rho
 from .shift import (
     CylinderFunction,
@@ -185,8 +185,6 @@ def _cmd_escape_rate(args) -> int:
 
 
 def _cmd_survival(args) -> int:
-    from .open_system import survival_curve_flow
-
     shift, ceiling, hole = _load(args)
     system = build_suspension(shift, ceiling)
     curve = survival_curve_flow(system, hole, args.t_max)

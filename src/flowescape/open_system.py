@@ -12,29 +12,28 @@ word extends the hole word. The open operator has two representations, and
   c_k, and a return column). Dimension n-blocks + k0 - 1, independent of m.
 
 Both have the same escape rate, and neither route builds its tall matrix.
-The refined rate collapses each word's tower: with P the hole automaton of
+This module holds the refined route, the choice between the two, block
+holes and the survival tower. ``zeta`` holds the bordered operator: the
+hole quantities, the bordered tower and the root of its determinant. The
+refined rate collapses each word's tower: with P the hole automaton of
 ``shift`` (states: the last n letters u and the Knuth-Morris-Pratt match
 j < m of the text read; an edge that completes the hole is dropped) and k_u
 the ceiling heights, the radius is e^{-s*} for the root s* of
 rho(diag(e^{s k}) P) = 1. The automaton has at most |words of length n| * m
 states, where the refined block chain has one tower per word of length
-max(m, n). The bordered radius is the reciprocal of the smallest root >= 1
-of its determinant, which ``zeta`` takes over the word operator W(z) from 64
-states and over the dense bordered matrix below that. The exact survival
-curve and the survival sampler step on one tower: the order-n word operator
-with the hole's edges dropped, or, for a hole longer than the order, the
-hole automaton, read k0 steps late. An orbit dies only on an edge that
-operator lacks, and no route builds the words of the hole's length. The
-radius of a cyclic component of 1-2 states is closed form, and one of 3-4
-states a guarded Newton root of its characteristic polynomial; only one of
-5 to 128 states, a 3-4 state one the guard rejects, or a larger one whose
-power iteration stalls, goes dense.
+max(m, n). The exact survival curve and the survival sampler step on one
+tower: the order-n word operator with the hole's edges dropped, or, for a
+hole longer than the order, the hole automaton, read k0 steps late. An orbit
+dies only on an edge that operator lacks, and no route builds the words of
+the hole's length. The radius of a cyclic component of 1-2 states is closed
+form, and one of 3-4 states a guarded Newton root of its characteristic
+polynomial; only one of 5 to 128 states, a 3-4 state one the guard rejects,
+or a larger one whose power iteration stalls, goes dense.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,158 +45,15 @@ from .errors import (
     RefinementTooLargeError,
 )
 from .shift import (
-    DEFAULT_STATE_CAP,
     Word,
-    _borders,
     _checked_hole,
     _hole_automaton,
     _cyclic_components,
     _survival_curve,
     _within_state_cap,
-    is_reduced,
 )
-from .suspension import SuspensionSystem, flow_invariant_vector
-
-
-# ===========================================================================
-# Hole quantities
-# ===========================================================================
-
-@dataclass(frozen=True)
-class HoleQuantities:
-    """Overlap data of a hole word a_1..a_m relative to the ceiling order n.
-
-    ``alpha`` is the conditional weight p(a_n,a_{n+1})..p(a_{m-1},a_m) of the
-    hole past its first n letters; ``k0`` the ceiling sum over the first m - n
-    shifts (normalized lattice); ``correlation[k-1]`` = c_k for k = 1..k0-1,
-    nonzero exactly when the word overlaps itself at a shift whose ceiling sum
-    is k, in which case ``overlap_shift[k-1]`` records that shift.
-    ``t_word`` and ``r_word`` are the first and last n letters.
-    """
-
-    word: Word
-    alpha: float
-    k0: int
-    correlation: tuple[float, ...]
-    overlap_shift: tuple["int | None", ...]
-    t_word: Word
-    r_word: Word
-
-
-def _prefix_height(system: SuspensionSystem, word: Word) -> int:
-    """k0: the ceiling sum over the first len(word) - order shifts of ``word``
-    (normalized lattice), 0 when the word is no longer than the order."""
-    n = system.order
-    return sum(system.height_of(word[j : j + n]) for j in range(len(word) - n))
-
-
-def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
-    """Compute the overlap data of a reduced hole word at least as long as the order.
-
-    Raises InadmissibleWordError, NotReducedError, or
-    HoleShorterThanCeilingOrderError when the word fails a precondition.
-    """
-    base = system.base
-    word = _checked_hole(base, hole)
-    if not is_reduced(base, word):
-        raise NotReducedError(f"hole word {word} admits no last-letter substitution")
-    n = system.order
-    m = len(word)
-    if m < n:
-        raise HoleShorterThanCeilingOrderError(
-            f"hole length {m} is below the ceiling order {n}"
-        )
-
-    k0 = _prefix_height(system, word)
-    alpha = 1.0
-    for i in range(n - 1, m - 1):
-        alpha *= float(base.transitions[word[i], word[i + 1]])
-
-    # The word overlaps itself at shift j when it has a border of length m - j.
-    border, overlaps, length = _borders(word), set(), m
-    while length := border[length]:
-        overlaps.add(m - length)
-    correlation = [0.0] * max(k0 - 1, 0)
-    overlap_shift: list["int | None"] = [None] * max(k0 - 1, 0)
-    partial_sum = 0
-    weight = 1.0
-    for j in range(1, m - n):
-        partial_sum += system.height_of(word[j - 1 : j - 1 + n])
-        weight *= float(base.transitions[word[j - 1], word[j]])
-        if partial_sum <= k0 - 1 and j in overlaps:
-            correlation[partial_sum - 1] = weight
-            overlap_shift[partial_sum - 1] = j
-
-    t_word = word[:n]
-    r_word = word[m - n :]
-    return HoleQuantities(
-        word=word,
-        alpha=alpha,
-        k0=k0,
-        correlation=tuple(correlation),
-        overlap_shift=tuple(overlap_shift),
-        t_word=t_word,
-        r_word=r_word,
-    )
-
-
-# ===========================================================================
-# Open matrix representations
-# ===========================================================================
-
-def _tower_dimension(system: SuspensionSystem, q: "HoleQuantities | None") -> int:
-    """States of the block matrix, or of the bordered open matrix of ``q``;
-    DimensionTooLargeError past ``DEFAULT_STATE_CAP``."""
-    size = len(system.block_measure)
-    dim = size if q is None else size + max(q.k0 - 1, 0)
-    if dim > DEFAULT_STATE_CAP:
-        raise DimensionTooLargeError(
-            f"{size} blocks and {dim - size} border states exceed the cap of "
-            f"{DEFAULT_STATE_CAP} for a dense matrix"
-        )
-    return dim
-
-
-def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
-    """The read-only bordered open matrix of the hole's quantities ``q``: the
-    original blocks plus k0 - 1 border states. The t-row leaks -alpha into
-    the border chain, border state k carries the correlation coefficient
-    c_k, and the last border state re-enters at the r-block. With k0 = 0
-    the matrix is the block matrix with the hole row zeroed; with k0 = 1 it
-    subtracts alpha from the (t, r) entry. Raises DimensionTooLargeError
-    past ``DEFAULT_STATE_CAP`` states, before anything is allocated."""
-    dim, size = _tower_dimension(system, q), len(system.block_measure)
-    t, r = system.block_index(q.t_word, 0), system.block_index(q.r_word, 0)
-    base_matrix = system.block_matrix
-    if q.k0 == 0:
-        matrix = base_matrix.copy()
-        matrix[t, :] = 0.0
-    elif q.k0 == 1:
-        matrix = base_matrix.copy()
-        matrix[t, r] -= q.alpha
-    else:
-        matrix = np.zeros((dim, dim))
-        matrix[:size, :size] = base_matrix
-        matrix[t, size] = -q.alpha
-        for k in range(1, q.k0):
-            matrix[size + k - 1, size] = -q.correlation[k - 1]
-        for k in range(1, q.k0 - 1):
-            matrix[size + k - 1, size + k] = 1.0
-        matrix[size + q.k0 - 2, r] = 1.0
-    matrix.setflags(write=False)
-    return matrix
-
-
-def _representation(system: SuspensionSystem, hole: Word, representation: str) -> str:
-    """``representation`` with ``auto`` resolved: refined when the admissible
-    words of length max(len(hole), order) number at most ``DEFAULT_STATE_CAP``,
-    bordered otherwise."""
-    if representation == "auto":
-        refined_order = max(len(hole), system.order)
-        return "refined" if _within_state_cap(system.base, refined_order) else "bordered"
-    if representation not in ("refined", "bordered"):
-        raise ValueError(f"unknown representation {representation!r}")
-    return representation
+from .suspension import SuspensionSystem, _prefix_height, flow_invariant_vector
+from .zeta import _bordered_root, hole_quantities
 
 
 # ===========================================================================
@@ -366,7 +222,7 @@ def _component_radius(links, size: int) -> float:
 
 
 # The word-operator root stops once its bracket is 4 ulp of s* wide or
-# |log rho| is within 4 ulp of 0.
+# |log rho| is within 4 ulp of max(1, s h_max), the rounding of s h.
 _ROOT_WIDTH = 4.0 * float(np.finfo(float).eps)
 _ROOT_MAX_STEPS = 100
 # Largest log of a row weight the root evaluates (e^709 is the float limit).
@@ -385,11 +241,13 @@ def _word_operator_root(links, heights: np.ndarray) -> float:
     Otherwise f(near) is evaluated. When rho(P) < 1, convexity keeps f above
     the chord through (0, f(0)) and (near, f(near)) past near, so the chord's
     zero is a second, usually much closer, upper end. Illinois steps
-    then shrink the bracket to about 4 ulp of s*, or stop early where |f| is
-    within 4 ulp of 0. Weights are e^{s h} unscaled, so the radii are near 1
-    close to the root. The upper end is clamped where a weight reaches e^700,
-    and NoConvergenceError is raised only when the root lies past that
-    clamp, outside the float range.
+    then shrink the bracket to about 4 ulp of s*. They stop early, as does
+    the chord's zero, where |f| is within 4 ulp of max(1, s h_max): rounding
+    s h alone moves log rho by that much, so no float comes closer to 0.
+    Weights are e^{s h} unscaled, so the radii are near 1 close to the
+    root. The upper end is clamped where a weight reaches e^700, and
+    NoConvergenceError is raised only when the root lies past that clamp,
+    outside the float range.
     """
     h = np.asarray(heights, dtype=float)
     src, dst, p = links
@@ -447,6 +305,8 @@ def _word_operator_root(links, heights: np.ndarray) -> float:
             )
         # far is a bound too, so its value there is noise as well.
         return far
+    if abs(f_far) <= _ROOT_WIDTH * max(1.0, far * h_max):
+        return far
     (lo, f_lo), (hi, f_hi) = sorted(((near, f_near), (far, f_far)))
     kept = None
     for _ in range(_ROOT_MAX_STEPS):
@@ -456,8 +316,8 @@ def _word_operator_root(links, heights: np.ndarray) -> float:
         if not lo < mid < hi:
             mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if abs(f_mid) <= _ROOT_WIDTH:
-            # log rho carries rounding noise of a few ulp, so no further
+        if abs(f_mid) <= _ROOT_WIDTH * max(1.0, mid * h_max):
+            # log rho carries the rounding noise of s h, so no further
             # step would sharpen the root.
             return mid
         # Illinois: an end kept twice running has its value halved, so the
@@ -490,18 +350,21 @@ def _open_root(system: SuspensionSystem, hole: Word) -> float:
     return _word_operator_root(links, heights)
 
 
-def _bordered_root(system: SuspensionSystem, q: HoleQuantities) -> float:
-    """Smallest root >= 1 of det(I - z M_op), M_op the bordered matrix of
-    ``q``: the bordered radius is its reciprocal."""
-    from .zeta import Polynomial, _tower_leverrier, smallest_root_geq_one
-
-    det, _ = _tower_leverrier(system, q)
-    return smallest_root_geq_one(Polynomial(tuple(det)))
-
-
 # ===========================================================================
 # Escape rates and survival curves
 # ===========================================================================
+
+def _representation(system: SuspensionSystem, hole: Word, representation: str) -> str:
+    """``representation`` with ``auto`` resolved: refined when the admissible
+    words of length max(len(hole), order) number at most ``DEFAULT_STATE_CAP``,
+    bordered otherwise."""
+    if representation == "auto":
+        refined_order = max(len(hole), system.order)
+        return "refined" if _within_state_cap(system.base, refined_order) else "bordered"
+    if representation not in ("refined", "bordered"):
+        raise ValueError(f"unknown representation {representation!r}")
+    return representation
+
 
 def _open_rate(
     system: SuspensionSystem, hole: Word, representation: str

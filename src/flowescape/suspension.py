@@ -9,7 +9,8 @@ Levels below the top step up deterministically; the top level steps through the
 base shift transition. This block chain is the tower over the word operator P
 of the order-n words: a system stores P as links and the heights, and builds
 the blocks and the dense block matrix on first read. Everything downstream
-works on it and converts rates back by 1/lambda.
+works on it and converts rates back by 1/lambda. A hole's k0, the ceiling
+sum over its first m - n shifts, is read off the heights here.
 """
 
 from __future__ import annotations
@@ -105,6 +106,13 @@ class SuspensionSystem:
         if idx is None or not 0 <= int(level) < self.heights.item(idx):
             raise KeyError(f"block ({word}, {level}) is not in this suspension")
         return self._starts.item(idx) + int(level)
+
+
+def _prefix_height(system: SuspensionSystem, word: Word) -> int:
+    """k0: the ceiling sum over the first len(word) - order shifts of ``word``
+    (normalized lattice), 0 when the word is no longer than the order."""
+    n = system.order
+    return sum(system.height_of(word[j : j + n]) for j in range(len(word) - n))
 
 
 def build_suspension(

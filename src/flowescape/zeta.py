@@ -9,6 +9,9 @@ cofactor of I - z Mbar,
     det(I - z M_op) = det(I - z Mbar) * (1 + sum_k c_k z^k)
                       + C_{t,r}(z) * alpha * z^{k0}.
 
+``hole_quantities``, the bordered matrix M_op, and the root of det(I - z
+M_op) behind the bordered ``escape_rate_flow`` all live here.
+
 Everything here is polynomial arithmetic in float64: determinants and
 cofactors come from a Faddeev-LeVerrier pass, the (1 - z) factor is removed
 by synthetic division, Taylor data at z = 1 feeds the asymptotic expansions,
@@ -44,18 +47,21 @@ import numpy as np
 from .errors import (
     DimensionTooLargeError,
     FactorizationMismatchError,
+    HoleShorterThanCeilingOrderError,
     NoSignChangeError,
+    NotReducedError,
     NoZeroAtOneError,
     PoleAtOneError,
 )
-from .open_system import (
-    HoleQuantities,
-    _bordered_matrix,
-    _tower_dimension,
-    hole_quantities,
+from .shift import (
+    DEFAULT_STATE_CAP,
+    Word,
+    _borders,
+    _checked_hole,
+    cylinder_measure,
+    is_reduced,
 )
-from .shift import Word, cylinder_measure
-from .suspension import SuspensionSystem
+from .suspension import SuspensionSystem, _prefix_height
 
 # ===========================================================================
 # Polynomials
@@ -134,6 +140,124 @@ class Polynomial:
 
 
 ONE_MINUS_Z = Polynomial((1.0, -1.0))
+
+
+# ===========================================================================
+# Hole quantities and the bordered tower
+# ===========================================================================
+
+@dataclass(frozen=True)
+class HoleQuantities:
+    """Overlap data of a hole word a_1..a_m relative to the ceiling order n.
+
+    ``alpha`` is the conditional weight p(a_n,a_{n+1})..p(a_{m-1},a_m) of the
+    hole past its first n letters; ``k0`` the ceiling sum over the first m - n
+    shifts (normalized lattice); ``correlation[k-1]`` = c_k for k = 1..k0-1,
+    nonzero exactly when the word overlaps itself at a shift whose ceiling sum
+    is k, in which case ``overlap_shift[k-1]`` records that shift.
+    ``t_word`` and ``r_word`` are the first and last n letters.
+    """
+
+    word: Word
+    alpha: float
+    k0: int
+    correlation: tuple[float, ...]
+    overlap_shift: tuple["int | None", ...]
+    t_word: Word
+    r_word: Word
+
+
+def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
+    """Compute the overlap data of a reduced hole word at least as long as the order.
+
+    Raises InadmissibleWordError, NotReducedError, or
+    HoleShorterThanCeilingOrderError when the word fails a precondition.
+    """
+    base = system.base
+    word = _checked_hole(base, hole)
+    if not is_reduced(base, word):
+        raise NotReducedError(f"hole word {word} admits no last-letter substitution")
+    n = system.order
+    m = len(word)
+    if m < n:
+        raise HoleShorterThanCeilingOrderError(
+            f"hole length {m} is below the ceiling order {n}"
+        )
+
+    k0 = _prefix_height(system, word)
+    alpha = 1.0
+    for i in range(n - 1, m - 1):
+        alpha *= float(base.transitions[word[i], word[i + 1]])
+
+    # The word overlaps itself at shift j when it has a border of length m - j.
+    border, overlaps, length = _borders(word), set(), m
+    while length := border[length]:
+        overlaps.add(m - length)
+    correlation = [0.0] * max(k0 - 1, 0)
+    overlap_shift: list["int | None"] = [None] * max(k0 - 1, 0)
+    partial_sum = 0
+    weight = 1.0
+    for j in range(1, m - n):
+        partial_sum += system.height_of(word[j - 1 : j - 1 + n])
+        weight *= float(base.transitions[word[j - 1], word[j]])
+        if partial_sum <= k0 - 1 and j in overlaps:
+            correlation[partial_sum - 1] = weight
+            overlap_shift[partial_sum - 1] = j
+
+    t_word = word[:n]
+    r_word = word[m - n :]
+    return HoleQuantities(
+        word=word,
+        alpha=alpha,
+        k0=k0,
+        correlation=tuple(correlation),
+        overlap_shift=tuple(overlap_shift),
+        t_word=t_word,
+        r_word=r_word,
+    )
+
+
+def _tower_dimension(system: SuspensionSystem, q: "HoleQuantities | None") -> int:
+    """States of the block matrix, or of the bordered open matrix of ``q``;
+    DimensionTooLargeError past ``DEFAULT_STATE_CAP``."""
+    size = len(system.block_measure)
+    dim = size if q is None else size + max(q.k0 - 1, 0)
+    if dim > DEFAULT_STATE_CAP:
+        raise DimensionTooLargeError(
+            f"{size} blocks and {dim - size} border states exceed the cap of "
+            f"{DEFAULT_STATE_CAP} for a dense matrix"
+        )
+    return dim
+
+
+def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
+    """The read-only bordered open matrix of the hole's quantities ``q``: the
+    original blocks plus k0 - 1 border states. The t-row leaks -alpha into
+    the border chain, border state k carries the correlation coefficient
+    c_k, and the last border state re-enters at the r-block. With k0 = 0
+    the matrix is the block matrix with the hole row zeroed; with k0 = 1 it
+    subtracts alpha from the (t, r) entry. Raises DimensionTooLargeError
+    past ``DEFAULT_STATE_CAP`` states, before anything is allocated."""
+    dim, size = _tower_dimension(system, q), len(system.block_measure)
+    t, r = system.block_index(q.t_word, 0), system.block_index(q.r_word, 0)
+    base_matrix = system.block_matrix
+    if q.k0 == 0:
+        matrix = base_matrix.copy()
+        matrix[t, :] = 0.0
+    elif q.k0 == 1:
+        matrix = base_matrix.copy()
+        matrix[t, r] -= q.alpha
+    else:
+        matrix = np.zeros((dim, dim))
+        matrix[:size, :size] = base_matrix
+        matrix[t, size] = -q.alpha
+        for k in range(1, q.k0):
+            matrix[size + k - 1, size] = -q.correlation[k - 1]
+        for k in range(1, q.k0 - 1):
+            matrix[size + k - 1, size + k] = 1.0
+        matrix[size + q.k0 - 2, r] = 1.0
+    matrix.setflags(write=False)
+    return matrix
 
 
 # ===========================================================================
@@ -709,6 +833,13 @@ def zeta_op_factorized(system: SuspensionSystem, hole: Word) -> ZetaBundle:
         cofactor_value=cof(1.0),
         cofactor_predicted=mu_t * deflated(1.0) / system.mass_normalized,
     )
+
+
+def _bordered_root(system: SuspensionSystem, q: HoleQuantities) -> float:
+    """Smallest root >= 1 of det(I - z M_op), M_op the bordered matrix of
+    ``q``: the bordered radius is its reciprocal."""
+    det, _ = _tower_leverrier(system, q)
+    return smallest_root_geq_one(Polynomial(tuple(det)))
 
 
 def escape_rate_zeta(system: SuspensionSystem, hole: Word) -> float:

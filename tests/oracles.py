@@ -26,7 +26,7 @@ from flowescape import (
     hole_quantities,
     refine_suspension,
 )
-from flowescape.open_system import _bordered_matrix, _component_radius
+from flowescape.open_system import _component_radius
 from flowescape.pressure import _sup_completion
 from flowescape.shift import (
     Word,
@@ -34,6 +34,7 @@ from flowescape.shift import (
     _cyclic_components,
     _lattice_operators,
 )
+from flowescape.zeta import _bordered_matrix
 
 
 def dense(links, n):

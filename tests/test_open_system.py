@@ -804,13 +804,16 @@ def test_word_operator_root_near_the_float_range():
 
 
 @pytest.mark.parametrize("heights", [(1.0, 2.0, 2.0), (1.0, 1.0, 2.0, 2.0)])
-def test_cycle_word_operator_root_near_the_float_range(heights):
+def test_cycle_word_operator_root_near_the_float_range(heights, monkeypatch):
     # A 3-cycle and a 4-cycle with heights summing to H and every entry
     # 1e-200: the root solves e^{H s} 1e-200^d = 1. The weight e^{2 s}
     # reaches e^700 at s = 350, where the product of four weights e^{s h}
     # 1e-200 is past the float range unless the radius scales the block
     # first. With entries 1e-300 the root lies past s = 350, and only
     # NoConvergenceError may be raised: a RuntimeWarning fails the test.
+    # Near s* (276 and 307), rounding s h alone moves log rho by about
+    # 1e-13, so the root stops at that noise floor within 4 radius
+    # evaluations instead of closing its bracket to 4 ulp.
     size, total = len(heights), sum(heights)
     src = np.arange(size)
     dst = (src + 1) % size
@@ -821,8 +824,17 @@ def test_cycle_word_operator_root_near_the_float_range(heights):
         radius = open_system._component_radius(links, size)
         assert radius == pytest.approx(weight, rel=4.0 * float(np.finfo(float).eps), abs=0.0)
         assert radius == open_system._newton_radius(dense(links, size).tolist())
+    calls = []
+    component_radius = open_system._component_radius
+
+    def counted(*args):
+        calls.append(args)
+        return component_radius(*args)
+
+    monkeypatch.setattr(open_system, "_component_radius", counted)
     root = open_system._word_operator_root((src, dst, np.full(size, 1e-200)), np.array(heights))
     assert root == pytest.approx(200.0 * size * math.log(10.0) / total, rel=1e-14)
+    assert len(calls) <= 4
     with pytest.raises(NoConvergenceError):
         open_system._word_operator_root((src, dst, np.full(size, 1e-300)), np.array(heights))
 

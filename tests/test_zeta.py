@@ -29,7 +29,6 @@ from flowescape import (
     taylor_at_one,
     zeta_op_factorized,
 )
-import flowescape.open_system as open_system
 import flowescape.zeta as zeta
 from flowescape.suspension import SuspensionSystem
 from flowescape.open_system import _open_rate
@@ -698,14 +697,13 @@ def test_one_leverrier_pass_per_block_matrix(monkeypatch, full2, step_ceiling, s
 def test_one_hole_quantities_call_per_factorization(monkeypatch, step_system):
     # The bordered matrix is built from the quantities already computed.
     calls = []
-    quantities = open_system.hole_quantities
+    quantities = zeta.hole_quantities
 
     def counted(*args, **kwargs):
         calls.append(args)
         return quantities(*args, **kwargs)
 
     monkeypatch.setattr(zeta, "hole_quantities", counted)
-    monkeypatch.setattr(open_system, "hole_quantities", counted)
     zeta_op_factorized(step_system, (1, 1, 1))
     assert len(calls) == 1
 
@@ -751,7 +749,6 @@ def test_bordered_dimension_375_builds_no_dense_matrix(monkeypatch):
         raise AssertionError("dense matrix built for a tower determinant")
 
     monkeypatch.setattr(SuspensionSystem, "block_matrix", property(refuse))
-    monkeypatch.setattr(open_system, "_bordered_matrix", refuse)
     monkeypatch.setattr(zeta, "_bordered_matrix", refuse)
     bundle = zeta_op_factorized(system, hole)
     assert bundle.max_deviation < 1e-9
