@@ -10,7 +10,8 @@ sums, checks a seeded Monte Carlo estimate against it, and fits the decay
 base zeta-hat, which must stay below 1. The sampler steps the counts of
 samples on cells (ceiling sum, window suffix, last k bucket in which the
 sample deviated), one multinomial split per occupied cell and step, so its
-cost does not grow with the number of samples.
+cost does not grow with the number of samples. A cell whose sum can no
+longer leave the kept band is settled and stops splitting.
 """
 
 from flowescape import (

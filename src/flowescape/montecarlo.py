@@ -16,11 +16,14 @@ steps its mass, plus a sink that holds the dead: interior counts climb one
 level a step, and each occupied top splits its count over its state's links
 and the deficit of its row. The deviation sampler steps cells (ceiling sum,
 window suffix, last k bucket in which the sample deviated), plus a sink for
-samples that deviated in the last bucket. The numbers depend on numpy's
-binomial algorithm, a step costs O(states x branches), and no array grows
-with the number of samples. Exact counterparts for both estimators (the
-survival curve and the lattice-sum DP of ``shift`` for the deviation
-probabilities) let tests hold the samplers to 3-sigma.
+samples that deviated in the last bucket; a cell whose sum no path can take
+out of the kept band before l_max is settled, and its count leaves the steps
+for its tag's total. The numbers depend on numpy's binomial algorithm, a
+step costs O(states x branches) over the occupied states (for the deviation
+sampler, the unsettled ones), and no array grows with the number of
+samples. Exact counterparts for both estimators (the survival curve and the
+lattice-sum DP of ``shift`` for the deviation probabilities) let tests hold
+the samplers to 3-sigma.
 """
 
 from __future__ import annotations
@@ -268,6 +271,30 @@ def _kept_sums(lam: float, mean: float, epsilon: float, l_max: int, h_max: int):
     return count(-epsilon, np.less_equal), count(epsilon, np.less) - 1
 
 
+def _settled_sums(lows, highs, first: int, h_min: int, h_max: int):
+    """(lo, hi), entry l - 1 for each l = 1..l_max: the ceiling sums S at l
+    from which no path deviates at any tested l' in (l, l_max], as one
+    interval [lo, hi] (lo > hi when none is settled).
+
+    After d more steps a path's sum lies in [S + d h_min, S + d h_max], and
+    the kept sums of ``_kept_sums`` (``lows``, ``highs``) form an interval, so
+    S is settled when both ends are kept at every l' > l from ``first`` on:
+    S >= lo(l') - (l' - l) h_min and S <= hi(l') - (l' - l) h_max. An l'
+    below ``first`` is not tested. Each bound is one reversed running
+    maximum or minimum over l'; at l_max nothing is left to test, so every
+    sum is settled.
+    """
+    l_max = len(lows)
+    ls = np.arange(1, l_max + 1)
+    tested = ls >= first
+    # Untested l' get the loosest value a tested one can take, so they bind nothing.
+    need_lo = np.where(tested, lows - ls * h_min, -l_max * h_min)
+    need_hi = np.where(tested, highs - ls * h_max, 0)
+    lo = np.append(np.maximum.accumulate(need_lo[:0:-1])[::-1], -l_max * h_min)
+    hi = np.append(np.minimum.accumulate(need_hi[:0:-1])[::-1], 0)
+    return lo + ls * h_min, hi + ls * h_max
+
+
 def estimate_deviation_prob(
     shift: MarkovShift,
     ceiling: CylinderFunction,
@@ -286,14 +313,20 @@ def estimate_deviation_prob(
     range. The counts start as one multinomial draw over the cylinder masses
     of the n-words. At each l >= min k the cells outside the key range of
     ``_kept_sums``' interval, the exact DP's test, deviate: they take l's
-    bucket as their tag, or go to the sink in the last bucket. Before the
-    next l every occupied cell splits its count in one multinomial draw over
-    its last letter's successors, a letter's share the step of the row's
-    cumulative weight cut at 1 and the last letter taking the remainder, and
-    one ``np.bincount`` merges the split counts onto their cells. P_k is the
-    fraction in the sink or tagged k's bucket or a later one. A step costs
-    O(cells x successors) and no array grows with the number of samples.
-    The ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
+    bucket as their tag, or go to the sink in the last bucket. Then the cells
+    whose sums ``_settled_sums`` calls settled at l, one key slice, can
+    neither deviate nor change their tag before l_max: one ``np.bincount``
+    moves their counts to per-tag totals, and they leave the steps. Before
+    the next l every remaining cell splits its count in one multinomial draw
+    over its last letter's successors, a letter's share the step of the
+    row's cumulative weight cut at 1 and the last letter taking the
+    remainder, and one ``np.bincount`` merges the split counts onto their
+    cells. The other cells split as they would without the settled ones, so
+    the law of every P_k is unchanged; the steps end at l_max, where every
+    cell is settled, or once no cell is left. P_k is the fraction in the
+    sink or tagged k's bucket or a later one. A step costs O(unsettled cells
+    x successors) and no array grows with the number of samples. The
+    ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
     """
     ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
@@ -328,11 +361,16 @@ def estimate_deviation_prob(
     keys = np.flatnonzero(merged)
     counts = merged[keys].astype(np.int64)
 
-    h_max = max(heights.values())
-    lows, highs = (bound.tolist() for bound in _kept_sums(lam, mean, epsilon, l_max, h_max))
+    h_min, h_max = min(heights.values()), max(heights.values())
+    kept = _kept_sums(lam, mean, epsilon, l_max, h_max)
+    lows, highs = (bound.tolist() for bound in kept)
     bucket = (np.searchsorted(ks, np.arange(1, l_max + 1), side="right") - 1).tolist()
     per_sum = states * buckets
+    # Each l's settled sums, as the key range of their cells.
+    settle_lo, settle_hi = _settled_sums(*kept, ks[0], h_min, h_max)
+    settle = list(zip((settle_lo * per_sum).tolist(), ((settle_hi + 1) * per_sum).tolist()))
     sink = 0
+    settled = np.zeros(buckets)
     for l in range(1, l_max + 1):
         if l >= ks[0]:
             # Keys are sorted, so the kept cells are one slice [lo, hi) (empty
@@ -345,7 +383,13 @@ def estimate_deviation_prob(
             else:
                 for out in (keys[:lo], keys[hi:]):
                     out += tag - out % buckets
-        if l == l_max or not len(keys):
+        # Settled cells keep their tag to the end: their counts leave the
+        # steps for per-tag totals. At l_max every cell is settled.
+        a, b = np.searchsorted(keys, settle[l - 1])
+        if a < b:
+            settled += np.bincount(keys[a:b] % buckets, weights=counts[a:b], minlength=buckets)
+            keys, counts = (np.concatenate((x[:a], x[b:])) for x in (keys, counts))
+        if not len(keys):
             break
         suffix = keys // buckets % states
         split = rng.multinomial(counts, pvals[suffix])
@@ -358,8 +402,7 @@ def estimate_deviation_prob(
 
     # Tag t >= 1 is bucket t - 1: the samples that deviated at some l >= k_i
     # are those tagged above i and the sink.
-    tagged = np.bincount(keys % buckets, weights=counts, minlength=buckets)
-    hits = sink + np.cumsum(tagged[::-1])[::-1].astype(np.int64)
+    hits = sink + np.cumsum(settled[::-1])[::-1].astype(np.int64)
     probabilities = np.append(hits[1:], sink) / samples
     stderrs = np.sqrt(probabilities * (1.0 - probabilities) / samples)
     return DeviationEstimate(

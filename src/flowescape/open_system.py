@@ -141,9 +141,49 @@ def _char_poly(a: list, sign: float) -> tuple:
 # polynomial is at most _NEWTON_MAX_CONDITION.
 _NEWTON_MAX_CONDITION = 16.0
 _NEWTON_MAX_STEPS = 60
+_BALANCE_MAX_SWEEPS = 64
 
 
-def _newton_radius(rows: list) -> "float | None":
+def _balanced(rows: list) -> list:
+    """D A D^-1 for the square list ``rows``, D a diagonal of powers of two
+    that brings each state's off-diagonal row and column sums within a
+    factor of 3 of each other (Osborne's iteration in radix 2, as LAPACK's
+    gebal balances). A state is scaled only where no entry under- or
+    overflows, so the scaling is exact: every product of entries along a
+    cycle, and with it the characteristic polynomial, is unchanged, while
+    the row sums fall towards the Perron root.
+    """
+    a = [list(row) for row in rows]
+    size = len(a)
+    for _ in range(_BALANCE_MAX_SWEEPS):
+        moved = False
+        for i in range(size):
+            col = sum(a[j][i] for j in range(size) if j != i)
+            row = sum(a[i][j] for j in range(size) if j != i)
+            if col == 0.0 or row == 0.0:
+                continue
+            # row / 2^k and col * 2^k meet where 4^k is about row / col.
+            k = round(0.5 * (math.log2(row) - math.log2(col)))
+            # Scaling pays only where it cuts row + col by 5%, so sweeps end.
+            if k == 0 or not math.ldexp(col, k) + math.ldexp(row, -k) < 0.95 * (col + row):
+                continue
+            others = [j for j in range(size) if j != i]
+            out = [math.ldexp(a[i][j], -k) for j in others]
+            into = [math.ldexp(a[j][i], k) for j in others]
+            # Only exact scalings: none that underflows or overflows an entry.
+            if any(math.ldexp(w, k) != a[i][j] for w, j in zip(out, others)) or any(
+                math.ldexp(w, -k) != a[j][i] for w, j in zip(into, others)
+            ):
+                continue
+            for j, w, v in zip(others, out, into):
+                a[i][j], a[j][i] = w, v
+            moved = True
+        if not moved:
+            break
+    return a
+
+
+def _newton_radius(rows: list, balance: bool = True) -> "float | None":
     """Perron root of the irreducible nonnegative 3x3 or 4x4 list ``rows``;
     None where Newton does not settle it to a few ulp.
 
@@ -156,10 +196,12 @@ def _newton_radius(rows: list) -> "float | None":
     with every sign +, and the root's relative error is that many ulp times
     the condition number P(x) / (x p'(x)). The root stands where that is
     at most 16; a near-double Perron root, a small spectral gap, fails it.
-    It does not stand where Newton takes more than 60 steps, which it does
-    only from a bound six or more orders of magnitude above the root. That cap
-    also keeps the root's x^4 far above the float range's floor, below
-    which products of entries would lose digits.
+    Newton takes more than 60 steps only from a bound six or more orders of
+    magnitude above the root, on a badly balanced block; it then starts once
+    more on the ``_balanced`` block, whose row sums lie near the root, and
+    the root does not stand where that too spends 60 steps. The cap also
+    keeps the root's x^4 far above the float range's floor, below which
+    products of entries would lose digits.
     """
     top = max(map(sum, rows))
     if not 0.0 < top < math.inf:
@@ -182,7 +224,7 @@ def _newton_radius(rows: list) -> "float | None":
             break
         x = step
     else:
-        return None
+        return _newton_radius(_balanced(rows), balance=False) if balance else None
     e0, e1, e2, e3, e4 = _char_poly(a, 1.0)
     bound = (((e0 * x + e1) * x + e2) * x + e3) * x + e4
     if not bound <= _NEWTON_MAX_CONDITION * x * slope:

@@ -23,7 +23,7 @@ from flowescape import (
     survival_curve_flow,
 )
 from flowescape import montecarlo
-from flowescape.montecarlo import _deviation_setup, _kept_sums
+from flowescape.montecarlo import _deviation_setup, _kept_sums, _settled_sums
 from flowescape.open_system import _survival_tower
 from flowescape.shift import (
     _gain_plan,
@@ -291,6 +291,98 @@ def test_kept_sums_equal_the_bisection_oracle():
             assert (lo, hi) == kept_sums(1.0, 1.5, epsilon, l, 2 * l) == (0, 2 * l)
 
 
+_LATTICE_005_CEILING = cylinder_function(1, {(0,): 0.5, (1,): 0.85}, lattice=0.05)
+
+
+@pytest.mark.parametrize(
+    "ceiling", [_STEP_CEILING, _LATTICE_005_CEILING], ids=["lattice-1", "lattice-0.05"]
+)
+@pytest.mark.parametrize("epsilon", (0.25, 0.1, 0.05, 0.001, 1e300, math.inf))
+@pytest.mark.parametrize(
+    "k_values, l_max",
+    [((5, 10), 30), ((1, 4, 9), 30), ((3, 12), 12), ((12,), 12)],
+    ids=["k5", "k1", "kmax", "only-l-max"],
+)
+def test_settled_sums_equal_the_path_enumeration(ceiling, epsilon, k_values, l_max):
+    """A sum S at l lies in [lo_l, hi_l] exactly when every path of later
+    steps, each adding one of the heights, keeps its average by the float
+    test at every tested l' in (l, l_max]. The paths' sums after d steps are
+    enumerated as a set. At epsilon 0.001 an l keeps one sum at most, so no
+    sum settles before l_max; at l_max every sum does."""
+    ks, l_max, heights, lam, _, mean, _ = _deviation_setup(
+        _FULL2, ceiling, epsilon, k_values, l_max
+    )
+    gains = sorted(set(heights.values()))
+    lows, highs = _settled_sums(
+        *_kept_sums(lam, mean, epsilon, l_max, gains[-1]), ks[0], gains[0], gains[-1]
+    )
+    reach = [np.array([0])]
+    for _ in range(l_max):
+        reach.append(np.unique(reach[-1][:, None] + np.array(gains)))
+    settled_any = False
+    for l in range(1, l_max + 1):
+        sums = np.arange(l * gains[0], l * gains[-1] + 1)
+        want = np.ones(len(sums), dtype=bool)
+        for later in range(max(l + 1, ks[0]), l_max + 1):
+            ends = sums[:, None] + reach[later - l]
+            want &= np.all(np.abs(lam * ends / later - mean) < epsilon, axis=1)
+        got = (lows[l - 1] <= sums) & (sums <= highs[l - 1])
+        assert np.array_equal(got, want), l
+        settled_any |= l < l_max and bool(want.any())
+    assert np.all(got)
+    if epsilon == 0.001:
+        assert not settled_any
+    elif epsilon >= 0.1:
+        assert settled_any
+
+
+def _counted_multinomials(monkeypatch):
+    """Patch ``np.random.default_rng`` so that every generator logs the
+    number of rows of each ``multinomial`` call; the list of those numbers."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def multinomial(self, n, pvals):
+            calls.append(np.size(n))
+            return self.rng.multinomial(n, pvals)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    return calls
+
+
+@pytest.mark.parametrize("epsilon", (math.inf, 1e300))
+def test_deviation_settles_every_cell_past_every_offset(monkeypatch, full2, step_ceiling, epsilon):
+    """No reachable average is epsilon off the mean, so every sum settles at
+    l = 1, and the start draw is the one multinomial call."""
+    lows, highs = _settled_sums(*_kept_sums(1.0, 1.5, epsilon, 40, 2), 5, 1, 2)
+    assert lows[0] <= 1 and highs[0] >= 2
+    calls = _counted_multinomials(monkeypatch)
+    config = SimulationConfig(seed=5, samples=20_000, t_max=1)
+    est = estimate_deviation_prob(full2, step_ceiling, epsilon, (5, 10), config, l_max=40)
+    assert est.probabilities.tolist() == [0.0, 0.0]
+    assert len(calls) == 1
+
+
+def test_deviation_sampler_stops_stepping_before_l_max(monkeypatch):
+    """The benchmark's shape: the full 2-shift, heights 1-2 on words of
+    order 2, epsilon 0.25, l_max 400. Every cell has settled long before
+    l_max, so the splits stop early: at this seed after 260 of the 400
+    steps."""
+    ceiling = cylinder_function(
+        2, {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 1.0, (1, 1): 2.0}, lattice=1.0
+    )
+    calls = _counted_multinomials(monkeypatch)
+    config = SimulationConfig(seed=5, samples=20_000, t_max=1)
+    est = estimate_deviation_prob(_FULL2, ceiling, 0.25, (5, 10, 20, 40), config, l_max=400)
+    assert np.all(est.probabilities > 0.0)
+    # The start draw, then one split per step from l = 1 to the last step.
+    assert 1 < len(calls) <= 300
+
+
 _GAIN_CASES = {
     "order-1": (_FULL2, _STEP_CEILING),
     "order-2": (_BIASED2, _ORDER2_CEILING),
@@ -463,9 +555,12 @@ def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
     One multinomial draw of the n-words from their normalized cylinder
     masses; then, at each l, a cell whose average deviates (the float test,
     from l = min k) takes l's k bucket as its tag, or goes to a sink in the
-    last bucket, and, before the next l, one ``rng.multinomial`` call per
-    cell over its last letter's successors, on the steps of their cumulative
-    weights cut at 1, the last successor taking what the others leave."""
+    last bucket. A cell is then settled, its count added to its tag's total,
+    when the float test keeps S + d h_min and S + d h_max at every tested
+    l + d up to l_max; at l_max every cell is. Before the next l, one
+    ``rng.multinomial`` call per unsettled cell over its last letter's
+    successors, on the steps of their cumulative weights cut at 1, the last
+    successor taking what the others leave."""
     ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
     )
@@ -474,6 +569,17 @@ def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
     index = {w: i for i, w in enumerate(suffixes)}
     bucket = [sum(k <= l for k in ks) - 1 for l in range(1, l_max + 1)]
     last_bucket = len(ks) - 1
+    h_min, h_max = min(heights.values()), max(heights.values())
+    settled_at = {}
+
+    def settled(l, total):
+        if (l, total) not in settled_at:
+            settled_at[l, total] = all(
+                abs(lam * (total + (later - l) * h) / later - mean) < epsilon
+                for later in range(max(l + 1, ks[0]), l_max + 1)
+                for h in (h_min, h_max)
+            )
+        return settled_at[l, total]
     # Per suffix: the shares of its successors and, for each, (gain, next suffix).
     branches = []
     for w in suffixes:
@@ -490,6 +596,7 @@ def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
             cell = (h, index[w[-depth:]], 0)
             cells[cell] = cells.get(cell, 0) + c
     sink = 0
+    totals = [0] * (len(ks) + 1)
     for l in range(1, l_max + 1):
         moved = {}
         for (total, s, tag), c in sorted(cells.items()):
@@ -498,8 +605,8 @@ def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
                     sink += c
                     continue
                 tag = bucket[l - 1] + 1
-            if l == l_max:
-                moved[(total, s, tag)] = moved.get((total, s, tag), 0) + c
+            if settled(l, total):
+                totals[tag] += c
                 continue
             shares, steps = branches[s]
             for (gain, nxt), got in zip(steps, rng.multinomial(c, shares).tolist()):
@@ -507,7 +614,8 @@ def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
                     cell = (total + gain, nxt, tag)
                     moved[cell] = moved.get(cell, 0) + got
         cells = moved
-    hits = [sink + sum(c for (_, _, tag), c in cells.items() if tag > i) for i in range(len(ks))]
+    assert not cells
+    hits = [sink + sum(totals[i + 1 :]) for i in range(len(ks))]
     probabilities = np.array(hits) / config.samples
     return probabilities, np.sqrt(probabilities * (1.0 - probabilities) / config.samples)
 
@@ -591,19 +699,23 @@ def test_survival_samples_a_row_sum_just_above_one():
     assert np.all(np.abs(est.estimates - exact)[1:] <= 5.0 * sigma[1:])
 
 
-@pytest.mark.parametrize("name", ["step-full2", "order-2", "order-3"])
+@pytest.mark.parametrize("name", ["step-full2", "order-2", "order-3", "lattice-0.05"])
 def test_deviation_counts_follow_the_exact_dp_at_a_trillion_samples(name):
     """The counts chain has the law of the per-sample walk: at 10^12 samples,
     every P_k lies within 5 of its standard deviations, sqrt(P(1 - P) /
-    samples), of the exact lattice-sum DP."""
+    samples), of the exact lattice-sum DP. Settled cells leave the steps
+    with their tags, and from k = 1 a cell may carry any tag. Where every
+    l = 1 average deviates, P_1 is 1 and the bound asks for exactly 1. The
+    lattice-0.05 averages lie in [0.5, 0.85], so its epsilon is 0.08."""
     shift, ceiling, _ = _STREAMING_CASES[name]
-    ks = (5, 10, 20, 40)
+    epsilon = 0.08 if name == "lattice-0.05" else 0.25
     config = SimulationConfig(seed=11, samples=10**12, t_max=1)
-    est = estimate_deviation_prob(shift, ceiling, 0.25, ks, config, l_max=160)
-    exact = np.array(exact_deviation_prob(shift, ceiling, 0.25, ks, 160))
-    sigma = np.sqrt(exact * (1.0 - exact) / config.samples)
-    assert np.all(sigma > 0.0)
-    assert np.all(np.abs(est.probabilities - exact) <= 5.0 * sigma)
+    for ks in ((5, 10, 20, 40), (1, 5, 10, 20, 40)):
+        est = estimate_deviation_prob(shift, ceiling, epsilon, ks, config, l_max=160)
+        exact = np.array(exact_deviation_prob(shift, ceiling, epsilon, ks, 160))
+        sigma = np.sqrt(exact * (1.0 - exact) / config.samples)
+        assert np.all(sigma[1:] > 0.0) and (ks[0] == 1 or sigma[0] > 0.0)
+        assert np.all(np.abs(est.probabilities - exact) <= 5.0 * sigma), ks
 
 
 def test_deviation_samples_a_row_sum_just_above_one():

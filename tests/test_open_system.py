@@ -803,6 +803,56 @@ def test_word_operator_root_near_the_float_range():
         open_system._word_operator_root((src, dst, np.full(2, 1e-300)), heights)
 
 
+def test_balanced_block_is_an_exact_power_of_two_similarity():
+    """Blocks with entries log-uniform over 1e-60..1e60: the balanced block
+    is D A D^-1 with D a diagonal of powers of two, entry for entry, and each
+    state's off-diagonal row and column sums end within a factor of 3. Newton
+    from the raw row sums spends its step cap on most of them; with the
+    balanced restart the root stands and lies within 8 ulp of the Perron root
+    at 60 digits."""
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    rng = np.random.default_rng(31)
+    eps = float(np.finfo(float).eps)
+    capped = 0
+    for size in (3, 4) * 12:
+        matrix = 10.0 ** rng.uniform(-60.0, 60.0, (size, size))
+        got = open_system._balanced(matrix.tolist())
+        shift = [0] + [int(round(math.log2(matrix[0, j] / got[0][j]))) for j in range(1, size)]
+        for i in range(size):
+            for j in range(size):
+                assert got[i][j] == math.ldexp(matrix[i, j], shift[i] - shift[j])
+            row = sum(got[i][j] for j in range(size) if j != i)
+            col = sum(got[j][i] for j in range(size) if j != i)
+            assert 1.0 / 3.0 < row / col < 3.0
+        capped += open_system._newton_radius(matrix.tolist(), balance=False) is None
+        radius = open_system._newton_radius(matrix.tolist())
+        # det(xI - A) by Faddeev-LeVerrier at 60 digits, from the float entries.
+        m, step, coefficients = mp.matrix(matrix.tolist()), mp.zeros(size), [mp.mpf(1)]
+        for k in range(1, size + 1):
+            step = m * (step + coefficients[-1] * mp.eye(size))
+            coefficients.append(-sum(step[i, i] for i in range(size)) / k)
+        roots = mp.polyroots(coefficients, maxsteps=200, extraprec=600)
+        want = max(abs(root) for root in roots)
+        assert radius is not None and abs(mp.mpf(radius) - want) <= 8.0 * eps * want
+    assert capped >= 8
+
+
+def test_balanced_block_scales_no_entry_out_of_the_float_range():
+    """State 0's row sum is 1e200 times its column sum, but scaling it by
+    2^-332 would flush its 1e-300 entry to 0: state 0 is left as it is, and
+    the block is still D A D^-1 with D a diagonal of powers of two, entry for
+    entry, with its row sums cut by balancing state 1 instead."""
+    rows = [[0.0, 1e200, 1e-300], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    got = open_system._balanced(rows)
+    assert got[0][2] == 1e-300
+    shift = [0] + [int(round(math.log2(rows[0][j] / got[0][j]))) for j in (1, 2)]
+    for i in range(3):
+        for j in range(3):
+            assert got[i][j] == math.ldexp(rows[i][j], shift[i] - shift[j])
+    assert max(map(sum, got)) < 1e-50 * max(map(sum, rows))
+
+
 @pytest.mark.parametrize("heights", [(1.0, 2.0, 2.0), (1.0, 1.0, 2.0, 2.0)])
 def test_cycle_word_operator_root_near_the_float_range(heights, monkeypatch):
     # A 3-cycle and a 4-cycle with heights summing to H and every entry
@@ -813,7 +863,13 @@ def test_cycle_word_operator_root_near_the_float_range(heights, monkeypatch):
     # NoConvergenceError may be raised: a RuntimeWarning fails the test.
     # Near s* (276 and 307), rounding s h alone moves log rho by about
     # 1e-13, so the root stops at that noise floor within 4 radius
-    # evaluations instead of closing its bracket to 4 ulp.
+    # evaluations instead of closing its bracket to 4 ulp. Entries as far
+    # apart as 1e-67 and 1e67 put the row-sum start of Newton past its step
+    # cap; it starts again on the balanced block, and eigvals never runs.
+    def no_eigvals(matrix):
+        raise AssertionError("eigvals fallback")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     size, total = len(heights), sum(heights)
     src = np.arange(size)
     dst = (src + 1) % size
