@@ -11,11 +11,21 @@ whose coefficients come out of a triangular recursion on Taylor data at z = 1.
 The first two have closed forms: s_1 = (1 - c_o)/mu(phi) and s_2 = s_1^2 times
 an overlap/cofactor bracket. Everything in this module works on the normalized
 lattice (block steps, lattice 1) and converts to flow units only where noted.
+
+Only the hole's offset k0 = o (nu - n/p) depends on nu. A family therefore
+keeps, from its construction on, every piece of the expansion and of the open
+determinant that does not: the leading Taylor terms at z = 1 of (1 - z)G and
+of den = 1 - c_o z^o, the series a of g1 = (1 - z)G/den, the two polynomials
+that get shifted by z^k0, the nu-free parts of the closed-form s_2, the
+product (1 - z)G and mu_t. Term l of ``Polynomial.taylor_at_one`` and of
+``_series_quotient`` does not depend on how many terms are asked for, so a
+slice of a longer table equals the shorter call, and a sweep over nu computes
+the same floats, in the same order, as one that rebuilds every piece.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +60,11 @@ from .zeta import (
 # Families
 # ===========================================================================
 
+#: Taylor terms at z = 1 of (1 - z)G and of den that a family keeps; an
+#: expansion of order k reads k + 1 of each, so orders below this slice them.
+_TAYLOR_TERMS = 8
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodicOrbitFamily:
     """A periodic point with the precomputed pieces of its hole family.
@@ -59,6 +74,15 @@ class PeriodicOrbitFamily:
     ``orbit_height`` o is the normalized ceiling sum over one period,
     ``orbit_weight`` c_o the one-period transition weight, and ``deflated`` /
     ``cofactor`` the cached zeta pieces G and C_{t,t} of the closed chain.
+
+    The private fields hold what every nu shares, built once from the public
+    ones (``dataclasses.replace`` builds them anew): den = 1 - c_o z^o and its
+    first ``_TAYLOR_TERMS`` Taylor terms at z = 1, the series a of (1 - z)G/den
+    to as many terms, mu_t = mu([t]), the polynomials (C den)/mu_t and
+    G c_o^{1 - n/p}/mu_w that ``expansion_coefficients`` shifts by z^k0, the
+    values G(1), G'(1), C(1), C'(1) and the two other nu-free terms of the
+    closed-form s_2, and (1 - z)G for ``family_zeta_op``. Past a polynomial's
+    degree its Taylor terms are the 0.0 that ``taylor_at_one`` returns there.
     """
 
     system: SuspensionSystem
@@ -71,6 +95,47 @@ class PeriodicOrbitFamily:
     nu_min: int
     deflated: Polynomial
     cofactor: Polynomial
+    _den: Polynomial = field(init=False, repr=False)
+    _den_series: tuple = field(init=False, repr=False)
+    _a_series: tuple = field(init=False, repr=False)
+    _mu_t: float = field(init=False, repr=False)
+    _head: Polynomial = field(init=False, repr=False)
+    _tail: Polynomial = field(init=False, repr=False)
+    _bracket: tuple = field(init=False, repr=False)
+    _closed: Polynomial = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c_o, o, g_poly, c_poly = self.orbit_weight, self.orbit_height, self.deflated, self.cofactor
+        den = Polynomial((1.0,) + (0.0,) * (o - 1) + (-c_o,))
+        # den(1) = 1 - c_o > 0 (build_family), so the quotients need no cancellation.
+        den_series = den.taylor_at_one(_TAYLOR_TERMS)
+        a_series = _series_quotient(
+            _times_one_minus_z(g_poly.taylor_at_one(_TAYLOR_TERMS - 1)),
+            den_series,
+            _TAYLOR_TERMS - 1,
+        )
+        mu_t = cylinder_measure(self.system.base, self.t_word)
+        tail_weight = c_o ** (1 - self.order_over_period)
+        mass = self.system.mass_normalized
+        bracket = (
+            g_poly.derivative()(1.0),
+            g_poly(1.0),
+            c_o * o / (1.0 - c_o),
+            c_poly.derivative()(1.0),
+            c_poly(1.0),
+            mass * tail_weight / (self.word_measure * (1.0 - c_o)),
+        )
+        for name, value in (
+            ("_den", den),
+            ("_den_series", den_series),
+            ("_a_series", a_series),
+            ("_mu_t", mu_t),
+            ("_head", (c_poly * den).scale(1.0 / mu_t)),
+            ("_tail", g_poly.scale(tail_weight / self.word_measure)),
+            ("_bracket", bracket),
+            ("_closed", ONE_MINUS_Z * g_poly),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def order_over_period(self) -> int:
@@ -165,11 +230,8 @@ def family_zeta_op(family: PeriodicOrbitFamily, nu: int) -> Polynomial:
     corr = [0.0] * (o * (s - 1) + 1)
     for k in range(s):
         corr[o * k] = family.orbit_weight ** k
-    closed = ONE_MINUS_Z * family.deflated
-    alpha = family_hole_measure(family, nu) / cylinder_measure(
-        family.system.base, family.t_word
-    )
-    return _open_determinant(closed, Polynomial(tuple(corr)), family.cofactor, alpha, o * s)
+    alpha = family_hole_measure(family, nu) / family._mu_t
+    return _open_determinant(family._closed, Polynomial(tuple(corr)), family.cofactor, alpha, o * s)
 
 
 # ===========================================================================
@@ -263,30 +325,23 @@ def expansion_coefficients(
     s_count = nu - family.order_over_period
     if s_count < 1:
         raise ValueError(f"nu = {nu} is below nu_min = {family.nu_min}")
-    o = family.orbit_height
-    c_o = family.orbit_weight
-    k0 = o * s_count
-    den = Polynomial((1.0,) + (0.0,) * (o - 1) + (-c_o,))
-    # den(1) = 1 - c_o > 0 (build_family), so the quotients need no cancellation.
-    den_series = den.taylor_at_one(order + 1)
-
-    a = _series_quotient(
-        _times_one_minus_z(family.deflated.taylor_at_one(order)), den_series, order
-    )
+    k0 = family.orbit_height * s_count
+    if order < _TAYLOR_TERMS:
+        den_series, a = family._den_series, family._a_series[: order + 1]
+    else:
+        den_series = family._den.taylor_at_one(order + 1)
+        a = _series_quotient(
+            _times_one_minus_z(family.deflated.taylor_at_one(order)), den_series, order
+        )
     if abs(a[1]) < 1e-12:
         raise DegenerateLinearTermError(f"linear coefficient {a[1]:.3e} vanishes")
 
     b_order = max(order - 1, 0)
-    mu_t = cylinder_measure(family.system.base, family.t_word)
-    head = (family.cofactor * den).scale(1.0 / mu_t).shift_power(k0)
-    tail = family.deflated.scale(
-        c_o ** (1 - family.order_over_period) / family.word_measure
-    ).shift_power(k0)
     g2_num = [
         h - t
         for h, t in zip(
-            head.taylor_at_one(b_order + 1),
-            _times_one_minus_z(tail.taylor_at_one(b_order)),
+            family._head.shift_power(k0).taylor_at_one(b_order + 1),
+            _times_one_minus_z(family._tail.shift_power(k0).taylor_at_one(b_order)),
         )
     ]
     b = _series_quotient(g2_num, den_series, b_order)
@@ -309,21 +364,12 @@ def expansion_coefficients(
 
 
 def _closed_forms(family: PeriodicOrbitFamily, k0: int) -> tuple[float, float]:
-    """Closed-form (s_1, s_2) on the normalized lattice."""
-    c_o = family.orbit_weight
-    o = family.orbit_height
-    mass = family.system.mass_normalized
-    g_poly = family.deflated
-    c_poly = family.cofactor
-    s1 = (1.0 - c_o) / mass
-    bracket = (
-        k0
-        - g_poly.derivative()(1.0) / g_poly(1.0)
-        - c_o * o / (1.0 - c_o)
-        + c_poly.derivative()(1.0) / c_poly(1.0)
-        + mass * c_o ** (1 - family.order_over_period)
-        / (family.word_measure * (1.0 - c_o))
-    )
+    """Closed-form (s_1, s_2) on the normalized lattice: s_2 = s_1^2 (k0 -
+    G'(1)/G(1) - c_o o/(1 - c_o) + C'(1)/C(1) + mass c_o^{1 - n/p}/(mu_w (1 -
+    c_o))), summed left to right."""
+    g_prime, g_one, orbit_term, c_prime, c_one, mass_term = family._bracket
+    s1 = (1.0 - family.orbit_weight) / family.system.mass_normalized
+    bracket = k0 - g_prime / g_one - orbit_term + c_prime / c_one + mass_term
     return s1, s1 * s1 * bracket
 
 

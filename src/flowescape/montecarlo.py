@@ -417,6 +417,20 @@ def estimate_deviation_prob(
     )
 
 
+def _band_plan(operators: dict, stride: int, band: int) -> tuple:
+    """T V on the first ``band`` columns of a states x ``stride`` array, as
+    flat offsets (read, write, p) in ``_gain_plan``'s (gain, link, column)
+    order: cell (src, c) adds p times (dst, c + g). A step at origin o reads
+    and writes o offsets further on."""
+    cols = np.arange(band)
+    reads, writes, weights = [], [], []
+    for g, (src, dst, p) in operators.items():
+        reads.append((dst[:, None] * stride + g + cols).ravel())
+        writes.append((src[:, None] * stride + cols).ravel())
+        weights.append(np.repeat(p, band))
+    return np.concatenate(reads), np.concatenate(writes), np.concatenate(weights)
+
+
 def exact_deviation_prob(
     shift: MarkovShift,
     ceiling: CylinderFunction,
@@ -433,13 +447,18 @@ def exact_deviation_prob(
     ``_kept_sums``, the sampler's test. Then P_k = 1 - sum(dist_k * V_k), so
     every k costs max k + l_max - min k steps in all. Both passes run in
     length order, since keep_l depends on l, and step with the sparse
-    per-gain operators A_g of ``_lattice_operators``, laid out once by
-    ``_gain_plan``: the forward step is new[:, g:] += A_g @ dist[:, :width - g],
-    and T V, new[:, :width - g] += A_g^T @ V[:, g:], is the same plan with read
-    and write swapped. Heights, lattice, mean and the start masses (the cylinder
-    measures of the words of the ceiling's order) come from
-    ``build_suspension(shift, ceiling)``, which reads every admissible word of
-    that order and raises as it does.
+    per-gain operators A_g of ``_lattice_operators``: the forward step is
+    new[:, g:] += A_g @ dist[:, :width - g] along ``_gain_plan``, and T V is
+    new[:, c] += A_g^T @ V[:, c + g]. V_l is zero outside the kept band
+    [lo_l, hi_l], so the backward step takes only the columns of a window as
+    wide as the widest band, placed at lo_l; V carries that many plus h_max
+    zero columns past the last sum, where the window's reads of c + g land.
+    Each cell still sums its links in gain, then link order, and the terms
+    the window drops or reads as padding are exact zeros, so V equals the
+    full-width step's bit for bit. Heights, lattice, mean and the start
+    masses (the cylinder measures of the words of the ceiling's order) come
+    from ``build_suspension(shift, ceiling)``, which reads every admissible
+    word of that order and raises as it does.
     """
     ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
@@ -461,18 +480,25 @@ def exact_deviation_prob(
         if l in ks:
             dists[l] = dist
 
-    # T V reads where the forward step writes and writes where it reads.
-    read, write, p = forward
-    backward = (write, read, p)
     lows, highs = (bound.tolist() for bound in _kept_sums(lam, mean, epsilon, l_max, h_max))
-    survive = np.ones_like(dist)
+    band = max(1, max(hi - lo + 1 for lo, hi in zip(lows[ks[0] - 1 :], highs[ks[0] - 1 :])))
+    stride = width + band + h_max
+    read, write, p = _band_plan(operators, stride, band)
+    # From origin lo <= width the window's last read, lo + (states - 1) * stride
+    # + band - 1 + h_max, stays inside V, and its writes past the band (the
+    # padding included) are zeroed.
+    span = (len(index) - 1) * stride + band + h_max
+    survive = np.zeros((len(index), stride))
+    survive[:, lows[-1] : highs[-1] + 1] = 1.0
     out = {}
     for l in range(l_max, ks[0] - 1, -1):
+        lo, hi = lows[l - 1], highs[l - 1]
         if l < l_max:
-            survive = _gain_step(survive, backward)
-        # Sums above l * h_max are unreachable at l, so zeroing them is harmless.
-        survive[:, : lows[l - 1]] = 0.0
-        survive[:, highs[l - 1] + 1 :] = 0.0
+            window = slice(lo, lo + span)
+            stepped = np.zeros(survive.size)
+            stepped[window] = _gain_step(survive.ravel()[window], (read, write, p))
+            survive = stepped.reshape(survive.shape)
+            survive[:, hi + 1 : lo + band] = 0.0
         if l in dists:
-            out[l] = 1.0 - float(np.sum(dists[l] * survive))
+            out[l] = 1.0 - float(np.sum(dists[l] * survive[:, :width]))
     return tuple(out[k] for k in ks)

@@ -455,7 +455,7 @@ def escape_rate_flow(
     everything escapes (radius 0). The refined route returns the word-operator
     root s*/lambda directly rather than -log(e^{-s*})/lambda, which would
     lose relative accuracy when s* is small. It needs no block matrix, nor
-    does the bordered route from 64 states. A radius that rounds to 1 gives
+    does the bordered route from 30 states. A radius that rounds to 1 gives
     +0.0. ``auto`` answers on the refined route wherever the bordered one
     rejects the hole and the hole automaton fits ``DEFAULT_STATE_CAP``; where
     it does not, ``auto`` raises RefinementTooLargeError, whose ``__cause__``

@@ -23,13 +23,13 @@ Block and bordered matrices are towers over the word operator W(z) =
 diag(z^h) P (Parry & Pollicott, Asterisque 187-188, ch. 6): det(I - z
 M_block) = det(I - W(z)), and for a hole that overlaps itself the bordered
 matrix adds one border state whose loop carries the correlation polynomial.
-From 64 states on, the determinants of a (system, hole) pair are taken over
+From 30 states on, the determinants of a (system, hole) pair are taken over
 W with polynomial entries, built from the words' P and heights with each
 word of a single successor folded into the rows that lead to it, so neither
 matrix is built and a hole that overlaps itself at many shifts, such as 0^m,
 keeps one border state for all of them. W is taken where its pass costs less
 than the dense one, and past 320 states less than the dense one at 320
-states. Below 64 states, where the dense pass is faster, it builds the
+states. Below 30 states, where the dense pass is faster, it builds the
 tower's matrix and takes one dense O(n^3) product per step; a tower past 320
 states whose W costs more raises DimensionTooLargeError before either pass
 starts.
@@ -265,16 +265,17 @@ def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
 # ===========================================================================
 
 #: Size from which tower determinants run over the word operator
-#: (``_tower_leverrier``). The two passes break even near 32 dims (3-shift
-#: [[.5,.3,.2],[.1,.6,.3],[.4,.4,.2]], heights near n/3, one OpenBLAS thread
-#: on a 2-core x86-64 Xeon: dense 1.7-2.3x faster at 16-20 dims, W 2.3x
-#: faster at 48 and 3.5-4.3x at 64). Below the cut the per-step overhead of
-#: the polynomial layers costs more than the dense products it saves: with W
-#: at every size, the ``zeta-grid`` benchmark (seed 5, two alternating 10 s
-#: pairs on the same host, one BLAS thread) ran 347-357 cases/s at a median
-#: case time of 1.89-1.96 ms, against 437-447 cases/s and 1.04-1.07 ms with
-#: this cut.
-_WORD_OPERATOR_MIN_DIMENSION = 64
+#: (``_tower_leverrier``), where its cost rule allows. Timed on two random
+#: sweeps of 268 and 258 towers of 15-63 states (2-4 letters, orders 1-2,
+#: 2-9 words, random heights, closed towers with an adjugate entry and
+#: bordered towers of holes of length 2-5; best of 7 per pass, one OpenBLAS
+#: thread on a 2-core x86-64 Xeon): the median dense/W time ratio per 4-state
+#: bin is 0.61-0.83 below 27 states, 1.01-1.05 at 27-30 and 1.12-1.30 at
+#: 31-34, and the sweeps' total time is 118.2 ms with the cut here, within
+#: 1.3% of that for every cut from 28 to 36 and 188.0 ms with the cut at 64.
+#: Below the cut the per-step overhead of the polynomial layers costs more
+#: than the dense products it saves.
+_WORD_OPERATOR_MIN_DIMENSION = 30
 
 #: Largest tower the dense pass takes. Its cost grows as n^4 and its error
 #: with n; past it, the word operator is taken only where it costs less than

@@ -10,7 +10,10 @@ a chain the library keeps as sparse links. The lattice-sum DP is here one
 slice-add per link and one step per word length, where the library groups
 links by gain and solves the truncated pressure in sum order, and the
 deviation routes' kept sums are bisected one l at a time, where the library
-solves every l at once.
+solves every l at once. The shrinking-hole expansion and open determinant are
+rebuilt from the family's public fields at every nu, where the library keeps
+the nu-free pieces on the family, and the exact deviation DP steps the full
+sum range backward, where the library steps only the kept band.
 """
 
 import bisect
@@ -23,18 +26,29 @@ from flowescape import (
     Polynomial,
     admissible_words,
     build_suspension,
+    cylinder_measure,
+    family_hole_measure,
     hole_quantities,
     refine_suspension,
 )
+from flowescape.asymptotics import _root_equation_series, _times_one_minus_z
+from flowescape.montecarlo import _deviation_setup, _kept_sums
 from flowescape.open_system import _component_radius
 from flowescape.pressure import _sup_completion
 from flowescape.shift import (
     Word,
+    _gain_plan,
+    _gain_step,
     _hole_free_words,
     _cyclic_components,
     _lattice_operators,
 )
-from flowescape.zeta import _bordered_matrix
+from flowescape.zeta import (
+    ONE_MINUS_Z,
+    _bordered_matrix,
+    _open_determinant,
+    _series_quotient,
+)
 
 
 def dense(links, n):
@@ -199,3 +213,96 @@ def kept_sums(lam, mean, epsilon, l, top):
 
     lo = bisect.bisect_right(sums, -epsilon, key=offset)
     return lo, bisect.bisect_left(sums, epsilon, lo=lo, key=offset) - 1
+
+
+def family_zeta_op(family, nu):
+    """The family's open inverse zeta at ``nu``, with (1 - z)G and mu_t
+    rebuilt from the family's public fields."""
+    s = nu - family.order_over_period
+    o = family.orbit_height
+    corr = [0.0] * (o * (s - 1) + 1)
+    for k in range(s):
+        corr[o * k] = family.orbit_weight ** k
+    closed = ONE_MINUS_Z * family.deflated
+    alpha = family_hole_measure(family, nu) / cylinder_measure(
+        family.system.base, family.t_word
+    )
+    return _open_determinant(closed, Polynomial(tuple(corr)), family.cofactor, alpha, o * s)
+
+
+def expansion_coefficients(family, nu, order):
+    """(s_normalized, closed_normalized) at ``nu``, every Taylor series,
+    quotient and closed-form term rebuilt from the family's public fields."""
+    o = family.orbit_height
+    c_o = family.orbit_weight
+    k0 = o * (nu - family.order_over_period)
+    den = Polynomial((1.0,) + (0.0,) * (o - 1) + (-c_o,))
+    den_series = den.taylor_at_one(order + 1)
+    a = _series_quotient(
+        _times_one_minus_z(family.deflated.taylor_at_one(order)), den_series, order
+    )
+    b_order = max(order - 1, 0)
+    mu_t = cylinder_measure(family.system.base, family.t_word)
+    head = (family.cofactor * den).scale(1.0 / mu_t).shift_power(k0)
+    tail = family.deflated.scale(
+        c_o ** (1 - family.order_over_period) / family.word_measure
+    ).shift_power(k0)
+    g2_num = [
+        h - t
+        for h, t in zip(
+            head.taylor_at_one(b_order + 1),
+            _times_one_minus_z(tail.taylor_at_one(b_order)),
+        )
+    ]
+    b = _series_quotient(g2_num, den_series, b_order)
+    s_values = [0.0] * order
+    for j in range(1, order + 1):
+        series = _root_equation_series(a, b, s_values, order + 1)
+        s_values[j - 1] = -series[j] / a[1]
+
+    mass = family.system.mass_normalized
+    g_poly, c_poly = family.deflated, family.cofactor
+    s1 = (1.0 - c_o) / mass
+    bracket = (
+        k0
+        - g_poly.derivative()(1.0) / g_poly(1.0)
+        - c_o * o / (1.0 - c_o)
+        + c_poly.derivative()(1.0) / c_poly(1.0)
+        + mass * c_o ** (1 - family.order_over_period)
+        / (family.word_measure * (1.0 - c_o))
+    )
+    return tuple(s_values), (s1, s1 * s1 * bracket)
+
+
+def exact_deviation_prob(shift, ceiling, epsilon, k_values, l_max):
+    """``exact_deviation_prob`` with the backward pass over every sum column,
+    0..l_max * h_max, at every l; the library steps only the kept band."""
+    ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
+        shift, ceiling, epsilon, k_values, l_max
+    )
+    suffix_len = max(n - 1, 1)
+    index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
+    operators = _lattice_operators(shift, heights, n, index)
+    h_max = max(heights.values())
+    width = l_max * h_max + 1
+    cells = [index[w[-suffix_len:]] * width + k for w, k in heights.items()]
+    dist = np.bincount(cells, weights=masses, minlength=len(index) * width)
+    dist = dist.reshape(len(index), width)
+    read, write, p = _gain_plan(operators, width)
+    dists = {}
+    for l in range(1, ks[-1] + 1):
+        if l > 1:
+            dist = _gain_step(dist, (read, write, p))
+        if l in ks:
+            dists[l] = dist
+    lows, highs = (bound.tolist() for bound in _kept_sums(lam, mean, epsilon, l_max, h_max))
+    survive = np.ones_like(dist)
+    out = {}
+    for l in range(l_max, ks[0] - 1, -1):
+        if l < l_max:
+            survive = _gain_step(survive, (write, read, p))
+        survive[:, : lows[l - 1]] = 0.0
+        survive[:, highs[l - 1] + 1 :] = 0.0
+        if l in dists:
+            out[l] = 1.0 - float(np.sum(dists[l] * survive))
+    return tuple(out[k] for k in ks)

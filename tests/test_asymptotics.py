@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from flowescape import (
     DegenerateLinearTermError,
     NotCyclicallyAdmissibleError,
@@ -13,6 +14,7 @@ from flowescape import (
     NotReducedError,
     Polynomial,
     build_family,
+    build_markov_shift,
     constant_function,
     cylinder_function,
     cylinder_measure,
@@ -26,6 +28,7 @@ from flowescape import (
     smallest_root_geq_one,
     zeta_op_factorized,
 )
+from flowescape import zeta
 from test_acceptance import FAMILY_SPECS, _ceiling, _shift
 
 
@@ -181,6 +184,74 @@ def test_expansion_degenerate_linear_term(unit_family):
     crafted = dataclasses.replace(unit_family, deflated=Polynomial((1.0, -1.0)))
     with pytest.raises(DegenerateLinearTermError):
         expansion_coefficients(crafted, 4, 2)
+
+
+# The acceptance families (the benchmark's seven shapes among them), order-2
+# ceilings at periods 1 (n/p = 2, so c_o^{1 - n/p} is not 1) and 2, one on
+# a 3-letter shift whose scale factors round, and a lattice-0.05 ceiling
+# whose G has degree 18.
+ORACLE_FAMILIES = FAMILY_SPECS + (
+    ("full2", "step1", (1,)),
+    ("biased2", "order2", (0,)),
+    ("biased2", "order2", (0, 1)),
+    ("three", "order2", (1,)),
+    ("biased2", "lattice", (0,)),
+)
+
+
+def _oracle_family(shift_name, ceiling_kind, word):
+    if shift_name == "three":
+        shift = build_markov_shift([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
+    else:
+        shift = _shift(shift_name)
+    if ceiling_kind == "lattice":
+        ceiling = cylinder_function(1, {(0,): 0.6, (1,): 0.35}, lattice=0.05)
+    else:
+        ceiling = _ceiling(shift, ceiling_kind)
+    return build_family(shift, ceiling, word)
+
+
+@pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: "-".join(map(str, spec)))
+def test_family_path_equals_per_nu_rebuild(spec):
+    # The pieces a family keeps give the floats of a per-nu rebuild, bit for
+    # bit, also past the kept Taylor terms (orders 8 and 9).
+    family = _oracle_family(*spec)
+    for nu in range(family.nu_min, 15):
+        want = oracles.family_zeta_op(family, nu)
+        assert family_zeta_op(family, nu).coefficients == want.coefficients, nu
+        for order in (1, 2, 3) + ((8, 9) if nu == family.nu_min else ()):
+            coeffs = expansion_coefficients(family, nu, order)
+            s_values, closed = oracles.expansion_coefficients(family, nu, order)
+            assert coeffs.s_normalized == s_values, (nu, order)
+            assert coeffs.closed_normalized == closed, (nu, order)
+
+
+def test_family_sweep_rebuilds_no_nu_free_piece(monkeypatch):
+    # After build_family, a sweep takes no Taylor data of G and forms no
+    # product C * den: only the z^k0 shifts and the open determinant remain.
+    family = _oracle_family("full2", "step0", (0, 1))
+    taylor_on, products = [], []
+    taylor, multiply = zeta.Polynomial.taylor_at_one, zeta.Polynomial.__mul__
+
+    def counted_taylor(poly, terms):
+        taylor_on.append(poly)
+        return taylor(poly, terms)
+
+    def counted_multiply(left, right):
+        products.append((left, right))
+        return multiply(left, right)
+
+    monkeypatch.setattr(zeta.Polynomial, "taylor_at_one", counted_taylor)
+    monkeypatch.setattr(zeta.Polynomial, "__mul__", counted_multiply)
+    rows = verify_expansion(family, range(family.nu_min, family.nu_min + 7), 2)
+    assert len(rows) == 7
+    assert taylor_on and all(poly is not family.deflated for poly in taylor_on)
+    den = Polynomial((1.0,) + (0.0,) * (family.orbit_height - 1) + (-family.orbit_weight,))
+    assert not any(
+        left is family.cofactor or left.coefficients == den.coefficients
+        or right.coefficients == den.coefficients
+        for left, right in products
+    )
 
 
 # ---------------------------------------------------------------------------

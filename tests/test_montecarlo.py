@@ -32,6 +32,7 @@ from flowescape.shift import (
     _survival_curve,
     cylinder_measure,
 )
+import oracles
 from oracles import dense, kept_sums, lattice_links, lattice_step
 
 
@@ -474,6 +475,20 @@ def test_exact_deviation_matches_per_k_dp(name, k_values, l_max):
     assert len(got) == len(set(k_values))
     assert got == pytest.approx(want, abs=1e-13, rel=0)
     assert any(0.0 < p < 1.0 for p in want)
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_CASES))
+@pytest.mark.parametrize(
+    "k_values, l_max", [((5, 10, 20, 40), 160), ([12, 3, 12, 1, 7], 30), ((1, 2), 2)]
+)
+def test_band_backward_pass_equals_the_full_width_pass(name, k_values, l_max):
+    # The band step drops and pads only exact zeros, so every P_k is the
+    # full-width pass's float, also for a narrow band, every sum kept
+    # (epsilon 1e300) and every sum deviating from some l on (epsilon 1e-3).
+    shift, ceiling, epsilon = _EXACT_CASES[name]
+    for eps in (epsilon, 0.05, 0.5, 1e300, 1e-3):
+        got = exact_deviation_prob(shift, ceiling, eps, k_values, l_max)
+        assert got == oracles.exact_deviation_prob(shift, ceiling, eps, k_values, l_max), eps
 
 
 def test_exact_deviation_is_one_forward_and_one_backward_pass(monkeypatch, full2, step_ceiling):

@@ -155,8 +155,9 @@ def test_cofactor_matches_adjugate_identity():
 
 @pytest.fixture(scope="module")
 def word_operator_cases(full2, golden_mean):
-    """Towers of at least 64 states, where the determinants run over the word
-    operator: (system, hole or None, adjugate entry as (row, col) words)."""
+    """Towers of at least ``_WORD_OPERATOR_MIN_DIMENSION`` states, where the
+    determinants run over the word operator: (system, hole or None,
+    adjugate entry as (row, col) words)."""
     # Heights 32 and 64: a 96-block tower whose top rows have two successors.
     lattice = build_suspension(full2, cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1 / 32))
     q = hole_quantities(lattice, (1, 1, 1))
@@ -185,7 +186,20 @@ def word_operator_cases(full2, golden_mean):
     for hole, size, dim in (((0, 0, 1, 0, 0, 0, 1), 169, 3), ((1, 0, 0, 0, 1), 128, 2)):
         q = hole_quantities(folded, hole)
         assert q.r_word == (0, 1) and zeta._word_layers(folded, q, size, (0, 2))[0] == dim
+    # Closed towers of 40 and 58 states on lattice 0.05, between the cut and
+    # 64 states, as the lattice pairs of the zeta-grid benchmark have them.
+    three = build_suspension(
+        build_markov_shift([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]]),
+        cylinder_function(1, {(0,): 0.6, (1,): 0.75, (2,): 0.65}, lattice=0.05),
+    )
+    two = build_suspension(
+        build_markov_shift([[0.7, 0.3], [0.45, 0.55]]),
+        cylinder_function(1, {(0,): 1.0, (1,): 1.9}, lattice=0.05),
+    )
+    assert len(three.block_measure) == 40 and len(two.block_measure) == 58
     return {
+        "40-state closed tower": (three, None, (2, 0)),
+        "58-state closed tower": (two, None, (0, 1)),
         "tower diagonal entry": (lattice, None, (1, 1)),
         "tower off-diagonal entry": (lattice, None, (1, 0)),
         "bordered self-overlapping hole": (lattice, (1, 1, 1), (1, 1)),
@@ -201,6 +215,8 @@ def word_operator_cases(full2, golden_mean):
 
 
 WORD_OPERATOR_CASES = [
+    "40-state closed tower",
+    "58-state closed tower",
     "tower diagonal entry",
     "tower off-diagonal entry",
     "bordered self-overlapping hole",
