@@ -17,20 +17,35 @@ keeps, from its construction on, every piece of the expansion and of the open
 determinant that does not: the leading Taylor terms at z = 1 of (1 - z)G and
 of den = 1 - c_o z^o, the series a of g1 = (1 - z)G/den, the two polynomials
 that get shifted by z^k0, the nu-free parts of the closed-form s_2, the
-product (1 - z)G and mu_t. Term l of ``Polynomial.taylor_at_one`` and of
-``_series_quotient`` does not depend on how many terms are asked for, so a
-slice of a longer table equals the shorter call, and a sweep over nu computes
-the same floats, in the same order, as one that rebuilds every piece.
+product (1 - z)G, mu_t and the letter weights of one period. Term l of
+``Polynomial.taylor_at_one`` and of ``_series_quotient`` does not depend on
+how many terms are asked for, so a slice of a longer table equals the shorter
+call, and a sweep over nu computes the same floats, in the same order, as one
+that rebuilds every piece.
+
+Every sum of Taylor and series terms here is a builtin ``sum`` over the
+terms of the rebuilt pieces in their order: in ``taylor_at_one``,
+``_shifted_taylor`` (the Taylor terms of z^k0 f without the k0 zero
+coefficients, whose products are exact zeros ahead of the others) and
+``_series_quotient``. From Python 3.12 on the builtin ``sum`` of floats is
+compensated (Neumaier) and before it adds one term at a time, so the two
+versions can differ in the last bits; a sum written as a loop of additions,
+or as ``math.fsum``, would match the rebuilt pieces on one of them only.
+These sums must stay builtin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, cycle, islice
+import math
+from operator import mul
 
 import numpy as np
 
 from .errors import (
     DegenerateLinearTermError,
+    InadmissibleWordError,
     NotCyclicallyAdmissibleError,
     NotPrimePeriodError,
     NotReducedError,
@@ -49,7 +64,6 @@ from .zeta import (
     ONE_MINUS_Z,
     Polynomial,
     _closed_and_cofactor,
-    _open_determinant,
     _series_quotient,
     deflate_at_one,
     smallest_root_geq_one,
@@ -81,8 +95,11 @@ class PeriodicOrbitFamily:
     to as many terms, mu_t = mu([t]), the polynomials (C den)/mu_t and
     G c_o^{1 - n/p}/mu_w that ``expansion_coefficients`` shifts by z^k0, the
     values G(1), G'(1), C(1), C'(1) and the two other nu-free terms of the
-    closed-form s_2, and (1 - z)G for ``family_zeta_op``. Past a polynomial's
-    degree its Taylor terms are the 0.0 that ``taylor_at_one`` returns there.
+    closed-form s_2, (1 - z)G for ``family_zeta_op``, and the stationary
+    weight of the base word's first letter and the transition weights of one
+    period, from which ``family_hole_measure`` multiplies every mu_nu. Past a
+    polynomial's degree its Taylor terms are the 0.0 that ``taylor_at_one``
+    returns there.
     """
 
     system: SuspensionSystem
@@ -103,9 +120,12 @@ class PeriodicOrbitFamily:
     _tail: Polynomial = field(init=False, repr=False)
     _bracket: tuple = field(init=False, repr=False)
     _closed: Polynomial = field(init=False, repr=False)
+    _first_weight: float = field(init=False, repr=False)
+    _period_weights: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         c_o, o, g_poly, c_poly = self.orbit_weight, self.orbit_height, self.deflated, self.cofactor
+        base, word = self.system.base, self.base_word
         den = Polynomial((1.0,) + (0.0,) * (o - 1) + (-c_o,))
         # den(1) = 1 - c_o > 0 (build_family), so the quotients need no cancellation.
         den_series = den.taylor_at_one(_TAYLOR_TERMS)
@@ -114,7 +134,7 @@ class PeriodicOrbitFamily:
             den_series,
             _TAYLOR_TERMS - 1,
         )
-        mu_t = cylinder_measure(self.system.base, self.t_word)
+        mu_t = cylinder_measure(base, self.t_word)
         tail_weight = c_o ** (1 - self.order_over_period)
         mass = self.system.mass_normalized
         bracket = (
@@ -134,6 +154,11 @@ class PeriodicOrbitFamily:
             ("_tail", g_poly.scale(tail_weight / self.word_measure)),
             ("_bracket", bracket),
             ("_closed", ONE_MINUS_Z * g_poly),
+            ("_first_weight", float(base.stationary[word[0]])),
+            (
+                "_period_weights",
+                tuple(float(base.transitions[a, b]) for a, b in zip(word, word[1:] + word[:1])),
+            ),
         ):
             object.__setattr__(self, name, value)
 
@@ -210,8 +235,19 @@ def family_hole_word(family: PeriodicOrbitFamily, nu: int) -> Word:
 
 
 def family_hole_measure(family: PeriodicOrbitFamily, nu: int) -> float:
-    """mu_nu = mu([A_nu]) = (mu_w / c_o) * c_o^nu."""
-    return cylinder_measure(family.system.base, family_hole_word(family, nu))
+    """mu_nu = mu([A_nu]) = (mu_w / c_o) * c_o^nu.
+
+    The floats of ``cylinder_measure`` on A_nu: the stationary weight of its
+    first letter times its transition weights, multiplied in from the left,
+    read off the family's weights of one period.
+    """
+    word = family_hole_word(family, nu)
+    measure = family._first_weight
+    for weight in islice(cycle(family._period_weights), len(word) - 1):
+        measure *= weight
+    if measure <= 0.0:
+        raise InadmissibleWordError(f"word {word} contains a forbidden transition")
+    return measure
 
 
 def family_zeta_op(family: PeriodicOrbitFamily, nu: int) -> Polynomial:
@@ -221,17 +257,42 @@ def family_zeta_op(family: PeriodicOrbitFamily, nu: int) -> Polynomial:
     sum_{k<s} (c_o z^o)^k, where s = nu - n/p, instead of rebuilding matrices
     of dimension growing with nu.
     """
+    repeats = _repeats(family, nu)
+    return _family_open_inverse(family, repeats, family_hole_measure(family, nu))
+
+
+def _repeats(family: PeriodicOrbitFamily, nu: int) -> int:
+    """s = nu - n/p, the terms of the hole's correlation polynomial;
+    ValueError below nu_min."""
     s = nu - family.order_over_period
     if s < 1:
         raise ValueError(
             f"nu = {nu} is below nu_min = {family.nu_min}; the hole is shorter than the order"
         )
-    o = family.orbit_height
-    corr = [0.0] * (o * (s - 1) + 1)
-    for k in range(s):
-        corr[o * k] = family.orbit_weight ** k
-    alpha = family_hole_measure(family, nu) / family._mu_t
-    return _open_determinant(family._closed, Polynomial(tuple(corr)), family.cofactor, alpha, o * s)
+    return s
+
+
+def _family_open_inverse(family: PeriodicOrbitFamily, s: int, mu_nu: float) -> Polynomial:
+    """``family_zeta_op`` at s = nu - n/p, with mu_nu given.
+
+    The floats of ``_open_determinant`` on the dense correlation polynomial:
+    its c_o^k sit at the multiples o k, and the products with its zeros add
+    nothing to a coefficient that starts at +0.0. Taking k from high to low
+    adds each coefficient's products of (1 - z)G in ascending order, as the
+    polynomial product does, and the cofactor term comes last.
+    """
+    o, c_o = family.orbit_height, family.orbit_weight
+    closed, cofactor = family._closed.coefficients, family.cofactor.coefficients
+    k0 = o * s
+    out = [0.0] * max(len(closed) + o * (s - 1), k0 + len(cofactor))
+    for k in range(s - 1, -1, -1):
+        weight = c_o ** k
+        for i, c in enumerate(closed, o * k):
+            out[i] += c * weight
+    alpha = mu_nu / family._mu_t
+    for i, c in enumerate(cofactor, k0):
+        out[i] += alpha * c
+    return Polynomial._trimmed(tuple(out))
 
 
 # ===========================================================================
@@ -280,24 +341,52 @@ def _truncated_product(a: list[float], b: list[float], terms: int) -> list[float
     return out
 
 
-def _root_equation_series(
-    a: tuple[float, ...], b: tuple[float, ...], s: list[float], terms: int
-) -> list[float]:
-    """Coefficients in mu of sum_l a_l delta^l + mu sum_l b_l delta^l,
-    truncated past mu^(terms-1), where delta(mu) = sum_i s_i mu^i."""
+def _root_equation_coefficient(
+    a: tuple[float, ...], b: tuple[float, ...], s: list[float], j: int
+) -> float:
+    """Coefficient of mu^j in sum_l a_l delta^l + mu sum_l b_l delta^l, where
+    delta(mu) = sum_i s_i mu^i (j >= 1).
+
+    The powers delta^l are truncated past mu^j, and the terms are added in
+    ascending l, a_l delta^l before mu b_l delta^l. A term of delta^l with
+    l > j has no mu^j part: its products there are exact zeros, which leave
+    a sum that starts at +0.0 unchanged, so the series to any more terms has
+    this coefficient too.
+    """
     delta = [0.0] + s
-    delta += [0.0] * (terms - len(delta))
-    out = [0.0] * terms
-    power = [1.0] + [0.0] * (terms - 1)  # delta^l, starting at l = 0
-    for l in range(terms):
+    delta += [0.0] * (j + 1 - len(delta))
+    value = 0.0
+    power = [1.0] + [0.0] * j  # delta^l, starting at l = 0
+    for l in range(j + 1):
+        if l:
+            power = _truncated_product(power, delta, j + 1)
         if 1 <= l < len(a):
-            for i in range(terms):
-                out[i] += a[l] * power[i]
+            value += a[l] * power[j]
         if l < len(b):
-            for i in range(terms - 1):
-                out[i + 1] += b[l] * power[i]
-        power = _truncated_product(power, delta, terms)
-    return out
+            value += b[l] * power[j - 1]
+    return value
+
+
+def _shifted_taylor(coeffs: tuple[float, ...], k0: int, terms: int) -> tuple[float, ...]:
+    """``Polynomial(coeffs).shift_power(k0).taylor_at_one(terms)`` without
+    building the k0 leading zeros.
+
+    Term l is sum_j coeffs[j] comb(k0 + j, l) over j >= l - k0: the builtin
+    ``sum`` that ``taylor_at_one`` takes on the shifted polynomial, in its
+    order, less the products of the k0 zeros. Those are exact zeros at the
+    front of that sum, and a sum, plain or compensated, that starts with
+    zeros reaches its first other term in the same state as one that starts
+    there. The binomials comb(k0 + j, l) are the running sums of
+    comb(k0 + j, l - 1) from comb(k0, l) on.
+    """
+    row = [1] * len(coeffs)
+    out = []
+    for l in range(terms):
+        if l:
+            row = list(accumulate(row[:-1], initial=math.comb(k0, l)))
+        skip = max(l - k0, 0)
+        out.append(float(sum(map(mul, coeffs[skip:], row[skip:]))))
+    return tuple(out)
 
 
 def _times_one_minus_z(series: tuple[float, ...]) -> tuple[float, ...]:
@@ -336,12 +425,12 @@ def expansion_coefficients(
     if abs(a[1]) < 1e-12:
         raise DegenerateLinearTermError(f"linear coefficient {a[1]:.3e} vanishes")
 
-    b_order = max(order - 1, 0)
+    b_order = order - 1
     g2_num = [
         h - t
         for h, t in zip(
-            family._head.shift_power(k0).taylor_at_one(b_order + 1),
-            _times_one_minus_z(family._tail.shift_power(k0).taylor_at_one(b_order)),
+            _shifted_taylor(family._head.coefficients, k0, b_order + 1),
+            _times_one_minus_z(_shifted_taylor(family._tail.coefficients, k0, b_order)),
         )
     ]
     b = _series_quotient(g2_num, den_series, b_order)
@@ -349,8 +438,7 @@ def expansion_coefficients(
     s_values = [0.0] * order
     for j in range(1, order + 1):
         # With s_j still zero the mu^j coefficient misses exactly a_1 * s_j.
-        series = _root_equation_series(a, b, s_values, order + 1)
-        s_values[j - 1] = -series[j] / a[1]
+        s_values[j - 1] = -_root_equation_coefficient(a, b, s_values, j) / a[1]
 
     s_normalized = tuple(s_values)
     closed = _closed_forms(family, k0)
@@ -400,10 +488,9 @@ def verify_expansion(
     """
     rows = []
     for nu in nus:
-        coeffs = expansion_coefficients(family, nu, max(order, 2))
-        s_norm = coeffs.s_normalized
+        s_norm = expansion_coefficients(family, nu, max(order, 2)).s_normalized
         mu_nu = family_hole_measure(family, nu)
-        root = smallest_root_geq_one(family_zeta_op(family, nu))
+        root = smallest_root_geq_one(_family_open_inverse(family, _repeats(family, nu), mu_nu))
         partial = 1.0 + sum(s_norm[i] * mu_nu ** (i + 1) for i in range(order))
         rows.append(
             AsymptoticsRow(
@@ -441,10 +528,10 @@ class LocalRateReport:
     limit_unit: float
 
 
-def _family_rate(family: PeriodicOrbitFamily, nu: int) -> float:
-    """Escape rate of the hole A_nu in flow units, via the family zeta root."""
-    poly = family_zeta_op(family, nu)
-    root = smallest_root_geq_one(poly)
+def _family_rate(family: PeriodicOrbitFamily, nu: int, mu_nu: float) -> float:
+    """Escape rate of the hole A_nu of measure ``mu_nu`` in flow units, via
+    the family zeta root."""
+    root = smallest_root_geq_one(_family_open_inverse(family, _repeats(family, nu), mu_nu))
     return float(np.log(root)) / family.system.lattice_scale
 
 
@@ -460,13 +547,14 @@ def local_rate_sweep(
     fam_unit = build_family(shift, constant_function(shift, 1.0), base_word)
     rows = []
     for nu in nus:
+        # Both families sit on the same shift and word, so mu_nu is theirs.
         mu_nu = family_hole_measure(fam_ceiling, nu)
         rows.append(
             LocalRateRow(
                 nu=nu,
                 mu_nu=mu_nu,
-                ratio_ceiling=_family_rate(fam_ceiling, nu) / mu_nu,
-                ratio_unit=_family_rate(fam_unit, nu) / mu_nu,
+                ratio_ceiling=_family_rate(fam_ceiling, nu, mu_nu) / mu_nu,
+                ratio_unit=_family_rate(fam_unit, nu, mu_nu) / mu_nu,
             )
         )
     return LocalRateReport(
@@ -501,7 +589,7 @@ def second_order_check(
     rows = []
     for nu in nus:
         mu_nu = family_hole_measure(family, nu)
-        rate = _family_rate(family, nu)
+        rate = _family_rate(family, nu, mu_nu)
         rows.append(
             SecondOrderRow(nu=nu, ratio=(rate - s1_ext * mu_nu) / (nu * mu_nu ** 2))
         )

@@ -38,9 +38,9 @@ starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat
 import math
-from operator import mul
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -67,18 +67,36 @@ from .suspension import SuspensionSystem, _prefix_height
 # Polynomials
 # ===========================================================================
 
+def _trim(coeffs: tuple) -> tuple:
+    """``coeffs`` without trailing zeros, or (0.0,) when nothing is left."""
+    end = len(coeffs)
+    while end > 1 and coeffs[end - 1] == 0.0:
+        end -= 1
+    return coeffs[:end] if end else (0.0,)
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial with ascending coefficients, trailing zeros trimmed."""
+    """Real polynomial with ascending coefficients, trailing zeros trimmed.
+
+    Every coefficient is a Python float: the constructor converts each one
+    with ``float``, so no numpy scalar reaches the arithmetic or the CLI's
+    JSON. Arithmetic results, whose tuples are float already, come from the
+    private ``Polynomial._trimmed``, which only trims.
+    """
 
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(map(float, self.coefficients))
-        end = len(coeffs)
-        while end > 1 and coeffs[end - 1] == 0.0:
-            end -= 1
-        object.__setattr__(self, "coefficients", coeffs[:end] if end else (0.0,))
+        object.__setattr__(self, "coefficients", _trim(tuple(map(float, self.coefficients))))
+
+    @classmethod
+    def _trimmed(cls, coeffs: tuple) -> "Polynomial":
+        """The polynomial of a tuple of Python floats, trimmed as the
+        constructor trims, without its conversion."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coefficients", _trim(coeffs))
+        return poly
 
     @property
     def degree(self) -> int:
@@ -91,15 +109,16 @@ class Polynomial:
         return acc
 
     def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i > 0))
+        coeffs = self.coefficients
+        if len(coeffs) == 1:
+            return Polynomial._trimmed((0.0,))
+        return Polynomial._trimmed(tuple(map(mul, range(1, len(coeffs)), coeffs[1:])))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):
             a, b = b, a
-        return Polynomial(tuple(x + (b[i] if i < len(b) else 0.0) for i, x in enumerate(a)))
+        return Polynomial._trimmed(tuple(map(add, a, b + (0.0,) * (len(a) - len(b)))))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1.0)
@@ -111,16 +130,16 @@ class Polynomial:
                 continue
             for j, b in enumerate(other.coefficients):
                 out[i + j] += a * b
-        return Polynomial(tuple(out))
+        return Polynomial._trimmed(tuple(out))
 
     def scale(self, factor: float) -> "Polynomial":
-        return Polynomial(tuple(factor * c for c in self.coefficients))
+        return Polynomial._trimmed(tuple(map(mul, self.coefficients, repeat(float(factor)))))
 
     def shift_power(self, exponent: int) -> "Polynomial":
         """Multiply by z**exponent."""
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
-        return Polynomial((0.0,) * exponent + self.coefficients)
+        return Polynomial._trimmed((0.0,) * exponent + self.coefficients)
 
     def taylor_at_one(self, terms: int) -> tuple[float, ...]:
         """First ``terms`` Taylor coefficients at z = 1 (powers of z - 1).
@@ -128,15 +147,16 @@ class Polynomial:
         Term l is sum_{i >= l} c_i comb(i, l), summed in ascending i. The
         binomials comb(l + j, l), j = 0, 1, ..., are the running sums of
         comb(l - 1 + j, l - 1), so each row is built from the previous one.
+        Past the degree a term is the empty sum, 0.0.
         """
         coeffs = self.coefficients
         row = [1] * len(coeffs)
         out = []
-        for l in range(terms):
+        for l in range(min(terms, len(coeffs))):
             if l:
                 row = list(accumulate(row[:-1]))
             out.append(float(sum(map(mul, coeffs[l:], row))))
-        return tuple(out)
+        return tuple(out) + (0.0,) * (terms - len(out))
 
 
 ONE_MINUS_Z = Polynomial((1.0, -1.0))
@@ -510,13 +530,7 @@ def deflate_at_one(poly: Polynomial) -> Polynomial:
     value = poly(1.0)
     if abs(value) >= _DEFLATE_TOL:
         raise NoZeroAtOneError(f"|p(1)| = {abs(value):.3e} is not below {_DEFLATE_TOL:.0e}")
-    coeffs = poly.coefficients
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1])
-    if len(coeffs) == 1:
-        out = [0.0]
-    return Polynomial(tuple(out))
+    return Polynomial._trimmed(tuple(accumulate(poly.coefficients[:-1])))
 
 
 def taylor_at_one(
@@ -551,8 +565,8 @@ def _series_quotient(num, den, order: int) -> tuple[float, ...]:
     from at least that many coefficients of each; den[0] must not vanish."""
     out = []
     for l in range(order + 1):
-        acc = num[l] - sum(out[j] * den[l - j] for j in range(l))
-        out.append(acc / den[0])
+        # out[j] * den[l - j] for j = 0..l-1, in ascending j.
+        out.append((num[l] - sum(map(mul, out, den[l:0:-1]))) / den[0])
     return tuple(out)
 
 
@@ -571,7 +585,7 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
     on the derivative when the root is multiple. A positive constant has no
     root: math.inf. Raises NoSignChangeError when nothing is found.
     """
-    scale = max(abs(c) for c in poly.coefficients)
+    scale = max(map(abs, poly.coefficients))
     at_one = poly(1.0)
     if abs(at_one) <= 1e-12 * max(1.0, scale):
         return 1.0
@@ -620,8 +634,8 @@ def _first_sign_change(
     (seeds 5 and 6), 486 of the 576 sign changes lie in the first 32 points
     and half of all of them by the fourth, where a few scalar calls beat a
     numpy pass over the whole bracket: one numpy pass over all 512 points
-    took the seed-5 calls from 2.6 to 10.6 ms and the whole seed-5 pass from
-    110 to 125 ms.
+    took the seed-5 calls from 3.2 to 12.8 ms and the whole seed-5 pass from
+    about 50 to 60 ms (best of 9 passes, one BLAS thread, 2-core x86-64 Xeon).
     """
     step = (right - left) / 511
     prev_x, prev_v = left, poly(left)
@@ -732,14 +746,24 @@ def _newton_polish(
     iterate recurs the rest is periodic, and the member of the cycle the
     last step would land on is returned at once: the same float as the full
     loop, for any start.
+
+    ``deriv`` is ``poly.derivative()``, one coefficient shorter than
+    ``poly`` from degree 1 on, so one Horner loop over their pairs evaluates
+    both: each accumulator takes the multiply and add of its own pass, in the
+    same order, and ends on the float of ``poly(x)`` or ``deriv(x)``.
     """
+    coeffs = poly.coefficients
+    pairs, last = tuple(zip(coeffs[:0:-1], reversed(deriv.coefficients))), coeffs[0]
     x = start
     path, index = [x], {x: 0}
     for k in range(1, _POLISH_STEPS + 1):
-        dv = deriv(x)
+        value = dv = 0.0
+        for c, d in pairs:
+            dv = dv * x + d
+            value = value * x + c
         if dv == 0.0:
             break
-        step = poly(x) / dv
+        step = (value * x + last) / dv
         nxt = x - step
         if not (lo - 1e-12 <= nxt <= hi + 1e-9):
             break
@@ -816,8 +840,9 @@ def zeta_op_factorized(system: SuspensionSystem, hole: Word) -> ZetaBundle:
     corr = _correlation_poly(q)
     assembled = _open_determinant(closed, corr, cof, q.alpha, q.k0)
     direct = Polynomial(tuple(_tower_leverrier(system, q)[0]))
-    pairs = zip_longest(assembled.coefficients, direct.coefficients, fillvalue=0.0)
-    deviation = max(abs(a - d) for a, d in pairs)
+    a, d = assembled.coefficients, direct.coefficients
+    pad = len(d) - len(a)
+    deviation = max(map(abs, map(sub, a + (0.0,) * pad, d + (0.0,) * -pad)))
     if deviation > _FACTORIZATION_TOL:
         raise FactorizationMismatchError(
             f"factorized and direct determinants differ by {deviation:.3e}"

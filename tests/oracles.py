@@ -10,10 +10,13 @@ a chain the library keeps as sparse links. The lattice-sum DP is here one
 slice-add per link and one step per word length, where the library groups
 links by gain and solves the truncated pressure in sum order, and the
 deviation routes' kept sums are bisected one l at a time, where the library
-solves every l at once. The shrinking-hole expansion and open determinant are
-rebuilt from the family's public fields at every nu, where the library keeps
-the nu-free pieces on the family, and the exact deviation DP steps the full
-sum range backward, where the library steps only the kept band.
+solves every l at once. ``Polynomial``'s arithmetic is here one generator or
+double loop per operation on coefficient tuples. The shrinking-hole expansion
+and open determinant are rebuilt in that arithmetic from the family's public
+fields at every nu, with the dense correlation polynomial and every term of
+the root equation's series, where the library keeps the nu-free pieces on the
+family and assembles only what is nonzero, and the exact deviation DP steps
+the full sum range backward, where the library steps only the kept band.
 """
 
 import bisect
@@ -23,15 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowescape import (
+    NoZeroAtOneError,
     Polynomial,
     admissible_words,
     build_suspension,
     cylinder_measure,
-    family_hole_measure,
+    family_hole_word,
     hole_quantities,
     refine_suspension,
 )
-from flowescape.asymptotics import _root_equation_series, _times_one_minus_z
 from flowescape.montecarlo import _deviation_setup, _kept_sums
 from flowescape.open_system import _component_radius
 from flowescape.pressure import _sup_completion
@@ -43,12 +46,7 @@ from flowescape.shift import (
     _cyclic_components,
     _lattice_operators,
 )
-from flowescape.zeta import (
-    ONE_MINUS_Z,
-    _bordered_matrix,
-    _open_determinant,
-    _series_quotient,
-)
+from flowescape.zeta import _bordered_matrix
 
 
 def dense(links, n):
@@ -215,59 +213,183 @@ def kept_sums(lam, mean, epsilon, l, top):
     return lo, bisect.bisect_left(sums, epsilon, lo=lo, key=offset) - 1
 
 
+# ---------------------------------------------------------------------------
+# Polynomial arithmetic on ascending coefficient tuples
+# ---------------------------------------------------------------------------
+# ``Polynomial``'s arithmetic as a generator or a double loop per operation,
+# each coefficient converted by ``float`` and trailing zeros trimmed, for the
+# library's forms to give the same floats.
+
+
+def poly(coeffs):
+    """The coefficients as floats, trailing zeros trimmed, (0.0,) when none
+    are left: the ``Polynomial`` constructor."""
+    coeffs = tuple(map(float, coeffs))
+    end = len(coeffs)
+    while end > 1 and coeffs[end - 1] == 0.0:
+        end -= 1
+    return coeffs[:end] if end else (0.0,)
+
+
+def poly_call(coeffs, z):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def poly_derivative(coeffs):
+    if len(coeffs) == 1:
+        return poly((0.0,))
+    return poly(tuple(i * c for i, c in enumerate(coeffs) if i > 0))
+
+
+def poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return poly(tuple(x + (b[i] if i < len(b) else 0.0) for i, x in enumerate(a)))
+
+
+def poly_mul(a, b):
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0.0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly(tuple(out))
+
+
+def poly_scale(coeffs, factor):
+    return poly(tuple(factor * c for c in coeffs))
+
+
+def poly_shift_power(coeffs, exponent):
+    return poly((0.0,) * exponent + coeffs)
+
+
+def poly_taylor_at_one(coeffs, terms):
+    """Term l is sum_{i >= l} c_i comb(i, l), a builtin ``sum`` in ascending i."""
+    out = []
+    for l in range(terms):
+        out.append(float(sum(c * math.comb(i, l) for i, c in enumerate(coeffs) if i >= l)))
+    return tuple(out)
+
+
+def poly_deflate_at_one(coeffs):
+    """G with coeffs = (1 - z) G, by synthetic division; NoZeroAtOneError
+    unless |p(1)| < 1e-9."""
+    if abs(poly_call(coeffs, 1.0)) >= 1e-9:
+        raise NoZeroAtOneError("no zero at 1")
+    out = [coeffs[0]]
+    for c in coeffs[1:-1]:
+        out.append(c + out[-1])
+    if len(coeffs) == 1:
+        out = [0.0]
+    return poly(tuple(out))
+
+
+def series_quotient(num, den, order):
+    out = []
+    for l in range(order + 1):
+        acc = num[l] - sum(out[j] * den[l - j] for j in range(l))
+        out.append(acc / den[0])
+    return tuple(out)
+
+
+def times_one_minus_z(series):
+    return (0.0,) + tuple(-c for c in series)
+
+
+def _truncated_product(a, b, terms):
+    out = [0.0] * terms
+    for i, x in enumerate(a[:terms]):
+        if x == 0.0:
+            continue
+        for j, y in enumerate(b[: terms - i]):
+            out[i + j] += x * y
+    return out
+
+
+def root_equation_series(a, b, s, terms):
+    """Coefficients in mu of sum_l a_l delta^l + mu sum_l b_l delta^l,
+    truncated past mu^(terms-1), delta(mu) = sum_i s_i mu^i, every term of
+    every power."""
+    delta = [0.0] + s
+    delta += [0.0] * (terms - len(delta))
+    out = [0.0] * terms
+    power = [1.0] + [0.0] * (terms - 1)
+    for l in range(terms):
+        if 1 <= l < len(a):
+            for i in range(terms):
+                out[i] += a[l] * power[i]
+        if l < len(b):
+            for i in range(terms - 1):
+                out[i + 1] += b[l] * power[i]
+        power = _truncated_product(power, delta, terms)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Shrinking-hole families, rebuilt at every nu
+# ---------------------------------------------------------------------------
+
+
 def family_zeta_op(family, nu):
-    """The family's open inverse zeta at ``nu``, with (1 - z)G and mu_t
-    rebuilt from the family's public fields."""
+    """The coefficients of the family's open inverse zeta at ``nu``: the dense
+    correlation polynomial, (1 - z)G, mu_nu and mu_t rebuilt from the family's
+    public fields, in tuple arithmetic."""
     s = nu - family.order_over_period
     o = family.orbit_height
     corr = [0.0] * (o * (s - 1) + 1)
     for k in range(s):
         corr[o * k] = family.orbit_weight ** k
-    closed = ONE_MINUS_Z * family.deflated
-    alpha = family_hole_measure(family, nu) / cylinder_measure(
-        family.system.base, family.t_word
+    base = family.system.base
+    closed = poly_mul((1.0, -1.0), family.deflated.coefficients)
+    alpha = cylinder_measure(base, family_hole_word(family, nu)) / cylinder_measure(
+        base, family.t_word
     )
-    return _open_determinant(closed, Polynomial(tuple(corr)), family.cofactor, alpha, o * s)
+    cofactor = poly_scale(poly_shift_power(family.cofactor.coefficients, o * s), alpha)
+    return poly_add(poly_mul(closed, poly(corr)), cofactor)
 
 
 def expansion_coefficients(family, nu, order):
     """(s_normalized, closed_normalized) at ``nu``, every Taylor series,
-    quotient and closed-form term rebuilt from the family's public fields."""
+    quotient and closed-form term rebuilt from the family's public fields,
+    and every term of the root equation's series solved for at each s_j."""
     o = family.orbit_height
     c_o = family.orbit_weight
     k0 = o * (nu - family.order_over_period)
-    den = Polynomial((1.0,) + (0.0,) * (o - 1) + (-c_o,))
-    den_series = den.taylor_at_one(order + 1)
-    a = _series_quotient(
-        _times_one_minus_z(family.deflated.taylor_at_one(order)), den_series, order
-    )
+    g_poly, c_poly = family.deflated.coefficients, family.cofactor.coefficients
+    den = poly((1.0,) + (0.0,) * (o - 1) + (-c_o,))
+    den_series = poly_taylor_at_one(den, order + 1)
+    a = series_quotient(times_one_minus_z(poly_taylor_at_one(g_poly, order)), den_series, order)
     b_order = max(order - 1, 0)
     mu_t = cylinder_measure(family.system.base, family.t_word)
-    head = (family.cofactor * den).scale(1.0 / mu_t).shift_power(k0)
-    tail = family.deflated.scale(
-        c_o ** (1 - family.order_over_period) / family.word_measure
-    ).shift_power(k0)
+    head = poly_shift_power(poly_scale(poly_mul(c_poly, den), 1.0 / mu_t), k0)
+    tail = poly_shift_power(
+        poly_scale(g_poly, c_o ** (1 - family.order_over_period) / family.word_measure), k0
+    )
     g2_num = [
         h - t
         for h, t in zip(
-            head.taylor_at_one(b_order + 1),
-            _times_one_minus_z(tail.taylor_at_one(b_order)),
+            poly_taylor_at_one(head, b_order + 1),
+            times_one_minus_z(poly_taylor_at_one(tail, b_order)),
         )
     ]
-    b = _series_quotient(g2_num, den_series, b_order)
+    b = series_quotient(g2_num, den_series, b_order)
     s_values = [0.0] * order
     for j in range(1, order + 1):
-        series = _root_equation_series(a, b, s_values, order + 1)
+        series = root_equation_series(a, b, s_values, order + 1)
         s_values[j - 1] = -series[j] / a[1]
 
     mass = family.system.mass_normalized
-    g_poly, c_poly = family.deflated, family.cofactor
     s1 = (1.0 - c_o) / mass
     bracket = (
         k0
-        - g_poly.derivative()(1.0) / g_poly(1.0)
+        - poly_call(poly_derivative(g_poly), 1.0) / poly_call(g_poly, 1.0)
         - c_o * o / (1.0 - c_o)
-        + c_poly.derivative()(1.0) / c_poly(1.0)
+        + poly_call(poly_derivative(c_poly), 1.0) / poly_call(c_poly, 1.0)
         + mass * c_o ** (1 - family.order_over_period)
         / (family.word_measure * (1.0 - c_o))
     )

@@ -1,7 +1,9 @@
 """Shrinking periodic-orbit hole families and their rate expansions."""
 
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from flowescape import (
     smallest_root_geq_one,
     zeta_op_factorized,
 )
-from flowescape import zeta
+from flowescape import asymptotics, zeta
 from test_acceptance import FAMILY_SPECS, _ceiling, _shift
 
 
@@ -199,7 +201,7 @@ ORACLE_FAMILIES = FAMILY_SPECS + (
 )
 
 
-def _oracle_family(shift_name, ceiling_kind, word):
+def _oracle_inputs(shift_name, ceiling_kind):
     if shift_name == "three":
         shift = build_markov_shift([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
     else:
@@ -208,50 +210,172 @@ def _oracle_family(shift_name, ceiling_kind, word):
         ceiling = cylinder_function(1, {(0,): 0.6, (1,): 0.35}, lattice=0.05)
     else:
         ceiling = _ceiling(shift, ceiling_kind)
-    return build_family(shift, ceiling, word)
+    return shift, ceiling
+
+
+def _oracle_family(shift_name, ceiling_kind, word):
+    return build_family(*_oracle_inputs(shift_name, ceiling_kind), word)
+
+
+def _hex(values):
+    """Each float as float hex, which tells -0.0 from 0.0 and matches nan;
+    other values (the nu of a row) as they are."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
 
 
 @pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: "-".join(map(str, spec)))
 def test_family_path_equals_per_nu_rebuild(spec):
-    # The pieces a family keeps give the floats of a per-nu rebuild, bit for
-    # bit, also past the kept Taylor terms (orders 8 and 9).
+    # The pieces a family keeps give the floats of a per-nu rebuild in the
+    # tuple arithmetic of the oracles, bit for bit, also past the kept Taylor
+    # terms (orders 8 and 9), and mu_nu is the cylinder measure of A_nu.
     family = _oracle_family(*spec)
     for nu in range(family.nu_min, 15):
+        want = cylinder_measure(family.system.base, family_hole_word(family, nu))
+        assert _hex([family_hole_measure(family, nu)]) == _hex([want]), nu
         want = oracles.family_zeta_op(family, nu)
-        assert family_zeta_op(family, nu).coefficients == want.coefficients, nu
+        assert _hex(family_zeta_op(family, nu).coefficients) == _hex(want), nu
         for order in (1, 2, 3) + ((8, 9) if nu == family.nu_min else ()):
             coeffs = expansion_coefficients(family, nu, order)
             s_values, closed = oracles.expansion_coefficients(family, nu, order)
-            assert coeffs.s_normalized == s_values, (nu, order)
-            assert coeffs.closed_normalized == closed, (nu, order)
+            assert _hex(coeffs.s_normalized) == _hex(s_values), (nu, order)
+            assert _hex(coeffs.closed_normalized) == _hex(closed), (nu, order)
+
+
+def _rate(family, nu):
+    root = smallest_root_geq_one(family_zeta_op(family, nu))
+    return float(np.log(root)) / family.system.lattice_scale
+
+
+@pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: "-".join(map(str, spec)))
+def test_sweeps_equal_rows_of_public_calls(spec):
+    # Each sweep row is, to the bit, its formula over the public per-nu calls.
+    shift, ceiling = _oracle_inputs(*spec[:2])
+    family = build_family(shift, ceiling, spec[2])
+    unit = build_family(shift, constant_function(shift, 1.0), spec[2])
+    nus = range(family.nu_min, 15)
+    for order in (1, 2, 3):
+        want = []
+        for nu in nus:
+            s_norm = expansion_coefficients(family, nu, max(order, 2)).s_normalized
+            mu_nu = family_hole_measure(family, nu)
+            root = smallest_root_geq_one(family_zeta_op(family, nu))
+            partial = 1.0 + sum(s_norm[i] * mu_nu ** (i + 1) for i in range(order))
+            want.append(
+                (nu, mu_nu, root, s_norm[0], s_norm[1], partial, abs(root - partial) / mu_nu ** order)
+            )
+        rows = verify_expansion(family, nus, order)
+        assert [_hex(dataclasses.astuple(row)) for row in rows] == [_hex(row) for row in want]
+    mus = {nu: family_hole_measure(family, nu) for nu in nus}
+    report = local_rate_sweep(shift, ceiling, spec[2], nus)
+    want = [(nu, mus[nu], _rate(family, nu) / mus[nu], _rate(unit, nu) / mus[nu]) for nu in nus]
+    assert [_hex(dataclasses.astuple(row)) for row in report.rows] == [_hex(row) for row in want]
+    assert (report.limit_ceiling, report.limit_unit) == (
+        (1.0 - family.orbit_weight) / family.system.total_mass,
+        1.0 - unit.orbit_weight,
+    )
+    report = second_order_check(family, nus)
+    s1 = (1.0 - family.orbit_weight) / family.system.total_mass
+    want = [(nu, (_rate(family, nu) - s1 * mus[nu]) / (nu * mus[nu] ** 2)) for nu in nus]
+    assert [_hex(dataclasses.astuple(row)) for row in report.rows] == [_hex(row) for row in want]
+    assert report.limit == s1 ** 2 * family.system.lattice_scale * family.orbit_height
 
 
 def test_family_sweep_rebuilds_no_nu_free_piece(monkeypatch):
     # After build_family, a sweep takes no Taylor data of G and forms no
-    # product C * den: only the z^k0 shifts and the open determinant remain.
+    # product C * den: only the z^k0-shifted Taylor terms of the two kept
+    # polynomials and the open determinant remain.
     family = _oracle_family("full2", "step0", (0, 1))
-    taylor_on, products = [], []
+    taylor_on, shifted_on, products = [], [], []
     taylor, multiply = zeta.Polynomial.taylor_at_one, zeta.Polynomial.__mul__
+    shifted = asymptotics._shifted_taylor
 
     def counted_taylor(poly, terms):
-        taylor_on.append(poly)
+        taylor_on.append(poly.coefficients)
         return taylor(poly, terms)
+
+    def counted_shifted(coeffs, k0, terms):
+        shifted_on.append(coeffs)
+        return shifted(coeffs, k0, terms)
 
     def counted_multiply(left, right):
         products.append((left, right))
         return multiply(left, right)
 
     monkeypatch.setattr(zeta.Polynomial, "taylor_at_one", counted_taylor)
+    monkeypatch.setattr(asymptotics, "_shifted_taylor", counted_shifted)
     monkeypatch.setattr(zeta.Polynomial, "__mul__", counted_multiply)
     rows = verify_expansion(family, range(family.nu_min, family.nu_min + 7), 2)
     assert len(rows) == 7
-    assert taylor_on and all(poly is not family.deflated for poly in taylor_on)
+    assert len(shifted_on) == 14
+    assert family.deflated.coefficients not in taylor_on + shifted_on
     den = Polynomial((1.0,) + (0.0,) * (family.orbit_height - 1) + (-family.orbit_weight,))
     assert not any(
         left is family.cofactor or left.coefficients == den.coefficients
         or right.coefficients == den.coefficients
         for left, right in products
     )
+
+
+def _plain_sum(items, start=0):
+    """The builtin ``sum`` of floats up to Python 3.11: one add per term."""
+    return functools.reduce(operator.add, items, start)
+
+
+def _compensated_sum(items, start=0):
+    """The builtin ``sum`` of floats from Python 3.12 on: Neumaier's
+    compensated sum, whose compensation is added at the end when it is
+    nonzero and finite."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        return start
+    total, compensation = start + first, 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_shifted_taylor_equals_the_padded_taylor_terms(monkeypatch):
+    # The shifted Taylor terms are builtin sums over the padded polynomial's
+    # terms without its leading zero products, so they equal taylor_at_one
+    # of the padded polynomial under the plain sum of Python 3.10-3.11 and
+    # under the compensated sum of 3.12 on, and the series quotient sums the
+    # reference's terms in the reference's order. Both sums are emulated
+    # here, in every module, on inputs where the two differ.
+    assert _plain_sum((1e16, 1.0, -1e16)) == 0.0
+    assert _compensated_sum((1e16, 1.0, -1e16)) == 1.0 == math.fsum((1e16, 1.0, -1e16))
+    inputs = [
+        (1e16, 1.0, -1e16),
+        (1.0, 1e16, -1e16, 3.0),
+        (-0.0, 1e16, 0.0, 1.0, -1e16, 2.0**-30),
+        (2.0**53, 1.0, 1.0, -(2.0**53), 0.1, -0.3, 1e-3),
+        (0.5,),
+    ]
+    results = {}
+    for name, summation in (("plain", _plain_sum), ("compensated", _compensated_sum), ("builtin", sum)):
+        for module in (asymptotics, zeta, oracles):
+            monkeypatch.setattr(module, "sum", summation, raising=False)
+        results[name] = []
+        # The quotient's sums run over the same terms as the reference's.
+        num, den = (-1.0, -1.0, 1.0, 1e16, 0.5), (1.0, 0.5, 0.5, 1.0, 2.0**53)
+        assert _hex(zeta._series_quotient(num, den, 4)) == _hex(oracles.series_quotient(num, den, 4))
+        results[name].append(_hex(zeta._series_quotient(num, den, 4)))
+        for coeffs in inputs:
+            for k0 in (0, 1, 2, 5, 13):
+                padded = Polynomial(coeffs).shift_power(k0)
+                terms = len(padded.coefficients) + 2
+                got = _hex(asymptotics._shifted_taylor(Polynomial(coeffs).coefficients, k0, terms))
+                assert got == _hex(padded.taylor_at_one(terms)), (name, coeffs, k0)
+                results[name].append(got)
+    assert results["plain"] != results["compensated"]
+    assert results["builtin"] in (results["plain"], results["compensated"])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from flowescape import (
 import flowescape.zeta as zeta
 from flowescape.suspension import SuspensionSystem
 from flowescape.open_system import _open_rate
+import oracles
 from oracles import bordered_open_matrix, char_poly, cofactor_poly, dense_leverrier
 from test_acceptance import _families, _zeta_grid
 
@@ -108,6 +109,81 @@ def test_taylor_at_one_equals_the_math_comb_sums():
             )
             assert poly.taylor_at_one(terms) == want, (poly.degree, terms)
     assert math.comb(80, 40) > 2**53
+
+
+def _reference_coefficients(rng, length, magnitudes):
+    """Mixed signs, exponents uniform over ``magnitudes``, exact zeros of both
+    signs inside and at the ends (a zero at the end is trimmed)."""
+    values = rng.choice([-1.0, 1.0], size=length) * 10.0 ** rng.uniform(*magnitudes, size=length)
+    coeffs = [float(v) for v in values]
+    for i in np.flatnonzero(rng.random(length) < 0.15):
+        coeffs[i] = float(rng.choice([0.0, -0.0]))
+    if coeffs and rng.random() < 0.3:
+        coeffs[0] = 0.0
+    if coeffs and rng.random() < 0.3:
+        coeffs[-1] = float(rng.choice([0.0, -0.0]))
+    return tuple(coeffs)
+
+
+def _same_floats(got, want):
+    """Equal floats, compared as float hex so that -0.0, 0.0 and nan count,
+    and every one a Python float."""
+    assert all(type(c) is float for c in got), got
+    return [c.hex() for c in got] == [c.hex() for c in want]
+
+
+def test_polynomial_arithmetic_matches_the_tuple_reference():
+    # The arithmetic gives the floats of the generator and double-loop forms
+    # in oracles, on lengths 1-400 with magnitudes from 1e-300 to 1e300
+    # (products overflow to inf and sums of infs to nan), exact zeros, and
+    # sums that cancel down to trailing zeros.
+    rng = np.random.default_rng(31)
+    polys = []
+    for length in (1, 1, 2, 3, 5, 8, 13, 40, 97, 211, 400, 400):
+        for magnitudes in ((-300.0, 300.0), (-2.0, 2.0)):
+            polys.append(_reference_coefficients(rng, length, magnitudes))
+    # Tails that cancel the tail of the poly before them, to trailing zeros.
+    for a in polys[3::4]:
+        cut = len(a) // 2
+        polys.append(_reference_coefficients(rng, cut, (-2.0, 2.0)) + tuple(-c for c in a[cut:]))
+    pairs = list(zip(polys, polys[1:] + polys[:1])) + list(zip(polys, polys[-11:] + polys[:-11]))
+    for a, b in pairs:
+        pa, pb = Polynomial(a), Polynomial(b)
+        ra, rb = oracles.poly(a), oracles.poly(b)
+        assert _same_floats(pa.coefficients, ra)
+        assert _same_floats((pa + pb).coefficients, oracles.poly_add(ra, rb))
+        assert _same_floats((pb + pa).coefficients, oracles.poly_add(rb, ra))
+        assert _same_floats((pa - pb).coefficients, oracles.poly_add(ra, oracles.poly_scale(rb, -1.0)))
+        if len(ra) * len(rb) <= 40_000:
+            assert _same_floats((pa * pb).coefficients, oracles.poly_mul(ra, rb))
+    for a in polys:
+        pa, ra = Polynomial(a), oracles.poly(a)
+        for factor in (0.0, -0.0, -1.0, 1e-300, 1e300, 0.37, 3, np.float64(-2.5)):
+            assert _same_floats(pa.scale(factor).coefficients, oracles.poly_scale(ra, factor))
+        for exponent in (0, 1, 9):
+            want = oracles.poly_shift_power(ra, exponent)
+            assert _same_floats(pa.shift_power(exponent).coefficients, want)
+        assert _same_floats(pa.derivative().coefficients, oracles.poly_derivative(ra))
+        points = (0.0, 1.0, -1.0, 0.75, 1.0 + 2.0**-20, 2.0)
+        assert _same_floats([pa(z) for z in points], [oracles.poly_call(ra, z) for z in points])
+        for terms in (1, 4, min(len(ra) + 2, 12)):
+            assert _same_floats(pa.taylor_at_one(terms), oracles.poly_taylor_at_one(ra, terms))
+        try:
+            want = oracles.poly_deflate_at_one(ra)
+        except NoZeroAtOneError:
+            with pytest.raises(NoZeroAtOneError):
+                deflate_at_one(pa)
+        else:
+            assert _same_floats(deflate_at_one(pa).coefficients, want)
+    # (1 - z) q with dyadic coefficients vanishes at 1 exactly, so the
+    # division runs at every scale.
+    for length in (1, 2, 7, 60, 400):
+        for scale in (2.0**-990, 1.0, 2.0**900):
+            q = tuple(float(v) * scale for v in rng.integers(-1000, 1001, size=length))
+            p = oracles.poly_mul((1.0, -1.0), oracles.poly(q))
+            want = oracles.poly_deflate_at_one(p)
+            assert _same_floats(deflate_at_one(Polynomial(p)).coefficients, want)
+    assert _same_floats(Polynomial(np.array([1.5, -2.0, 0.0])).coefficients, (1.5, -2.0))
 
 
 # ---------------------------------------------------------------------------
