@@ -17,35 +17,30 @@ keeps, from its construction on, every piece of the expansion and of the open
 determinant that does not: the leading Taylor terms at z = 1 of (1 - z)G and
 of den = 1 - c_o z^o, the series a of g1 = (1 - z)G/den, the two polynomials
 that get shifted by z^k0, the nu-free parts of the closed-form s_2, the
-product (1 - z)G, mu_t and the letter weights of one period. Term l of
-``Polynomial.taylor_at_one`` and of ``_series_quotient`` does not depend on
-how many terms are asked for, so a slice of a longer table equals the shorter
-call, and a sweep over nu computes the same floats, in the same order, as one
-that rebuilds every piece.
+product (1 - z)G and mu_t. Term l of ``Polynomial.taylor_at_one`` and of
+``_series_quotient`` does not depend on how many terms are asked for, so a
+slice of a longer table equals the shorter call, and a sweep over nu computes
+the same floats, in the same order, as one that rebuilds every piece.
 
-Every sum of Taylor and series terms here is a builtin ``sum`` over the
-terms of the rebuilt pieces in their order: in ``taylor_at_one``,
-``_shifted_taylor`` (the Taylor terms of z^k0 f without the k0 zero
-coefficients, whose products are exact zeros ahead of the others) and
-``_series_quotient``. From Python 3.12 on the builtin ``sum`` of floats is
-compensated (Neumaier) and before it adds one term at a time, so the two
-versions can differ in the last bits; a sum written as a loop of additions,
-or as ``math.fsum``, would match the rebuilt pieces on one of them only.
-These sums must stay builtin.
+Every sum of Taylor and series terms the family path takes is a builtin
+``sum`` over the terms of the rebuilt pieces in their order: in
+``zeta._shifted_taylor`` (the Taylor terms of z^k0 f without the k0 zero
+coefficients, whose products are exact zeros ahead of the others; at k0 = 0
+it is ``Polynomial.taylor_at_one``) and in ``zeta._series_quotient``. From
+Python 3.12 on the builtin ``sum`` of floats is compensated (Neumaier) and
+before it adds one term at a time, so the two versions can differ in the
+last bits; a sum written as a loop of additions, or as ``math.fsum``, would
+match the rebuilt pieces on one of them only. These sums must stay builtin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, cycle, islice
-import math
-from operator import mul
 
 import numpy as np
 
 from .errors import (
     DegenerateLinearTermError,
-    InadmissibleWordError,
     NotCyclicallyAdmissibleError,
     NotPrimePeriodError,
     NotReducedError,
@@ -64,7 +59,9 @@ from .zeta import (
     ONE_MINUS_Z,
     Polynomial,
     _closed_and_cofactor,
+    _open_determinant,
     _series_quotient,
+    _shifted_taylor,
     deflate_at_one,
     smallest_root_geq_one,
 )
@@ -95,11 +92,8 @@ class PeriodicOrbitFamily:
     to as many terms, mu_t = mu([t]), the polynomials (C den)/mu_t and
     G c_o^{1 - n/p}/mu_w that ``expansion_coefficients`` shifts by z^k0, the
     values G(1), G'(1), C(1), C'(1) and the two other nu-free terms of the
-    closed-form s_2, (1 - z)G for ``family_zeta_op``, and the stationary
-    weight of the base word's first letter and the transition weights of one
-    period, from which ``family_hole_measure`` multiplies every mu_nu. Past a
-    polynomial's degree its Taylor terms are the 0.0 that ``taylor_at_one``
-    returns there.
+    closed-form s_2, and (1 - z)G for ``family_zeta_op``. Past a polynomial's
+    degree its Taylor terms are the 0.0 that ``taylor_at_one`` returns there.
     """
 
     system: SuspensionSystem
@@ -120,12 +114,9 @@ class PeriodicOrbitFamily:
     _tail: Polynomial = field(init=False, repr=False)
     _bracket: tuple = field(init=False, repr=False)
     _closed: Polynomial = field(init=False, repr=False)
-    _first_weight: float = field(init=False, repr=False)
-    _period_weights: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         c_o, o, g_poly, c_poly = self.orbit_weight, self.orbit_height, self.deflated, self.cofactor
-        base, word = self.system.base, self.base_word
         den = Polynomial((1.0,) + (0.0,) * (o - 1) + (-c_o,))
         # den(1) = 1 - c_o > 0 (build_family), so the quotients need no cancellation.
         den_series = den.taylor_at_one(_TAYLOR_TERMS)
@@ -134,7 +125,7 @@ class PeriodicOrbitFamily:
             den_series,
             _TAYLOR_TERMS - 1,
         )
-        mu_t = cylinder_measure(base, self.t_word)
+        mu_t = cylinder_measure(self.system.base, self.t_word)
         tail_weight = c_o ** (1 - self.order_over_period)
         mass = self.system.mass_normalized
         bracket = (
@@ -154,11 +145,6 @@ class PeriodicOrbitFamily:
             ("_tail", g_poly.scale(tail_weight / self.word_measure)),
             ("_bracket", bracket),
             ("_closed", ONE_MINUS_Z * g_poly),
-            ("_first_weight", float(base.stationary[word[0]])),
-            (
-                "_period_weights",
-                tuple(float(base.transitions[a, b]) for a, b in zip(word, word[1:] + word[:1])),
-            ),
         ):
             object.__setattr__(self, name, value)
 
@@ -235,19 +221,8 @@ def family_hole_word(family: PeriodicOrbitFamily, nu: int) -> Word:
 
 
 def family_hole_measure(family: PeriodicOrbitFamily, nu: int) -> float:
-    """mu_nu = mu([A_nu]) = (mu_w / c_o) * c_o^nu.
-
-    The floats of ``cylinder_measure`` on A_nu: the stationary weight of its
-    first letter times its transition weights, multiplied in from the left,
-    read off the family's weights of one period.
-    """
-    word = family_hole_word(family, nu)
-    measure = family._first_weight
-    for weight in islice(cycle(family._period_weights), len(word) - 1):
-        measure *= weight
-    if measure <= 0.0:
-        raise InadmissibleWordError(f"word {word} contains a forbidden transition")
-    return measure
+    """mu_nu = mu([A_nu]) = (mu_w / c_o) * c_o^nu."""
+    return cylinder_measure(family.system.base, family_hole_word(family, nu))
 
 
 def family_zeta_op(family: PeriodicOrbitFamily, nu: int) -> Polynomial:
@@ -273,26 +248,15 @@ def _repeats(family: PeriodicOrbitFamily, nu: int) -> int:
 
 
 def _family_open_inverse(family: PeriodicOrbitFamily, s: int, mu_nu: float) -> Polynomial:
-    """``family_zeta_op`` at s = nu - n/p, with mu_nu given.
-
-    The floats of ``_open_determinant`` on the dense correlation polynomial:
-    its c_o^k sit at the multiples o k, and the products with its zeros add
-    nothing to a coefficient that starts at +0.0. Taking k from high to low
-    adds each coefficient's products of (1 - z)G in ascending order, as the
-    polynomial product does, and the cofactor term comes last.
-    """
-    o, c_o = family.orbit_height, family.orbit_weight
-    closed, cofactor = family._closed.coefficients, family.cofactor.coefficients
-    k0 = o * s
-    out = [0.0] * max(len(closed) + o * (s - 1), k0 + len(cofactor))
-    for k in range(s - 1, -1, -1):
-        weight = c_o ** k
-        for i, c in enumerate(closed, o * k):
-            out[i] += c * weight
+    """``family_zeta_op`` at s = nu - n/p, with mu_nu given."""
+    o = family.orbit_height
+    corr = [0.0] * (o * (s - 1) + 1)
+    for k in range(s):
+        corr[o * k] = family.orbit_weight ** k
     alpha = mu_nu / family._mu_t
-    for i, c in enumerate(cofactor, k0):
-        out[i] += alpha * c
-    return Polynomial._trimmed(tuple(out))
+    return _open_determinant(
+        family._closed, Polynomial._trimmed(tuple(corr)), family.cofactor, alpha, o * s
+    )
 
 
 # ===========================================================================
@@ -365,28 +329,6 @@ def _root_equation_coefficient(
         if l < len(b):
             value += b[l] * power[j - 1]
     return value
-
-
-def _shifted_taylor(coeffs: tuple[float, ...], k0: int, terms: int) -> tuple[float, ...]:
-    """``Polynomial(coeffs).shift_power(k0).taylor_at_one(terms)`` without
-    building the k0 leading zeros.
-
-    Term l is sum_j coeffs[j] comb(k0 + j, l) over j >= l - k0: the builtin
-    ``sum`` that ``taylor_at_one`` takes on the shifted polynomial, in its
-    order, less the products of the k0 zeros. Those are exact zeros at the
-    front of that sum, and a sum, plain or compensated, that starts with
-    zeros reaches its first other term in the same state as one that starts
-    there. The binomials comb(k0 + j, l) are the running sums of
-    comb(k0 + j, l - 1) from comb(k0, l) on.
-    """
-    row = [1] * len(coeffs)
-    out = []
-    for l in range(terms):
-        if l:
-            row = list(accumulate(row[:-1], initial=math.comb(k0, l)))
-        skip = max(l - k0, 0)
-        out.append(float(sum(map(mul, coeffs[skip:], row[skip:]))))
-    return tuple(out)
 
 
 def _times_one_minus_z(series: tuple[float, ...]) -> tuple[float, ...]:

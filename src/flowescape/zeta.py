@@ -75,6 +75,34 @@ def _trim(coeffs: tuple) -> tuple:
     return coeffs[:end] if end else (0.0,)
 
 
+def _shifted_taylor(coeffs: tuple, k0: int, terms: int) -> tuple[float, ...]:
+    """First ``terms`` Taylor coefficients at z = 1 of z^k0 f, from the
+    coefficients of f, without building the k0 leading zeros.
+
+    Term l is sum_j coeffs[j] comb(k0 + j, l) over j >= max(l - k0, 0), a
+    builtin ``sum`` in ascending j; past the degree of z^k0 f it is the empty
+    sum, 0.0. On ``coeffs`` padded with k0 zeros ``Polynomial.taylor_at_one``
+    takes the same sum with the padding's products in front. Those are exact
+    zeros, and a sum, plain or compensated (the builtin ``sum`` of floats
+    from Python 3.12 on), that starts with zeros reaches its first other term
+    in the same state as one that starts there, so the two agree bit for bit.
+
+    The row of binomials comb(k0 + j, l) is built from the previous one:
+    while l <= k0 as its running sums from comb(k0, l) on, and from there,
+    where the first j drops out, as its running sums from 1.
+    """
+    count = min(terms, k0 + len(coeffs))
+    row = [1] * len(coeffs)
+    out = []
+    for l in range(count):
+        if l > k0:
+            row = list(accumulate(row[:-1]))
+        elif l:
+            row = list(accumulate(row[:-1], initial=math.comb(k0, l)))
+        out.append(float(sum(map(mul, coeffs[len(coeffs) - len(row):], row))))
+    return tuple(out) + (0.0,) * (terms - count)
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial with ascending coefficients, trailing zeros trimmed.
@@ -144,19 +172,10 @@ class Polynomial:
     def taylor_at_one(self, terms: int) -> tuple[float, ...]:
         """First ``terms`` Taylor coefficients at z = 1 (powers of z - 1).
 
-        Term l is sum_{i >= l} c_i comb(i, l), summed in ascending i. The
-        binomials comb(l + j, l), j = 0, 1, ..., are the running sums of
-        comb(l - 1 + j, l - 1), so each row is built from the previous one.
-        Past the degree a term is the empty sum, 0.0.
+        Term l is sum_{i >= l} c_i comb(i, l), summed in ascending i; past
+        the degree it is the empty sum, 0.0. ``_shifted_taylor`` at k0 = 0.
         """
-        coeffs = self.coefficients
-        row = [1] * len(coeffs)
-        out = []
-        for l in range(min(terms, len(coeffs))):
-            if l:
-                row = list(accumulate(row[:-1]))
-            out.append(float(sum(map(mul, coeffs[l:], row))))
-        return tuple(out) + (0.0,) * (terms - len(out))
+        return _shifted_taylor(self.coefficients, 0, terms)
 
 
 ONE_MINUS_Z = Polynomial((1.0, -1.0))
@@ -814,10 +833,28 @@ def _open_determinant(
 ) -> Polynomial:
     """det(I - z M_op) = closed * corr + alpha z^k0 C_{t,r}. With k0 = 0 (hole
     length equals the order) expanding det along the zeroed t-row leaves
-    exactly the (t, t) minor C."""
+    exactly the (t, t) minor C.
+
+    The product is taken over the nonzero coefficients corr_k only, k from
+    high to low, so that each coefficient adds its products closed_i corr_k
+    in ascending i, as ``Polynomial.__mul__`` does; the products it skips and
+    those this skips are exact zeros, which leave a sum that starts at +0.0
+    unchanged. The cofactor term comes last, as in ``Polynomial.__add__``.
+    """
     if k0 == 0:
         return cofactor
-    return closed * corr + cofactor.shift_power(k0).scale(alpha)
+    low, high, cof = closed.coefficients, corr.coefficients, cofactor.coefficients
+    out = [0.0] * max(len(low) + len(high) - 1, k0 + len(cof))
+    for k in range(len(high) - 1, -1, -1):
+        weight = high[k]
+        if weight == 0.0:
+            continue
+        for i, c in enumerate(low, k):
+            out[i] += c * weight
+    alpha = float(alpha)
+    for i, c in enumerate(cof, k0):
+        out[i] += c * alpha
+    return Polynomial._trimmed(tuple(out))
 
 
 #: Largest coefficient gap that ``zeta_op_factorized`` accepts between the

@@ -345,7 +345,8 @@ def _compensated_sum(items, start=0):
 def test_shifted_taylor_equals_the_padded_taylor_terms(monkeypatch):
     # The shifted Taylor terms are builtin sums over the padded polynomial's
     # terms without its leading zero products, so they equal taylor_at_one
-    # of the padded polynomial under the plain sum of Python 3.10-3.11 and
+    # of the padded polynomial, and the generator sums of the reference over
+    # every term, under the plain sum of Python 3.10-3.11 and
     # under the compensated sum of 3.12 on, and the series quotient sums the
     # reference's terms in the reference's order. Both sums are emulated
     # here, in every module, on inputs where the two differ.
@@ -371,8 +372,10 @@ def test_shifted_taylor_equals_the_padded_taylor_terms(monkeypatch):
             for k0 in (0, 1, 2, 5, 13):
                 padded = Polynomial(coeffs).shift_power(k0)
                 terms = len(padded.coefficients) + 2
-                got = _hex(asymptotics._shifted_taylor(Polynomial(coeffs).coefficients, k0, terms))
+                got = _hex(zeta._shifted_taylor(Polynomial(coeffs).coefficients, k0, terms))
                 assert got == _hex(padded.taylor_at_one(terms)), (name, coeffs, k0)
+                want = oracles.poly_taylor_at_one(padded.coefficients, terms)
+                assert got == _hex(want), (name, coeffs, k0)
                 results[name].append(got)
     assert results["plain"] != results["compensated"]
     assert results["builtin"] in (results["plain"], results["compensated"])

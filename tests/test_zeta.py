@@ -168,6 +168,9 @@ def test_polynomial_arithmetic_matches_the_tuple_reference():
         assert _same_floats([pa(z) for z in points], [oracles.poly_call(ra, z) for z in points])
         for terms in (1, 4, min(len(ra) + 2, 12)):
             assert _same_floats(pa.taylor_at_one(terms), oracles.poly_taylor_at_one(ra, terms))
+            for k0 in (1, 9):
+                want = oracles.poly_taylor_at_one(oracles.poly_shift_power(ra, k0), terms + k0)
+                assert _same_floats(zeta._shifted_taylor(ra, k0, terms + k0), want)
         try:
             want = oracles.poly_deflate_at_one(ra)
         except NoZeroAtOneError:
@@ -184,6 +187,34 @@ def test_polynomial_arithmetic_matches_the_tuple_reference():
             want = oracles.poly_deflate_at_one(p)
             assert _same_floats(deflate_at_one(Polynomial(p)).coefficients, want)
     assert _same_floats(Polynomial(np.array([1.5, -2.0, 0.0])).coefficients, (1.5, -2.0))
+
+
+def test_open_determinant_matches_the_tuple_reference():
+    # The sparse assembly from the correlation's nonzero terms gives the
+    # floats of closed * corr + alpha z^k0 C in the tuple arithmetic, on
+    # dense and on sparse correlations with zeros of both signs, with
+    # magnitudes from 1e-300 to 1e300 (sums of infs give nan in both).
+    rng = np.random.default_rng(37)
+    for trial in range(60):
+        magnitudes = (-300.0, 300.0) if trial % 3 == 0 else (-2.0, 2.0)
+        closed = oracles.poly(_reference_coefficients(rng, int(rng.integers(1, 40)), magnitudes))
+        cof = oracles.poly(_reference_coefficients(rng, int(rng.integers(1, 30)), magnitudes))
+        corr = list(_reference_coefficients(rng, int(rng.integers(1, 25)), magnitudes))
+        if trial % 2:
+            step = int(rng.integers(2, 6))
+            corr = [c if i % step == 0 else float(rng.choice([0.0, -0.0])) for i, c in enumerate(corr)]
+        corr = oracles.poly((1.0,) + tuple(corr))
+        alpha = float(10.0 ** rng.uniform(-3.0, 1.0))
+        for k0 in (0, 1, len(corr), len(corr) + 7):
+            got = zeta._open_determinant(
+                Polynomial(closed), Polynomial(corr), Polynomial(cof), alpha, k0
+            )
+            if k0 == 0:
+                want = cof
+            else:
+                shifted = oracles.poly_scale(oracles.poly_shift_power(cof, k0), alpha)
+                want = oracles.poly_add(oracles.poly_mul(closed, corr), shifted)
+            assert _same_floats(got.coefficients, want), (trial, k0)
 
 
 # ---------------------------------------------------------------------------
