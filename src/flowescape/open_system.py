@@ -48,7 +48,7 @@ from .shift import (
     Word,
     _checked_hole,
     _hole_automaton,
-    _cyclic_components,
+    _strongly_connected_components,
     _survival_curve,
     _within_state_cap,
 )
@@ -233,25 +233,30 @@ def _newton_radius(rows: list, balance: bool = True) -> "float | None":
 
 
 def _component_radius(links, size: int) -> float:
-    """Spectral radius of one irreducible nonnegative block of ``size`` states."""
+    """Spectral radius of one irreducible nonnegative block of ``size`` states,
+    its links (rows, cols, weights) numbered within the block. The word-operator
+    root passes Python lists at 1-4 states and numpy arrays past that."""
     # 1-2 states are closed form, and 3-4 states take guarded Newton on the
-    # characteristic polynomial. Dense eigenvalues beat power iteration
-    # outright up to 128 states, and take over where the Newton guard trips
-    # or a small spectral gap stalls the power iteration past 128.
+    # characteristic polynomial, on the links as Python floats. Dense
+    # eigenvalues beat power iteration outright up to 128 states, and take
+    # over where the Newton guard trips or a small spectral gap stalls the
+    # power iteration past 128.
     src, dst, p = links
+    if size <= 4 and isinstance(p, np.ndarray):  # arrays from other callers
+        src, dst, p = src.tolist(), dst.tolist(), p.tolist()
     if size == 1:
         return float(p[0])
     if size == 2:
         # The Perron root of [[a, b], [c, d]]: a sum of nonnegative terms with
         # b * c taken as sqrt(b) * sqrt(c), so it neither cancels nor overflows.
         entries = [[0.0, 0.0], [0.0, 0.0]]
-        for i, j, w in zip(src.tolist(), dst.tolist(), p.tolist()):
+        for i, j, w in zip(src, dst, p):
             entries[i][j] = w
         (a, b), (c, d) = entries
         return 0.5 * (a + d) + math.hypot(0.5 * (a - d), math.sqrt(b) * math.sqrt(c))
     if size <= 4:
         entries = [[0.0] * size for _ in range(size)]
-        for i, j, w in zip(src.tolist(), dst.tolist(), p.tolist()):
+        for i, j, w in zip(src, dst, p):
             entries[i][j] = w
         estimate = _newton_radius(entries)
     else:
@@ -271,7 +276,7 @@ _ROOT_MAX_STEPS = 100
 _ROOT_MAX_LOG_WEIGHT = 700.0
 
 
-def _word_operator_root(links, heights: np.ndarray) -> float:
+def _word_operator_root(links, heights) -> float:
     """The s* with rho(diag(e^{s h}) P) = 1, for the links of P substochastic
     and heights h positive; +inf when P is nilpotent. rho(P) <= 1 makes s* >=
     0, so where rounding puts log rho(P) at or above 0 the root is +0.0.
@@ -290,28 +295,55 @@ def _word_operator_root(links, heights: np.ndarray) -> float:
     root. The upper end is clamped where a weight reaches e^700, and
     NoConvergenceError is raised only when the root lies past that clamp,
     outside the float range.
+
+    The links inside each cyclic component are split off once per root, on
+    Python lists, and laid end to end, one component after another. Each
+    evaluation of f makes one pass p e^{s h} over all of them, and each
+    component's radius reads its slice of that pass: as Python floats at
+    1-4 states, as a numpy array past that.
     """
-    h = np.asarray(heights, dtype=float)
     src, dst, p = links
-    # Positive row weights keep the strongly connected components, so the links
-    # inside each cyclic one are split off once, renumbered, with their row's height.
-    comps = _cyclic_components(len(h), src, dst)
-    if not comps:
-        return math.inf
-    label, local, parts = np.full(len(h), -1), np.zeros(len(h), dtype=np.int64), []
+    h = np.asarray(heights, dtype=float).tolist()
+    # Positive row weights keep the strongly connected components. The
+    # cyclic ones are those with a link inside: more than one state, or a
+    # loop. Their links are taken in order, renumbered within the component,
+    # each with its row's height.
+    comps = _strongly_connected_components(len(h), src, dst)
+    label, local = [0] * len(h), [0] * len(h)
     for c, comp in enumerate(comps):
-        label[comp], local[comp] = c, np.arange(len(comp))
-        inside = (label[src] == c) & (label[dst] == c)
-        rows, cols = src[inside], dst[inside]
-        parts.append((local[rows], local[cols], p[inside], h[rows], len(comp)))
-    cyclic = h[np.concatenate(comps)]
-    h_min, h_max = float(cyclic.min()), float(cyclic.max())
+        for k, state in enumerate(comp):
+            label[state], local[state] = c, k
+    src_list, dst_list, p_list = src.tolist(), dst.tolist(), p.tolist()
+    inside: list[list[int]] = [[] for _ in comps]
+    for e, (a, b) in enumerate(zip(src_list, dst_list)):
+        if label[a] == label[b]:
+            inside[label[a]].append(e)
+    parts, probs, powers = [], [], []
+    for comp, edges in zip(comps, inside):
+        if not edges:
+            continue
+        rows = [local[src_list[e]] for e in edges]
+        cols = [local[dst_list[e]] for e in edges]
+        if len(comp) > 4:
+            rows, cols = np.array(rows), np.array(cols)
+        parts.append((rows, cols, len(probs), len(probs) + len(edges), len(comp)))
+        probs += [p_list[e] for e in edges]
+        powers += [h[src_list[e]] for e in edges]
+    if not parts:
+        return math.inf
+    h_min, h_max = min(powers), max(powers)
+    probs, powers = np.array(probs), np.array(powers)
+    listed = any(size <= 4 for *_, size in parts)
 
     def f(s: float) -> float:
+        product = probs * np.exp(s * powers)
+        values = product.tolist() if listed else product
         return math.log(
             max(
-                _component_radius((ls, ld, lp * np.exp(s * hl)), size)
-                for ls, ld, lp, hl, size in parts
+                _component_radius(
+                    (rows, cols, (values if size <= 4 else product)[start:stop]), size
+                )
+                for rows, cols, start, stop, size in parts
             )
         )
 
@@ -388,8 +420,8 @@ def _open_root(system: SuspensionSystem, hole: Word) -> float:
     """
     word = _checked_hole(system.base, hole)
     states, links = _hole_automaton(system.base, word, system.order)
-    heights = np.array([system.height_of(u) for u, _ in states])
-    return _word_operator_root(links, heights)
+    index, heights = system._word_index, system.heights.tolist()
+    return _word_operator_root(links, [heights[index[u]] for u, _ in states])
 
 
 # ===========================================================================

@@ -253,7 +253,7 @@ def induced_pressure_via_root(
     """
     hole_word = _checked_hole(shift, hole)
     states, links = _hole_automaton(shift, hole_word, ceiling.order)
-    phi = np.array(_ceiling_values(ceiling, [u for u, _ in states]))
+    phi = _ceiling_values(ceiling, [u for u, _ in states])
 
     beta = -_word_operator_root(links, phi)
     if beta >= 0.0:

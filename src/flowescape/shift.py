@@ -130,8 +130,9 @@ def _stationary_vector(transitions: np.ndarray) -> np.ndarray:
 
 def _strongly_connected_components(size: int, src, dst) -> list[list[int]]:
     """Tarjan's algorithm over sorted edges, iterative to survive large graphs."""
-    bounds, targets = np.searchsorted(src, np.arange(size + 1)).tolist(), dst.tolist()
-    succ = [targets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    succ: list[list[int]] = [[] for _ in range(size)]
+    for a, b in zip(src.tolist(), dst.tolist()):
+        succ[a].append(b)
     index = [-1] * size
     low = [0] * size
     on_stack = [False] * size
@@ -141,39 +142,40 @@ def _strongly_connected_components(size: int, src, dst) -> list[list[int]]:
     for root in range(size):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        # Each frame holds a node and an iterator over the successors it has
+        # yet to read, so a return to the frame reads on where it stopped.
+        work = [(root, iter(succ[root]))]
         while work:
-            node, child_pos = work[-1]
-            if child_pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for pos in range(child_pos, len(succ[node])):
-                nxt = succ[node][pos]
+            node, children = work[-1]
+            for nxt in children:
                 if index[nxt] == -1:
-                    work[-1] = (node, pos + 1)
-                    work.append((nxt, 0))
-                    advanced = True
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack[nxt] = True
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    comp.append(member)
-                    if member == node:
-                        break
-                components.append(comp)
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        comp.append(member)
+                        if member == node:
+                            break
+                    components.append(comp)
     return components
 
 
@@ -262,11 +264,13 @@ def cylinder_measure(shift: MarkovShift, word: Word) -> float:
     """
     if len(word) == 0:
         return 1.0
-    if any(a < 0 or a >= shift.alphabet_size for a in word):
+    size = shift.alphabet_size
+    if any(a < 0 or a >= size for a in word):
         raise InadmissibleWordError(f"word {word} has symbols outside the alphabet")
+    rows = shift.transitions.tolist()
     measure = float(shift.stationary[word[0]])
     for a, b in zip(word, word[1:]):
-        measure *= float(shift.transitions[a, b])
+        measure *= rows[a][b]
     if measure <= 0.0:
         raise InadmissibleWordError(f"word {word} contains a forbidden transition")
     return measure
@@ -548,6 +552,7 @@ def _hole_automaton(
             j = delta[j][a]
         states.append((u, j))
     index = {state: i for i, state in enumerate(states)}
+    transitions = shift.transitions.tolist()
     rows, cols, probs = [], [], []
     for i, (u, j) in enumerate(states):  # grows while it is read: breadth-first
         for b in shift.successors(u[-1]):
@@ -566,7 +571,7 @@ def _hole_automaton(
                 states.append(target)
             rows.append(i)
             cols.append(t)
-            probs.append(shift.transitions[u[-1], b])
+            probs.append(transitions[u[-1]][b])
     src, dst = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
     ranked = np.lexsort((dst, src))
     return states, (src[ranked], dst[ranked], np.array(probs)[ranked])

@@ -224,9 +224,10 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
         )
 
     k0 = _prefix_height(system, word)
+    transitions = base.transitions.tolist()
     alpha = 1.0
     for i in range(n - 1, m - 1):
-        alpha *= float(base.transitions[word[i], word[i + 1]])
+        alpha *= transitions[word[i]][word[i + 1]]
 
     # The word overlaps itself at shift j when it has a border of length m - j.
     border, overlaps, length = _borders(word), set(), m
@@ -238,7 +239,7 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
     weight = 1.0
     for j in range(1, m - n):
         partial_sum += system.height_of(word[j - 1 : j - 1 + n])
-        weight *= float(base.transitions[word[j - 1], word[j]])
+        weight *= transitions[word[j - 1]][word[j]]
         if partial_sum <= k0 - 1 and j in overlaps:
             correlation[partial_sum - 1] = weight
             overlap_shift[partial_sum - 1] = j

@@ -17,6 +17,11 @@ fields at every nu, with the dense correlation polynomial and every term of
 the root equation's series, where the library keeps the nu-free pieces on the
 family and assembles only what is nonzero, and the exact deviation DP steps
 the full sum range backward, where the library steps only the kept band.
+The word-operator root is kept here as the numpy-masked version, which splits
+each cyclic component's links with boolean masks and takes e^{s h} one
+component at a time, and Tarjan's algorithm as the version that reads each
+state's successors off ``searchsorted`` bounds; the library splits the links
+once per root on Python lists and builds the successor lists in one pass.
 """
 
 import bisect
@@ -36,7 +41,13 @@ from flowescape import (
     refine_suspension,
 )
 from flowescape.montecarlo import _deviation_setup, _kept_sums
-from flowescape.open_system import _component_radius
+from flowescape.errors import NoConvergenceError
+from flowescape.open_system import (
+    _ROOT_MAX_LOG_WEIGHT,
+    _ROOT_MAX_STEPS,
+    _ROOT_WIDTH,
+    _component_radius,
+)
 from flowescape.pressure import _sup_completion
 from flowescape.shift import (
     Word,
@@ -136,6 +147,164 @@ def matrix_spectral_radius(matrix):
         sub = matrix[np.ix_(comp, comp)]
         radius = max(radius, _component_radius((*np.nonzero(sub), sub[sub != 0.0]), len(comp)))
     return radius
+
+
+def strongly_connected_components(size: int, src, dst) -> list[list[int]]:
+    """Tarjan's algorithm over sorted edges, iterative to survive large graphs."""
+    bounds, targets = np.searchsorted(src, np.arange(size + 1)).tolist(), dst.tolist()
+    succ = [targets[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    index = [-1] * size
+    low = [0] * size
+    on_stack = [False] * size
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(size):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, child_pos = work[-1]
+            if child_pos == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            advanced = False
+            for pos in range(child_pos, len(succ[node])):
+                nxt = succ[node][pos]
+                if index[nxt] == -1:
+                    work[-1] = (node, pos + 1)
+                    work.append((nxt, 0))
+                    advanced = True
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    comp.append(member)
+                    if member == node:
+                        break
+                components.append(comp)
+    return components
+
+
+def word_operator_root(links, heights: np.ndarray) -> float:
+    """The s* with rho(diag(e^{s h}) P) = 1, for the links of P substochastic
+    and heights h positive; +inf when P is nilpotent. rho(P) <= 1 makes s* >=
+    0, so where rounding puts log rho(P) at or above 0 the root is +0.0.
+
+    f(s) = log rho(diag(e^{s h}) P) is convex, with slope a Perron average of
+    the heights on the cyclic components of P. So from f(0) = log rho(P) the
+    root lies between near = -f(0)/h_max and -f(0)/h_min, over those
+    heights. Equal heights close that bracket with one radius evaluation.
+    Otherwise f(near) is evaluated. When rho(P) < 1, convexity keeps f above
+    the chord through (0, f(0)) and (near, f(near)) past near, so the chord's
+    zero is a second, usually much closer, upper end. Illinois steps
+    then shrink the bracket to about 4 ulp of s*. They stop early, as does
+    the chord's zero, where |f| is within 4 ulp of max(1, s h_max): rounding
+    s h alone moves log rho by that much, so no float comes closer to 0.
+    Weights are e^{s h} unscaled, so the radii are near 1 close to the
+    root. The upper end is clamped where a weight reaches e^700, and
+    NoConvergenceError is raised only when the root lies past that clamp,
+    outside the float range.
+    """
+    h = np.asarray(heights, dtype=float)
+    src, dst, p = links
+    # Positive row weights keep the strongly connected components, so the links
+    # inside each cyclic one are split off once, renumbered, with their row's height.
+    comps = _cyclic_components(len(h), src, dst)
+    if not comps:
+        return math.inf
+    label, local, parts = np.full(len(h), -1), np.zeros(len(h), dtype=np.int64), []
+    for c, comp in enumerate(comps):
+        label[comp], local[comp] = c, np.arange(len(comp))
+        inside = (label[src] == c) & (label[dst] == c)
+        rows, cols = src[inside], dst[inside]
+        parts.append((local[rows], local[cols], p[inside], h[rows], len(comp)))
+    cyclic = h[np.concatenate(comps)]
+    h_min, h_max = float(cyclic.min()), float(cyclic.max())
+
+    def f(s: float) -> float:
+        return math.log(
+            max(
+                _component_radius((ls, ld, lp * np.exp(s * hl)), size)
+                for ls, ld, lp, hl, size in parts
+            )
+        )
+
+    f0 = f(0.0)
+    if f0 >= 0.0:
+        return 0.0
+    near = -f0 / h_max
+    if h_min == h_max:
+        return near
+    limit = _ROOT_MAX_LOG_WEIGHT / h_max
+    if near > limit:
+        raise NoConvergenceError(
+            f"word-operator root lies past s = {near!r}, where the weights "
+            "e^(s h) leave the float range"
+        )
+    f_near = f(near)
+    if f_near * f0 <= 0.0:
+        # The bounds put the root on the far side of near, so a value of the
+        # other sign there is rounding noise.
+        return near
+    far = -f0 / h_min
+    if f0 < f_near < 0.0:
+        far = min(far, near - f_near * near / (f_near - f0))
+    clamped = far > limit
+    if clamped:
+        far = limit
+    f_far = f(far)
+    if f_far * f0 >= 0.0:
+        if clamped and f_far != 0.0:
+            raise NoConvergenceError(
+                f"word-operator root lies past s = {limit!r}, where the weights "
+                "e^(s h) leave the float range"
+            )
+        # far is a bound too, so its value there is noise as well.
+        return far
+    if abs(f_far) <= _ROOT_WIDTH * max(1.0, far * h_max):
+        return far
+    (lo, f_lo), (hi, f_hi) = sorted(((near, f_near), (far, f_far)))
+    kept = None
+    for _ in range(_ROOT_MAX_STEPS):
+        if hi - lo <= _ROOT_WIDTH * max(-lo, hi):
+            return 0.5 * (lo + hi)
+        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) <= _ROOT_WIDTH * max(1.0, mid * h_max):
+            # log rho carries the rounding noise of s h, so no further
+            # step would sharpen the root.
+            return mid
+        # Illinois: an end kept twice running has its value halved, so the
+        # false-position point moves towards it and that end is replaced too.
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, f_hi = mid, f_mid
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+    raise NoConvergenceError(
+        f"word-operator root bracket [{lo!r}, {hi!r}] still open after "
+        f"{_ROOT_MAX_STEPS} steps"
+    )
 
 
 def lattice_links(shift, heights, order, index, hole=None):

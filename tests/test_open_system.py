@@ -14,6 +14,7 @@ import pytest
 import flowescape.open_system as open_system
 import flowescape.shift as shift_module
 import flowescape.suspension as suspension
+import oracles
 from flowescape import (
     DEFAULT_STATE_CAP,
     DimensionTooLargeError,
@@ -48,6 +49,7 @@ from oracles import (
     matrix_spectral_radius,
     refined_open_matrix,
     survivor_matrix,
+    word_operator_root,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -602,7 +604,7 @@ def test_equal_heights_root_takes_one_radius(monkeypatch, unit_system, full2):
 
     monkeypatch.setattr(open_system, "_component_radius", counted)
     got = escape_rate_flow(unit_system, hole, "refined")
-    assert sorted(sizes) == sorted(len(comp) for comp in cyclic)
+    assert sizes and sorted(sizes) == sorted(len(comp) for comp in cyclic)
     monkeypatch.undo()
     # The reference radius is power-iterated to a bracket of 1e-13.
     chain = survivor_matrix(full2, hole)
@@ -687,7 +689,7 @@ def test_power_iterated_word_operator_root(monkeypatch, step_system):
     # Five evaluations: f(0), the two bracket ends and two Illinois steps.
     # The bound leaves room for rounding that differs between BLAS builds.
     assert set(sizes) == {255}
-    assert len(sizes) <= 8
+    assert 1 <= len(sizes) <= 8
     monkeypatch.undo()
     assert got == pytest.approx(matrix_spectral_radius(matrix), rel=1e-12, abs=0.0)
     dense = float(np.abs(np.linalg.eigvals(matrix)).max())
@@ -890,9 +892,167 @@ def test_cycle_word_operator_root_near_the_float_range(heights, monkeypatch):
     monkeypatch.setattr(open_system, "_component_radius", counted)
     root = open_system._word_operator_root((src, dst, np.full(size, 1e-200)), np.array(heights))
     assert root == pytest.approx(200.0 * size * math.log(10.0) / total, rel=1e-14)
-    assert len(calls) <= 4
+    # The hook sees every radius the root takes, so the count is not vacuous.
+    assert 1 <= len(calls) <= 4 and {size for _, size in calls} == {size}
     with pytest.raises(NoConvergenceError):
         open_system._word_operator_root((src, dst, np.full(size, 1e-300)), np.array(heights))
+
+
+def _chain_links(rng, sizes, transient=3):
+    """Sorted links (src, dst, p) of a random chain on shuffled states whose
+    cyclic components have the given ``sizes``: each a cycle through all its
+    states (a loop at one state) plus random links inside. With ``transient``
+    loop-free single states, the components are laid in a random order, and
+    links between them only go forward, so none merge. Rows are scaled to
+    sums in [0.2, 1]."""
+    groups = [("cyclic", size) for size in sizes] + [("transient", 1)] * transient
+    order = rng.permutation(len(groups))
+    labels = rng.permutation(sum(size for _, size in groups))
+    members, start = [], 0
+    for g in order:
+        kind, size = groups[g]
+        members.append((kind, labels[start : start + size].tolist()))
+        start += size
+    edges = set()
+    for kind, states in members:
+        if kind == "cyclic":
+            edges.update(zip(states, states[1:] + states[:1]))
+            for _ in range(int(rng.integers(0, 2 * len(states) + 1))):
+                edges.add((int(rng.choice(states)), int(rng.choice(states))))
+    for i, (_, later) in enumerate(members):
+        for _, earlier in members[:i]:
+            if rng.random() < 0.5:
+                edges.add((int(rng.choice(earlier)), int(rng.choice(later))))
+    src, dst = (np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T).copy()
+    weights = rng.uniform(0.05, 1.0, len(src))
+    sums = np.bincount(src, weights=weights, minlength=start)
+    scale = rng.uniform(0.2, 1.0, start)
+    p = weights / sums[src] * scale[src]
+    return (src, dst, p), start
+
+
+def _draw_heights(rng, size):
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return np.full(size, float(rng.integers(1, 4)))
+    if kind == 1:
+        return rng.integers(1, 61, size)
+    return rng.uniform(0.5, 3.0, size)
+
+
+def _root_hex(root, links, heights):
+    """The root in float hex, or the NoConvergenceError's message."""
+    try:
+        return float(root(links, heights)).hex()
+    except NoConvergenceError as error:
+        return f"NoConvergenceError: {error}"
+
+
+def _traced_roots(monkeypatch, links, heights):
+    """(library result, oracle result), each with the (size, hex radius) of
+    every radius its module's ``_component_radius`` took, in order."""
+    results = []
+    for module, root in ((open_system, open_system._word_operator_root), (oracles, word_operator_root)):
+        seen = []
+        radius = module._component_radius
+
+        def counted(links, size, radius=radius, seen=seen):
+            value = radius(links, size)
+            seen.append((size, float(value).hex()))
+            return value
+
+        monkeypatch.setattr(module, "_component_radius", counted)
+        results.append((_root_hex(root, links, heights), seen))
+        monkeypatch.undo()
+    return results
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(1,), (1, 1), (2,), (2, 1), (3,), (4,), (4, 3, 2, 1), (5,), (17, 2), (64, 1), (128,), (129,)],
+)
+def test_word_operator_root_matches_the_masked_root_in_float_hex(sizes, monkeypatch):
+    """The root splits the cyclic components' links once, on Python lists,
+    and takes one e^{s h} pass over all of them per evaluation; the masked
+    oracle takes e^{s h} one component at a time on numpy arrays. numpy's
+    exp is elementwise, so both see the same weights: the same root to the
+    bit, from the same radii in the same order, on components of 1, 2,
+    3-4, 5-128 and more than 128 states, with equal, integer and float
+    heights."""
+    rng = np.random.default_rng([32, *sizes])
+    draws = 2 if max(sizes) > 64 else 12
+    for _ in range(draws):
+        links, size = _chain_links(rng, sizes, transient=int(rng.integers(0, 4)))
+        heights = _draw_heights(rng, size)
+        (got, got_radii), (want, want_radii) = _traced_roots(monkeypatch, links, heights)
+        assert got == want, (sizes, links, heights)
+        assert got_radii and got_radii == want_radii
+
+
+def test_word_operator_root_matches_the_masked_root_on_guarded_blocks(monkeypatch):
+    """3-4 state blocks on which Newton's guard trips (a near-double Perron
+    root: two 2-cycles joined by weights 1e-12, so eigvals takes over) and
+    on which Newton restarts on the balanced block (weights log-uniform over
+    1e-60..1e60): the same roots and radii to the bit as the oracle's."""
+    eigvals, balanced = np.linalg.eigvals, open_system._balanced
+    counts = {"eigvals": 0, "balanced": 0}
+
+    def counted_eigvals(matrix):
+        counts["eigvals"] += 1
+        return eigvals(matrix)
+
+    def counted_balanced(rows):
+        counts["balanced"] += 1
+        return balanced(rows)
+
+    rng = np.random.default_rng(3204)
+    cases = []
+    for _ in range(8):
+        a, b = rng.uniform(0.3, 0.45, 2)
+        src = np.array([0, 0, 1, 2, 2, 3])
+        dst = np.array([1, 2, 0, 0, 3, 2])
+        p = np.array([a, 1e-12, a, 1e-12, b, b])
+        cases.append(((src, dst, p), rng.uniform(0.5, 3.0, 4)))
+    for size in (3, 4) * 6:
+        matrix = 10.0 ** rng.uniform(-60.0, 60.0, (size, size))
+        matrix *= rng.uniform(0.3, 0.9) / np.abs(np.linalg.eigvals(matrix)).max()
+        src, dst = np.nonzero(matrix)
+        cases.append(((src, dst, matrix[src, dst]), rng.uniform(0.5, 3.0, size)))
+    for links, heights in cases:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigvals", counted_eigvals)
+            patch.setattr(open_system, "_balanced", counted_balanced)
+            (got, got_radii), (want, want_radii) = _traced_roots(monkeypatch, links, heights)
+        assert got == want, (links, heights)
+        assert got_radii and got_radii == want_radii
+    assert counts["eigvals"] > 0 and counts["balanced"] > 0
+
+
+@pytest.mark.parametrize("heights", [(1.0, 2.0), (1.0, 2.0, 2.0), (1.0, 1.0, 2.0, 2.0)])
+def test_word_operator_root_matches_the_masked_root_near_the_float_range(heights, monkeypatch):
+    """Cycles with every entry 1e-200 (a root near s = 300) and 1e-300 (past
+    the float range, NoConvergenceError with the same message)."""
+    size = len(heights)
+    src = np.arange(size)
+    dst = (src + 1) % size
+    for weight in (1e-200, 1e-300):
+        links = (src, dst, np.full(size, weight))
+        (got, got_radii), (want, want_radii) = _traced_roots(monkeypatch, links, np.array(heights))
+        assert got == want
+        assert got_radii and got_radii == want_radii
+
+
+def test_word_operator_root_matches_the_masked_root_at_its_ends(monkeypatch):
+    """A nilpotent P has the root +inf and no radius; rho(P) >= 1 gives +0.0
+    after the one radius f(0)."""
+    src, dst = np.array([0, 0, 1]), np.array([1, 2, 2])
+    links = (src, dst, np.array([0.5, 0.5, 1.0]))
+    (got, got_radii), (want, want_radii) = _traced_roots(monkeypatch, links, np.ones(3))
+    assert got == want == "inf" and got_radii == want_radii == []
+    for p in ([1.0, 1.0, 1.0], [1.0, 0.5, 2.0]):
+        links = (np.array([0, 1, 1]), np.array([1, 0, 1]), np.array(p))
+        (got, got_radii), (want, want_radii) = _traced_roots(monkeypatch, links, np.array([1.0, 2.0]))
+        assert got == want == (0.0).hex() and len(got_radii) == 1 and got_radii == want_radii
 
 
 # Lattice-0.05 towers, heights up to 60 (flow ceilings up to 3.0), holes of

@@ -33,7 +33,7 @@ from flowescape import (
     shift_to_json,
     survival_measure_exact,
 )
-from oracles import dense, survivor_matrix
+from oracles import dense, strongly_connected_components, survivor_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +78,52 @@ def test_row_sums_inside_the_tolerance_build():
 def test_rejects_reducible_matrix():
     with pytest.raises(NotIrreducibleError):
         build_markov_shift([[1.0, 0.0], [0.5, 0.5]])
+
+
+def _random_edges(rng, size, per_state, loops):
+    """Sorted, distinct edges (src, dst) on ``size`` states, about
+    ``per_state`` out of each state that has any: a fifth of the states are
+    sinks and one in ten of the rest isolated, ``loops`` of the states carry
+    a loop."""
+    kind = rng.random(size)
+    sources = np.flatnonzero(kind >= 0.2)
+    targets = np.flatnonzero((kind < 0.2) | (kind >= 0.28))
+    edges = set()
+    if len(targets):
+        for a in sources.tolist():
+            for b in rng.choice(targets, size=int(rng.poisson(per_state))).tolist():
+                edges.add((a, b))
+    for a in rng.choice(size, size=int(loops * size)).tolist():
+        edges.add((a, a))
+    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+
+def test_strongly_connected_components_match_the_searchsorted_version():
+    """Successor lists built in one pass over the edges give the same
+    components, in the same order and with the same members in the same
+    order, as successor lists cut from ``searchsorted`` bounds: on random
+    sorted edge lists with sinks, loops and isolated states, on graphs of
+    one state, and on 4096 states, one long cycle included."""
+    rng = np.random.default_rng(3205)
+    empty = np.zeros(0, dtype=np.int64)
+    graphs = [
+        (1, empty, empty),
+        (1, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)),
+        (4, empty, empty),
+        (4096, np.arange(4096), (np.arange(4096) + 1) % 4096),
+        (4096, np.arange(4095), np.arange(1, 4096)),
+    ]
+    for size in (2, 3, 5, 8, 13, 40, 200):
+        for per_state in (0.5, 1.0, 2.0, 3.0):
+            graphs.append((size, *_random_edges(rng, size, per_state, loops=0.1)))
+    for per_state in (0.8, 1.2, 2.0):
+        graphs.append((4096, *_random_edges(rng, 4096, per_state, loops=0.05)))
+    for size, src, dst in graphs:
+        got = flowescape.shift._strongly_connected_components(size, src, dst)
+        assert got == strongly_connected_components(size, src, dst)
+        assert sorted(state for comp in got for state in comp) == list(range(size))
+        assert all(type(state) is int for comp in got for state in comp)
 
 
 # ---------------------------------------------------------------------------
