@@ -54,7 +54,7 @@ from .shift import (
     is_reduced,
     refine_cylinder_function,
 )
-from .suspension import SuspensionSystem, build_suspension
+from .suspension import SuspensionSystem, _prefix_height, build_suspension
 from .zeta import (
     ONE_MINUS_Z,
     Polynomial,
@@ -196,7 +196,7 @@ def build_family(
 
     reps = (p + order - 1) // p + 1
     extended = word * reps
-    orbit_height = sum(system.height_of(extended[j : j + order]) for j in range(p))
+    orbit_height = _prefix_height(system, extended[: p + order])
     t_word = extended[:order]
     closed, cofactor = _closed_and_cofactor(system, t_word, t_word)
     return PeriodicOrbitFamily(

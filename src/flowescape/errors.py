@@ -143,4 +143,5 @@ class AllMassEscapedError(DomainError):
 
 
 class NoConvergenceError(DomainError):
-    """An iterative routine failed to reach its tolerance within its budget."""
+    """A routine failed to reach its tolerance: an iteration within its budget,
+    or the stationary vector's LU solve."""

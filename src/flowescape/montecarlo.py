@@ -213,8 +213,9 @@ class DeviationEstimate:
 
 def _deviation_setup(shift, ceiling, epsilon, k_values, l_max):
     """Checks shared by both deviation routes; returns the sorted k values, l_max
-    (default 4 * max k), heights, lattice, order, mean ceiling and the
-    cylinder measure of each word of ``heights``, in its order."""
+    (default 4 * max k), heights, lattice, order n, mean ceiling, the
+    cylinder measure of each word of ``heights``, in its order, and the index
+    of the admissible words of max(n - 1, 1) letters, the DP's suffixes."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     ks = tuple(sorted({int(k) for k in k_values}))
@@ -227,7 +228,9 @@ def _deviation_setup(shift, ceiling, epsilon, k_values, l_max):
     if l_max < ks[-1]:
         raise ValueError(f"l_max = {l_max} is below the largest k = {ks[-1]}")
     masses = system.block_measure[system._starts]
-    return ks, l_max, heights, system.lattice_scale, ceiling.order, system.total_mass, masses
+    n = ceiling.order
+    index = {w: i for i, w in enumerate(admissible_words(shift, max(n - 1, 1)))}
+    return ks, l_max, heights, system.lattice_scale, n, system.total_mass, masses, index
 
 
 def fit_decay(k_values, probabilities) -> "float | None":
@@ -328,7 +331,7 @@ def estimate_deviation_prob(
     x successors) and no array grows with the number of samples. The
     ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
     """
-    ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
+    ks, l_max, heights, lam, n, mean, masses, index = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
     )
     samples = config.samples
@@ -336,7 +339,6 @@ def estimate_deviation_prob(
         raise ValueError(f"counts merge in float64, exact up to 2**53 samples, got {samples}")
 
     suffix_len = max(n - 1, 1)
-    index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
     states = len(index)
     buckets = len(ks)
     # (suffix, branch) tables of a cell's split: the shares of its last
@@ -417,20 +419,6 @@ def estimate_deviation_prob(
     )
 
 
-def _band_plan(operators: dict, stride: int, band: int) -> tuple:
-    """T V on the first ``band`` columns of a states x ``stride`` array, as
-    flat offsets (read, write, p) in ``_gain_plan``'s (gain, link, column)
-    order: cell (src, c) adds p times (dst, c + g). A step at origin o reads
-    and writes o offsets further on."""
-    cols = np.arange(band)
-    reads, writes, weights = [], [], []
-    for g, (src, dst, p) in operators.items():
-        reads.append((dst[:, None] * stride + g + cols).ravel())
-        writes.append((src[:, None] * stride + cols).ravel())
-        weights.append(np.repeat(p, band))
-    return np.concatenate(reads), np.concatenate(writes), np.concatenate(weights)
-
-
 def exact_deviation_prob(
     shift: MarkovShift,
     ceiling: CylinderFunction,
@@ -449,10 +437,11 @@ def exact_deviation_prob(
     length order, since keep_l depends on l, and step with the sparse
     per-gain operators A_g of ``_lattice_operators``: the forward step is
     new[:, g:] += A_g @ dist[:, :width - g] along ``_gain_plan``, and T V is
-    new[:, c] += A_g^T @ V[:, c + g]. V_l is zero outside the kept band
-    [lo_l, hi_l], so the backward step takes only the columns of a window as
-    wide as the widest band, placed at lo_l; V carries that many plus h_max
-    zero columns past the last sum, where the window's reads of c + g land.
+    new[:, c] += A_g^T @ V[:, c + g] along a ``_gain_plan`` with read and
+    write swapped. V_l is zero outside the kept band [lo_l, hi_l], so the
+    backward step takes only the columns of a window as wide as the widest
+    band, placed at lo_l; V carries that many plus h_max zero columns past
+    the last sum, where the window's reads of c + g land.
     Each cell still sums its links in gain, then link order, and the terms
     the window drops or reads as padding are exact zeros, so V equals the
     full-width step's bit for bit. Heights, lattice, mean and the start
@@ -460,11 +449,10 @@ def exact_deviation_prob(
     from ``build_suspension(shift, ceiling)``, which reads every admissible
     word of that order and raises as it does.
     """
-    ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
+    ks, l_max, heights, lam, n, mean, masses, index = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
     )
     suffix_len = max(n - 1, 1)
-    index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
     operators = _lattice_operators(shift, heights, n, index)
     h_max = max(heights.values())
     width = l_max * h_max + 1
@@ -472,7 +460,7 @@ def exact_deviation_prob(
     cells = [index[w[-suffix_len:]] * width + k for w, k in heights.items()]
     dist = np.bincount(cells, weights=masses, minlength=len(index) * width)
     dist = dist.reshape(len(index), width)
-    forward = _gain_plan(operators, width)
+    forward = _gain_plan(operators, width, width)
     dists = {}
     for l in range(1, ks[-1] + 1):
         if l > 1:
@@ -483,7 +471,8 @@ def exact_deviation_prob(
     lows, highs = (bound.tolist() for bound in _kept_sums(lam, mean, epsilon, l_max, h_max))
     band = max(1, max(hi - lo + 1 for lo, hi in zip(lows[ks[0] - 1 :], highs[ks[0] - 1 :])))
     stride = width + band + h_max
-    read, write, p = _band_plan(operators, stride, band)
+    read, write, p = _gain_plan(operators, stride, band)
+    backward = (write, read, p)  # T V on the first band columns
     # From origin lo <= width the window's last read, lo + (states - 1) * stride
     # + band - 1 + h_max, stays inside V, and its writes past the band (the
     # padding included) are zeroed.
@@ -496,7 +485,7 @@ def exact_deviation_prob(
         if l < l_max:
             window = slice(lo, lo + span)
             stepped = np.zeros(survive.size)
-            stepped[window] = _gain_step(survive.ravel()[window], (read, write, p))
+            stepped[window] = _gain_step(survive.ravel()[window], backward)
             survive = stepped.reshape(survive.shape)
             survive[:, hi + 1 : lo + band] = 0.0
         if l in dists:

@@ -5,8 +5,9 @@ from the time-lambda block chain zeroes the rows of all level-0 blocks whose
 word extends the hole word. The open operator has two representations, and
 ``escape_rate_flow(..., representation=...)`` is the public route to each:
 
-* ``refined``: refine the ceiling to order max(m, n) so the hole is a union of
-  blocks, then zero those rows. Dimension grows with the refinement.
+* ``refined``: the order-n chain run on the hole's pattern automaton (below),
+  with no refinement of the ceiling to order max(m, n). Dimension at most
+  n-words * m.
 * ``bordered``: keep the order-n chain and append k0 - 1 border rows/columns
   that carry the hole's overlap structure (alpha, the correlation coefficients
   c_k, and a return column). Dimension n-blocks + k0 - 1, independent of m.
@@ -428,31 +429,25 @@ def _open_root(system: SuspensionSystem, hole: Word) -> float:
 # Escape rates and survival curves
 # ===========================================================================
 
-def _representation(system: SuspensionSystem, hole: Word, representation: str) -> str:
-    """``representation`` with ``auto`` resolved: refined when the admissible
-    words of length max(len(hole), order) number at most ``DEFAULT_STATE_CAP``,
-    bordered otherwise."""
-    if representation == "auto":
-        refined_order = max(len(hole), system.order)
-        return "refined" if _within_state_cap(system.base, refined_order) else "bordered"
-    if representation not in ("refined", "bordered"):
-        raise ValueError(f"unknown representation {representation!r}")
-    return representation
-
-
 def _open_rate(
     system: SuspensionSystem, hole: Word, representation: str
 ) -> tuple[str, float, float]:
     """(representation with ``auto`` resolved, flow escape rate, radius of the
     open time-lambda operator), from one root of that representation.
 
-    ``auto`` follows ``_representation`` (refined within the word cap,
-    bordered past it), except that a hole the bordered route rejects on a
-    precondition of its own (not reduced, shorter than the order, too many
-    states, a determinant past the dense cap) takes the refined root, which
-    needs only the hole automaton. When that automaton is past the cap too,
-    its RefinementTooLargeError is raised from the bordered route's error."""
-    resolved = _representation(system, hole, representation)
+    ``auto`` is refined when the admissible words of length max(len(hole),
+    order) number at most ``DEFAULT_STATE_CAP``, bordered past it, except
+    that a hole the bordered route rejects on a precondition of its own (not
+    reduced, shorter than the order, too many states, a determinant past the
+    dense cap) takes the refined root, which needs only the hole automaton.
+    When that automaton is past the cap too, its RefinementTooLargeError is
+    raised from the bordered route's error."""
+    if representation not in ("auto", "refined", "bordered"):
+        raise ValueError(f"unknown representation {representation!r}")
+    resolved = representation
+    if representation == "auto":
+        within = _within_state_cap(system.base, max(len(hole), system.order))
+        resolved = "refined" if within else "bordered"
     bordered_error = None
     if resolved == "bordered":
         try:

@@ -91,13 +91,16 @@ class MarkovShift:
         """True when the cylinder [word] has positive measure."""
         if len(word) == 0:
             return True
-        if any(a < 0 or a >= self.alphabet_size for a in word):
+        size = self.alphabet_size
+        if any(a < 0 or a >= size for a in word):
             return False
-        return all(self.transitions[a, b] > 0.0 for a, b in zip(word, word[1:]))
+        table = self._successor_table
+        return all(b in table[a] for a, b in zip(word, word[1:]))
 
 
 def _stationary_vector(transitions: np.ndarray) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 by LU, falling back to power iteration.
+    """Solve pi P = pi, sum(pi) = 1 by LU; NoConvergenceError at once where the
+    system is singular or pi has an entry not finite or below -1e-10.
 
     The residual |pi P - pi| may exceed 1e-12 by the largest |row sum - 1|:
     pi P - pi sums to sum_i pi_i (row sum_i - 1), so an exact solution on
@@ -109,16 +112,14 @@ def _stationary_vector(transitions: np.ndarray) -> np.ndarray:
     rhs[-1] = 1.0
     try:
         pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        pi = np.full(size, np.nan)
+    except np.linalg.LinAlgError as error:
+        raise NoConvergenceError(f"stationary system is singular: {error}") from None
     if not np.all(np.isfinite(pi)) or pi.min() < -1e-10:
-        pi = np.full(size, 1.0 / size)
-        for _ in range(1_000_000):
-            nxt = pi @ transitions
-            if np.abs(nxt - pi).max() <= 1e-16:
-                pi = nxt
-                break
-            pi = nxt
+        worst = int(np.argmin(np.where(np.isfinite(pi), pi, -np.inf)))
+        raise NoConvergenceError(
+            f"LU stationary vector has pi[{worst}] = {float(pi[worst])!r}, "
+            "not finite or below -1e-10"
+        )
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     residual = np.abs(pi @ transitions - pi).max()
@@ -199,7 +200,10 @@ def build_markov_shift(
 
     Raises NotRowStochasticError when a row sum is off by more than 1e-9 or an
     entry is negative, and NotIrreducibleError when the positive-entry digraph
-    is not strongly connected.
+    is not strongly connected. NoConvergenceError is raised where the one LU
+    solve for the stationary vector is singular, has an entry not finite or
+    below -1e-10 (as on some nearly decomposable chains), or leaves a
+    residual |pi P - pi| above 1e-12 plus the largest |row sum - 1|.
     """
     mat = np.array(transitions, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
@@ -553,8 +557,11 @@ def _hole_automaton(
         states.append((u, j))
     index = {state: i for i, state in enumerate(states)}
     transitions = shift.transitions.tolist()
+    # Rows come out in state order, so sorting each row's few targets (distinct
+    # letters reach distinct ones) sorts the links by (src, dst).
     rows, cols, probs = [], [], []
     for i, (u, j) in enumerate(states):  # grows while it is read: breadth-first
+        row = []
         for b in shift.successors(u[-1]):
             k = delta[j][b]
             if k == m:
@@ -569,12 +576,13 @@ def _hole_automaton(
                     )
                 t = index[target] = len(states)
                 states.append(target)
+            row.append((t, transitions[u[-1]][b]))
+        for t, q in sorted(row):
             rows.append(i)
             cols.append(t)
-            probs.append(transitions[u[-1]][b])
+            probs.append(q)
     src, dst = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    ranked = np.lexsort((dst, src))
-    return states, (src[ranked], dst[ranked], np.array(probs)[ranked])
+    return states, (src, dst, np.array(probs))
 
 
 def escape_rate_from_survival_slope(shift: MarkovShift, hole: Word) -> float:
@@ -676,19 +684,21 @@ def _lattice_operators(shift: MarkovShift, heights, order: int, index, hole=None
     return {g: tuple(map(np.array, zip(*links[g]))) for g in sorted(links)}
 
 
-def _gain_plan(operators: dict, width: int) -> tuple:
-    """One letter of the lattice-sum DP on a states x width array as flat
-    offsets (read, write, p): entry (src, c) times p adds into (dst, c + g),
-    link by link of each gain, sums pushed past the last column dropped.
-    Swapping read and write gives T V, every link reversed: (dst, c + g) into
-    (src, c). Built once per DP and read by ``_gain_step``."""
+def _gain_plan(operators: dict, stride: int, band: int) -> tuple:
+    """One letter of the lattice-sum DP on a states x ``stride`` array as flat
+    offsets (read, write, p): entry (src, c) times p adds into (dst, c + g)
+    for the columns c < min(band, stride - g), link by link of each gain, so
+    ``_gain_plan(ops, width, width)`` steps the whole array and drops the sums
+    pushed past its last column. Swapping read and write gives T V, every
+    link reversed: (dst, c + g) into (src, c), on the first ``band`` columns
+    wherever stride - g >= band. Built once per DP and read by ``_gain_step``."""
     reads, writes, weights = [], [], []
     for g, (src, dst, p) in operators.items():
-        if g < width:
-            cols = np.arange(width - g)
-            reads.append((src[:, None] * width + cols).ravel())
-            writes.append((dst[:, None] * width + g + cols).ravel())
-            weights.append(np.repeat(p, width - g))
+        if g < stride:
+            cols = np.arange(min(band, stride - g))
+            reads.append((src[:, None] * stride + cols).ravel())
+            writes.append((dst[:, None] * stride + g + cols).ravel())
+            weights.append(np.repeat(p, len(cols)))
     return np.concatenate(reads), np.concatenate(writes), np.concatenate(weights)
 
 

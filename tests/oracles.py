@@ -22,6 +22,11 @@ each cyclic component's links with boolean masks and takes e^{s h} one
 component at a time, and Tarjan's algorithm as the version that reads each
 state's successors off ``searchsorted`` bounds; the library splits the links
 once per root on Python lists and builds the successor lists in one pass.
+The hole automaton's links are rebuilt here by matching every prefix of the
+hole and put in order by ``np.lexsort``, where the library sorts each row's
+few targets as it builds the row; the exact deviation DP's backward plan is
+kept as its own builder, where the library swaps read and write of
+``_gain_plan``.
 """
 
 import bisect
@@ -107,6 +112,27 @@ def survivor_matrix(shift, hole, order=None):
     hole_rows = tuple(i for i, w in enumerate(states) if w[: len(hole)] == hole)
     matrix[list(hole_rows), :] = 0.0
     return SurvivorMatrix(states=states, matrix=matrix, hole_rows=hole_rows)
+
+
+def hole_automaton_links(shift, hole, states):
+    """The links (src, dst, p) of the hole automaton on ``states``, the
+    library's (last letters, match) states, sorted by ``np.lexsort``: letter b
+    leads from (u, j) to (u[1:] + b, k), with k the longest prefix of the hole
+    that ends hole[:j] + b, and the link is dropped when k is the whole hole."""
+    index = {state: i for i, state in enumerate(states)}
+    src, dst, p = [], [], []
+    for i, (u, j) in enumerate(states):
+        for b in range(shift.alphabet_size):
+            if shift.transitions[u[-1], b] > 0.0:
+                text = hole[:j] + (b,)
+                k = max(m for m in range(len(text) + 1) if text[len(text) - m :] == hole[:m])
+                if k < len(hole):
+                    src.append(i)
+                    dst.append(index[u[1:] + (b,), k])
+                    p.append(float(shift.transitions[u[-1], b]))
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    ranked = np.lexsort((dst, src))
+    return src[ranked], dst[ranked], np.array(p)[ranked]
 
 
 def dense_leverrier(matrix, entry):
@@ -565,21 +591,34 @@ def expansion_coefficients(family, nu, order):
     return tuple(s_values), (s1, s1 * s1 * bracket)
 
 
+def band_plan(operators: dict, stride: int, band: int) -> tuple:
+    """T V on the first ``band`` columns of a states x ``stride`` array, as
+    flat offsets (read, write, p) in ``_gain_plan``'s (gain, link, column)
+    order: cell (src, c) adds p times (dst, c + g). A step at origin o reads
+    and writes o offsets further on."""
+    cols = np.arange(band)
+    reads, writes, weights = [], [], []
+    for g, (src, dst, p) in operators.items():
+        reads.append((dst[:, None] * stride + g + cols).ravel())
+        writes.append((src[:, None] * stride + cols).ravel())
+        weights.append(np.repeat(p, band))
+    return np.concatenate(reads), np.concatenate(writes), np.concatenate(weights)
+
+
 def exact_deviation_prob(shift, ceiling, epsilon, k_values, l_max):
     """``exact_deviation_prob`` with the backward pass over every sum column,
     0..l_max * h_max, at every l; the library steps only the kept band."""
-    ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
+    ks, l_max, heights, lam, n, mean, masses, index = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
     )
     suffix_len = max(n - 1, 1)
-    index = {w: i for i, w in enumerate(admissible_words(shift, suffix_len))}
     operators = _lattice_operators(shift, heights, n, index)
     h_max = max(heights.values())
     width = l_max * h_max + 1
     cells = [index[w[-suffix_len:]] * width + k for w, k in heights.items()]
     dist = np.bincount(cells, weights=masses, minlength=len(index) * width)
     dist = dist.reshape(len(index), width)
-    read, write, p = _gain_plan(operators, width)
+    read, write, p = _gain_plan(operators, width, width)
     dists = {}
     for l in range(1, ks[-1] + 1):
         if l > 1:

@@ -240,7 +240,7 @@ _ORDER3_CEILING = cylinder_function(
 def test_kept_sums_equal_the_float_test(full2, ceiling, epsilon):
     """[lo_l, hi_l] decides every reachable sum as the float expression does,
     including the empty interval of a tiny epsilon."""
-    ks, l_max, heights, lam, n, mean, _ = _deviation_setup(full2, ceiling, epsilon, (10,), 60)
+    ks, l_max, heights, lam, n, mean, _, _ = _deviation_setup(full2, ceiling, epsilon, (10,), 60)
     top = max(heights.values())
     lows, highs = _kept_sums(lam, mean, epsilon, l_max, top)
     assert len(lows) == len(highs) == l_max
@@ -253,7 +253,7 @@ def test_kept_sums_equal_the_float_test(full2, ceiling, epsilon):
 
 def test_kept_sums_exact_tie_deviates(full2, step_ceiling):
     """mean 1.5, epsilon 0.25, l = 4: s = 5 gives exactly -0.25, which deviates."""
-    _, _, _, lam, _, mean, _ = _deviation_setup(full2, step_ceiling, 0.25, (4,), 4)
+    _, _, _, lam, _, mean, _, _ = _deviation_setup(full2, step_ceiling, 0.25, (4,), 4)
     assert mean == 1.5 and lam * 5 / 4 - mean == -0.25
     lows, highs = _kept_sums(lam, mean, 0.25, 4, 2)
     assert (lows[3], highs[3]) == kept_sums(lam, mean, 0.25, 4, 8) == (6, 6)
@@ -310,7 +310,7 @@ def test_settled_sums_equal_the_path_enumeration(ceiling, epsilon, k_values, l_m
     test at every tested l' in (l, l_max]. The paths' sums after d steps are
     enumerated as a set. At epsilon 0.001 an l keeps one sum at most, so no
     sum settles before l_max; at l_max every sum does."""
-    ks, l_max, heights, lam, _, mean, _ = _deviation_setup(
+    ks, l_max, heights, lam, _, mean, _, _ = _deviation_setup(
         _FULL2, ceiling, epsilon, k_values, l_max
     )
     gains = sorted(set(heights.values()))
@@ -407,7 +407,7 @@ def test_gain_step_equals_the_per_link_step(name, reverse):
     operators = _lattice_operators(shift, heights, n, index)
     assert (0 in operators) == (n == 3)
     dist = np.random.default_rng(3).random((len(words), 13))
-    read, write, p = _gain_plan(operators, 13)
+    read, write, p = _gain_plan(operators, 13, 13)
     got = _gain_step(dist, (write, read, p) if reverse else (read, write, p))
     links = [
         (i, j, g, q)
@@ -423,11 +423,43 @@ def test_gain_step_equals_the_per_link_step(name, reverse):
     assert np.array_equal(got, want)
 
 
+def test_swapped_gain_plan_is_the_band_plan():
+    """``_gain_plan`` with read and write swapped is the backward band plan,
+    array for array and float hex for float hex, wherever the stride leaves
+    room for the band past the largest gain, as the exact deviation DP's
+    does: on seeded operators, gain 0 included, and on the lattice-sum ones."""
+    rng = np.random.default_rng(3305)
+    cases = []
+    for _ in range(40):
+        states, h_max = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        gains = sorted(set(rng.integers(0, h_max + 1, int(rng.integers(1, 4))).tolist()))
+        operators = {}
+        for g in gains:
+            links = int(rng.integers(1, 3 * states + 1))
+            src = np.sort(rng.integers(0, states, links))
+            operators[g] = (src, rng.integers(0, states, links), rng.random(links))
+        width = int(rng.integers(1, 30))
+        cases.append((operators, width, int(rng.integers(1, width + 1)), h_max))
+    for shift, ceiling in _GAIN_CASES.values():
+        system = build_suspension(shift, ceiling)
+        heights = dict(zip(system.words, system.heights.tolist()))
+        index = {w: i for i, w in enumerate(admissible_words(shift, max(ceiling.order - 1, 1)))}
+        operators = _lattice_operators(shift, heights, ceiling.order, index)
+        cases.append((operators, 25, 7, max(heights.values())))
+    for operators, width, band, h_max in cases:
+        stride = width + band + h_max
+        read, write, p = _gain_plan(operators, stride, band)
+        want_read, want_write, want_p = oracles.band_plan(operators, stride, band)
+        assert write.dtype == want_read.dtype and np.array_equal(write, want_read)
+        assert read.dtype == want_write.dtype and np.array_equal(read, want_write)
+        assert [x.hex() for x in p.tolist()] == [x.hex() for x in want_p.tolist()]
+
+
 def _per_k_deviation_dp(shift, ceiling, epsilon, k_values, l_max):
     """The per-k absorbing DP: one full l_max-step pass per k, with the mass
     that has deviated at any l >= k zeroed as it goes. It steps one link at
     a time (``oracles.lattice_step``), not with the library's operators."""
-    ks, l_max, heights, lam, n, mean, _ = _deviation_setup(
+    ks, l_max, heights, lam, n, mean, _, _ = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
     )
     suffix_len = max(n - 1, 1)
@@ -576,7 +608,7 @@ def _deviation_reference(shift, ceiling, epsilon, k_values, config, l_max):
     ``rng.multinomial`` call per unsettled cell over its last letter's
     successors, on the steps of their cumulative weights cut at 1, the last
     successor taking what the others leave."""
-    ks, l_max, heights, lam, n, mean, masses = _deviation_setup(
+    ks, l_max, heights, lam, n, mean, masses, _ = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
     )
     depth = max(n - 1, 1)

@@ -10,6 +10,7 @@ import flowescape.shift
 from flowescape import (
     AllMassEscapedError,
     InadmissibleWordError,
+    NoConvergenceError,
     NonArithmeticCeilingError,
     NotIrreducibleError,
     NotRowStochasticError,
@@ -33,7 +34,13 @@ from flowescape import (
     shift_to_json,
     survival_measure_exact,
 )
-from oracles import dense, strongly_connected_components, survivor_matrix
+from oracles import (
+    dense,
+    hole_automaton_links,
+    strongly_connected_components,
+    survivor_matrix,
+)
+from property_suites import random_hole, random_shift
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +85,45 @@ def test_row_sums_inside_the_tolerance_build():
 def test_rejects_reducible_matrix():
     with pytest.raises(NotIrreducibleError):
         build_markov_shift([[1.0, 0.0], [0.5, 0.5]])
+
+
+def test_nearly_decomposable_chain_raises_no_convergence():
+    """Two blocks joined by weights of 1e-13 to 4e-10: LU's pi has a raw
+    minimum near -2e-3, where an 80-digit solve gives pi = [0.99998, 4.8e-12,
+    2.0e-5, 2.6e-15]. The shift is refused at once, not built on a wrong pi."""
+    transitions = [
+        [9.9999999999522216e-01, 4.7778697400896266e-12, 0.0, 0.0],
+        [9.9814432018953558e-01, 1.8556798102551811e-03, 2.0929536653052917e-13, 0.0],
+        [0.0, 0.0, 9.9999999987383692e-01, 1.2616310281628290e-10],
+        [3.9118286460997424e-10, 0.0, 9.9999999960881714e-01, 0.0],
+    ]
+    with pytest.raises(NoConvergenceError, match=r"pi\[0\] = -0\.0019"):
+        build_markov_shift(transitions)
+
+
+def test_singular_stationary_system_raises_no_convergence():
+    # The identity is reducible, so build_markov_shift never solves it; its
+    # stationary system is singular.
+    with pytest.raises(NoConvergenceError, match="singular"):
+        flowescape.shift._stationary_vector(np.eye(2))
+
+
+def test_is_admissible_reads_the_transition_entries(golden_mean, cycle2):
+    """The successor table answers as the transition entries do, for the
+    empty word and for words with letters outside the alphabet too."""
+    rng = np.random.default_rng(3303)
+    shifts = [golden_mean, cycle2] + [random_shift(rng) for _ in range(20)]
+    for shift in shifts:
+        size = shift.alphabet_size
+        words = [(), (-1,), (size,), (0, size), (size, 0), (0, -1)]
+        words += [tuple(rng.integers(-1, size + 1, int(rng.integers(1, 6)))) for _ in range(60)]
+        words += [tuple(rng.integers(0, size, int(rng.integers(1, 6)))) for _ in range(60)]
+        for word in words:
+            want = len(word) == 0 or (
+                all(0 <= a < size for a in word)
+                and all(shift.transitions[a, b] > 0.0 for a, b in zip(word, word[1:]))
+            )
+            assert shift.is_admissible(word) is want
 
 
 def _random_edges(rng, size, per_state, loops):
@@ -311,6 +357,24 @@ def test_hole_automaton_matches_the_word_chain(transitions, hole, order):
         )
         mass = mass @ chain.matrix
         mass[list(chain.hole_rows)] = 0.0
+
+
+def test_hole_automaton_links_match_the_lexsort_form():
+    """Rows sorted as they are built give the links, bit for bit, that every
+    match rebuilt and put in order by ``np.lexsort`` gives, on seeded shifts
+    at orders 1-3 with holes shorter and longer than the order."""
+    rng = np.random.default_rng(3304)
+    lengths = set()
+    for _ in range(60):
+        shift = random_shift(rng)
+        hole = random_hole(rng, shift, max_len=5)
+        for order in (1, 2, 3):
+            lengths.add(np.sign(len(hole) - order))
+            states, links = flowescape.shift._hole_automaton(shift, hole, order)
+            want = hole_automaton_links(shift, hole, states)
+            for got, ref in zip(links, want):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert lengths == {-1, 0, 1}
 
 
 def test_hole_automaton_past_the_cap_raises(full2):
