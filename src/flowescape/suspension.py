@@ -108,11 +108,18 @@ class SuspensionSystem:
         return self._starts.item(idx) + int(level)
 
 
+def _shift_heights(system: SuspensionSystem, word: Word) -> list[int]:
+    """The heights of the first len(word) - order shifts of the tuple
+    ``word``: entry j is the height of its n-gram at j, n the order, each
+    read once through ``_word_index``."""
+    n, index, heights = system.order, system._word_index, system.heights
+    return [heights.item(index[word[j : j + n]]) for j in range(len(word) - n)]
+
+
 def _prefix_height(system: SuspensionSystem, word: Word) -> int:
     """k0: the ceiling sum over the first len(word) - order shifts of ``word``
     (normalized lattice), 0 when the word is no longer than the order."""
-    n = system.order
-    return sum(system.height_of(word[j : j + n]) for j in range(len(word) - n))
+    return sum(_shift_heights(system, word))
 
 
 def build_suspension(

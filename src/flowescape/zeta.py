@@ -61,7 +61,7 @@ from .shift import (
     cylinder_measure,
     is_reduced,
 )
-from .suspension import SuspensionSystem, _prefix_height
+from .suspension import SuspensionSystem, _shift_heights
 
 # ===========================================================================
 # Polynomials
@@ -223,7 +223,8 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
             f"hole length {m} is below the ceiling order {n}"
         )
 
-    k0 = _prefix_height(system, word)
+    heights = _shift_heights(system, word)
+    k0 = sum(heights)
     transitions = base.transitions.tolist()
     alpha = 1.0
     for i in range(n - 1, m - 1):
@@ -238,7 +239,7 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
     partial_sum = 0
     weight = 1.0
     for j in range(1, m - n):
-        partial_sum += system.height_of(word[j - 1 : j - 1 + n])
+        partial_sum += heights[j - 1]
         weight *= transitions[word[j - 1]][word[j]]
         if partial_sum <= k0 - 1 and j in overlaps:
             correlation[partial_sum - 1] = weight
@@ -333,27 +334,28 @@ def _leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
     adj(I - zM) (which is the (col, row) cofactor of I - zM). Step k forms
     A_k = M X_{k-1}, c_k = -tr(A_k) / k and X_k = A_k + c_k I, and X_k[row,
     col] is the z^k coefficient of the adjugate entry, at one O(n^3) product
-    per step.
+    per step. The trace and the diagonal update go through a strided view of
+    each iterate's diagonal, the adjugate entry through ``item``.
     """
     size = matrix.shape[0]
     det_coeffs = [1.0]
     adj_coeffs: "list[float] | None" = None
     if entry is not None:
         adj_coeffs = [1.0 if entry[0] == entry[1] else 0.0]
-        adj_flat = entry[0] * size + entry[1]
-    diagonal = np.arange(size) * (size + 1)
     cur = matrix.copy()
     nxt = np.empty_like(cur)
+    diag, nxt_diag = cur.reshape(-1)[:: size + 1], nxt.reshape(-1)[:: size + 1]
     for k in range(1, size + 1):
-        coeff = -float(cur.take(diagonal).sum()) / k
+        coeff = -float(diag.sum()) / k
         det_coeffs.append(coeff)
         if k == size:
             break
-        cur.reshape(-1)[diagonal] += coeff
+        diag += coeff
         if adj_coeffs is not None:
-            adj_coeffs.append(float(cur.take(adj_flat)))
+            adj_coeffs.append(cur.item(entry))
         np.matmul(matrix, cur, out=nxt)
         cur, nxt = nxt, cur
+        diag, nxt_diag = nxt_diag, diag
     return det_coeffs, adj_coeffs
 
 
@@ -385,8 +387,9 @@ def _word_layers(
     between kept states (Parry & Pollicott, Asterisque 187-188, ch. 6).
     """
     (src, dst, prob), heights, words = system.word_links, system.heights.tolist(), len(system.words)
-    first = np.searchsorted(src, np.arange(words))  # each word's first link
-    follow = np.where(np.bincount(src, minlength=words) == 1, dst[first], -1).tolist()
+    bounds = src.searchsorted(range(words + 1)).tolist()  # each word's links
+    src, dst, prob = src.tolist(), dst.tolist(), prob.tolist()
+    follow = [dst[a] if b - a == 1 else -1 for a, b in zip(bounds, bounds[1:])]
     keep = [u for u in range(words) if follow[u] == u] + list(entry or ())
     if q is not None:
         t, r = system._word_index[q.t_word], system._word_index[q.r_word]
@@ -408,20 +411,22 @@ def _word_layers(
         for w in reversed(path):
             if (v := follow[w]) >= 0:
                 target[w], extra[w] = target[v], heights[w] + extra[v]
-                weight[w] = prob.item(first[w]) * weight[v]
-    state = np.cumsum(np.array(follow) < 0) - 1
-    state[np.array(follow) >= 0] = -1
+                weight[w] = prob[bounds[w]] * weight[v]
+    state, kept = [-1] * words, 0
+    for u in range(words):
+        if follow[u] < 0:
+            state[u], kept = kept, kept + 1
     overlaps = q is not None and any(q.correlation)
-    dim = int(state.max()) + 1 + overlaps
+    dim = kept + overlaps
 
     def term(i, v, p, value):
         """The term value z^p of W from state i to word v, carried along the
         chain of v to the state it ends on."""
-        return i, state.item(target[v]), p + extra[v], value * weight[v]
+        return i, state[target[v]], p + extra[v], value * weight[v]
 
     terms = [
-        term(state.item(u), v, heights[u], value)
-        for u, v, value in zip(src.tolist(), dst.tolist(), prob.tolist())
+        term(state[u], v, heights[u], value)
+        for u, v, value in zip(src, dst, prob)
         if follow[u] < 0 and not (q is not None and q.k0 == 0 and u == t)
     ]
     loop = None
@@ -434,9 +439,9 @@ def _word_layers(
         scale = 2.0 ** round(math.log2(1.0 + math.fsum(q.correlation)))
         coeffs = np.array((1.0 - scale,) + q.correlation) / -scale
         loop = (dim - 1, np.trim_zeros(coeffs, "b"), scale)
-        terms += [(state.item(t), dim - 1, 1, -q.alpha), term(dim - 1, r, q.k0 - 1, 1.0 / scale)]
+        terms += [(state[t], dim - 1, 1, -q.alpha), term(dim - 1, r, q.k0 - 1, 1.0 / scale)]
     elif q is not None and q.k0 >= 1:
-        terms.append(term(state.item(t), r, q.k0, -q.alpha))
+        terms.append(term(state[t], r, q.k0, -q.alpha))
     # Cost in multiply-adds: d steps of, per power p, the rows of W_p times
     # a d x d(n + 1) iterate, and of the loop's convolution along the degrees
     # of row b; against n steps of one n x n by n x n product.
@@ -444,14 +449,18 @@ def _word_layers(
     loop_terms = 0 if loop is None else loop[1].size
     if dim**2 * (size + 1) * (row_terms * dim + loop_terms) >= min(size, _DENSE_MAX_DIMENSION) ** 4:
         return None
-    layers: dict[int, np.ndarray] = {}
+    # Each entry sums its terms in order from +0.0; a row of W_p counts as
+    # one with a z^p term when an entry is nonzero or nan, as ``any`` has it.
+    layers: dict[int, dict[int, list[float]]] = {}
     for i, j, p, value in terms:
-        layers.setdefault(p, np.zeros((dim, dim)))[i, j] += value
-    rows = {p: np.flatnonzero(layer.any(axis=1)) for p, layer in layers.items()}
-    return dim, [
-        (p, slice(None) if rows[p].size == dim else rows[p], layers[p][rows[p]])
-        for p in sorted(layers)
-    ], loop, None if entry is None else (state.item(entry[0]), state.item(entry[1]))
+        row = layers.setdefault(p, {}).setdefault(i, [0.0] * dim)
+        row[j] += value
+    blocks = []
+    for p in sorted(layers):
+        rows = sorted(i for i, row in layers[p].items() if any(row))
+        block = np.array([layers[p][i] for i in rows]).reshape(len(rows), dim)
+        blocks.append((p, slice(None) if len(rows) == dim else np.array(rows, dtype=np.intp), block))
+    return dim, blocks, loop, None if entry is None else (state[entry[0]], state[entry[1]])
 
 
 def _tower_leverrier(
@@ -493,18 +502,25 @@ def _word_leverrier(size: int, dim: int, layers, loop, entry):
     iterate is stored degree-major within each row, x[j, deg, col], so
     multiplying by z^p is a shift of its flattened rows by p d columns, and
     the loop on b is one convolution per column of row b.
+
+    The diagonal polynomials X[i, :, i] are d strided views of each iterate.
+    Their sum runs over i in turn, as ``sum(axis=0)`` of their gather does.
+    It starts on the first view rather than on +0.0; no entry of an iterate
+    is -0.0, each being a sum started at +0.0, so both starts give the same
+    floats.
     """
     width = size + 1
-    diag = np.arange(dim)
     det = np.zeros(width)
     det[0] = 1.0
     cur = np.zeros((dim, width, dim))
-    cur[diag, 0, diag] = 1.0
+    nxt = np.empty_like(cur)
+    diags, nxt_diags = ([x[i, :, i] for i in range(dim)] for x in (cur, nxt))
+    for view in diags:
+        view[0] = 1.0
     adj = None
     if entry is not None:
         r, t = entry
         adj = cur[r, :, t].copy()
-    nxt = np.empty_like(cur)
     for k in range(1, dim + 1):
         nxt.fill(0.0)
         flat_in, flat_out = cur.reshape(dim, -1), nxt.reshape(dim, -1)
@@ -514,14 +530,19 @@ def _word_leverrier(size: int, dim: int, layers, loop, entry):
             b, coeffs, _ = loop
             for col in range(dim):
                 nxt[b, :, col] += np.convolve(cur[b, :, col], coeffs)[:width]
-        coeff = nxt[diag, :, diag].sum(axis=0) / -k
+        coeff = nxt_diags[0].copy()
+        for view in nxt_diags[1:]:
+            coeff += view
+        coeff /= -k
         det += coeff
         if k == dim:
             break
-        nxt[diag, :, diag] += coeff
+        for view in nxt_diags:
+            view += coeff
         if adj is not None:
             adj += nxt[r, :, t]
         cur, nxt = nxt, cur
+        diags, nxt_diags = nxt_diags, diags
     scale = 1.0 if loop is None else loop[2]
     return (det * scale).tolist(), None if adj is None else (adj[:size] * scale).tolist()
 
@@ -531,7 +552,7 @@ def _closed_and_cofactor(system: SuspensionSystem, t_word: Word, r_word: Word):
     level-0 blocks r, t of ``r_word`` and ``t_word``, from one pass."""
     index = system._word_index
     det, adj = _tower_leverrier(system, entry=(index[r_word], index[t_word]))
-    return Polynomial(tuple(det)), Polynomial(tuple(adj))
+    return Polynomial._trimmed(tuple(det)), Polynomial._trimmed(tuple(adj))
 
 
 # ===========================================================================
@@ -595,6 +616,30 @@ def _series_quotient(num, den, order: int) -> tuple[float, ...]:
 _ROOT_BRACKETS = tuple(float(2**j) for j in range(1, 22))
 
 
+def _scan_points() -> np.ndarray:
+    """Row j: the 512 points of ``np.linspace`` over bracket j of
+    ``_ROOT_BRACKETS``, k * step + left with step = (right - left) / 511 and
+    the last point ``right``, the floats that Python's ``k * step + left``
+    gives; read-only."""
+    right = np.array(_ROOT_BRACKETS)[:, None]
+    left = right / 2
+    points = np.arange(512) * ((right - left) / 511) + left
+    points[:, -1] = _ROOT_BRACKETS
+    points.setflags(write=False)
+    return points
+
+
+_SCAN_POINTS = _scan_points()
+
+#: The points 1..31 of [1, 2], which ``_first_sign_change`` evaluates one at
+#: a time, and the blocks of ``_SCAN_POINTS`` it then evaluates in one pass
+#: each: the rest of [1, 2] from point 31, then 1, 2, 4, 8 and 5 brackets.
+_SCAN_HEAD = tuple(_SCAN_POINTS[0, 1:32].tolist())
+_SCAN_CHUNKS = (_SCAN_POINTS[:1, 31:],) + tuple(
+    _SCAN_POINTS[a:b] for a, b in ((1, 2), (2, 4), (4, 8), (8, 16), (16, 21))
+)
+
+
 def smallest_root_geq_one(poly: Polynomial) -> float:
     """Smallest real root of ``poly`` in [1, 2^21], assuming poly(1) >= 0.
 
@@ -614,13 +659,7 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
     if poly.degree == 0:
         return math.inf
 
-    left = 1.0
-    found: "tuple[float, float] | None" = None
-    for right in _ROOT_BRACKETS:
-        found = _first_sign_change(poly, left, right)
-        if found is not None:
-            break
-        left = right
+    found = _first_sign_change(poly, at_one)
     if found is not None:
         a, b = _refine_bracket(poly, *found)
         return _polish_candidate(poly, 0.5 * (a + b), a, b, scale)
@@ -641,43 +680,59 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
 
 
 def _first_sign_change(
-    poly: Polynomial, left: float, right: float
+    poly: Polynomial, at_one: float
 ) -> "tuple[float, float, float, float] | None":
     """The first neighbours (x, y) of ``np.linspace(left, right, 512)`` with
-    poly(x) > 0 >= poly(y), as (x, y, poly(x), poly(y)), or None.
+    poly(x) > 0 >= poly(y), over the brackets [left, right] of
+    ``_ROOT_BRACKETS`` in turn, as (x, y, poly(x), poly(y)), or None;
+    ``at_one`` is poly(1.0).
 
-    The points are linspace's floats, j * step + left with the last one
-    ``right``. The first 32 points are evaluated one at a time, and the rest
-    of the bracket takes one vectorized Horner pass, a multiply and an add per
-    coefficient, which rounds as ``poly(x)`` does, so the same pair is found.
-    The split is for speed: on the root calls of the ``zeta-grid`` benchmark
-    (seeds 5 and 6), 486 of the 576 sign changes lie in the first 32 points
-    and half of all of them by the fourth, where a few scalar calls beat a
-    numpy pass over the whole bracket: one numpy pass over all 512 points
-    took the seed-5 calls from 3.2 to 12.8 ms and the whole seed-5 pass from
-    about 50 to 60 ms (best of 9 passes, one BLAS thread, 2-core x86-64 Xeon).
+    The points are the rows of ``_SCAN_POINTS``, and each bracket's last
+    point is the next one's first, so the pairs of neighbours are the pairs
+    within the brackets. The points 1..31 of [1, 2] are evaluated one at a
+    time, by the Horner loop of ``poly(x)``, and the blocks of
+    ``_SCAN_CHUNKS`` one vectorized Horner pass each, a multiply and an add
+    per coefficient, which rounds as ``poly(x)`` does, so the same pair is
+    found; the scan stops at the first block that holds a change.
+
+    The split is for speed, timed on the root calls of the ``zeta-grid``
+    benchmark at seeds 5 and 6 (best of 15 passes, one BLAS thread, 2-core
+    x86-64 Xeon). 486 of their 576 sign changes lie in the first 32 points,
+    half of all of them by the fourth, where a few scalar steps beat a numpy
+    pass; the other 90 lie further into [1, 2]. A numpy Horner step costs
+    about as much on 33 points as on 481 (0.88 against 1.0 us), so the rest
+    of [1, 2] is one block. Only a polynomial with no sign change in [1, 2]
+    reaches the later brackets: 4 of the 244 calls, whose double roots give
+    none anywhere, scan all 21, and the doubling blocks took such a call from
+    636 to 153 us, where each bracket had 31 scalar steps and a pass of its
+    own. With poly(1.0) and the first Newton step's derivative reused, root
+    isolation on the 122 seed-5 calls went from 5.4-5.6 to 4.5-4.7 ms, and on
+    the seed-6 calls from 7.6-7.9 to 5.0-5.2 ms.
     """
-    step = (right - left) / 511
-    prev_x, prev_v = left, poly(left)
-    for j in range(1, 32):
-        x = j * step + left
-        v = poly(x)
+    coeffs = poly.coefficients[::-1]
+    prev_x, prev_v = 1.0, at_one
+    for x in _SCAN_HEAD:
+        v = 0.0
+        for c in coeffs:
+            v = v * x + c
         if prev_v > 0.0 >= v:
             return prev_x, x, prev_v, v
         prev_x, prev_v = x, v
-    xs = np.arange(31, 512) * step + left
-    xs[-1] = right
-    values = np.zeros_like(xs)
     # Python floats overflow to inf and nan without a warning; so does this.
     with np.errstate(over="ignore", invalid="ignore"):
-        for c in reversed(poly.coefficients):
-            np.multiply(values, xs, out=values)
-            np.add(values, c, out=values)
-    hits = np.flatnonzero((values[:-1] > 0.0) & (values[1:] <= 0.0))
-    if len(hits) == 0:
-        return None
-    i = hits[0]
-    return float(xs[i]), float(xs[i + 1]), float(values[i]), float(values[i + 1])
+        for xs in _SCAN_CHUNKS:
+            values = np.zeros(xs.shape)
+            for c in coeffs:
+                np.multiply(values, xs, out=values)
+                np.add(values, c, out=values)
+            hits = np.flatnonzero((values[:, :-1] > 0.0) & (values[:, 1:] <= 0.0))
+            if len(hits):
+                row, col = divmod(hits.item(0), xs.shape[1] - 1)
+                return (
+                    xs.item(row, col), xs.item(row, col + 1),
+                    values.item(row, col), values.item(row, col + 1),
+                )
+    return None
 
 
 def _refine_bracket(
@@ -736,16 +791,21 @@ def _polish_candidate(
     Near a multiple root the residual is noise-dominated and plain Newton
     stalls at sqrt(eps) accuracy, but the root location is then a simple root
     of the derivative, which polishes cleanly. The switch is only trusted when
-    the polished derivative root really annihilates the polynomial.
+    the polished derivative root really annihilates the polynomial. The
+    derivative at ``cand`` that decides the switch is the one the first
+    Newton step evaluates.
     """
     deriv = poly.derivative()
-    if poly.degree >= 2 and abs(deriv(cand)) <= 1e-7 * max(1.0, scale):
-        # The true root can sit slightly outside a bracket that converged
-        # inside the noise band, so polish within a pad, not the bracket.
-        pad = 1e-6 * max(1.0, abs(cand))
-        alt = _newton_polish(deriv, deriv.derivative(), cand, cand - pad, cand + pad)
-        if abs(poly(alt)) <= 1e-12 * max(1.0, scale):
-            return alt
+    flat_slope = 1e-7 * max(1.0, scale) if poly.degree >= 2 else -1.0
+    root = _newton_polish(poly, deriv, cand, lo, hi, flat_slope)
+    if root is not None:
+        return root
+    # The true root can sit slightly outside a bracket that converged
+    # inside the noise band, so polish within a pad, not the bracket.
+    pad = 1e-6 * max(1.0, abs(cand))
+    alt = _newton_polish(deriv, deriv.derivative(), cand, cand - pad, cand + pad)
+    if abs(poly(alt)) <= 1e-12 * max(1.0, scale):
+        return alt
     return _newton_polish(poly, deriv, cand, lo, hi)
 
 
@@ -754,11 +814,17 @@ _POLISH_STEPS = 30
 
 
 def _newton_polish(
-    poly: Polynomial, deriv: Polynomial, start: float, lo: float, hi: float
-) -> float:
+    poly: Polynomial,
+    deriv: Polynomial,
+    start: float,
+    lo: float,
+    hi: float,
+    flat_slope: float = -1.0,
+) -> "float | None":
     """Newton iterates from ``start`` for ``_POLISH_STEPS`` steps, stopping
     early on a zero derivative, an iterate outside [lo - 1e-12, hi + 1e-9]
-    (the last one inside is kept) or a step within 1e-16 relative.
+    (the last one inside is kept) or a step within 1e-16 relative. None,
+    before the first step, where |deriv(start)| <= ``flat_slope``.
 
     From 1 on, 1e-16 relative is under an ulp, so next to a root the
     iterates often stay on one float or bounce between a few neighbours
@@ -781,6 +847,8 @@ def _newton_polish(
         for c, d in pairs:
             dv = dv * x + d
             value = value * x + c
+        if k == 1 and abs(dv) <= flat_slope:
+            return None
         if dv == 0.0:
             break
         step = (value * x + last) / dv
@@ -877,7 +945,7 @@ def zeta_op_factorized(system: SuspensionSystem, hole: Word) -> ZetaBundle:
     deflated = deflate_at_one(closed)
     corr = _correlation_poly(q)
     assembled = _open_determinant(closed, corr, cof, q.alpha, q.k0)
-    direct = Polynomial(tuple(_tower_leverrier(system, q)[0]))
+    direct = Polynomial._trimmed(tuple(_tower_leverrier(system, q)[0]))
     a, d = assembled.coefficients, direct.coefficients
     pad = len(d) - len(a)
     deviation = max(map(abs, map(sub, a + (0.0,) * pad, d + (0.0,) * -pad)))
@@ -903,7 +971,7 @@ def _bordered_root(system: SuspensionSystem, q: HoleQuantities) -> float:
     """Smallest root >= 1 of det(I - z M_op), M_op the bordered matrix of
     ``q``: the bordered radius is its reciprocal."""
     det, _ = _tower_leverrier(system, q)
-    return smallest_root_geq_one(Polynomial(tuple(det)))
+    return smallest_root_geq_one(Polynomial._trimmed(tuple(det)))
 
 
 def escape_rate_zeta(system: SuspensionSystem, hole: Word) -> float:

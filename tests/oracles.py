@@ -26,7 +26,13 @@ The hole automaton's links are rebuilt here by matching every prefix of the
 hole and put in order by ``np.lexsort``, where the library sorts each row's
 few targets as it builds the row; the exact deviation DP's backward plan is
 kept as its own builder, where the library swaps read and write of
-``_gain_plan``.
+``_gain_plan``. The tower passes and the root scan are kept as they were
+before their per-call numpy overhead was cut: ``leverrier`` gathers the
+dense iterate's diagonal with ``take`` and a fancy index, ``word_layers``
+builds each power's dense layer of W and gathers its rows,
+``word_leverrier`` gathers the diagonal polynomials, ``first_sign_change``
+scans one bracket from poly(left), and ``polish_candidate`` evaluates
+deriv(cand) before its Newton pass.
 """
 
 import bisect
@@ -62,7 +68,8 @@ from flowescape.shift import (
     _cyclic_components,
     _lattice_operators,
 )
-from flowescape.zeta import _bordered_matrix
+from flowescape.suspension import SuspensionSystem
+from flowescape.zeta import _DENSE_MAX_DIMENSION, _bordered_matrix, _newton_polish
 
 
 def dense(links, n):
@@ -636,3 +643,238 @@ def exact_deviation_prob(shift, ceiling, epsilon, k_values, l_max):
         if l in dists:
             out[l] = 1.0 - float(np.sum(dists[l] * survive))
     return tuple(out[k] for k in ks)
+
+
+def leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):
+    """One dense Faddeev-LeVerrier pass for det(I - zM), M a tower's square
+    matrix of at most ``_DENSE_MAX_DIMENSION`` dims.
+
+    Returns the ascending coefficients of det(I - zM) and, when ``entry`` =
+    (row, col) is given, the ascending coefficients of that entry of
+    adj(I - zM) (which is the (col, row) cofactor of I - zM). Step k forms
+    A_k = M X_{k-1}, c_k = -tr(A_k) / k and X_k = A_k + c_k I, and X_k[row,
+    col] is the z^k coefficient of the adjugate entry, at one O(n^3) product
+    per step.
+    """
+    size = matrix.shape[0]
+    det_coeffs = [1.0]
+    adj_coeffs: "list[float] | None" = None
+    if entry is not None:
+        adj_coeffs = [1.0 if entry[0] == entry[1] else 0.0]
+        adj_flat = entry[0] * size + entry[1]
+    diagonal = np.arange(size) * (size + 1)
+    cur = matrix.copy()
+    nxt = np.empty_like(cur)
+    for k in range(1, size + 1):
+        coeff = -float(cur.take(diagonal).sum()) / k
+        det_coeffs.append(coeff)
+        if k == size:
+            break
+        cur.reshape(-1)[diagonal] += coeff
+        if adj_coeffs is not None:
+            adj_coeffs.append(float(cur.take(adj_flat)))
+        np.matmul(matrix, cur, out=nxt)
+        cur, nxt = nxt, cur
+    return det_coeffs, adj_coeffs
+
+
+def word_layers(
+    system: SuspensionSystem,
+    q: "HoleQuantities | None",
+    size: int,
+    entry: "tuple[int, int] | None" = None,
+):
+    """The word operator W(z) of the block matrix, or of the bordered open
+    matrix of ``q``, as (d, layers, loop, entry): ``layers`` lists the
+    triples (p, rows, W_p[rows]) of the rows with a z^p term, in ascending
+    p; ``loop`` is None or (b, a, g) with W[b, b] = sum_i a[i] z^i, the row
+    of b in I - W scaled by g; ``entry`` is the states of the words of
+    ``entry``. None, before any layer is allocated, when FL over W costs as
+    much as the dense pass at min(``size``, ``_DENSE_MAX_DIMENSION``) states.
+
+    The states are the level-0 blocks of the words, W[u, v] = z^{h_u} P[u,
+    v], and for a hole that overlaps itself (some c_k nonzero) one border
+    state b: W[t, b] = -alpha z, W[b, b] = -sum_k c_k z^k, W[b, r] = z^{k0 -
+    1}. Otherwise k0 = 0 zeroes the row of t and k0 >= 1 adds -alpha z^k0 to
+    W[t, r]. A word u whose only successor is another word v is folded into
+    the rows that lead to it, W[w, v] += W[w, u] z^{h_u} P[u, v], along
+    chains of such words, except for t, the words of ``entry`` and one word
+    on each cycle made only of such words. The other states (levels above
+    0, border states but b, folded words) lead at most one step on among
+    themselves, so I - zM is unit triangular on them and, by the Schur
+    complement, det(I - zM) = det(I - W(z)), with equal adjugate entries
+    between kept states (Parry & Pollicott, Asterisque 187-188, ch. 6).
+    """
+    (src, dst, prob), heights, words = system.word_links, system.heights.tolist(), len(system.words)
+    first = np.searchsorted(src, np.arange(words))  # each word's first link
+    follow = np.where(np.bincount(src, minlength=words) == 1, dst[first], -1).tolist()
+    keep = [u for u in range(words) if follow[u] == u] + list(entry or ())
+    if q is not None:
+        t, r = system._word_index[q.t_word], system._word_index[q.r_word]
+        keep.append(t)
+    for u in keep:
+        follow[u] = -1
+    # A folded word resolves to the kept word its chain ends on, with the
+    # heights and transition weights of the chain from it on.
+    target, extra, weight = list(range(words)), [0] * words, [1.0] * words
+    seen = [u < 0 for u in follow]
+    for start in range(words):
+        path, u = [], start
+        while not seen[u]:
+            seen[u] = True
+            path.append(u)
+            u = follow[u]
+        if u in path:
+            follow[u] = -1
+        for w in reversed(path):
+            if (v := follow[w]) >= 0:
+                target[w], extra[w] = target[v], heights[w] + extra[v]
+                weight[w] = prob.item(first[w]) * weight[v]
+    state = np.cumsum(np.array(follow) < 0) - 1
+    state[np.array(follow) >= 0] = -1
+    overlaps = q is not None and any(q.correlation)
+    dim = int(state.max()) + 1 + overlaps
+
+    def term(i, v, p, value):
+        """The term value z^p of W from state i to word v, carried along the
+        chain of v to the state it ends on."""
+        return i, state.item(target[v]), p + extra[v], value * weight[v]
+
+    terms = [
+        term(state.item(u), v, heights[u], value)
+        for u, v, value in zip(src.tolist(), dst.tolist(), prob.tolist())
+        if follow[u] < 0 and not (q is not None and q.k0 == 0 and u == t)
+    ]
+    loop = None
+    if overlaps:
+        # Row b of I - W is scaled by g = 2^-e near 1 / Q(1), Q(z) = 1 +
+        # sum_k c_k z^k, which is exact in binary: W[b, b] = 1 - g Q(z) then
+        # has coefficients summing to at most 2.5 in absolute value. Unscaled,
+        # -sum_k c_k z^k sums to up to 1 / (1 - p) on a hole that overlaps
+        # itself with weight p, and FL cancels terms of size (1 / (1 - p))^d.
+        scale = 2.0 ** round(math.log2(1.0 + math.fsum(q.correlation)))
+        coeffs = np.array((1.0 - scale,) + q.correlation) / -scale
+        loop = (dim - 1, np.trim_zeros(coeffs, "b"), scale)
+        terms += [(state.item(t), dim - 1, 1, -q.alpha), term(dim - 1, r, q.k0 - 1, 1.0 / scale)]
+    elif q is not None and q.k0 >= 1:
+        terms.append(term(state.item(t), r, q.k0, -q.alpha))
+    # Cost in multiply-adds: d steps of, per power p, the rows of W_p times
+    # a d x d(n + 1) iterate, and of the loop's convolution along the degrees
+    # of row b; against n steps of one n x n by n x n product.
+    row_terms = len({(p, i) for i, _, p, _ in terms})
+    loop_terms = 0 if loop is None else loop[1].size
+    if dim**2 * (size + 1) * (row_terms * dim + loop_terms) >= min(size, _DENSE_MAX_DIMENSION) ** 4:
+        return None
+    layers: dict[int, np.ndarray] = {}
+    for i, j, p, value in terms:
+        layers.setdefault(p, np.zeros((dim, dim)))[i, j] += value
+    rows = {p: np.flatnonzero(layer.any(axis=1)) for p, layer in layers.items()}
+    return dim, [
+        (p, slice(None) if rows[p].size == dim else rows[p], layers[p][rows[p]])
+        for p in sorted(layers)
+    ], loop, None if entry is None else (state.item(entry[0]), state.item(entry[1]))
+
+
+def word_leverrier(size: int, dim: int, layers, loop, entry):
+    """Faddeev-LeVerrier over the d states of the word operator W(z) with
+    ``layers`` and ``loop``, with polynomial entries truncated at degree
+    ``size``.
+
+    X_0 = I, A_k = W X_{k-1}, c_k = -tr(A_k) / k, X_k = A_k + c_k I. For the
+    characteristic polynomial det(lambda I - W) = sum_k c_k lambda^{d-k}, so
+    det(I - W) = sum_{k=0}^{d} c_k and adj(I - W) = sum_{k=0}^{d-1} X_k. The
+    iterate is stored degree-major within each row, x[j, deg, col], so
+    multiplying by z^p is a shift of its flattened rows by p d columns, and
+    the loop on b is one convolution per column of row b.
+    """
+    width = size + 1
+    diag = np.arange(dim)
+    det = np.zeros(width)
+    det[0] = 1.0
+    cur = np.zeros((dim, width, dim))
+    cur[diag, 0, diag] = 1.0
+    adj = None
+    if entry is not None:
+        r, t = entry
+        adj = cur[r, :, t].copy()
+    nxt = np.empty_like(cur)
+    for k in range(1, dim + 1):
+        nxt.fill(0.0)
+        flat_in, flat_out = cur.reshape(dim, -1), nxt.reshape(dim, -1)
+        for p, rows, block in layers:
+            flat_out[rows, p * dim :] += block @ flat_in[:, : (width - p) * dim]
+        if loop is not None:
+            b, coeffs, _ = loop
+            for col in range(dim):
+                nxt[b, :, col] += np.convolve(cur[b, :, col], coeffs)[:width]
+        coeff = nxt[diag, :, diag].sum(axis=0) / -k
+        det += coeff
+        if k == dim:
+            break
+        nxt[diag, :, diag] += coeff
+        if adj is not None:
+            adj += nxt[r, :, t]
+        cur, nxt = nxt, cur
+    scale = 1.0 if loop is None else loop[2]
+    return (det * scale).tolist(), None if adj is None else (adj[:size] * scale).tolist()
+
+
+def first_sign_change(
+    poly: Polynomial, left: float, right: float
+) -> "tuple[float, float, float, float] | None":
+    """The first neighbours (x, y) of ``np.linspace(left, right, 512)`` with
+    poly(x) > 0 >= poly(y), as (x, y, poly(x), poly(y)), or None.
+
+    The points are linspace's floats, j * step + left with the last one
+    ``right``. The first 32 points are evaluated one at a time, and the rest
+    of the bracket takes one vectorized Horner pass, a multiply and an add per
+    coefficient, which rounds as ``poly(x)`` does, so the same pair is found.
+    The split is for speed: on the root calls of the ``zeta-grid`` benchmark
+    (seeds 5 and 6), 486 of the 576 sign changes lie in the first 32 points
+    and half of all of them by the fourth, where a few scalar calls beat a
+    numpy pass over the whole bracket: one numpy pass over all 512 points
+    took the seed-5 calls from 3.2 to 12.8 ms and the whole seed-5 pass from
+    about 50 to 60 ms (best of 9 passes, one BLAS thread, 2-core x86-64 Xeon).
+    """
+    step = (right - left) / 511
+    prev_x, prev_v = left, poly(left)
+    for j in range(1, 32):
+        x = j * step + left
+        v = poly(x)
+        if prev_v > 0.0 >= v:
+            return prev_x, x, prev_v, v
+        prev_x, prev_v = x, v
+    xs = np.arange(31, 512) * step + left
+    xs[-1] = right
+    values = np.zeros_like(xs)
+    # Python floats overflow to inf and nan without a warning; so does this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in reversed(poly.coefficients):
+            np.multiply(values, xs, out=values)
+            np.add(values, c, out=values)
+    hits = np.flatnonzero((values[:-1] > 0.0) & (values[1:] <= 0.0))
+    if len(hits) == 0:
+        return None
+    i = hits[0]
+    return float(xs[i]), float(xs[i + 1]), float(values[i]), float(values[i + 1])
+
+
+def polish_candidate(
+    poly: Polynomial, cand: float, lo: float, hi: float, scale: float
+) -> float:
+    """Newton-polish ``cand``, switching to the derivative at multiple roots.
+
+    Near a multiple root the residual is noise-dominated and plain Newton
+    stalls at sqrt(eps) accuracy, but the root location is then a simple root
+    of the derivative, which polishes cleanly. The switch is only trusted when
+    the polished derivative root really annihilates the polynomial.
+    """
+    deriv = poly.derivative()
+    if poly.degree >= 2 and abs(deriv(cand)) <= 1e-7 * max(1.0, scale):
+        # The true root can sit slightly outside a bracket that converged
+        # inside the noise band, so polish within a pad, not the bracket.
+        pad = 1e-6 * max(1.0, abs(cand))
+        alt = _newton_polish(deriv, deriv.derivative(), cand, cand - pad, cand + pad)
+        if abs(poly(alt)) <= 1e-12 * max(1.0, scale):
+            return alt
+    return _newton_polish(poly, deriv, cand, lo, hi)

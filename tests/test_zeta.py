@@ -10,11 +10,13 @@ import pytest
 
 from flowescape import (
     DimensionTooLargeError,
+    DomainError,
     FactorizationMismatchError,
     NoSignChangeError,
     NoZeroAtOneError,
     PoleAtOneError,
     Polynomial,
+    admissible_words,
     build_family,
     build_markov_shift,
     build_suspension,
@@ -496,6 +498,123 @@ def test_closed_determinant_of_degree_300_matches_exact_leibniz():
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def _hex(values):
+    return None if values is None else [float(c).hex() for c in values]
+
+
+def _dense_inputs(rng):
+    """(matrix, entry) pairs of 1-29 states: the block and bordered matrices
+    of seeded towers, and matrices whose entries mix +0.0, -0.0, 1.0 and
+    signed uniforms; each with an adjugate entry and without."""
+    cases = []
+    for size in range(1, 30):
+        pick = rng.integers(0, 4, (size, size))
+        values = np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, rng.uniform(-1.0, 1.0, (size, size))))
+        cases.append(np.where(pick == 3, 1.0, values))
+    for system, q, _ in _word_operator_inputs(rng, 40):
+        if zeta._tower_dimension(system, q) < 30:
+            cases.append(system.block_matrix if q is None else zeta._bordered_matrix(system, q))
+    return [
+        (matrix, entry)
+        for matrix in cases
+        for entry in (None, tuple(int(i) for i in rng.integers(0, matrix.shape[0], 2)))
+    ]
+
+
+def test_dense_pass_matches_the_parent_pass_in_float_hex():
+    # oracles.leverrier is the pass with a gathered diagonal and entry.
+    inputs = _dense_inputs(np.random.default_rng(11))
+    assert {matrix.shape[0] for matrix, _ in inputs} == set(range(1, 30))
+    signed_zeros = 0
+    for matrix, entry in inputs:
+        got, want = zeta._leverrier(matrix, entry), oracles.leverrier(matrix, entry)
+        assert [_hex(part) for part in got] == [_hex(part) for part in want], (matrix, entry)
+        signed_zeros += "-0x0.0p+0" in _hex(got[0]) + (_hex(got[1]) or [])
+    assert signed_zeros > 0
+
+
+def _word_operator_inputs(rng, count):
+    """(system, quantities or None, entry words or None) on seeded shifts of
+    2-3 letters, ceilings of order 1-2 with heights up to 1, 3, 12 or 40, and
+    holes from the order's length up, some of them long runs of one letter
+    that overlap themselves at many shifts."""
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 4))
+        raw = rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) >= 0.4)
+        for i in range(n):
+            if not raw[i].any():
+                raw[i, rng.integers(0, n)] = 1.0
+        try:
+            shift = build_markov_shift(raw / raw.sum(axis=1, keepdims=True))
+        except DomainError:
+            continue
+        order = int(rng.integers(1, 3))
+        words = admissible_words(shift, order)
+        top = int(rng.choice([1, 3, 12, 40]))
+        heights = {w: float(rng.integers(1, top + 1)) for w in words}
+        system = build_suspension(shift, cylinder_function(order, heights, lattice=1.0))
+        hole, run = [int(rng.integers(0, n))], rng.random() < 0.4
+        for _ in range(int(rng.integers(order - 1, order + (29 if run else 5)))):
+            successors = shift.successors(hole[-1])
+            hole.append(hole[-1] if run and hole[-1] in successors else int(rng.choice(successors)))
+        try:
+            q = hole_quantities(system, tuple(hole)) if rng.random() < 0.8 else None
+        except DomainError:
+            q = None
+        entry = tuple(int(i) for i in rng.integers(0, len(words), 2)) if rng.random() < 0.7 else None
+        out.append((system, q, entry))
+    return out
+
+
+def _same_layers(got, want):
+    """Equal word operators: the same d, powers, rows (all of them or the
+    same indices), blocks and loop bit for bit, and entry states."""
+    if got is None or want is None:
+        return got is want
+    (dim, layers, loop, entry), (dim2, layers2, loop2, entry2) = got, want
+    if (dim, entry, len(layers)) != (dim2, entry2, len(layers2)) or (loop is None) != (loop2 is None):
+        return False
+    for (p, rows, block), (p2, rows2, block2) in zip(layers, layers2):
+        if p != p2 or block.shape != block2.shape or block.tobytes() != block2.tobytes():
+            return False
+        if isinstance(rows, slice) or isinstance(rows2, slice):
+            if not (isinstance(rows, slice) and isinstance(rows2, slice)):
+                return False
+        elif rows.dtype != rows2.dtype or rows.tolist() != rows2.tolist():
+            return False
+    return loop is None or (loop[0], loop[2], loop[1].tobytes()) == (loop2[0], loop2[2], loop2[1].tobytes())
+
+
+def test_word_operator_pass_matches_the_parent_pass_in_float_hex(unit_system):
+    # oracles.word_layers builds each power's dense layer and gathers its
+    # rows, and oracles.word_leverrier gathers the diagonal polynomials.
+    # 0^30 on the full 2-shift overlaps itself at every shift: its loop has
+    # 29 nonzero taps.
+    inputs = _word_operator_inputs(np.random.default_rng(12), 150)
+    inputs.append((unit_system, hole_quantities(unit_system, (0,) * 30), (0, 1)))
+    dims, k0s, taps, signed_taps = set(), set(), set(), 0
+    for system, q, entry in inputs:
+        size = zeta._tower_dimension(system, q)
+        for width in (size, size + 320):
+            got = zeta._word_layers(system, q, width, entry)
+            assert _same_layers(got, oracles.word_layers(system, q, width, entry)), (system.words, q)
+            if got is None:
+                continue
+            det = zeta._word_leverrier(width, *got)
+            want = oracles.word_leverrier(width, *oracles.word_layers(system, q, width, entry))
+            assert [_hex(part) for part in det] == [_hex(part) for part in want], (system.words, q)
+            dims.add(got[0])
+            k0s.add(None if q is None else min(q.k0, 2))
+            if got[2] is not None:
+                taps.add(int(np.count_nonzero(got[2][1])))
+                signed_taps += "-0x0.0p+0" in _hex(got[2][1])
+    assert set(range(1, 9)) <= dims
+    assert k0s == {None, 0, 1, 2}
+    assert 1 in taps and max(taps) >= 28
+    assert signed_taps > 0
+
+
 def test_deflate_simple():
     assert deflate_at_one(Polynomial((1.0, -1.0))).coefficients == (1.0,)
 
@@ -590,8 +709,9 @@ def test_sign_scan_equals_the_scalar_linspace_scan():
     # Roots spread over the brackets, in and past the first 32 points of
     # theirs, double roots whose sign noise the scan may or may not meet,
     # and coefficients whose Horner sums overflow to -inf at large z: the
-    # vectorized pass must find the same pair of floats, with the values
-    # that ``poly(x)`` gives at them, or none.
+    # scan over all brackets must find the pair of floats that the scalar
+    # scan finds in the first bracket with a change, with the values that
+    # ``poly(x)`` gives at them, or none.
     rng = np.random.default_rng(5)
     # The first root lies between points 30 and 31 of [1, 2], where the
     # one-at-a-time points end.
@@ -612,12 +732,14 @@ def test_sign_scan_equals_the_scalar_linspace_scan():
         polys.append(poly)
     checked = 0
     for poly in polys:
-        left = 1.0
+        want, left = None, 1.0
         for right in zeta._ROOT_BRACKETS:
             want = _linspace_scan(poly, left, right)
-            assert zeta._first_sign_change(poly, left, right) == want, (poly, left)
-            checked += want is not None
+            if want is not None:
+                break
             left = right
+        assert zeta._first_sign_change(poly, poly(1.0)) == want, poly
+        checked += want is not None
     assert checked > 15
 
 
@@ -741,6 +863,80 @@ def test_positive_constant_has_its_root_at_infinity():
     assert smallest_root_geq_one(Polynomial((0.5, 0.0))) == math.inf
 
 
+def _root_inputs(rng):
+    """(poly, root, kind): g(z) (1 - z/r), or g(z) (1 - z/r)^2 for kind
+    "double", of degree 1-320, with g's coefficients positive or -0.0, so
+    that r is the only root past 1. "early" roots lie within the first 32
+    scan points of [1, 2], "late" ones past them and "later" ones in the
+    brackets from [2, 4] on."""
+    # Roots between points 31 and 32 of [1, 2], where the first vectorized
+    # block starts, between its last two points, and between the first two
+    # of [2, 4].
+    edges = ("late", 1.0 + 31.5 / 511), ("late", 2.0 - 0.5 / 511), ("later", 2.0 + 1.0 / 511)
+    cases = []
+    for degree in (1, 2, 3, 5, 8, 13, 40, 100, 200, 320):
+        draws = [
+            ("early", lambda: 1.0 + rng.uniform(0.5, 30.0) / 511),
+            ("late", lambda: 1.0 + rng.uniform(32.0, 510.0) / 511),
+            ("later", lambda: 2.0 ** rng.uniform(1.0, 20.0)),
+            ("double", lambda: rng.uniform(1.01, 8.0)),
+        ]
+        draws += [(kind, lambda root=root: root) for kind, root in edges]
+        for kind, draw in draws:
+            for _ in range(2):
+                root = float(draw())
+                factors = 2 if kind == "double" else 1
+                if degree < factors or (kind == "double" and degree > 40):
+                    continue
+                g = rng.uniform(0.5, 1.5, degree - factors + 1) * 0.9 ** np.arange(degree - factors + 1)
+                g[1:-1][rng.random(max(len(g) - 2, 0)) < 0.1] = -0.0
+                poly = Polynomial(tuple(g))
+                for _ in range(factors):
+                    poly = poly * Polynomial((1.0, -1.0 / root))
+                cases.append((poly, root, kind))
+    return cases
+
+
+def _parent_scan(poly):
+    """The first sign change of the parent's bracket-by-bracket scan."""
+    left = 1.0
+    for right in zeta._ROOT_BRACKETS:
+        found = oracles.first_sign_change(poly, left, right)
+        if found is not None:
+            return found
+        left = right
+    return None
+
+
+def test_root_scan_and_polish_match_the_parent_in_float_hex():
+    # oracles.first_sign_change scans one bracket from poly(left), and
+    # oracles.polish_candidate evaluates deriv(cand) before its Newton pass.
+    where, flat = set(), 0
+    for poly, root, kind in _root_inputs(np.random.default_rng(13)):
+        scale = max(map(abs, poly.coefficients))
+        want = _parent_scan(poly)
+        found = zeta._first_sign_change(poly, poly(1.0))
+        assert _hex(found) == _hex(want), (kind, poly.degree, root)
+        if found is None:
+            where.add("none")
+            # At a double root the library polishes the companion root.
+            starts = [(root * (1.0 + d), 1.0, zeta._ROOT_BRACKETS[-1]) for d in (-1e-9, 0.0, 1e-9)]
+        else:
+            # The pair's first point: point 0-30 of [1, 2], a later one, or
+            # one past [1, 2].
+            point = round((found[0] - 1.0) * 511)
+            where.add("later" if found[1] > 2.0 else "early" if point < 31 else "late")
+            a, b = zeta._refine_bracket(poly, *found)
+            starts = [(0.5 * (a + b), a, b)]
+            assert smallest_root_geq_one(poly) == oracles.polish_candidate(poly, *starts[0], scale)
+        for cand, lo, hi in starts:
+            got = zeta._polish_candidate(poly, cand, lo, hi, scale)
+            assert got.hex() == oracles.polish_candidate(poly, cand, lo, hi, scale).hex()
+            flat += poly.degree >= 2 and abs(poly.derivative()(cand)) <= 1e-7 * max(1.0, scale)
+    assert where == {"early", "late", "later", "none"}
+    assert flat > 0
+
+
 # ---------------------------------------------------------------------------
 # Correlation polynomial and the factorization
 # ---------------------------------------------------------------------------
@@ -829,6 +1025,36 @@ def test_one_hole_quantities_call_per_factorization(monkeypatch, step_system):
     monkeypatch.setattr(zeta, "hole_quantities", counted)
     zeta_op_factorized(step_system, (1, 1, 1))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("heights", [(1.0, 2.0), (1.0, 64.0)])
+@pytest.mark.parametrize("offset, raises", [(2e-9, True), (5e-10, False)])
+def test_factorization_cross_check_gates_on_the_direct_determinant(
+    monkeypatch, full2, heights, offset, raises
+):
+    # The direct bordered pass, offset in its z coefficient, against the
+    # assembled determinant: past _FACTORIZATION_TOL = 1e-9 both routes
+    # raise, below it both answer as before. The bordered tower of 6 states
+    # takes the dense pass, the one of 192 states the word operator.
+    system = build_suspension(full2, cylinder_function(1, {(0,): heights[0], (1,): heights[1]}, lattice=1.0))
+    hole = (1, 1, 1)
+    rate = escape_rate_zeta(system, hole)
+    tower = zeta._tower_leverrier
+
+    def offset_direct(system, q=None, entry=None):
+        det, adj = tower(system, q, entry)
+        if q is not None:
+            det = [det[0], det[1] + offset] + det[2:]
+        return det, adj
+
+    monkeypatch.setattr(zeta, "_tower_leverrier", offset_direct)
+    if raises:
+        for route in (zeta_op_factorized, escape_rate_zeta):
+            with pytest.raises(FactorizationMismatchError, match="differ by 2.0"):
+                route(system, hole)
+    else:
+        assert zeta_op_factorized(system, hole).max_deviation == pytest.approx(offset, rel=1e-3)
+        assert escape_rate_zeta(system, hole) == rate
 
 
 def test_escape_rate_zeta_matches_flow(step_system):
