@@ -330,6 +330,14 @@ def estimate_deviation_prob(
     sink or tagged k's bucket or a later one. A step costs O(unsettled cells
     x successors) and no array grows with the number of samples. The
     ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
+
+    Besides its draw, a step costs mostly numpy's per-call overhead, so it
+    makes few calls: one ``searchsorted`` finds l's kept and settled key
+    ranges together; the split's shares and key steps are gathered with
+    ``take`` from tables with one row per key modulo suffixes * buckets;
+    the merge's offset is the first key plus the least step, read without
+    a pass over the moved keys; a retag skips an empty side, and a settled
+    slice at either end is sliced off, not cut out by concatenation.
     """
     ks, l_max, heights, lam, n, mean, masses, index = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
@@ -341,6 +349,7 @@ def estimate_deviation_prob(
     suffix_len = max(n - 1, 1)
     states = len(index)
     buckets = len(ks)
+    per_sum = states * buckets
     # (suffix, branch) tables of a cell's split: the shares of its last
     # letter's successors, the last one in the final column, where numpy's
     # multinomial puts what the others leave, and the step each adds to a key.
@@ -354,6 +363,13 @@ def estimate_deviation_prob(
         for col, b in zip([*range(len(succ) - 1), -1], succ):
             x = w + (b,)
             delta[i, col] = (heights[x[-n:]] * states + index[x[-suffix_len:]] - i) * buckets
+    # One row per (suffix, tag), the key modulo per_sum, gathered by ``take``
+    # (a 2-D fancy index costs about five times as much per step). The steps
+    # are stored above the least one, so a step's keys start at or above its
+    # first key plus that least step.
+    pvals = np.repeat(pvals, buckets, axis=0)
+    least = int(delta.min())
+    delta = np.repeat(delta - least, buckets, axis=0)
 
     rng = np.random.default_rng(config.seed)
     # Normalized, so the masses of all but the last word never pass 1.
@@ -365,41 +381,49 @@ def estimate_deviation_prob(
 
     h_min, h_max = min(heights.values()), max(heights.values())
     kept = _kept_sums(lam, mean, epsilon, l_max, h_max)
-    lows, highs = (bound.tolist() for bound in kept)
     bucket = (np.searchsorted(ks, np.arange(1, l_max + 1), side="right") - 1).tolist()
-    per_sum = states * buckets
-    # Each l's settled sums, as the key range of their cells.
+    # Each l's kept sums, then its settled sums, as the key ranges of their
+    # cells: one row of four bounds per l, for one ``np.searchsorted``.
     settle_lo, settle_hi = _settled_sums(*kept, ks[0], h_min, h_max)
-    settle = list(zip((settle_lo * per_sum).tolist(), ((settle_hi + 1) * per_sum).tolist()))
+    bounds = list(np.column_stack((kept[0], kept[1] + 1, settle_lo, settle_hi + 1)) * per_sum)
     sink = 0
     settled = np.zeros(buckets)
     for l in range(1, l_max + 1):
+        lo, hi, a, b = keys.searchsorted(bounds[l - 1]).tolist()
         if l >= ks[0]:
             # Keys are sorted, so the kept cells are one slice [lo, hi) (empty
-            # when lows[l - 1] = highs[l - 1] + 1) and the rest deviate.
-            lo, hi = np.searchsorted(keys, (lows[l - 1] * per_sum, (highs[l - 1] + 1) * per_sum))
+            # when the kept sums are) and the rest deviate.
             tag = bucket[l - 1] + 1
             if tag == buckets:
                 sink += int(counts[:lo].sum() + counts[hi:].sum())
                 keys, counts = keys[lo:hi], counts[lo:hi]
+                # The settled range within the kept slice (a >= b if none).
+                a, b = max(a - lo, 0), min(b, hi) - lo
             else:
+                # A retag moves a key inside its sum's range: the order of
+                # the keys and the settled range's bounds stay.
                 for out in (keys[:lo], keys[hi:]):
-                    out += tag - out % buckets
+                    if len(out):
+                        out += tag - out % buckets
         # Settled cells keep their tag to the end: their counts leave the
         # steps for per-tag totals. At l_max every cell is settled.
-        a, b = np.searchsorted(keys, settle[l - 1])
         if a < b:
             settled += np.bincount(keys[a:b] % buckets, weights=counts[a:b], minlength=buckets)
-            keys, counts = (np.concatenate((x[:a], x[b:])) for x in (keys, counts))
+            if a == 0:
+                keys, counts = keys[b:], counts[b:]
+            elif b == len(keys):
+                keys, counts = keys[:a], counts[:a]
+            else:
+                keys, counts = (np.concatenate((x[:a], x[b:])) for x in (keys, counts))
         if not len(keys):
             break
-        suffix = keys // buckets % states
-        split = rng.multinomial(counts, pvals[suffix])
-        moved = keys[:, None] + delta[suffix]
-        base = moved.min()
-        merged = np.bincount((moved - base).ravel(), weights=split.ravel())
-        occupied = np.flatnonzero(merged)
-        keys = occupied + base
+        rows = keys % per_sum
+        split = rng.multinomial(counts, pvals.take(rows, axis=0))
+        moved = delta.take(rows, axis=0)
+        moved += (keys - keys[0])[:, None]
+        merged = np.bincount(moved.ravel(), weights=split.ravel())
+        occupied = merged.nonzero()[0]
+        keys = occupied + (keys[0] + least)
         counts = merged[occupied].astype(np.int64)
 
     # Tag t >= 1 is bucket t - 1: the samples that deviated at some l >= k_i
@@ -438,16 +462,26 @@ def exact_deviation_prob(
     per-gain operators A_g of ``_lattice_operators``: the forward step is
     new[:, g:] += A_g @ dist[:, :width - g] along ``_gain_plan``, and T V is
     new[:, c] += A_g^T @ V[:, c + g] along a ``_gain_plan`` with read and
-    write swapped. V_l is zero outside the kept band [lo_l, hi_l], so the
-    backward step takes only the columns of a window as wide as the widest
-    band, placed at lo_l; V carries that many plus h_max zero columns past
-    the last sum, where the window's reads of c + g land.
+    write swapped. Each pass steps only the sums that can hold mass:
+    - the forward pass runs on the max k * h_max + 1 sums that max k letters
+      reach, and each dist_k is padded with zero columns to all
+      l_max * h_max + 1 sums for its final sum, so ``np.sum`` adds the terms
+      of the full-width product in its order;
+    - V_l is zero outside the kept band [lo_l, hi_l], so the backward step
+      reads and writes a window placed at lo_l, and its plan is sorted by
+      written column (a stable sort, so each cell keeps its gain, then link
+      order); the step at l takes the plan's prefix for the band's
+      hi_l - lo_l + 1 columns, and the columns past the band stay zero.
+      V carries the widest band plus h_max zero columns past the last sum,
+      where the window's reads of c + g land.
     Each cell still sums its links in gain, then link order, and the terms
-    the window drops or reads as padding are exact zeros, so V equals the
-    full-width step's bit for bit. Heights, lattice, mean and the start
-    masses (the cylinder measures of the words of the ceiling's order) come
-    from ``build_suspension(shift, ceiling)``, which reads every admissible
-    word of that order and raises as it does.
+    dropped or read as padding are exact zeros, so every P_k is the
+    full-width pass's float. Where no sum can deviate, that float is
+    rounding off 0, a few units of 1e-16 either way; P_k is clamped at 0.
+    Heights, lattice, mean and the start masses (the cylinder measures of
+    the words of the ceiling's order) come from ``build_suspension(shift,
+    ceiling)``, which reads every admissible word of that order and raises
+    as it does.
     """
     ks, l_max, heights, lam, n, mean, masses, index = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
@@ -456,11 +490,13 @@ def exact_deviation_prob(
     operators = _lattice_operators(shift, heights, n, index)
     h_max = max(heights.values())
     width = l_max * h_max + 1
+    # The forward pass holds every sum it can reach by max k.
+    reach = ks[-1] * h_max + 1
 
-    cells = [index[w[-suffix_len:]] * width + k for w, k in heights.items()]
-    dist = np.bincount(cells, weights=masses, minlength=len(index) * width)
-    dist = dist.reshape(len(index), width)
-    forward = _gain_plan(operators, width, width)
+    cells = [index[w[-suffix_len:]] * reach + k for w, k in heights.items()]
+    dist = np.bincount(cells, weights=masses, minlength=len(index) * reach)
+    dist = dist.reshape(len(index), reach)
+    forward = _gain_plan(operators, reach, reach)
     dists = {}
     for l in range(1, ks[-1] + 1):
         if l > 1:
@@ -472,22 +508,31 @@ def exact_deviation_prob(
     band = max(1, max(hi - lo + 1 for lo, hi in zip(lows[ks[0] - 1 :], highs[ks[0] - 1 :])))
     stride = width + band + h_max
     read, write, p = _gain_plan(operators, stride, band)
-    backward = (write, read, p)  # T V on the first band columns
+    # T V on the first band columns, in column order: its first ends[c]
+    # entries write the first c columns.
+    column = read % stride
+    order = np.argsort(column, kind="stable")
+    back_read, back_write, back_p = write[order], read[order], p[order]
+    ends = np.searchsorted(column[order], np.arange(band + 1)).tolist()
     # From origin lo <= width the window's last read, lo + (states - 1) * stride
-    # + band - 1 + h_max, stays inside V, and its writes past the band (the
-    # padding included) are zeroed.
+    # + band - 1 + h_max, stays inside V.
     span = (len(index) - 1) * stride + band + h_max
-    survive = np.zeros((len(index), stride))
-    survive[:, lows[-1] : highs[-1] + 1] = 1.0
+    survive = np.zeros(len(index) * stride)  # V, row by row
+    survive.reshape(-1, stride)[:, lows[-1] : highs[-1] + 1] = 1.0
     out = {}
     for l in range(l_max, ks[0] - 1, -1):
         lo, hi = lows[l - 1], highs[l - 1]
         if l < l_max:
             window = slice(lo, lo + span)
             stepped = np.zeros(survive.size)
-            stepped[window] = _gain_step(survive.ravel()[window], backward)
-            survive = stepped.reshape(survive.shape)
-            survive[:, hi + 1 : lo + band] = 0.0
+            live = ends[hi - lo + 1]
+            plan = (back_read[:live], back_write[:live], back_p[:live])
+            stepped[window] = _gain_step(survive[window], plan)
+            survive = stepped
         if l in dists:
-            out[l] = 1.0 - float(np.sum(dists[l] * survive[:, :width]))
+            # Summed at the full width, as the full-width pass sums it.
+            full = np.zeros((len(index), width))
+            full[:, :reach] = dists[l]
+            terms = full * survive.reshape(-1, stride)[:, :width]
+            out[l] = max(0.0, 1.0 - float(np.sum(terms)))
     return tuple(out[k] for k in ks)

@@ -16,7 +16,8 @@ and open determinant are rebuilt in that arithmetic from the family's public
 fields at every nu, with the dense correlation polynomial and every term of
 the root equation's series, where the library keeps the nu-free pieces on the
 family and assembles only what is nonzero, and the exact deviation DP steps
-the full sum range backward, where the library steps only the kept band.
+the full sum range in both passes, where the library steps forward only the
+sums that max k letters reach and backward only each l's kept band.
 The word-operator root is kept here as the numpy-masked version, which splits
 each cyclic component's links with boolean masks and takes e^{s h} one
 component at a time, and Tarjan's algorithm as the version that reads each
@@ -26,13 +27,17 @@ The hole automaton's links are rebuilt here by matching every prefix of the
 hole and put in order by ``np.lexsort``, where the library sorts each row's
 few targets as it builds the row; the exact deviation DP's backward plan is
 kept as its own builder, where the library swaps read and write of
-``_gain_plan``. The tower passes and the root scan are kept as they were
-before their per-call numpy overhead was cut: ``leverrier`` gathers the
-dense iterate's diagonal with ``take`` and a fancy index, ``word_layers``
-builds each power's dense layer of W and gathers its rows,
-``word_leverrier`` gathers the diagonal polynomials, ``first_sign_change``
-scans one bracket from poly(left), and ``polish_candidate`` evaluates
-deriv(cand) before its Newton pass.
+``_gain_plan`` and sorts the plan by written column. The deviation sampler
+``estimate_deviation_prob`` is kept as it was before its per-step numpy
+overhead was cut: it gathers a step's rows by a 2-D fancy index on the
+suffix, searches the kept and settled key ranges apart, merges from the
+least moved key and drops a settled slice by concatenation. The tower
+passes and the root scan are kept as they were before their per-call numpy
+overhead was cut: ``leverrier`` gathers the dense iterate's diagonal with
+``take`` and a fancy index, ``word_layers`` builds each power's dense layer
+of W and gathers its rows, ``word_leverrier`` gathers the diagonal
+polynomials, ``first_sign_change`` scans one bracket from poly(left), and
+``polish_candidate`` evaluates deriv(cand) before its Newton pass.
 """
 
 import bisect
@@ -42,16 +47,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowescape import (
+    CylinderFunction,
+    DeviationEstimate,
+    MarkovShift,
     NoZeroAtOneError,
     Polynomial,
+    SimulationConfig,
     admissible_words,
     build_suspension,
     cylinder_measure,
     family_hole_word,
+    fit_decay,
     hole_quantities,
     refine_suspension,
 )
-from flowescape.montecarlo import _deviation_setup, _kept_sums
+from flowescape.montecarlo import _deviation_setup, _kept_sums, _settled_sums
 from flowescape.errors import NoConvergenceError
 from flowescape.open_system import (
     _ROOT_MAX_LOG_WEIGHT,
@@ -613,8 +623,10 @@ def band_plan(operators: dict, stride: int, band: int) -> tuple:
 
 
 def exact_deviation_prob(shift, ceiling, epsilon, k_values, l_max):
-    """``exact_deviation_prob`` with the backward pass over every sum column,
-    0..l_max * h_max, at every l; the library steps only the kept band."""
+    """``exact_deviation_prob`` with both passes over every sum column,
+    0..l_max * h_max, at every l; the library steps forward only the sums
+    that max k letters reach and backward only the kept band. P_k is left
+    unclamped: where no sum can deviate it may round a little below 0."""
     ks, l_max, heights, lam, n, mean, masses, index = _deviation_setup(
         shift, ceiling, epsilon, k_values, l_max
     )
@@ -643,6 +655,127 @@ def exact_deviation_prob(shift, ceiling, epsilon, k_values, l_max):
         if l in dists:
             out[l] = 1.0 - float(np.sum(dists[l] * survive))
     return tuple(out[k] for k in ks)
+
+
+def estimate_deviation_prob(
+    shift: MarkovShift,
+    ceiling: CylinderFunction,
+    epsilon: float,
+    k_values: "list[int] | tuple[int, ...]",
+    config: SimulationConfig,
+    l_max: "int | None" = None,
+) -> DeviationEstimate:
+    """Estimate the deviation probabilities P_k by sampling.
+
+    It steps the counts of samples on cells (S_l, suffix, tag) plus a sink:
+    S_l is the ceiling sum as an exact lattice integer, the suffix the last
+    max(n - 1, 1) letters of the window, and the tag the last k bucket
+    [k_i, k_{i+1}) in which the sample deviated, or none. A cell is the flat
+    key (S * suffixes + suffix) * buckets + tag, so a sum's cells are one key
+    range. The counts start as one multinomial draw over the cylinder masses
+    of the n-words. At each l >= min k the cells outside the key range of
+    ``_kept_sums``' interval, the exact DP's test, deviate: they take l's
+    bucket as their tag, or go to the sink in the last bucket. Then the cells
+    whose sums ``_settled_sums`` calls settled at l, one key slice, can
+    neither deviate nor change their tag before l_max: one ``np.bincount``
+    moves their counts to per-tag totals, and they leave the steps. Before
+    the next l every remaining cell splits its count in one multinomial draw
+    over its last letter's successors, a letter's share the step of the
+    row's cumulative weight cut at 1 and the last letter taking the
+    remainder, and one ``np.bincount`` merges the split counts onto their
+    cells. The other cells split as they would without the settled ones, so
+    the law of every P_k is unchanged; the steps end at l_max, where every
+    cell is settled, or once no cell is left. P_k is the fraction in the
+    sink or tagged k's bucket or a later one. A step costs O(unsettled cells
+    x successors) and no array grows with the number of samples. The
+    ceiling is read as ``exact_deviation_prob`` reads it, with its errors.
+    """
+    ks, l_max, heights, lam, n, mean, masses, index = _deviation_setup(
+        shift, ceiling, epsilon, k_values, l_max
+    )
+    samples = config.samples
+    if samples > 2**53:
+        raise ValueError(f"counts merge in float64, exact up to 2**53 samples, got {samples}")
+
+    suffix_len = max(n - 1, 1)
+    states = len(index)
+    buckets = len(ks)
+    # (suffix, branch) tables of a cell's split: the shares of its last
+    # letter's successors, the last one in the final column, where numpy's
+    # multinomial puts what the others leave, and the step each adds to a key.
+    width = max(len(shift.successors(a)) for a in range(shift.alphabet_size))
+    pvals = np.zeros((states, width))
+    delta = np.zeros((states, width), dtype=np.int64)
+    for w, i in index.items():
+        succ = shift.successors(w[-1])
+        cum = np.minimum(np.cumsum(shift.transitions[w[-1], list(succ)]), 1.0)
+        pvals[i, : len(succ) - 1] = np.diff(cum, prepend=0.0)[:-1]
+        for col, b in zip([*range(len(succ) - 1), -1], succ):
+            x = w + (b,)
+            delta[i, col] = (heights[x[-n:]] * states + index[x[-suffix_len:]] - i) * buckets
+
+    rng = np.random.default_rng(config.seed)
+    # Normalized, so the masses of all but the last word never pass 1.
+    start = rng.multinomial(samples, masses / masses.sum())
+    first = np.array([(k * states + index[w[-suffix_len:]]) * buckets for w, k in heights.items()])
+    merged = np.bincount(first, weights=start)
+    keys = np.flatnonzero(merged)
+    counts = merged[keys].astype(np.int64)
+
+    h_min, h_max = min(heights.values()), max(heights.values())
+    kept = _kept_sums(lam, mean, epsilon, l_max, h_max)
+    lows, highs = (bound.tolist() for bound in kept)
+    bucket = (np.searchsorted(ks, np.arange(1, l_max + 1), side="right") - 1).tolist()
+    per_sum = states * buckets
+    # Each l's settled sums, as the key range of their cells.
+    settle_lo, settle_hi = _settled_sums(*kept, ks[0], h_min, h_max)
+    settle = list(zip((settle_lo * per_sum).tolist(), ((settle_hi + 1) * per_sum).tolist()))
+    sink = 0
+    settled = np.zeros(buckets)
+    for l in range(1, l_max + 1):
+        if l >= ks[0]:
+            # Keys are sorted, so the kept cells are one slice [lo, hi) (empty
+            # when lows[l - 1] = highs[l - 1] + 1) and the rest deviate.
+            lo, hi = np.searchsorted(keys, (lows[l - 1] * per_sum, (highs[l - 1] + 1) * per_sum))
+            tag = bucket[l - 1] + 1
+            if tag == buckets:
+                sink += int(counts[:lo].sum() + counts[hi:].sum())
+                keys, counts = keys[lo:hi], counts[lo:hi]
+            else:
+                for out in (keys[:lo], keys[hi:]):
+                    out += tag - out % buckets
+        # Settled cells keep their tag to the end: their counts leave the
+        # steps for per-tag totals. At l_max every cell is settled.
+        a, b = np.searchsorted(keys, settle[l - 1])
+        if a < b:
+            settled += np.bincount(keys[a:b] % buckets, weights=counts[a:b], minlength=buckets)
+            keys, counts = (np.concatenate((x[:a], x[b:])) for x in (keys, counts))
+        if not len(keys):
+            break
+        suffix = keys // buckets % states
+        split = rng.multinomial(counts, pvals[suffix])
+        moved = keys[:, None] + delta[suffix]
+        base = moved.min()
+        merged = np.bincount((moved - base).ravel(), weights=split.ravel())
+        occupied = np.flatnonzero(merged)
+        keys = occupied + base
+        counts = merged[occupied].astype(np.int64)
+
+    # Tag t >= 1 is bucket t - 1: the samples that deviated at some l >= k_i
+    # are those tagged above i and the sink.
+    hits = sink + np.cumsum(settled[::-1])[::-1].astype(np.int64)
+    probabilities = np.append(hits[1:], sink) / samples
+    stderrs = np.sqrt(probabilities * (1.0 - probabilities) / samples)
+    return DeviationEstimate(
+        epsilon=epsilon,
+        k_values=ks,
+        probabilities=probabilities,
+        stderrs=stderrs,
+        decay=fit_decay(ks, probabilities),
+        l_max=l_max,
+        mean_value=mean,
+        config=config,
+    )
 
 
 def leverrier(matrix: np.ndarray, entry: "tuple[int, int] | None" = None):

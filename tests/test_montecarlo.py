@@ -520,7 +520,8 @@ def test_band_backward_pass_equals_the_full_width_pass(name, k_values, l_max):
     shift, ceiling, epsilon = _EXACT_CASES[name]
     for eps in (epsilon, 0.05, 0.5, 1e300, 1e-3):
         got = exact_deviation_prob(shift, ceiling, eps, k_values, l_max)
-        assert got == oracles.exact_deviation_prob(shift, ceiling, eps, k_values, l_max), eps
+        want = oracles.exact_deviation_prob(shift, ceiling, eps, k_values, l_max)
+        assert got == tuple(max(0.0, p) for p in want), eps
 
 
 def test_exact_deviation_is_one_forward_and_one_backward_pass(monkeypatch, full2, step_ceiling):
@@ -535,6 +536,106 @@ def test_exact_deviation_is_one_forward_and_one_backward_pass(monkeypatch, full2
     ks, l_max = (5, 10, 20, 40), 160
     exact_deviation_prob(full2, step_ceiling, 0.25, ks, l_max)
     assert len(calls) <= max(ks) + l_max < len(ks) * (l_max - 1)
+
+
+def test_exact_deviation_steps_only_live_sums(monkeypatch):
+    """The forward pass holds the max k * h_max + 1 sums it can reach, and
+    the backward step at l writes only the kept band [lo_l, hi_l]: at most
+    links * (hi_l - lo_l + 1) plan entries, one per link and column."""
+    calls = []
+
+    def recorded(dist, plan):
+        calls.append((dist.shape, len(plan[0])))
+        return _gain_step(dist, plan)
+
+    monkeypatch.setattr(montecarlo, "_gain_step", recorded)
+    ks, l_max = (5, 10, 20, 40), 160
+    for shift, ceiling, epsilon in _EXACT_CASES.values():
+        calls.clear()
+        exact_deviation_prob(shift, ceiling, epsilon, ks, l_max)
+        _, _, heights, lam, n, mean, _, index = _deviation_setup(shift, ceiling, epsilon, ks, l_max)
+        h_max = max(heights.values())
+        links = sum(len(src) for src, _, _ in _lattice_operators(shift, heights, n, index).values())
+        lows, highs = _kept_sums(lam, mean, epsilon, l_max, h_max)
+        forward, backward = calls[: ks[-1] - 1], calls[ks[-1] - 1 :]
+        assert [shape for shape, _ in forward] == [(len(index), ks[-1] * h_max + 1)] * (ks[-1] - 1)
+        assert len(backward) == l_max - ks[0]
+        for l, (shape, entries) in zip(range(l_max - 1, ks[0] - 1, -1), backward):
+            assert len(shape) == 1 and entries <= links * (highs[l - 1] - lows[l - 1] + 1), l
+        assert any(highs[l - 1] - lows[l - 1] < highs[-1] - lows[-1] for l in range(ks[0], l_max))
+
+
+@pytest.mark.parametrize("epsilon", (3.0, 1e300, math.inf))
+def test_exact_deviation_is_zero_where_no_sum_deviates(epsilon):
+    """Heights 1 and 2 keep every average within 1 of the mean, so no sum
+    deviates and P_k is 0.0: 1 - sum(dist * V) rounds below 0 on this chain,
+    and the route clamps it."""
+    ceiling = cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=1.0)
+    ks = (5, 10, 20, 40)
+    assert min(oracles.exact_deviation_prob(_BIASED2, ceiling, epsilon, ks, 160)) < 0.0
+    got = exact_deviation_prob(_BIASED2, ceiling, epsilon, ks, 160)
+    assert [p.hex() for p in got] == [(0.0).hex()] * len(ks)
+
+
+def _deviation_draws(count, seed):
+    """Seeded deviation problems: shifts of 1-3 letters (rows of one
+    successor included), orders 1-3, lattices 1, 0.5 and 0.1, k lists that
+    may start at 1, l_max from max k to 5 max k, epsilon from 1e-300 to inf
+    and 100 to 2^53 samples."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        letters = int(rng.choice([1, 2, 3], p=[0.1, 0.4, 0.5]))
+        pattern = rng.random((letters, letters)) < 0.7
+        # A cycle through every letter keeps the shift irreducible; a row
+        # left with the cycle's link alone has one successor.
+        pattern[np.arange(letters), (np.arange(letters) + 1) % letters] = True
+        weights = pattern * rng.uniform(0.05, 1.0, (letters, letters))
+        shift = build_markov_shift(weights / weights.sum(axis=1, keepdims=True))
+        order = int(rng.integers(1, 4))
+        lattice = float(rng.choice([1.0, 0.5, 0.1]))
+        words = admissible_words(shift, order)
+        values = {w: lattice * int(rng.integers(1, 5)) for w in words}
+        ceiling = cylinder_function(order, values, lattice=lattice)
+        ks = sorted({int(k) for k in rng.integers(1, 13, int(rng.integers(1, 5)))})
+        if rng.random() < 0.3:
+            ks = [1, *ks]
+        l_max = int(rng.integers(ks[-1], 5 * ks[-1] + 1))
+        scale = max(values.values())
+        epsilon = float(
+            rng.choice([1e-300, 1e-3 * scale, 0.05 * scale, 0.2 * scale, 0.5 * scale, 1e300, math.inf])
+        )
+        samples = int(rng.choice([100, 3000, 20_000, 10**12, 2**53]))
+        config = SimulationConfig(seed=int(rng.integers(0, 2**31)), samples=samples, t_max=1)
+        draws.append((shift, ceiling, epsilon, ks, l_max, config))
+    return draws
+
+
+_PARITY_DRAWS = _deviation_draws(120, 3535)
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+def test_deviation_sampler_matches_the_parent_sampler_in_float_hex():
+    """Every draw, and so every P_k, standard error and decay, is the parent
+    sampler's (``oracles.estimate_deviation_prob``), float hex for float hex."""
+    for shift, ceiling, epsilon, ks, l_max, config in _PARITY_DRAWS:
+        got = estimate_deviation_prob(shift, ceiling, epsilon, ks, config, l_max=l_max)
+        want = oracles.estimate_deviation_prob(shift, ceiling, epsilon, ks, config, l_max=l_max)
+        assert _hex(got.probabilities) == _hex(want.probabilities), (epsilon, ks, l_max)
+        assert _hex(got.stderrs) == _hex(want.stderrs)
+        assert got.decay == want.decay and got.k_values == want.k_values
+
+
+def test_exact_deviation_matches_the_full_width_pass_in_float_hex():
+    """Every P_k is the full-width pass's float, clamped at 0, on the same
+    seeded draws."""
+    for shift, ceiling, epsilon, ks, l_max, _ in _PARITY_DRAWS:
+        got = exact_deviation_prob(shift, ceiling, epsilon, ks, l_max)
+        want = oracles.exact_deviation_prob(shift, ceiling, epsilon, ks, l_max)
+        assert _hex(got) == _hex(max(0.0, p) for p in want), (epsilon, ks, l_max)
 
 
 def test_fit_decay_on_pure_geometric_sequence():
