@@ -92,8 +92,9 @@ class PeriodicOrbitFamily:
     to as many terms, mu_t = mu([t]), the polynomials (C den)/mu_t and
     G c_o^{1 - n/p}/mu_w that ``expansion_coefficients`` shifts by z^k0, the
     values G(1), G'(1), C(1), C'(1) and the two other nu-free terms of the
-    closed-form s_2, and (1 - z)G for ``family_zeta_op``. Past a polynomial's
-    degree its Taylor terms are the 0.0 that ``taylor_at_one`` returns there.
+    closed-form s_2, and (1 - z)G for ``_family_open_inverse``. Past a
+    polynomial's degree its Taylor terms are the 0.0 that ``taylor_at_one``
+    returns there.
     """
 
     system: SuspensionSystem
@@ -225,17 +226,6 @@ def family_hole_measure(family: PeriodicOrbitFamily, nu: int) -> float:
     return cylinder_measure(family.system.base, family_hole_word(family, nu))
 
 
-def family_zeta_op(family: PeriodicOrbitFamily, nu: int) -> Polynomial:
-    """Open inverse zeta of the hole A_nu, assembled from cached family pieces.
-
-    Uses the factorization with the family's explicit correlation polynomial
-    sum_{k<s} (c_o z^o)^k, where s = nu - n/p, instead of rebuilding matrices
-    of dimension growing with nu.
-    """
-    repeats = _repeats(family, nu)
-    return _family_open_inverse(family, repeats, family_hole_measure(family, nu))
-
-
 def _repeats(family: PeriodicOrbitFamily, nu: int) -> int:
     """s = nu - n/p, the terms of the hole's correlation polynomial;
     ValueError below nu_min."""
@@ -248,7 +238,13 @@ def _repeats(family: PeriodicOrbitFamily, nu: int) -> int:
 
 
 def _family_open_inverse(family: PeriodicOrbitFamily, s: int, mu_nu: float) -> Polynomial:
-    """``family_zeta_op`` at s = nu - n/p, with mu_nu given."""
+    """Open inverse zeta of the hole A_nu, assembled from cached family
+    pieces, at s = nu - n/p and with mu_nu given.
+
+    Uses the factorization with the family's explicit correlation polynomial
+    sum_{k<s} (c_o z^o)^k instead of rebuilding matrices of dimension growing
+    with nu.
+    """
     o = family.orbit_height
     corr = [0.0] * (o * (s - 1) + 1)
     for k in range(s):

@@ -62,6 +62,8 @@ class SimulationConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples < 100:
             raise ValueError(f"need at least 100 samples, got {self.samples}")
+        if self.samples >= 2**63:
+            raise ValueError(f"samples must be below 2**63 (int64 counts), got {self.samples}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
         if self.confidence_z <= 0.0:

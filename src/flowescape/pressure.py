@@ -25,11 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InadmissibleWordError,
-    PressureNotNegativeError,
-    WindowEmptyError,
-)
+from .errors import PressureNotNegativeError, WindowEmptyError
 from .open_system import _word_operator_root, escape_rate_flow
 from .shift import (
     _LATTICE_TOL,
@@ -42,54 +38,23 @@ from .shift import (
     _hole_free_words,
     _lattice_operators,
     cylinder_function,
-    cylinder_measure,
     refine_cylinder_function,
 )
 from .suspension import build_suspension
 
 
 # ===========================================================================
-# Log transition potential and its Gibbs constant
+# Gibbs constant of the log transition potential
 # ===========================================================================
-
-def log_transition_potential(shift: MarkovShift) -> CylinderFunction:
-    """Order-2 cylinder function p(x) = log p(x_1, x_2) on admissible pairs."""
-    values = {
-        (a, b): float(np.log(shift.transitions[a, b]))
-        for a in range(shift.alphabet_size)
-        for b in shift.successors(a)
-    }
-    return cylinder_function(2, values)
-
-
-def word_log_weight(shift: MarkovShift, word: Word) -> float:
-    """Sup-completed Birkhoff sum of the log potential over [word].
-
-    All windows except the last are pinned by the word; the last one takes the
-    best admissible continuation, so e^(this) = prod p(w_i, w_{i+1}) * max_s
-    p(w_last, s).
-    """
-    word = tuple(word)
-    if len(word) == 0 or not shift.is_admissible(word):
-        raise InadmissibleWordError(f"word {word} is not admissible")
-    total = 0.0
-    for a, b in zip(word, word[1:]):
-        total += float(np.log(shift.transitions[a, b]))
-    total += float(np.log(shift.transitions[word[-1]].max()))
-    return total
-
-
-def gibbs_ratio(shift: MarkovShift, word: Word) -> float:
-    """e^{S_w p} / mu([w]); bounded between 1/K and K by the Gibbs property."""
-    return math.exp(word_log_weight(shift, word)) / cylinder_measure(shift, word)
-
 
 def gibbs_constant(shift: MarkovShift) -> float:
     """Tight uniform Gibbs constant for the log transition potential.
 
-    The ratio e^{S_w p}/mu([w]) depends only on (first, last) letter of the
-    word, and irreducibility realizes every ordered pair, so the constant is
-    the worst max(ratio, 1/ratio) over pairs.
+    A word's sup-completed weight e^{S_w p} = prod p(w_i, w_{i+1}) * max_s
+    p(w_last, s) over mu([w]) = pi(w_1) prod p(w_i, w_{i+1}) is max_s
+    p(w_last, s) / pi(w_1). It depends only on the (first, last) letter of
+    the word, and irreducibility realizes every ordered pair, so the constant
+    is the worst max(ratio, 1/ratio) over pairs.
     """
     row_max = shift.transitions.max(axis=1)
     worst = 1.0
@@ -117,6 +82,8 @@ def induced_pressure_truncated(
     in (t - eta, t]; eta defaults to one lattice step above the ceiling sup so
     the window is never starved. t_max must sit on the ceiling lattice, to
     the relative tolerance of ``build_suspension``; t is that lattice point.
+    A t_max off the lattice or not finite, or an eta that is not positive,
+    raises ValueError.
 
     Heights and lattice come from ``build_suspension(shift, ceiling)``, which
     reads every admissible word of the ceiling's order and raises as it does.
@@ -148,14 +115,15 @@ def induced_pressure_truncated(
     heights = dict(zip(system.words, system.heights.tolist()))
     lam = system.lattice_scale
     n = ceiling.order
-    t_norm = round(t_max / lam)
+    t_ratio = t_max / lam
+    t_norm = round(t_ratio) if math.isfinite(t_ratio) else 0
     if t_norm < 1 or abs(t_max - t_norm * lam) > _LATTICE_TOL * max(1.0, abs(t_max)):
         raise ValueError(f"t_max = {t_max} does not sit on the ceiling lattice {lam}")
     sup_k = max(heights.values())
     if eta is None:
         eta_norm = float(sup_k + 1)
     else:
-        if eta <= 0.0:
+        if not eta > 0.0:
             raise ValueError(f"eta must be positive, got {eta}")
         eta_norm = eta / lam
 

@@ -1,5 +1,5 @@
 """Finite-alphabet Markov shifts: admissible words, cylinder measures,
-cylinder functions, Birkhoff sums, and exact survival through a cylinder hole.
+cylinder functions, and exact survival through a cylinder hole.
 
 Every exact word-level DP runs on one of two kernels here: the survival curve
 and the lattice-sum DP over (word, integer ceiling sum), whose links are
@@ -380,7 +380,7 @@ def _hole_free_words(shift: MarkovShift, hole: Word, length: int) -> list[list[W
 class CylinderFunction:
     """Function of the first ``order`` coordinates, given by per-word values.
 
-    ``lattice`` is set only when every value is an integer multiple of it;
+    ``lattice`` is set only when every finite value is an integer multiple of it;
     arithmetic machinery (suspensions, pressure windows) requires it.
     """
 
@@ -423,9 +423,11 @@ def cylinder_function(
     if any(len(w) != order for w in clean):
         raise ValueError(f"all value keys must be words of length {order}")
     if lattice is not None:
-        if lattice <= 0.0:
-            raise NonArithmeticCeilingError(f"lattice must be positive, got {lattice}")
+        if not 0.0 < lattice < math.inf:
+            raise NonArithmeticCeilingError(f"lattice must be positive and finite, got {lattice}")
         for w, v in clean.items():
+            if not math.isfinite(v):
+                continue  # left to the routes that read it (``_ceiling_values``)
             nearest = lattice * round(v / lattice)
             if abs(v - nearest) > _LATTICE_TOL * max(1.0, abs(v)):
                 raise NonArithmeticCeilingError(
@@ -436,12 +438,15 @@ def cylinder_function(
 
 def _ceiling_values(ceiling: CylinderFunction, words) -> list[float]:
     """The ceiling's values on ``words``, the words a route reads: a missing
-    value raises InadmissibleWordError, a value <= 0 NonPositiveCeilingError."""
+    value raises InadmissibleWordError, a value that is not positive and
+    finite (NaN included) NonPositiveCeilingError."""
     values = []
     for w in words:
         value = ceiling.value(w)
-        if value <= 0.0:
-            raise NonPositiveCeilingError(f"ceiling value {value} at word {w} is not positive")
+        if not 0.0 < value < math.inf:
+            raise NonPositiveCeilingError(
+                f"ceiling value {value} at word {w} is not positive and finite"
+            )
         values.append(value)
     return values
 
@@ -467,32 +472,6 @@ def refine_cylinder_function(
         return func
     values = {w: func.value(w) for w in admissible_words(shift, new_order)}
     return cylinder_function(new_order, values, lattice=func.lattice)
-
-
-def birkhoff_sum(func: CylinderFunction, word: Word, steps: int) -> float:
-    """Sum of ``func`` along the first ``steps`` shifts of ``word``.
-
-    The word must carry enough letters for every window:
-    len(word) >= steps + order - 1.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if steps == 0:
-        return 0.0
-    if len(word) < steps + func.order - 1:
-        raise WordTooShortError(
-            f"need {steps + func.order - 1} letters for {steps} windows, got {len(word)}"
-        )
-    return float(sum(func.value(word[j:]) for j in range(steps)))
-
-
-def birkhoff_sum_cyclic(func: CylinderFunction, word: Word) -> float:
-    """Birkhoff sum over one full period of the periodic point word^infinity."""
-    period = len(word)
-    if period < 1:
-        raise WordTooShortError("cyclic sum needs a nonempty word")
-    extended = tuple(word[i % period] for i in range(period + func.order - 1))
-    return birkhoff_sum(func, extended, period)
 
 
 # ===========================================================================
@@ -715,13 +694,6 @@ def _gain_step(dist: np.ndarray, plan: tuple) -> np.ndarray:
 # JSON forms
 # ===========================================================================
 
-def shift_to_json(shift: MarkovShift) -> dict:
-    return {
-        "transitions": [[float(v) for v in row] for row in shift.transitions],
-        "labels": list(shift.labels),
-    }
-
-
 def shift_from_json(doc: Mapping) -> MarkovShift:
     if "transitions" not in doc:
         raise ValueError('model document needs a "transitions" key')
@@ -731,14 +703,6 @@ def shift_from_json(doc: Mapping) -> MarkovShift:
 def load_model(path: "str | Path") -> MarkovShift:
     with open(path, encoding="utf-8") as fh:
         return shift_from_json(json.load(fh))
-
-
-def ceiling_to_json(shift: MarkovShift, func: CylinderFunction) -> dict:
-    return {
-        "order": func.order,
-        "values": {format_word(shift, w): float(v) for w, v in sorted(func.values.items())},
-        "lattice": func.lattice,
-    }
 
 
 def ceiling_from_json(shift: MarkovShift, doc: Mapping) -> CylinderFunction:

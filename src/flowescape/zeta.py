@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 import math
-from operator import add, mul, sub
+from operator import mul, sub
 
 import numpy as np
 
@@ -142,15 +142,6 @@ class Polynomial:
             return Polynomial._trimmed((0.0,))
         return Polynomial._trimmed(tuple(map(mul, range(1, len(coeffs)), coeffs[1:])))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial._trimmed(tuple(map(add, a, b + (0.0,) * (len(a) - len(b)))))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1.0)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out = [0.0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
@@ -162,12 +153,6 @@ class Polynomial:
 
     def scale(self, factor: float) -> "Polynomial":
         return Polynomial._trimmed(tuple(map(mul, self.coefficients, repeat(float(factor)))))
-
-    def shift_power(self, exponent: int) -> "Polynomial":
-        """Multiply by z**exponent."""
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        return Polynomial._trimmed((0.0,) * exponent + self.coefficients)
 
     def taylor_at_one(self, terms: int) -> tuple[float, ...]:
         """First ``terms`` Taylor coefficients at z = 1 (powers of z - 1).
@@ -908,7 +893,7 @@ def _open_determinant(
     high to low, so that each coefficient adds its products closed_i corr_k
     in ascending i, as ``Polynomial.__mul__`` does; the products it skips and
     those this skips are exact zeros, which leave a sum that starts at +0.0
-    unchanged. The cofactor term comes last, as in ``Polynomial.__add__``.
+    unchanged. The cofactor term is added last, one coefficient at a time.
     """
     if k0 == 0:
         return cofactor

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +317,32 @@ def test_usage_errors_are_exit_two(capsys, files, tmp_path):
 
     assert main(["no-such-command"]) == 2
     assert main(["survival", "--model", files["full2"]]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["induced-pressure", "--hole", "0", "--t-max", "inf"],
+        ["induced-pressure", "--hole", "0", "--t-max", "60", "--eta", "nan"],
+        ["simulate", "--hole", "0", "--t-max", "8", "--seed", "1", "--samples", str(2**63)],
+    ],
+    ids=["t-max-inf", "eta-nan", "samples-2**63"],
+)
+def test_non_finite_or_oversized_arguments_are_exit_two(files, argv):
+    # Run as a process, so that an exception the CLI does not map would show
+    # as a traceback on stderr.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    argv = argv[:1] + ["--model", files["full2"], "--ceiling", files["unit"]] + argv[1:]
+    result = subprocess.run(
+        [sys.executable, "-m", "flowescape", *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"flowescape {argv[0]}: error: ")
 
 
 def test_console_script_and_module_entry(files):

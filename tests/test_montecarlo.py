@@ -54,6 +54,10 @@ def test_config_rejects_bad_parameters():
         SimulationConfig(seed=1, samples=1000, t_max=0)
     with pytest.raises(ValueError):
         SimulationConfig(seed=1, samples=1000, t_max=10, confidence_z=0.0)
+    # Multinomial draws take int64 counts.
+    assert SimulationConfig(seed=1, samples=2**63 - 1, t_max=10).samples == 2**63 - 1
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        SimulationConfig(seed=1, samples=2**63, t_max=10)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,13 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import flowescape
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_lists_every_public_function_and_class():
@@ -70,3 +73,80 @@ def test_imports_sit_at_module_level_and_form_no_cycle():
     except CycleError as error:
         cycle = error.args[1]
     assert cycle is None, f"import cycle: {' -> '.join(cycle)}"
+
+
+def _identifiers(tree):
+    """Every identifier that ``tree`` names: variables, attributes, imported
+    names, and the names inside annotations, string annotations included."""
+    names, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+    for note in annotations:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            names |= _identifiers(ast.parse(note.value, mode="eval"))
+    return names
+
+
+def _library_definitions():
+    """The top-level functions, classes and assignments of each library
+    module, by name; the CLI is an entry point, not library."""
+    definitions = {}
+    for path in sorted((ROOT / "src" / "flowescape").glob("*.py")):
+        if path.stem in ("__init__", "__main__", "cli"):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                definitions.setdefault(name, []).append(node)
+    return definitions
+
+
+def test_every_public_name_is_reached_from_a_route():
+    # A public name is reached when the CLI, a demo, an acceptance criterion,
+    # a property suite, the benchmark or README's Python blocks name it, or
+    # when a reached library definition names it (in its body or its
+    # annotations). Error classes are exempt.
+    sources = [
+        ROOT / "src" / "flowescape" / "cli.py",
+        ROOT / "tests" / "test_acceptance.py",
+        ROOT / "tests" / "property_suites.py",
+        *sorted((ROOT / "demos").glob("*.py")),
+        *sorted((ROOT / "bench").glob("*.py")),
+    ]
+    reached = set()
+    for path in sources:
+        reached |= _identifiers(ast.parse(path.read_text()))
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        reached |= _identifiers(ast.parse(block))
+    definitions = _library_definitions()
+    todo = sorted(reached & set(definitions))
+    while todo:
+        for node in definitions[todo.pop()]:
+            new = _identifiers(node) & set(definitions) - reached
+            reached |= new
+            todo += sorted(new)
+    values = {name: getattr(flowescape, name) for name in flowescape.__all__}
+    errors = {
+        name
+        for name, value in values.items()
+        if inspect.isclass(value) and issubclass(value, Exception)
+    }
+    unreached = [name for name in values if name not in reached | errors]
+    assert not unreached, f"public names that nothing reaches: {unreached}"

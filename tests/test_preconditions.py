@@ -2,8 +2,9 @@
 same outcome on every route that reads it.
 
 Every route reads a ceiling through the same checks: a missing value on a word
-it reads is InadmissibleWordError, a value stored on a word it never reads is
-not looked at, and every lattice route takes its heights from
+it reads is InadmissibleWordError, a value there that is not positive and
+finite (NaN included) is NonPositiveCeilingError, a value stored on a word it
+never reads is not looked at, and every lattice route takes its heights from
 ``build_suspension``, so a value that rounds to height 0 is
 NonArithmeticCeilingError wherever a lattice is needed.
 """
@@ -18,6 +19,7 @@ from flowescape import (
     CylinderFunction,
     InadmissibleWordError,
     NonArithmeticCeilingError,
+    NonPositiveCeilingError,
     SimulationConfig,
     build_family,
     build_suspension,
@@ -57,6 +59,9 @@ LATTICE_ROUTES = sorted(set(CEILING_ROUTES) - {"induced_pressure_via_root"})
 UNIT = {(0,): 1.0, (1,): 1.0}
 # No value on the letter 1.
 MISSING = {(0,): 1.0}
+# Values that are not positive and finite, stored on the letter 1. The
+# lattice check leaves a value that is not finite to the routes.
+NOT_POSITIVE = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 # 1e-13 sits on lattice 1 within the lattice tolerance, at height 0.
 HEIGHT_ZERO = {(0,): 1.0, (1,): 1e-13}
 # A negative value stored on a word outside the 2-letter alphabet.
@@ -71,6 +76,13 @@ def _ceiling(values):
 def test_missing_value_is_inadmissible_on_every_route(full2, route):
     with pytest.raises(InadmissibleWordError):
         CEILING_ROUTES[route](full2, _ceiling(MISSING))
+
+
+@pytest.mark.parametrize("value", sorted(NOT_POSITIVE))
+@pytest.mark.parametrize("route", sorted(CEILING_ROUTES))
+def test_value_not_positive_and_finite_is_non_positive_on_every_route(full2, route, value):
+    with pytest.raises(NonPositiveCeilingError):
+        CEILING_ROUTES[route](full2, _ceiling({(0,): 1.0, (1,): NOT_POSITIVE[value]}))
 
 
 @pytest.mark.parametrize("route", LATTICE_ROUTES)

@@ -21,13 +21,12 @@ from flowescape import (
     check_pressure_equals_minus_rho,
     constant_function,
     cylinder_function,
+    cylinder_measure,
     escape_rate_flow,
     gibbs_constant,
-    gibbs_ratio,
     induced_pressure_truncated,
     induced_pressure_via_root,
     superadditivity_check,
-    word_log_weight,
 )
 from oracles import truncated_pressure_by_length
 
@@ -44,24 +43,20 @@ def test_gibbs_constant_values(full2, biased2, golden_mean):
     assert gibbs_constant(golden_mean) == pytest.approx(3.0)
 
 
+def _log_weight(shift, word):
+    """S_w p, the log transition potential summed over [w] and sup-completed:
+    the transitions the word pins, then the best one out of its last letter."""
+    steps = [shift.transitions[a, b] for a, b in zip(word, word[1:])]
+    steps.append(shift.transitions[word[-1]].max())
+    return sum(float(np.log(p)) for p in steps)
+
+
 def test_gibbs_ratio_bounded_on_all_short_words(biased2):
     bound = gibbs_constant(biased2)
     for length in range(1, 9):
         for word in admissible_words(biased2, length):
-            ratio = gibbs_ratio(biased2, word)
+            ratio = math.exp(_log_weight(biased2, word)) / cylinder_measure(biased2, word)
             assert 1.0 / bound - 1e-12 <= ratio <= bound + 1e-12, word
-
-
-def test_word_log_weight_formula(full2, biased2):
-    assert word_log_weight(full2, (0, 1, 0)) == pytest.approx(3 * math.log(0.5))
-    # Pinned transitions plus the best continuation out of the last letter.
-    want = math.log(0.9) + math.log(0.1) + math.log(0.8)
-    assert word_log_weight(biased2, (0, 0, 1)) == pytest.approx(want)
-
-
-def test_word_log_weight_rejects_inadmissible(golden_mean):
-    with pytest.raises(InadmissibleWordError):
-        word_log_weight(golden_mean, (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +193,7 @@ def _brute_window_sum(heights, order, hole, t):
                 for tail in itertools.product((0, 1), repeat=order - 1)
             )
             if t - eta < best <= t:
-                total += math.exp(word_log_weight(full2, word))
+                total += math.exp(_log_weight(full2, word))
     return total
 
 
@@ -333,8 +328,15 @@ def test_truncated_pressure_error_paths(full2, unit_ceiling, golden_mean):
         induced_pressure_truncated(full2, even, (0,), 9.0, eta=0.5)
     with pytest.raises(ValueError):
         induced_pressure_truncated(full2, unit_ceiling, (0,), 9.5)
-    with pytest.raises(ValueError):
-        induced_pressure_truncated(full2, unit_ceiling, (0,), 10.0, eta=-1.0)
+    # A t_max that is not finite, or whose lattice index overflows, is off
+    # the lattice too.
+    quarter = cylinder_function(1, {(0,): 1.0, (1,): 1.25}, lattice=0.25)
+    for t_max in (math.inf, -math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="does not sit on the ceiling lattice"):
+            induced_pressure_truncated(full2, quarter, (0,), t_max)
+    for eta in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            induced_pressure_truncated(full2, unit_ceiling, (0,), 10.0, eta=eta)
     with pytest.raises(InadmissibleWordError):
         induced_pressure_truncated(golden_mean, constant_function(golden_mean, 1.0), (1, 1), 10.0)
 

@@ -17,11 +17,8 @@ from flowescape import (
     RefinementTooLargeError,
     WordTooShortError,
     admissible_words,
-    birkhoff_sum,
-    birkhoff_sum_cyclic,
     build_markov_shift,
     ceiling_from_json,
-    ceiling_to_json,
     constant_function,
     cylinder_function,
     cylinder_measure,
@@ -31,7 +28,6 @@ from flowescape import (
     parse_word,
     refine_cylinder_function,
     shift_from_json,
-    shift_to_json,
     survival_measure_exact,
 )
 from oracles import (
@@ -228,12 +224,19 @@ def test_parse_word_unknown_symbol(full2):
 
 
 # ---------------------------------------------------------------------------
-# Cylinder functions and Birkhoff sums
+# Cylinder functions
 # ---------------------------------------------------------------------------
 
-def test_cylinder_function_lattice_validation():
+def test_cylinder_function_lattice_validation(full2):
     with pytest.raises(NonArithmeticCeilingError):
         cylinder_function(1, {(0,): 1.0, (1,): 1.5}, lattice=1.0)
+    for lattice in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(NonArithmeticCeilingError, match="positive and finite"):
+            cylinder_function(1, {(0,): 1.0, (1,): 2.0}, lattice=lattice)
+    # constant_function declares the lattice |value|.
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonArithmeticCeilingError, match="positive and finite"):
+            constant_function(full2, value)
 
 
 def test_constant_function_has_lattice(full2):
@@ -242,26 +245,11 @@ def test_constant_function_has_lattice(full2):
     assert psi.sup_value == psi.inf_value == 2.0
 
 
-def test_birkhoff_sum_constant(full2, unit_ceiling):
-    assert birkhoff_sum(unit_ceiling, (0, 1, 0, 1, 1, 0), 5) == 5.0
-
-
-def test_birkhoff_sum_step_ceiling(step_ceiling):
-    assert birkhoff_sum(step_ceiling, (0, 1, 1, 0), 3) == 5.0
-
-
-def test_birkhoff_sum_empty(step_ceiling):
-    assert birkhoff_sum(step_ceiling, (0, 1), 0) == 0.0
-
-
-def test_birkhoff_sum_word_too_short(step_ceiling):
+def test_cylinder_function_value_needs_order_letters(step_ceiling, full2):
+    fine = refine_cylinder_function(full2, step_ceiling, 2)
+    assert fine.value((1, 0, 1)) == 2.0
     with pytest.raises(WordTooShortError):
-        birkhoff_sum(step_ceiling, (0,), 2)
-
-
-def test_birkhoff_sum_cyclic_wraps(step_ceiling):
-    # Around the cycle 01: values phi(01..) + phi(10..) = 1 + 2.
-    assert birkhoff_sum_cyclic(step_ceiling, (0, 1)) == 3.0
+        fine.value((1,))
 
 
 def test_refine_cylinder_function(full2, step_ceiling):
@@ -409,14 +397,14 @@ def test_escape_rate_slope_builds_one_chain(full2, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_shift_json_round_trip(biased2):
-    doc = shift_to_json(biased2)
+    doc = {"transitions": [[0.9, 0.1], [0.2, 0.8]], "labels": ["0", "1"]}
     again = shift_from_json(json.loads(json.dumps(doc)))
     np.testing.assert_allclose(again.transitions, biased2.transitions)
     assert again.labels == biased2.labels
 
 
-def test_ceiling_json_round_trip(full2, step_ceiling):
-    doc = ceiling_to_json(full2, step_ceiling)
+def test_ceiling_json_round_trip(full2):
+    doc = {"order": 1, "values": {"0": 1.0, "1": 2.0}, "lattice": 1.0}
     again = ceiling_from_json(full2, json.loads(json.dumps(doc)))
     assert again.order == 1
     assert again.value((1,)) == 2.0
