@@ -157,7 +157,7 @@ def _cmd_validate(args) -> int:
             "order": ceiling.order,
             "lattice": ceiling.lattice,
             "total-mass": system.total_mass,
-            "blocks": len(system.block_measure),
+            "blocks": system._block_count,
         }
     if hole is not None:
         results["hole"] = {

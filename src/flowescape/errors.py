@@ -51,7 +51,8 @@ class RefinementTooLargeError(DomainError):
 
 class NonArithmeticCeilingError(DomainError):
     """The ceiling has no declared lattice, or a value a lattice route reads is
-    off its lattice or rounds to height 0."""
+    off its lattice, rounds to height 0 or overflows the float range in
+    lattice steps."""
 
 
 class NonPositiveCeilingError(DomainError):

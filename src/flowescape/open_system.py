@@ -301,10 +301,11 @@ def _word_operator_root(links, heights) -> float:
     Python lists, and laid end to end, one component after another. Each
     evaluation of f makes one pass p e^{s h} over all of them, and each
     component's radius reads its slice of that pass: as Python floats at
-    1-4 states, as a numpy array past that.
+    1-4 states, as a numpy array past that. f(0) reads the weights p
+    themselves, since e^{0 h} = 1 exactly.
     """
     src, dst, p = links
-    h = np.asarray(heights, dtype=float).tolist()
+    h = list(map(float, heights))
     # Positive row weights keep the strongly connected components. The
     # cyclic ones are those with a link inside: more than one state, or a
     # loop. Their links are taken in order, renumbered within the component,
@@ -333,12 +334,11 @@ def _word_operator_root(links, heights) -> float:
     if not parts:
         return math.inf
     h_min, h_max = min(powers), max(powers)
-    probs, powers = np.array(probs), np.array(powers)
+    weights, powers = np.array(probs), np.array(powers)
     listed = any(size <= 4 for *_, size in parts)
 
-    def f(s: float) -> float:
-        product = probs * np.exp(s * powers)
-        values = product.tolist() if listed else product
+    def log_radius(product: np.ndarray, values) -> float:
+        # ``values`` holds ``product`` as a list where a component is listed.
         return math.log(
             max(
                 _component_radius(
@@ -348,7 +348,11 @@ def _word_operator_root(links, heights) -> float:
             )
         )
 
-    f0 = f(0.0)
+    def f(s: float) -> float:
+        product = weights * np.exp(s * powers)
+        return log_radius(product, product.tolist() if listed else product)
+
+    f0 = log_radius(weights, probs)
     if f0 >= 0.0:
         return 0.0
     near = -f0 / h_max
@@ -496,7 +500,7 @@ def escape_rate_block_hole(system: SuspensionSystem, rows: "tuple[int, ...] | li
     indices 0..blocks-1 of the block matrix; ValueError otherwise, fractions
     included). A row at any level of a word's tower removes that whole word:
     its links of ``word_links`` are dropped before the word-operator root."""
-    size = len(system.block_measure)
+    size = system._block_count
     if not rows or not all(int(r) == r and 0 <= r < size for r in rows):
         raise ValueError(f"block hole needs rows within [0, {size}), got {list(rows)}")
     src, dst, p = system.word_links

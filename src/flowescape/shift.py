@@ -414,7 +414,13 @@ def cylinder_function(
     values: Mapping[Word, float],
     lattice: "float | None" = None,
 ) -> CylinderFunction:
-    """Build a CylinderFunction, checking the lattice claim when one is given."""
+    """Build a CylinderFunction, checking the lattice claim when one is given.
+
+    The lattice must be positive and finite, and each finite value within
+    1e-12 relative of a lattice multiple; NonArithmeticCeilingError
+    otherwise, also where a value's ratio to the lattice overflows the float
+    range. A value that is not finite is left to the routes that read it.
+    """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if not values:
@@ -428,7 +434,12 @@ def cylinder_function(
         for w, v in clean.items():
             if not math.isfinite(v):
                 continue  # left to the routes that read it (``_ceiling_values``)
-            nearest = lattice * round(v / lattice)
+            try:
+                nearest = lattice * round(v / lattice)
+            except OverflowError:
+                raise NonArithmeticCeilingError(
+                    f"value {v} at word {w} overflows in steps of the lattice {lattice}"
+                ) from None
             if abs(v - nearest) > _LATTICE_TOL * max(1.0, abs(v)):
                 raise NonArithmeticCeilingError(
                     f"value {v} at word {w} is not a multiple of the lattice {lattice}"

@@ -7,14 +7,17 @@ length n gets an integer height k_C = phi(C) / lambda, and the time-lambda map
 becomes a finite Markov chain on blocks (C, level) with level in 0..k_C-1.
 Levels below the top step up deterministically; the top level steps through the
 base shift transition. This block chain is the tower over the word operator P
-of the order-n words: a system stores P as links and the heights, and builds
-the blocks and the dense block matrix on first read. Everything downstream
-works on it and converts rates back by 1/lambda. A hole's k0, the ceiling
-sum over its first m - n shifts, is read off the heights here.
+of the order-n words. A system stores only what ``build_suspension``
+validates, the words, their heights and the lattice; P as links, the block
+measure and the dense block chain are derived from them on first read.
+Everything downstream works on it and converts rates back by 1/lambda. A
+hole's k0, the ceiling sum over its first m - n shifts, is read off the
+heights here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,17 +45,44 @@ from .shift import (
 Block = tuple[Word, int]
 
 
+class _FirstRead:
+    """A form of a system that ``_derived_forms`` builds, together with the
+    others, on the first read of any of them. As a non-data descriptor it is
+    shadowed by the instance dict that holds them from then on, so later
+    reads are plain attribute reads, without the lock that ``cached_property``
+    takes on every first read before Python 3.12."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            return self
+        system.__dict__.update(_derived_forms(system))
+        return system.__dict__[self.name]
+
+
 @dataclass(frozen=True, eq=False)
 class SuspensionSystem:
     """Tower form of a suspension flow with an arithmetic ceiling.
 
-    ``word_links`` is the hole-free base chain on ``words``, as read-only sorted links.
-    Word i owns the ``heights[i]`` blocks from sum(heights[:i]) on, level 0
-    first; ``blocks`` lists these (word, level) pairs and ``block_matrix`` is
-    the row-stochastic time-lambda transition matrix on them, both built on first read.
-    ``block_measure`` holds the base cylinder measure of each block's word, so
-    ``mass_normalized = sum(block_measure)`` is the integral of the normalized
-    (lattice-1) ceiling and ``total_mass`` the integral of the original one.
+    A system stores what ``build_suspension`` validates: the order-n
+    ``words``, their integer ``heights`` with their sum, the word index, the
+    order and the lattice. Word i owns the ``heights[i]`` blocks from
+    sum(heights[:i]) on, level 0 first. The other forms are derived on first
+    read, read-only, and kept. ``word_links``, ``block_measure``,
+    ``mass_normalized`` and the first block of each word are derived in one
+    step, since the routes that read one of them read the others:
+
+    - ``word_links`` is the hole-free base chain on ``words``, as sorted links;
+    - ``block_measure`` holds the base cylinder measure of each block's word,
+      so ``mass_normalized = sum(block_measure)`` is the integral of the
+      normalized (lattice-1) ceiling and ``total_mass`` the integral of the
+      original one.
+
+    ``blocks`` lists the (word, level) pairs and ``block_matrix`` is the
+    row-stochastic time-lambda transition matrix on them, each built on its
+    own first read.
     """
 
     base: MarkovShift
@@ -61,11 +91,13 @@ class SuspensionSystem:
     lattice_scale: float
     words: tuple[Word, ...]
     heights: np.ndarray
-    word_links: tuple[np.ndarray, np.ndarray, np.ndarray]
-    block_measure: np.ndarray
-    mass_normalized: float
     _word_index: dict[Word, int] = field(repr=False)
-    _starts: np.ndarray = field(repr=False)
+    _block_count: int = field(repr=False)
+
+    word_links = _FirstRead()
+    block_measure = _FirstRead()
+    mass_normalized = _FirstRead()
+    _starts = _FirstRead()
 
     @property
     def total_mass(self) -> float:
@@ -81,7 +113,7 @@ class SuspensionSystem:
         """Levels step up by one; each top steps along ``word_links`` onto
         the level-0 blocks. Raises DimensionTooLargeError past
         ``DEFAULT_STATE_CAP`` blocks, before anything is allocated."""
-        size = len(self.block_measure)
+        size = self._block_count
         if size > DEFAULT_STATE_CAP:
             raise DimensionTooLargeError(
                 f"{size} blocks exceed the cap of {DEFAULT_STATE_CAP} for a dense block matrix"
@@ -132,8 +164,10 @@ def build_suspension(
     else: a missing value raises InadmissibleWordError, a value <= 0
     NonPositiveCeilingError. It must declare a lattice, and each value must be
     k >= 1 lattice steps to within 1e-12 relative, k being the word's height
-    (NonArithmeticCeilingError otherwise). Every lattice route reads its
-    heights from here.
+    (NonArithmeticCeilingError otherwise, also where value / lattice
+    overflows the float range). Every lattice route reads its heights from
+    here. The system keeps only the words, heights and lattice; the forms
+    that ``SuspensionSystem`` lists as derived are built on first read.
     """
     if ceiling.lattice is None:
         raise NonArithmeticCeilingError(
@@ -143,17 +177,39 @@ def build_suspension(
     words = admissible_words(base, ceiling.order)
     heights = []
     for w, value in zip(words, _ceiling_values(ceiling, words)):
-        k = round(value / scale)
+        try:
+            k = round(value / scale)
+        except OverflowError:
+            raise NonArithmeticCeilingError(
+                f"ceiling value {value} at word {w} overflows in steps of the lattice {scale}"
+            ) from None
         if k < 1 or abs(value - k * scale) > _LATTICE_TOL * max(1.0, abs(value)):
             raise NonArithmeticCeilingError(
                 f"ceiling value {value} at word {w} is off the lattice {scale}"
             )
         heights.append(k)
+    count = sum(heights)
     heights = np.array(heights)
+    heights.setflags(write=False)
+    return SuspensionSystem(
+        base=base,
+        ceiling=ceiling,
+        order=ceiling.order,
+        lattice_scale=scale,
+        words=words,
+        heights=heights,
+        _word_index={w: i for i, w in enumerate(words)},
+        _block_count=count,
+    )
 
-    index = {w: i for i, w in enumerate(words)}
+
+def _derived_forms(system: SuspensionSystem) -> dict:
+    """The forms of ``system`` that ``_FirstRead`` names, every array read-only."""
+    base, words, heights = system.base, system.words, system.heights
     # The word chain is the lattice-sum operator of a ceiling of height 0.
-    word_links = _lattice_operators(base, dict.fromkeys(words, 0), ceiling.order, index)[0]
+    word_links = _lattice_operators(
+        base, dict.fromkeys(words, 0), system.order, system._word_index
+    )[0]
     # Word masses as cylinder_measure takes them, pi of the first letter times
     # P along the word from the left, one letter column at a time.
     codes = np.array(words).T
@@ -162,21 +218,14 @@ def build_suspension(
         mass = mass * base.transitions[a, b]
     measure = np.repeat(mass, heights)
     starts = np.cumsum(heights) - heights
-    for array in (heights, *word_links, measure, starts):
+    for array in (*word_links, measure, starts):
         array.setflags(write=False)
-    return SuspensionSystem(
-        base=base,
-        ceiling=ceiling,
-        order=ceiling.order,
-        lattice_scale=scale,
-        words=words,
-        heights=heights,
-        word_links=word_links,
-        block_measure=measure,
-        mass_normalized=float(measure.sum()),
-        _word_index=index,
-        _starts=starts,
-    )
+    return {
+        "word_links": word_links,
+        "block_measure": measure,
+        "mass_normalized": float(measure.sum()),
+        "_starts": starts,
+    }
 
 
 def refine_suspension(system: SuspensionSystem, new_order: int) -> SuspensionSystem:
@@ -195,13 +244,17 @@ def rationalize_ceiling(
 ) -> tuple[CylinderFunction, float]:
     """Round a ceiling onto the lattice epsilon/2, returning (psi, sup|phi - psi|).
 
-    Every stored value is rounded; which of them must be positive is left to
-    the routes that read them. An already-arithmetic ceiling is a fixed point:
-    it comes back unchanged with error 0 for any epsilon. Raises
-    NonPositiveCeilingError when no value is positive, and EpsilonTooLargeError
-    when epsilon reaches the smallest positive value (it could round to 0).
+    Every finite stored value is rounded, and the error is taken over them;
+    a value that is not finite is carried through unrounded. Which values
+    must be positive and finite is left to the routes that read them, which
+    raise NonPositiveCeilingError. An already-arithmetic ceiling is a fixed
+    point: it comes back unchanged with error 0 for any epsilon. Raises
+    ValueError unless epsilon > 0, NonPositiveCeilingError when no value is
+    positive, EpsilonTooLargeError when epsilon reaches the smallest
+    positive value (it could round to 0), and NonArithmeticCeilingError
+    where a finite value's index v / (epsilon/2) overflows the float range.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if ceiling.lattice is not None:
         return ceiling, 0.0
@@ -216,7 +269,16 @@ def rationalize_ceiling(
     rounded = {}
     worst = 0.0
     for w, v in ceiling.values.items():
-        k = int(np.floor(v / delta + 0.5))
+        if not math.isfinite(v):
+            rounded[w] = v
+            continue
+        try:
+            k = int(np.floor(v / delta + 0.5))
+        # delta is 0.0 where epsilon/2 underflows: every index overflows.
+        except (OverflowError, ZeroDivisionError):
+            raise NonArithmeticCeilingError(
+                f"ceiling value {v} at word {w} overflows in steps of the lattice {delta}"
+            ) from None
         rounded[w] = k * delta
         worst = max(worst, abs(v - k * delta))
     return cylinder_function(ceiling.order, rounded, lattice=delta), worst

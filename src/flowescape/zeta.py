@@ -246,7 +246,7 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
 def _tower_dimension(system: SuspensionSystem, q: "HoleQuantities | None") -> int:
     """States of the block matrix, or of the bordered open matrix of ``q``;
     DimensionTooLargeError past ``DEFAULT_STATE_CAP``."""
-    size = len(system.block_measure)
+    size = system._block_count
     dim = size if q is None else size + max(q.k0 - 1, 0)
     if dim > DEFAULT_STATE_CAP:
         raise DimensionTooLargeError(
@@ -264,7 +264,7 @@ def _bordered_matrix(system: SuspensionSystem, q: HoleQuantities) -> np.ndarray:
     the matrix is the block matrix with the hole row zeroed; with k0 = 1 it
     subtracts alpha from the (t, r) entry. Raises DimensionTooLargeError
     past ``DEFAULT_STATE_CAP`` states, before anything is allocated."""
-    dim, size = _tower_dimension(system, q), len(system.block_measure)
+    dim, size = _tower_dimension(system, q), system._block_count
     t, r = system.block_index(q.t_word, 0), system.block_index(q.r_word, 0)
     base_matrix = system.block_matrix
     if q.k0 == 0:

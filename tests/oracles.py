@@ -38,6 +38,10 @@ overhead was cut: ``leverrier`` gathers the dense iterate's diagonal with
 of W and gathers its rows, ``word_leverrier`` gathers the diagonal
 polynomials, ``first_sign_change`` scans one bracket from poly(left), and
 ``polish_candidate`` evaluates deriv(cand) before its Newton pass.
+``eager_suspension_forms`` lays out every form of a suspension system in one
+pass, as ``build_suspension`` once did; the library stores only the words,
+heights and lattice and derives the word chain's links, the block starts
+and the block measure on first read.
 """
 
 import bisect
@@ -105,6 +109,32 @@ def refined_open_matrix(system, hole):
 def bordered_open_matrix(system, hole):
     """The bordered open matrix: the order-n blocks plus k0 - 1 border states."""
     return _bordered_matrix(system, hole_quantities(system, hole))
+
+
+def eager_suspension_forms(shift, ceiling):
+    """The forms of ``build_suspension(shift, ceiling)`` as one eager pass
+    lays them out, every array read-only: ``heights``, ``word_links``,
+    ``block_measure``, ``mass_normalized`` and ``_starts``."""
+    scale = float(ceiling.lattice)
+    words = admissible_words(shift, ceiling.order)
+    heights = np.array([round(ceiling.value(w) / scale) for w in words])
+    index = {w: i for i, w in enumerate(words)}
+    word_links = _lattice_operators(shift, dict.fromkeys(words, 0), ceiling.order, index)[0]
+    codes = np.array(words).T
+    mass = shift.stationary[codes[0]]
+    for a, b in zip(codes, codes[1:]):
+        mass = mass * shift.transitions[a, b]
+    measure = np.repeat(mass, heights)
+    starts = np.cumsum(heights) - heights
+    for array in (heights, *word_links, measure, starts):
+        array.setflags(write=False)
+    return {
+        "heights": heights,
+        "word_links": word_links,
+        "block_measure": measure,
+        "mass_normalized": float(measure.sum()),
+        "_starts": starts,
+    }
 
 
 @dataclass(frozen=True, eq=False)

@@ -319,6 +319,19 @@ def test_usage_errors_are_exit_two(capsys, files, tmp_path):
     assert main(["survival", "--model", files["full2"]]) == 2
 
 
+def _run_module(argv):
+    """``python -m flowescape`` on ``argv`` as a process, so that an exception
+    the CLI does not map shows as a traceback on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "flowescape", *argv], capture_output=True, text=True, env=env
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -329,20 +342,25 @@ def test_usage_errors_are_exit_two(capsys, files, tmp_path):
     ids=["t-max-inf", "eta-nan", "samples-2**63"],
 )
 def test_non_finite_or_oversized_arguments_are_exit_two(files, argv):
-    # Run as a process, so that an exception the CLI does not map would show
-    # as a traceback on stderr.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     argv = argv[:1] + ["--model", files["full2"], "--ceiling", files["unit"]] + argv[1:]
-    result = subprocess.run(
-        [sys.executable, "-m", "flowescape", *argv], capture_output=True, text=True, env=env
-    )
+    result = _run_module(argv)
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith(f"flowescape {argv[0]}: error: ")
+
+
+def test_lattice_ratio_overflow_is_a_domain_error(tmp_path, files):
+    # 1e300 / 1e-10 overflows the float range: no lattice step is nearest.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"order": 1, "values": {"0": 1e300, "1": 1.0}, "lattice": 1e-10}))
+    result = _run_module(
+        ["escape-rate", "--model", files["full2"], "--ceiling", str(path), "--hole", "0"]
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    error = json.loads(result.stderr)["error"]
+    assert error["code"] == "NonArithmeticCeiling"
+    assert "overflows" in error["message"]
 
 
 def test_console_script_and_module_entry(files):

@@ -239,6 +239,16 @@ def test_cylinder_function_lattice_validation(full2):
             constant_function(full2, value)
 
 
+def test_cylinder_function_lattice_ratio_overflow_is_non_arithmetic():
+    # 1e300 / 1e-10 overflows the float range, so no lattice step is nearest.
+    with pytest.raises(NonArithmeticCeilingError, match="overflows"):
+        cylinder_function(1, {(0,): 1e300, (1,): 1.0}, lattice=1e-10)
+    with pytest.raises(NonArithmeticCeilingError, match="overflows"):
+        cylinder_function(1, {(0,): -1e300, (1,): 1.0}, lattice=1e-10)
+    # The largest finite ratio still has its nearest step.
+    assert cylinder_function(1, {(0,): 1e298, (1,): 1.0}, lattice=1e-10).lattice == 1e-10
+
+
 def test_constant_function_has_lattice(full2):
     psi = constant_function(full2, 2.0)
     assert psi.lattice == 2.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import flowescape.pressure as pressure
 from flowescape import (
     EpsilonTooLargeError,
     NonArithmeticCeilingError,
@@ -20,11 +21,14 @@ from flowescape import (
     escape_rate_flow,
     estimate_survival,
     flow_invariant_vector,
+    induced_pressure_truncated,
     induced_pressure_via_root,
     rationalize_ceiling,
     refine_suspension,
     survival_curve_flow,
 )
+from flowescape.shift import CylinderFunction
+from oracles import eager_suspension_forms
 
 
 def test_unit_ceiling_reproduces_base(full2, unit_system):
@@ -183,10 +187,28 @@ def test_word_masses_equal_cylinder_measure(transitions, order):
 
 
 def test_block_chain_is_built_only_when_read(monkeypatch):
-    # Neither the system nor its refinement builds the block chain for the
-    # refined rate, the pressure root, the survival curve or the sampler.
+    # The refined rate, the pressure root and the truncated pressure read
+    # only the words and heights: the word chain's links and the block
+    # measure stay underived, on the system and on those the truncated
+    # pressure builds (the pressure root builds none). Neither the system
+    # nor its refinement builds the block chain for those, the survival
+    # curve or the sampler.
     shift, ceiling = _chain_case("forbidden")
     system = build_suspension(shift, ceiling)
+    built = [system]
+
+    def recorded(*args):
+        built.append(build_suspension(*args))
+        return built[-1]
+
+    monkeypatch.setattr(pressure, "build_suspension", recorded)
+    for hole in [(1, 0), (2, 1, 0)]:
+        escape_rate_flow(system, hole, "refined")
+        induced_pressure_via_root(shift, ceiling, hole)
+        induced_pressure_truncated(shift, ceiling, hole, 20.0)
+    assert len(built) == 3
+    for name in ("word_links", "block_measure", "mass_normalized", "_starts"):
+        assert all(name not in s.__dict__ for s in built), name
 
     def unread(self):
         raise AssertionError("the block chain was built")
@@ -199,6 +221,53 @@ def test_block_chain_is_built_only_when_read(monkeypatch):
         estimate_survival(system, hole, SimulationConfig(seed=1, samples=200, t_max=10))
     assert "block_matrix" not in system.__dict__
     assert "blocks" not in system.__dict__
+
+
+def _seeded_shift(seed, letters):
+    """An irreducible chain on ``letters`` symbols with about 30% of its
+    links dropped, each state keeping its link to the next."""
+    rng = np.random.default_rng([seed, letters])
+    raw = rng.uniform(0.05, 1.0, (letters, letters))
+    keep = raw * (rng.random((letters, letters)) >= 0.3)
+    for i in range(letters):
+        keep[i, (i + 1) % letters] = raw[i, (i + 1) % letters]
+    return build_markov_shift(keep / keep.sum(axis=1, keepdims=True)), rng
+
+
+def _same_form(got, want):
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_form(g, w)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    else:
+        assert type(got) is type(want) and got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("lattice", [1.0, 0.5, 0.05])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("letters", [2, 3, 4])
+def test_derived_forms_equal_the_eager_construction(letters, order, lattice):
+    # Each form derived on first read is byte for byte the one an eager pass
+    # lays out, dtype and read-only flag included, whichever is read first;
+    # the first read derives them all.
+    shift, rng = _seeded_shift(order, letters)
+    words = admissible_words(shift, order)
+    values = {w: lattice * int(rng.integers(1, 8)) for w in words}
+    ceiling = cylinder_function(order, values, lattice=lattice)
+    want = eager_suspension_forms(shift, ceiling)
+    derived = want.keys() - {"heights"}
+    for first in derived:
+        system = build_suspension(shift, ceiling)
+        getattr(system, first)
+        assert derived <= system.__dict__.keys()
+        for name, form in want.items():
+            _same_form(getattr(system, name), form)
+        assert system._block_count == len(want["block_measure"])
+        assert system.total_mass == lattice * want["mass_normalized"]
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +321,38 @@ def test_rationalize_bound_holds_for_awkward_values(full3):
             assert abs(psi.value(w) - v) <= err + 1e-15
             ratio = psi.value(w) / psi.lattice
             assert abs(ratio - round(ratio)) < 1e-9
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_rationalize_carries_a_value_that_is_not_finite(full2, value):
+    # It is carried through unrounded, and each route rejects it.
+    phi = cylinder_function(1, {(0,): 1.3, (1,): value})
+    psi, err = rationalize_ceiling(phi, 0.1)
+    assert psi.lattice == 0.05
+    carried = psi.value((1,))
+    assert carried == value or math.isnan(value) and math.isnan(carried)
+    assert err == abs(1.3 - 26 * 0.05)
+    with pytest.raises(NonPositiveCeilingError):
+        build_suspension(full2, psi)
+    with pytest.raises(NonPositiveCeilingError):
+        induced_pressure_via_root(full2, psi, (0, 1))
+
+
+def test_rationalize_index_overflow_is_non_arithmetic():
+    # 1e308 / 1e-10 overflows the float range.
+    phi = cylinder_function(1, {(0,): 1.0, (1,): 1e308})
+    with pytest.raises(NonArithmeticCeilingError, match="overflows"):
+        rationalize_ceiling(phi, 2e-10)
+    # An epsilon whose half underflows to 0 leaves no finite index.
+    with pytest.raises(NonArithmeticCeilingError, match="overflows"):
+        rationalize_ceiling(cylinder_function(1, {(0,): 1.0, (1,): 2.0}), 5e-324)
+    for epsilon in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            rationalize_ceiling(phi, epsilon)
+
+
+def test_build_suspension_lattice_ratio_overflow_is_non_arithmetic(full2):
+    # cylinder_function rejects this ceiling, so it is built field by field.
+    ceiling = CylinderFunction(order=1, values={(0,): 1e300, (1,): 1.0}, lattice=1e-10)
+    with pytest.raises(NonArithmeticCeilingError, match="overflows"):
+        build_suspension(full2, ceiling)
