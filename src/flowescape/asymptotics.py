@@ -93,8 +93,8 @@ class PeriodicOrbitFamily:
     G c_o^{1 - n/p}/mu_w that ``expansion_coefficients`` shifts by z^k0, the
     values G(1), G'(1), C(1), C'(1) and the two other nu-free terms of the
     closed-form s_2, and (1 - z)G for ``_family_open_inverse``. Past a
-    polynomial's degree its Taylor terms are the 0.0 that ``taylor_at_one``
-    returns there.
+    polynomial's degree its Taylor terms are the 0.0 that
+    ``Polynomial.taylor_at_one`` returns there.
     """
 
     system: SuspensionSystem
@@ -273,22 +273,6 @@ class ExpansionCoefficients:
     order: int
     s_normalized: tuple[float, ...]
     closed_normalized: tuple[float, float]
-    lattice_scale: float
-
-    @property
-    def s(self) -> tuple[float, ...]:
-        return tuple(
-            value / self.lattice_scale ** (i + 1)
-            for i, value in enumerate(self.s_normalized)
-        )
-
-    @property
-    def s1_closed(self) -> float:
-        return self.closed_normalized[0] / self.lattice_scale
-
-    @property
-    def s2_closed(self) -> float:
-        return self.closed_normalized[1] / self.lattice_scale ** 2
 
 
 def _truncated_product(a: list[float], b: list[float], terms: int) -> list[float]:
@@ -385,7 +369,6 @@ def expansion_coefficients(
         order=order,
         s_normalized=s_normalized,
         closed_normalized=closed,
-        lattice_scale=family.system.lattice_scale,
     )
 
 

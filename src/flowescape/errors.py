@@ -92,10 +92,6 @@ class NoZeroAtOneError(DomainError):
     """Polynomial has no zero at z = 1, so the (1-z) factor cannot be removed."""
 
 
-class PoleAtOneError(DomainError):
-    """Rational function still has a pole at z = 1 after cancelling common zeros."""
-
-
 class FactorizationMismatchError(DomainError):
     """Assembled zeta factorization disagrees with the direct determinant."""
 

@@ -50,7 +50,14 @@ from .suspension import SuspensionSystem, build_suspension
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Sampling parameters; ``confidence_z`` scales every reported bracket."""
+    """Sampling parameters. Each route reads only some of them.
+
+    ``estimate_survival`` reads ``seed``, ``samples`` and ``t_max``, its
+    horizon in kills. ``estimate_deviation_prob`` reads only ``seed`` and
+    ``samples``: its horizon is its own ``l_max``, so any valid ``t_max``
+    (such as 1) serves. ``confidence_z`` is read only by ``fit_escape_rate``,
+    which widens the survival sampler's standard errors by it.
+    """
 
     seed: int
     samples: int

@@ -88,10 +88,7 @@ def _power_iteration_radius(links, size: int) -> "float | None":
         low, high = float(ratios.min()), float(ratios.max())
         if high - low <= _RADIUS_TOL * max(1.0, high):
             return max(2.0 * 0.5 * (low + high) - 1.0, 0.0)
-        total = nxt.sum()
-        if total <= 0.0:
-            return 0.0
-        vec = nxt / total
+        vec = nxt / nxt.sum()
     return None
 
 

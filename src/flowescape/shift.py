@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -198,16 +199,19 @@ def build_markov_shift(
 ) -> MarkovShift:
     """Validate a transition matrix and package it with its stationary vector.
 
-    Raises NotRowStochasticError when a row sum is off by more than 1e-9 or an
-    entry is negative, and NotIrreducibleError when the positive-entry digraph
-    is not strongly connected. NoConvergenceError is raised where the one LU
-    solve for the stationary vector is singular, has an entry not finite or
-    below -1e-10 (as on some nearly decomposable chains), or leaves a
-    residual |pi P - pi| above 1e-12 plus the largest |row sum - 1|.
+    Raises NotRowStochasticError when an entry is not finite or negative or a
+    row sum is off by more than 1e-9, and NotIrreducibleError when the
+    positive-entry digraph is not strongly connected. NoConvergenceError is
+    raised where the one LU solve for the stationary vector is singular, has
+    an entry not finite or below -1e-10 (as on some nearly decomposable
+    chains), or leaves a residual |pi P - pi| above 1e-12 plus the largest
+    |row sum - 1|.
     """
     mat = np.array(transitions, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise NotRowStochasticError(f"transition matrix must be square, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise NotRowStochasticError("transition matrix has entries that are not finite")
     if mat.min() < 0.0:
         raise NotRowStochasticError("transition matrix has negative entries")
     row_err = np.abs(mat.sum(axis=1) - 1.0).max()
@@ -399,14 +403,6 @@ class CylinderFunction:
             return self.values[key]
         except KeyError:
             raise InadmissibleWordError(f"no value stored for word {key}") from None
-
-    @property
-    def sup_value(self) -> float:
-        return max(self.values.values())
-
-    @property
-    def inf_value(self) -> float:
-        return min(self.values.values())
 
 
 def cylinder_function(
@@ -705,10 +701,29 @@ def _gain_step(dist: np.ndarray, plan: tuple) -> np.ndarray:
 # JSON forms
 # ===========================================================================
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number that reads as a float: a float, or
+    an int (not a bool) inside the float range."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def shift_from_json(doc: Mapping) -> MarkovShift:
-    if "transitions" not in doc:
+    """The shift of a model document: ``transitions``, a list of rows of
+    numbers (a null entry reads as NaN, which ``build_markov_shift``
+    rejects), and optional ``labels``, a list of strings. A document of
+    another shape raises ValueError."""
+    if not isinstance(doc, Mapping) or "transitions" not in doc:
         raise ValueError('model document needs a "transitions" key')
-    return build_markov_shift(doc["transitions"], labels=doc.get("labels"))
+    rows, labels = doc["transitions"], doc.get("labels")
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(v is None or _is_number(v) for v in row) for row in rows
+    ):
+        raise ValueError('"transitions" must be a list of rows of numbers')
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    ):
+        raise ValueError('"labels" must be a list of strings')
+    return build_markov_shift(rows, labels=labels)
 
 
 def load_model(path: "str | Path") -> MarkovShift:
@@ -717,11 +732,21 @@ def load_model(path: "str | Path") -> MarkovShift:
 
 
 def ceiling_from_json(shift: MarkovShift, doc: Mapping) -> CylinderFunction:
+    """The ceiling of a document: ``order``, an integer, ``values``, an
+    object from words in label text to numbers, and optional ``lattice``, a
+    number. A document of another shape raises ValueError."""
     for key in ("order", "values"):
-        if key not in doc:
+        if not isinstance(doc, Mapping) or key not in doc:
             raise ValueError(f'ceiling document needs a "{key}" key')
-    values = {parse_word(shift, text): float(v) for text, v in doc["values"].items()}
-    return cylinder_function(int(doc["order"]), values, lattice=doc.get("lattice"))
+    order, values, lattice = doc["order"], doc["values"], doc.get("lattice")
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValueError(f'"order" must be an integer, got {order!r}')
+    if not isinstance(values, Mapping) or not all(map(_is_number, values.values())):
+        raise ValueError('"values" must be an object from words to numbers')
+    if lattice is not None and not _is_number(lattice):
+        raise ValueError(f'"lattice" must be a number, got {lattice!r}')
+    words = {parse_word(shift, text): float(v) for text, v in values.items()}
+    return cylinder_function(order, words, lattice=lattice)
 
 
 def load_ceiling(shift: MarkovShift, path: "str | Path") -> CylinderFunction:

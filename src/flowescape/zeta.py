@@ -51,7 +51,6 @@ from .errors import (
     NoSignChangeError,
     NotReducedError,
     NoZeroAtOneError,
-    PoleAtOneError,
 )
 from .shift import (
     DEFAULT_STATE_CAP,
@@ -178,15 +177,13 @@ class HoleQuantities:
     hole past its first n letters; ``k0`` the ceiling sum over the first m - n
     shifts (normalized lattice); ``correlation[k-1]`` = c_k for k = 1..k0-1,
     nonzero exactly when the word overlaps itself at a shift whose ceiling sum
-    is k, in which case ``overlap_shift[k-1]`` records that shift.
-    ``t_word`` and ``r_word`` are the first and last n letters.
+    is k. ``t_word`` and ``r_word`` are the first and last n letters.
     """
 
     word: Word
     alpha: float
     k0: int
     correlation: tuple[float, ...]
-    overlap_shift: tuple["int | None", ...]
     t_word: Word
     r_word: Word
 
@@ -220,7 +217,6 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
     while length := border[length]:
         overlaps.add(m - length)
     correlation = [0.0] * max(k0 - 1, 0)
-    overlap_shift: list["int | None"] = [None] * max(k0 - 1, 0)
     partial_sum = 0
     weight = 1.0
     for j in range(1, m - n):
@@ -228,7 +224,6 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
         weight *= transitions[word[j - 1]][word[j]]
         if partial_sum <= k0 - 1 and j in overlaps:
             correlation[partial_sum - 1] = weight
-            overlap_shift[partial_sum - 1] = j
 
     t_word = word[:n]
     r_word = word[m - n :]
@@ -237,7 +232,6 @@ def hole_quantities(system: SuspensionSystem, hole: Word) -> HoleQuantities:
         alpha=alpha,
         k0=k0,
         correlation=tuple(correlation),
-        overlap_shift=tuple(overlap_shift),
         t_word=t_word,
         r_word=r_word,
     )
@@ -559,33 +553,6 @@ def deflate_at_one(poly: Polynomial) -> Polynomial:
     return Polynomial._trimmed(tuple(accumulate(poly.coefficients[:-1])))
 
 
-def taylor_at_one(
-    numerator: Polynomial, denominator: Polynomial, order: int
-) -> tuple[float, ...]:
-    """Taylor coefficients of numerator/denominator at z = 1, in powers of (z - 1).
-
-    Common zeros at z = 1 are cancelled first; if the denominator still
-    vanishes, PoleAtOneError is raised. Returns ``order + 1`` coefficients.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    slack = 8
-    num = list(numerator.taylor_at_one(order + 1 + slack))
-    den = list(denominator.taylor_at_one(order + 1 + slack))
-    num_scale = max(1.0, max(abs(c) for c in num))
-    den_scale = max(1.0, max(abs(c) for c in den))
-    for _ in range(slack):
-        if abs(den[0]) > 1e-11 * den_scale:
-            break
-        if abs(num[0]) > 1e-11 * num_scale:
-            raise PoleAtOneError("denominator vanishes at z = 1 but numerator does not")
-        num.pop(0)
-        den.pop(0)
-    else:
-        raise PoleAtOneError("denominator vanishes to high order at z = 1")
-    return _series_quotient(num, den, order)
-
-
 def _series_quotient(num, den, order: int) -> tuple[float, ...]:
     """First ``order + 1`` coefficients of the power-series quotient num/den,
     from at least that many coefficients of each; den[0] must not vanish."""
@@ -649,18 +616,16 @@ def smallest_root_geq_one(poly: Polynomial) -> float:
         a, b = _refine_bracket(poly, *found)
         return _polish_candidate(poly, 0.5 * (a + b), a, b, scale)
 
-    if poly.degree >= 1:
-        roots = np.roots(list(reversed(poly.coefficients)))
-        top = _ROOT_BRACKETS[-1]
-        candidates = [
-            float(r.real)
-            for r in roots
-            if abs(r.imag) <= 1e-6 * max(1.0, abs(r.real))
-            and 1.0 - 1e-8 <= r.real <= top * (1.0 + 1e-9)
-        ]
-        if candidates:
-            cand = min(candidates)
-            return _polish_candidate(poly, cand, 1.0, top, scale)
+    roots = np.roots(list(reversed(poly.coefficients)))
+    top = _ROOT_BRACKETS[-1]
+    candidates = [
+        float(r.real)
+        for r in roots
+        if abs(r.imag) <= 1e-6 * max(1.0, abs(r.real))
+        and 1.0 - 1e-8 <= r.real <= top * (1.0 + 1e-9)
+    ]
+    if candidates:
+        return _polish_candidate(poly, min(candidates), 1.0, top, scale)
     raise NoSignChangeError("no root found at or beyond z = 1")
 
 

@@ -101,6 +101,13 @@ def test_family_rejects_unreduced_orbit(cycle2):
         build_family(cycle2, constant_function(cycle2, 1.0), (0, 1))
 
 
+def test_family_rejects_an_orbit_weight_within_1e_12_of_one():
+    # The word 0 is reduced (0 -> 1 is allowed), but c_o = 1 - 1e-13.
+    shift = build_markov_shift([[1.0 - 1e-13, 1e-13], [0.5, 0.5]])
+    with pytest.raises(DegenerateLinearTermError, match="c_o"):
+        build_family(shift, constant_function(shift, 1.0), (0,))
+
+
 # ---------------------------------------------------------------------------
 # Hole words and measures
 # ---------------------------------------------------------------------------
@@ -169,15 +176,6 @@ def test_expansion_matches_closed_forms(unit_family, step_family_one, golden_mea
             assert coeffs.s_normalized[1] == pytest.approx(
                 coeffs.closed_normalized[1], abs=1e-9
             )
-
-
-def test_expansion_flow_units_divide_by_lattice(full2):
-    fam = build_family(full2, constant_function(full2, 2.0), (0,))
-    assert fam.system.lattice_scale == 2.0
-    coeffs = expansion_coefficients(fam, 4, 2)
-    assert coeffs.s == pytest.approx((0.25, 0.3125))
-    assert coeffs.s1_closed == pytest.approx(0.25)
-    assert coeffs.s2_closed == pytest.approx(0.3125)
 
 
 def test_expansion_rejects_bad_arguments(unit_family):

@@ -363,6 +363,50 @@ def test_lattice_ratio_overflow_is_a_domain_error(tmp_path, files):
     assert "overflows" in error["message"]
 
 
+MALFORMED = {
+    "labels-number": ("model", {"transitions": [[0.5, 0.5], [0.5, 0.5]], "labels": 5}),
+    "transitions-object": ("model", {"transitions": {"a": 1}}),
+    "lattice-string": ("ceiling", {"order": 1, "values": {"0": 1.0, "1": 1.0}, "lattice": "0.25"}),
+    "order-null": ("ceiling", {"order": None, "values": {"0": 1.0, "1": 1.0}}),
+    "order-fraction": ("ceiling", {"order": 1.7, "values": {"0": 1.0, "1": 1.0}}),
+    "value-list": ("ceiling", {"order": 1, "values": {"0": [1.0], "1": 1.0}}),
+    "values-list": ("ceiling", {"order": 1, "values": [1.0, 2.0]}),
+}
+
+
+def _validate_argv(files, tmp_path, kind, doc):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    model = str(path) if kind == "model" else files["full2"]
+    ceiling = str(path) if kind == "ceiling" else files["unit"]
+    return ["validate", "--model", model, "--ceiling", ceiling]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_are_exit_two(capsys, files, tmp_path, name):
+    argv = _validate_argv(files, tmp_path, *MALFORMED[name])
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "", err
+    assert err.startswith("flowescape validate: error: ")
+    result = _run_module(argv)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_null_transition_entry_is_a_domain_error(capsys, files, tmp_path):
+    doc = {"transitions": [[0.5, 0.5], [0.5, None]], "labels": ["0", "1"]}
+    argv = _validate_argv(files, tmp_path, "model", doc)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["code"] == "NotRowStochastic"
+    result = _run_module(argv)
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    error = json.loads(result.stderr)["error"]
+    assert error["code"] == "NotRowStochastic"
+    assert "not finite" in error["message"]
+
+
 def test_console_script_and_module_entry(files):
     result = subprocess.run(
         ["flowescape", "validate", "--model", files["full2"]],

@@ -113,7 +113,7 @@ def test_quantities_reject_inadmissible(golden_mean):
 
 
 def _brute_force_quantities(system, word):
-    """(alpha, k0, correlation, overlap_shift) from their definition: the
+    """(alpha, k0, correlation) from their definition: the
     word overlaps itself at shift j when it agrees with itself shifted by j,
     letter by letter, at O(m^2) steps."""
     n, m = system.order, len(word)
@@ -123,7 +123,6 @@ def _brute_force_quantities(system, word):
     for i in range(n - 1, m - 1):
         alpha *= float(p[word[i], word[i + 1]])
     correlation = [0.0] * max(k0 - 1, 0)
-    overlap_shift = [None] * max(k0 - 1, 0)
     for j in range(1, m - n):
         partial_sum = sum(system.height_of(word[i : i + n]) for i in range(j))
         weight = 1.0
@@ -131,8 +130,7 @@ def _brute_force_quantities(system, word):
             weight *= float(p[word[i], word[i + 1]])
         if partial_sum <= k0 - 1 and all(word[i] == word[i + j] for i in range(m - j)):
             correlation[partial_sum - 1] = weight
-            overlap_shift[partial_sum - 1] = j
-    return alpha, k0, tuple(correlation), tuple(overlap_shift)
+    return alpha, k0, tuple(correlation)
 
 
 def _fibonacci_word(length):
@@ -166,7 +164,7 @@ def test_quantities_match_their_brute_force_definition(full2, golden_mean):
             if len(word) < system.order or not is_reduced(system.base, word):
                 continue
             q = hole_quantities(system, word)
-            assert (q.alpha, q.k0, q.correlation, q.overlap_shift) == _brute_force_quantities(
+            assert (q.alpha, q.k0, q.correlation) == _brute_force_quantities(
                 system, word
             ), word
             checked += 1
@@ -1146,6 +1144,11 @@ def test_refined_rate_matches_50_digit_root(transitions, heights, hole):
     assert escape_rate_zeta(system, hole) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+def test_unknown_representation_is_a_usage_error(step_system):
+    with pytest.raises(ValueError, match="unknown representation"):
+        escape_rate_flow(step_system, (0,), representation="dense")
+
+
 def test_non_reduced_hole_served_by_refined_path(golden_mean):
     system = build_suspension(golden_mean, constant_function(golden_mean, 1.0))
     with pytest.raises(NotReducedError):
@@ -1163,6 +1166,8 @@ def test_survival_curve_starts_at_one(step_system):
     curve = survival_curve_flow(step_system, (0,), 5)
     assert curve[0] == 1.0
     assert all(a >= b for a, b in zip(curve, curve[1:]))
+    with pytest.raises(ValueError, match=">= 0"):
+        survival_curve_flow(step_system, (0,), -1)
 
 
 def test_survival_curve_unit_ceiling_matches_exact(unit_system, full2):

@@ -66,6 +66,31 @@ def test_rejects_bad_row_sum():
         build_markov_shift([[0.5, 0.4], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize(
+    "transitions, match",
+    [
+        ([[0.5, 0.5]], "square"),
+        ([0.5, 0.5], "square"),
+        ([[1.5, -0.5], [0.5, 0.5]], "negative"),
+        # NaN compares False with both the negative-entry and the row-sum
+        # bounds, so only the finiteness check catches it.
+        ([[0.5, 0.5], [0.5, math.nan]], "not finite"),
+        ([[0.5, 0.5], [math.inf, -math.inf]], "not finite"),
+    ],
+    ids=["not-square", "one-dimensional", "negative", "nan", "inf"],
+)
+def test_rejects_a_matrix_that_is_not_stochastic(transitions, match):
+    with pytest.raises(NotRowStochasticError, match=match):
+        build_markov_shift(transitions)
+
+
+def test_rejects_labels_that_do_not_fit_the_matrix():
+    with pytest.raises(ValueError, match="expected 2 labels"):
+        build_markov_shift([[0.5, 0.5], [0.5, 0.5]], labels=["a"])
+    with pytest.raises(ValueError, match="unique"):
+        build_markov_shift([[0.5, 0.5], [0.5, 0.5]], labels=["a", "a"])
+
+
 def test_row_sums_inside_the_tolerance_build():
     """Rows off 1 by 5e-10 on letters of mass near 1/3 leave a stationary
     residual of 3e-10, inside the rows' own deviation; 2e-9 is past the
@@ -174,6 +199,7 @@ def test_strongly_connected_components_match_the_searchsorted_version():
 
 def test_cylinder_measure_single_letter(full2):
     assert cylinder_measure(full2, (0,)) == 0.5
+    assert cylinder_measure(full2, ()) == 1.0
 
 
 def test_cylinder_measure_bernoulli_product(full2):
@@ -187,6 +213,8 @@ def test_cylinder_measure_biased(biased2):
 def test_cylinder_measure_rejects_inadmissible(golden_mean):
     with pytest.raises(InadmissibleWordError):
         cylinder_measure(golden_mean, (1, 1))
+    with pytest.raises(InadmissibleWordError, match="outside the alphabet"):
+        cylinder_measure(golden_mean, (0, 2))
 
 
 def test_is_reduced_full_shift(full2):
@@ -199,6 +227,10 @@ def test_is_reduced_cycle_shift(cycle2):
 
 def test_is_reduced_golden_mean(golden_mean):
     assert not is_reduced(golden_mean, (1, 0))
+    with pytest.raises(WordTooShortError):
+        is_reduced(golden_mean, ())
+    with pytest.raises(InadmissibleWordError):
+        is_reduced(golden_mean, (1, 1))
 
 
 def test_admissible_words_counts(golden_mean, full2):
@@ -211,21 +243,40 @@ def test_admissible_words_counts(golden_mean, full2):
     assert len(admissible_words(golden_mean, 14)) == 987
     with pytest.raises(RefinementTooLargeError, match="8192 admissible words"):
         admissible_words(full2, 13)
+    with pytest.raises(ValueError, match=">= 1"):
+        admissible_words(full2, 0)
+
+
+LONG_LABELS = build_markov_shift([[0.5, 0.5], [0.5, 0.5]], labels=["a0", "b1"])
 
 
 def test_parse_and_format_word(full2):
     assert parse_word(full2, "010") == (0, 1, 0)
     assert format_word(full2, (0, 1, 0)) == "010"
+    # Labels longer than one character are read between commas.
+    assert parse_word(LONG_LABELS, "a0, b1,a0") == (0, 1, 0)
+    assert format_word(LONG_LABELS, (0, 1, 0)) == "a0,b1,a0"
 
 
 def test_parse_word_unknown_symbol(full2):
     with pytest.raises(ValueError):
         parse_word(full2, "0X")
+    with pytest.raises(ValueError):
+        parse_word(LONG_LABELS, "a0,a")
 
 
 # ---------------------------------------------------------------------------
 # Cylinder functions
 # ---------------------------------------------------------------------------
+
+def test_cylinder_function_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="order"):
+        cylinder_function(0, {(): 1.0})
+    with pytest.raises(ValueError, match="at least one value"):
+        cylinder_function(1, {})
+    with pytest.raises(ValueError, match="length 1"):
+        cylinder_function(1, {(0,): 1.0, (0, 1): 2.0})
+
 
 def test_cylinder_function_lattice_validation(full2):
     with pytest.raises(NonArithmeticCeilingError):
@@ -252,7 +303,8 @@ def test_cylinder_function_lattice_ratio_overflow_is_non_arithmetic():
 def test_constant_function_has_lattice(full2):
     psi = constant_function(full2, 2.0)
     assert psi.lattice == 2.0
-    assert psi.sup_value == psi.inf_value == 2.0
+    # Every word has the value 2.0.
+    assert set(psi.values.values()) == {2.0}
 
 
 def test_cylinder_function_value_needs_order_letters(step_ceiling, full2):
@@ -268,6 +320,9 @@ def test_refine_cylinder_function(full2, step_ceiling):
     assert fine.value((1, 0)) == 2.0
     assert fine.value((0, 1)) == 1.0
     assert fine.lattice == step_ceiling.lattice
+    assert refine_cylinder_function(full2, fine, 2) is fine
+    with pytest.raises(ValueError, match="down to 1"):
+        refine_cylinder_function(full2, fine, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +355,8 @@ def test_survival_double_letter_hole_fibonacci(full2):
 
 def test_survival_at_zero_is_one(full2):
     assert survival_measure_exact(full2, (0, 0), 0) == 1.0
+    with pytest.raises(ValueError, match=">= 0"):
+        survival_measure_exact(full2, (0, 0), -1)
 
 
 def test_survival_nonincreasing_and_positive(golden_mean):
@@ -419,3 +476,67 @@ def test_ceiling_json_round_trip(full2):
     assert again.order == 1
     assert again.value((1,)) == 2.0
     assert again.lattice == 1.0
+
+
+MODEL = {"transitions": [[0.5, 0.5], [0.5, 0.5]], "labels": ["0", "1"]}
+CEILING = {"order": 1, "values": {"0": 1.0, "1": 2.0}, "lattice": 1.0}
+# Documents of the wrong shape, each MODEL or CEILING with one field changed
+# (None drops it).
+BAD_MODELS = {
+    "no-transitions": {"transitions": None},
+    "transitions-object": {"transitions": {"a": 1}},
+    "transitions-flat": {"transitions": [0.5, 0.5]},
+    "entry-string": {"transitions": [[0.5, "0.5"], [0.5, 0.5]]},
+    "entry-bool": {"transitions": [[True, 0], [0.5, 0.5]]},
+    "entry-past-float": {"transitions": [[0.5, 0.5], [0.5, 10**400]]},
+    "labels-number": {"labels": 5},
+    "labels-numbers": {"labels": [0, 1]},
+}
+BAD_CEILINGS = {
+    "no-order": {"order": None},
+    "no-values": {"values": None},
+    "order-null": {"order": "null"},
+    "order-fraction": {"order": 1.7},
+    "order-bool": {"order": True},
+    "values-list": {"values": [1.0, 2.0]},
+    "value-list": {"values": {"0": [1.0], "1": 2.0}},
+    "value-string": {"values": {"0": "1.0", "1": 2.0}},
+    "lattice-string": {"lattice": "0.25"},
+}
+
+
+def _changed(doc, change):
+    out = dict(doc)
+    for key, value in change.items():
+        if value is None:
+            out.pop(key)
+        else:
+            out[key] = None if value == "null" else value
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+def test_model_document_of_the_wrong_shape_is_a_usage_error(name):
+    with pytest.raises(ValueError):
+        shift_from_json(_changed(MODEL, BAD_MODELS[name]))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CEILINGS))
+def test_ceiling_document_of_the_wrong_shape_is_a_usage_error(full2, name):
+    with pytest.raises(ValueError):
+        ceiling_from_json(full2, _changed(CEILING, BAD_CEILINGS[name]))
+
+
+def test_documents_that_are_not_objects_are_usage_errors(full2):
+    for doc in (5, [1, 2], "transitions"):
+        with pytest.raises(ValueError):
+            shift_from_json(doc)
+        with pytest.raises(ValueError):
+            ceiling_from_json(full2, doc)
+
+
+def test_null_transition_entry_is_not_row_stochastic():
+    # JSON null reads as NaN, which no row of a stochastic matrix holds.
+    doc = json.loads('{"transitions": [[0.5, 0.5], [0.5, null]]}')
+    with pytest.raises(NotRowStochasticError, match="not finite"):
+        shift_from_json(doc)

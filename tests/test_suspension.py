@@ -163,6 +163,8 @@ def test_block_chain_equals_block_loop(name):
                 system.block_index(w, level)
     with pytest.raises(KeyError):
         system.block_index((shift.alphabet_size,) * ceiling.order, 0)
+    with pytest.raises(KeyError):
+        system.height_of((shift.alphabet_size,) * ceiling.order)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from flowescape import (
     FactorizationMismatchError,
     NoSignChangeError,
     NoZeroAtOneError,
-    PoleAtOneError,
     Polynomial,
     admissible_words,
     build_family,
@@ -27,7 +26,6 @@ from flowescape import (
     escape_rate_zeta,
     hole_quantities,
     smallest_root_geq_one,
-    taylor_at_one,
     zeta_op_factorized,
 )
 import flowescape.zeta as zeta
@@ -626,36 +624,6 @@ def test_deflate_rejects_nonzero_at_one():
 
 
 # ---------------------------------------------------------------------------
-# Taylor development at z = 1
-# ---------------------------------------------------------------------------
-
-def test_taylor_geometric():
-    got = taylor_at_one(Polynomial((1.0,)), Polynomial((1.0, -0.5)), 2)
-    assert got == pytest.approx((2.0, 2.0, 2.0))
-
-
-def test_taylor_with_vanishing_numerator():
-    got = taylor_at_one(Polynomial((1.0, -1.0)), Polynomial((1.0, -0.5)), 1)
-    assert got == pytest.approx((0.0, -2.0))
-
-
-def test_taylor_constant():
-    got = taylor_at_one(Polynomial((3.0,)), Polynomial((1.0,)), 3)
-    assert got == pytest.approx((3.0, 0.0, 0.0, 0.0))
-
-
-def test_taylor_pole_at_one():
-    with pytest.raises(PoleAtOneError):
-        taylor_at_one(Polynomial((1.0,)), Polynomial((1.0, -1.0)), 2)
-
-
-def test_taylor_cancels_common_zero():
-    # (1 - z)/(1 - z) == 1 after cancelling the shared simple zero.
-    got = taylor_at_one(Polynomial((1.0, -1.0)), Polynomial((1.0, -1.0)), 2)
-    assert got == pytest.approx((1.0, 0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
 # Root isolation
 # ---------------------------------------------------------------------------
 
@@ -680,6 +648,11 @@ def test_root_double():
 def test_root_none_found():
     with pytest.raises(NoSignChangeError):
         smallest_root_geq_one(Polynomial((1.0, 0.0, 1.0)))
+
+
+def test_root_rejects_a_negative_value_at_one():
+    with pytest.raises(ValueError, match="negative"):
+        smallest_root_geq_one(Polynomial((-1.0, 0.5)))
 
 
 def _linspace_scan(poly, left, right):
