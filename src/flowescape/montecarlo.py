@@ -41,6 +41,7 @@ from .shift import (
     Word,
     _gain_plan,
     _gain_step,
+    _is_integer,
     _lattice_operators,
     _survival_curve,
     admissible_words,
@@ -65,6 +66,9 @@ class SimulationConfig:
     confidence_z: float = 3.0
 
     def __post_init__(self):
+        for name in ("seed", "samples", "t_max"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples < 100:
@@ -227,9 +231,11 @@ def _deviation_setup(shift, ceiling, epsilon, k_values, l_max):
     of the admissible words of max(n - 1, 1) letters, the DP's suffixes."""
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    ks = tuple(sorted({int(k) for k in k_values}))
+    ks = tuple(sorted({int(k) for k in k_values})) if all(map(_is_integer, k_values)) else ()
     if not ks or ks[0] < 1:
         raise ValueError(f"k values must be positive integers, got {k_values}")
+    if l_max is not None and not _is_integer(l_max):
+        raise ValueError(f"l_max must be a positive integer, got {l_max!r}")
     system = build_suspension(shift, ceiling)
     heights = dict(zip(system.words, system.heights.tolist()))
     if l_max is None:

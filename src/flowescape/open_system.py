@@ -28,8 +28,8 @@ hole longer than the order, the hole automaton, read k0 steps late. An orbit
 dies only on an edge that operator lacks, and no route builds the words of
 the hole's length. The radius of a cyclic component of 1-2 states is closed
 form, and one of 3-4 states a guarded Newton root of its characteristic
-polynomial; only one of 5 to 128 states, a 3-4 state one the guard rejects,
-or a larger one whose power iteration stalls, goes dense.
+polynomial; only one of 5 to 128 states, a 3-4 state one Newton does not
+settle, or a larger one whose power iteration stalls, goes dense.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .shift import (
     Word,
     _checked_hole,
     _hole_automaton,
+    _is_integer,
     _strongly_connected_components,
     _survival_curve,
     _within_state_cap,
@@ -139,49 +140,9 @@ def _char_poly(a: list, sign: float) -> tuple:
 # polynomial is at most _NEWTON_MAX_CONDITION.
 _NEWTON_MAX_CONDITION = 16.0
 _NEWTON_MAX_STEPS = 60
-_BALANCE_MAX_SWEEPS = 64
 
 
-def _balanced(rows: list) -> list:
-    """D A D^-1 for the square list ``rows``, D a diagonal of powers of two
-    that brings each state's off-diagonal row and column sums within a
-    factor of 3 of each other (Osborne's iteration in radix 2, as LAPACK's
-    gebal balances). A state is scaled only where no entry under- or
-    overflows, so the scaling is exact: every product of entries along a
-    cycle, and with it the characteristic polynomial, is unchanged, while
-    the row sums fall towards the Perron root.
-    """
-    a = [list(row) for row in rows]
-    size = len(a)
-    for _ in range(_BALANCE_MAX_SWEEPS):
-        moved = False
-        for i in range(size):
-            col = sum(a[j][i] for j in range(size) if j != i)
-            row = sum(a[i][j] for j in range(size) if j != i)
-            if col == 0.0 or row == 0.0:
-                continue
-            # row / 2^k and col * 2^k meet where 4^k is about row / col.
-            k = round(0.5 * (math.log2(row) - math.log2(col)))
-            # Scaling pays only where it cuts row + col by 5%, so sweeps end.
-            if k == 0 or not math.ldexp(col, k) + math.ldexp(row, -k) < 0.95 * (col + row):
-                continue
-            others = [j for j in range(size) if j != i]
-            out = [math.ldexp(a[i][j], -k) for j in others]
-            into = [math.ldexp(a[j][i], k) for j in others]
-            # Only exact scalings: none that underflows or overflows an entry.
-            if any(math.ldexp(w, k) != a[i][j] for w, j in zip(out, others)) or any(
-                math.ldexp(w, -k) != a[j][i] for w, j in zip(into, others)
-            ):
-                continue
-            for j, w, v in zip(others, out, into):
-                a[i][j], a[j][i] = w, v
-            moved = True
-        if not moved:
-            break
-    return a
-
-
-def _newton_radius(rows: list, balance: bool = True) -> "float | None":
+def _newton_radius(rows: list) -> "float | None":
     """Perron root of the irreducible nonnegative 3x3 or 4x4 list ``rows``;
     None where Newton does not settle it to a few ulp.
 
@@ -195,11 +156,11 @@ def _newton_radius(rows: list, balance: bool = True) -> "float | None":
     the condition number P(x) / (x p'(x)). The root stands where that is
     at most 16; a near-double Perron root, a small spectral gap, fails it.
     Newton takes more than 60 steps only from a bound six or more orders of
-    magnitude above the root, on a badly balanced block; it then starts once
-    more on the ``_balanced`` block, whose row sums lie near the root, and
-    the root does not stand where that too spends 60 steps. The cap also
-    keeps the root's x^4 far above the float range's floor, below which
-    products of entries would lose digits.
+    magnitude above the root, on a badly balanced block; it then returns
+    None, as where the guard trips, and the caller's dense eigenvalues, which
+    balance the block first, take both exits. The cap also keeps the root's
+    x^4 far above the float range's floor, below which products of entries
+    would lose digits.
     """
     top = max(map(sum, rows))
     if not 0.0 < top < math.inf:
@@ -222,7 +183,7 @@ def _newton_radius(rows: list, balance: bool = True) -> "float | None":
             break
         x = step
     else:
-        return _newton_radius(_balanced(rows), balance=False) if balance else None
+        return None
     e0, e1, e2, e3, e4 = _char_poly(a, 1.0)
     bound = (((e0 * x + e1) * x + e2) * x + e3) * x + e4
     if not bound <= _NEWTON_MAX_CONDITION * x * slope:
@@ -237,8 +198,8 @@ def _component_radius(links, size: int) -> float:
     # 1-2 states are closed form, and 3-4 states take guarded Newton on the
     # characteristic polynomial, on the links as Python floats. Dense
     # eigenvalues beat power iteration outright up to 128 states, and take
-    # over where the Newton guard trips or a small spectral gap stalls the
-    # power iteration past 128.
+    # over wherever Newton returns None (its guard trips or it spends its
+    # step cap) or a small spectral gap stalls the power iteration past 128.
     src, dst, p = links
     if size <= 4 and isinstance(p, np.ndarray):  # arrays from other callers
         src, dst, p = src.tolist(), dst.tolist(), p.tolist()
@@ -498,7 +459,8 @@ def escape_rate_block_hole(system: SuspensionSystem, rows: "tuple[int, ...] | li
     included). A row at any level of a word's tower removes that whole word:
     its links of ``word_links`` are dropped before the word-operator root."""
     size = system._block_count
-    if not rows or not all(int(r) == r and 0 <= r < size for r in rows):
+    # The range check comes first, so that int() never sees inf or nan.
+    if not rows or not all(0 <= r < size and int(r) == r for r in rows):
         raise ValueError(f"block hole needs rows within [0, {size}), got {list(rows)}")
     src, dst, p = system.word_links
     kept = ~np.isin(src, np.searchsorted(system._starts, rows, side="right") - 1)
@@ -562,8 +524,8 @@ def survival_curve_flow(system: SuspensionSystem, hole: Word, t_max: int) -> np.
     block matrix is built, and RefinementTooLargeError is raised exactly
     where ``escape_rate_flow(..., "refined")`` raises it.
     """
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if not _is_integer(t_max) or t_max < 0:
+        raise ValueError(f"t_max must be an integer >= 0, got {t_max!r}")
     links, heights, start, delay = _survival_tower(system, hole)
     curve = _survival_curve(start, links, delay + t_max, heights)[0][delay:]
     curve[0] = 1.0

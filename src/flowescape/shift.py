@@ -707,6 +707,11 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def shift_from_json(doc: Mapping) -> MarkovShift:
     """The shift of a model document: ``transitions``, a list of rows of
     numbers (a null entry reads as NaN, which ``build_markov_shift``

@@ -12,12 +12,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
-def test_demo_runs(demo):
+def test_demo_runs(demo, pytestconfig):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    # The suite's own warning filters, so a warning that fails a test fails
+    # a demo too.
+    filters = [f"-W{entry}" for entry in pytestconfig.getini("filterwarnings")]
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
+        [sys.executable, *filters, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
     )
     assert result.returncode == 0, result.stderr

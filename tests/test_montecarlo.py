@@ -58,6 +58,11 @@ def test_config_rejects_bad_parameters():
     assert SimulationConfig(seed=1, samples=2**63 - 1, t_max=10).samples == 2**63 - 1
     with pytest.raises(ValueError, match="2\\*\\*63"):
         SimulationConfig(seed=1, samples=2**63, t_max=10)
+    # A fractional sample count would divide 1000 draws by 1000.5; a
+    # fractional seed or horizon would fail inside numpy.
+    for kwargs in ({"samples": 1000.5}, {"t_max": 3.5}, {"seed": 1.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimulationConfig(**{"seed": 1, "samples": 1000, "t_max": 10, **kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +202,20 @@ def test_deviation_rejects_bad_arguments(full2, step_ceiling):
         est = estimate_deviation_prob(full2, step_ceiling, epsilon, [5], config, l_max=20)
         assert est.probabilities.tolist() == [0.0]
     # Both routes reject the same k lists and l_max.
-    for k_values in ([0], [-1, 5], []):
-        with pytest.raises(ValueError):
+    # k = 5.5 must not be answered as k = 5, nor True as k = 1.
+    for k_values in ([0], [-1, 5], [], [5.5], [True, 5]):
+        with pytest.raises(ValueError, match="positive integers"):
             estimate_deviation_prob(full2, step_ceiling, 0.25, k_values, config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive integers"):
             exact_deviation_prob(full2, step_ceiling, 0.25, k_values, 20)
     with pytest.raises(ValueError):
         estimate_deviation_prob(full2, step_ceiling, 0.25, [10], config, l_max=5)
     with pytest.raises(ValueError):
         exact_deviation_prob(full2, step_ceiling, 0.25, [10], 5)
+    with pytest.raises(ValueError, match="positive integer"):
+        estimate_deviation_prob(full2, step_ceiling, 0.25, [10], config, l_max=20.5)
+    with pytest.raises(ValueError, match="positive integer"):
+        exact_deviation_prob(full2, step_ceiling, 0.25, [10], 20.5)
 
 
 def test_deviation_counts_stay_exact_integers(full2, step_ceiling):

@@ -481,6 +481,41 @@ def test_three_and_four_state_radii_match_60_digit_perron_root():
     assert worst <= 8.0 * eps
 
 
+def test_stalled_power_iteration_falls_back_to_dense_eigenvalues(monkeypatch):
+    # A 200-state cycle of weight 0.9 with one loop of 1e-3: with the power
+    # iteration's budget cut to 3 steps it stalls, and the radius is eigvals'
+    # to the bit.
+    size = 200
+    src = np.append(np.arange(size), 0)
+    dst = np.append((np.arange(size) + 1) % size, 0)
+    links = (src, dst, np.append(np.full(size, 0.9), 1e-3))
+    monkeypatch.setattr(open_system, "_RADIUS_MAX_ITER", 3)
+    assert open_system._power_iteration_radius(links, size) is None
+    radius = open_system._component_radius(links, size)
+    assert radius == float(np.abs(np.linalg.eigvals(dense(links, size))).max())
+    assert radius == 0.9000050027659167
+
+
+@pytest.mark.parametrize(
+    "matrix, want",
+    [
+        # 3-cycles with subnormal row sums: 2^-exponent would pass the float range.
+        (np.roll(np.eye(3), 1, axis=1) * 1e-310, 1e-310),
+        (np.roll(np.eye(3), 1, axis=1) * 3e-320, 3e-320),
+        # A row sum that overflows to inf.
+        (np.full((3, 3), 1e308), math.inf),
+    ],
+)
+def test_newton_row_sum_exits_fall_back_to_dense_eigenvalues(matrix, want):
+    # Newton returns None before its first step, and the radius is eigvals'
+    # to the bit.
+    src, dst = np.nonzero(matrix)
+    assert open_system._newton_radius(matrix.tolist()) is None
+    radius = open_system._component_radius((src, dst, matrix[src, dst]), 3)
+    assert radius == float(np.abs(np.linalg.eigvals(matrix)).max())
+    assert radius == want
+
+
 def test_three_and_four_state_components_take_no_dense_eigenvalues(monkeypatch):
     # Three towers of ORACLE_TOWERS whose hole automata have one cyclic
     # component each, of 3 or 4 states: every radius of the refined root
@@ -553,8 +588,9 @@ def test_block_hole_shadow_slabs(step_system):
 
 def test_block_hole_rejects_rows_outside_the_chain(step_system):
     # Three blocks: row -1 must not wrap round to the last block's word, and
-    # a fraction of a row must not be truncated to row 0.
-    for row in (-1, 3, 0.5, 1e-9):
+    # a fraction of a row must not be truncated to row 0, and no row that is
+    # not finite may reach int().
+    for row in (-1, 3, 0.5, 1e-9, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             escape_rate_block_hole(step_system, (row,))
 
@@ -803,13 +839,10 @@ def test_word_operator_root_near_the_float_range():
         open_system._word_operator_root((src, dst, np.full(2, 1e-300)), heights)
 
 
-def test_balanced_block_is_an_exact_power_of_two_similarity():
-    """Blocks with entries log-uniform over 1e-60..1e60: the balanced block
-    is D A D^-1 with D a diagonal of powers of two, entry for entry, and each
-    state's off-diagonal row and column sums end within a factor of 3. Newton
-    from the raw row sums spends its step cap on most of them; with the
-    balanced restart the root stands and lies within 8 ulp of the Perron root
-    at 60 digits."""
+def test_badly_balanced_block_radius_matches_60_digit_perron_root():
+    """Blocks with entries log-uniform over 1e-60..1e60: Newton from the raw
+    row sums spends its step cap on most of them, and the radius, from
+    eigvals on those, lies within 8 ulp of the Perron root at 60 digits."""
     mp = mpmath.mp.clone()
     mp.dps = 60
     rng = np.random.default_rng(31)
@@ -817,16 +850,9 @@ def test_balanced_block_is_an_exact_power_of_two_similarity():
     capped = 0
     for size in (3, 4) * 12:
         matrix = 10.0 ** rng.uniform(-60.0, 60.0, (size, size))
-        got = open_system._balanced(matrix.tolist())
-        shift = [0] + [int(round(math.log2(matrix[0, j] / got[0][j]))) for j in range(1, size)]
-        for i in range(size):
-            for j in range(size):
-                assert got[i][j] == math.ldexp(matrix[i, j], shift[i] - shift[j])
-            row = sum(got[i][j] for j in range(size) if j != i)
-            col = sum(got[j][i] for j in range(size) if j != i)
-            assert 1.0 / 3.0 < row / col < 3.0
-        capped += open_system._newton_radius(matrix.tolist(), balance=False) is None
-        radius = open_system._newton_radius(matrix.tolist())
+        capped += open_system._newton_radius(matrix.tolist()) is None
+        src, dst = np.nonzero(matrix)
+        radius = open_system._component_radius((src, dst, matrix[src, dst]), size)
         # det(xI - A) by Faddeev-LeVerrier at 60 digits, from the float entries.
         m, step, coefficients = mp.matrix(matrix.tolist()), mp.zeros(size), [mp.mpf(1)]
         for k in range(1, size + 1):
@@ -834,23 +860,8 @@ def test_balanced_block_is_an_exact_power_of_two_similarity():
             coefficients.append(-sum(step[i, i] for i in range(size)) / k)
         roots = mp.polyroots(coefficients, maxsteps=200, extraprec=600)
         want = max(abs(root) for root in roots)
-        assert radius is not None and abs(mp.mpf(radius) - want) <= 8.0 * eps * want
+        assert abs(mp.mpf(radius) - want) <= 8.0 * eps * want
     assert capped >= 8
-
-
-def test_balanced_block_scales_no_entry_out_of_the_float_range():
-    """State 0's row sum is 1e200 times its column sum, but scaling it by
-    2^-332 would flush its 1e-300 entry to 0: state 0 is left as it is, and
-    the block is still D A D^-1 with D a diagonal of powers of two, entry for
-    entry, with its row sums cut by balancing state 1 instead."""
-    rows = [[0.0, 1e200, 1e-300], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
-    got = open_system._balanced(rows)
-    assert got[0][2] == 1e-300
-    shift = [0] + [int(round(math.log2(rows[0][j] / got[0][j]))) for j in (1, 2)]
-    for i in range(3):
-        for j in range(3):
-            assert got[i][j] == math.ldexp(rows[i][j], shift[i] - shift[j])
-    assert max(map(sum, got)) < 1e-50 * max(map(sum, rows))
 
 
 @pytest.mark.parametrize("heights", [(1.0, 2.0, 2.0), (1.0, 1.0, 2.0, 2.0)])
@@ -865,11 +876,7 @@ def test_cycle_word_operator_root_near_the_float_range(heights, monkeypatch):
     # 1e-13, so the root stops at that noise floor within 4 radius
     # evaluations instead of closing its bracket to 4 ulp. Entries as far
     # apart as 1e-67 and 1e67 put the row-sum start of Newton past its step
-    # cap; it starts again on the balanced block, and eigvals never runs.
-    def no_eigvals(matrix):
-        raise AssertionError("eigvals fallback")
-
-    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    # cap, and those radii are eigvals'.
     size, total = len(heights), sum(heights)
     src = np.arange(size)
     dst = (src + 1) % size
@@ -989,19 +996,15 @@ def test_word_operator_root_matches_the_masked_root_in_float_hex(sizes, monkeypa
 
 def test_word_operator_root_matches_the_masked_root_on_guarded_blocks(monkeypatch):
     """3-4 state blocks on which Newton's guard trips (a near-double Perron
-    root: two 2-cycles joined by weights 1e-12, so eigvals takes over) and
-    on which Newton restarts on the balanced block (weights log-uniform over
-    1e-60..1e60): the same roots and radii to the bit as the oracle's."""
-    eigvals, balanced = np.linalg.eigvals, open_system._balanced
-    counts = {"eigvals": 0, "balanced": 0}
+    root: two 2-cycles joined by weights 1e-12) and on which Newton spends
+    its step cap (weights log-uniform over 1e-60..1e60), so eigvals takes
+    over: the same roots and radii to the bit as the oracle's."""
+    eigvals = np.linalg.eigvals
+    counts = {"eigvals": 0}
 
     def counted_eigvals(matrix):
         counts["eigvals"] += 1
         return eigvals(matrix)
-
-    def counted_balanced(rows):
-        counts["balanced"] += 1
-        return balanced(rows)
 
     rng = np.random.default_rng(3204)
     cases = []
@@ -1019,11 +1022,10 @@ def test_word_operator_root_matches_the_masked_root_on_guarded_blocks(monkeypatc
     for links, heights in cases:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "eigvals", counted_eigvals)
-            patch.setattr(open_system, "_balanced", counted_balanced)
             (got, got_radii), (want, want_radii) = _traced_roots(monkeypatch, links, heights)
         assert got == want, (links, heights)
         assert got_radii and got_radii == want_radii
-    assert counts["eigvals"] > 0 and counts["balanced"] > 0
+    assert counts["eigvals"] > 0
 
 
 @pytest.mark.parametrize("heights", [(1.0, 2.0), (1.0, 2.0, 2.0), (1.0, 1.0, 2.0, 2.0)])
@@ -1166,8 +1168,9 @@ def test_survival_curve_starts_at_one(step_system):
     curve = survival_curve_flow(step_system, (0,), 5)
     assert curve[0] == 1.0
     assert all(a >= b for a, b in zip(curve, curve[1:]))
-    with pytest.raises(ValueError, match=">= 0"):
-        survival_curve_flow(step_system, (0,), -1)
+    for t_max in (-1, 3.5):
+        with pytest.raises(ValueError, match=">= 0"):
+            survival_curve_flow(step_system, (0,), t_max)
 
 
 def test_survival_curve_unit_ceiling_matches_exact(unit_system, full2):
